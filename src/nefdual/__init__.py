@@ -1,7 +1,9 @@
 """Exact computations with reflexive lattice polytopes and nef-partitions.
 
-The kernel works entirely over ``fractions.Fraction``; every comparison in
-the library is exact and there are no tolerances anywhere. On top of the
+Every value the library returns is an exact ``fractions.Fraction``; hulls
+and linear solves run internally on ``int`` coordinates with fraction-free
+elimination. Every comparison in the library is exact and there are no
+tolerances anywhere. On top of the
 polytope kernel sit face fans with integral convex piecewise-linear
 functions, nef-partition validation and enumeration, and the mirror
 construction that pairs a nef-partition with its dual, together with exact

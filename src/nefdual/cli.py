@@ -166,6 +166,8 @@ def cmd_nef_dual(args) -> tuple[int, str]:
 
 
 def cmd_nef_enumerate(args) -> tuple[int, str]:
+    if args.r < 1:
+        raise PolytopeParseError(f"-r must be a positive number of parts, got {args.r}")
     started = time.perf_counter()
     poly, file_points, mapping = _load_for_partition(args.file)
     try:
@@ -248,15 +250,19 @@ def main(argv=None) -> int:
     except PolytopeParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except GeometryError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     if getattr(args, "output", None):
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(output)
+        try:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(output)
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(output)
     return code

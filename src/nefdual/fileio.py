@@ -18,7 +18,7 @@ from .polytope import Point, Polytope, SPACE_M, hull
 
 
 class PolytopeParseError(ValueError):
-    """Malformed polytope file or partition spec."""
+    """Malformed input: a polytope file, a partition spec or a part count."""
 
 
 def _parse_rational(token: str) -> Fraction:
@@ -71,7 +71,11 @@ def parse_polytope_text(text: str, space: str = SPACE_M):
 
 def parse_polytope_file(path, space: str = SPACE_M):
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_polytope_text(fh.read(), space)
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise PolytopeParseError(f"{path}: not UTF-8 text ({exc.reason})") from exc
+    return parse_polytope_text(text, space)
 
 
 def format_rational(x: Fraction) -> str:

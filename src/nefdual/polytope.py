@@ -10,6 +10,12 @@ equality constraints and facets are facets within that span.
 
 Two polytopes are equal exactly when they live in the same space and have
 the same canonical vertex list.
+
+Public values are exact ``Fraction``s: point coordinates, facet offsets and
+equality values. Inside :func:`hull` the points are scaled to ``int``
+coordinates by their common denominator, and the hull is computed on
+``int`` tuples with the integer elimination of :mod:`nefdual.linalg`; normals
+are primitive integer vectors, and only the offsets are divided back.
 """
 
 from __future__ import annotations
@@ -17,7 +23,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, floor
+from math import ceil, floor, gcd, lcm
+from operator import mul
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -26,13 +33,7 @@ from .errors import (
     NotFullDimensional,
     ZeroNotInterior,
 )
-from .linalg import (
-    SolveFailure,
-    nullspace,
-    primitivize,
-    rank,
-    solve,
-)
+from .linalg import SolveFailure, eliminate, exact_rational, integer_nullspace, solve
 
 SPACE_M = "M"
 SPACE_N = "N"
@@ -42,15 +43,16 @@ def dual_space(space: str) -> str:
     return SPACE_N if space == SPACE_M else SPACE_M
 
 
-def _dot(a: Sequence[Fraction], b: Sequence[Fraction]) -> Fraction:
-    return sum((x * y for x, y in zip(a, b)), Fraction(0))
+def _dot(a: Sequence[int], b: Sequence[int]) -> int:
+    return sum(map(mul, a, b))
 
 
 class Point:
     """An exact rational point in M or N.
 
-    Immutable by convention; arithmetic stays within one space, the pairing
-    crosses between the two.
+    Coordinates are stored as ``Fraction``s; a ``float`` coordinate is a
+    ``TypeError``. Immutable by convention; arithmetic stays within one
+    space, the pairing crosses between the two.
     """
 
     __slots__ = ("coords", "space")
@@ -58,7 +60,7 @@ class Point:
     def __init__(self, coords: Iterable, space: str = SPACE_M):
         if space not in (SPACE_M, SPACE_N):
             raise ValueError(f"unknown space tag {space!r}")
-        self.coords = tuple(Fraction(c) for c in coords)
+        self.coords = tuple(c if type(c) is Fraction else exact_rational(c) for c in coords)
         self.space = space
 
     @property
@@ -92,7 +94,7 @@ class Point:
         return Point((-c for c in self.coords), self.space)
 
     def scale(self, factor) -> "Point":
-        f = Fraction(factor)
+        f = exact_rational(factor)
         return Point((f * c for c in self.coords), self.space)
 
     def __eq__(self, other) -> bool:
@@ -129,7 +131,7 @@ def pair(x: Point, y: Point) -> Fraction:
         )
     if x.dim != y.dim:
         raise DimensionMismatch(f"pairing dimension mismatch: {x.dim} vs {y.dim}")
-    return _dot(x.coords, y.coords)
+    return sum(map(mul, x.coords, y.coords), Fraction(0))
 
 
 @dataclass(frozen=True)
@@ -274,60 +276,51 @@ class Polytope:
         )
 
 
-def _independent_direction_subset(dirs: list[tuple[Fraction, ...]], k: int):
-    """First k directions, in order, that are linearly independent."""
-    chosen: list[list[Fraction]] = []
-    for v in dirs:
-        if len(chosen) == k:
-            break
-        if rank(chosen + [list(v)]) > len(chosen):
-            chosen.append(list(v))
-    if len(chosen) != k:
-        raise InvariantViolation("direction set does not span the affine hull")
-    return chosen
+def _plane_through(pts, verts: frozenset, eq_rows, interior, weight: int):
+    """Hyperplane ``<x, n> = c`` through the given points, with ``n`` in the
+    direction space of the hull, oriented so ``<interior, n> > weight * c``.
 
-
-def _plane_through(pts, verts: frozenset, dim: int, interior):
-    """Hyperplane (n, c) through the given points, oriented so <interior, n> > c."""
-    rows = [list(pts[i]) + [Fraction(-1)] for i in sorted(verts)]
-    basis = nullspace(rows, dim + 1)
+    ``eq_rows`` are the normals of the hull's affine span, each extended by a
+    0; ``interior`` is ``weight`` times a point inside the hull.
+    """
+    rows = [list(pts[i]) + [-1] for i in sorted(verts)] + eq_rows
+    basis = integer_nullspace(rows, len(interior) + 1)
     if len(basis) != 1:
         raise InvariantViolation("degenerate facet candidate", witness=sorted(verts))
-    vec = basis[0]
-    nv, c = vec[:dim], vec[dim]
+    *nv, c = basis[0]
     s = _dot(interior, nv)
-    if s == c:
+    if s == weight * c:
         raise InvariantViolation("interior point on facet plane", witness=sorted(verts))
-    if s < c:
-        nv = tuple(-x for x in nv)
+    if s < weight * c:
+        nv = [-x for x in nv]
         c = -c
     return (tuple(nv), c, frozenset(verts))
 
 
-def _beneath_beyond_planes(pts, k: int):
-    """Facet planes of the full-dimensional hull of distinct k-dim points.
+def _beneath_beyond_planes(pts, k: int, eq_rows):
+    """Facet planes of the hull of distinct integer points spanning k dimensions.
 
     Incremental insertion with simplicial facets; coplanar pieces of one
     geometric facet are merged by the caller. Returns (normal, c) pairs with
-    the hull satisfying ``<x, normal> >= c``.
+    the hull satisfying ``<x, normal> >= c``; each normal lies in the
+    direction space of the points, the orthogonal complement of ``eq_rows``.
     """
     n = len(pts)
+    d = len(pts[0])
     simplex = [0]
-    dirs: list[list[Fraction]] = []
+    dirs: list[list[int]] = []
     for i in range(1, n):
-        v = [a - b for a, b in zip(pts[i], pts[simplex[0]])]
-        if rank(dirs + [v]) > len(dirs):
+        v = [a - b for a, b in zip(pts[i], pts[0])]
+        if len(eliminate(dirs + [v], d)[0]) > len(dirs):
             dirs.append(v)
             simplex.append(i)
             if len(simplex) == k + 1:
                 break
     if len(simplex) != k + 1:
         raise InvariantViolation("points do not span the expected dimension")
-    interior = tuple(
-        sum(pts[i][j] for i in simplex) / (k + 1) for j in range(k)
-    )
+    interior = tuple(sum(pts[i][j] for i in simplex) for j in range(d))
     facets = [
-        _plane_through(pts, frozenset(simplex) - {simplex[excl]}, k, interior)
+        _plane_through(pts, frozenset(simplex) - {simplex[excl]}, eq_rows, interior, k + 1)
         for excl in range(k + 1)
     ]
     in_simplex = set(simplex)
@@ -345,7 +338,7 @@ def _beneath_beyond_planes(pts, k: int):
                 ridge = verts - {excl}
                 ridge_count[ridge] = ridge_count.get(ridge, 0) + 1
         new_facets = [
-            _plane_through(pts, ridge | {i}, k, interior)
+            _plane_through(pts, ridge | {i}, eq_rows, interior, k + 1)
             for ridge, cnt in ridge_count.items()
             if cnt == 1
         ]
@@ -361,6 +354,10 @@ def hull(points: Iterable[Point]) -> Polytope:
     affine span becomes equality constraints and the facet system lives
     within the span, with normals canonicalized along the span's direction
     space.
+
+    The points are scaled once by the common denominator ``L`` of their
+    coordinates, and everything up to the returned ``Facet`` offsets and
+    equality values (which are divided by ``L``) runs on ``int`` tuples.
     """
     pts = list(points)
     if not pts:
@@ -371,84 +368,54 @@ def hull(points: Iterable[Point]) -> Polytope:
         if p.space != space or p.dim != d:
             raise DimensionMismatch("hull input points disagree on space or dimension")
     uniq = sorted(set(pts))
-    p0 = uniq[0]
+    scale = lcm(*(c.denominator for q in uniq for c in q.coords))
+    ipts = [tuple(c.numerator * (scale // c.denominator) for c in q.coords) for q in uniq]
+    x0 = ipts[0]
 
-    dirs = [tuple(a - b for a, b in zip(q.coords, p0.coords)) for q in uniq[1:]]
-    eq_vecs = sorted(nullspace([list(v) for v in dirs], d))
+    eq_vecs = sorted(integer_nullspace([[a - b for a, b in zip(x, x0)] for x in ipts[1:]], d))
     target = dual_space(space)
     equalities = tuple(
-        LinearEquality(Point(v, target), _dot(v, p0.coords)) for v in eq_vecs
+        LinearEquality(Point(v, target), Fraction(_dot(v, x0), scale)) for v in eq_vecs
     )
     k = d - len(eq_vecs)
 
     if k == 0:
-        return Polytope(d, space, (p0,), equalities, ())
+        return Polytope(d, space, (uniq[0],), equalities, ())
 
-    if k == d:
-        basis = None
-        work = [q.coords for q in uniq]
-    else:
-        basis = _independent_direction_subset(dirs, k)
-        mat = [[basis[col][j] for col in range(k)] for j in range(d)]
-        work = []
-        for q in uniq:
-            rhs = [a - b for a, b in zip(q.coords, p0.coords)]
-            t = solve(mat, rhs)
-            if isinstance(t, SolveFailure):
-                raise InvariantViolation("span coordinates must exist", witness=q)
-            work.append(t)
-
-    if k == 1:
-        ts = [w[0] for w in work]
-        planes = [((Fraction(1),), min(ts)), ((Fraction(-1),), -max(ts))]
-    else:
-        planes = _beneath_beyond_planes(work, k)
-
-    merged = {}
-    for nv, c in planes:
-        prim, scl = primitivize(nv)
-        merged[(prim, c * scl)] = True
-
-    raw_facets: list[tuple[tuple[Fraction, ...], Fraction]] = []
-    if basis is None:
-        for nv, c in merged:
-            raw_facets.append((nv, -c))
-    else:
-        btb = [[_dot(basis[a], basis[b]) for b in range(k)] for a in range(k)]
-        for nv, c in merged:
-            z = solve(btb, list(nv))
-            if isinstance(z, SolveFailure):
-                raise InvariantViolation("span basis Gram matrix must be invertible")
-            amb = tuple(
-                sum(z[col] * basis[col][j] for col in range(k)) for j in range(d)
-            )
-            prim, scl = primitivize(amb)
-            raw_facets.append((prim, -((c + _dot(amb, p0.coords)) * scl)))
-
-    # Fail fast on any algorithmic slip: every input point satisfies every facet.
-    for q in uniq:
-        for nv, off in raw_facets:
-            if _dot(q.coords, nv) < -off:
-                raise InvariantViolation(
-                    "hull facet violated by an input point", witness=(q, nv, off)
-                )
+    # Merge the coplanar pieces; g divides c as well, since c = <x, nv> at an
+    # integer point x of the plane. A facet is kept as (normal, e) with
+    # <x, normal> >= -e, where e / L is its offset.
+    planes = set()
+    for nv, c in _beneath_beyond_planes(ipts, k, [list(v) + [0] for v in eq_vecs]):
+        g = gcd(*nv)
+        planes.add((tuple(x // g for x in nv), -c // g))
+    planes = sorted(planes)
 
     vertices = []
-    for q in uniq:
-        active = [list(nv) for nv, off in raw_facets if _dot(q.coords, nv) == -off]
-        active.extend(list(v) for v in eq_vecs)
-        if rank(active) == d:
+    vertex_values = []
+    for q, x in zip(uniq, ipts):
+        values = [_dot(x, nv) for nv, _ in planes]
+        # Fail fast on any algorithmic slip: every input point satisfies every facet.
+        for (nv, e), val in zip(planes, values):
+            if val < -e:
+                raise InvariantViolation(
+                    "hull facet violated by an input point",
+                    witness=(q, nv, Fraction(e, scale)),
+                )
+        active = [nv for (nv, e), val in zip(planes, values) if val == -e] + eq_vecs
+        if len(eliminate(active, d)[0]) == d:
             vertices.append(q)
-    vtuple = tuple(vertices)
+            vertex_values.append(values)
 
-    facets = []
-    for nv, off in sorted(raw_facets):
-        inc = tuple(
-            i for i, v in enumerate(vtuple) if _dot(v.coords, nv) == -off
+    facets = tuple(
+        Facet(
+            Point(nv, target),
+            Fraction(e, scale),
+            tuple(i for i, values in enumerate(vertex_values) if values[j] == -e),
         )
-        facets.append(Facet(Point(nv, target), off, inc))
-
-    return Polytope(d, space, vtuple, equalities, tuple(facets))
+        for j, (nv, e) in enumerate(planes)
+    )
+    return Polytope(d, space, tuple(vertices), equalities, facets)
 
 
 def minkowski_sum(p: Polytope, q: Polytope) -> Polytope:

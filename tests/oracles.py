@@ -9,6 +9,36 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
+from typing import Sequence
+
+
+def rref(rows: Sequence[Sequence[Fraction]], ncols: int | None = None):
+    """Reduced row echelon form of a copy of ``rows``.
+
+    Returns ``(matrix, pivot_columns)``. This is the library's former
+    ``Fraction`` elimination, kept as the reference for the integer one.
+    """
+    mat = [[Fraction(x) for x in row] for row in rows]
+    if ncols is None:
+        ncols = len(mat[0]) if mat else 0
+    pivots: list[int] = []
+    r = 0
+    for c in range(ncols):
+        pivot_row = next((i for i in range(r, len(mat)) if mat[i][c] != 0), None)
+        if pivot_row is None:
+            continue
+        mat[r], mat[pivot_row] = mat[pivot_row], mat[r]
+        inv = mat[r][c]
+        mat[r] = [x / inv for x in mat[r]]
+        for i in range(len(mat)):
+            if i != r and mat[i][c] != 0:
+                f = mat[i][c]
+                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(mat):
+            break
+    return mat, pivots
 
 
 def _solve(rows, rhs):

@@ -110,6 +110,11 @@ CONTRACT = [
     (0, ["nef-enumerate", DATA / "d2_square.poly", "-r", "2"], None),
     (1, ["nef-enumerate", DATA / "d2_square_big.poly", "-r", "2"], None),
     (2, ["minkowski", FIX / "seg_x.poly", FIX / "seg_z3.poly"], "error:"),
+    (2, ["polar", FIX], "error:"),
+    (2, ["check-reflexive", FIX / "latin1.poly"], "error:"),
+    (2, ["polar", DATA / "d2_square.poly", "--output", FIX / "no_such_dir" / "out.poly"], "error:"),
+    (2, ["nef-enumerate", DATA / "d2_cross.poly", "-r", "0"], "error:"),
+    (2, ["nef-enumerate", DATA / "d2_cross.poly", "-r", "-1"], "error:"),
 ]
 
 

@@ -18,7 +18,7 @@ from nefdual.polytope import (
     solve_linear,
 )
 
-from oracles import caratheodory_member
+from oracles import caratheodory_member, hrep_vertex_set
 
 F = Fraction
 
@@ -76,6 +76,14 @@ def test_hull_lower_dimensional_segment():
     assert len(poly.facets) == 2
     assert poly.contains(P(F(1, 2), 0, 0))
     assert not poly.contains(P(0, 1, 0))
+
+
+def test_point_rejects_float_coordinates():
+    with pytest.raises(TypeError):
+        Point((0.1, 0))
+    with pytest.raises(TypeError):
+        P(1, 0).scale(0.5)
+    assert Point(("1/2", F(1, 3), 2)).coords == (F(1, 2), F(1, 3), F(2))
 
 
 def test_hull_dimension_mismatch():
@@ -246,3 +254,44 @@ def test_reflexive_iff_lattice_polar_random(raw):
         pts.append(Point(tuple(-u for u in unit)))
     poly = hull(pts)
     assert poly.is_reflexive() == poly.polar_dual().is_lattice()
+
+
+@st.composite
+def affine_point_sets(draw):
+    """Points of Z^d or (1/q)Z^d, d in 1..5, spanning an affine space of any
+    dimension k <= d: a base point plus small integer combinations of k
+    generators. At most d + 2 points keep the brute-force oracles fast."""
+    d = draw(st.integers(1, 5))
+    k = draw(st.integers(0, d))
+    entry = st.integers(-2, 2)
+    if draw(st.booleans()):
+        entry = st.builds(F, st.integers(-4, 4), st.integers(1, 3))
+    vec = st.lists(entry, min_size=d, max_size=d)
+    base = draw(vec)
+    gens = draw(st.lists(vec, min_size=k, max_size=k))
+    combos = draw(
+        st.lists(st.lists(st.integers(-2, 2), min_size=k, max_size=k), min_size=1, max_size=d + 2)
+    )
+    return [
+        Point(tuple(b + sum((c * g[j] for c, g in zip(cs, gens)), 0) for j, b in enumerate(base)))
+        for cs in combos
+    ]
+
+
+@settings(max_examples=60, deadline=None)
+@given(affine_point_sets())
+def test_hull_matches_the_oracles_on_lattice_and_rational_points(pts):
+    poly = hull(pts)
+    coords = sorted({p.coords for p in pts})
+    verts = [v.coords for v in poly.vertices]
+    assert verts == sorted(verts) and set(verts) <= set(coords)
+    for v in verts:
+        assert not caratheodory_member(v, [c for c in coords if c != v])
+    for c in coords:
+        assert caratheodory_member(c, verts)
+    assert all(
+        type(x) is F for f in poly.facets for x in f.normal.coords + (f.offset,)
+    )
+    if poly.is_full_dimensional:
+        ineqs = [(f.normal.coords, -f.offset) for f in poly.facets]
+        assert hrep_vertex_set(ineqs, len(coords[0])) == verts
