@@ -4,15 +4,13 @@ Subcommands: polar, check-reflexive, nef-validate, nef-dual, nef-enumerate,
 minkowski. Exit codes follow one contract everywhere: 0 success or positive
 verdict, 1 well-formed input with a negative verdict, 2 malformed input.
 Output is deterministic; the only timing information lives in the JSON
-``timings`` field. NEFDUAL_THREADS (a positive integer) sets the thread
-count used by enumeration; no other environment variable is consulted.
+``timings`` field. No environment variable is consulted.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 
@@ -52,13 +50,9 @@ def _reflexive_verdict(p: Polytope) -> str:
     return "reflexive"
 
 
-def _threads_from_env() -> int:
-    raw = os.environ.get("NEFDUAL_THREADS", "")
-    try:
-        n = int(raw)
-    except ValueError:
-        return 1
-    return n if n > 0 else 1
+def _json_output(rep: dict, started: float) -> str:
+    rep["timings"] = {"seconds": time.perf_counter() - started}
+    return json.dumps(rep, indent=2) + "\n"
 
 
 def _load_for_partition(path: str):
@@ -101,16 +95,14 @@ def cmd_nef_validate(args) -> tuple[int, str]:
                 "nef-validate", args.file, poly, file_points, file_parts,
                 mapping, _NotReflexiveOutcome(str(exc)),
             )
-            rep["timings"] = {"seconds": time.perf_counter() - started}
-            return 1, json.dumps(rep, indent=2) + "\n"
+            return 1, _json_output(rep, started)
         return 1, f"invalid: NotReflexive: {exc}\n"
     valid = isinstance(outcome, NefPartition)
     if args.json:
         rep = partition_report(
             "nef-validate", args.file, poly, file_points, file_parts, mapping, outcome
         )
-        rep["timings"] = {"seconds": time.perf_counter() - started}
-        return (0 if valid else 1), json.dumps(rep, indent=2) + "\n"
+        return (0 if valid else 1), _json_output(rep, started)
     if valid:
         return 0, "valid\n"
     return 1, f"invalid: {outcome}\n"
@@ -136,6 +128,12 @@ def cmd_nef_dual(args) -> tuple[int, str]:
     try:
         outcome = validate_partition(poly, canonical_parts)
     except NotReflexive as exc:
+        if args.json:
+            rep = partition_report(
+                "nef-dual", args.file, poly, file_points, file_parts,
+                mapping, _NotReflexiveOutcome(str(exc)),
+            )
+            return 1, _json_output(rep, started)
         return 1, f"invalid: NotReflexive: {exc}\n"
     valid = isinstance(outcome, NefPartition)
     duality = run_full_duality(outcome) if valid else None
@@ -145,8 +143,7 @@ def cmd_nef_dual(args) -> tuple[int, str]:
             "nef-dual", args.file, poly, file_points, file_parts, mapping,
             outcome, duality,
         )
-        rep["timings"] = {"seconds": time.perf_counter() - started}
-        return code, json.dumps(rep, indent=2) + "\n"
+        return code, _json_output(rep, started)
     if not valid:
         return 1, f"invalid: {outcome}\n"
     lines = [f"valid nef-partition with {outcome.r} parts"]
@@ -171,8 +168,14 @@ def cmd_nef_enumerate(args) -> tuple[int, str]:
     started = time.perf_counter()
     poly, file_points, mapping = _load_for_partition(args.file)
     try:
-        found = enumerate_nef_partitions(poly, args.r, threads=_threads_from_env())
+        found = enumerate_nef_partitions(poly, args.r)
     except NotReflexive as exc:
+        if args.json:
+            rep = enumeration_report(
+                "nef-enumerate", args.file, poly, file_points, mapping, args.r,
+                None, rejection=_NotReflexiveOutcome(str(exc)),
+            )
+            return 1, _json_output(rep, started)
         return 1, f"invalid: NotReflexive: {exc}\n"
     canon_to_file = {c: f for f, c in enumerate(mapping)}
     displayed = []
@@ -186,8 +189,7 @@ def cmd_nef_enumerate(args) -> tuple[int, str]:
         rep = enumeration_report(
             "nef-enumerate", args.file, poly, file_points, mapping, args.r, displayed
         )
-        rep["timings"] = {"seconds": time.perf_counter() - started}
-        return 0, json.dumps(rep, indent=2) + "\n"
+        return 0, _json_output(rep, started)
     lines = [";".join(",".join(str(i) for i in part) for part in parts) for parts in displayed]
     return 0, ("\n".join(lines) + "\n") if lines else ""
 

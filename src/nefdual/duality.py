@@ -55,13 +55,19 @@ class DualityResult:
 
 
 def nabla(np: NefPartition) -> Polytope:
-    """Hull of the union of the nabla parts, confirmed to sit inside the polar."""
-    nb = hull([v for part in np.nabla_parts for v in part.vertices])
-    polar = np.delta.polar_dual()
-    for v in nb.vertices:
-        if not polar.contains(v):
-            raise InvariantViolation("nabla vertex escapes the polar", witness=v)
-    return nb
+    """Hull of the union of the nabla parts, confirmed to sit inside the polar.
+
+    Built and checked once per nef-partition; later calls return the same
+    object.
+    """
+    if np._nabla is None:
+        nb = hull([v for part in np.nabla_parts for v in part.vertices])
+        polar = np.delta.polar_dual()
+        for v in nb.vertices:
+            if not polar.contains(v):
+                raise InvariantViolation("nabla vertex escapes the polar", witness=v)
+        object.__setattr__(np, "_nabla", nb)
+    return np._nabla
 
 
 def verify_polar_is_nabla_sum(np: NefPartition) -> CheckResult:

@@ -85,7 +85,10 @@ class FaceFan:
 
 
 def face_fan(base: Polytope) -> FaceFan:
-    return FaceFan(base)
+    """The face fan of ``base``, built once per polytope and kept on it."""
+    if base._fan is None:
+        base._fan = FaceFan(base)
+    return base._fan
 
 
 class PLFunction:

@@ -11,8 +11,7 @@ yields the identical rejection.
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
 from typing import Iterable, Sequence
@@ -23,7 +22,6 @@ from .errors import (
     NotReflexive,
 )
 from .fan import FaceFan, PLFunction, face_fan, pl_from_vertex_values, support_polytope
-from .linalg import SolveFailure, solve
 from .polytope import Point, Polytope, hull, origin, pair
 
 NOT_DISJOINT = "NotDisjoint"
@@ -69,7 +67,8 @@ class NefPartition:
     (labels are preserved for I/O); ``phi[i]`` is the integral convex PL
     function extending the indicator of part i, ``delta_parts[i]`` the hull
     of the origin with part i, and ``nabla_parts[i]`` the support polytope
-    of ``phi[i]``.
+    of ``phi[i]``. ``_nabla`` holds the hull of the nabla parts once
+    :func:`nefdual.duality.nabla` has built it.
     """
 
     delta: Polytope
@@ -78,6 +77,7 @@ class NefPartition:
     phi: tuple[PLFunction, ...]
     delta_parts: tuple[Polytope, ...]
     nabla_parts: tuple[Polytope, ...]
+    _nabla: Polytope | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def r(self) -> int:
@@ -108,55 +108,49 @@ def nabla_parts(np: NefPartition) -> tuple[Polytope, ...]:
     return np.nabla_parts
 
 
-def _hrep_vertices(
-    inequalities: list[tuple[tuple[Fraction, ...], Fraction]],
-    equalities: list[tuple[tuple[Fraction, ...], Fraction]],
-    dim: int,
-) -> list[tuple[Fraction, ...]]:
-    """Vertices of a bounded region {x : <x,a> >= b, <x,e> = c} by brute force.
-
-    Every vertex has some d linearly independent active constraints, so all
-    d-subsets of the combined system are solved as equalities and filtered
-    for feasibility. Intended for small systems only.
-    """
-    rows = [(list(a), b) for a, b in equalities] + [(list(a), b) for a, b in inequalities]
-    found: set[tuple[Fraction, ...]] = set()
-    for subset in itertools.combinations(range(len(rows)), dim):
-        mat = [rows[i][0] for i in subset]
-        rhs = [rows[i][1] for i in subset]
-        sol = solve(mat, rhs)
-        if isinstance(sol, SolveFailure):
-            continue
-        if any(
-            sum(a * x for a, x in zip(eq_a, sol)) != eq_b for eq_a, eq_b in equalities
-        ):
-            continue
-        if any(
-            sum(a * x for a, x in zip(in_a, sol)) < in_b for in_a, in_b in inequalities
-        ):
-            continue
-        found.add(sol)
-    return sorted(found)
-
-
 def _intersection_is_origin(p: Polytope, q: Polytope):
-    """Exact check that two polytopes containing the origin meet only there."""
-    d = p.ambient_dim
-    ineqs = []
-    eqs = []
-    for poly in (p, q):
-        for f in poly.facets:
-            ineqs.append((f.normal.coords, -f.offset))
-        for eq in poly.affine_span:
-            eqs.append((eq.normal.coords, eq.value))
-    verts = _hrep_vertices(ineqs, eqs, d)
-    zero = tuple(Fraction(0) for _ in range(d))
-    if not verts:
+    """Exact check that two polytopes containing the origin meet only there.
+
+    Both are convex and contain 0, so ``p`` and ``q`` meet only at 0 exactly
+    when their tangent cones at 0 do. The intersection T of those cones is
+    cut out by the facets through 0 (offset 0) and by the affine-span
+    equalities. By Farkas' lemma its dual cone is generated by G, the normals
+    of those facets together with plus and minus every equality normal, so
+    T = {0} iff cone(G) is the whole space iff the origin is interior to
+    conv(G): one small hull decides it.
+
+    Returns ``(True, None)``, or ``(False, witness)`` with a nonzero point of
+    both polytopes: a normal u of conv(G) that does not have the origin
+    strictly inside pairs nonnegatively with all of G, so u lies in T, and
+    it is scaled out to the boundary of the intersection.
+    """
+    zero = origin(p.ambient_dim, p.space)
+    if not (p.contains(zero) and q.contains(zero)):
         raise InvariantViolation("intersection of parts lost the origin")
-    witnesses = [v for v in verts if v != zero]
-    if witnesses:
-        return False, witnesses[0]
-    return True, None
+    gens = []
+    for poly in (p, q):
+        gens += [f.normal for f in poly.facets if f.offset == 0]
+        for eq in poly.affine_span:
+            gens += [eq.normal, -eq.normal]
+    if not gens:
+        # the origin is interior to both: T is the whole space
+        u = Point([1] + [0] * (p.ambient_dim - 1), p.space)
+    else:
+        g = hull(gens)
+        if g.has_zero_interior:
+            return True, None
+        if g.affine_span:
+            eq = g.affine_span[0]
+            u = eq.normal if eq.value >= 0 else -eq.normal
+        else:
+            u = next(f.normal for f in g.facets if f.offset <= 0)
+    t = min(
+        f.offset / -s
+        for poly in (p, q)
+        for f in poly.facets
+        if (s := pair(u, f.normal)) < 0
+    )
+    return False, u.scale(t)
 
 
 def validate_partition(delta: Polytope, parts: Iterable[Iterable[int]]):
@@ -288,30 +282,21 @@ def _set_partitions(n: int, r: int):
     yield from rec(1, 1)
 
 
-def enumerate_nef_partitions(
-    delta: Polytope, r: int, threads: int = 1
-) -> list[NefPartition]:
+def enumerate_nef_partitions(delta: Polytope, r: int) -> list[NefPartition]:
     """All nef-partitions of ``delta`` into exactly ``r`` unlabeled parts.
 
-    Candidates are every set partition of the vertex indices; no symmetry
-    reduction is applied. The result is sorted by canonical part lists.
-    ``threads`` > 1 validates candidates on a thread pool; the merge order
-    is deterministic either way.
+    Candidates are every set partition of the vertex indices, each checked
+    by :func:`validate_partition`; no symmetry reduction is applied. All
+    candidates share the face fan and polar cached on ``delta``. The result
+    is sorted by canonical part lists.
     """
     if not delta.is_reflexive():
         raise NotReflexive("nef-partitions are defined on reflexive polytopes")
-    candidates = list(_set_partitions(len(delta.vertices), r))
-
-    def check(cand):
+    found = []
+    for cand in _set_partitions(len(delta.vertices), r):
         res = validate_partition(delta, cand)
-        return res if isinstance(res, NefPartition) else None
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(check, candidates))
-    else:
-        results = [check(c) for c in candidates]
-    found = [np for np in results if np is not None]
+        if isinstance(res, NefPartition):
+            found.append(res)
     found.sort(key=lambda np: np.canonical_parts())
     return found
 

@@ -159,9 +159,18 @@ class Polytope:
     """Bounded convex hull of finitely many rational points.
 
     Construct through :func:`hull`; the constructor trusts its arguments.
+
+    A polytope never changes, so three derived values are computed on first
+    use and kept: :meth:`polar_dual` (the same ``Polytope`` object on every
+    call), :meth:`is_reflexive`, and the face fan that
+    :func:`nefdual.fan.face_fan` builds on it. A polar's own polar is not
+    preset to its source; it is computed like any other.
     """
 
-    __slots__ = ("ambient_dim", "space", "vertices", "affine_span", "facets")
+    __slots__ = (
+        "ambient_dim", "space", "vertices", "affine_span", "facets",
+        "_polar", "_reflexive", "_fan",
+    )
 
     def __init__(
         self,
@@ -176,6 +185,9 @@ class Polytope:
         self.vertices = vertices
         self.affine_span = affine_span
         self.facets = facets
+        self._polar = None
+        self._reflexive = None
+        self._fan = None
 
     @property
     def dim(self) -> int:
@@ -212,27 +224,32 @@ class Polytope:
 
     def is_reflexive(self) -> bool:
         """Lattice, full-dimensional, origin interior, all facets at lattice distance 1."""
-        return (
-            self.is_full_dimensional
-            and self.is_lattice()
-            and self.has_zero_interior
-            and all(f.offset == 1 for f in self.facets)
-        )
+        if self._reflexive is None:
+            self._reflexive = (
+                self.is_full_dimensional
+                and self.is_lattice()
+                and self.has_zero_interior
+                and all(f.offset == 1 for f in self.facets)
+            )
+        return self._reflexive
 
     def polar_dual(self) -> "Polytope":
         """The polar polytope ``{y : <x, y> >= -1 for all x here}``.
 
-        Its vertices are the facet normals scaled by the facet offsets.
+        Its vertices are the facet normals scaled by the facet offsets. It is
+        built on the first call and the same object is returned afterwards.
         """
-        if not self.is_full_dimensional:
-            raise NotFullDimensional("polar dual needs a full-dimensional polytope")
-        if not self.has_zero_interior:
-            raise ZeroNotInterior("polar dual needs the origin strictly inside")
-        target = dual_space(self.space)
-        gens = [
-            Point((c / f.offset for c in f.normal.coords), target) for f in self.facets
-        ]
-        return hull(gens)
+        if self._polar is None:
+            if not self.is_full_dimensional:
+                raise NotFullDimensional("polar dual needs a full-dimensional polytope")
+            if not self.has_zero_interior:
+                raise ZeroNotInterior("polar dual needs the origin strictly inside")
+            target = dual_space(self.space)
+            gens = [
+                Point((c / f.offset for c in f.normal.coords), target) for f in self.facets
+            ]
+            self._polar = hull(gens)
+        return self._polar
 
     def lattice_points(self) -> list[Point]:
         """All lattice points, in lexicographic order."""

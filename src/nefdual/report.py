@@ -137,8 +137,16 @@ def enumeration_report(
     file_points,
     file_to_canonical,
     r: int,
-    partitions_file_order: list[list[list[int]]],
+    partitions_file_order: list[list[list[int]]] | None,
+    rejection=None,
 ) -> dict:
+    """Report for nef-enumerate runs.
+
+    When the input itself is rejected (``rejection`` given, with the fields
+    of a :class:`Rejection`), the report says so under ``valid`` and
+    ``rejection`` and ``count`` and ``partitions`` are null; a successful
+    enumeration carries neither of those two keys.
+    """
     rep = base_report(command, source_file)
     rep["input"]["dimension"] = polytope.ambient_dim
     rep["input"]["points"] = [point_json(p) for p in file_points]
@@ -147,6 +155,12 @@ def enumeration_report(
         "vertices": [point_json(v) for v in polytope.vertices],
         "file_to_canonical": list(file_to_canonical),
     }
+    if rejection is not None:
+        rep["valid"] = False
+        rep["rejection"] = rejection_json(rejection)
+        rep["count"] = None
+        rep["partitions"] = None
+        return rep
     rep["count"] = len(partitions_file_order)
     rep["partitions"] = partitions_file_order
     return rep

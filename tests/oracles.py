@@ -2,7 +2,9 @@
 
 Nothing here calls into the package's computational code. Each helper works
 on raw coordinate tuples with its own elimination routine, so a defect in
-the library cannot hide behind a shared code path.
+the library cannot hide behind a shared code path. The one exception,
+:func:`intersection_is_origin`, reads the facet and equality data of the
+two ``Polytope``s it compares, and decides with its own elimination.
 """
 
 from __future__ import annotations
@@ -10,6 +12,8 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 from typing import Sequence
+
+from nefdual.errors import InvariantViolation
 
 
 def rref(rows: Sequence[Sequence[Fraction]], ncols: int | None = None):
@@ -100,20 +104,65 @@ def caratheodory_member(point, vertices):
 def hrep_vertex_set(ineqs, dim):
     """Vertices of {y : <a, y> >= b for every (a, b)}, by brute force.
 
-    Each vertex activates dim independent constraints, so all dim-subsets
-    are solved as equalities and kept when feasible. The region must be
-    bounded for the result to describe it completely.
+    The region must be bounded for the result to describe it completely.
     """
-    found = set()
-    for subset in combinations(range(len(ineqs)), dim):
-        rows = [list(ineqs[i][0]) for i in subset]
-        rhs = [ineqs[i][1] for i in subset]
-        status, y = _solve(rows, rhs)
+    return _hrep_vertices(ineqs, [], dim)
+
+
+def _hrep_vertices(
+    inequalities: list[tuple[tuple[Fraction, ...], Fraction]],
+    equalities: list[tuple[tuple[Fraction, ...], Fraction]],
+    dim: int,
+) -> list[tuple[Fraction, ...]]:
+    """Vertices of a bounded region {x : <x,a> >= b, <x,e> = c} by brute force.
+
+    Every vertex has some d linearly independent active constraints, so all
+    d-subsets of the combined system are solved as equalities and filtered
+    for feasibility. Intended for small systems only.
+    """
+    rows = [(list(a), b) for a, b in equalities] + [(list(a), b) for a, b in inequalities]
+    found: set[tuple[Fraction, ...]] = set()
+    for subset in combinations(range(len(rows)), dim):
+        mat = [rows[i][0] for i in subset]
+        rhs = [rows[i][1] for i in subset]
+        status, sol = _solve(mat, rhs)
         if status != "unique":
             continue
-        if all(sum(a * c for a, c in zip(row, y)) >= b for row, b in ineqs):
-            found.add(y)
+        if any(
+            sum(a * x for a, x in zip(eq_a, sol)) != eq_b for eq_a, eq_b in equalities
+        ):
+            continue
+        if any(
+            sum(a * x for a, x in zip(in_a, sol)) < in_b for in_a, in_b in inequalities
+        ):
+            continue
+        found.add(sol)
     return sorted(found)
+
+
+def intersection_is_origin(p, q):
+    """Exact check that two polytopes containing the origin meet only there.
+
+    The library's former audit routine: every vertex of the intersection is
+    found by :func:`_hrep_vertices` over both facet systems, and a nonzero
+    one is the witness. Kept as the reference for the dual-cone test.
+    """
+    d = p.ambient_dim
+    ineqs = []
+    eqs = []
+    for poly in (p, q):
+        for f in poly.facets:
+            ineqs.append((f.normal.coords, -f.offset))
+        for eq in poly.affine_span:
+            eqs.append((eq.normal.coords, eq.value))
+    verts = _hrep_vertices(ineqs, eqs, d)
+    zero = tuple(Fraction(0) for _ in range(d))
+    if not verts:
+        raise InvariantViolation("intersection of parts lost the origin")
+    witnesses = [v for v in verts if v != zero]
+    if witnesses:
+        return False, witnesses[0]
+    return True, None
 
 
 def reflexive_facets(vertices, dim):

@@ -1,0 +1,59 @@
+"""Per-object caches: polar, reflexivity, face fan and nabla are built once.
+
+Every cached value must be the identical object on a repeated call, and a
+computation on objects whose caches are already filled must give the same
+answer as one on freshly built objects.
+"""
+
+from nefdual.duality import nabla, run_full_duality
+from nefdual.fan import face_fan
+from nefdual.nefpart import validate_partition
+from nefdual.polytope import Point, hull
+
+
+def octahedron():
+    return hull([Point(c) for c in [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, 0, 0), (0, -1, 0), (0, 0, -1)]])
+
+
+def duality_record(result):
+    """Everything run_full_duality reports, as plain comparable data."""
+    return (
+        [v.coords for v in result.nabla.vertices],
+        [[v.coords for v in p.vertices] for p in result.source.nabla_parts],
+        [sorted(p) for p in result.dual.parts],
+        [v.coords for v in result.dual.delta.vertices],
+        {name: (c.passed, str(c.witness), c.detail) for name, c in result.checks.items()},
+    )
+
+
+def test_repeated_calls_return_the_identical_object():
+    p = octahedron()
+    assert p.polar_dual() is p.polar_dual()
+    assert p.is_reflexive() is p.is_reflexive() is True
+    assert face_fan(p) is face_fan(p)
+    np_ = validate_partition(p, [[0], [1, 2, 3, 4, 5]])
+    assert np_.fan is face_fan(p)
+    assert nabla(np_) is nabla(np_)
+
+
+def test_a_polar_is_not_preset_to_its_source():
+    p = octahedron()
+    polar = p.polar_dual()
+    assert polar._polar is None
+    double = polar.polar_dual()
+    assert double == p and double is not p
+    assert double._polar is None
+
+
+def test_run_full_duality_on_cold_and_warm_objects_agrees():
+    parts = [[0, 3], [1, 4], [2, 5]]
+    cold = run_full_duality(validate_partition(octahedron(), parts))
+    warm_delta = octahedron()
+    warm_delta.polar_dual()
+    warm_np = validate_partition(warm_delta, parts)
+    first = run_full_duality(warm_np)
+    second = run_full_duality(warm_np)  # nabla, polars and fans all cached now
+    assert second.nabla is first.nabla
+    assert duality_record(cold) == duality_record(first) == duality_record(second)
+    assert cold.all_passed
+

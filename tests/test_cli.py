@@ -176,6 +176,23 @@ def test_json_rejection_for_not_reflexive_input(capsys):
     assert rep["checks"] is None
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["nef-dual", DATA / "d2_square_big.poly", "--parts", "0,1;2,3", "--json"],
+        ["nef-enumerate", DATA / "d2_square_big.poly", "-r", "2", "--json"],
+    ],
+)
+def test_json_rejection_for_not_reflexive_input_on_dual_and_enumerate(capsys, argv):
+    code, out, err = run_cli(capsys, argv)
+    assert code == 1
+    assert err == ""
+    rep = json.loads(out)
+    assert rep["command"] == argv[0]
+    assert rep["valid"] is False
+    assert rep["rejection"]["reason"] == "NotReflexive"
+
+
 def test_thread_env_variable_does_not_change_output(capsys, monkeypatch):
     _, base, _ = run_cli(capsys, ["nef-enumerate", DATA / "d3_octahedron.poly", "-r", "2"])
     monkeypatch.setenv("NEFDUAL_THREADS", "4")

@@ -1,10 +1,12 @@
 """Nef-partition validation, the pairing relations, and enumeration."""
 
 from fractions import Fraction
+from math import comb
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from nefdual.errors import NotReflexive
+from nefdual.errors import InvariantViolation, NotReflexive
 from nefdual.nefpart import (
     EMPTY_PART,
     NOT_COVERING,
@@ -13,13 +15,14 @@ from nefdual.nefpart import (
     NOT_PIECEWISE_LINEAR,
     NefPartition,
     Rejection,
+    _intersection_is_origin,
     check_relations,
     enumerate_nef_partitions,
     validate_partition,
 )
 from nefdual.polytope import Point, SPACE_N, hull, pair
 
-from oracles import oracle_nef_partitions
+from oracles import intersection_is_origin, oracle_nef_partitions
 
 F = Fraction
 
@@ -205,12 +208,16 @@ def test_enumerate_octahedron_r2_matches_oracle():
     assert len(found) == 31
 
 
-def test_enumerate_is_deterministic_and_thread_safe():
-    single = enumerate_nef_partitions(OCTA, 2, threads=1)
-    pooled = enumerate_nef_partitions(OCTA, 2, threads=4)
-    assert [np_.canonical_parts() for np_ in single] == [
-        np_.canonical_parts() for np_ in pooled
+def test_enumerate_is_deterministic_on_cold_and_warm_caches():
+    octa = hull([P(1, 0, 0), P(0, 1, 0), P(0, 0, 1), P(-1, 0, 0), P(0, -1, 0), P(0, 0, -1)])
+    cold = enumerate_nef_partitions(octa, 2)  # builds the fan and polar of octa
+    warm = enumerate_nef_partitions(octa, 2)  # reuses them
+    assert len(cold) == 31
+    assert [np_.canonical_parts() for np_ in cold] == [
+        np_.canonical_parts() for np_ in warm
     ]
+    assert all(a.nabla_parts == b.nabla_parts for a, b in zip(cold, warm))
+    assert all(np_.fan is cold[0].fan for np_ in cold + warm)  # one fan for all
 
 
 def test_enumerate_output_order_is_canonical():
@@ -223,3 +230,75 @@ def test_enumerate_rejects_non_reflexive():
     big = hull([P(2, 2), P(2, -2), P(-2, 2), P(-2, -2)])
     with pytest.raises(NotReflexive):
         enumerate_nef_partitions(big, 2)
+
+
+def test_opposite_rays_meet_only_at_the_origin():
+    right = hull([P(0, 0), P(2, 0)])
+    left = hull([P(0, 0), P(-1, 0)])
+    assert _intersection_is_origin(right, left) == (True, None)
+
+
+def test_intersection_test_needs_the_origin_in_both():
+    with pytest.raises(InvariantViolation):
+        _intersection_is_origin(hull([P(1, 0), P(2, 0)]), hull([P(0, 0), P(1, 1)]))
+
+
+def test_overlapping_triangles_meet_beyond_the_origin():
+    a = hull([P(0, 0), P(2, 0), P(0, 2)])
+    b = hull([P(0, 0), P(2, 1), P(1, 2)])
+    ok, witness = _intersection_is_origin(a, b)
+    assert not ok
+    assert not witness.is_zero() and a.contains(witness) and b.contains(witness)
+    assert intersection_is_origin(a, b)[0] is False
+
+
+def _neg(v):
+    return tuple(-c for c in v)
+
+
+@st.composite
+def polytope_pairs_through_origin(draw):
+    """Two polytopes of Q^d containing the origin, d in 1..5.
+
+    Each is the hull of 0 and a few lattice or p/q points, so it may be
+    lower-dimensional. The origin is left where it falls (often a vertex),
+    put on a face (the negative of a point is added), or made interior (a
+    simplex around it is added). Half the pairs are pushed to the two closed
+    sides of a hyperplane through 0, so that many meet only at 0 or touch
+    only within that hyperplane. Few points in high dimension keep the
+    brute-force oracle, which solves every d-subset of the constraints, fast.
+    """
+    d = draw(st.integers(1, 5))
+    entry = st.integers(-2, 2)
+    if draw(st.booleans()):
+        entry = st.builds(F, st.integers(-4, 4), st.integers(1, 3))
+    vec = st.lists(entry, min_size=d, max_size=d).map(tuple)
+    w = draw(vec) if draw(st.booleans()) else None
+
+    def part(sign):
+        pts = draw(st.lists(vec, min_size=1, max_size=max(1, 4 - d)))
+        if w is not None:
+            pts = [p if sign * sum(a * b for a, b in zip(p, w)) >= 0 else _neg(p) for p in pts]
+        where = draw(st.sampled_from(["as drawn", "face", "interior"]))
+        if where == "face" and pts:
+            pts.append(_neg(pts[0]))
+        if where == "interior":
+            pts += [tuple(int(i == j) for j in range(d)) for i in range(d)] + [(-1,) * d]
+        return hull([Point((0,) * d)] + [Point(p) for p in pts])
+
+    return part(1), part(-1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(polytope_pairs_through_origin())
+def test_dual_cone_test_matches_the_vertex_search(pair_):
+    p, q = pair_
+    constraints = sum(len(x.facets) + len(x.affine_span) for x in pair_)
+    assume(comb(constraints, p.ambient_dim) <= 1000)
+    ok, witness = _intersection_is_origin(p, q)
+    assert ok == intersection_is_origin(p, q)[0]
+    if ok:
+        assert witness is None
+    else:
+        assert not witness.is_zero()
+        assert p.contains(witness) and q.contains(witness)
