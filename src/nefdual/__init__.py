@@ -54,9 +54,7 @@ from .nefpart import (
     Rejection,
     RelationReport,
     check_relations,
-    delta_parts,
     enumerate_nef_partitions,
-    nabla_parts,
     validate_partition,
 )
 from .duality import (
@@ -118,7 +116,6 @@ __all__ = [
     "ZeroNotInterior",
     "check_relations",
     "corpus_entry",
-    "delta_parts",
     "dual_nef_partition",
     "dual_space",
     "enumerate_nef_partitions",
@@ -127,7 +124,6 @@ __all__ = [
     "load_corpus",
     "minkowski_sum",
     "nabla",
-    "nabla_parts",
     "origin",
     "pair",
     "parse_partition_spec",

@@ -2,9 +2,10 @@
 
 A polytope file has a header line ``d n`` (dimension, point count) followed
 by n lines of d whitespace-separated coordinates, each an integer or an
-exact rational ``p/q``. Lines starting with ``#`` and blank lines are
-ignored. The order of the points in the file is kept as the user-facing
-index order; the parsed polytope itself is canonical.
+exact rational ``p/q``: ASCII digits with an optional sign in front, and no
+decimal point, exponent or ``_``. Lines starting with ``#`` and blank lines
+are ignored. The order of the points in the file is kept as the
+user-facing index order; the parsed polytope itself is canonical.
 
 A partition spec is ``i1,i2,...;j1,j2,...`` with zero-based indices into
 the file order.
@@ -12,6 +13,7 @@ the file order.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 from .polytope import Point, Polytope, SPACE_M, hull
@@ -21,7 +23,15 @@ class PolytopeParseError(ValueError):
     """Malformed input: a polytope file, a partition spec or a part count."""
 
 
+_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+_INDEX = re.compile(r"-?[0-9]+")
+
+
 def _parse_rational(token: str) -> Fraction:
+    """An integer or ``p/q`` in ASCII digits; nothing else (no ``1e2``,
+    ``0.5`` or ``1_0``), so a short token cannot stand for a huge number."""
+    if not _RATIONAL.fullmatch(token):
+        raise PolytopeParseError(f"bad coordinate {token!r}")
     try:
         value = Fraction(token)
     except (ValueError, ZeroDivisionError) as exc:
@@ -109,9 +119,13 @@ def parse_partition_spec(text: str, n_points: int) -> list[list[int]]:
         indices = []
         for tok in chunk.split(","):
             tok = tok.strip()
-            if not tok or not (tok.isdigit() or (tok[0] == "-" and tok[1:].isdigit())):
+            try:
+                # int() also refuses more digits than sys.get_int_max_str_digits()
+                idx = int(tok) if _INDEX.fullmatch(tok) else None
+            except ValueError:
+                idx = None
+            if idx is None:
                 raise PolytopeParseError(f"bad index {tok!r} in partition spec")
-            idx = int(tok)
             if idx < 0 or idx >= n_points:
                 raise PolytopeParseError(
                     f"index {idx} out of range 0..{n_points - 1}"

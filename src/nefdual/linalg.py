@@ -172,7 +172,9 @@ def solve(rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]):
     ``SolveFailure`` values. Failure kinds are return values, not errors.
     """
     ncols = len(rows[0]) if rows else 0
-    mat = integer_rows([list(row) + [b] for row, b in zip(rows, rhs)])
+    mat = [list(row) + [b] for row, b in zip(rows, rhs)]
+    if not all(type(x) is int for row in mat for x in row):
+        mat = integer_rows(mat)
     pivots, den = eliminate(mat, ncols + 1)
     if ncols in pivots:
         return Inconsistent

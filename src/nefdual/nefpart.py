@@ -100,14 +100,6 @@ class NefPartition:
         )
 
 
-def delta_parts(np: NefPartition) -> tuple[Polytope, ...]:
-    return np.delta_parts
-
-
-def nabla_parts(np: NefPartition) -> tuple[Polytope, ...]:
-    return np.nabla_parts
-
-
 def _intersection_is_origin(p: Polytope, q: Polytope):
     """Exact check that two polytopes containing the origin meet only there.
 

@@ -11,11 +11,17 @@ equality constraints and facets are facets within that span.
 Two polytopes are equal exactly when they live in the same space and have
 the same canonical vertex list.
 
-Public values are exact ``Fraction``s: point coordinates, facet offsets and
-equality values. Inside :func:`hull` the points are scaled to ``int``
-coordinates by their common denominator, and the hull is computed on
-``int`` tuples with the integer elimination of :mod:`nefdual.linalg`; normals
-are primitive integer vectors, and only the offsets are divided back.
+Public values are exact ``Fraction``s: point coordinates, the value of
+:func:`pair`, facet offsets, equality values and the solutions of
+:func:`solve_linear`. The arithmetic behind them runs on ``int``: every
+``Point`` also keeps its canonical integer form (``_num`` over the common
+denominator ``_den``), and equality, hashing, order, :func:`pair`,
+:meth:`Polytope.contains` and the rows :func:`solve_linear` hands to
+:func:`nefdual.linalg.solve` are computed from it. Inside :func:`hull` the
+points are scaled to ``int`` coordinates by their common denominator, and
+the hull is computed on ``int`` tuples with the integer elimination of
+:mod:`nefdual.linalg`; normals are primitive integer vectors, and only the
+offsets are divided back.
 """
 
 from __future__ import annotations
@@ -50,28 +56,62 @@ def _dot(a: Sequence[int], b: Sequence[int]) -> int:
 class Point:
     """An exact rational point in M or N.
 
-    Coordinates are stored as ``Fraction``s; a ``float`` coordinate is a
-    ``TypeError``. Immutable by convention; arithmetic stays within one
-    space, the pairing crosses between the two.
+    Coordinates are exposed as ``Fraction``s in ``coords``; a ``float``
+    coordinate is a ``TypeError``. Alongside, every point keeps its canonical
+    integer form: ``_den``, the LCM of the coordinates' denominators, and
+    ``_num``, the ``int`` numerators over it, so ``coords[i] == _num[i] /
+    _den``. Equal points have equal forms, and equality, hashing, order,
+    the pairing and polytope membership run on them. Immutable by
+    convention; arithmetic stays within one space, the pairing crosses
+    between the two.
     """
 
-    __slots__ = ("coords", "space")
+    __slots__ = ("coords", "space", "_num", "_den")
 
     def __init__(self, coords: Iterable, space: str = SPACE_M):
         if space not in (SPACE_M, SPACE_N):
             raise ValueError(f"unknown space tag {space!r}")
-        self.coords = tuple(c if type(c) is Fraction else exact_rational(c) for c in coords)
+        coords = tuple(c if type(c) is Fraction else exact_rational(c) for c in coords)
+        den = lcm(*[c.denominator for c in coords])
+        self.coords = coords
         self.space = space
+        self._den = den
+        if den == 1:
+            self._num = tuple([c.numerator for c in coords])
+        else:
+            self._num = tuple([c.numerator * (den // c.denominator) for c in coords])
+
+    @classmethod
+    def _from_form(cls, num: tuple[int, ...], den: int, space: str) -> "Point":
+        """The point ``num / den`` for ``int`` entries and ``den > 0``.
+
+        The form is reduced by the gcd of ``den`` and the entries, which
+        makes it the canonical one ``__init__`` would compute.
+        """
+        if den != 1:
+            g = gcd(den, *num)
+            if g != 1:
+                den //= g
+                num = tuple([x // g for x in num])
+        p = cls.__new__(cls)
+        if den == 1:
+            p.coords = tuple(map(Fraction, num))
+        else:
+            p.coords = tuple([Fraction(x, den) for x in num])
+        p.space = space
+        p._num = num
+        p._den = den
+        return p
 
     @property
     def dim(self) -> int:
         return len(self.coords)
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coords)
+        return not any(self._num)
 
     def is_lattice(self) -> bool:
-        return all(c.denominator == 1 for c in self.coords)
+        return self._den == 1
 
     def _check_compatible(self, other: "Point") -> None:
         if not isinstance(other, Point):
@@ -84,39 +124,57 @@ class Point:
 
     def __add__(self, other: "Point") -> "Point":
         self._check_compatible(other)
-        return Point((a + b for a, b in zip(self.coords, other.coords)), self.space)
+        return Point._from_form(*_add_forms(self, other, 1), self.space)
 
     def __sub__(self, other: "Point") -> "Point":
         self._check_compatible(other)
-        return Point((a - b for a, b in zip(self.coords, other.coords)), self.space)
+        return Point._from_form(*_add_forms(self, other, -1), self.space)
 
     def __neg__(self) -> "Point":
-        return Point((-c for c in self.coords), self.space)
+        return Point._from_form(tuple([-x for x in self._num]), self._den, self.space)
 
     def scale(self, factor) -> "Point":
         f = exact_rational(factor)
-        return Point((f * c for c in self.coords), self.space)
+        a = f.numerator
+        return Point._from_form(
+            tuple([a * x for x in self._num]), self._den * f.denominator, self.space
+        )
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Point)
             and self.space == other.space
-            and self.coords == other.coords
+            and self._den == other._den
+            and self._num == other._num
         )
 
     def __hash__(self) -> int:
-        return hash((self.space, self.coords))
+        return hash((self.space, self._den, self._num))
 
     def __lt__(self, other: "Point") -> bool:
         self._check_compatible(other)
+        if self._den == other._den:
+            return self._num < other._num
         return self.coords < other.coords
 
     def __le__(self, other: "Point") -> bool:
         self._check_compatible(other)
+        if self._den == other._den:
+            return self._num <= other._num
         return self.coords <= other.coords
 
     def __repr__(self) -> str:
         return f"Point(({', '.join(str(c) for c in self.coords)}), {self.space})"
+
+
+def _add_forms(x: Point, y: Point, sign: int) -> tuple[tuple[int, ...], int]:
+    """The integer form of ``x + sign * y``, not yet reduced."""
+    if x._den == y._den:
+        return tuple([a + sign * b for a, b in zip(x._num, y._num)]), x._den
+    den = lcm(x._den, y._den)
+    fx = den // x._den
+    fy = sign * (den // y._den)
+    return tuple([fx * a + fy * b for a, b in zip(x._num, y._num)]), den
 
 
 def origin(dim: int, space: str = SPACE_M) -> Point:
@@ -124,14 +182,21 @@ def origin(dim: int, space: str = SPACE_M) -> Point:
 
 
 def pair(x: Point, y: Point) -> Fraction:
-    """Canonical pairing between a point of M and a point of N."""
+    """Canonical pairing between a point of M and a point of N.
+
+    An ``int`` dot product of the two integer forms, over the product of
+    their denominators.
+    """
     if x.space == y.space:
         raise DimensionMismatch(
             f"pairing needs one point from each space, got two from {x.space}"
         )
-    if x.dim != y.dim:
+    if len(x._num) != len(y._num):
         raise DimensionMismatch(f"pairing dimension mismatch: {x.dim} vs {y.dim}")
-    return sum(map(mul, x.coords, y.coords), Fraction(0))
+    den = x._den * y._den
+    if den == 1:
+        return Fraction(_dot(x._num, y._num))
+    return Fraction(_dot(x._num, y._num), den)
 
 
 @dataclass(frozen=True)
@@ -203,16 +268,28 @@ class Polytope:
         return self.is_full_dimensional and all(f.offset > 0 for f in self.facets)
 
     def contains(self, point: Point) -> bool:
-        if point.space != self.space or point.dim != self.ambient_dim:
+        """Membership, decided by cross-multiplied ``int`` comparisons.
+
+        For a facet with offset ``a/b``, ``<point, normal> >= -a/b`` is
+        ``<point._num, normal._num> * b >= -a * point._den * normal._den``,
+        as every denominator is positive; equalities likewise.
+        """
+        num = point._num
+        if point.space != self.space or len(num) != self.ambient_dim:
             raise DimensionMismatch(
                 f"point in {point.space}^{point.dim} against polytope "
                 f"in {self.space}^{self.ambient_dim}"
             )
+        den = point._den
         for eq in self.affine_span:
-            if pair(point, eq.normal) != eq.value:
+            n = eq.normal
+            v = eq.value
+            if _dot(num, n._num) * v.denominator != v.numerator * den * n._den:
                 return False
         for f in self.facets:
-            if pair(point, f.normal) < -f.offset:
+            n = f.normal
+            off = f.offset
+            if _dot(num, n._num) * off.denominator < -off.numerator * den * n._den:
                 return False
         return True
 
@@ -245,8 +322,14 @@ class Polytope:
             if not self.has_zero_interior:
                 raise ZeroNotInterior("polar dual needs the origin strictly inside")
             target = dual_space(self.space)
+            # normal / offset, with offset = a/b > 0: the form (b * _num, a * _den).
             gens = [
-                Point((c / f.offset for c in f.normal.coords), target) for f in self.facets
+                Point._from_form(
+                    tuple([f.offset.denominator * x for x in f.normal._num]),
+                    f.offset.numerator * f.normal._den,
+                    target,
+                )
+                for f in self.facets
             ]
             self._polar = hull(gens)
         return self._polar
@@ -263,7 +346,7 @@ class Polytope:
             his.append(floor(max(vals)))
         found = []
         for tup in itertools.product(*(range(lo, hi + 1) for lo, hi in zip(los, his))):
-            p = Point(tup, self.space)
+            p = Point._from_form(tup, 1, self.space)
             if self.contains(p):
                 found.append(p)
         return found
@@ -385,14 +468,18 @@ def hull(points: Iterable[Point]) -> Polytope:
         if p.space != space or p.dim != d:
             raise DimensionMismatch("hull input points disagree on space or dimension")
     uniq = sorted(set(pts))
-    scale = lcm(*(c.denominator for q in uniq for c in q.coords))
-    ipts = [tuple(c.numerator * (scale // c.denominator) for c in q.coords) for q in uniq]
+    scale = lcm(*[q._den for q in uniq])
+    ipts = [
+        q._num if q._den == scale else tuple(x * (scale // q._den) for x in q._num)
+        for q in uniq
+    ]
     x0 = ipts[0]
 
     eq_vecs = sorted(integer_nullspace([[a - b for a, b in zip(x, x0)] for x in ipts[1:]], d))
     target = dual_space(space)
     equalities = tuple(
-        LinearEquality(Point(v, target), Fraction(_dot(v, x0), scale)) for v in eq_vecs
+        LinearEquality(Point._from_form(v, 1, target), Fraction(_dot(v, x0), scale))
+        for v in eq_vecs
     )
     k = d - len(eq_vecs)
 
@@ -426,7 +513,7 @@ def hull(points: Iterable[Point]) -> Polytope:
 
     facets = tuple(
         Facet(
-            Point(nv, target),
+            Point._from_form(nv, 1, target),
             Fraction(e, scale),
             tuple(i for i, values in enumerate(vertex_values) if values[j] == -e),
         )
@@ -459,7 +546,16 @@ def solve_linear(system: Iterable[tuple[Point, object]]):
     for p, _ in items:
         if p.space != space or p.dim != d:
             raise DimensionMismatch("linear system points disagree on space or dimension")
-    res = solve([list(p.coords) for p, _ in items], [Fraction(v) for _, v in items])
+    # <p, u> = a/b with p = _num/_den becomes the int row b*_num = a*_den.
+    rows = []
+    rhs = []
+    for p, value in items:
+        if type(value) is not int and type(value) is not Fraction:
+            value = Fraction(value)
+        b = value.denominator
+        rows.append([x * b for x in p._num] if b != 1 else list(p._num))
+        rhs.append(value.numerator * p._den)
+    res = solve(rows, rhs)
     if isinstance(res, SolveFailure):
         return res
     return Point(res, dual_space(space))

@@ -2,18 +2,26 @@
 
 Nothing here calls into the package's computational code. Each helper works
 on raw coordinate tuples with its own elimination routine, so a defect in
-the library cannot hide behind a shared code path. The one exception,
-:func:`intersection_is_origin`, reads the facet and equality data of the
-two ``Polytope``s it compares, and decides with its own elimination.
+the library cannot hide behind a shared code path. The exceptions:
+:func:`intersection_is_origin` reads the facet and equality data of the
+two ``Polytope``s it compares, and decides with its own elimination; the
+former ``Fraction`` arithmetic of ``nefdual.polytope`` at the end of this
+file (:func:`pair`, :func:`contains`, :func:`solve_linear` and the ``Point``
+comparisons) reads ``Point.coords`` and ``Point.space`` only, except that
+:func:`solve_linear` still hands ``Fraction`` rows to ``linalg.solve``, whose
+own reference is :func:`_solve`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from typing import Sequence
+from operator import mul
+from typing import Iterable, Sequence
 
-from nefdual.errors import InvariantViolation
+from nefdual.errors import DimensionMismatch, InvariantViolation
+from nefdual.linalg import SolveFailure, solve
+from nefdual.polytope import Point, dual_space
 
 
 def rref(rows: Sequence[Sequence[Fraction]], ncols: int | None = None):
@@ -225,3 +233,77 @@ def oracle_nef_partitions(vertices, dim, r):
         if is_nef_partition(vertices, parts, dim):
             valid.add(frozenset(parts))
     return valid
+
+
+# The former Fraction arithmetic of nefdual.polytope, verbatim: the pairing,
+# Polytope.contains (as a function of the polytope), solve_linear, and the
+# Point comparisons (as functions of two points). The library now runs them
+# on each Point's integer form; these are the reference for that route.
+
+
+def pair(x: Point, y: Point) -> Fraction:
+    """Canonical pairing between a point of M and a point of N."""
+    if x.space == y.space:
+        raise DimensionMismatch(
+            f"pairing needs one point from each space, got two from {x.space}"
+        )
+    if x.dim != y.dim:
+        raise DimensionMismatch(f"pairing dimension mismatch: {x.dim} vs {y.dim}")
+    return sum(map(mul, x.coords, y.coords), Fraction(0))
+
+
+def contains(self, point: Point) -> bool:
+    if point.space != self.space or point.dim != self.ambient_dim:
+        raise DimensionMismatch(
+            f"point in {point.space}^{point.dim} against polytope "
+            f"in {self.space}^{self.ambient_dim}"
+        )
+    for eq in self.affine_span:
+        if pair(point, eq.normal) != eq.value:
+            return False
+    for f in self.facets:
+        if pair(point, f.normal) < -f.offset:
+            return False
+    return True
+
+
+def solve_linear(system: Iterable[tuple[Point, object]]):
+    """Solve ``<p, u> = value`` for ``u`` in the dual space of the points.
+
+    ``system`` is an iterable of (point, value) pairs. Returns the unique
+    solution Point, or ``Inconsistent`` / ``Underdetermined``.
+    """
+    items = list(system)
+    if not items:
+        raise ValueError("empty linear system")
+    space = items[0][0].space
+    d = items[0][0].dim
+    for p, _ in items:
+        if p.space != space or p.dim != d:
+            raise DimensionMismatch("linear system points disagree on space or dimension")
+    res = solve([list(p.coords) for p, _ in items], [Fraction(v) for _, v in items])
+    if isinstance(res, SolveFailure):
+        return res
+    return Point(res, dual_space(space))
+
+
+def point_eq(self, other) -> bool:
+    return (
+        isinstance(other, Point)
+        and self.space == other.space
+        and self.coords == other.coords
+    )
+
+
+def point_hash(self) -> int:
+    return hash((self.space, self.coords))
+
+
+def point_lt(self, other: "Point") -> bool:
+    self._check_compatible(other)
+    return self.coords < other.coords
+
+
+def point_le(self, other: "Point") -> bool:
+    self._check_compatible(other)
+    return self.coords <= other.coords

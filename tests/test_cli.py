@@ -7,6 +7,7 @@ stored files the same way.
 """
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -115,6 +116,10 @@ CONTRACT = [
     (2, ["polar", DATA / "d2_square.poly", "--output", FIX / "no_such_dir" / "out.poly"], "error:"),
     (2, ["nef-enumerate", DATA / "d2_cross.poly", "-r", "0"], "error:"),
     (2, ["nef-enumerate", DATA / "d2_cross.poly", "-r", "-1"], "error:"),
+    (2, ["check-reflexive", FIX / "exponent.poly"], "error: bad coordinate '1e2'"),
+    (2, ["check-reflexive", FIX / "decimal.poly"], "error: bad coordinate '0.5'"),
+    (2, ["check-reflexive", FIX / "underscore.poly"], "error: bad coordinate '1_0'"),
+    (2, ["nef-validate", DATA / "d2_cross.poly", "--parts", "0,\u00b2;1,3"], "error: bad index"),
 ]
 
 
@@ -205,10 +210,14 @@ def test_thread_env_variable_does_not_change_output(capsys, monkeypatch):
 
 
 def test_module_is_runnable_as_a_script():
+    # the child imports the same nefdual as this process, installed or not
+    package_root = str(Path(nefdual.__file__).parent.parent)
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "nefdual", "polar", str(DATA / "d2_square.poly")],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert proc.stdout == (GOLDEN / "polar_square.txt").read_text(encoding="utf-8")

@@ -61,6 +61,35 @@ def test_parse_rejects_malformed(text):
         parse_polytope_text(text)
 
 
+def test_parse_coordinate_grammar_accepts_signed_integers_and_fractions():
+    _, pts = parse_polytope_text("2 3\n+1 -3/4\n007 0/5\n-1 +2/6\n")
+    assert [p.coords for p in pts] == [(1, F(-3, 4)), (7, 0), (-1, F(1, 3))]
+
+
+@pytest.mark.parametrize(
+    "token",
+    ["1e2", "0.5", "1_0", ".5", "1.", "1e99999999", "1/-2", "1/2/3", "1/", "/2",
+     "+-1", "inf", "nan", "\u0661", "1/\u0662",
+     pytest.param("1" * 5000, id="5000-digit integer"),
+     pytest.param("1/" + "3" * 5000, id="5000-digit denominator")],
+)
+def test_parse_rejects_coordinates_outside_the_grammar(token):
+    """Only ``[+-]?digits(/digits)?`` in ASCII; in particular no exponent, so
+    a short token cannot make the parser build a huge integer."""
+    with pytest.raises(PolytopeParseError, match="bad coordinate"):
+        parse_polytope_text(f"2 3\n{token} 0\n0 1\n-1 -1\n")
+
+
+@pytest.mark.parametrize(
+    "spec",
+    ["0,\u00b2", "\u0661", "0,-\u00b2", "+1",
+     pytest.param("0;" + "1" * 5000, id="5000-digit index")],
+)
+def test_partition_spec_rejects_non_ascii_digits_and_overlong_indices(spec):
+    with pytest.raises(PolytopeParseError, match="bad index"):
+        parse_partition_spec(spec, 4)
+
+
 def test_write_then_parse_round_trips(corpus):
     for entry in corpus:
         text = write_polytope_text(entry.polytope)
