@@ -10,6 +10,7 @@ Output is deterministic; the only timing information lives in the JSON
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -241,10 +242,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on the first request and reused by later ones.
+
+    Parsing leaves it unchanged: every call gets a fresh namespace, and no
+    default is a mutable object.
+    """
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:

@@ -9,6 +9,13 @@ sides, the delta parts are recovered as support polytopes of the dual's PL
 functions, and applying the construction twice is the identity.
 
 All checks are exact; a returned CheckResult carries a witness on failure.
+
+Each object is built once per run. The dual side is validated once, by
+:func:`dual_nef_partition`. The involution check builds the double dual's
+base and labeled parts, and when both equal the source's it reuses the
+source instead of validating it again: validation is a deterministic
+function of the vertex list and the labeled parts, so the result would be
+equal to the source. See :func:`verify_involution`.
 """
 
 from __future__ import annotations
@@ -115,18 +122,9 @@ def verify_nabla_reflexive(np: NefPartition) -> CheckResult:
     )
 
 
-def dual_nef_partition(np: NefPartition) -> NefPartition:
-    """The mirror nef-partition on the nabla polytope.
-
-    Part i of the dual collects the nonzero vertices of nabla part i; the
-    origin, which can be a genuine vertex of a nabla part, carries no
-    indicator weight and is excluded. The resulting partition is validated
-    on nabla from scratch, and each dual PL function is cross-checked
-    against the pairing formula: psi_i at a vertex y equals the negated
-    minimum of <x, y> over delta part i, and every cone functional of
-    psi_i is the negative of a vertex of delta part i.
-    """
-    nb = nabla(np)
+def _dual_parts(np: NefPartition, nb: Polytope) -> tuple[frozenset[int], ...]:
+    """Part i of the dual: the indices in nabla of the nonzero vertices of
+    nabla part i, in the labels of ``np``."""
     index_of = {v: i for i, v in enumerate(nb.vertices)}
     parts = []
     for i, part_poly in enumerate(np.nabla_parts):
@@ -141,16 +139,17 @@ def dual_nef_partition(np: NefPartition) -> NefPartition:
                 )
             idxs.add(index_of[v])
         parts.append(frozenset(idxs))
+    return tuple(parts)
 
-    result = validate_partition(nb, parts)
-    if isinstance(result, Rejection):
-        raise InvariantViolation(
-            "dual partition failed validation", witness=str(result)
-        )
 
-    for i, psi in enumerate(result.phi):
+def _check_psi(np: NefPartition, dual: NefPartition) -> None:
+    """Cross-check each PL function of ``dual`` against the delta parts of
+    ``np``: psi_i at a vertex y equals the negated minimum of <x, y> over
+    delta part i, and every cone functional of psi_i is the negative of a
+    vertex of delta part i."""
+    for i, psi in enumerate(dual.phi):
         delta_part_verts = np.delta_parts[i].vertices
-        for vi, y in enumerate(nb.vertices):
+        for vi, y in enumerate(dual.delta.vertices):
             derived = -min(pair(x, y) for x in delta_part_verts)
             if psi.vertex_values[vi] != derived:
                 raise InvariantViolation(
@@ -164,6 +163,29 @@ def dual_nef_partition(np: NefPartition) -> NefPartition:
                     "dual cone functional is not the negative of a delta part vertex",
                     witness=(i, u),
                 )
+
+
+def dual_nef_partition(np: NefPartition) -> NefPartition:
+    """The mirror nef-partition on the nabla polytope.
+
+    Part i of the dual collects the nonzero vertices of nabla part i; the
+    origin, which can be a genuine vertex of a nabla part, carries no
+    indicator weight and is excluded. The resulting partition is validated
+    on nabla from scratch, and each dual PL function is cross-checked
+    against the pairing formula: psi_i at a vertex y equals the negated
+    minimum of <x, y> over delta part i, and every cone functional of
+    psi_i is the negative of a vertex of delta part i.
+
+    :func:`run_full_duality` calls this once; :func:`verify_involution`
+    calls it on the dual only when the double dual cannot be the source.
+    """
+    nb = nabla(np)
+    result = validate_partition(nb, _dual_parts(np, nb))
+    if isinstance(result, Rejection):
+        raise InvariantViolation(
+            "dual partition failed validation", witness=str(result)
+        )
+    _check_psi(np, result)
     return result
 
 
@@ -192,10 +214,27 @@ def verify_involution(np: NefPartition, dual: NefPartition | None = None) -> Che
 
     The base polytopes must agree exactly and the part families must agree
     as unlabeled families of vertex-index sets.
+
+    The double dual's base, ``nabla(dual)``, is built (with its check that
+    it sits inside the polar of ``dual.delta``), and so are its labeled
+    parts. When the base equals ``np.delta`` and the labeled parts equal
+    ``np.parts``, the double dual is ``validate_partition`` on the same
+    vertex list and the same parts as ``np``; that function is
+    deterministic (a polytope's facets follow from its vertices) and it is
+    the only constructor of a ``NefPartition``, so its result would be
+    ``np`` itself, and ``np`` is reused instead of validated again. The
+    cross-checks of the double dual's PL functions against the delta parts
+    of ``dual`` still run on it. Otherwise the double dual is built by
+    :func:`dual_nef_partition` from scratch, and fails as it would.
     """
     if dual is None:
         dual = dual_nef_partition(np)
-    double = dual_nef_partition(dual)
+    nb = nabla(dual)
+    if nb == np.delta and _dual_parts(dual, nb) == np.parts:
+        _check_psi(dual, np)
+        double = np
+    else:
+        double = dual_nef_partition(dual)
     if double.delta != np.delta:
         return CheckResult(
             "involution",

@@ -20,7 +20,7 @@ from .errors import (
     NotPiecewiseLinear,
     ZeroNotInterior,
 )
-from .linalg import Inconsistent, Underdetermined
+from .linalg import Inconsistent, Underdetermined, exact_rational
 from .polytope import Point, Polytope, hull, pair, solve_linear
 
 
@@ -179,14 +179,14 @@ def pl_from_vertex_values(fan: FaceFan, values: Sequence) -> PLFunction:
     each cone the facet's vertices pin down a unique linear functional
     because they span the ambient space; if the (overdetermined) system of a
     non-simplicial facet is unsolvable, raises NotPiecewiseLinear naming the
-    cone.
+    cone. Values are exact rationals; a ``float`` is a ``TypeError``.
     """
     verts = fan.base.vertices
     if len(values) != len(verts):
         raise DimensionMismatch(
             f"{len(verts)} vertices but {len(values)} prescribed values"
         )
-    vals = tuple(Fraction(v) for v in values)
+    vals = tuple(v if type(v) is Fraction else exact_rational(v) for v in values)
     functionals = []
     for cone in fan.cones:
         system = [(verts[i], vals[i]) for i in cone.vertex_indices]

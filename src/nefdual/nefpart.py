@@ -208,7 +208,10 @@ def validate_partition(delta: Polytope, parts: Iterable[Iterable[int]]):
 
 
 def _assert_partition_invariants(np: NefPartition) -> None:
-    """Identities every valid nef-partition satisfies; failure is a library bug."""
+    """Identities every valid nef-partition satisfies; failure is a library bug.
+
+    The two hull identities are decided on vertex sets, with no hull built.
+    """
     delta = np.delta
     zero = origin(delta.ambient_dim, delta.space)
     polar = delta.polar_dual()
@@ -218,11 +221,19 @@ def _assert_partition_invariants(np: NefPartition) -> None:
             "indicator functions do not sum to 1 on the vertices",
             witness=total.vertex_values,
         )
-    if support_polytope(total) != polar:
+    # support_polytope(total) == polar. The sum is 1 on every vertex, so on
+    # the cone over a facet (normal n, offset 1) its functional is -n, and
+    # the polar's vertices are exactly those normals. Negated functionals
+    # equal to the polar's vertex set give the hull equality, and also put
+    # every support generator inside the polar (support_polytope's guard).
+    if not total.is_convex or {-u for u in total.functionals} != set(polar.vertices):
         raise InvariantViolation("sum of the phi functions does not support the polar")
 
-    covered = hull([v for part_poly in np.delta_parts for v in part_poly.vertices])
-    if covered != delta:
+    # hull(union of delta parts) == delta. Each part is the hull of 0 and
+    # some vertices of delta, and 0 lies in delta, so the union's hull is
+    # delta exactly when the parts' nonzero vertices are delta's vertices.
+    covered = {v for part_poly in np.delta_parts for v in part_poly.vertices if not v.is_zero()}
+    if covered != set(delta.vertices) or not delta.contains(zero):
         raise InvariantViolation("hull of the delta parts is not the base polytope")
     for i, dp in enumerate(np.delta_parts):
         if not dp.contains(zero):

@@ -19,9 +19,11 @@ denominator ``_den``), and equality, hashing, order, :func:`pair`,
 :meth:`Polytope.contains` and the rows :func:`solve_linear` hands to
 :func:`nefdual.linalg.solve` are computed from it. Inside :func:`hull` the
 points are scaled to ``int`` coordinates by their common denominator, and
-the hull is computed on ``int`` tuples with the integer elimination of
-:mod:`nefdual.linalg`; normals are primitive integer vectors, and only the
-offsets are divided back.
+the hull is computed on ``int`` tuples: the integer elimination of
+:mod:`nefdual.linalg` finds the affine span, the initial simplex's facets
+and the vertices, and every later facet is an integer combination of two
+existing ones. Normals are primitive integer vectors, and only the offsets
+are divided back.
 """
 
 from __future__ import annotations
@@ -397,6 +399,30 @@ def _plane_through(pts, verts: frozenset, eq_rows, interior, weight: int):
     return (tuple(nv), c, frozenset(verts))
 
 
+def _plane_across(p, ridge_plus_p: frozenset, visible, hidden, interior, weight: int):
+    """The plane through a horizon ridge and the new point ``p``.
+
+    ``visible`` is the facet ``(n1, c1, verts)`` that ``p`` lies beyond and
+    ``hidden`` its neighbour ``(n2, c2, verts)`` across the ridge, which
+    ``p`` does not. With ``s_i = <p, n_i> - c_i`` (so ``s1 < 0 <= s2``), the
+    plane ``s2 * (n1, c1) - s1 * (n2, c2)`` holds both planes' common points,
+    hence the ridge, and ``p``; as a nonnegative combination of two facet
+    inequalities of the current hull it is oriented with the hull on its
+    nonnegative side, and it lies in the direction space with them.
+    """
+    n1, c1, _ = visible
+    n2, c2, _ = hidden
+    s1 = _dot(p, n1) - c1
+    s2 = _dot(p, n2) - c2
+    nv = [s2 * a - s1 * b for a, b in zip(n1, n2)]
+    c = s2 * c1 - s1 * c2
+    assert _dot(p, nv) == c
+    if _dot(interior, nv) <= weight * c:
+        raise InvariantViolation("interior point on facet plane", witness=sorted(ridge_plus_p))
+    g = gcd(*nv)
+    return (tuple([x // g for x in nv]), c // g, ridge_plus_p)
+
+
 def _beneath_beyond_planes(pts, k: int, eq_rows):
     """Facet planes of the hull of distinct integer points spanning k dimensions.
 
@@ -404,6 +430,12 @@ def _beneath_beyond_planes(pts, k: int, eq_rows):
     geometric facet are merged by the caller. Returns (normal, c) pairs with
     the hull satisfying ``<x, normal> >= c``; each normal lies in the
     direction space of the points, the orthogonal complement of ``eq_rows``.
+
+    Only the facets of the initial simplex are solved for (by
+    :func:`_plane_through`). Every ridge of the simplicial boundary lies in
+    exactly two facets, kept in a ridge -> facets map, and each facet added
+    through a horizon ridge is combined from the two facets that met there
+    (:func:`_plane_across`), in O(d) integer operations.
     """
     n = len(pts)
     d = len(pts[0])
@@ -418,32 +450,51 @@ def _beneath_beyond_planes(pts, k: int, eq_rows):
                 break
     if len(simplex) != k + 1:
         raise InvariantViolation("points do not span the expected dimension")
+    weight = k + 1
     interior = tuple(sum(pts[i][j] for i in simplex) for j in range(d))
-    facets = [
-        _plane_through(pts, frozenset(simplex) - {simplex[excl]}, eq_rows, interior, k + 1)
-        for excl in range(k + 1)
-    ]
+    facets: dict[int, tuple] = {}
+    ridges: dict[frozenset, list[int]] = {}
+    ids = itertools.count()
+
+    def add(facet):
+        fid = next(ids)
+        facets[fid] = facet
+        verts = facet[2]
+        for excl in verts:
+            ridges.setdefault(verts - {excl}, []).append(fid)
+
+    for excl in range(k + 1):
+        add(_plane_through(pts, frozenset(simplex) - {simplex[excl]}, eq_rows, interior, weight))
     in_simplex = set(simplex)
     for i in range(n):
         if i in in_simplex:
             continue
         p = pts[i]
-        vis_idx = {ix for ix, f in enumerate(facets) if _dot(p, f[0]) < f[1]}
-        if not vis_idx:
+        visible = {fid for fid, (nv, c, _) in facets.items() if _dot(p, nv) < c}
+        if not visible:
             continue
-        ridge_count: dict[frozenset, int] = {}
-        for ix in vis_idx:
-            verts = facets[ix][2]
+        new_facets = []
+        for fid in visible:
+            verts = facets[fid][2]
             for excl in verts:
                 ridge = verts - {excl}
-                ridge_count[ridge] = ridge_count.get(ridge, 0) + 1
-        new_facets = [
-            _plane_through(pts, ridge | {i}, eq_rows, interior, k + 1)
-            for ridge, cnt in ridge_count.items()
-            if cnt == 1
-        ]
-        facets = [f for ix, f in enumerate(facets) if ix not in vis_idx] + new_facets
-    return [(nv, c) for nv, c, _ in facets]
+                a, b = ridges[ridge]
+                other = b if a == fid else a
+                if other not in visible:
+                    new_facets.append(
+                        _plane_across(p, ridge | {i}, facets[fid], facets[other], interior, weight)
+                    )
+        for fid in visible:
+            verts = facets.pop(fid)[2]
+            for excl in verts:
+                ridge = verts - {excl}
+                holders = ridges[ridge]
+                holders.remove(fid)
+                if not holders:
+                    del ridges[ridge]
+        for facet in new_facets:
+            add(facet)
+    return [(nv, c) for nv, c, _ in facets.values()]
 
 
 def hull(points: Iterable[Point]) -> Polytope:

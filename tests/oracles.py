@@ -9,19 +9,28 @@ former ``Fraction`` arithmetic of ``nefdual.polytope`` at the end of this
 file (:func:`pair`, :func:`contains`, :func:`solve_linear` and the ``Point``
 comparisons) reads ``Point.coords`` and ``Point.space`` only, except that
 :func:`solve_linear` still hands ``Fraction`` rows to ``linalg.solve``, whose
-own reference is :func:`_solve`.
+own reference is :func:`_solve`; and the library's former hull-based
+routes at the very end (:func:`beneath_beyond_planes`,
+:func:`assert_partition_invariants`, :func:`verify_involution`), which call
+the rest of the library and serve as the reference for the routes that
+replaced them.
 """
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations
 from operator import mul
 from typing import Iterable, Sequence
 
+from nefdual.duality import CheckResult, dual_nef_partition
 from nefdual.errors import DimensionMismatch, InvariantViolation
-from nefdual.linalg import SolveFailure, solve
-from nefdual.polytope import Point, dual_space
+from nefdual.fan import support_polytope
+from nefdual.linalg import SolveFailure, eliminate, solve
+from nefdual.nefpart import NefPartition, _intersection_is_origin
+from nefdual.polytope import Point, _dot, _plane_through, dual_space, hull, origin
 
 
 def rref(rows: Sequence[Sequence[Fraction]], ncols: int | None = None):
@@ -307,3 +316,132 @@ def point_lt(self, other: "Point") -> bool:
 def point_le(self, other: "Point") -> bool:
     self._check_compatible(other)
     return self.coords <= other.coords
+
+
+# The former hull-based routes of the library, verbatim apart from their
+# names: the beneath-beyond insertion that solves one integer nullspace per
+# new facet (the library now combines each new facet from two neighbours),
+# the partition audit that decides its two hull identities with hulls (the
+# library now compares vertex sets), and the involution check that always
+# rebuilds the double dual (the library now reuses the source when the
+# double dual's base and labeled parts equal it). These call the library's
+# other code; they are the reference for the routes that replaced them.
+
+
+def beneath_beyond_planes(pts, k: int, eq_rows):
+    """Facet planes of the hull of distinct integer points spanning k dimensions.
+
+    Incremental insertion with simplicial facets; coplanar pieces of one
+    geometric facet are merged by the caller. Returns (normal, c) pairs with
+    the hull satisfying ``<x, normal> >= c``; each normal lies in the
+    direction space of the points, the orthogonal complement of ``eq_rows``.
+    """
+    n = len(pts)
+    d = len(pts[0])
+    simplex = [0]
+    dirs: list[list[int]] = []
+    for i in range(1, n):
+        v = [a - b for a, b in zip(pts[i], pts[0])]
+        if len(eliminate(dirs + [v], d)[0]) > len(dirs):
+            dirs.append(v)
+            simplex.append(i)
+            if len(simplex) == k + 1:
+                break
+    if len(simplex) != k + 1:
+        raise InvariantViolation("points do not span the expected dimension")
+    interior = tuple(sum(pts[i][j] for i in simplex) for j in range(d))
+    facets = [
+        _plane_through(pts, frozenset(simplex) - {simplex[excl]}, eq_rows, interior, k + 1)
+        for excl in range(k + 1)
+    ]
+    in_simplex = set(simplex)
+    for i in range(n):
+        if i in in_simplex:
+            continue
+        p = pts[i]
+        vis_idx = {ix for ix, f in enumerate(facets) if _dot(p, f[0]) < f[1]}
+        if not vis_idx:
+            continue
+        ridge_count: dict[frozenset, int] = {}
+        for ix in vis_idx:
+            verts = facets[ix][2]
+            for excl in verts:
+                ridge = verts - {excl}
+                ridge_count[ridge] = ridge_count.get(ridge, 0) + 1
+        new_facets = [
+            _plane_through(pts, ridge | {i}, eq_rows, interior, k + 1)
+            for ridge, cnt in ridge_count.items()
+            if cnt == 1
+        ]
+        facets = [f for ix, f in enumerate(facets) if ix not in vis_idx] + new_facets
+    return [(nv, c) for nv, c, _ in facets]
+
+
+def assert_partition_invariants(np: NefPartition) -> None:
+    """Identities every valid nef-partition satisfies; failure is a library bug."""
+    delta = np.delta
+    zero = origin(delta.ambient_dim, delta.space)
+    polar = delta.polar_dual()
+    total = reduce(lambda a, b: a + b, np.phi)
+    if any(v != 1 for v in total.vertex_values):
+        raise InvariantViolation(
+            "indicator functions do not sum to 1 on the vertices",
+            witness=total.vertex_values,
+        )
+    if support_polytope(total) != polar:
+        raise InvariantViolation("sum of the phi functions does not support the polar")
+
+    covered = hull([v for part_poly in np.delta_parts for v in part_poly.vertices])
+    if covered != delta:
+        raise InvariantViolation("hull of the delta parts is not the base polytope")
+    for i, dp in enumerate(np.delta_parts):
+        if not dp.contains(zero):
+            raise InvariantViolation(f"delta part {i} misses the origin")
+    for i, j in itertools.combinations(range(np.r), 2):
+        ok, witness = _intersection_is_origin(np.delta_parts[i], np.delta_parts[j])
+        if not ok:
+            raise InvariantViolation(
+                f"delta parts {i} and {j} overlap beyond the origin", witness=witness
+            )
+
+    dual_zero = origin(delta.ambient_dim, polar.space)
+    for i, nb in enumerate(np.nabla_parts):
+        if not nb.is_lattice():
+            raise InvariantViolation(f"nabla part {i} is not a lattice polytope")
+        if not nb.contains(dual_zero):
+            raise InvariantViolation(f"nabla part {i} misses the origin")
+        for v in nb.vertices:
+            if not polar.contains(v):
+                raise InvariantViolation(
+                    f"nabla part {i} leaves the polar polytope", witness=v
+                )
+
+
+def verify_involution(np: NefPartition, dual: NefPartition | None = None) -> CheckResult:
+    """Applying the construction twice returns the original datum.
+
+    The base polytopes must agree exactly and the part families must agree
+    as unlabeled families of vertex-index sets.
+    """
+    if dual is None:
+        dual = dual_nef_partition(np)
+    double = dual_nef_partition(dual)
+    if double.delta != np.delta:
+        return CheckResult(
+            "involution",
+            False,
+            witness={
+                "original_vertices": [v.coords for v in np.delta.vertices],
+                "double_dual_vertices": [v.coords for v in double.delta.vertices],
+            },
+        )
+    if double.unlabeled() != np.unlabeled():
+        return CheckResult(
+            "involution",
+            False,
+            witness={
+                "original_parts": sorted(sorted(p) for p in np.parts),
+                "double_dual_parts": sorted(sorted(p) for p in double.parts),
+            },
+        )
+    return CheckResult("involution", True)

@@ -1,6 +1,11 @@
 """The mirror construction: nabla, the dual partition, and the check suite."""
 
+import sys
+from dataclasses import replace
 from fractions import Fraction
+
+import oracles
+from nefdual import polytope
 
 from nefdual.duality import (
     dual_nef_partition,
@@ -12,7 +17,13 @@ from nefdual.duality import (
     verify_nabla_reflexive,
     verify_polar_is_nabla_sum,
 )
-from nefdual.nefpart import NefPartition, validate_partition
+from nefdual.errors import GeometryError, InvariantViolation
+from nefdual.nefpart import (
+    NefPartition,
+    _assert_partition_invariants,
+    enumerate_nef_partitions,
+    validate_partition,
+)
 from nefdual.polytope import Point, SPACE_N, hull, minkowski_sum
 
 F = Fraction
@@ -187,3 +198,142 @@ def test_run_full_duality_reports_all_checks():
     assert all(result.checks[k].name == k for k in CHECK_KEYS)
     assert result.nabla == nabla(result.source)
     assert len(result.psi) == result.source.r
+
+
+# The faster routes against the former ones kept in tests/oracles.py: the
+# involution check that always rebuilds the double dual, and the audit that
+# decides its two hull identities with hulls.
+
+
+def outcome(fn, *args):
+    """What a check did: its returned value, or the exception it raised."""
+    try:
+        return ("returned", fn(*args))
+    except (GeometryError, InvariantViolation) as exc:
+        return ("raised", type(exc), str(exc), getattr(exc, "witness", None))
+
+
+def corpus_partitions(corpus):
+    for entry in corpus:
+        if entry.reflexive and entry.polytope.ambient_dim in (2, 3):
+            for r in (2, 3):
+                yield from enumerate_nef_partitions(entry.polytope, r)
+
+
+def test_involution_and_audit_match_the_rebuilding_routes_on_the_corpus(corpus):
+    count = 0
+    for np_ in corpus_partitions(corpus):
+        result = run_full_duality(np_)
+        assert result.all_passed
+        assert result.checks["involution"] == oracles.verify_involution(np_, result.dual)
+        for side in (np_, result.dual):
+            assert outcome(_assert_partition_invariants, side) == outcome(
+                oracles.assert_partition_invariants, side
+            ) == ("returned", None)
+        count += 1
+    assert count == 163
+
+
+def test_audit_failures_match_the_hull_route():
+    np_ = octa_single_vertex_partition()
+    # a delta part that lost a vertex of delta
+    big = max(range(2), key=lambda i: len(np_.parts[i]))
+    part_verts = np_.delta_parts[big].vertices
+    lost = next(v for v in part_verts if not v.is_zero())
+    shrunk = hull([v for v in part_verts if v != lost] + [P(0, 0, 0)])
+    parts = list(np_.delta_parts)
+    parts[big] = shrunk
+    tampered = replace(np_, delta_parts=tuple(parts))
+    # the indicator functions of one part twice
+    doubled = replace(np_, phi=(np_.phi[0], np_.phi[0]))
+    for bad in (tampered, doubled):
+        new = outcome(_assert_partition_invariants, bad)
+        assert new[0] == "raised" and new[1] is InvariantViolation
+        assert new == outcome(oracles.assert_partition_invariants, bad)
+
+
+def swapped(dual, *fields):
+    return replace(dual, **{f: tuple(reversed(getattr(dual, f))) for f in fields})
+
+
+def merged(dual):
+    """The dual with its first two parts merged: still a nef-partition."""
+    parts = [dual.parts[0] | dual.parts[1], *dual.parts[2:]]
+    out = validate_partition(dual.delta, parts)
+    assert isinstance(out, NefPartition)
+    return out
+
+
+def octa_three_part_partition():
+    return validate_partition(
+        OCTA,
+        [part_of(OCTA, (1, 0, 0), (-1, 0, 0)),
+         part_of(OCTA, (0, 1, 0), (0, -1, 0)),
+         part_of(OCTA, (0, 0, 1), (0, 0, -1))],
+    )
+
+
+SOURCES = (
+    axis_partition,
+    diagonal_partition,
+    octa_single_vertex_partition,
+    octa_three_part_partition,
+)
+
+
+def test_tampered_dual_fails_on_both_involution_routes():
+    for source in SOURCES:
+        np_ = source()
+        dual = dual_nef_partition(np_)
+        tampered = [
+            swapped(dual, "delta_parts"),  # the source is reused, then psi fails
+            swapped(dual, "nabla_parts"),
+            swapped(dual, "parts", "nabla_parts"),
+            merged(dual),
+        ]
+        for bad in tampered:
+            new = outcome(verify_involution, np_, bad)
+            assert new == outcome(oracles.verify_involution, np_, bad), source.__name__
+            assert new[0] == "raised" or not new[1].passed, (source.__name__, new)
+
+
+def test_relabeled_dual_passes_on_both_involution_routes():
+    """A consistent relabeling of the dual is the same unlabeled datum."""
+    for source in SOURCES:
+        np_ = source()
+        dual = dual_nef_partition(np_)
+        relabeled = swapped(dual, "parts", "phi", "delta_parts", "nabla_parts")
+        check = verify_involution(np_, relabeled)
+        assert check.passed
+        assert check == oracles.verify_involution(np_, relabeled)
+
+
+def count_hulls(monkeypatch, fn, *args):
+    """Run ``fn`` with every binding of ``hull`` in nefdual counted."""
+    calls = []
+    original = polytope.hull
+
+    def counted(points):
+        calls.append(1)
+        return original(points)
+
+    for name, module in list(sys.modules.items()):
+        if name == "nefdual" or name.startswith("nefdual."):
+            for key, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, key, counted)
+    fn(*args)
+    return len(calls)
+
+
+def test_one_duality_builds_each_object_once(monkeypatch):
+    """Hull calls in one run_full_duality on a validated partition: nabla,
+    the dual's delta and nabla parts, the polar of nabla, one dual-cone test
+    per pair of dual parts, one Minkowski sum per pair of neighbours on each
+    side, and the double dual's base. A rebuild of any side shows here."""
+    simplex5 = hull(
+        [P(*(1 if j == i else 0 for j in range(5))) for i in range(5)] + [P(-1, -1, -1, -1, -1)]
+    )
+    cubics = validate_partition(simplex5, [[0, 1, 2], [3, 4, 5]])
+    assert count_hulls(monkeypatch, run_full_duality, cubics) == 10
+    assert count_hulls(monkeypatch, run_full_duality, octa_three_part_partition()) == 16

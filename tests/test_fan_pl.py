@@ -98,6 +98,16 @@ def test_pl_value_count_mismatch():
         pl_from_vertex_values(face_fan(CROSS), [1, 0, 0])
 
 
+def test_pl_values_are_exact_rationals():
+    fan = face_fan(CROSS)
+    values = [F(1, 2), 1, "0", F(-3)]
+    f = pl_from_vertex_values(fan, values)
+    assert f.vertex_values == (F(1, 2), F(1), F(0), F(-3))
+    assert all(type(v) is F for v in f.vertex_values)
+    with pytest.raises(TypeError):
+        pl_from_vertex_values(fan, [1.0, 0, 0, 0])
+
+
 def test_pl_inconsistent_on_nonsimplicial_facet():
     # a cube facet has four vertices; weighting one corner overdetermines the solve
     fan = face_fan(CUBE)

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from nefdual import polytope
 from nefdual.errors import DimensionMismatch, NotFullDimensional, ZeroNotInterior
 from nefdual.linalg import Inconsistent, Underdetermined
 from nefdual.polytope import (
@@ -18,6 +19,7 @@ from nefdual.polytope import (
     solve_linear,
 )
 
+import oracles
 from oracles import caratheodory_member, hrep_vertex_set
 
 F = Fraction
@@ -257,10 +259,11 @@ def test_reflexive_iff_lattice_polar_random(raw):
 
 
 @st.composite
-def affine_point_sets(draw):
+def affine_point_sets(draw, max_points=None):
     """Points of Z^d or (1/q)Z^d, d in 1..5, spanning an affine space of any
     dimension k <= d: a base point plus small integer combinations of k
-    generators. At most d + 2 points keep the brute-force oracles fast."""
+    generators. By default at most d + 2 points keep the brute-force oracles
+    fast."""
     d = draw(st.integers(1, 5))
     k = draw(st.integers(0, d))
     entry = st.integers(-2, 2)
@@ -270,7 +273,11 @@ def affine_point_sets(draw):
     base = draw(vec)
     gens = draw(st.lists(vec, min_size=k, max_size=k))
     combos = draw(
-        st.lists(st.lists(st.integers(-2, 2), min_size=k, max_size=k), min_size=1, max_size=d + 2)
+        st.lists(
+            st.lists(st.integers(-2, 2), min_size=k, max_size=k),
+            min_size=1,
+            max_size=max_points or d + 2,
+        )
     )
     return [
         Point(tuple(b + sum((c * g[j] for c, g in zip(cs, gens)), 0) for j, b in enumerate(base)))
@@ -295,3 +302,42 @@ def test_hull_matches_the_oracles_on_lattice_and_rational_points(pts):
     if poly.is_full_dimensional:
         ineqs = [(f.normal.coords, -f.offset) for f in poly.facets]
         assert hrep_vertex_set(ineqs, len(coords[0])) == verts
+
+
+def hull_record(poly):
+    return (poly.ambient_dim, poly.space, poly.vertices, poly.affine_span, poly.facets)
+
+
+def assert_hull_matches_the_nullspace_insertion(pts):
+    """The hull equals the one built by the former beneath-beyond insertion,
+    which solves an integer nullspace for every new facet: vertices, facets
+    with their incidences, and equalities."""
+    new = hull(pts)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(polytope, "_beneath_beyond_planes", oracles.beneath_beyond_planes)
+        old = hull(pts)
+    assert hull_record(new) == hull_record(old)
+
+
+@settings(max_examples=300, deadline=None)
+@given(affine_point_sets(max_points=14))
+def test_hull_matches_the_nullspace_insertion_on_random_points(pts):
+    assert_hull_matches_the_nullspace_insertion(pts)
+
+
+@pytest.mark.parametrize(
+    "pts",
+    [
+        # every lattice point of a cube: many coplanar points per facet
+        [P(x, y, z) for x in (-1, 0, 1) for y in (-1, 0, 1) for z in (-1, 0, 1)],
+        # a 4D cross-polytope with its lattice points, and one face pushed out
+        [P(*(s if j == i else 0 for j in range(4))) for i in range(4) for s in (-1, 0, 1)]
+        + [P(1, 1, 0, 0), P(F(1, 2), F(1, 2), F(1, 2), F(1, 2))],
+        # a 5-simplex with points on its edges and a lower-dimensional slice
+        [P(*(1 if j == i else 0 for j in range(5))) for i in range(5)]
+        + [P(-1, -1, -1, -1, -1), P(0, 0, 0, 0, 0), P(F(1, 2), F(1, 2), 0, 0, 0)],
+        [P(t, 2 * t, 0, -t) for t in range(-3, 4)] + [P(1, 0, 0, 0), P(0, 0, 0, 1)],
+    ],
+)
+def test_hull_matches_the_nullspace_insertion_on_larger_inputs(pts):
+    assert_hull_matches_the_nullspace_insertion(pts)
