@@ -1,8 +1,9 @@
 """Exhaustive nef-partition search over the bundled corpus.
 
-Walks every set partition of the vertex set with r parts and keeps the
-valid ones. Output order is deterministic. The same search is available
-from the command line:
+Searches the set partitions of the vertex set with r parts, abandoning a
+branch at the first cone on which some part's indicator has no lattice
+linear extension, and keeps the valid ones. Output order is
+deterministic. The same search is available from the command line:
 
     nefdual nef-enumerate src/nefdual/data/d2_cross.poly -r 2
 """

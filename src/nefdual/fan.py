@@ -35,9 +35,17 @@ class Cone:
 
 
 class FaceFan:
-    """Complete fan whose maximal cones are cones over the facets of ``base``."""
+    """Complete fan whose maximal cones are cones over the facets of ``base``.
 
-    __slots__ = ("base", "cones")
+    The fan memoizes its per-cone linear solves: ``_solves`` maps a cone
+    index and the values on that cone's vertices (in ``vertex_indices``
+    order) to the functional taking them, or to ``Inconsistent``. Every PL
+    function on the fan, and the pruned enumeration in ``nefpart``, reads
+    its functionals through :meth:`cone_functional`, so a pattern of values
+    on one cone is solved once per fan however many partitions share it.
+    """
+
+    __slots__ = ("base", "cones", "_solves")
 
     def __init__(self, base: Polytope):
         if not base.is_full_dimensional:
@@ -49,6 +57,30 @@ class FaceFan:
             Cone(i, f.normal, f.offset, f.incidence)
             for i, f in enumerate(base.facets)
         )
+        self._solves: dict = {}
+
+    def cone_functional(self, index: int, values: tuple):
+        """The functional taking ``values`` on the vertices of cone ``index``.
+
+        ``values`` are exact rationals aligned with the cone's
+        ``vertex_indices``. Returns the solution ``Point``, or
+        ``Inconsistent`` when a non-simplicial facet admits none; both are
+        memoized. Facet vertices that fail to span the space are a library
+        bug and raise :class:`InvariantViolation` on every call.
+        """
+        key = (index, values)
+        u = self._solves.get(key)
+        if u is None:
+            verts = self.base.vertices
+            indices = self.cones[index].vertex_indices
+            u = solve_linear(zip([verts[i] for i in indices], values))
+            if u is Underdetermined:
+                raise InvariantViolation(
+                    "facet vertices failed to span the ambient space",
+                    witness=index,
+                )
+            self._solves[key] = u
+        return u
 
     def cone_contains(self, cone: Cone, x: Point) -> bool:
         """Exact membership of ``x`` in the (closed) maximal cone."""
@@ -179,7 +211,9 @@ def pl_from_vertex_values(fan: FaceFan, values: Sequence) -> PLFunction:
     each cone the facet's vertices pin down a unique linear functional
     because they span the ambient space; if the (overdetermined) system of a
     non-simplicial facet is unsolvable, raises NotPiecewiseLinear naming the
-    cone. Values are exact rationals; a ``float`` is a ``TypeError``.
+    first such cone. Values are exact rationals; a ``float`` is a
+    ``TypeError``. Each cone's solve goes through the fan's memo
+    (:meth:`FaceFan.cone_functional`).
     """
     verts = fan.base.vertices
     if len(values) != len(verts):
@@ -189,15 +223,9 @@ def pl_from_vertex_values(fan: FaceFan, values: Sequence) -> PLFunction:
     vals = tuple(v if type(v) is Fraction else exact_rational(v) for v in values)
     functionals = []
     for cone in fan.cones:
-        system = [(verts[i], vals[i]) for i in cone.vertex_indices]
-        u = solve_linear(system)
+        u = fan.cone_functional(cone.index, tuple([vals[i] for i in cone.vertex_indices]))
         if u is Inconsistent:
             raise NotPiecewiseLinear(cone.index)
-        if u is Underdetermined:
-            raise InvariantViolation(
-                "facet vertices failed to span the ambient space",
-                witness=cone.index,
-            )
         functionals.append(u)
     return PLFunction(fan, vals, tuple(functionals))
 
@@ -206,20 +234,11 @@ def support_polytope(f: PLFunction) -> Polytope:
     """Hull of the negated cone functionals of a convex PL function.
 
     This is the polytope whose support function recovers ``f``:
-    ``{y : <x, y> >= -f(x) for all x}``. Each generator is guarded against
-    every vertex constraint before hulling.
+    ``{y : <x, y> >= -f(x) for all x}``.
     """
     if not f.is_convex:
         raise NotConvex("support polytope needs a convex PL function")
-    verts = f.fan.base.vertices
-    gens = []
-    for u in f.functionals:
-        g = -u
-        for vi, v in enumerate(verts):
-            if pair(v, g) < -f.vertex_values[vi]:
-                raise InvariantViolation(
-                    "support generator violates a vertex constraint",
-                    witness=(g, v, f.vertex_values[vi]),
-                )
-        gens.append(g)
-    return hull(gens)
+    # Each generator g = -u already satisfies every vertex constraint:
+    # <v, g> >= -f(v) is <v, u> <= f(v), which is what is_convex checked
+    # for every functional u and vertex v.
+    return hull([-u for u in f.functionals])

@@ -5,7 +5,10 @@ when the indicator values of every part extend to an integral convex
 piecewise-linear function on the face fan. Validation either returns the
 fully populated :class:`NefPartition` or a :class:`Rejection` that names the
 first reason and an exact witness; re-validating the same input always
-yields the identical rejection.
+yields the identical rejection. Enumeration searches the set partitions
+with pruning: a labelling is abandoned at the first cone on which some
+part's indicator has no lattice linear extension, and only the survivors
+are validated.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from .errors import (
     NotReflexive,
 )
 from .fan import FaceFan, PLFunction, face_fan, pl_from_vertex_values, support_polytope
+from .linalg import Inconsistent
 from .polytope import Point, Polytope, hull, origin, pair
 
 NOT_DISJOINT = "NotDisjoint"
@@ -224,8 +228,8 @@ def _assert_partition_invariants(np: NefPartition) -> None:
     # support_polytope(total) == polar. The sum is 1 on every vertex, so on
     # the cone over a facet (normal n, offset 1) its functional is -n, and
     # the polar's vertices are exactly those normals. Negated functionals
-    # equal to the polar's vertex set give the hull equality, and also put
-    # every support generator inside the polar (support_polytope's guard).
+    # equal to the polar's vertex set give the hull equality; the sum must
+    # also be convex, as support_polytope requires.
     if not total.is_convex or {-u for u in total.functionals} != set(polar.vertices):
         raise InvariantViolation("sum of the phi functions does not support the polar")
 
@@ -258,45 +262,84 @@ def _assert_partition_invariants(np: NefPartition) -> None:
                 )
 
 
-def _set_partitions(n: int, r: int):
-    """All partitions of range(n) into exactly r nonempty unlabeled blocks.
+def _pruned_candidates(delta: Polytope, r: int):
+    """Set partitions of delta's vertices into r blocks, less those that cannot be nef.
 
-    Restricted-growth strings; blocks come out ordered by smallest member.
+    Vertices 0..n-1 are labelled by restricted-growth strings, in the order
+    and with the r-feasibility bound of a plain set-partition generator, so
+    the candidates come out in that generator's order with blocks ordered by
+    smallest member. The bound (a label is tried only if opening a new block
+    at every later vertex would still reach r) makes every complete
+    labelling use exactly r labels.
+
+    A cone's vertex values are all known once its largest vertex index is
+    labelled. At that point each opened label's 0/1 pattern on the cone
+    must extend to a lattice functional; a label opened later is 0 on the
+    whole cone, whose functional 0 passes. If some pattern fails, the
+    subtree below is cut: every completion has a part that is not
+    piecewise linear or not integral on that cone.
     """
+    n = len(delta.vertices)
     if r < 1 or r > n:
         return
+    fan = face_fan(delta)
+    closing: list[list] = [[] for _ in range(n)]
+    for cone in fan.cones:
+        closing[max(cone.vertex_indices)].append(cone)
     code = [0] * n
+
+    def cones_pass(i: int, nblocks: int) -> bool:
+        for cone in closing[i]:
+            labels = [code[v] for v in cone.vertex_indices]
+            for b in range(nblocks):
+                u = fan.cone_functional(cone.index, tuple([int(c == b) for c in labels]))
+                if u is Inconsistent or not u.is_lattice():
+                    return False
+        return True
 
     def rec(i: int, nblocks: int):
         if i == n:
-            if nblocks == r:
-                blocks: list[list[int]] = [[] for _ in range(r)]
-                for idx, b in enumerate(code):
-                    blocks[b].append(idx)
-                yield [tuple(b) for b in blocks]
+            blocks: list[list[int]] = [[] for _ in range(r)]
+            for idx, b in enumerate(code):
+                blocks[b].append(idx)
+            yield [tuple(b) for b in blocks]
             return
-        # cannot finish if even opening a new block at every remaining slot is too few
         for b in range(min(nblocks + 1, r)):
             new_blocks = nblocks if b < nblocks else nblocks + 1
             if new_blocks + (n - i - 1) >= r:
                 code[i] = b
-                yield from rec(i + 1, new_blocks)
+                if cones_pass(i, new_blocks):
+                    yield from rec(i + 1, new_blocks)
 
-    yield from rec(1, 1)
+    yield from rec(0, 0)
 
 
 def enumerate_nef_partitions(delta: Polytope, r: int) -> list[NefPartition]:
     """All nef-partitions of ``delta`` into exactly ``r`` unlabeled parts.
 
-    Candidates are every set partition of the vertex indices, each checked
-    by :func:`validate_partition`; no symmetry reduction is applied. All
-    candidates share the face fan and polar cached on ``delta``. The result
-    is sorted by canonical part lists.
+    A backtracking search over the set partitions of the vertex indices
+    (:func:`_pruned_candidates`) cuts every subtree in which some part's
+    indicator fails to extend to a lattice functional on some cone; each
+    survivor is checked in full by :func:`validate_partition`. No symmetry
+    reduction is applied. All candidates share the face fan and polar cached
+    on ``delta``, and the fan's memo of per-cone solves, so validating a
+    survivor reuses the search's solves. The result is sorted by canonical
+    part lists.
+
+    The result equals that of validating every set partition.
+    ``validate_partition`` checks each part's 0/1 values cone by cone and
+    rejects with ``NotPiecewiseLinear`` or ``NotIntegral`` when on some cone
+    they have no solution or a non-lattice one (unless an earlier part has
+    already failed). That is the condition the search tests, and it is
+    final once the cone's vertices are all labelled, so every cut candidate
+    would have been rejected. Every other candidate is still validated in
+    full, the audit included, in the same order. The accepted partitions,
+    their order and the labels of their parts are therefore unchanged.
     """
     if not delta.is_reflexive():
         raise NotReflexive("nef-partitions are defined on reflexive polytopes")
     found = []
-    for cand in _set_partitions(len(delta.vertices), r):
+    for cand in _pruned_candidates(delta, r):
         res = validate_partition(delta, cand)
         if isinstance(res, NefPartition):
             found.append(res)

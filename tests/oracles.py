@@ -10,9 +10,11 @@ file (:func:`pair`, :func:`contains`, :func:`solve_linear` and the ``Point``
 comparisons) reads ``Point.coords`` and ``Point.space`` only, except that
 :func:`solve_linear` still hands ``Fraction`` rows to ``linalg.solve``, whose
 own reference is :func:`_solve`; and the library's former hull-based
-routes at the very end (:func:`beneath_beyond_planes`,
-:func:`assert_partition_invariants`, :func:`verify_involution`), which call
-the rest of the library and serve as the reference for the routes that
+routes (:func:`beneath_beyond_planes`, :func:`assert_partition_invariants`,
+:func:`verify_involution`) and, at the very end, its former Bell-number
+enumeration (:func:`_set_partitions`, :func:`enumerate_nef_partitions`) and
+solve-per-cone PL extension (:func:`pl_from_vertex_values`), which call the
+rest of the library and serve as the reference for the routes that
 replaced them.
 """
 
@@ -26,11 +28,23 @@ from operator import mul
 from typing import Iterable, Sequence
 
 from nefdual.duality import CheckResult, dual_nef_partition
-from nefdual.errors import DimensionMismatch, InvariantViolation
-from nefdual.fan import support_polytope
-from nefdual.linalg import SolveFailure, eliminate, solve
-from nefdual.nefpart import NefPartition, _intersection_is_origin
-from nefdual.polytope import Point, _dot, _plane_through, dual_space, hull, origin
+from nefdual.errors import (
+    DimensionMismatch,
+    InvariantViolation,
+    NotPiecewiseLinear,
+    NotReflexive,
+)
+from nefdual.fan import FaceFan, PLFunction, support_polytope
+from nefdual.linalg import (
+    Inconsistent,
+    SolveFailure,
+    Underdetermined,
+    eliminate,
+    exact_rational,
+    solve,
+)
+from nefdual.nefpart import NefPartition, _intersection_is_origin, validate_partition
+from nefdual.polytope import Point, Polytope, _dot, _plane_through, dual_space, hull, origin
 
 
 def rref(rows: Sequence[Sequence[Fraction]], ncols: int | None = None):
@@ -445,3 +459,86 @@ def verify_involution(np: NefPartition, dual: NefPartition | None = None) -> Che
             },
         )
     return CheckResult("involution", True)
+
+
+# The former enumeration and PL extension of the library, verbatim: every
+# set partition validated in turn (the library now prunes the search per
+# cone and validates only the survivors), and one fresh solve per cone for
+# every PL function (the library now memoizes each cone's solve on the fan).
+# Here ``solve_linear`` is this file's Fraction version above.
+
+
+def _set_partitions(n: int, r: int):
+    """All partitions of range(n) into exactly r nonempty unlabeled blocks.
+
+    Restricted-growth strings; blocks come out ordered by smallest member.
+    """
+    if r < 1 or r > n:
+        return
+    code = [0] * n
+
+    def rec(i: int, nblocks: int):
+        if i == n:
+            if nblocks == r:
+                blocks: list[list[int]] = [[] for _ in range(r)]
+                for idx, b in enumerate(code):
+                    blocks[b].append(idx)
+                yield [tuple(b) for b in blocks]
+            return
+        # cannot finish if even opening a new block at every remaining slot is too few
+        for b in range(min(nblocks + 1, r)):
+            new_blocks = nblocks if b < nblocks else nblocks + 1
+            if new_blocks + (n - i - 1) >= r:
+                code[i] = b
+                yield from rec(i + 1, new_blocks)
+
+    yield from rec(1, 1)
+
+
+def enumerate_nef_partitions(delta: Polytope, r: int) -> list[NefPartition]:
+    """All nef-partitions of ``delta`` into exactly ``r`` unlabeled parts.
+
+    Candidates are every set partition of the vertex indices, each checked
+    by :func:`validate_partition`; no symmetry reduction is applied. All
+    candidates share the face fan and polar cached on ``delta``. The result
+    is sorted by canonical part lists.
+    """
+    if not delta.is_reflexive():
+        raise NotReflexive("nef-partitions are defined on reflexive polytopes")
+    found = []
+    for cand in _set_partitions(len(delta.vertices), r):
+        res = validate_partition(delta, cand)
+        if isinstance(res, NefPartition):
+            found.append(res)
+    found.sort(key=lambda np: np.canonical_parts())
+    return found
+
+
+def pl_from_vertex_values(fan: FaceFan, values: Sequence) -> PLFunction:
+    """Extend prescribed vertex values linearly on every maximal cone.
+
+    ``values`` aligns with the canonical vertex order of ``fan.base``. On
+    each cone the facet's vertices pin down a unique linear functional
+    because they span the ambient space; if the (overdetermined) system of a
+    non-simplicial facet is unsolvable, raises NotPiecewiseLinear naming the
+    cone. Values are exact rationals; a ``float`` is a ``TypeError``.
+    """
+    verts = fan.base.vertices
+    if len(values) != len(verts):
+        raise DimensionMismatch(
+            f"{len(verts)} vertices but {len(values)} prescribed values"
+        )
+    vals = tuple(v if type(v) is Fraction else exact_rational(v) for v in values)
+    functionals = []
+    for cone in fan.cones:
+        system = [(verts[i], vals[i]) for i in cone.vertex_indices]
+        u = solve_linear(system)
+        if u is Inconsistent:
+            raise NotPiecewiseLinear(cone.index)
+        if u is Underdetermined:
+            raise InvariantViolation(
+                "facet vertices failed to span the ambient space",
+                witness=cone.index,
+            )
+        functionals.append(u)
+    return PLFunction(fan, vals, tuple(functionals))

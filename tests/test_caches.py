@@ -2,13 +2,18 @@
 
 Every cached value must be the identical object on a repeated call, and a
 computation on objects whose caches are already filled must give the same
-answer as one on freshly built objects.
+answer as one on freshly built objects. The face fan's memo of per-cone
+solves is one such cache.
 """
+
+import pytest
 
 from nefdual.duality import nabla, run_full_duality
 from nefdual.fan import face_fan
-from nefdual.nefpart import validate_partition
+from nefdual.nefpart import NefPartition, enumerate_nef_partitions, validate_partition
 from nefdual.polytope import Point, hull
+
+from oracles import _set_partitions
 
 
 def octahedron():
@@ -57,3 +62,19 @@ def test_run_full_duality_on_cold_and_warm_objects_agrees():
     assert duality_record(cold) == duality_record(first) == duality_record(second)
     assert cold.all_passed
 
+
+
+@pytest.mark.parametrize("name,r", [("cube", 2), ("hexagon", 3), ("octahedron", 2)])
+def test_validation_on_a_cold_fan_and_on_one_warmed_by_enumeration_agrees(corpus_by_name, name, r):
+    coords = [v.coords for v in corpus_by_name[name].polytope.vertices]
+    warm = hull([Point(c) for c in coords])
+    enumerate_nef_partitions(warm, r)  # fills the fan's memo of per-cone solves
+    assert face_fan(warm)._solves
+    for cand in _set_partitions(len(coords), r):
+        cold = validate_partition(hull([Point(c) for c in coords]), cand)
+        again = validate_partition(warm, cand)
+        assert again == cold
+        assert str(again) == str(cold)
+        if isinstance(cold, NefPartition):
+            assert [f.functionals for f in again.phi] == [f.functionals for f in cold.phi]
+            assert again.nabla_parts == cold.nabla_parts

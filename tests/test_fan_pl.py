@@ -1,5 +1,6 @@
 """Face fans and piecewise-linear functions on them."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -14,6 +15,8 @@ from nefdual.errors import (
 )
 from nefdual.fan import face_fan, pl_from_vertex_values, support_polytope
 from nefdual.polytope import Point, SPACE_N, hull, minkowski_sum, pair
+
+import oracles
 
 F = Fraction
 
@@ -197,3 +200,72 @@ def test_evaluate_matches_max_formula_for_convex(xy):
     assert f.is_convex
     x = P(*xy)
     assert f(x) == max(pair(x, u) for u in f.functionals)
+
+
+def _unit(d, i):
+    return tuple(int(j == i) for j in range(d))
+
+
+def _bases(d):
+    """Reflexive bases in dimension d: two simplicial, one non-simplicial for d >= 3."""
+    simplex = [_unit(d, i) for i in range(d)] + [(-1,) * d]
+    cross = [tuple(s * c for c in _unit(d, i)) for i in range(d) for s in (1, -1)]
+    if d <= 4:
+        boxy = list(itertools.product((1, -1), repeat=d))  # the d-cube
+    else:
+        boxy = [p[:-1] + (t,) for p in simplex for t in (1, -1)]  # simplex x segment
+    return [hull([Point(c) for c in pts]) for pts in (simplex, cross, boxy)]
+
+
+# Built once, so the fans' memos carry over between examples.
+PL_BASES = {d: _bases(d) for d in range(2, 6)}
+
+
+def _pl_outcome(route, fan, values):
+    """Everything a PL extension gives, or the exception and its cone."""
+    try:
+        f = route(fan, values)
+    except NotPiecewiseLinear as exc:
+        return ("NotPiecewiseLinear", exc.cone_index)
+    return (f.vertex_values, f.functionals, f.is_convex, f.is_integral, f)
+
+
+@st.composite
+def fan_and_values(draw):
+    """A fan of dimension 2 to 5 and vertex values on it.
+
+    Values are 0/1 indicators, p/q rationals (on a non-simplicial facet
+    these are mostly inconsistent), the restriction of one rational linear
+    functional (consistent on every cone), or such a restriction with one
+    value changed.
+    """
+    d = draw(st.integers(2, 5))
+    base = draw(st.sampled_from(PL_BASES[d]))
+    n = len(base.vertices)
+    kind = draw(st.sampled_from(["0/1", "p/q", "linear", "linear, one changed"]))
+    if kind == "0/1":
+        values = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    elif kind == "p/q":
+        q = st.builds(F, st.integers(-5, 5), st.integers(1, 4))
+        values = draw(st.lists(q, min_size=n, max_size=n))
+    else:
+        u = [F(draw(st.integers(-3, 3)), draw(st.integers(1, 3))) for _ in range(d)]
+        values = [sum(a * b for a, b in zip(v.coords, u)) for v in base.vertices]
+        if kind == "linear, one changed":
+            values[draw(st.integers(0, n - 1))] += 1
+    return face_fan(base), values
+
+
+@settings(max_examples=150, deadline=None)
+@given(fan_and_values())
+def test_memoized_pl_extension_matches_the_solve_per_cone_route(case):
+    fan, values = case
+    expected = _pl_outcome(oracles.pl_from_vertex_values, fan, values)
+    assert _pl_outcome(pl_from_vertex_values, fan, values) == expected
+    # the second call answers every cone from the memo
+    assert _pl_outcome(pl_from_vertex_values, fan, values) == expected
+    # an indicator shares cone patterns with many others: 1 on the first vertex
+    indicator = [1] + [0] * (len(values) - 1)
+    assert _pl_outcome(pl_from_vertex_values, fan, indicator) == _pl_outcome(
+        oracles.pl_from_vertex_values, fan, indicator
+    )

@@ -1,11 +1,16 @@
 """Nef-partition validation, the pairing relations, and enumeration."""
 
+import itertools
+import time
+from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
 from math import comb
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import nefdual.nefpart as nefpart
 from nefdual.errors import InvariantViolation, NotReflexive
 from nefdual.nefpart import (
     EMPTY_PART,
@@ -22,7 +27,8 @@ from nefdual.nefpart import (
 )
 from nefdual.polytope import Point, SPACE_N, hull, pair
 
-from oracles import intersection_is_origin, oracle_nef_partitions
+from oracles import _set_partitions, intersection_is_origin, oracle_nef_partitions
+from oracles import enumerate_nef_partitions as bell_enumerate
 
 F = Fraction
 
@@ -230,6 +236,127 @@ def test_enumerate_rejects_non_reflexive():
     big = hull([P(2, 2), P(2, -2), P(-2, 2), P(-2, -2)])
     with pytest.raises(NotReflexive):
         enumerate_nef_partitions(big, 2)
+
+
+def _unit(d, i, s=1):
+    return tuple(s if j == i else 0 for j in range(d))
+
+
+# The 4D inputs: the three of the enum4d benchmark workload, the 4D
+# cross-polytope (every set partition is nef) and the 4-cube (none is).
+FOUR_D = {
+    "simplex4": [_unit(4, i) for i in range(4)] + [(-1,) * 4],
+    "octahedron_x_segment": [
+        p + (t,) for p in [_unit(3, i, s) for i in range(3) for s in (1, -1)] for t in (1, -1)
+    ],
+    "triangle_x_triangle": [p + q for p in [(1, 0), (0, 1), (-1, -1)] for q in [(1, 0), (0, 1), (-1, -1)]],
+    "cross4": [_unit(4, i, s) for i in range(4) for s in (1, -1)],
+    "cube4": list(itertools.product((1, -1), repeat=4)),
+}
+
+
+def _fresh(coords, shear=False):
+    """A newly built polytope, so no cache is shared with another route.
+
+    ``shear`` applies x_0 += x_1, a lattice automorphism that changes the
+    canonical vertex order.
+    """
+    if shear:
+        coords = [(c[0] + c[1],) + tuple(c[1:]) for c in coords]
+    return hull([Point(c) for c in coords])
+
+
+@lru_cache(maxsize=None)
+def bell_route(name, r, shear=False):
+    """The former enumeration (every set partition validated) on a 4D input."""
+    return bell_enumerate(_fresh(FOUR_D[name], shear), r)
+
+
+def test_pruned_search_equals_the_bell_route_on_the_corpus(corpus):
+    for entry in corpus:
+        if not entry.reflexive:
+            continue
+        coords = [v.coords for v in entry.polytope.vertices]
+        for r in (1, 2, 3):
+            new = enumerate_nef_partitions(_fresh(coords), r)
+            old = bell_enumerate(_fresh(coords), r)
+            assert new == old, (entry.name, r)
+            assert [np_.parts for np_ in new] == [np_.parts for np_ in old]
+
+
+@pytest.mark.parametrize(
+    "name,r,shear",
+    [(name, 2, shear) for name in ("simplex4", "octahedron_x_segment", "triangle_x_triangle")
+     for shear in (False, True)]
+    + [("cross4", 2, False), ("cube4", 2, False)],
+)
+def test_pruned_search_equals_the_bell_route_in_4d(name, r, shear):
+    new = enumerate_nef_partitions(_fresh(FOUR_D[name], shear), r)
+    old = bell_route(name, r, shear)
+    assert new == old
+    assert [np_.parts for np_ in new] == [np_.parts for np_ in old]
+
+
+@pytest.mark.parametrize(
+    "name,r,expected",
+    [
+        ("octahedron_x_segment", 2, 0),
+        ("cube4", 2, 0),
+        ("hexagon", 3, 90),
+        ("cross2d", 2, 7),
+        ("octahedron", 2, 31),
+        ("octahedron", 3, 90),
+        ("cross4", 2, 127),
+    ],
+)
+def test_search_validates_only_candidates_no_cone_rules_out(
+    monkeypatch, corpus_by_name, name, r, expected
+):
+    if name in FOUR_D:
+        coords = FOUR_D[name]
+    else:
+        coords = [v.coords for v in corpus_by_name[name].polytope.vertices]
+    reference = _fresh(coords)
+    reasons = Counter()
+    for cand in _set_partitions(len(reference.vertices), r):
+        res = validate_partition(reference, cand)
+        reasons["accepted" if isinstance(res, NefPartition) else res.reason] += 1
+    not_cut = sum(n for why, n in reasons.items() if why not in (NOT_PIECEWISE_LINEAR, NOT_INTEGRAL))
+    assert not_cut == expected
+    if name in ("cross2d", "octahedron", "cross4"):  # cross-polytopes: every candidate is nef
+        assert reasons == Counter(accepted=expected)
+
+    calls = []
+    original = nefpart.validate_partition
+
+    def counting(delta, parts):
+        calls.append(parts)
+        return original(delta, parts)
+
+    monkeypatch.setattr(nefpart, "validate_partition", counting)
+    found = enumerate_nef_partitions(_fresh(coords), r)
+    assert len(calls) == expected
+    assert len(found) == reasons["accepted"]
+
+
+def test_four_cube_has_no_nef_partitions_at_r2_and_r3():
+    """The 4-cube: no nef-partition into 2 or 3 parts, both found in well under 5 s.
+
+    r=2 is checked against the former route, which validates all 32767 set
+    partitions. r=3 has about 7.1 million set partitions, too many for that
+    route to check here, so its count rests on the pruned search alone. The
+    time bound is generous; a search that validated every set partition
+    again would miss it by far.
+    """
+    expected_r2 = bell_route("cube4", 2)
+    cube = _fresh(FOUR_D["cube4"])
+    started = time.perf_counter()
+    found_r2 = enumerate_nef_partitions(cube, 2)
+    found_r3 = enumerate_nef_partitions(cube, 3)
+    elapsed = time.perf_counter() - started
+    assert found_r2 == expected_r2 == []
+    assert found_r3 == []
+    assert elapsed < 5.0
 
 
 def test_opposite_rays_meet_only_at_the_origin():
