@@ -62,17 +62,16 @@ class DualityResult:
 
 
 def nabla(np: NefPartition) -> Polytope:
-    """Hull of the union of the nabla parts, confirmed to sit inside the polar.
+    """Hull of the union of the nabla parts.
 
-    Built and checked once per nef-partition; later calls return the same
-    object.
+    Built once per nef-partition; later calls return the same object. It
+    sits inside the polar of ``np.delta`` with no check here: a hull's
+    vertices are a subset of its input points, and every ``NefPartition``
+    comes from :func:`validate_partition`, whose audit has checked that
+    each vertex of each nabla part lies in that polar.
     """
     if np._nabla is None:
         nb = hull([v for part in np.nabla_parts for v in part.vertices])
-        polar = np.delta.polar_dual()
-        for v in nb.vertices:
-            if not polar.contains(v):
-                raise InvariantViolation("nabla vertex escapes the polar", witness=v)
         object.__setattr__(np, "_nabla", nb)
     return np._nabla
 
@@ -215,10 +214,9 @@ def verify_involution(np: NefPartition, dual: NefPartition | None = None) -> Che
     The base polytopes must agree exactly and the part families must agree
     as unlabeled families of vertex-index sets.
 
-    The double dual's base, ``nabla(dual)``, is built (with its check that
-    it sits inside the polar of ``dual.delta``), and so are its labeled
-    parts. When the base equals ``np.delta`` and the labeled parts equal
-    ``np.parts``, the double dual is ``validate_partition`` on the same
+    The double dual's base, ``nabla(dual)``, is built, and so are its
+    labeled parts. When the base equals ``np.delta`` and the labeled parts
+    equal ``np.parts``, the double dual is ``validate_partition`` on the same
     vertex list and the same parts as ``np``; that function is
     deterministic (a polytope's facets follow from its vertices) and it is
     the only constructor of a ``NefPartition``, so its result would be

@@ -128,10 +128,12 @@ class PLFunction:
 
     ``vertex_values[i]`` is the value at the i-th canonical vertex of the
     base polytope; ``functionals[j]`` is the dual-space functional realizing
-    the function on the j-th maximal cone.
+    the function on the j-th maximal cone. Convexity is scanned once, when
+    the function is built; ``is_convex`` and
+    :meth:`first_convexity_violation` read the stored result.
     """
 
-    __slots__ = ("fan", "vertex_values", "functionals", "is_convex", "is_integral")
+    __slots__ = ("fan", "vertex_values", "functionals", "is_convex", "is_integral", "_violation")
 
     def __init__(
         self,
@@ -143,16 +145,12 @@ class PLFunction:
         self.vertex_values = vertex_values
         self.functionals = functionals
         self.is_integral = all(u.is_lattice() for u in functionals)
-        self.is_convex = self.first_convexity_violation() is None
+        self._violation = _convexity_violation(fan, vertex_values, functionals)
+        self.is_convex = self._violation is None
 
     def first_convexity_violation(self):
         """First (vertex_index, cone_index) where a functional exceeds the value."""
-        for vi, v in enumerate(self.fan.base.vertices):
-            val = self.vertex_values[vi]
-            for ci, u in enumerate(self.functionals):
-                if pair(v, u) > val:
-                    return (vi, ci)
-        return None
+        return self._violation
 
     def first_nonintegral_cone(self):
         for ci, u in enumerate(self.functionals):
@@ -202,6 +200,16 @@ class PLFunction:
         if self.is_integral:
             flags.append("integral")
         return f"PLFunction({', '.join(flags) or 'general'}, values={self.vertex_values})"
+
+
+def _convexity_violation(fan: FaceFan, vertex_values, functionals):
+    """First (vertex_index, cone_index) with ``<vertex, functional> > value``."""
+    for vi, v in enumerate(fan.base.vertices):
+        val = vertex_values[vi]
+        for ci, u in enumerate(functionals):
+            if pair(v, u) > val:
+                return (vi, ci)
+    return None
 
 
 def pl_from_vertex_values(fan: FaceFan, values: Sequence) -> PLFunction:

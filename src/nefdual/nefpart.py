@@ -9,11 +9,18 @@ yields the identical rejection. Enumeration searches the set partitions
 with pruning: a labelling is abandoned at the first cone on which some
 part's indicator has no lattice linear extension, and only the survivors
 are validated.
+
+Every accepted partition is audited without building a hull. In
+particular the delta parts Δᵢ = conv(0, part i) meet only at the origin
+because every nonzero vertex of Δᵢ is a vertex of part i: each φ_k is
+convex and positively homogeneous and 0 on the other parts' vertices, so
+φ_k ≤ 0 on Δᵢ for k ≠ i, while Σφ_k is linear on each cone and 1 on the
+facet's vertices, so Σφ_k > 0 away from 0. A nonzero point of Δᵢ ∩ Δⱼ,
+i ≠ j, would give φ_k ≤ 0 for every k and so Σφ_k ≤ 0.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
@@ -104,51 +111,6 @@ class NefPartition:
         )
 
 
-def _intersection_is_origin(p: Polytope, q: Polytope):
-    """Exact check that two polytopes containing the origin meet only there.
-
-    Both are convex and contain 0, so ``p`` and ``q`` meet only at 0 exactly
-    when their tangent cones at 0 do. The intersection T of those cones is
-    cut out by the facets through 0 (offset 0) and by the affine-span
-    equalities. By Farkas' lemma its dual cone is generated by G, the normals
-    of those facets together with plus and minus every equality normal, so
-    T = {0} iff cone(G) is the whole space iff the origin is interior to
-    conv(G): one small hull decides it.
-
-    Returns ``(True, None)``, or ``(False, witness)`` with a nonzero point of
-    both polytopes: a normal u of conv(G) that does not have the origin
-    strictly inside pairs nonnegatively with all of G, so u lies in T, and
-    it is scaled out to the boundary of the intersection.
-    """
-    zero = origin(p.ambient_dim, p.space)
-    if not (p.contains(zero) and q.contains(zero)):
-        raise InvariantViolation("intersection of parts lost the origin")
-    gens = []
-    for poly in (p, q):
-        gens += [f.normal for f in poly.facets if f.offset == 0]
-        for eq in poly.affine_span:
-            gens += [eq.normal, -eq.normal]
-    if not gens:
-        # the origin is interior to both: T is the whole space
-        u = Point([1] + [0] * (p.ambient_dim - 1), p.space)
-    else:
-        g = hull(gens)
-        if g.has_zero_interior:
-            return True, None
-        if g.affine_span:
-            eq = g.affine_span[0]
-            u = eq.normal if eq.value >= 0 else -eq.normal
-        else:
-            u = next(f.normal for f in g.facets if f.offset <= 0)
-    t = min(
-        f.offset / -s
-        for poly in (p, q)
-        for f in poly.facets
-        if (s := pair(u, f.normal)) < 0
-    )
-    return False, u.scale(t)
-
-
 def validate_partition(delta: Polytope, parts: Iterable[Iterable[int]]):
     """Check a vertex partition of a reflexive polytope for nef-ness.
 
@@ -214,24 +176,40 @@ def validate_partition(delta: Polytope, parts: Iterable[Iterable[int]]):
 def _assert_partition_invariants(np: NefPartition) -> None:
     """Identities every valid nef-partition satisfies; failure is a library bug.
 
-    The two hull identities are decided on vertex sets, with no hull built.
+    No hull is built. Σφ is summed from the vertex values and the cone
+    functionals of the φ_k; the hull identities are decided on vertex sets.
+
+    Δᵢ ∩ Δⱼ = {0} for i ≠ j follows from a set test: every nonzero vertex of
+    ``delta_parts[i]`` is a vertex of part i. Each φ_k is sublinear (its
+    convexity was decided before the audit) and is 0 on the vertices of
+    every other part, so φ_k ≤ 0 on Δᵢ for k ≠ i. Σφ_k is linear on each
+    cone and 1 on the facet's vertices, so Σφ_k(x) > 0 for x ≠ 0. A nonzero
+    x in Δᵢ ∩ Δⱼ would have φ_k(x) ≤ 0 for every k, as k ≠ i or k ≠ j,
+    hence Σφ_k(x) ≤ 0: a contradiction.
     """
     delta = np.delta
     zero = origin(delta.ambient_dim, delta.space)
     polar = delta.polar_dual()
-    total = reduce(lambda a, b: a + b, np.phi)
-    if any(v != 1 for v in total.vertex_values):
+    values = tuple(map(sum, zip(*(f.vertex_values for f in np.phi))))
+    if any(v != 1 for v in values):
         raise InvariantViolation(
-            "indicator functions do not sum to 1 on the vertices",
-            witness=total.vertex_values,
+            "indicator functions do not sum to 1 on the vertices", witness=values
         )
-    # support_polytope(total) == polar. The sum is 1 on every vertex, so on
-    # the cone over a facet (normal n, offset 1) its functional is -n, and
-    # the polar's vertices are exactly those normals. Negated functionals
-    # equal to the polar's vertex set give the hull equality; the sum must
-    # also be convex, as support_polytope requires.
-    if not total.is_convex or {-u for u in total.functionals} != set(polar.vertices):
+    # support(Σφ) == polar. The sum is 1 on every vertex, so on the cone
+    # over a facet (normal n, offset 1) its functional is -n, and the
+    # polar's vertices are exactly those normals. Negated functionals equal
+    # to the polar's vertex set give the hull equality, and they make the
+    # sum convex: <v, -y> <= 1 = Σφ(v) for every vertex v of delta and y of
+    # the polar, which is the condition support_polytope needs.
+    negated = {
+        -reduce(Point.__add__, us) for us in zip(*(f.functionals for f in np.phi))
+    }
+    if negated != set(polar.vertices):
         raise InvariantViolation("sum of the phi functions does not support the polar")
+    for i, f in enumerate(np.phi):
+        indicator = tuple(int(vi in np.parts[i]) for vi in range(len(delta.vertices)))
+        if not f.is_convex or f.vertex_values != indicator:
+            raise InvariantViolation(f"phi {i} is not the convex indicator of part {i}")
 
     # hull(union of delta parts) == delta. Each part is the hull of 0 and
     # some vertices of delta, and 0 lies in delta, so the union's hull is
@@ -242,12 +220,12 @@ def _assert_partition_invariants(np: NefPartition) -> None:
     for i, dp in enumerate(np.delta_parts):
         if not dp.contains(zero):
             raise InvariantViolation(f"delta part {i} misses the origin")
-    for i, j in itertools.combinations(range(np.r), 2):
-        ok, witness = _intersection_is_origin(np.delta_parts[i], np.delta_parts[j])
-        if not ok:
-            raise InvariantViolation(
-                f"delta parts {i} and {j} overlap beyond the origin", witness=witness
-            )
+        own = set(np.part_vertices(i))
+        for v in dp.vertices:
+            if not v.is_zero() and v not in own:
+                raise InvariantViolation(
+                    f"delta part {i} has a vertex outside part {i}", witness=v
+                )
 
     dual_zero = origin(delta.ambient_dim, polar.space)
     for i, nb in enumerate(np.nabla_parts):

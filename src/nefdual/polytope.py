@@ -20,10 +20,10 @@ denominator ``_den``), and equality, hashing, order, :func:`pair`,
 :func:`nefdual.linalg.solve` are computed from it. Inside :func:`hull` the
 points are scaled to ``int`` coordinates by their common denominator, and
 the hull is computed on ``int`` tuples: the integer elimination of
-:mod:`nefdual.linalg` finds the affine span, the initial simplex's facets
-and the vertices, and every later facet is an integer combination of two
-existing ones. Normals are primitive integer vectors, and only the offsets
-are divided back.
+:mod:`nefdual.linalg` finds the affine span and the initial simplex's
+facets, every later facet is an integer combination of two existing ones,
+and vertices are read off per-facet incidence bitmasks. Normals are
+primitive integer vectors, and only the offsets are divided back.
 """
 
 from __future__ import annotations
@@ -31,8 +31,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from math import ceil, floor, gcd, lcm
-from operator import mul
+from operator import and_, mul
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -378,25 +379,45 @@ class Polytope:
         )
 
 
-def _plane_through(pts, verts: frozenset, eq_rows, interior, weight: int):
-    """Hyperplane ``<x, n> = c`` through the given points, with ``n`` in the
-    direction space of the hull, oriented so ``<interior, n> > weight * c``.
+def _simplex_planes(pts, simplex, eq_rows, interior, weight: int):
+    """The k+1 facet planes of the initial simplex, from one elimination.
 
-    ``eq_rows`` are the normals of the hull's affine span, each extended by a
-    0; ``interior`` is ``weight`` times a point inside the hull.
+    ``simplex`` indexes k+1 affinely independent points of ``pts``;
+    ``eq_rows`` are the normals of the hull's affine span, each extended by
+    a 0, and ``interior`` is ``weight`` times a point inside the simplex.
+    With the directions ``pts[simplex[j]] - pts[simplex[0]]`` (j = 1..k),
+    the square matrix M of the directions over the equality normals is
+    invertible, and one elimination of ``[M | I]`` gives M⁻¹ up to a
+    scalar. Column j-1 of M⁻¹ pairs to 1 with direction j and to 0 with the
+    other directions and every equality normal, so it lies in the direction
+    space and is the inward normal of the facet opposite ``simplex[j]``.
+    Minus the sum of those k columns pairs to -1 with every direction, so it
+    is the inward normal of the facet opposite ``simplex[0]``.
+
+    Returns ``(normal, c, vertex set)`` for the facets opposite
+    ``simplex[0]``, ..., ``simplex[k]``, with the simplex on the side
+    ``<x, normal> >= c``; each normal is primitive.
     """
-    rows = [list(pts[i]) + [-1] for i in sorted(verts)] + eq_rows
-    basis = integer_nullspace(rows, len(interior) + 1)
-    if len(basis) != 1:
-        raise InvariantViolation("degenerate facet candidate", witness=sorted(verts))
-    *nv, c = basis[0]
-    s = _dot(interior, nv)
-    if s == weight * c:
-        raise InvariantViolation("interior point on facet plane", witness=sorted(verts))
-    if s < weight * c:
-        nv = [-x for x in nv]
-        c = -c
-    return (tuple(nv), c, frozenset(verts))
+    d = len(interior)
+    k = len(simplex) - 1
+    x0 = pts[simplex[0]]
+    rows = [[a - b for a, b in zip(pts[i], x0)] for i in simplex[1:]]
+    rows += [row[:d] for row in eq_rows]
+    mat = [row + [int(i == j) for j in range(d)] for i, row in enumerate(rows)]
+    _, den = eliminate(mat, d)
+    sign = 1 if den > 0 else -1
+    cols = [[sign * row[d + j] for row in mat] for j in range(k)]
+    normals = [[-sum(entries) for entries in zip(*cols)]] + cols
+    verts = frozenset(simplex)
+    planes = []
+    for excl, nv in enumerate(normals):
+        g = gcd(*nv)
+        nv = tuple([x // g for x in nv])
+        c = _dot(pts[simplex[1 if excl == 0 else 0]], nv)
+        if _dot(interior, nv) <= weight * c:
+            raise InvariantViolation("interior point on facet plane", witness=sorted(verts))
+        planes.append((nv, c, verts - {simplex[excl]}))
+    return planes
 
 
 def _plane_across(p, ridge_plus_p: frozenset, visible, hidden, interior, weight: int):
@@ -431,11 +452,11 @@ def _beneath_beyond_planes(pts, k: int, eq_rows):
     the hull satisfying ``<x, normal> >= c``; each normal lies in the
     direction space of the points, the orthogonal complement of ``eq_rows``.
 
-    Only the facets of the initial simplex are solved for (by
-    :func:`_plane_through`). Every ridge of the simplicial boundary lies in
-    exactly two facets, kept in a ridge -> facets map, and each facet added
-    through a horizon ridge is combined from the two facets that met there
-    (:func:`_plane_across`), in O(d) integer operations.
+    Only the facets of the initial simplex are solved for, all from one
+    elimination (:func:`_simplex_planes`). Every ridge of the simplicial
+    boundary lies in exactly two facets, kept in a ridge -> facets map, and
+    each facet added through a horizon ridge is combined from the two facets
+    that met there (:func:`_plane_across`), in O(d) integer operations.
     """
     n = len(pts)
     d = len(pts[0])
@@ -463,8 +484,8 @@ def _beneath_beyond_planes(pts, k: int, eq_rows):
         for excl in verts:
             ridges.setdefault(verts - {excl}, []).append(fid)
 
-    for excl in range(k + 1):
-        add(_plane_through(pts, frozenset(simplex) - {simplex[excl]}, eq_rows, interior, weight))
+    for facet in _simplex_planes(pts, simplex, eq_rows, interior, weight):
+        add(facet)
     in_simplex = set(simplex)
     for i in range(n):
         if i in in_simplex:
@@ -509,6 +530,14 @@ def hull(points: Iterable[Point]) -> Polytope:
     The points are scaled once by the common denominator ``L`` of their
     coordinates, and everything up to the returned ``Facet`` offsets and
     equality values (which are divided by ``L``) runs on ``int`` tuples.
+
+    One integer nullspace gives the affine span. Beneath-beyond starts from
+    a simplex of the points whose k+1 facets all come from one elimination
+    of the square matrix of its edge directions over the equality normals
+    (:func:`_simplex_planes`). Each input point's incidences are then one
+    bitmask per facet, and a point is a vertex iff it is the only input
+    point on every facet through it: the AND of those facets' bitmasks is
+    its own bit alone. No elimination is spent on the vertex test.
     """
     pts = list(points)
     if not pts:
@@ -546,31 +575,41 @@ def hull(points: Iterable[Point]) -> Polytope:
         planes.add((tuple(x // g for x in nv), -c // g))
     planes = sorted(planes)
 
-    vertices = []
-    vertex_values = []
-    for q, x in zip(uniq, ipts):
-        values = [_dot(x, nv) for nv, _ in planes]
-        # Fail fast on any algorithmic slip: every input point satisfies every facet.
-        for (nv, e), val in zip(planes, values):
-            if val < -e:
+    # Bit i of masks[j] says that input point i lies on facet j. A point is
+    # a vertex iff it is the only input point on every facet through it:
+    # those facets meet in the smallest face holding the point, and a face
+    # of dimension >= 1 is the hull of the (at least two) input points on it.
+    masks = [0] * len(planes)
+    through: list[list[int]] = []
+    for i, (q, x) in enumerate(zip(uniq, ipts)):
+        on = []
+        for j, (nv, e) in enumerate(planes):
+            val = _dot(x, nv)
+            if val == -e:
+                masks[j] |= 1 << i
+                on.append(j)
+            elif val < -e:
+                # Fail fast on any algorithmic slip: every input point satisfies every facet.
                 raise InvariantViolation(
                     "hull facet violated by an input point",
                     witness=(q, nv, Fraction(e, scale)),
                 )
-        active = [nv for (nv, e), val in zip(planes, values) if val == -e] + eq_vecs
-        if len(eliminate(active, d)[0]) == d:
-            vertices.append(q)
-            vertex_values.append(values)
+        through.append(on)
+    full = (1 << len(ipts)) - 1
+    vertex_ids = [
+        i for i, on in enumerate(through)
+        if reduce(and_, [masks[j] for j in on], full) == 1 << i
+    ]
 
     facets = tuple(
         Facet(
             Point._from_form(nv, 1, target),
             Fraction(e, scale),
-            tuple(i for i, values in enumerate(vertex_values) if values[j] == -e),
+            tuple(pos for pos, i in enumerate(vertex_ids) if masks[j] >> i & 1),
         )
         for j, (nv, e) in enumerate(planes)
     )
-    return Polytope(d, space, tuple(vertices), equalities, facets)
+    return Polytope(d, space, tuple([uniq[i] for i in vertex_ids]), equalities, facets)
 
 
 def minkowski_sum(p: Polytope, q: Polytope) -> Polytope:

@@ -10,12 +10,13 @@ file (:func:`pair`, :func:`contains`, :func:`solve_linear` and the ``Point``
 comparisons) reads ``Point.coords`` and ``Point.space`` only, except that
 :func:`solve_linear` still hands ``Fraction`` rows to ``linalg.solve``, whose
 own reference is :func:`_solve`; and the library's former hull-based
-routes (:func:`beneath_beyond_planes`, :func:`assert_partition_invariants`,
-:func:`verify_involution`) and, at the very end, its former Bell-number
-enumeration (:func:`_set_partitions`, :func:`enumerate_nef_partitions`) and
-solve-per-cone PL extension (:func:`pl_from_vertex_values`), which call the
-rest of the library and serve as the reference for the routes that
-replaced them.
+routes (:func:`beneath_beyond_planes`, :func:`_intersection_is_origin`,
+:func:`assert_partition_invariants`, :func:`verify_involution`), its former
+Bell-number enumeration (:func:`_set_partitions`,
+:func:`enumerate_nef_partitions`), solve-per-cone PL extension
+(:func:`pl_from_vertex_values`) and, at the very end, hull set-up
+(:func:`simplex_planes`, :func:`rank_hull`), which call the rest of the
+library and serve as the reference for the routes that replaced them.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ import itertools
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations
+from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Sequence
 
@@ -41,10 +43,21 @@ from nefdual.linalg import (
     Underdetermined,
     eliminate,
     exact_rational,
+    integer_nullspace,
     solve,
 )
-from nefdual.nefpart import NefPartition, _intersection_is_origin, validate_partition
-from nefdual.polytope import Point, Polytope, _dot, _plane_through, dual_space, hull, origin
+from nefdual.nefpart import NefPartition, validate_partition
+from nefdual.polytope import (
+    Facet,
+    LinearEquality,
+    Point,
+    Polytope,
+    _beneath_beyond_planes,
+    _dot,
+    dual_space,
+    hull,
+    origin,
+)
 
 
 def rref(rows: Sequence[Sequence[Fraction]], ncols: int | None = None):
@@ -335,11 +348,35 @@ def point_le(self, other: "Point") -> bool:
 # The former hull-based routes of the library, verbatim apart from their
 # names: the beneath-beyond insertion that solves one integer nullspace per
 # new facet (the library now combines each new facet from two neighbours),
-# the partition audit that decides its two hull identities with hulls (the
-# library now compares vertex sets), and the involution check that always
-# rebuilds the double dual (the library now reuses the source when the
-# double dual's base and labeled parts equal it). These call the library's
-# other code; they are the reference for the routes that replaced them.
+# the partition audit that decides its two hull identities with hulls and
+# Δᵢ ∩ Δⱼ = {0} with one hull per pair of parts (the library now compares
+# vertex sets and tests each part's vertices), and the involution check
+# that always rebuilds the double dual (the library now reuses the source
+# when the double dual's base and labeled parts equal it). These call the
+# library's other code; they are the reference for the routes that
+# replaced them. In :func:`_intersection_is_origin`, ``pair`` is this
+# file's Fraction version above, which gives the same values.
+
+
+def _plane_through(pts, verts: frozenset, eq_rows, interior, weight: int):
+    """Hyperplane ``<x, n> = c`` through the given points, with ``n`` in the
+    direction space of the hull, oriented so ``<interior, n> > weight * c``.
+
+    ``eq_rows`` are the normals of the hull's affine span, each extended by a
+    0; ``interior`` is ``weight`` times a point inside the hull.
+    """
+    rows = [list(pts[i]) + [-1] for i in sorted(verts)] + eq_rows
+    basis = integer_nullspace(rows, len(interior) + 1)
+    if len(basis) != 1:
+        raise InvariantViolation("degenerate facet candidate", witness=sorted(verts))
+    *nv, c = basis[0]
+    s = _dot(interior, nv)
+    if s == weight * c:
+        raise InvariantViolation("interior point on facet plane", witness=sorted(verts))
+    if s < weight * c:
+        nv = [-x for x in nv]
+        c = -c
+    return (tuple(nv), c, frozenset(verts))
 
 
 def beneath_beyond_planes(pts, k: int, eq_rows):
@@ -389,6 +426,51 @@ def beneath_beyond_planes(pts, k: int, eq_rows):
         ]
         facets = [f for ix, f in enumerate(facets) if ix not in vis_idx] + new_facets
     return [(nv, c) for nv, c, _ in facets]
+
+
+def _intersection_is_origin(p: Polytope, q: Polytope):
+    """Exact check that two polytopes containing the origin meet only there.
+
+    Both are convex and contain 0, so ``p`` and ``q`` meet only at 0 exactly
+    when their tangent cones at 0 do. The intersection T of those cones is
+    cut out by the facets through 0 (offset 0) and by the affine-span
+    equalities. By Farkas' lemma its dual cone is generated by G, the normals
+    of those facets together with plus and minus every equality normal, so
+    T = {0} iff cone(G) is the whole space iff the origin is interior to
+    conv(G): one small hull decides it.
+
+    Returns ``(True, None)``, or ``(False, witness)`` with a nonzero point of
+    both polytopes: a normal u of conv(G) that does not have the origin
+    strictly inside pairs nonnegatively with all of G, so u lies in T, and
+    it is scaled out to the boundary of the intersection.
+    """
+    zero = origin(p.ambient_dim, p.space)
+    if not (p.contains(zero) and q.contains(zero)):
+        raise InvariantViolation("intersection of parts lost the origin")
+    gens = []
+    for poly in (p, q):
+        gens += [f.normal for f in poly.facets if f.offset == 0]
+        for eq in poly.affine_span:
+            gens += [eq.normal, -eq.normal]
+    if not gens:
+        # the origin is interior to both: T is the whole space
+        u = Point([1] + [0] * (p.ambient_dim - 1), p.space)
+    else:
+        g = hull(gens)
+        if g.has_zero_interior:
+            return True, None
+        if g.affine_span:
+            eq = g.affine_span[0]
+            u = eq.normal if eq.value >= 0 else -eq.normal
+        else:
+            u = next(f.normal for f in g.facets if f.offset <= 0)
+    t = min(
+        f.offset / -s
+        for poly in (p, q)
+        for f in poly.facets
+        if (s := pair(u, f.normal)) < 0
+    )
+    return False, u.scale(t)
 
 
 def assert_partition_invariants(np: NefPartition) -> None:
@@ -542,3 +624,99 @@ def pl_from_vertex_values(fan: FaceFan, values: Sequence) -> PLFunction:
             )
         functionals.append(u)
     return PLFunction(fan, vals, tuple(functionals))
+
+
+# The former set-up of the library's hull, verbatim apart from the names:
+# each facet of the initial simplex from its own integer nullspace
+# (:func:`_plane_through` above; the library now gets all k+1 from one
+# elimination), and the hull that decides each input point's vertexhood by
+# the rank of the normals of the facets through it (the library now ANDs
+# per-facet incidence bitmasks). :func:`rank_hull` calls the library's
+# beneath-beyond insertion, which makes the initial simplex's facets with
+# ``nefdual.polytope._simplex_planes``; replacing that by
+# :func:`simplex_planes` gives the hull on the old set-up throughout.
+
+
+def simplex_planes(pts, simplex, eq_rows, interior, weight: int):
+    """The facet planes of the initial simplex, one nullspace each, in the
+    order excl = 0..k."""
+    return [
+        _plane_through(pts, frozenset(simplex) - {simplex[excl]}, eq_rows, interior, weight)
+        for excl in range(len(simplex))
+    ]
+
+
+def rank_hull(points: Iterable[Point]) -> Polytope:
+    """Convex hull with irredundant canonical vertex and facet data.
+
+    Accepts any finite nonempty collection of points of one space; duplicates
+    and non-extreme points are dropped. Lower-dimensional input is fine: the
+    affine span becomes equality constraints and the facet system lives
+    within the span, with normals canonicalized along the span's direction
+    space.
+
+    The points are scaled once by the common denominator ``L`` of their
+    coordinates, and everything up to the returned ``Facet`` offsets and
+    equality values (which are divided by ``L``) runs on ``int`` tuples.
+    """
+    pts = list(points)
+    if not pts:
+        raise ValueError("hull needs at least one point")
+    space = pts[0].space
+    d = pts[0].dim
+    for p in pts[1:]:
+        if p.space != space or p.dim != d:
+            raise DimensionMismatch("hull input points disagree on space or dimension")
+    uniq = sorted(set(pts))
+    scale = lcm(*[q._den for q in uniq])
+    ipts = [
+        q._num if q._den == scale else tuple(x * (scale // q._den) for x in q._num)
+        for q in uniq
+    ]
+    x0 = ipts[0]
+
+    eq_vecs = sorted(integer_nullspace([[a - b for a, b in zip(x, x0)] for x in ipts[1:]], d))
+    target = dual_space(space)
+    equalities = tuple(
+        LinearEquality(Point._from_form(v, 1, target), Fraction(_dot(v, x0), scale))
+        for v in eq_vecs
+    )
+    k = d - len(eq_vecs)
+
+    if k == 0:
+        return Polytope(d, space, (uniq[0],), equalities, ())
+
+    # Merge the coplanar pieces; g divides c as well, since c = <x, nv> at an
+    # integer point x of the plane. A facet is kept as (normal, e) with
+    # <x, normal> >= -e, where e / L is its offset.
+    planes = set()
+    for nv, c in _beneath_beyond_planes(ipts, k, [list(v) + [0] for v in eq_vecs]):
+        g = gcd(*nv)
+        planes.add((tuple(x // g for x in nv), -c // g))
+    planes = sorted(planes)
+
+    vertices = []
+    vertex_values = []
+    for q, x in zip(uniq, ipts):
+        values = [_dot(x, nv) for nv, _ in planes]
+        # Fail fast on any algorithmic slip: every input point satisfies every facet.
+        for (nv, e), val in zip(planes, values):
+            if val < -e:
+                raise InvariantViolation(
+                    "hull facet violated by an input point",
+                    witness=(q, nv, Fraction(e, scale)),
+                )
+        active = [nv for (nv, e), val in zip(planes, values) if val == -e] + eq_vecs
+        if len(eliminate(active, d)[0]) == d:
+            vertices.append(q)
+            vertex_values.append(values)
+
+    facets = tuple(
+        Facet(
+            Point._from_form(nv, 1, target),
+            Fraction(e, scale),
+            tuple(i for i, values in enumerate(vertex_values) if values[j] == -e),
+        )
+        for j, (nv, e) in enumerate(planes)
+    )
+    return Polytope(d, space, tuple(vertices), equalities, facets)

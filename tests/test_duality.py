@@ -328,12 +328,21 @@ def count_hulls(monkeypatch, fn, *args):
 
 def test_one_duality_builds_each_object_once(monkeypatch):
     """Hull calls in one run_full_duality on a validated partition: nabla,
-    the dual's delta and nabla parts, the polar of nabla, one dual-cone test
-    per pair of dual parts, one Minkowski sum per pair of neighbours on each
-    side, and the double dual's base. A rebuild of any side shows here."""
+    the dual's delta and nabla parts, the polar of nabla, one Minkowski sum
+    per pair of neighbours on each side, and the double dual's base. A
+    rebuild of any side shows here."""
     simplex5 = hull(
         [P(*(1 if j == i else 0 for j in range(5))) for i in range(5)] + [P(-1, -1, -1, -1, -1)]
     )
     cubics = validate_partition(simplex5, [[0, 1, 2], [3, 4, 5]])
-    assert count_hulls(monkeypatch, run_full_duality, cubics) == 10
-    assert count_hulls(monkeypatch, run_full_duality, octa_three_part_partition()) == 16
+    assert count_hulls(monkeypatch, run_full_duality, cubics) == 9
+    assert count_hulls(monkeypatch, run_full_duality, octa_three_part_partition()) == 13
+
+
+def test_validating_an_accepted_partition_builds_only_its_parts(monkeypatch):
+    """With the polar and the fan already built, validating an accepted
+    partition makes 2r hull calls: r delta parts and r nabla parts. The
+    audit builds none."""
+    for np_ in (octa_three_part_partition(), axis_partition(), diagonal_partition()):
+        parts = [sorted(p) for p in np_.parts]
+        assert count_hulls(monkeypatch, validate_partition, np_.delta, parts) == 2 * np_.r

@@ -3,6 +3,7 @@
 import itertools
 import time
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
@@ -10,24 +11,29 @@ from math import comb
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import nefdual.fan as fan
 import nefdual.nefpart as nefpart
+import oracles
+from nefdual.duality import dual_nef_partition
 from nefdual.errors import InvariantViolation, NotReflexive
 from nefdual.nefpart import (
     EMPTY_PART,
+    NOT_CONVEX,
     NOT_COVERING,
     NOT_DISJOINT,
     NOT_INTEGRAL,
     NOT_PIECEWISE_LINEAR,
     NefPartition,
     Rejection,
-    _intersection_is_origin,
+    _assert_partition_invariants,
     check_relations,
     enumerate_nef_partitions,
     validate_partition,
 )
 from nefdual.polytope import Point, SPACE_N, hull, pair
 
-from oracles import _set_partitions, intersection_is_origin, oracle_nef_partitions
+from oracles import _intersection_is_origin, _set_partitions, intersection_is_origin
+from oracles import oracle_nef_partitions
 from oracles import enumerate_nef_partitions as bell_enumerate
 
 F = Fraction
@@ -429,3 +435,96 @@ def test_dual_cone_test_matches_the_vertex_search(pair_):
     else:
         assert not witness.is_zero()
         assert p.contains(witness) and q.contains(witness)
+
+
+# The audit against the former one in tests/oracles.py, which builds a hull
+# per pair of delta parts to decide that they meet only at the origin and
+# sums the phi functions with PLFunction addition.
+
+
+def _audit_inputs(corpus):
+    """Every corpus nef-partition at r=1..3, the enum4d inputs at r=2 as
+    they are and sheared, the 5-simplex's two cubics and the 4D
+    cross-polytope at r=2."""
+    for entry in corpus:
+        if entry.reflexive:
+            coords = [v.coords for v in entry.polytope.vertices]
+            for r in (1, 2, 3):
+                yield from enumerate_nef_partitions(_fresh(coords), r)
+    for name in ("simplex4", "octahedron_x_segment", "triangle_x_triangle"):
+        for shear in (False, True):
+            yield from enumerate_nef_partitions(_fresh(FOUR_D[name], shear), 2)
+    simplex5 = _fresh([_unit(5, i) for i in range(5)] + [(-1,) * 5])
+    yield validate_partition(simplex5, [[0, 1, 2], [3, 4, 5]])
+    yield from enumerate_nef_partitions(_fresh(FOUR_D["cross4"]), 2)
+
+
+def test_audit_passes_with_the_pairwise_hull_audit_on_both_duality_sides(corpus):
+    count = 0
+    for np_ in _audit_inputs(corpus):
+        assert isinstance(np_, NefPartition)
+        for side in (np_, dual_nef_partition(np_)):
+            _assert_partition_invariants(side)
+            oracles.assert_partition_invariants(side)
+        count += 1
+    # 175 corpus partitions, 15 + 15 on the 4-simplex, 1 on the 5-simplex, 127 on cross4
+    assert count == 333
+
+
+def test_a_delta_part_with_another_parts_vertex_fails_both_audits():
+    octa = validate_partition(
+        OCTA,
+        [part_of(OCTA, (1, 0, 0), (-1, 0, 0)),
+         part_of(OCTA, (0, 1, 0), (0, -1, 0)),
+         part_of(OCTA, (0, 0, 1), (0, 0, -1))],
+    )
+    cross = validate_partition(
+        CROSS, [part_of(CROSS, (1, 0), (0, 1)), part_of(CROSS, (-1, 0), (0, -1))]
+    )
+    for np_ in (octa, cross):
+        gained = np_.part_vertices(1)[0]
+        parts = list(np_.delta_parts)
+        parts[0] = hull(list(parts[0].vertices) + [gained])
+        tampered = replace(np_, delta_parts=tuple(parts))
+        for audit in (_assert_partition_invariants, oracles.assert_partition_invariants):
+            with pytest.raises(InvariantViolation):
+                audit(tampered)
+
+
+def test_convexity_is_scanned_once_per_function(monkeypatch, corpus_by_name):
+    """On the hexagon at r=3 most set partitions are NotConvex. Each PL
+    function is scanned once, and the rejection reads the violation found
+    then: the first (vertex, cone) of a scan over the former solve-per-cone
+    functionals with the Fraction pairing."""
+    built = []
+    scans = []
+    original_init = fan.PLFunction.__init__
+    original_scan = fan._convexity_violation
+
+    def counting_init(self, *args):
+        built.append(1)
+        original_init(self, *args)
+
+    def counting_scan(*args):
+        scans.append(1)
+        return original_scan(*args)
+
+    monkeypatch.setattr(fan.PLFunction, "__init__", counting_init)
+    monkeypatch.setattr(fan, "_convexity_violation", counting_scan)
+    hexagon = _fresh([v.coords for v in corpus_by_name["hexagon"].polytope.vertices])
+    not_convex = 0
+    for cand in _set_partitions(len(hexagon.vertices), 3):
+        res = validate_partition(hexagon, cand)
+        if isinstance(res, Rejection) and res.reason == NOT_CONVEX:
+            not_convex += 1
+            values = [F(int(i in cand[res.part])) for i in range(len(hexagon.vertices))]
+            f = oracles.pl_from_vertex_values(fan.face_fan(hexagon), values)
+            first = next(
+                (vi, ci)
+                for vi, v in enumerate(hexagon.vertices)
+                for ci, u in enumerate(f.functionals)
+                if oracles.pair(v, u) > values[vi]
+            )
+            assert (res.vertex, res.cone) == first
+    assert not_convex > 0
+    assert len(scans) == len(built) > 0

@@ -325,19 +325,42 @@ def test_hull_matches_the_nullspace_insertion_on_random_points(pts):
     assert_hull_matches_the_nullspace_insertion(pts)
 
 
-@pytest.mark.parametrize(
-    "pts",
-    [
-        # every lattice point of a cube: many coplanar points per facet
-        [P(x, y, z) for x in (-1, 0, 1) for y in (-1, 0, 1) for z in (-1, 0, 1)],
-        # a 4D cross-polytope with its lattice points, and one face pushed out
-        [P(*(s if j == i else 0 for j in range(4))) for i in range(4) for s in (-1, 0, 1)]
-        + [P(1, 1, 0, 0), P(F(1, 2), F(1, 2), F(1, 2), F(1, 2))],
-        # a 5-simplex with points on its edges and a lower-dimensional slice
-        [P(*(1 if j == i else 0 for j in range(5))) for i in range(5)]
-        + [P(-1, -1, -1, -1, -1), P(0, 0, 0, 0, 0), P(F(1, 2), F(1, 2), 0, 0, 0)],
-        [P(t, 2 * t, 0, -t) for t in range(-3, 4)] + [P(1, 0, 0, 0), P(0, 0, 0, 1)],
-    ],
-)
+LARGER_INPUTS = [
+    # every lattice point of a cube: many coplanar points per facet
+    [P(x, y, z) for x in (-1, 0, 1) for y in (-1, 0, 1) for z in (-1, 0, 1)],
+    # a 4D cross-polytope with its lattice points, and one face pushed out
+    [P(*(s if j == i else 0 for j in range(4))) for i in range(4) for s in (-1, 0, 1)]
+    + [P(1, 1, 0, 0), P(F(1, 2), F(1, 2), F(1, 2), F(1, 2))],
+    # a 5-simplex with points on its edges and a lower-dimensional slice
+    [P(*(1 if j == i else 0 for j in range(5))) for i in range(5)]
+    + [P(-1, -1, -1, -1, -1), P(0, 0, 0, 0, 0), P(F(1, 2), F(1, 2), 0, 0, 0)],
+    [P(t, 2 * t, 0, -t) for t in range(-3, 4)] + [P(1, 0, 0, 0), P(0, 0, 0, 1)],
+]
+
+
+@pytest.mark.parametrize("pts", LARGER_INPUTS)
 def test_hull_matches_the_nullspace_insertion_on_larger_inputs(pts):
     assert_hull_matches_the_nullspace_insertion(pts)
+
+
+def assert_hull_matches_the_old_set_up(pts):
+    """The hull equals the one built on the former set-up, which solves one
+    integer nullspace per facet of the initial simplex and decides each
+    point's vertexhood by the rank of the normals of the facets through it:
+    vertices, facets with their incidences, and equalities."""
+    new = hull(pts)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(polytope, "_simplex_planes", oracles.simplex_planes)
+        old = oracles.rank_hull(pts)
+    assert hull_record(new) == hull_record(old)
+
+
+@settings(max_examples=300, deadline=None)
+@given(affine_point_sets(max_points=14))
+def test_hull_matches_the_old_set_up_on_random_points(pts):
+    assert_hull_matches_the_old_set_up(pts)
+
+
+@pytest.mark.parametrize("pts", LARGER_INPUTS)
+def test_hull_matches_the_old_set_up_on_larger_inputs(pts):
+    assert_hull_matches_the_old_set_up(pts)
