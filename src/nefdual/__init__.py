@@ -1,13 +1,13 @@
 """Exact computations with reflexive lattice polytopes and nef-partitions.
 
-Every value the library returns is an exact ``fractions.Fraction``; hulls
-and linear solves run internally on ``int`` coordinates with fraction-free
-elimination. Every comparison in the library is exact and there are no
-tolerances anywhere. On top of the
-polytope kernel sit face fans with integral convex piecewise-linear
-functions, nef-partition validation and enumeration, and the mirror
-construction that pairs a nef-partition with its dual, together with exact
-verification of the identities relating the two sides.
+Every value the library returns is an exact ``fractions.Fraction``; hulls,
+linear solves, the face fan's cone functionals and the pairing checks run
+internally on ``int`` coordinates, with fraction-free elimination. Every
+comparison in the library is exact and there are no tolerances anywhere.
+On top of the polytope kernel sit face fans with integral convex
+piecewise-linear functions, nef-partition validation and enumeration, and
+the mirror construction that pairs a nef-partition with its dual, together
+with exact verification of the identities relating the two sides.
 """
 
 from .errors import (

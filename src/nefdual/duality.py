@@ -21,12 +21,19 @@ equal to the source. See :func:`verify_involution`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import reduce
 from typing import Mapping
 
 from .errors import InvariantViolation
-from .nefpart import NefPartition, Rejection, check_relations, validate_partition
-from .polytope import Polytope, hull, minkowski_sum, pair
+from .nefpart import (
+    NefPartition,
+    Rejection,
+    _pair_min,
+    check_relations,
+    validate_partition,
+)
+from .polytope import Polytope, hull, minkowski_sum
 
 
 @dataclass(frozen=True)
@@ -145,19 +152,21 @@ def _check_psi(np: NefPartition, dual: NefPartition) -> None:
     """Cross-check each PL function of ``dual`` against the delta parts of
     ``np``: psi_i at a vertex y equals the negated minimum of <x, y> over
     delta part i, and every cone functional of psi_i is the negative of a
-    vertex of delta part i."""
+    vertex of delta part i. The minimum is found and compared on ``int``
+    (:func:`nefdual.nefpart._pair_min`)."""
     for i, psi in enumerate(dual.phi):
         delta_part_verts = np.delta_parts[i].vertices
         for vi, y in enumerate(dual.delta.vertices):
-            derived = -min(pair(x, y) for x in delta_part_verts)
-            if psi.vertex_values[vi] != derived:
+            n, d = _pair_min(delta_part_verts, (y,))
+            value = psi.vertex_values[vi]
+            if -n * value.denominator != value.numerator * d:
                 raise InvariantViolation(
                     "dual PL value disagrees with the pairing formula",
-                    witness=(i, y, psi.vertex_values[vi], derived),
+                    witness=(i, y, value, -Fraction(n, d)),
                 )
-        vert_set = set(delta_part_verts)
+        vert_forms = {(x._num, x._den) for x in delta_part_verts}
         for u in psi.functionals:
-            if -u not in vert_set:
+            if (tuple([-a for a in u._num]), u._den) not in vert_forms:
                 raise InvariantViolation(
                     "dual cone functional is not the negative of a delta part vertex",
                     witness=(i, u),

@@ -3,13 +3,27 @@
 The face fan of a full-dimensional polytope with the origin inside has one
 maximal cone per facet: the cone over that facet. A piecewise-linear
 function on the fan is stored as one linear functional per maximal cone,
-solved exactly from prescribed vertex values.
+determined exactly by prescribed vertex values.
+
+Nothing here solves a linear system. Each maximal cone gets an integer
+kernel on first use: d linearly independent vertices of its facet, the
+integer matrix ``R = D * B^-1`` of that basis B with its denominator
+``D``, from one fraction-free elimination of ``[B | I]``, and, on a
+non-simplicial facet, the integer coordinates of every other vertex
+against the basis. A cone's functional is then ``R`` times the scaled
+values over ``D``, and the values admit one exactly when every other
+vertex's coordinates reproduce its own value (see
+:meth:`FaceFan.cone_functional`). The convexity scan compares ``int`` dot
+products of the points' integer forms, cross-multiplied by their
+denominators. ``Fraction`` and ``Point`` appear only in the public values:
+vertex values and functionals.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
 from .errors import (
@@ -20,8 +34,8 @@ from .errors import (
     NotPiecewiseLinear,
     ZeroNotInterior,
 )
-from .linalg import Inconsistent, Underdetermined, exact_rational
-from .polytope import Point, Polytope, hull, pair, solve_linear
+from .linalg import Inconsistent, eliminate, exact_rational
+from .polytope import Point, Polytope, _dot, dual_space, hull, pair
 
 
 @dataclass(frozen=True)
@@ -34,18 +48,73 @@ class Cone:
     vertex_indices: tuple[int, ...]
 
 
+class _ConeKernel:
+    """Integer data that turns a cone's linear solve into a product.
+
+    ``basis`` lists the positions (in the cone's ``vertex_indices``) of d
+    linearly independent facet vertices, whose integer forms are the rows
+    of B. One elimination of ``[B | I]`` gives ``adj = D * B^-1`` and
+    ``det = D > 0``. ``rest`` pairs each remaining position with ``mu``,
+    that vertex's ``_num`` times ``adj`` (its coordinates against the basis,
+    times ``D``). ``dens`` holds the vertices' denominators, and ``lattice``
+    says they are all 1. On a simplicial facet the d vertices are the basis
+    and nothing is searched: d affinely independent points on a hyperplane
+    that misses the origin are linearly independent.
+    """
+
+    __slots__ = ("basis", "adj", "det", "rest", "dens", "lattice", "space")
+
+    def __init__(self, base: Polytope, cone: Cone):
+        verts = base.vertices
+        rows = [verts[i]._num for i in cone.vertex_indices]
+        d = base.ambient_dim
+        if len(rows) == d:
+            basis = list(range(d))
+        else:
+            basis = []
+            for pos, row in enumerate(rows):
+                if len(eliminate([rows[p] for p in basis] + [row], d)[0]) > len(basis):
+                    basis.append(pos)
+                    if len(basis) == d:
+                        break
+        mat = [list(rows[p]) + [int(i == j) for j in range(d)] for i, p in enumerate(basis)]
+        pivots, det = eliminate(mat, d)
+        if len(pivots) < d:
+            raise InvariantViolation(
+                "facet vertices failed to span the ambient space", witness=cone.index
+            )
+        if det < 0:
+            det = -det
+            mat = [[-x for x in row] for row in mat]
+        self.adj = tuple([tuple(row[d:]) for row in mat])
+        self.det = det
+        self.basis = tuple(basis)
+        cols = list(zip(*self.adj))
+        self.rest = tuple(
+            (pos, tuple([_dot(row, col) for col in cols]))
+            for pos, row in enumerate(rows)
+            if pos not in basis
+        )
+        self.dens = tuple([verts[i]._den for i in cone.vertex_indices])
+        self.lattice = all(den == 1 for den in self.dens)
+        self.space = dual_space(base.space)
+
+
 class FaceFan:
     """Complete fan whose maximal cones are cones over the facets of ``base``.
 
-    The fan memoizes its per-cone linear solves: ``_solves`` maps a cone
-    index and the values on that cone's vertices (in ``vertex_indices``
-    order) to the functional taking them, or to ``Inconsistent``. Every PL
-    function on the fan, and the pruned enumeration in ``nefpart``, reads
-    its functionals through :meth:`cone_functional`, so a pattern of values
-    on one cone is solved once per fan however many partitions share it.
+    Each maximal cone gets an integer kernel (:class:`_ConeKernel`) the
+    first time a functional is asked of it, kept in ``_kernels``; a cone
+    nobody asks about never gets one. The fan also memoizes its per-cone
+    functionals: ``_solves`` maps a cone index and the values on that cone's
+    vertices (in ``vertex_indices`` order) to the functional taking them,
+    or to ``Inconsistent``. Every PL function on the fan, and the pruned
+    enumeration in ``nefpart``, reads its functionals through
+    :meth:`cone_functional`, so a pattern of values on one cone is computed
+    once per fan however many partitions share it.
     """
 
-    __slots__ = ("base", "cones", "_solves")
+    __slots__ = ("base", "cones", "_solves", "_kernels")
 
     def __init__(self, base: Polytope):
         if not base.is_full_dimensional:
@@ -58,26 +127,51 @@ class FaceFan:
             for i, f in enumerate(base.facets)
         )
         self._solves: dict = {}
+        self._kernels: list = [None] * len(self.cones)
 
     def cone_functional(self, index: int, values: tuple):
         """The functional taking ``values`` on the vertices of cone ``index``.
 
-        ``values`` are exact rationals aligned with the cone's
-        ``vertex_indices``. Returns the solution ``Point``, or
-        ``Inconsistent`` when a non-simplicial facet admits none; both are
-        memoized. Facet vertices that fail to span the space are a library
-        bug and raise :class:`InvariantViolation` on every call.
+        ``values`` are exact rationals (``int`` or ``Fraction``) aligned
+        with the cone's ``vertex_indices``. Returns the solution ``Point``,
+        or ``Inconsistent`` when a non-simplicial facet admits none; both
+        are memoized.
+
+        No linear system is solved. With the cone's kernel (basis B of d
+        facet vertices, ``R = D * B^-1``), scale the values by the LCM ``L``
+        of their denominators and each by its vertex's denominator, so that
+        ``c`` is the ``int`` right-hand side of ``<_num, u> = c / L``; then
+        ``u = R c_B / (D L)``. The basis spans the ambient space, so every
+        solution of the cone's system is this ``u``, and the system is
+        solvable iff ``u`` also meets every remaining vertex ``w``. With
+        ``mu = w._num R``, ``<w._num, u> = mu c_B / (D L)``, so ``w`` is met
+        iff ``mu . c_B == D * c_w``, an ``int`` equality. Facet vertices that
+        fail to span the space are a library bug and raise
+        :class:`InvariantViolation` on every call.
         """
         key = (index, values)
         u = self._solves.get(key)
         if u is None:
-            verts = self.base.vertices
-            indices = self.cones[index].vertex_indices
-            u = solve_linear(zip([verts[i] for i in indices], values))
-            if u is Underdetermined:
-                raise InvariantViolation(
-                    "facet vertices failed to span the ambient space",
-                    witness=index,
+            kernel = self._kernels[index]
+            if kernel is None:
+                kernel = self._kernels[index] = _ConeKernel(self.base, self.cones[index])
+            scale = lcm(*[v.denominator for v in values])
+            if scale == 1 and kernel.lattice:
+                c = [v.numerator for v in values]
+            else:
+                c = [
+                    v.numerator * (scale // v.denominator) * den
+                    for v, den in zip(values, kernel.dens)
+                ]
+            basis = [c[p] for p in kernel.basis]
+            det = kernel.det
+            if any(_dot(mu, basis) != det * c[p] for p, mu in kernel.rest):
+                u = Inconsistent
+            else:
+                u = Point._from_form(
+                    tuple([_dot(row, basis) for row in kernel.adj]),
+                    det * scale,
+                    kernel.space,
                 )
             self._solves[key] = u
         return u
@@ -203,11 +297,19 @@ class PLFunction:
 
 
 def _convexity_violation(fan: FaceFan, vertex_values, functionals):
-    """First (vertex_index, cone_index) with ``<vertex, functional> > value``."""
+    """First (vertex_index, cone_index) with ``<vertex, functional> > value``.
+
+    Decided on ``int``: with the value ``a/b`` and every denominator
+    positive, ``<v, u> > a/b`` is ``<v._num, u._num> * b > a * v._den * u._den``.
+    """
+    forms = [(u._num, u._den) for u in functionals]
     for vi, v in enumerate(fan.base.vertices):
         val = vertex_values[vi]
-        for ci, u in enumerate(functionals):
-            if pair(v, u) > val:
+        num = v._num
+        b = val.denominator
+        a = val.numerator * v._den
+        for ci, (un, ud) in enumerate(forms):
+            if _dot(num, un) * b > a * ud:
                 return (vi, ci)
     return None
 
@@ -220,8 +322,8 @@ def pl_from_vertex_values(fan: FaceFan, values: Sequence) -> PLFunction:
     because they span the ambient space; if the (overdetermined) system of a
     non-simplicial facet is unsolvable, raises NotPiecewiseLinear naming the
     first such cone. Values are exact rationals; a ``float`` is a
-    ``TypeError``. Each cone's solve goes through the fan's memo
-    (:meth:`FaceFan.cone_functional`).
+    ``TypeError``. Each cone's functional comes from the fan's integer
+    kernel and memo (:meth:`FaceFan.cone_functional`).
     """
     verts = fan.base.vertices
     if len(values) != len(verts):
@@ -229,9 +331,12 @@ def pl_from_vertex_values(fan: FaceFan, values: Sequence) -> PLFunction:
             f"{len(verts)} vertices but {len(values)} prescribed values"
         )
     vals = tuple(v if type(v) is Fraction else exact_rational(v) for v in values)
+    # Integral values go to the memo as ``int``s: an equal key with a hash
+    # computed in C, where a ``Fraction`` hashes in Python on every lookup.
+    keys = [v.numerator if v.denominator == 1 else v for v in vals]
     functionals = []
     for cone in fan.cones:
-        u = fan.cone_functional(cone.index, tuple([vals[i] for i in cone.vertex_indices]))
+        u = fan.cone_functional(cone.index, tuple([keys[i] for i in cone.vertex_indices]))
         if u is Inconsistent:
             raise NotPiecewiseLinear(cone.index)
         functionals.append(u)

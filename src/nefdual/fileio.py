@@ -1,8 +1,9 @@
 """Plain-text polytope files and partition specs.
 
-A polytope file has a header line ``d n`` (dimension, point count) followed
-by n lines of d whitespace-separated coordinates, each an integer or an
-exact rational ``p/q``: ASCII digits with an optional sign in front, and no
+A polytope file has a header line ``d n`` (dimension, point count), two
+integers in ASCII digits with an optional ``-`` in front, followed by n
+lines of d whitespace-separated coordinates, each an integer or an exact
+rational ``p/q``: ASCII digits with an optional sign in front, and no
 decimal point, exponent or ``_``. Lines starting with ``#`` and blank lines
 are ignored. The order of the points in the file is kept as the
 user-facing index order; the parsed polytope itself is canonical.
@@ -53,9 +54,10 @@ def parse_polytope_text(text: str, space: str = SPACE_M):
     if not lines:
         raise PolytopeParseError("empty polytope file")
     header = lines[0].split()
-    if len(header) != 2:
+    if len(header) != 2 or not all(_INDEX.fullmatch(tok) for tok in header):
         raise PolytopeParseError(f"header must be 'd n', got {lines[0]!r}")
     try:
+        # int() also refuses more digits than sys.get_int_max_str_digits()
         dim, count = int(header[0]), int(header[1])
     except ValueError as exc:
         raise PolytopeParseError(f"header must be 'd n', got {lines[0]!r}") from exc

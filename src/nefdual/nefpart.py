@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import reduce
+from operator import index
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -33,7 +33,7 @@ from .errors import (
 )
 from .fan import FaceFan, PLFunction, face_fan, pl_from_vertex_values, support_polytope
 from .linalg import Inconsistent
-from .polytope import Point, Polytope, hull, origin, pair
+from .polytope import Point, Polytope, _dot, hull, origin
 
 NOT_DISJOINT = "NotDisjoint"
 NOT_COVERING = "NotCovering"
@@ -117,13 +117,15 @@ def validate_partition(delta: Polytope, parts: Iterable[Iterable[int]]):
     Returns a fully populated :class:`NefPartition`, or a :class:`Rejection`
     with the first failure in part order: structural problems first, then
     per part no-linear-extension, non-integral functional, or a convexity
-    violation. Raises :class:`NotReflexive` if ``delta`` is not reflexive
-    and ``IndexError`` on out-of-range vertex indices.
+    violation. Raises :class:`NotReflexive` if ``delta`` is not reflexive,
+    ``IndexError`` on out-of-range vertex indices and ``TypeError`` on an
+    index that is not an integer (a ``float``, ``Fraction`` or ``str`` is
+    not truncated or parsed into one).
     """
     if not delta.is_reflexive():
         raise NotReflexive("nef-partitions are defined on reflexive polytopes")
     nverts = len(delta.vertices)
-    norm_parts = [frozenset(int(i) for i in part) for part in parts]
+    norm_parts = [frozenset(index(i) for i in part) for part in parts]
     for part in norm_parts:
         for i in part:
             if i < 0 or i >= nverts:
@@ -195,21 +197,24 @@ def _assert_partition_invariants(np: NefPartition) -> None:
         raise InvariantViolation(
             "indicator functions do not sum to 1 on the vertices", witness=values
         )
+    for i, f in enumerate(np.phi):
+        indicator = tuple(int(vi in np.parts[i]) for vi in range(len(delta.vertices)))
+        if not (f.is_convex and f.is_integral) or f.vertex_values != indicator:
+            raise InvariantViolation(f"phi {i} is not the convex indicator of part {i}")
     # support(Σφ) == polar. The sum is 1 on every vertex, so on the cone
     # over a facet (normal n, offset 1) its functional is -n, and the
     # polar's vertices are exactly those normals. Negated functionals equal
     # to the polar's vertex set give the hull equality, and they make the
     # sum convex: <v, -y> <= 1 = Σφ(v) for every vertex v of delta and y of
-    # the polar, which is the condition support_polytope needs.
+    # the polar, which is the condition support_polytope needs. Every
+    # functional is integral, so the sum is taken on their ``int`` forms and
+    # compared with the polar's integer forms.
     negated = {
-        -reduce(Point.__add__, us) for us in zip(*(f.functionals for f in np.phi))
+        (tuple([-sum(c) for c in zip(*[u._num for u in us])]), 1)
+        for us in zip(*(f.functionals for f in np.phi))
     }
-    if negated != set(polar.vertices):
+    if negated != {(v._num, v._den) for v in polar.vertices}:
         raise InvariantViolation("sum of the phi functions does not support the polar")
-    for i, f in enumerate(np.phi):
-        indicator = tuple(int(vi in np.parts[i]) for vi in range(len(delta.vertices)))
-        if not f.is_convex or f.vertex_values != indicator:
-            raise InvariantViolation(f"phi {i} is not the convex indicator of part {i}")
 
     # hull(union of delta parts) == delta. Each part is the hull of 0 and
     # some vertices of delta, and 0 lies in delta, so the union's hull is
@@ -300,9 +305,9 @@ def enumerate_nef_partitions(delta: Polytope, r: int) -> list[NefPartition]:
     indicator fails to extend to a lattice functional on some cone; each
     survivor is checked in full by :func:`validate_partition`. No symmetry
     reduction is applied. All candidates share the face fan and polar cached
-    on ``delta``, and the fan's memo of per-cone solves, so validating a
-    survivor reuses the search's solves. The result is sorted by canonical
-    part lists.
+    on ``delta``, and the fan's memo of per-cone functionals, so validating
+    a survivor reuses the search's functionals. The result is sorted by
+    canonical part lists.
 
     The result equals that of validating every set partition.
     ``validate_partition`` checks each part's 0/1 values cone by cone and
@@ -343,11 +348,30 @@ class RelationReport:
         return self.passed and self.phi_consistent
 
 
+def _pair_min(xs, ys) -> tuple[int, int]:
+    """The minimum of ``<x, y>`` over ``xs`` x ``ys``, as ``(num, den)``, den > 0.
+
+    Each pairing is an ``int`` dot product of integer forms over the
+    product of the denominators; ``n1/d1 < n2/d2`` is ``n1 * d2 < n2 * d1``.
+    """
+    best_n, best_d = None, 1
+    for x in xs:
+        xn, xd = x._num, x._den
+        for y in ys:
+            n = _dot(xn, y._num)
+            d = xd * y._den
+            if best_n is None or n * best_d < best_n * d:
+                best_n, best_d = n, d
+    return best_n, best_d
+
+
 def check_relations(np: NefPartition) -> RelationReport:
     """Verify the pairing relations between the delta and nabla parts.
 
     Also re-derives every ``phi_i`` vertex value as the negated minimum of
     the pairing against nabla part i, confirming the two descriptions agree.
+    The minima are found and compared on ``int`` (:func:`_pair_min`); a
+    ``Fraction`` is built only for the reported matrix entries.
     """
     r = np.r
     matrix = []
@@ -355,22 +379,19 @@ def check_relations(np: NefPartition) -> RelationReport:
     for j in range(r):
         row = []
         for i in range(r):
-            pairs = [
-                pair(x, y)
-                for x in np.delta_parts[j].vertices
-                for y in np.nabla_parts[i].vertices
-            ]
-            m = min(pairs)
+            n, d = _pair_min(np.delta_parts[j].vertices, np.nabla_parts[i].vertices)
+            m = Fraction(n, d)
             row.append(m)
-            expected = Fraction(-1 if i == j else 0)
-            if m != expected or any(p < expected for p in pairs):
+            if n != (-d if i == j else 0):
                 violations.append((j, i, m))
         matrix.append(tuple(row))
     phi_ok = True
     for i, f in enumerate(np.phi):
+        nabla_verts = np.nabla_parts[i].vertices
         for vi, x in enumerate(np.delta.vertices):
-            derived = -min(pair(x, y) for y in np.nabla_parts[i].vertices)
-            if derived != f.vertex_values[vi]:
+            n, d = _pair_min((x,), nabla_verts)
+            value = f.vertex_values[vi]
+            if -n * value.denominator != value.numerator * d:
                 phi_ok = False
     return RelationReport(
         matrix=tuple(matrix),

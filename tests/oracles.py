@@ -14,9 +14,11 @@ routes (:func:`beneath_beyond_planes`, :func:`_intersection_is_origin`,
 :func:`assert_partition_invariants`, :func:`verify_involution`), its former
 Bell-number enumeration (:func:`_set_partitions`,
 :func:`enumerate_nef_partitions`), solve-per-cone PL extension
-(:func:`pl_from_vertex_values`) and, at the very end, hull set-up
-(:func:`simplex_planes`, :func:`rank_hull`), which call the rest of the
-library and serve as the reference for the routes that replaced them.
+(:func:`pl_from_vertex_values`), hull set-up (:func:`simplex_planes`,
+:func:`rank_hull`) and, at the very end, the ``Fraction`` relation and
+dual-PL checks (:func:`check_relations`, :func:`check_psi`), which call the
+rest of the library and serve as the reference for the routes that
+replaced them.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ from nefdual.linalg import (
     integer_nullspace,
     solve,
 )
-from nefdual.nefpart import NefPartition, validate_partition
+from nefdual.nefpart import NefPartition, RelationReport, validate_partition
 from nefdual.polytope import (
     Facet,
     LinearEquality,
@@ -720,3 +722,71 @@ def rank_hull(points: Iterable[Point]) -> Polytope:
         for j, (nv, e) in enumerate(planes)
     )
     return Polytope(d, space, tuple(vertices), equalities, facets)
+
+
+# The former Fraction checks of the pairing relations and of the dual PL
+# functions, verbatim apart from the names: ``nefpart.check_relations``
+# and ``duality._check_psi``, which built a ``Fraction`` per pairing and
+# compared those (the library now finds and compares the minima on
+# ``int``). ``pair`` is this file's Fraction pairing, which gives the same
+# values as the library's.
+
+
+def check_relations(np: NefPartition) -> RelationReport:
+    """Verify the pairing relations between the delta and nabla parts.
+
+    Also re-derives every ``phi_i`` vertex value as the negated minimum of
+    the pairing against nabla part i, confirming the two descriptions agree.
+    """
+    r = np.r
+    matrix = []
+    violations = []
+    for j in range(r):
+        row = []
+        for i in range(r):
+            pairs = [
+                pair(x, y)
+                for x in np.delta_parts[j].vertices
+                for y in np.nabla_parts[i].vertices
+            ]
+            m = min(pairs)
+            row.append(m)
+            expected = Fraction(-1 if i == j else 0)
+            if m != expected or any(p < expected for p in pairs):
+                violations.append((j, i, m))
+        matrix.append(tuple(row))
+    phi_ok = True
+    for i, f in enumerate(np.phi):
+        for vi, x in enumerate(np.delta.vertices):
+            derived = -min(pair(x, y) for y in np.nabla_parts[i].vertices)
+            if derived != f.vertex_values[vi]:
+                phi_ok = False
+    return RelationReport(
+        matrix=tuple(matrix),
+        passed=not violations,
+        violations=tuple(violations),
+        phi_consistent=phi_ok,
+    )
+
+
+def check_psi(np: NefPartition, dual: NefPartition) -> None:
+    """Cross-check each PL function of ``dual`` against the delta parts of
+    ``np``: psi_i at a vertex y equals the negated minimum of <x, y> over
+    delta part i, and every cone functional of psi_i is the negative of a
+    vertex of delta part i."""
+    for i, psi in enumerate(dual.phi):
+        delta_part_verts = np.delta_parts[i].vertices
+        for vi, y in enumerate(dual.delta.vertices):
+            derived = -min(pair(x, y) for x in delta_part_verts)
+            if psi.vertex_values[vi] != derived:
+                raise InvariantViolation(
+                    "dual PL value disagrees with the pairing formula",
+                    witness=(i, y, psi.vertex_values[vi], derived),
+                )
+        vert_set = set(delta_part_verts)
+        for u in psi.functionals:
+            if -u not in vert_set:
+                raise InvariantViolation(
+                    "dual cone functional is not the negative of a delta part vertex",
+                    witness=(i, u),
+                )

@@ -120,6 +120,9 @@ CONTRACT = [
     (2, ["check-reflexive", FIX / "decimal.poly"], "error: bad coordinate '0.5'"),
     (2, ["check-reflexive", FIX / "underscore.poly"], "error: bad coordinate '1_0'"),
     (2, ["nef-validate", DATA / "d2_cross.poly", "--parts", "0,\u00b2;1,3"], "error: bad index"),
+    (2, ["check-reflexive", FIX / "header_arabic_digit.poly"], "error: header must be 'd n'"),
+    (2, ["check-reflexive", FIX / "header_underscore.poly"], "error: header must be 'd n'"),
+    (2, ["check-reflexive", FIX / "header_plus.poly"], "error: header must be 'd n'"),
 ]
 
 

@@ -13,7 +13,11 @@ from nefdual.errors import (
     NotPiecewiseLinear,
     ZeroNotInterior,
 )
-from nefdual.fan import face_fan, pl_from_vertex_values, support_polytope
+import nefdual.fan as fan_module
+from nefdual import linalg, polytope
+from nefdual.duality import run_full_duality
+from nefdual.fan import FaceFan, PLFunction, face_fan, pl_from_vertex_values, support_polytope
+from nefdual.nefpart import enumerate_nef_partitions
 from nefdual.polytope import Point, SPACE_N, hull, minkowski_sum, pair
 
 import oracles
@@ -207,27 +211,76 @@ def _unit(d, i):
 
 
 def _bases(d):
-    """Reflexive bases in dimension d: two simplicial, one non-simplicial for d >= 3."""
+    """Bases in dimension d with the origin inside.
+
+    Three reflexive ones: two simplicial, one non-simplicial (the d-cube
+    for d <= 4; each facet of the 4-cube lists 4 coplanar, hence linearly
+    dependent, vertices first). Two with rational vertices, which give
+    the vertex denominators a part in the cone kernels: the cross-polytope
+    scaled by 1/2 and the cube or simplex scaled by 2/3, and in the plane a
+    rational pentagon as well.
+    """
     simplex = [_unit(d, i) for i in range(d)] + [(-1,) * d]
     cross = [tuple(s * c for c in _unit(d, i)) for i in range(d) for s in (1, -1)]
     if d <= 4:
         boxy = list(itertools.product((1, -1), repeat=d))  # the d-cube
     else:
         boxy = [p[:-1] + (t,) for p in simplex for t in (1, -1)]  # simplex x segment
-    return [hull([Point(c) for c in pts]) for pts in (simplex, cross, boxy)]
+    half_cross = [tuple(F(c, 2) for c in p) for p in cross]
+    scaled = [tuple(F(2 * c, 3) for c in p) for p in (boxy if d <= 3 else simplex)]
+    point_sets = [simplex, cross, boxy, half_cross, scaled]
+    if d == 2:
+        point_sets.append(
+            [(F(1, 2), 0), (F(1, 3), F(2, 3)), (-1, F(1, 3)), (F(-3, 4), F(-1, 2)), (F(2, 5), -1)]
+        )
+    return [hull([Point(c) for c in pts]) for pts in point_sets]
 
 
 # Built once, so the fans' memos carry over between examples.
 PL_BASES = {d: _bases(d) for d in range(2, 6)}
 
 
-def _pl_outcome(route, fan, values):
-    """Everything a PL extension gives, or the exception and its cone."""
+def test_pl_bases_exercise_vertex_denominators_and_the_basis_search():
+    bases = [base for d in PL_BASES for base in PL_BASES[d]]
+    assert sum(not base.is_lattice() for base in bases) == 9
+    assert any(len(f.incidence) > base.ambient_dim for base in bases if not base.is_lattice()
+               for f in base.facets)
+    # some facet's first d vertices are linearly dependent, so its kernel's
+    # basis is not its first d vertices
+    assert any(
+        len(oracles.rref([base.vertices[i].coords for i in f.incidence[:base.ambient_dim]])[1])
+        < base.ambient_dim
+        for base in bases
+        for f in base.facets
+    )
+
+
+def _fraction_scan(f):
+    """First (vertex, cone) with ``<vertex, functional> > value``, by the
+    Fraction pairing of tests/oracles.py."""
+    return next(
+        (
+            (vi, ci)
+            for vi, v in enumerate(f.fan.base.vertices)
+            for ci, u in enumerate(f.functionals)
+            if oracles.pair(v, u) > f.vertex_values[vi]
+        ),
+        None,
+    )
+
+
+def _pl_outcome(route, scan, fan, values):
+    """Everything a PL extension gives, its first convexity violation by
+    ``scan`` included, or the exception and its cone."""
     try:
         f = route(fan, values)
     except NotPiecewiseLinear as exc:
         return ("NotPiecewiseLinear", exc.cone_index)
-    return (f.vertex_values, f.functionals, f.is_convex, f.is_integral, f)
+    return (f.vertex_values, f.functionals, f.is_convex, f.is_integral, f, scan(f))
+
+
+LIBRARY = (pl_from_vertex_values, PLFunction.first_convexity_violation)
+ORACLE = (oracles.pl_from_vertex_values, _fraction_scan)
 
 
 @st.composite
@@ -260,12 +313,57 @@ def fan_and_values(draw):
 @given(fan_and_values())
 def test_memoized_pl_extension_matches_the_solve_per_cone_route(case):
     fan, values = case
-    expected = _pl_outcome(oracles.pl_from_vertex_values, fan, values)
-    assert _pl_outcome(pl_from_vertex_values, fan, values) == expected
+    expected = _pl_outcome(*ORACLE, fan, values)
+    assert _pl_outcome(*LIBRARY, fan, values) == expected
     # the second call answers every cone from the memo
-    assert _pl_outcome(pl_from_vertex_values, fan, values) == expected
+    assert _pl_outcome(*LIBRARY, fan, values) == expected
     # an indicator shares cone patterns with many others: 1 on the first vertex
     indicator = [1] + [0] * (len(values) - 1)
-    assert _pl_outcome(pl_from_vertex_values, fan, indicator) == _pl_outcome(
-        oracles.pl_from_vertex_values, fan, indicator
-    )
+    assert _pl_outcome(*LIBRARY, fan, indicator) == _pl_outcome(*ORACLE, fan, indicator)
+
+
+def test_no_linear_solve_is_left_on_the_pl_path_and_each_used_cone_gets_one_kernel(monkeypatch):
+    """Enumeration and full duality on fresh polytopes call ``linalg.solve``
+    0 times; each cone asked for a functional gets exactly one kernel."""
+    solves = []
+    original_solve = linalg.solve
+
+    def counting_solve(*args):
+        solves.append(1)
+        return original_solve(*args)
+
+    for module in (linalg, polytope):
+        monkeypatch.setattr(module, "solve", counting_solve)
+
+    alive = []  # keeps every base alive, so that its id stays unique
+    built = []
+    used = set()
+
+    class CountingKernel(fan_module._ConeKernel):
+        __slots__ = ()
+
+        def __init__(self, base, cone):
+            alive.append(base)
+            built.append((id(base), cone.index))
+            super().__init__(base, cone)
+
+    original_functional = FaceFan.cone_functional
+
+    def recording_functional(self, index, values):
+        alive.append(self.base)
+        used.add((id(self.base), index))
+        return original_functional(self, index, values)
+
+    monkeypatch.setattr(fan_module, "_ConeKernel", CountingKernel)
+    monkeypatch.setattr(FaceFan, "cone_functional", recording_functional)
+    simplex4 = [_unit(4, i) for i in range(4)] + [(-1,) * 4]
+    octahedron = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, 0, 0), (0, -1, 0), (0, 0, -1)]
+    found = 0
+    for coords in (octahedron, simplex4):
+        for np_ in enumerate_nef_partitions(hull([Point(c) for c in coords]), 2):
+            assert run_full_duality(np_).all_passed
+            found += 1
+    assert found == 31 + 15  # every set partition of either vertex set is nef
+    assert solves == []
+    assert len(built) == len(set(built)) > 0
+    assert set(built) == used

@@ -81,6 +81,25 @@ def test_parse_rejects_coordinates_outside_the_grammar(token):
 
 
 @pytest.mark.parametrize(
+    "header",
+    ["\u0662 4", "2 \u0664", "2 0_4", "2 +4", "+2 4", "2 4.0", "2 1e1",
+     pytest.param("2 " + "4" * 5000, id="5000-digit count")],
+)
+def test_parse_header_takes_ascii_integers_only(header):
+    """Both header fields follow the partition-index grammar ``-?digits`` in
+    ASCII, as coordinates do theirs."""
+    with pytest.raises(PolytopeParseError, match="header must be 'd n'"):
+        parse_polytope_text(f"{header}\n1 0\n0 1\n-1 0\n0 -1\n")
+
+
+def test_parse_header_still_reads_leading_zeros_and_reports_nonpositive_counts():
+    poly, pts = parse_polytope_text("02 004\n1 0\n0 1\n-1 0\n0 -1\n")
+    assert len(pts) == 4 and len(poly.vertices) == 4
+    with pytest.raises(PolytopeParseError, match="dimension must be positive"):
+        parse_polytope_text("-2 4\n")
+
+
+@pytest.mark.parametrize(
     "spec",
     ["0,\u00b2", "\u0661", "0,-\u00b2", "+1",
      pytest.param("0;" + "1" * 5000, id="5000-digit index")],

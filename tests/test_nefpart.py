@@ -14,7 +14,7 @@ from hypothesis import assume, given, settings, strategies as st
 import nefdual.fan as fan
 import nefdual.nefpart as nefpart
 import oracles
-from nefdual.duality import dual_nef_partition
+from nefdual.duality import _check_psi, dual_nef_partition
 from nefdual.errors import InvariantViolation, NotReflexive
 from nefdual.nefpart import (
     EMPTY_PART,
@@ -191,6 +191,30 @@ def test_validate_raises_on_non_reflexive():
 def test_validate_raises_on_bad_index():
     with pytest.raises(IndexError):
         validate_partition(CROSS, [{0, 9}, {1, 2, 3}])
+
+
+@pytest.mark.parametrize(
+    "parts",
+    [[[0.9, 1], [2, 3]], [[F(7, 2), 1], [2, 0]], [["3", 1], [2, 0]], [[F(2), 1], [0, 3]]],
+    ids=["float", "Fraction", "str", "integral Fraction"],
+)
+def test_validate_refuses_indices_that_are_not_integers(parts):
+    """A float, Fraction or str index is a TypeError, never truncated or
+    parsed into another partition."""
+    with pytest.raises(TypeError):
+        validate_partition(CROSS, parts)
+
+
+def test_validate_accepts_integer_like_indices():
+    class Idx:
+        def __init__(self, i):
+            self.i = i
+
+        def __index__(self):
+            return self.i
+
+    axis = validate_partition(CROSS, [[2, 3], [0, 1]])
+    assert validate_partition(CROSS, [[Idx(2), True + 2], (Idx(0), True)]) == axis
 
 
 def test_enumerate_single_part():
@@ -442,10 +466,9 @@ def test_dual_cone_test_matches_the_vertex_search(pair_):
 # sums the phi functions with PLFunction addition.
 
 
-def _audit_inputs(corpus):
-    """Every corpus nef-partition at r=1..3, the enum4d inputs at r=2 as
-    they are and sheared, the 5-simplex's two cubics and the 4D
-    cross-polytope at r=2."""
+def _corpus_and_enum4d_inputs(corpus):
+    """Every corpus nef-partition at r=1..3 and the enum4d inputs at r=2 as
+    they are and sheared."""
     for entry in corpus:
         if entry.reflexive:
             coords = [v.coords for v in entry.polytope.vertices]
@@ -454,6 +477,12 @@ def _audit_inputs(corpus):
     for name in ("simplex4", "octahedron_x_segment", "triangle_x_triangle"):
         for shear in (False, True):
             yield from enumerate_nef_partitions(_fresh(FOUR_D[name], shear), 2)
+
+
+def _audit_inputs(corpus):
+    """The inputs of :func:`_corpus_and_enum4d_inputs`, the 5-simplex's two
+    cubics and the 4D cross-polytope at r=2."""
+    yield from _corpus_and_enum4d_inputs(corpus)
     simplex5 = _fresh([_unit(5, i) for i in range(5)] + [(-1,) * 5])
     yield validate_partition(simplex5, [[0, 1, 2], [3, 4, 5]])
     yield from enumerate_nef_partitions(_fresh(FOUR_D["cross4"]), 2)
@@ -528,3 +557,71 @@ def test_convexity_is_scanned_once_per_function(monkeypatch, corpus_by_name):
             assert (res.vertex, res.cone) == first
     assert not_convex > 0
     assert len(scans) == len(built) > 0
+
+
+# The relation and dual-PL checks against the former Fraction ones in
+# tests/oracles.py.
+
+
+def _outcome(check, *args):
+    """What a check gives: its result, or the exception with its witness."""
+    try:
+        return ("returned", check(*args))
+    except InvariantViolation as exc:
+        return ("raised", str(exc), exc.witness)
+
+
+def test_integer_relation_and_psi_checks_match_the_fraction_ones(corpus):
+    count = 0
+    for np_ in _corpus_and_enum4d_inputs(corpus):
+        dual = dual_nef_partition(np_)
+        for side in (np_, dual):
+            got = _outcome(check_relations, side)
+            assert got == _outcome(oracles.check_relations, side)
+            assert got[1] and got[1].violations == ()
+        for src, target in ((np_, dual), (dual, np_)):
+            got = _outcome(_check_psi, src, target)
+            assert got == ("returned", None)
+            assert got == _outcome(oracles.check_psi, src, target)
+        count += 1
+    # 175 corpus partitions, 15 + 15 on the 4-simplex
+    assert count == 205
+
+
+def test_tampered_partitions_fail_both_relation_and_psi_checks_alike():
+    octa = validate_partition(
+        OCTA,
+        [part_of(OCTA, (1, 0, 0), (-1, 0, 0)),
+         part_of(OCTA, (0, 1, 0), (0, -1, 0)),
+         part_of(OCTA, (0, 0, 1), (0, 0, -1))],
+    )
+    cross = validate_partition(
+        CROSS, [part_of(CROSS, (1, 0), (0, 1)), part_of(CROSS, (-1, 0), (0, -1))]
+    )
+    for np_ in (octa, cross):
+        swapped = replace(np_, nabla_parts=np_.nabla_parts[::-1])
+        got = _outcome(check_relations, swapped)
+        assert got == _outcome(oracles.check_relations, swapped)
+        report = got[1]
+        assert report.violations and not report.passed and not report.phi_consistent
+        assert report.matrix != check_relations(np_).matrix
+
+        # rational parts exercise the denominators of the integer forms
+        scaled = replace(
+            np_,
+            delta_parts=tuple(_scaled(p, F(2, 3)) for p in np_.delta_parts),
+            nabla_parts=tuple(_scaled(p, F(1, 2)) for p in np_.nabla_parts),
+        )
+        got = _outcome(check_relations, scaled)
+        assert got == _outcome(oracles.check_relations, scaled)
+        assert got[1].violations and got[1].matrix[0][0] == F(-1, 3)
+
+        dual = dual_nef_partition(np_)
+        for tampered in (replace(np_, delta_parts=np_.delta_parts[::-1]), scaled):
+            got = _outcome(_check_psi, tampered, dual)
+            assert got[0] == "raised"
+            assert got == _outcome(oracles.check_psi, tampered, dual)
+
+
+def _scaled(poly, factor):
+    return hull([v.scale(factor) for v in poly.vertices])
