@@ -10,6 +10,19 @@ functions, and applying the construction twice is the identity.
 
 All checks are exact; a returned CheckResult carries a witness on failure.
 
+The two Minkowski identities, Δ* = ∇_1 + … + ∇_r and ∇* = Δ_1 + … + Δ_r,
+build no hull. Each polar is read off its source's facet-vertex incidence
+(:meth:`nefdual.polytope.Polytope.polar_dual`), and each identity is
+decided by support functions on ``int`` forms
+(:func:`nefdual.polytope._is_minkowski_sum`): the sum lies in the polar iff
+its minimum along every facet normal of the polar is at least that facet's
+bound, and it then equals the polar iff, at every vertex y of the polar,
+its minimum along the sum ℓ_y of the normals of the facets through y is
+``<y, ℓ_y>``. ℓ_y lies in the interior of y's normal cone, so y is the
+only point of the polar where that value is reached, and a sum inside the
+polar reaches it only if it holds y. Only a failing check builds the sum, with
+:func:`nefdual.polytope.minkowski_sum`, for its witness.
+
 Each object is built once per run. The dual side is validated once, by
 :func:`dual_nef_partition`. The involution check builds the double dual's
 base and labeled parts, and when both equal the source's it reuses the
@@ -33,7 +46,7 @@ from .nefpart import (
     check_relations,
     validate_partition,
 )
-from .polytope import Polytope, hull, minkowski_sum
+from .polytope import Polytope, _is_minkowski_sum, hull, minkowski_sum
 
 
 @dataclass(frozen=True)
@@ -84,11 +97,16 @@ def nabla(np: NefPartition) -> Polytope:
 
 
 def verify_polar_is_nabla_sum(np: NefPartition) -> CheckResult:
-    """Polar of the base polytope equals the Minkowski sum of the nabla parts."""
+    """Polar of the base polytope equals the Minkowski sum of the nabla parts.
+
+    Decided by support functions, with no hull of the sum
+    (:func:`nefdual.polytope._is_minkowski_sum`); the sum is built only for
+    a failure's witness.
+    """
     polar = np.delta.polar_dual()
-    total = reduce(minkowski_sum, np.nabla_parts)
-    if polar == total:
+    if _is_minkowski_sum(polar, np.nabla_parts):
         return CheckResult("polar_is_nabla_sum", True)
+    total = reduce(minkowski_sum, np.nabla_parts)
     return CheckResult(
         "polar_is_nabla_sum",
         False,
@@ -100,13 +118,16 @@ def verify_polar_is_nabla_sum(np: NefPartition) -> CheckResult:
 
 
 def verify_nabla_polar_is_delta_sum(np: NefPartition) -> CheckResult:
-    """Polar of nabla equals the Minkowski sum of the delta parts, and is lattice."""
-    nb = nabla(np)
-    polar = nb.polar_dual()
+    """Polar of nabla equals the Minkowski sum of the delta parts, and is lattice.
+
+    Decided like :func:`verify_polar_is_nabla_sum`.
+    """
+    polar = nabla(np).polar_dual()
+    if polar.is_lattice() and _is_minkowski_sum(polar, np.delta_parts):
+        return CheckResult(
+            "nabla_polar_is_delta_sum", True, detail="nabla polar is a lattice polytope"
+        )
     total = reduce(minkowski_sum, np.delta_parts)
-    detail = "nabla polar is a lattice polytope" if polar.is_lattice() else ""
-    if polar == total and polar.is_lattice():
-        return CheckResult("nabla_polar_is_delta_sum", True, detail=detail)
     return CheckResult(
         "nabla_polar_is_delta_sum",
         False,

@@ -1,7 +1,9 @@
+import sys
 import time
 
 import pytest
 
+from nefdual import polytope
 from nefdual.corpus import load_corpus
 from nefdual.duality import run_full_duality
 from nefdual.fileio import file_to_canonical_map, parse_partition_spec
@@ -58,3 +60,29 @@ def sweep(corpus_by_name):
                 "elapsed": time.perf_counter() - started,
             }
     return out
+
+
+@pytest.fixture
+def count_hulls(monkeypatch):
+    """Count the ``hull`` calls of a run: ``count_hulls(fn, *args)`` runs
+    ``fn(*args)`` with every binding of ``hull`` in nefdual counted and
+    returns the number of calls."""
+    calls = []
+    original = polytope.hull
+
+    def counted(points):
+        calls.append(1)
+        return original(points)
+
+    for name, module in list(sys.modules.items()):
+        if name == "nefdual" or name.startswith("nefdual."):
+            for key, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, key, counted)
+
+    def count(fn, *args):
+        calls.clear()
+        fn(*args)
+        return len(calls)
+
+    return count

@@ -15,10 +15,12 @@ routes (:func:`beneath_beyond_planes`, :func:`_intersection_is_origin`,
 Bell-number enumeration (:func:`_set_partitions`,
 :func:`enumerate_nef_partitions`), solve-per-cone PL extension
 (:func:`pl_from_vertex_values`), hull set-up (:func:`simplex_planes`,
-:func:`rank_hull`) and, at the very end, the ``Fraction`` relation and
-dual-PL checks (:func:`check_relations`, :func:`check_psi`), which call the
-rest of the library and serve as the reference for the routes that
-replaced them.
+:func:`rank_hull`), the ``Fraction`` relation and dual-PL checks
+(:func:`check_relations`, :func:`check_psi`) and, at the very end, the
+polar as a hull (:func:`polar_dual`) and the Minkowski-sum checks by the
+hull of the sum (:func:`verify_polar_is_nabla_sum`,
+:func:`verify_nabla_polar_is_delta_sum`), which call the rest of the
+library and serve as the reference for the routes that replaced them.
 """
 
 from __future__ import annotations
@@ -31,12 +33,14 @@ from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Sequence
 
-from nefdual.duality import CheckResult, dual_nef_partition
+from nefdual.duality import CheckResult, dual_nef_partition, nabla
 from nefdual.errors import (
     DimensionMismatch,
     InvariantViolation,
+    NotFullDimensional,
     NotPiecewiseLinear,
     NotReflexive,
+    ZeroNotInterior,
 )
 from nefdual.fan import FaceFan, PLFunction, support_polytope
 from nefdual.linalg import (
@@ -58,6 +62,7 @@ from nefdual.polytope import (
     _dot,
     dual_space,
     hull,
+    minkowski_sum,
     origin,
 )
 
@@ -790,3 +795,68 @@ def check_psi(np: NefPartition, dual: NefPartition) -> None:
                     "dual cone functional is not the negative of a delta part vertex",
                     witness=(i, u),
                 )
+
+
+# The former polar and the former Minkowski-sum checks, verbatim apart from
+# the names and the polar's cache: ``Polytope.polar_dual`` as the hull of
+# the facet normals divided by the offsets (the library now reads the polar
+# off the facet-vertex incidence), and ``duality.verify_polar_is_nabla_sum``
+# and ``duality.verify_nabla_polar_is_delta_sum``, which compared the polar
+# with the hull of every pairwise vertex sum (the library now decides both
+# by support functions and builds the sum only for a failure's witness).
+
+
+def polar_dual(self: Polytope) -> Polytope:
+    """The polar polytope ``{y : <x, y> >= -1 for all x here}``.
+
+    Its vertices are the facet normals divided by the facet offsets.
+    """
+    if not self.is_full_dimensional:
+        raise NotFullDimensional("polar dual needs a full-dimensional polytope")
+    if not self.has_zero_interior:
+        raise ZeroNotInterior("polar dual needs the origin strictly inside")
+    target = dual_space(self.space)
+    # normal / offset, with offset = a/b > 0: the form (b * _num, a * _den).
+    gens = [
+        Point._from_form(
+            tuple([f.offset.denominator * x for x in f.normal._num]),
+            f.offset.numerator * f.normal._den,
+            target,
+        )
+        for f in self.facets
+    ]
+    return hull(gens)
+
+
+def verify_polar_is_nabla_sum(np: NefPartition) -> CheckResult:
+    """Polar of the base polytope equals the Minkowski sum of the nabla parts."""
+    polar = np.delta.polar_dual()
+    total = reduce(minkowski_sum, np.nabla_parts)
+    if polar == total:
+        return CheckResult("polar_is_nabla_sum", True)
+    return CheckResult(
+        "polar_is_nabla_sum",
+        False,
+        witness={
+            "polar_vertices": [v.coords for v in polar.vertices],
+            "sum_vertices": [v.coords for v in total.vertices],
+        },
+    )
+
+
+def verify_nabla_polar_is_delta_sum(np: NefPartition) -> CheckResult:
+    """Polar of nabla equals the Minkowski sum of the delta parts, and is lattice."""
+    nb = nabla(np)
+    polar = nb.polar_dual()
+    total = reduce(minkowski_sum, np.delta_parts)
+    detail = "nabla polar is a lattice polytope" if polar.is_lattice() else ""
+    if polar == total and polar.is_lattice():
+        return CheckResult("nabla_polar_is_delta_sum", True, detail=detail)
+    return CheckResult(
+        "nabla_polar_is_delta_sum",
+        False,
+        witness={
+            "nabla_polar_vertices": [v.coords for v in polar.vertices],
+            "sum_vertices": [v.coords for v in total.vertices],
+        },
+    )

@@ -1,11 +1,9 @@
 """The mirror construction: nabla, the dual partition, and the check suite."""
 
-import sys
 from dataclasses import replace
 from fractions import Fraction
 
 import oracles
-from nefdual import polytope
 
 from nefdual.duality import (
     dual_nef_partition,
@@ -297,6 +295,46 @@ def test_tampered_dual_fails_on_both_involution_routes():
             assert new[0] == "raised" or not new[1].passed, (source.__name__, new)
 
 
+def shrunk(poly):
+    """``poly`` less its first nonzero vertex, with the origin added."""
+    lost = next(v for v in poly.vertices if not v.is_zero())
+    zero = Point((0,) * poly.ambient_dim, poly.space)
+    return hull([v for v in poly.vertices if v != lost] + [zero])
+
+
+def with_part(np_, field, i, poly):
+    parts = list(getattr(np_, field))
+    parts[i] = poly
+    return replace(np_, **{field: tuple(parts)})
+
+
+SUM_CHECKS = (
+    (verify_polar_is_nabla_sum, oracles.verify_polar_is_nabla_sum),
+    (verify_nabla_polar_is_delta_sum, oracles.verify_nabla_polar_is_delta_sum),
+)
+
+
+def test_tampered_parts_fail_both_sum_check_routes_alike():
+    """A nabla part swapped for another nabla part or for a delta part, a
+    nabla part shrunk and a delta part shrunk: each sum check gives the same
+    CheckResult, or raises the same error, on both routes, and the check
+    that reads the tampered parts fails."""
+    for source in SOURCES:
+        for np_ in (source(), dual_nef_partition(source())):
+            tampered = [
+                (with_part(np_, "nabla_parts", 0, np_.nabla_parts[1]), 0),
+                (with_part(np_, "nabla_parts", 0, np_.delta_parts[0]), 0),
+                (with_part(np_, "nabla_parts", 1, shrunk(np_.nabla_parts[1])), 0),
+                (with_part(np_, "delta_parts", 0, shrunk(np_.delta_parts[0])), 1),
+            ]
+            for bad, failing in tampered:
+                for k, (new_check, old_check) in enumerate(SUM_CHECKS):
+                    new = outcome(new_check, bad)
+                    assert new == outcome(old_check, bad), (source.__name__, k)
+                    if k == failing:
+                        assert new[0] == "raised" or not new[1].passed, (source.__name__, new)
+
+
 def test_relabeled_dual_passes_on_both_involution_routes():
     """A consistent relabeling of the dual is the same unlabeled datum."""
     for source in SOURCES:
@@ -308,41 +346,26 @@ def test_relabeled_dual_passes_on_both_involution_routes():
         assert check == oracles.verify_involution(np_, relabeled)
 
 
-def count_hulls(monkeypatch, fn, *args):
-    """Run ``fn`` with every binding of ``hull`` in nefdual counted."""
-    calls = []
-    original = polytope.hull
-
-    def counted(points):
-        calls.append(1)
-        return original(points)
-
-    for name, module in list(sys.modules.items()):
-        if name == "nefdual" or name.startswith("nefdual."):
-            for key, value in list(vars(module).items()):
-                if value is original:
-                    monkeypatch.setattr(module, key, counted)
-    fn(*args)
-    return len(calls)
-
-
-def test_one_duality_builds_each_object_once(monkeypatch):
+def test_one_duality_builds_each_object_once(count_hulls):
     """Hull calls in one run_full_duality on a validated partition: nabla,
-    the dual's delta and nabla parts, the polar of nabla, one Minkowski sum
-    per pair of neighbours on each side, and the double dual's base. A
-    rebuild of any side shows here."""
+    the dual's delta and nabla parts, and the double dual's base. Every
+    polar is read off its source's incidence and both Minkowski identities
+    are decided by support functions, so neither builds a hull. A rebuild
+    of any side shows here."""
     simplex5 = hull(
         [P(*(1 if j == i else 0 for j in range(5))) for i in range(5)] + [P(-1, -1, -1, -1, -1)]
     )
     cubics = validate_partition(simplex5, [[0, 1, 2], [3, 4, 5]])
-    assert count_hulls(monkeypatch, run_full_duality, cubics) == 9
-    assert count_hulls(monkeypatch, run_full_duality, octa_three_part_partition()) == 13
+    assert count_hulls(run_full_duality, cubics) == 6
+    assert count_hulls(run_full_duality, octa_three_part_partition()) == 8
 
 
-def test_validating_an_accepted_partition_builds_only_its_parts(monkeypatch):
-    """With the polar and the fan already built, validating an accepted
-    partition makes 2r hull calls: r delta parts and r nabla parts. The
-    audit builds none."""
+def test_validating_an_accepted_partition_builds_only_its_parts(count_hulls):
+    """Validating an accepted partition makes 2r hull calls: r delta parts
+    and r nabla parts. The audit builds none, and neither does the polar,
+    whether or not it and the fan were built before."""
     for np_ in (octa_three_part_partition(), axis_partition(), diagonal_partition()):
         parts = [sorted(p) for p in np_.parts]
-        assert count_hulls(monkeypatch, validate_partition, np_.delta, parts) == 2 * np_.r
+        assert count_hulls(validate_partition, np_.delta, parts) == 2 * np_.r
+        fresh = hull(list(np_.delta.vertices))
+        assert count_hulls(validate_partition, fresh, parts) == 2 * np_.r

@@ -14,7 +14,12 @@ from hypothesis import assume, given, settings, strategies as st
 import nefdual.fan as fan
 import nefdual.nefpart as nefpart
 import oracles
-from nefdual.duality import _check_psi, dual_nef_partition
+from nefdual.duality import (
+    _check_psi,
+    dual_nef_partition,
+    verify_nabla_polar_is_delta_sum,
+    verify_polar_is_nabla_sum,
+)
 from nefdual.errors import InvariantViolation, NotReflexive
 from nefdual.nefpart import (
     EMPTY_PART,
@@ -585,6 +590,24 @@ def test_integer_relation_and_psi_checks_match_the_fraction_ones(corpus):
             assert got == _outcome(oracles.check_psi, src, target)
         count += 1
     # 175 corpus partitions, 15 + 15 on the 4-simplex
+    assert count == 205
+
+
+def test_sum_checks_match_the_hull_of_the_sum_on_both_duality_sides(corpus):
+    """Both Minkowski identities, decided by support functions, give the
+    same CheckResult (name, passed, witness, detail) as the former checks
+    in tests/oracles.py, which compare the polar with the hull of the sum."""
+    count = 0
+    for np_ in _corpus_and_enum4d_inputs(corpus):
+        for side in (np_, dual_nef_partition(np_)):
+            for new, old in (
+                (verify_polar_is_nabla_sum, oracles.verify_polar_is_nabla_sum),
+                (verify_nabla_polar_is_delta_sum, oracles.verify_nabla_polar_is_delta_sum),
+            ):
+                got = new(side)
+                assert got.passed
+                assert got == old(side)
+        count += 1
     assert count == 205
 
 

@@ -1,6 +1,7 @@
 """Kernel behavior: hulls, polars, reflexivity, Minkowski sums, membership."""
 
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,6 +11,7 @@ from nefdual.errors import DimensionMismatch, NotFullDimensional, ZeroNotInterio
 from nefdual.linalg import Inconsistent, Underdetermined
 from nefdual.polytope import (
     Point,
+    _is_minkowski_sum,
     SPACE_M,
     SPACE_N,
     hull,
@@ -364,3 +366,157 @@ def test_hull_matches_the_old_set_up_on_random_points(pts):
 @pytest.mark.parametrize("pts", LARGER_INPUTS)
 def test_hull_matches_the_old_set_up_on_larger_inputs(pts):
     assert_hull_matches_the_old_set_up(pts)
+
+
+# The polar read off the facet-vertex incidence against the former hull of
+# the facet normals divided by the offsets, kept in tests/oracles.py.
+
+
+def assert_polar_matches_the_hull_polar(poly):
+    """The polar and its polar equal the hull route's: vertices, facet
+    normals, offsets and incidences, and the (empty) affine span."""
+    fresh = hull(list(poly.vertices))
+    new = fresh.polar_dual()
+    old = oracles.polar_dual(fresh)
+    assert hull_record(new) == hull_record(old)
+    assert hull_record(new.polar_dual()) == hull_record(oracles.polar_dual(old))
+    assert new.polar_dual() == fresh
+
+
+@st.composite
+def polytopes_around_the_origin(draw):
+    """Polytopes in dims 1..5 with the origin strictly inside: the points
+    ±c_i e_i (c_i > 0) plus up to d + 3 more, with integer or p/q
+    coordinates."""
+    d = draw(st.integers(1, 5))
+    q = draw(st.sampled_from([1, 1, 2, 3]))
+    pts = []
+    for i in range(d):
+        for sign in (1, -1):
+            unit = [0] * d
+            unit[i] = sign * F(draw(st.integers(1, 3)), q)
+            pts.append(Point(unit))
+    extra = st.lists(st.builds(F, st.integers(-4, 4), st.just(q)), min_size=d, max_size=d)
+    pts += [Point(c) for c in draw(st.lists(extra, max_size=d + 3))]
+    return hull(pts)
+
+
+@settings(max_examples=150, deadline=None)
+@given(polytopes_around_the_origin())
+def test_polar_matches_the_hull_polar_on_random_polytopes(poly):
+    assert_polar_matches_the_hull_polar(poly)
+
+
+NON_SIMPLICIAL = {
+    "cube": [P(x, y, z) for x in (-1, 1) for y in (-1, 1) for z in (-1, 1)],
+    "octahedron_x_segment": [
+        P(*(s if j == i else 0 for j in range(3)), t)
+        for i in range(3) for s in (1, -1) for t in (1, -1)
+    ],
+    # a sheared box with unequal offsets: the polar vertices sort in
+    # another order than the facet normals
+    "sheared_box": [P(x + y, y, z) for x in (-1, 2) for y in (-1, 1) for z in (F(-1, 2), 1)],
+}
+
+
+@pytest.mark.parametrize("name", sorted(NON_SIMPLICIAL))
+def test_polar_matches_the_hull_polar_on_non_simplicial_bases(name):
+    assert_polar_matches_the_hull_polar(hull(NON_SIMPLICIAL[name]))
+
+
+def test_polar_matches_the_hull_polar_on_the_corpus(corpus):
+    for entry in corpus:
+        assert_polar_matches_the_hull_polar(entry.polytope)
+
+
+def test_polar_builds_no_hull(count_hulls):
+    for pts in (CROSS, TRIANGLE, *NON_SIMPLICIAL.values()):
+        poly = hull(pts)
+        assert count_hulls(poly.polar_dual) == 0
+        assert count_hulls(poly.polar_dual().polar_dual) == 0
+
+
+# The Minkowski-sum test by support functions against the hull of the sum.
+
+
+def square(a):
+    return hull([P(x, y) for x in (-a, a) for y in (-a, a)])
+
+
+def segment(*ends):
+    return hull([P(*e) for e in ends])
+
+
+def assert_sum_test_matches_the_hull(poly, summands, expected):
+    assert (reduce(minkowski_sum, summands) == poly) is expected
+    assert _is_minkowski_sum(poly, summands) is expected
+
+
+def test_sum_test_accepts_true_sums():
+    assert_sum_test_matches_the_hull(
+        square(1), [segment((-1, 0), (1, 0)), segment((0, -1), (0, 1))], True
+    )
+    cube = hull(NON_SIMPLICIAL["cube"])
+    box = hull([P(0, y, z) for y in (-1, 1) for z in (-1, 1)])
+    assert_sum_test_matches_the_hull(cube, [segment((-1, 0, 0), (1, 0, 0)), box], True)
+    half = F(1, 2)
+    assert_sum_test_matches_the_hull(
+        square(1), [square(half), square(half), hull([P(0, 0)])], True
+    )
+
+
+def test_sum_test_rejects_a_sum_strictly_inside():
+    half = F(1, 2)
+    parts = [segment((-half, 0), (half, 0)), segment((0, -half), (0, half))]
+    assert_sum_test_matches_the_hull(square(1), parts, False)
+
+
+def test_sum_test_rejects_a_sum_out_of_one_facet():
+    """The sum sticks out of the facet y <= 1 by 1/3 in the middle, and
+    every vertex of the square is still where its l_y is smallest: only the
+    facet step catches it."""
+    bump = hull([P(x, y) for x in (-1, 1) for y in (-1, 1)] + [P(0, F(4, 3))])
+    assert_sum_test_matches_the_hull(square(1), [bump, hull([P(0, 0)])], False)
+    assert_sum_test_matches_the_hull(square(1), [bump], False)
+
+
+def test_sum_test_rejects_a_sum_that_touches_every_facet_but_misses_a_vertex():
+    """The pentagon reaches all four sides of the square but not (1, 1):
+    only the vertex step, with l_y = (-1, -1), catches it."""
+    pentagon = hull([P(-1, -1), P(1, -1), P(1, 0), P(0, 1), P(-1, 1)])
+    assert_sum_test_matches_the_hull(square(1), [pentagon], False)
+    half = F(1, 2)
+    halves = hull([P(-half, -half), P(half, -half), P(half, 0), P(0, half), P(-half, half)])
+    assert_sum_test_matches_the_hull(square(1), [halves, halves], False)
+
+
+def test_sum_test_rejects_summands_from_another_space():
+    cross = hull([N(1, 0), N(0, 1), N(-1, 0), N(0, -1)])
+    assert not _is_minkowski_sum(square(1), [cross])
+    assert not _is_minkowski_sum(square(1), [hull([P(0, 0, 0)])])
+
+
+small_sets = st.lists(
+    st.tuples(*[st.builds(F, st.integers(-3, 3), st.sampled_from([1, 1, 2]))] * 2),
+    min_size=1,
+    max_size=4,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(small_sets, min_size=1, max_size=3), small_sets)
+def test_sum_test_matches_the_hull_of_the_sum_on_random_summands(raw_parts, raw_extra):
+    """On the hull of the sum itself, and on that hull with a vertex
+    dropped or with points added."""
+    parts = [hull([Point(c) for c in raw]) for raw in raw_parts]
+    total = reduce(minkowski_sum, parts)
+    if not total.is_full_dimensional:
+        return
+    verts = list(total.vertices)
+    for other in (
+        total,
+        hull(verts[1:] + [Point(c) for c in raw_extra]),
+        hull(verts + [Point(c) for c in raw_extra]),
+    ):
+        if other.is_full_dimensional:
+            assert _is_minkowski_sum(other, parts) is (other == total)
