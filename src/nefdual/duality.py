@@ -23,10 +23,31 @@ only point of the polar where that value is reached, and a sum inside the
 polar reaches it only if it holds y. Only a failing check builds the sum, with
 :func:`nefdual.polytope.minkowski_sum`, for its witness.
 
-Each object is built once per run. The dual side is validated once, by
-:func:`dual_nef_partition`. The involution check builds the double dual's
-base and labeled parts, and when both equal the source's it reuses the
-source instead of validating it again: validation is a deterministic
+Each object is built once per run, and one duality builds one hull: nabla
+itself, whose polar is an identity under test. The dual side is decided on
+nabla by :func:`dual_nef_partition`, which takes each of its 2r + 1
+polytopes from the source when an exact, local test shows that the hull
+would return that very object. A polytope from :func:`nefdual.polytope.hull`
+depends only on the convex hull of its input (sorted vertices, primitive
+facet normals within the span, sorted facets, a reduced basis of the span),
+so equal hulls are equal objects:
+
+- the dual's delta part i is the hull of 0 and the nonzero vertices of
+  ∇_i, which is ∇_i whenever ∇_i contains 0: ``np.nabla_parts[i]``;
+- the dual's nabla part i is the hull of the negated cone functionals of
+  psi_i, which is Δ_i whenever those are exactly Δ_i's vertices:
+  ``np.delta_parts[i]``;
+- the dual's own nabla is the hull of the vertices of its nabla parts,
+  which is Δ whenever their nonzero vertices are exactly Δ's vertices and
+  Δ contains 0 (the audit's cover test,
+  :func:`nefdual.nefpart._covers`): ``np.delta``.
+
+Each test reads the source's objects and not the assumption that the
+source passed its audit, so a tampered source takes the hull path. The
+dual is audited in full, its PL functions are cross-checked against the
+source's delta parts, and all six checks run as before. The involution
+check reuses the source as the double dual when the double dual's base
+and labeled parts equal the source's: validation is a deterministic
 function of the vertex list and the labeled parts, so the result would be
 equal to the source. See :func:`verify_involution`.
 """
@@ -39,14 +60,18 @@ from functools import reduce
 from typing import Mapping
 
 from .errors import InvariantViolation
+from .fan import support_polytope
 from .nefpart import (
     NefPartition,
     Rejection,
+    _assert_partition_invariants,
+    _covers,
+    _decide,
+    _delta_part,
     _pair_min,
     check_relations,
-    validate_partition,
 )
-from .polytope import Polytope, _is_minkowski_sum, hull, minkowski_sum
+from .polytope import Polytope, _is_minkowski_sum, hull, minkowski_sum, origin
 
 
 @dataclass(frozen=True)
@@ -84,11 +109,13 @@ class DualityResult:
 def nabla(np: NefPartition) -> Polytope:
     """Hull of the union of the nabla parts.
 
-    Built once per nef-partition; later calls return the same object. It
-    sits inside the polar of ``np.delta`` with no check here: a hull's
-    vertices are a subset of its input points, and every ``NefPartition``
-    comes from :func:`validate_partition`, whose audit has checked that
-    each vertex of each nabla part lies in that polar.
+    Built once per nef-partition; later calls return the same object. On a
+    dual made by :func:`dual_nef_partition` it is the source's base, kept
+    there when the cover test shows the hull would equal it. It sits inside
+    the polar of ``np.delta`` with no check here: a hull's vertices are a
+    subset of its input points, and every ``NefPartition`` has passed the
+    audit (:func:`nefdual.nefpart._assert_partition_invariants`), which
+    checks that each vertex of each nabla part lies in that polar.
     """
     if np._nabla is None:
         nb = hull([v for part in np.nabla_parts for v in part.vertices])
@@ -199,23 +226,44 @@ def dual_nef_partition(np: NefPartition) -> NefPartition:
 
     Part i of the dual collects the nonzero vertices of nabla part i; the
     origin, which can be a genuine vertex of a nabla part, carries no
-    indicator weight and is excluded. The resulting partition is validated
-    on nabla from scratch, and each dual PL function is cross-checked
-    against the pairing formula: psi_i at a vertex y equals the negated
-    minimum of <x, y> over delta part i, and every cone functional of
-    psi_i is the negative of a vertex of delta part i.
+    indicator weight and is excluded. The partition is decided on nabla and
+    its parts are taken from the source wherever that is exact (see the
+    module docstring): the dual's delta part i is ``np.nabla_parts[i]``,
+    its nabla part i is ``np.delta_parts[i]``, and its own nabla is
+    ``np.delta``; any other part is built by a hull. The result is audited
+    like every validated partition, and each dual PL function is
+    cross-checked against the pairing formula: psi_i at a vertex y equals
+    the negated minimum of <x, y> over delta part i, and every cone
+    functional of psi_i is the negative of a vertex of delta part i.
 
     :func:`run_full_duality` calls this once; :func:`verify_involution`
     calls it on the dual only when the double dual cannot be the source.
     """
     nb = nabla(np)
-    result = validate_partition(nb, _dual_parts(np, nb))
-    if isinstance(result, Rejection):
+    decided = _decide(nb, _dual_parts(np, nb))
+    if isinstance(decided, Rejection):
         raise InvariantViolation(
-            "dual partition failed validation", witness=str(result)
+            "dual partition failed validation", witness=str(decided)
         )
-    _check_psi(np, result)
-    return result
+    parts, fan, psis = decided
+    # The source's own object wherever the hull would return it.
+    zero = origin(nb.ambient_dim, nb.space)
+    dparts = tuple(
+        nabla_part if nabla_part.contains(zero) else _delta_part(nb, part)
+        for nabla_part, part in zip(np.nabla_parts, parts)
+    )
+    nparts = tuple(
+        delta_part
+        if {-u for u in psi.functionals} == set(delta_part.vertices)
+        else support_polytope(psi)
+        for delta_part, psi in zip(np.delta_parts, psis)
+    )
+    dual = NefPartition(nb, parts, fan, psis, dparts, nparts)
+    _assert_partition_invariants(dual)
+    _check_psi(np, dual)
+    if _covers(np.delta, nparts):
+        object.__setattr__(dual, "_nabla", np.delta)
+    return dual
 
 
 def verify_delta_parts_from_dual(
@@ -244,16 +292,18 @@ def verify_involution(np: NefPartition, dual: NefPartition | None = None) -> Che
     The base polytopes must agree exactly and the part families must agree
     as unlabeled families of vertex-index sets.
 
-    The double dual's base, ``nabla(dual)``, is built, and so are its
-    labeled parts. When the base equals ``np.delta`` and the labeled parts
-    equal ``np.parts``, the double dual is ``validate_partition`` on the same
-    vertex list and the same parts as ``np``; that function is
-    deterministic (a polytope's facets follow from its vertices) and it is
-    the only constructor of a ``NefPartition``, so its result would be
-    ``np`` itself, and ``np`` is reused instead of validated again. The
-    cross-checks of the double dual's PL functions against the delta parts
-    of ``dual`` still run on it. Otherwise the double dual is built by
-    :func:`dual_nef_partition` from scratch, and fails as it would.
+    The double dual's base, ``nabla(dual)``, is ``np.delta`` itself when
+    :func:`dual_nef_partition` kept it there, and a hull otherwise; its
+    labeled parts are read off that base. Every ``NefPartition`` is what
+    ``validate_partition`` gives on its base and labeled parts (the reuse
+    in :func:`dual_nef_partition` is exact), and validation is
+    deterministic (a polytope's facets follow from its vertices). So when
+    the base equals ``np.delta`` and the labeled parts equal ``np.parts``,
+    the double dual would be ``np`` itself, and ``np`` is reused instead of
+    validated again. The cross-checks of the double dual's PL functions
+    against the delta parts of ``dual`` still run on it. Otherwise the
+    double dual is built by :func:`dual_nef_partition`, and fails as it
+    would.
     """
     if dual is None:
         dual = dual_nef_partition(np)

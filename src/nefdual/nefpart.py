@@ -121,11 +121,30 @@ def validate_partition(delta: Polytope, parts: Iterable[Iterable[int]]):
     ``IndexError`` on out-of-range vertex indices and ``TypeError`` on an
     index that is not an integer (a ``float``, ``Fraction`` or ``str`` is
     not truncated or parsed into one).
+
+    Three steps: :func:`_decide`, :func:`_build` and
+    :func:`_assert_partition_invariants`.
+    """
+    decided = _decide(delta, parts)
+    if isinstance(decided, Rejection):
+        return decided
+    norm_parts, fan, phis = decided
+    np = NefPartition(delta, norm_parts, fan, phis, *_build(delta, norm_parts, phis))
+    _assert_partition_invariants(np)
+    return np
+
+
+def _decide(delta: Polytope, parts: Iterable[Iterable[int]]):
+    """The decision of :func:`validate_partition`, with its errors.
+
+    Returns the first :class:`Rejection`, or ``(parts, fan, phis)``: the
+    parts as a tuple of frozensets, the face fan of ``delta`` and the
+    integral convex PL extension of each part's indicator.
     """
     if not delta.is_reflexive():
         raise NotReflexive("nef-partitions are defined on reflexive polytopes")
     nverts = len(delta.vertices)
-    norm_parts = [frozenset(index(i) for i in part) for part in parts]
+    norm_parts = tuple(frozenset(index(i) for i in part) for part in parts)
     for part in norm_parts:
         for i in part:
             if i < 0 or i >= nverts:
@@ -164,15 +183,33 @@ def validate_partition(delta: Polytope, parts: Iterable[Iterable[int]]):
             vi, ci = f.first_convexity_violation()
             return Rejection(NOT_CONVEX, part=pi, vertex=vi, cone=ci)
         phis.append(f)
+    return norm_parts, fan, tuple(phis)
 
-    zero = origin(delta.ambient_dim, delta.space)
-    dparts = tuple(
-        hull([zero] + [delta.vertices[i] for i in sorted(part)]) for part in norm_parts
+
+def _build(delta: Polytope, parts, phis):
+    """The delta parts and the nabla parts, the support polytopes of the
+    ``phis``, each by a hull."""
+    return (
+        tuple(_delta_part(delta, part) for part in parts),
+        tuple(support_polytope(f) for f in phis),
     )
-    nparts = tuple(support_polytope(f) for f in phis)
-    np = NefPartition(delta, tuple(norm_parts), fan, tuple(phis), dparts, nparts)
-    _assert_partition_invariants(np)
-    return np
+
+
+def _delta_part(delta: Polytope, part) -> Polytope:
+    """conv(0, part): the hull of the origin and the part's vertices."""
+    zero = origin(delta.ambient_dim, delta.space)
+    return hull([zero] + [delta.vertices[i] for i in sorted(part)])
+
+
+def _covers(delta: Polytope, parts: Sequence[Polytope]) -> bool:
+    """Whether the hull of the vertices of ``parts`` is ``delta``.
+
+    It is exactly when the parts' nonzero vertices are delta's vertices and
+    0, which a part may add, lies in delta.
+    """
+    zero = origin(delta.ambient_dim, delta.space)
+    covered = {v for part_poly in parts for v in part_poly.vertices if not v.is_zero()}
+    return covered == set(delta.vertices) and delta.contains(zero)
 
 
 def _assert_partition_invariants(np: NefPartition) -> None:
@@ -216,11 +253,8 @@ def _assert_partition_invariants(np: NefPartition) -> None:
     if negated != {(v._num, v._den) for v in polar.vertices}:
         raise InvariantViolation("sum of the phi functions does not support the polar")
 
-    # hull(union of delta parts) == delta. Each part is the hull of 0 and
-    # some vertices of delta, and 0 lies in delta, so the union's hull is
-    # delta exactly when the parts' nonzero vertices are delta's vertices.
-    covered = {v for part_poly in np.delta_parts for v in part_poly.vertices if not v.is_zero()}
-    if covered != set(delta.vertices) or not delta.contains(zero):
+    # hull(union of delta parts) == delta
+    if not _covers(delta, np.delta_parts):
         raise InvariantViolation("hull of the delta parts is not the base polytope")
     for i, dp in enumerate(np.delta_parts):
         if not dp.contains(zero):

@@ -79,19 +79,19 @@ class Point:
     integer form: ``_den``, the LCM of the coordinates' denominators, and
     ``_num``, the ``int`` numerators over it, so ``coords[i] == _num[i] /
     _den``. Equal points have equal forms, and equality, hashing, order,
-    the pairing and polytope membership run on them. Immutable by
-    convention; arithmetic stays within one space, the pairing crosses
-    between the two.
+    the pairing and polytope membership run on them. A point made from its
+    form builds ``coords`` on first read. Immutable by convention;
+    arithmetic stays within one space, the pairing crosses between the two.
     """
 
-    __slots__ = ("coords", "space", "_num", "_den")
+    __slots__ = ("_coords", "space", "_num", "_den")
 
     def __init__(self, coords: Iterable, space: str = SPACE_M):
         if space not in (SPACE_M, SPACE_N):
             raise ValueError(f"unknown space tag {space!r}")
         coords = tuple(c if type(c) is Fraction else exact_rational(c) for c in coords)
         den = lcm(*[c.denominator for c in coords])
-        self.coords = coords
+        self._coords = coords
         self.space = space
         self._den = den
         if den == 1:
@@ -112,18 +112,27 @@ class Point:
                 den //= g
                 num = tuple([x // g for x in num])
         p = cls.__new__(cls)
-        if den == 1:
-            p.coords = tuple(map(Fraction, num))
-        else:
-            p.coords = tuple([Fraction(x, den) for x in num])
+        p._coords = None
         p.space = space
         p._num = num
         p._den = den
         return p
 
     @property
+    def coords(self) -> tuple[Fraction, ...]:
+        coords = self._coords
+        if coords is None:
+            den = self._den
+            if den == 1:
+                coords = tuple(map(Fraction, self._num))
+            else:
+                coords = tuple([Fraction(x, den) for x in self._num])
+            self._coords = coords
+        return coords
+
+    @property
     def dim(self) -> int:
-        return len(self.coords)
+        return len(self._num)
 
     def is_zero(self) -> bool:
         return not any(self._num)

@@ -11,9 +11,10 @@ comparisons) reads ``Point.coords`` and ``Point.space`` only, except that
 :func:`solve_linear` still hands ``Fraction`` rows to ``linalg.solve``, whose
 own reference is :func:`_solve`; and the library's former hull-based
 routes (:func:`beneath_beyond_planes`, :func:`_intersection_is_origin`,
-:func:`assert_partition_invariants`, :func:`verify_involution`), its former
-Bell-number enumeration (:func:`_set_partitions`,
-:func:`enumerate_nef_partitions`), solve-per-cone PL extension
+:func:`assert_partition_invariants`, :func:`dual_nef_partition`,
+:func:`verify_involution`), its former Bell-number enumeration
+(:func:`_set_partitions`, :func:`enumerate_nef_partitions`),
+solve-per-cone PL extension
 (:func:`pl_from_vertex_values`), hull set-up (:func:`simplex_planes`,
 :func:`rank_hull`), the ``Fraction`` relation and dual-PL checks
 (:func:`check_relations`, :func:`check_psi`) and, at the very end, the
@@ -33,7 +34,7 @@ from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Sequence
 
-from nefdual.duality import CheckResult, dual_nef_partition, nabla
+from nefdual.duality import CheckResult, _check_psi, _dual_parts, nabla
 from nefdual.errors import (
     DimensionMismatch,
     InvariantViolation,
@@ -52,7 +53,7 @@ from nefdual.linalg import (
     integer_nullspace,
     solve,
 )
-from nefdual.nefpart import NefPartition, RelationReport, validate_partition
+from nefdual.nefpart import NefPartition, Rejection, RelationReport, validate_partition
 from nefdual.polytope import (
     Facet,
     LinearEquality,
@@ -357,9 +358,12 @@ def point_le(self, other: "Point") -> bool:
 # new facet (the library now combines each new facet from two neighbours),
 # the partition audit that decides its two hull identities with hulls and
 # Δᵢ ∩ Δⱼ = {0} with one hull per pair of parts (the library now compares
-# vertex sets and tests each part's vertices), and the involution check
-# that always rebuilds the double dual (the library now reuses the source
-# when the double dual's base and labeled parts equal it). These call the
+# vertex sets and tests each part's vertices), the dual partition that is
+# validated on nabla from scratch, building every part by a hull (the
+# library now takes the dual's parts and its nabla from the source where
+# that is exact), and the involution check that always rebuilds the double
+# dual (the library now reuses the source when the double dual's base and
+# labeled parts equal it). These call the
 # library's other code; they are the reference for the routes that
 # replaced them. In :func:`_intersection_is_origin`, ``pair`` is this
 # file's Fraction version above, which gives the same values.
@@ -518,6 +522,30 @@ def assert_partition_invariants(np: NefPartition) -> None:
                 raise InvariantViolation(
                     f"nabla part {i} leaves the polar polytope", witness=v
                 )
+
+
+def dual_nef_partition(np: NefPartition) -> NefPartition:
+    """The mirror nef-partition on the nabla polytope.
+
+    Part i of the dual collects the nonzero vertices of nabla part i; the
+    origin, which can be a genuine vertex of a nabla part, carries no
+    indicator weight and is excluded. The resulting partition is validated
+    on nabla from scratch, and each dual PL function is cross-checked
+    against the pairing formula: psi_i at a vertex y equals the negated
+    minimum of <x, y> over delta part i, and every cone functional of
+    psi_i is the negative of a vertex of delta part i.
+
+    :func:`run_full_duality` calls this once; :func:`verify_involution`
+    calls it on the dual only when the double dual cannot be the source.
+    """
+    nb = nabla(np)
+    result = validate_partition(nb, _dual_parts(np, nb))
+    if isinstance(result, Rejection):
+        raise InvariantViolation(
+            "dual partition failed validation", witness=str(result)
+        )
+    _check_psi(np, result)
+    return result
 
 
 def verify_involution(np: NefPartition, dual: NefPartition | None = None) -> CheckResult:

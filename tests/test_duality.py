@@ -4,7 +4,9 @@ from dataclasses import replace
 from fractions import Fraction
 
 import oracles
+from test_nefpart import _audit_inputs
 
+from nefdual import duality
 from nefdual.duality import (
     dual_nef_partition,
     nabla,
@@ -346,18 +348,28 @@ def test_relabeled_dual_passes_on_both_involution_routes():
         assert check == oracles.verify_involution(np_, relabeled)
 
 
-def test_one_duality_builds_each_object_once(count_hulls):
-    """Hull calls in one run_full_duality on a validated partition: nabla,
-    the dual's delta and nabla parts, and the double dual's base. Every
-    polar is read off its source's incidence and both Minkowski identities
-    are decided by support functions, so neither builds a hull. A rebuild
-    of any side shows here."""
+def test_one_duality_builds_each_object_once(count_hulls, corpus):
+    """One run_full_duality on a validated partition makes one hull call:
+    nabla. The dual's delta and nabla parts are the source's nabla and delta
+    parts, and the double dual's base is the source's base. Every polar is
+    read off its source's incidence and both Minkowski identities are
+    decided by support functions, so neither builds a hull. A rebuild of
+    any side shows here, on the 5-simplex, the octahedron and every corpus
+    nef-partition at r = 2, 3."""
     simplex5 = hull(
         [P(*(1 if j == i else 0 for j in range(5))) for i in range(5)] + [P(-1, -1, -1, -1, -1)]
     )
     cubics = validate_partition(simplex5, [[0, 1, 2], [3, 4, 5]])
-    assert count_hulls(run_full_duality, cubics) == 6
-    assert count_hulls(run_full_duality, octa_three_part_partition()) == 8
+    assert count_hulls(run_full_duality, cubics) == 1
+    assert count_hulls(run_full_duality, octa_three_part_partition()) == 1
+    found = [
+        np_
+        for entry in corpus
+        if entry.reflexive
+        for r in (2, 3)
+        for np_ in enumerate_nef_partitions(entry.polytope, r)
+    ]
+    assert [count_hulls(run_full_duality, np_) for np_ in found] == [1] * 164
 
 
 def test_validating_an_accepted_partition_builds_only_its_parts(count_hulls):
@@ -369,3 +381,89 @@ def test_validating_an_accepted_partition_builds_only_its_parts(count_hulls):
         assert count_hulls(validate_partition, np_.delta, parts) == 2 * np_.r
         fresh = hull(list(np_.delta.vertices))
         assert count_hulls(validate_partition, fresh, parts) == 2 * np_.r
+
+
+# The dual built from the source against the former dual_nef_partition kept
+# in tests/oracles.py, which validates on nabla from scratch and builds every
+# part by a hull. Polytope.__eq__ compares vertices only, so the parts are
+# compared in full.
+
+
+def polytope_data(poly):
+    return (poly.space, poly.ambient_dim, poly.vertices, poly.affine_span, poly.facets)
+
+
+def duality_outcome(np_):
+    """What run_full_duality did: its six checks and the dual in full, or
+    the error it raised."""
+    got = outcome(run_full_duality, np_)
+    if got[0] == "raised":
+        return got
+    result = got[1]
+    dual = result.dual
+    polys = (dual.delta, nabla(dual), *dual.delta_parts, *dual.nabla_parts)
+    return (
+        tuple(result.checks.items()),
+        dual.parts,
+        [(f.vertex_values, f.functionals) for f in dual.phi],
+        [polytope_data(p) for p in polys],
+    )
+
+
+def both_routes(np_, monkeypatch):
+    """duality_outcome with the library's dual_nef_partition, then with the
+    former one."""
+    new = duality_outcome(np_)
+    with monkeypatch.context() as m:
+        m.setattr(duality, "dual_nef_partition", oracles.dual_nef_partition)
+        old = duality_outcome(np_)
+    return new, old
+
+
+def test_the_dual_from_the_source_matches_the_dual_validated_from_scratch(corpus, monkeypatch):
+    """Equal six CheckResults, parts, psi values and functionals, and every
+    polytope of the dual equal in vertices, facets and span."""
+    count = 0
+    for np_ in _audit_inputs(corpus):
+        new, old = both_routes(np_, monkeypatch)
+        assert new == old, np_
+        assert all(check.passed for _, check in new[0])
+        count += 1
+    # 175 corpus partitions, 15 + 15 on the 4-simplex, 1 on the 5-simplex, 127 on cross4
+    assert count == 333
+
+
+def doubled(poly):
+    return hull([v.scale(2) for v in poly.vertices])
+
+
+def without_origin(poly):
+    """The hull of the nonzero vertices of ``poly``."""
+    return hull([v for v in poly.vertices if not v.is_zero()])
+
+
+def test_tampered_sources_take_the_hull_path_and_match_the_former_dual(monkeypatch):
+    """Each reuse test refuses a source whose objects it cannot vouch for:
+    a delta part shrunk, grown out of delta or swapped for another; a base
+    that is not the union of the delta parts (so the parts' generator sets
+    still match psi); and a nabla part that misses the origin. The run then
+    gives the same checks, dual or raised error as the former route."""
+    missing_origin = 0
+    for source in SOURCES:
+        np_ = source()
+        tampered = [
+            with_part(np_, "delta_parts", 0, shrunk(np_.delta_parts[0])),
+            with_part(np_, "delta_parts", 0, doubled(np_.delta_parts[0])),
+            swapped(np_, "delta_parts"),
+            replace(np_, delta=doubled(np_.delta)),
+        ]
+        for i, part in enumerate(np_.nabla_parts):
+            if any(v.is_zero() for v in part.vertices):
+                # a vertex is not in the hull of the other vertices
+                tampered.append(with_part(np_, "nabla_parts", i, without_origin(part)))
+                missing_origin += 1
+        for bad in tampered:
+            new, old = both_routes(bad, monkeypatch)
+            assert new == old, source.__name__
+            assert new[0] == "raised" or not all(check.passed for _, check in new[0])
+    assert missing_origin > 0

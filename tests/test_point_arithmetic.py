@@ -111,6 +111,29 @@ def test_equality_order_and_hash_match_the_fraction_comparisons(ab):
     assert a != a.coords
 
 
+def from_form(p, k):
+    """``p`` made again by ``_from_form`` from its integer form times ``k``."""
+    return Point._from_form(tuple([k * x for x in p._num]), k * p._den, p.space)
+
+
+@settings(max_examples=300, deadline=None)
+@given(point_pairs(), st.integers(1, 6))
+def test_points_made_from_a_form_agree_with_points_made_from_coordinates(ab, k):
+    """A point made by ``_from_form`` builds its coordinates on first read.
+    It orders, compares, hashes and prints like the ``Point`` built from the
+    same coordinates, whether or not they have been read."""
+    a, b = ab
+    la, lb = from_form(a, k), from_form(b, k)
+    assert outcome(lambda: la < lb) == outcome(lambda: a < b)
+    assert outcome(lambda: la <= lb) == outcome(lambda: a <= b)
+    assert outcome(lambda: lb < la) == outcome(lambda: b < a)
+    assert (la == lb, la == b, a == lb) == (a == b,) * 3
+    for lazy, p in ((la, a), (lb, b)):
+        assert lazy == p and hash(lazy) == hash(p) and lazy.dim == p.dim
+        assert repr(lazy) == repr(p)
+        assert_canonical(lazy)
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     st.integers(1, 5).flatmap(
