@@ -43,7 +43,27 @@ so equal hulls are equal objects:
   :func:`nefdual.nefpart._covers`): ``np.delta``.
 
 Each test reads the source's objects and not the assumption that the
-source passed its audit, so a tampered source takes the hull path. The
+source passed its audit, so a tampered source takes the hull path.
+
+The dual's PL functions are read off ∇* = Δ_1 + … + Δ_r, with no
+elimination on ∇'s fan (:func:`_read_off`). ∇ is reflexive, so the cone
+over a facet F of ∇ with normal w is the normal cone of ∇* at its vertex
+w: every y in the cone pairs least with w over ∇*. ℓ_F, the sum of F's
+vertices, lies inside that cone, so w is the unique minimiser of
+<·, ℓ_F> over ∇*. A linear function is least on a Minkowski sum exactly
+at sums of points where it is least on each summand, so the minimiser
+w_j of <·, ℓ_F> over Δ_j is unique too, w = w_1 + … + w_r, and every y
+in the cone pairs least with w_j over Δ_j: ψ_j(y) = -min <Δ_j, y> is
+<y, -w_j> on the whole cone. This rests on ∇* = Δ_1 + … + Δ_r, one of the
+identities under test, so -w_j is only a candidate. It is taken when
+<y, -w_j> equals ψ_j's indicator value at every vertex y of F; F's
+vertices span the space, so it is then the unique solution of the cone's
+system, the very ``Point`` a kernel would give, and it goes into the
+fan's memo. A cone where the minimiser is not unique or a pairing misses
+is left to the kernel, as before, so a tampered source gives the same
+``Rejection``, error or ``CheckResult``. On a cone read off, the
+functional test of :func:`_check_psi` (-u is a vertex of Δ_j) holds by
+construction, so it runs on the other cones only. The
 dual is audited in full, its PL functions are cross-checked against the
 source's delta parts, and all six checks run as before. The involution
 check reuses the source as the double dual when the double dual's base
@@ -60,7 +80,7 @@ from functools import reduce
 from typing import Mapping
 
 from .errors import InvariantViolation
-from .fan import support_polytope
+from .fan import face_fan, support_polytope
 from .nefpart import (
     NefPartition,
     Rejection,
@@ -71,7 +91,16 @@ from .nefpart import (
     _pair_min,
     check_relations,
 )
-from .polytope import Polytope, _is_minkowski_sum, hull, minkowski_sum, origin
+from .polytope import (
+    Point,
+    Polytope,
+    _dot,
+    _is_minkowski_sum,
+    dual_space,
+    hull,
+    minkowski_sum,
+    origin,
+)
 
 
 @dataclass(frozen=True)
@@ -196,12 +225,62 @@ def _dual_parts(np: NefPartition, nb: Polytope) -> tuple[frozenset[int], ...]:
     return tuple(parts)
 
 
-def _check_psi(np: NefPartition, dual: NefPartition) -> None:
+def _read_off(np: NefPartition, nb: Polytope, parts) -> list[list[int]]:
+    """Put each psi_j cone functional that reads off Δ_j into the memo of
+    ``face_fan(nb)``; return, per part, the cones left to the kernel.
+
+    On cone F, with ℓ_F the sum of F's vertices, w_j is the unique minimiser
+    of <·, ℓ_F> over the vertices of ``np.delta_parts[j]``, and -w_j is kept
+    when <y, -w_j> is psi_j's indicator value at every vertex y of F (see the
+    module docstring). ``nb`` is reflexive, so its vertices are lattice
+    points and the pairings are ``int`` dot products with w_j's form. A tie,
+    a missed pairing or a part of another dimension leaves the cone to the
+    kernel.
+    """
+    fan = face_fan(nb)
+    verts = [v._num for v in nb.vertices]
+    space = dual_space(nb.space)
+    left = []
+    for part, dp in zip(parts, np.delta_parts):
+        # <x, y> * x._den for each vertex x of the part and y of nabla;
+        # <x, ℓ_F> * x._den is the sum of a row over F's vertices.
+        rows = [
+            (x._num, x._den, [_dot(x._num, y) for y in verts])
+            for x in (dp.vertices if dp.ambient_dim == nb.ambient_dim else ())
+        ]
+        missed = []
+        for cone in fan.cones:
+            vids = cone.vertex_indices
+            best = None
+            for num, den, row in rows:
+                n = sum([row[i] for i in vids])
+                if best is None or n * best_den < best_n * den:
+                    best, best_n, best_den, best_row, tie = num, n, den, row, False
+                elif n * best_den == best_n * den:
+                    tie = True
+            values = tuple([int(i in part) for i in vids])
+            if best is not None and not tie and all(
+                best_row[i] == -v * best_den for i, v in zip(vids, values)
+            ):
+                fan._solves[(cone.index, values)] = Point._from_form(
+                    tuple([-a for a in best]), best_den, space
+                )
+            else:
+                missed.append(cone.index)
+        left.append(missed)
+    return left
+
+
+def _check_psi(np: NefPartition, dual: NefPartition, left=None) -> None:
     """Cross-check each PL function of ``dual`` against the delta parts of
     ``np``: psi_i at a vertex y equals the negated minimum of <x, y> over
     delta part i, and every cone functional of psi_i is the negative of a
     vertex of delta part i. The minimum is found and compared on ``int``
-    (:func:`nefdual.nefpart._pair_min`)."""
+    (:func:`nefdual.nefpart._pair_min`).
+
+    The functional test holds by construction on a cone that
+    :func:`_read_off` read off, so with its result ``left`` only the cones
+    in ``left[i]`` are tested; with ``None``, every cone is."""
     for i, psi in enumerate(dual.phi):
         delta_part_verts = np.delta_parts[i].vertices
         for vi, y in enumerate(dual.delta.vertices):
@@ -213,7 +292,8 @@ def _check_psi(np: NefPartition, dual: NefPartition) -> None:
                     witness=(i, y, value, -Fraction(n, d)),
                 )
         vert_forms = {(x._num, x._den) for x in delta_part_verts}
-        for u in psi.functionals:
+        for ci in range(len(psi.functionals)) if left is None else left[i]:
+            u = psi.functionals[ci]
             if (tuple([-a for a in u._num]), u._den) not in vert_forms:
                 raise InvariantViolation(
                     "dual cone functional is not the negative of a delta part vertex",
@@ -230,17 +310,22 @@ def dual_nef_partition(np: NefPartition) -> NefPartition:
     its parts are taken from the source wherever that is exact (see the
     module docstring): the dual's delta part i is ``np.nabla_parts[i]``,
     its nabla part i is ``np.delta_parts[i]``, and its own nabla is
-    ``np.delta``; any other part is built by a hull. The result is audited
-    like every validated partition, and each dual PL function is
-    cross-checked against the pairing formula: psi_i at a vertex y equals
+    ``np.delta``; any other part is built by a hull. The dual's cone
+    functionals are read off the delta parts (:func:`_read_off`), and only
+    a cone where that fails gets a kernel. The result is audited like every
+    validated partition, and each dual PL function is cross-checked against
+    the pairing formula (:func:`_check_psi`): psi_i at a vertex y equals
     the negated minimum of <x, y> over delta part i, and every cone
-    functional of psi_i is the negative of a vertex of delta part i.
+    functional of psi_i is the negative of a vertex of delta part i, which
+    a cone read off satisfies by construction.
 
     :func:`run_full_duality` calls this once; :func:`verify_involution`
     calls it on the dual only when the double dual cannot be the source.
     """
     nb = nabla(np)
-    decided = _decide(nb, _dual_parts(np, nb))
+    parts = _dual_parts(np, nb)
+    left = _read_off(np, nb, parts) if nb.is_reflexive() else None
+    decided = _decide(nb, parts)
     if isinstance(decided, Rejection):
         raise InvariantViolation(
             "dual partition failed validation", witness=str(decided)
@@ -260,7 +345,7 @@ def dual_nef_partition(np: NefPartition) -> NefPartition:
     )
     dual = NefPartition(nb, parts, fan, psis, dparts, nparts)
     _assert_partition_invariants(dual)
-    _check_psi(np, dual)
+    _check_psi(np, dual, left)
     if _covers(np.delta, nparts):
         object.__setattr__(dual, "_nabla", np.delta)
     return dual

@@ -5,17 +5,20 @@ maximal cone per facet: the cone over that facet. A piecewise-linear
 function on the fan is stored as one linear functional per maximal cone,
 determined exactly by prescribed vertex values.
 
-Nothing here solves a linear system. Each maximal cone gets an integer
-kernel on first use: d linearly independent vertices of its facet, the
-integer matrix ``R = D * B^-1`` of that basis B with its denominator
-``D``, from one fraction-free elimination of ``[B | I]``, and, on a
-non-simplicial facet, the integer coordinates of every other vertex
-against the basis. A cone's functional is then ``R`` times the scaled
-values over ``D``, and the values admit one exactly when every other
-vertex's coordinates reproduce its own value (see
-:meth:`FaceFan.cone_functional`). The convexity scan compares ``int`` dot
-products of the points' integer forms, cross-multiplied by their
-denominators. ``Fraction`` and ``Point`` appear only in the public values:
+Nothing here solves a linear system. A maximal cone gets an integer
+kernel when a functional is first asked of it: d linearly independent
+vertices of its facet, the integer matrix ``R = D * B^-1`` of that basis B
+with its denominator ``D``, and, on a non-simplicial facet, the integer
+coordinates of every other vertex against the basis, all from one
+fraction-free elimination of the facet's vertices with the rows tracked.
+A cone's functional is then ``R`` times the scaled values over ``D``, and
+the values admit one exactly when every other vertex's coordinates
+reproduce its own value (see :meth:`FaceFan.cone_functional`). The cones
+of a nabla's fan mostly get none: :mod:`nefdual.duality` reads the dual's
+functionals there off the delta parts, checks each against its cone's
+values, and puts it into the fan's memo. The convexity scan compares
+``int`` dot products of the points' integer forms, cross-multiplied by
+their denominators. ``Fraction`` and ``Point`` appear only in the public values:
 vertex values and functionals.
 """
 
@@ -53,31 +56,31 @@ class _ConeKernel:
 
     ``basis`` lists the positions (in the cone's ``vertex_indices``) of d
     linearly independent facet vertices, whose integer forms are the rows
-    of B. One elimination of ``[B | I]`` gives ``adj = D * B^-1`` and
-    ``det = D > 0``. ``rest`` pairs each remaining position with ``mu``,
-    that vertex's ``_num`` times ``adj`` (its coordinates against the basis,
-    times ``D``). ``dens`` holds the vertices' denominators, and ``lattice``
-    says they are all 1. On a simplicial facet the d vertices are the basis
-    and nothing is searched: d affinely independent points on a hyperplane
-    that misses the origin are linearly independent.
+    of B. ``adj = D * B^-1`` and ``det = D > 0``. ``rest`` pairs each
+    remaining position with ``mu``, that vertex's ``_num`` times ``adj`` (its
+    coordinates against the basis, times ``D``). ``dens`` holds the
+    vertices' denominators, and ``lattice`` says they are all 1.
+
+    All of it comes from one elimination of ``[R | I]``, with R the integer
+    forms of all m facet vertices as rows and I tracking the rows. Rows only
+    ever take multiples of pivot rows, so the d pivot rows are built from
+    the rows picked as pivots, the basis: their tags hold ``D * B^-1`` on
+    the basis positions and 0 elsewhere. Each other row, zero on R's columns,
+    is ``D`` times its own row less ``mu`` times the basis rows: its tag is
+    ``D`` at its own position and ``-mu`` on the basis. On a simplicial
+    facet m = d and this is the elimination of ``[B | I]``.
     """
 
     __slots__ = ("basis", "adj", "det", "rest", "dens", "lattice", "space")
 
     def __init__(self, base: Polytope, cone: Cone):
         verts = base.vertices
-        rows = [verts[i]._num for i in cone.vertex_indices]
+        m = len(cone.vertex_indices)
         d = base.ambient_dim
-        if len(rows) == d:
-            basis = list(range(d))
-        else:
-            basis = []
-            for pos, row in enumerate(rows):
-                if len(eliminate([rows[p] for p in basis] + [row], d)[0]) > len(basis):
-                    basis.append(pos)
-                    if len(basis) == d:
-                        break
-        mat = [list(rows[p]) + [int(i == j) for j in range(d)] for i, p in enumerate(basis)]
+        mat = [
+            list(verts[i]._num) + [int(pos == j) for j in range(m)]
+            for pos, i in enumerate(cone.vertex_indices)
+        ]
         pivots, det = eliminate(mat, d)
         if len(pivots) < d:
             raise InvariantViolation(
@@ -86,14 +89,15 @@ class _ConeKernel:
         if det < 0:
             det = -det
             mat = [[-x for x in row] for row in mat]
-        self.adj = tuple([tuple(row[d:]) for row in mat])
+        tags = [row[d:] for row in mat]
+        basis = [pos for pos in range(m) if any(tag[pos] for tag in tags[:d])]
+        self.adj = tuple([tuple([tag[pos] for pos in basis]) for tag in tags[:d]])
         self.det = det
         self.basis = tuple(basis)
-        cols = list(zip(*self.adj))
+        others = [pos for pos in range(m) if pos not in basis]
         self.rest = tuple(
-            (pos, tuple([_dot(row, col) for col in cols]))
-            for pos, row in enumerate(rows)
-            if pos not in basis
+            (next(pos for pos in others if tag[pos]), tuple([-tag[pos] for pos in basis]))
+            for tag in tags[d:]
         )
         self.dens = tuple([verts[i]._den for i in cone.vertex_indices])
         self.lattice = all(den == 1 for den in self.dens)
@@ -103,15 +107,18 @@ class _ConeKernel:
 class FaceFan:
     """Complete fan whose maximal cones are cones over the facets of ``base``.
 
-    Each maximal cone gets an integer kernel (:class:`_ConeKernel`) the
-    first time a functional is asked of it, kept in ``_kernels``; a cone
-    nobody asks about never gets one. The fan also memoizes its per-cone
-    functionals: ``_solves`` maps a cone index and the values on that cone's
-    vertices (in ``vertex_indices`` order) to the functional taking them,
-    or to ``Inconsistent``. Every PL function on the fan, and the pruned
-    enumeration in ``nefpart``, reads its functionals through
-    :meth:`cone_functional`, so a pattern of values on one cone is computed
-    once per fan however many partitions share it.
+    The fan memoizes its per-cone functionals: ``_solves`` maps a cone
+    index and the values on that cone's vertices (in ``vertex_indices``
+    order) to the functional taking them, or to ``Inconsistent``. Every PL
+    function on the fan, and the pruned enumeration in ``nefpart``, reads
+    its functionals through :meth:`cone_functional`, so a pattern of values
+    on one cone is computed once per fan however many partitions share it.
+    A memo miss builds the cone's integer kernel (:class:`_ConeKernel`),
+    kept in ``_kernels``, and a cone whose every pattern is found in the
+    memo never gets one. On a nabla's fan that is most cones:
+    :func:`nefdual.duality.dual_nef_partition` puts the dual's functionals
+    into the memo, read off the delta parts and checked against the cone's
+    values, before it decides the dual.
     """
 
     __slots__ = ("base", "cones", "_solves", "_kernels")

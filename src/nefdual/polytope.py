@@ -19,10 +19,11 @@ denominator ``_den``), and equality, hashing, order, :func:`pair`,
 :meth:`Polytope.contains` and the rows :func:`solve_linear` hands to
 :func:`nefdual.linalg.solve` are computed from it. Inside :func:`hull` the
 points are scaled to ``int`` coordinates by their common denominator, and
-the hull is computed on ``int`` tuples: the integer elimination of
-:mod:`nefdual.linalg` finds the affine span and the initial simplex's
-facets, every later facet is an integer combination of two existing ones,
-and vertices are read off per-facet incidence bitmasks. Normals are
+the hull is computed on ``int`` tuples: one integer elimination of
+:mod:`nefdual.linalg` finds the affine span and an initial simplex, one
+more that simplex's facets, every later facet is an integer combination
+of two existing ones, and vertices are read off per-facet incidence
+bitmasks. Normals are
 primitive integer vectors, and only the offsets are divided back.
 
 Two results are exact without a hull. :meth:`Polytope.polar_dual` reads the
@@ -57,7 +58,7 @@ from .errors import (
     NotFullDimensional,
     ZeroNotInterior,
 )
-from .linalg import SolveFailure, eliminate, exact_rational, integer_nullspace, solve
+from .linalg import SolveFailure, eliminate, exact_rational, solve
 
 SPACE_M = "M"
 SPACE_N = "N"
@@ -495,13 +496,15 @@ def _plane_across(p, ridge_plus_p: frozenset, visible, hidden, interior, weight:
     return (tuple([x // g for x in nv]), c // g, ridge_plus_p)
 
 
-def _beneath_beyond_planes(pts, k: int, eq_rows):
-    """Facet planes of the hull of distinct integer points spanning k dimensions.
+def _beneath_beyond_planes(pts, simplex, eq_rows):
+    """Facet planes of the hull of distinct integer points.
 
-    Incremental insertion with simplicial facets; coplanar pieces of one
-    geometric facet are merged by the caller. Returns (normal, c) pairs with
-    the hull satisfying ``<x, normal> >= c``; each normal lies in the
-    direction space of the points, the orthogonal complement of ``eq_rows``.
+    ``simplex`` indexes k+1 affinely independent points of ``pts``, where k
+    is the dimension of their hull. Incremental insertion with simplicial
+    facets; coplanar pieces of one geometric facet are merged by the caller.
+    Returns (normal, c) pairs with the hull satisfying ``<x, normal> >= c``;
+    each normal lies in the direction space of the points, the orthogonal
+    complement of ``eq_rows``.
 
     Only the facets of the initial simplex are solved for, all from one
     elimination (:func:`_simplex_planes`). Every ridge of the simplicial
@@ -511,18 +514,7 @@ def _beneath_beyond_planes(pts, k: int, eq_rows):
     """
     n = len(pts)
     d = len(pts[0])
-    simplex = [0]
-    dirs: list[list[int]] = []
-    for i in range(1, n):
-        v = [a - b for a, b in zip(pts[i], pts[0])]
-        if len(eliminate(dirs + [v], d)[0]) > len(dirs):
-            dirs.append(v)
-            simplex.append(i)
-            if len(simplex) == k + 1:
-                break
-    if len(simplex) != k + 1:
-        raise InvariantViolation("points do not span the expected dimension")
-    weight = k + 1
+    weight = len(simplex)
     interior = tuple(sum(pts[i][j] for i in simplex) for j in range(d))
     facets: dict[int, tuple] = {}
     ridges: dict[frozenset, list[int]] = {}
@@ -569,6 +561,30 @@ def _beneath_beyond_planes(pts, k: int, eq_rows):
     return [(nv, c) for nv, c, _ in facets.values()]
 
 
+def _span_basis(rows, d: int) -> list[tuple[int, ...]]:
+    """The canonical basis of the row space of ``rows``, an ``int`` basis
+    of the normals of an affine span: the vectors ``integer_nullspace``
+    gives for the span's differences, sorted.
+
+    ``integer_nullspace`` gives one primitive vector per free column f of
+    the differences, positive at f and 0 at the other free columns. The
+    free columns are a basis of the dual matroid, the column matroid of
+    ``rows``, and the complement of the first basis in column order, so they
+    are the last basis in column order: the pivot columns of ``rows`` with
+    its columns reversed. Reduced that way, each row is 0 at the other free
+    columns, and made primitive and positive at its own it is that vector.
+    """
+    rev = [row[::-1] for row in rows]
+    pivots, _ = eliminate(rev, d)
+    basis = []
+    for row, c in zip(rev, pivots):
+        g = gcd(*row)
+        if row[c] < 0:
+            g = -g
+        basis.append(tuple([x // g for x in reversed(row)]))
+    return sorted(basis)
+
+
 def hull(points: Iterable[Point]) -> Polytope:
     """Convex hull with irredundant canonical vertex and facet data.
 
@@ -582,9 +598,10 @@ def hull(points: Iterable[Point]) -> Polytope:
     coordinates, and everything up to the returned ``Facet`` offsets and
     equality values (which are divided by ``L``) runs on ``int`` tuples.
 
-    One integer nullspace gives the affine span. Beneath-beyond starts from
-    a simplex of the points whose k+1 facets all come from one elimination
-    of the square matrix of its edge directions over the equality normals
+    One elimination of the point differences, with the rows tracked, gives
+    the affine span and an initial simplex. Beneath-beyond starts from that
+    simplex, whose k+1 facets all come from one elimination of the square
+    matrix of its edge directions over the equality normals
     (:func:`_simplex_planes`). Each input point's incidences are then one
     bitmask per facet, and a point is a vertex iff it is the only input
     point on every facet through it: the AND of those facets' bitmasks is
@@ -606,13 +623,24 @@ def hull(points: Iterable[Point]) -> Polytope:
     ]
     x0 = ipts[0]
 
-    eq_vecs = sorted(integer_nullspace([[a - b for a, b in zip(x, x0)] for x in ipts[1:]], d))
+    # One elimination of [B | I], B with the differences x - x0 as columns.
+    # Its pivot columns are the first differences independent of the ones
+    # before them: an initial simplex. Its zero rows tag vectors orthogonal
+    # to every difference, the normals of the affine span.
+    n = len(ipts)
+    mat = [
+        [x[j] - x0[j] for x in ipts[1:]] + [int(i == j) for i in range(d)]
+        for j in range(d)
+    ]
+    pivots, _ = eliminate(mat, n - 1)
+    k = len(pivots)
+    simplex = [0] + [c + 1 for c in pivots]
+    eq_vecs = _span_basis([row[n - 1:] for row in mat[k:]], d)
     target = dual_space(space)
     equalities = tuple(
         LinearEquality(Point._from_form(v, 1, target), Fraction(_dot(v, x0), scale))
         for v in eq_vecs
     )
-    k = d - len(eq_vecs)
 
     if k == 0:
         return Polytope(d, space, (uniq[0],), equalities, ())
@@ -621,7 +649,7 @@ def hull(points: Iterable[Point]) -> Polytope:
     # integer point x of the plane. A facet is kept as (normal, e) with
     # <x, normal> >= -e, where e / L is its offset.
     planes = set()
-    for nv, c in _beneath_beyond_planes(ipts, k, [list(v) + [0] for v in eq_vecs]):
+    for nv, c in _beneath_beyond_planes(ipts, simplex, [list(v) + [0] for v in eq_vecs]):
         g = gcd(*nv)
         planes.add((tuple(x // g for x in nv), -c // g))
     planes = sorted(planes)

@@ -16,12 +16,14 @@ routes (:func:`beneath_beyond_planes`, :func:`_intersection_is_origin`,
 (:func:`_set_partitions`, :func:`enumerate_nef_partitions`),
 solve-per-cone PL extension
 (:func:`pl_from_vertex_values`), hull set-up (:func:`simplex_planes`,
-:func:`rank_hull`), the ``Fraction`` relation and dual-PL checks
+:func:`rank_hull`, :func:`search_hull`), the ``Fraction`` relation and dual-PL checks
 (:func:`check_relations`, :func:`check_psi`) and, at the very end, the
 polar as a hull (:func:`polar_dual`) and the Minkowski-sum checks by the
 hull of the sum (:func:`verify_polar_is_nabla_sum`,
-:func:`verify_nabla_polar_is_delta_sum`), which call the rest of the
-library and serve as the reference for the routes that replaced them.
+:func:`verify_nabla_polar_is_delta_sum`) and the dual decided with a
+kernel on every cone of nabla's fan (:func:`kernel_dual_nef_partition`),
+which call the rest of the library and serve as the reference for the
+routes that replaced them.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from fractions import Fraction
 from functools import reduce
 from itertools import combinations
 from math import gcd, lcm
-from operator import mul
+from operator import and_, mul
 from typing import Iterable, Sequence
 
 from nefdual.duality import CheckResult, _check_psi, _dual_parts, nabla
@@ -53,13 +55,22 @@ from nefdual.linalg import (
     integer_nullspace,
     solve,
 )
-from nefdual.nefpart import NefPartition, Rejection, RelationReport, validate_partition
+from nefdual import polytope
+from nefdual.nefpart import (
+    NefPartition,
+    Rejection,
+    RelationReport,
+    _assert_partition_invariants,
+    _covers,
+    _decide,
+    _delta_part,
+    validate_partition,
+)
 from nefdual.polytope import (
     Facet,
     LinearEquality,
     Point,
     Polytope,
-    _beneath_beyond_planes,
     _dot,
     dual_space,
     hull,
@@ -390,14 +401,17 @@ def _plane_through(pts, verts: frozenset, eq_rows, interior, weight: int):
     return (tuple(nv), c, frozenset(verts))
 
 
-def beneath_beyond_planes(pts, k: int, eq_rows):
+def beneath_beyond_planes(pts, simplex, eq_rows):
     """Facet planes of the hull of distinct integer points spanning k dimensions.
 
     Incremental insertion with simplicial facets; coplanar pieces of one
     geometric facet are merged by the caller. Returns (normal, c) pairs with
     the hull satisfying ``<x, normal> >= c``; each normal lies in the
     direction space of the points, the orthogonal complement of ``eq_rows``.
+    Only the size k + 1 of the caller's ``simplex`` is read: the initial
+    simplex is searched for here.
     """
+    k = len(simplex) - 1
     n = len(pts)
     d = len(pts[0])
     simplex = [0]
@@ -661,14 +675,192 @@ def pl_from_vertex_values(fan: FaceFan, values: Sequence) -> PLFunction:
     return PLFunction(fan, vals, tuple(functionals))
 
 
+# The former hull of the library, verbatim apart from the names: one
+# integer nullspace of the point differences for the affine span, then the
+# initial simplex searched by one elimination per tried point (the library
+# now gets both from one elimination of the differences with the rows
+# tracked). The library's simplex planes and horizon planes are read off
+# ``nefdual.polytope`` when called, so a test may replace them there.
+
+
+def search_beneath_beyond_planes(pts, k: int, eq_rows):
+    """Facet planes of the hull of distinct integer points spanning k dimensions.
+
+    Incremental insertion with simplicial facets; coplanar pieces of one
+    geometric facet are merged by the caller. Returns (normal, c) pairs with
+    the hull satisfying ``<x, normal> >= c``; each normal lies in the
+    direction space of the points, the orthogonal complement of ``eq_rows``.
+
+    Only the facets of the initial simplex are solved for, all from one
+    elimination (:func:`_simplex_planes`). Every ridge of the simplicial
+    boundary lies in exactly two facets, kept in a ridge -> facets map, and
+    each facet added through a horizon ridge is combined from the two facets
+    that met there (:func:`_plane_across`), in O(d) integer operations.
+    """
+    n = len(pts)
+    d = len(pts[0])
+    simplex = [0]
+    dirs: list[list[int]] = []
+    for i in range(1, n):
+        v = [a - b for a, b in zip(pts[i], pts[0])]
+        if len(eliminate(dirs + [v], d)[0]) > len(dirs):
+            dirs.append(v)
+            simplex.append(i)
+            if len(simplex) == k + 1:
+                break
+    if len(simplex) != k + 1:
+        raise InvariantViolation("points do not span the expected dimension")
+    weight = k + 1
+    interior = tuple(sum(pts[i][j] for i in simplex) for j in range(d))
+    facets: dict[int, tuple] = {}
+    ridges: dict[frozenset, list[int]] = {}
+    ids = itertools.count()
+
+    def add(facet):
+        fid = next(ids)
+        facets[fid] = facet
+        verts = facet[2]
+        for excl in verts:
+            ridges.setdefault(verts - {excl}, []).append(fid)
+
+    for facet in polytope._simplex_planes(pts, simplex, eq_rows, interior, weight):
+        add(facet)
+    in_simplex = set(simplex)
+    for i in range(n):
+        if i in in_simplex:
+            continue
+        p = pts[i]
+        visible = {fid for fid, (nv, c, _) in facets.items() if _dot(p, nv) < c}
+        if not visible:
+            continue
+        new_facets = []
+        for fid in visible:
+            verts = facets[fid][2]
+            for excl in verts:
+                ridge = verts - {excl}
+                a, b = ridges[ridge]
+                other = b if a == fid else a
+                if other not in visible:
+                    new_facets.append(
+                        polytope._plane_across(
+                            p, ridge | {i}, facets[fid], facets[other], interior, weight
+                        )
+                    )
+        for fid in visible:
+            verts = facets.pop(fid)[2]
+            for excl in verts:
+                ridge = verts - {excl}
+                holders = ridges[ridge]
+                holders.remove(fid)
+                if not holders:
+                    del ridges[ridge]
+        for facet in new_facets:
+            add(facet)
+    return [(nv, c) for nv, c, _ in facets.values()]
+
+
+def search_hull(points: Iterable[Point]) -> Polytope:
+    """Convex hull with irredundant canonical vertex and facet data.
+
+    Accepts any finite nonempty collection of points of one space; duplicates
+    and non-extreme points are dropped. Lower-dimensional input is fine: the
+    affine span becomes equality constraints and the facet system lives
+    within the span, with normals canonicalized along the span's direction
+    space.
+
+    The points are scaled once by the common denominator ``L`` of their
+    coordinates, and everything up to the returned ``Facet`` offsets and
+    equality values (which are divided by ``L``) runs on ``int`` tuples.
+
+    One integer nullspace gives the affine span. Beneath-beyond starts from
+    a simplex of the points whose k+1 facets all come from one elimination
+    of the square matrix of its edge directions over the equality normals
+    (:func:`_simplex_planes`). Each input point's incidences are then one
+    bitmask per facet, and a point is a vertex iff it is the only input
+    point on every facet through it: the AND of those facets' bitmasks is
+    its own bit alone. No elimination is spent on the vertex test.
+    """
+    pts = list(points)
+    if not pts:
+        raise ValueError("hull needs at least one point")
+    space = pts[0].space
+    d = pts[0].dim
+    for p in pts[1:]:
+        if p.space != space or p.dim != d:
+            raise DimensionMismatch("hull input points disagree on space or dimension")
+    uniq = sorted(set(pts))
+    scale = lcm(*[q._den for q in uniq])
+    ipts = [
+        q._num if q._den == scale else tuple(x * (scale // q._den) for x in q._num)
+        for q in uniq
+    ]
+    x0 = ipts[0]
+
+    eq_vecs = sorted(integer_nullspace([[a - b for a, b in zip(x, x0)] for x in ipts[1:]], d))
+    target = dual_space(space)
+    equalities = tuple(
+        LinearEquality(Point._from_form(v, 1, target), Fraction(_dot(v, x0), scale))
+        for v in eq_vecs
+    )
+    k = d - len(eq_vecs)
+
+    if k == 0:
+        return Polytope(d, space, (uniq[0],), equalities, ())
+
+    # Merge the coplanar pieces; g divides c as well, since c = <x, nv> at an
+    # integer point x of the plane. A facet is kept as (normal, e) with
+    # <x, normal> >= -e, where e / L is its offset.
+    planes = set()
+    for nv, c in search_beneath_beyond_planes(ipts, k, [list(v) + [0] for v in eq_vecs]):
+        g = gcd(*nv)
+        planes.add((tuple(x // g for x in nv), -c // g))
+    planes = sorted(planes)
+
+    # Bit i of masks[j] says that input point i lies on facet j. A point is
+    # a vertex iff it is the only input point on every facet through it:
+    # those facets meet in the smallest face holding the point, and a face
+    # of dimension >= 1 is the hull of the (at least two) input points on it.
+    masks = [0] * len(planes)
+    through: list[list[int]] = []
+    for i, (q, x) in enumerate(zip(uniq, ipts)):
+        on = []
+        for j, (nv, e) in enumerate(planes):
+            val = _dot(x, nv)
+            if val == -e:
+                masks[j] |= 1 << i
+                on.append(j)
+            elif val < -e:
+                # Fail fast on any algorithmic slip: every input point satisfies every facet.
+                raise InvariantViolation(
+                    "hull facet violated by an input point",
+                    witness=(q, nv, Fraction(e, scale)),
+                )
+        through.append(on)
+    full = (1 << len(ipts)) - 1
+    vertex_ids = [
+        i for i, on in enumerate(through)
+        if reduce(and_, [masks[j] for j in on], full) == 1 << i
+    ]
+
+    facets = tuple(
+        Facet(
+            Point._from_form(nv, 1, target),
+            Fraction(e, scale),
+            tuple(pos for pos, i in enumerate(vertex_ids) if masks[j] >> i & 1),
+        )
+        for j, (nv, e) in enumerate(planes)
+    )
+    return Polytope(d, space, tuple([uniq[i] for i in vertex_ids]), equalities, facets)
+
+
 # The former set-up of the library's hull, verbatim apart from the names:
 # each facet of the initial simplex from its own integer nullspace
 # (:func:`_plane_through` above; the library now gets all k+1 from one
 # elimination), and the hull that decides each input point's vertexhood by
 # the rank of the normals of the facets through it (the library now ANDs
-# per-facet incidence bitmasks). :func:`rank_hull` calls the library's
-# beneath-beyond insertion, which makes the initial simplex's facets with
-# ``nefdual.polytope._simplex_planes``; replacing that by
+# per-facet incidence bitmasks). :func:`rank_hull` calls the former
+# beneath-beyond insertion above, which makes the initial simplex's facets
+# with ``nefdual.polytope._simplex_planes``; replacing that by
 # :func:`simplex_planes` gives the hull on the old set-up throughout.
 
 
@@ -725,7 +917,7 @@ def rank_hull(points: Iterable[Point]) -> Polytope:
     # integer point x of the plane. A facet is kept as (normal, e) with
     # <x, normal> >= -e, where e / L is its offset.
     planes = set()
-    for nv, c in _beneath_beyond_planes(ipts, k, [list(v) + [0] for v in eq_vecs]):
+    for nv, c in search_beneath_beyond_planes(ipts, k, [list(v) + [0] for v in eq_vecs]):
         g = gcd(*nv)
         planes.add((tuple(x // g for x in nv), -c // g))
     planes = sorted(planes)
@@ -888,3 +1080,56 @@ def verify_nabla_polar_is_delta_sum(np: NefPartition) -> CheckResult:
             "sum_vertices": [v.coords for v in total.vertices],
         },
     )
+
+
+# The former dual_nef_partition, verbatim apart from the name: it decides
+# the dual on nabla with a kernel for every cone of nabla's fan (the library
+# now reads each psi_j functional off delta part j and leaves to the kernel
+# only the cones where that fails), and it runs the full functional test of
+# ``_check_psi``. Its calls into ``verify_involution`` go through
+# ``nefdual.duality.dual_nef_partition``, which a test may replace by this.
+
+
+def kernel_dual_nef_partition(np: NefPartition) -> NefPartition:
+    """The mirror nef-partition on the nabla polytope.
+
+    Part i of the dual collects the nonzero vertices of nabla part i; the
+    origin, which can be a genuine vertex of a nabla part, carries no
+    indicator weight and is excluded. The partition is decided on nabla and
+    its parts are taken from the source wherever that is exact (see the
+    module docstring): the dual's delta part i is ``np.nabla_parts[i]``,
+    its nabla part i is ``np.delta_parts[i]``, and its own nabla is
+    ``np.delta``; any other part is built by a hull. The result is audited
+    like every validated partition, and each dual PL function is
+    cross-checked against the pairing formula: psi_i at a vertex y equals
+    the negated minimum of <x, y> over delta part i, and every cone
+    functional of psi_i is the negative of a vertex of delta part i.
+
+    :func:`run_full_duality` calls this once; :func:`verify_involution`
+    calls it on the dual only when the double dual cannot be the source.
+    """
+    nb = nabla(np)
+    decided = _decide(nb, _dual_parts(np, nb))
+    if isinstance(decided, Rejection):
+        raise InvariantViolation(
+            "dual partition failed validation", witness=str(decided)
+        )
+    parts, fan, psis = decided
+    # The source's own object wherever the hull would return it.
+    zero = origin(nb.ambient_dim, nb.space)
+    dparts = tuple(
+        nabla_part if nabla_part.contains(zero) else _delta_part(nb, part)
+        for nabla_part, part in zip(np.nabla_parts, parts)
+    )
+    nparts = tuple(
+        delta_part
+        if {-u for u in psi.functionals} == set(delta_part.vertices)
+        else support_polytope(psi)
+        for delta_part, psi in zip(np.delta_parts, psis)
+    )
+    dual = NefPartition(nb, parts, fan, psis, dparts, nparts)
+    _assert_partition_invariants(dual)
+    _check_psi(np, dual)
+    if _covers(np.delta, nparts):
+        object.__setattr__(dual, "_nabla", np.delta)
+    return dual

@@ -18,6 +18,7 @@ from nefdual.duality import (
     verify_polar_is_nabla_sum,
 )
 from nefdual.errors import GeometryError, InvariantViolation
+from nefdual.fan import face_fan
 from nefdual.nefpart import (
     NefPartition,
     _assert_partition_invariants,
@@ -410,13 +411,14 @@ def duality_outcome(np_):
     )
 
 
-def both_routes(np_, monkeypatch):
-    """duality_outcome with the library's dual_nef_partition, then with the
-    former one."""
-    new = duality_outcome(np_)
+def both_routes(np_, monkeypatch, former=oracles.dual_nef_partition):
+    """duality_outcome with a former dual_nef_partition, on a copy of
+    ``np_`` that builds its own nabla and so its own fan, then with the
+    library's."""
     with monkeypatch.context() as m:
-        m.setattr(duality, "dual_nef_partition", oracles.dual_nef_partition)
-        old = duality_outcome(np_)
+        m.setattr(duality, "dual_nef_partition", former)
+        old = duality_outcome(replace(np_))
+    new = duality_outcome(np_)
     return new, old
 
 
@@ -467,3 +469,102 @@ def test_tampered_sources_take_the_hull_path_and_match_the_former_dual(monkeypat
             assert new == old, source.__name__
             assert new[0] == "raised" or not all(check.passed for _, check in new[0])
     assert missing_origin > 0
+
+
+# The dual whose PL functions are read off the delta parts against the
+# former dual_nef_partition kept in tests/oracles.py, which builds a kernel
+# for every cone of nabla's fan. Each cone of nabla's fan that gets a kernel
+# in the library is one where the read-off fails; the expected set is
+# computed here with the Fraction pairing of tests/oracles.py.
+
+
+def kernel_cones(np_):
+    """The cones of nabla's fan that got a kernel."""
+    return {ci for ci, kernel in enumerate(face_fan(nabla(np_))._kernels) if kernel}
+
+
+def read_off_failures(np_):
+    """The cones of nabla's fan on which, for some part j, the vertices of
+    ``np_.delta_parts[j]`` minimising <·, ℓ_F> (ℓ_F the sum of F's vertices)
+    are not one vertex w, or <y, -w> is not psi_j's value 0 or 1 at some
+    vertex y of F; every cone when a delta part has another dimension."""
+    nb = nabla(np_)
+    parts = duality._dual_parts(np_, nb)
+    failed = set()
+    for cone in face_fan(nb):
+        ys = [nb.vertices[i] for i in cone.vertex_indices]
+        ell = Point([sum(c) for c in zip(*[y.coords for y in ys])], nb.space)
+        for part, dp in zip(parts, np_.delta_parts):
+            if dp.ambient_dim != nb.ambient_dim:
+                failed.add(cone.index)
+                continue
+            values = [oracles.pair(x, ell) for x in dp.vertices]
+            lowest = [x for x, v in zip(dp.vertices, values) if v == min(values)]
+            if len(lowest) > 1 or any(
+                -oracles.pair(lowest[0], y) != (i in part)
+                for i, y in zip(cone.vertex_indices, ys)
+            ):
+                failed.add(cone.index)
+    return failed
+
+
+def test_the_dual_read_off_the_delta_parts_matches_the_kernel_route(corpus, monkeypatch):
+    """Equal six CheckResults, parts, psi values and functionals, and every
+    polytope of the dual equal in vertices, facets and span; no cone of
+    nabla's fan gets a kernel."""
+    count = 0
+    for np_ in _audit_inputs(corpus):
+        new, old = both_routes(np_, monkeypatch, oracles.kernel_dual_nef_partition)
+        assert new == old, np_
+        assert all(check.passed for _, check in new[0])
+        assert kernel_cones(np_) == set() == read_off_failures(np_)
+        count += 1
+    # 175 corpus partitions, 15 + 15 on the 4-simplex, 1 on the 5-simplex, 127 on cross4
+    assert count == 333
+
+
+def scaled(poly, factor):
+    return hull([v.scale(factor) for v in poly.vertices])
+
+
+def with_a_tie(np_):
+    """``np_`` with a point added to delta part 0 that ties, along ℓ_F of
+    the first cone F of nabla's fan, with the part's minimiser w there; the
+    point sorts after w, so w is still the first vertex of the lowest face."""
+    nb = nabla(np_)
+    ell = [sum(c) for c in zip(*[nb.vertices[i]._num for i in face_fan(nb).cones[0].vertex_indices])]
+    part = np_.delta_parts[0]
+    w = min(part.vertices, key=lambda x: oracles.pair(x, Point(ell, nb.space)))
+    i, j = next((i, j) for i in range(len(ell)) for j in range(i + 1, len(ell)) if ell[i] or ell[j])
+    t = [0] * len(ell)
+    t[i], t[j] = ell[j], -ell[i]
+    if t < [0] * len(t):
+        t = [-x for x in t]
+    return with_part(np_, "delta_parts", 0, hull(list(part.vertices) + [w + Point(t)]))
+
+
+def projected(poly):
+    """``poly`` with its last coordinate dropped: one ambient dimension less."""
+    return hull([Point(v.coords[:-1], poly.space) for v in poly.vertices])
+
+
+def test_tampered_delta_parts_take_the_kernel_and_match_the_kernel_route(monkeypatch):
+    """A delta part swapped for another, shrunk, scaled by 2/3, grown by a
+    point that ties with its minimiser on a cone, or of one dimension less:
+    the cones where the read-off fails, and only those, get a kernel, and
+    the run gives the same checks, dual or raised error as the kernel
+    route."""
+    for source in SOURCES:
+        np_ = source()
+        tampered = [
+            swapped(np_, "delta_parts"),
+            with_part(np_, "delta_parts", 0, shrunk(np_.delta_parts[0])),
+            with_part(np_, "delta_parts", 0, scaled(np_.delta_parts[0], F(2, 3))),
+            with_a_tie(np_),
+            with_part(np_, "delta_parts", 0, projected(np_.delta_parts[0])),
+        ]
+        for bad in tampered:
+            new, old = both_routes(bad, monkeypatch, oracles.kernel_dual_nef_partition)
+            assert new == old, source.__name__
+            assert new[0] == "raised" or not all(check.passed for _, check in new[0])
+            assert kernel_cones(bad) == read_off_failures(bad) != set(), source.__name__

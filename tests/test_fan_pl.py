@@ -322,9 +322,47 @@ def test_memoized_pl_extension_matches_the_solve_per_cone_route(case):
     assert _pl_outcome(*LIBRARY, fan, indicator) == _pl_outcome(*ORACLE, fan, indicator)
 
 
+# Bases with non-simplicial facets, whose kernels find their basis in the
+# same elimination that inverts it: the octahedron x segment and the
+# triangle x triangle of the enum4d benchmark workload, the cube and the
+# 4-cube.
+NON_SIMPLICIAL = {
+    "octahedron_x_segment": [
+        tuple(s * c for c in _unit(3, i)) + (t,) for i in range(3) for s in (1, -1) for t in (1, -1)
+    ],
+    "triangle_x_triangle": [
+        p + q for p in [(1, 0), (0, 1), (-1, -1)] for q in [(1, 0), (0, 1), (-1, -1)]
+    ],
+    "cube": list(itertools.product((1, -1), repeat=3)),
+    "cube4": list(itertools.product((1, -1), repeat=4)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NON_SIMPLICIAL))
+def test_every_cone_pattern_gets_the_solve_per_cone_answer(name):
+    """Each cone's functional for every 0/1 pattern on its vertices, and for
+    the pattern 0, 1, 2, ... (which leaves few of them consistent), is the
+    solution of the oracle's Fraction solve, or Inconsistent where
+    that has none."""
+    fan = face_fan(hull([Point(c) for c in NON_SIMPLICIAL[name]]))
+    verts = fan.base.vertices
+    for cone in fan:
+        m = len(cone.vertex_indices)
+        assert m > fan.base.ambient_dim
+        patterns = list(itertools.product((0, 1), repeat=m)) + [tuple(range(m))]
+        for values in patterns:
+            expected = oracles.solve_linear(
+                [(verts[i], F(v)) for i, v in zip(cone.vertex_indices, values)]
+            )
+            assert fan.cone_functional(cone.index, values) == expected, (cone.index, values)
+
+
 def test_no_linear_solve_is_left_on_the_pl_path_and_each_used_cone_gets_one_kernel(monkeypatch):
     """Enumeration and full duality on fresh polytopes call ``linalg.solve``
-    0 times; each cone asked for a functional gets exactly one kernel."""
+    0 times. No cone of any nabla's fan gets a kernel, though each nabla's
+    fan is asked for functionals: the dual's are read off the delta parts.
+    On each delta's fan, each cone asked for a functional gets exactly one
+    kernel, and no other fan gets one."""
     solves = []
     original_solve = linalg.solve
 
@@ -358,12 +396,19 @@ def test_no_linear_solve_is_left_on_the_pl_path_and_each_used_cone_gets_one_kern
     monkeypatch.setattr(FaceFan, "cone_functional", recording_functional)
     simplex4 = [_unit(4, i) for i in range(4)] + [(-1,) * 4]
     octahedron = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, 0, 0), (0, -1, 0), (0, 0, -1)]
-    found = 0
+    deltas = []
+    nablas = []
     for coords in (octahedron, simplex4):
-        for np_ in enumerate_nef_partitions(hull([Point(c) for c in coords]), 2):
-            assert run_full_duality(np_).all_passed
-            found += 1
-    assert found == 31 + 15  # every set partition of either vertex set is nef
+        deltas.append(hull([Point(c) for c in coords]))
+        for np_ in enumerate_nef_partitions(deltas[-1], 2):
+            result = run_full_duality(np_)
+            assert result.all_passed
+            nablas.append(result.nabla)
+    assert len(nablas) == 31 + 15  # every set partition of either vertex set is nef
     assert solves == []
+    delta_ids = {id(base) for base in deltas}
+    nabla_ids = {id(base) for base in nablas}
     assert len(built) == len(set(built)) > 0
-    assert set(built) == used
+    assert not nabla_ids & {base for base, _ in built}
+    assert nabla_ids <= {base for base, _ in used}
+    assert set(built) == {(base, ci) for base, ci in used if base in delta_ids}

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from nefdual import polytope
 from nefdual.errors import DimensionMismatch, NotFullDimensional, ZeroNotInterior
-from nefdual.linalg import Inconsistent, Underdetermined
+from nefdual.linalg import Inconsistent, Underdetermined, eliminate, integer_nullspace
 from nefdual.polytope import (
     Point,
     _is_minkowski_sum,
@@ -366,6 +366,60 @@ def test_hull_matches_the_old_set_up_on_random_points(pts):
 @pytest.mark.parametrize("pts", LARGER_INPUTS)
 def test_hull_matches_the_old_set_up_on_larger_inputs(pts):
     assert_hull_matches_the_old_set_up(pts)
+
+
+# The hull against the former one kept in tests/oracles.py, which finds the
+# affine span by an integer nullspace and then searches the initial simplex
+# with one elimination per tried point.
+
+
+@settings(max_examples=300, deadline=None)
+@given(affine_point_sets(max_points=14))
+def test_hull_matches_the_former_two_reductions_on_random_points(pts):
+    assert hull_record(hull(pts)) == hull_record(oracles.search_hull(pts))
+
+
+def test_hull_matches_the_former_two_reductions_on_the_corpus(corpus):
+    """On every corpus polytope's vertices, on its lattice points when it
+    is a lattice polytope, and on each facet's vertices (one dimension
+    less), and on the larger inputs."""
+    inputs = list(LARGER_INPUTS)
+    for entry in corpus:
+        poly = entry.polytope
+        inputs.append(list(poly.vertices))
+        if poly.is_lattice():
+            inputs.append(poly.lattice_points())
+        inputs += [[poly.vertices[i] for i in f.incidence] for f in poly.facets]
+    for pts in inputs:
+        assert hull_record(hull(pts)) == hull_record(oracles.search_hull(pts))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 5).flatmap(
+        lambda d: st.tuples(
+            st.just(d),
+            st.lists(st.lists(st.integers(-3, 3), min_size=d, max_size=d), max_size=6),
+            st.lists(st.integers(-2, 2), min_size=36, max_size=36),
+        )
+    )
+)
+def test_span_basis_is_the_canonical_nullspace_basis(case):
+    """Any basis of the nullspace of A, recombined, reduces to the basis
+    integer_nullspace gives for A."""
+    d, rows, mix = case
+    expected = sorted(integer_nullspace([list(r) for r in rows], d))
+    # an invertible (unitriangular) recombination of the expected basis
+    n = len(expected)
+    combined = [
+        [
+            x + sum(mix[(6 * i + j) % 36] * other[c] for j, other in enumerate(expected[i + 1:]))
+            for c, x in enumerate(vec)
+        ]
+        for i, vec in enumerate(expected)
+    ]
+    assert polytope._span_basis(combined[::-1], d) == expected
+    assert n == d - len(eliminate([list(r) for r in rows], d)[0])
 
 
 # The polar read off the facet-vertex incidence against the former hull of
