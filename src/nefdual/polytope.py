@@ -20,11 +20,28 @@ denominator ``_den``), and equality, hashing, order, :func:`pair`,
 :func:`nefdual.linalg.solve` are computed from it. Inside :func:`hull` the
 points are scaled to ``int`` coordinates by their common denominator, and
 the hull is computed on ``int`` tuples: one integer elimination of
-:mod:`nefdual.linalg` finds the affine span and an initial simplex, one
-more that simplex's facets, every later facet is an integer combination
-of two existing ones, and vertices are read off per-facet incidence
-bitmasks. Normals are
-primitive integer vectors, and only the offsets are divided back.
+:mod:`nefdual.linalg` finds the affine span and an initial simplex, and
+gives that simplex's facets too when the points span the space (a lower
+dimensional simplex's facets take one k x (k + d) elimination more). A
+simplex is returned from there, with no insertion. Otherwise every later
+facet is an integer combination of two existing ones, and vertices are read
+off per-facet incidence bitmasks. Normals are primitive integer vectors, and
+only the offsets are divided back.
+
+Both routes to the simplex's facet normals rest on one argument. With x0
+and the k directions u_s = x_s - x0 (s = 1..k), a tag t_r with
+``<u_s, t_r> = den * [r = s]`` that lies in the direction space is, signed
+by ``den``, the inward normal of the facet opposite x_r: it vanishes on the
+other directions and is positive towards x_r. Minus the sum of the t_r
+pairs to ``-den`` with every direction, so it is the inward normal of the
+facet opposite x0. When the points span the space, the reduced ``[B | I]``
+that found the span holds these tags: pivot row r has ``den`` at pivot
+column r of B and 0 at the others, and B's pivot columns are the u_s. In a
+lower dimensional span those tags need not lie in the direction space, so
+the rows ``den * (D D^T)^-1 D`` of the reduced ``[D D^T | D]``, D with the
+u_s as rows, are taken instead; they pair alike and are combinations of the
+u_s. A primitive normal in the direction space is unique, so either route
+gives the normals a per-facet solve would.
 
 Two results are exact without a hull. :meth:`Polytope.polar_dual` reads the
 polar off the facet-vertex incidence: for a full-dimensional polytope with
@@ -49,7 +66,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from math import ceil, floor, gcd, lcm
-from operator import and_, mul
+from operator import and_, attrgetter, itemgetter, mul
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -206,7 +223,9 @@ def _add_forms(x: Point, y: Point, sign: int) -> tuple[tuple[int, ...], int]:
 
 
 def origin(dim: int, space: str = SPACE_M) -> Point:
-    return Point((0,) * dim, space)
+    if space not in (SPACE_M, SPACE_N):
+        raise ValueError(f"unknown space tag {space!r}")
+    return Point._from_form((0,) * dim, 1, space)
 
 
 def pair(x: Point, y: Point) -> Fraction:
@@ -431,47 +450,6 @@ class Polytope:
         )
 
 
-def _simplex_planes(pts, simplex, eq_rows, interior, weight: int):
-    """The k+1 facet planes of the initial simplex, from one elimination.
-
-    ``simplex`` indexes k+1 affinely independent points of ``pts``;
-    ``eq_rows`` are the normals of the hull's affine span, each extended by
-    a 0, and ``interior`` is ``weight`` times a point inside the simplex.
-    With the directions ``pts[simplex[j]] - pts[simplex[0]]`` (j = 1..k),
-    the square matrix M of the directions over the equality normals is
-    invertible, and one elimination of ``[M | I]`` gives M⁻¹ up to a
-    scalar. Column j-1 of M⁻¹ pairs to 1 with direction j and to 0 with the
-    other directions and every equality normal, so it lies in the direction
-    space and is the inward normal of the facet opposite ``simplex[j]``.
-    Minus the sum of those k columns pairs to -1 with every direction, so it
-    is the inward normal of the facet opposite ``simplex[0]``.
-
-    Returns ``(normal, c, vertex set)`` for the facets opposite
-    ``simplex[0]``, ..., ``simplex[k]``, with the simplex on the side
-    ``<x, normal> >= c``; each normal is primitive.
-    """
-    d = len(interior)
-    k = len(simplex) - 1
-    x0 = pts[simplex[0]]
-    rows = [[a - b for a, b in zip(pts[i], x0)] for i in simplex[1:]]
-    rows += [row[:d] for row in eq_rows]
-    mat = [row + [int(i == j) for j in range(d)] for i, row in enumerate(rows)]
-    _, den = eliminate(mat, d)
-    sign = 1 if den > 0 else -1
-    cols = [[sign * row[d + j] for row in mat] for j in range(k)]
-    normals = [[-sum(entries) for entries in zip(*cols)]] + cols
-    verts = frozenset(simplex)
-    planes = []
-    for excl, nv in enumerate(normals):
-        g = gcd(*nv)
-        nv = tuple([x // g for x in nv])
-        c = _dot(pts[simplex[1 if excl == 0 else 0]], nv)
-        if _dot(interior, nv) <= weight * c:
-            raise InvariantViolation("interior point on facet plane", witness=sorted(verts))
-        planes.append((nv, c, verts - {simplex[excl]}))
-    return planes
-
-
 def _plane_across(p, ridge_plus_p: frozenset, visible, hidden, interior, weight: int):
     """The plane through a horizon ridge and the new point ``p``.
 
@@ -496,26 +474,25 @@ def _plane_across(p, ridge_plus_p: frozenset, visible, hidden, interior, weight:
     return (tuple([x // g for x in nv]), c // g, ridge_plus_p)
 
 
-def _beneath_beyond_planes(pts, simplex, eq_rows):
+def _beneath_beyond_planes(pts, simplex, planes, interior):
     """Facet planes of the hull of distinct integer points.
 
     ``simplex`` indexes k+1 affinely independent points of ``pts``, where k
-    is the dimension of their hull. Incremental insertion with simplicial
-    facets; coplanar pieces of one geometric facet are merged by the caller.
-    Returns (normal, c) pairs with the hull satisfying ``<x, normal> >= c``;
-    each normal lies in the direction space of the points, the orthogonal
-    complement of ``eq_rows``.
+    is the dimension of their hull, ``planes`` are that simplex's facets as
+    :func:`hull` finds them, ``(normal, c, vertex set)`` with the simplex on
+    the side ``<x, normal> >= c``, and ``interior`` is the sum of the
+    simplex's points. Incremental insertion with simplicial facets; coplanar
+    pieces of one geometric facet are merged by the caller. Returns
+    (normal, c) pairs with the hull satisfying ``<x, normal> >= c``; each
+    normal lies in the direction space of the points.
 
-    Only the facets of the initial simplex are solved for, all from one
-    elimination (:func:`_simplex_planes`). Every ridge of the simplicial
-    boundary lies in exactly two facets, kept in a ridge -> facets map, and
-    each facet added through a horizon ridge is combined from the two facets
-    that met there (:func:`_plane_across`), in O(d) integer operations.
+    No plane is solved for here. Every ridge of the simplicial boundary lies
+    in exactly two facets, kept in a ridge -> facets map, and each facet
+    added through a horizon ridge is combined from the two facets that met
+    there (:func:`_plane_across`), in O(d) integer operations.
     """
     n = len(pts)
-    d = len(pts[0])
     weight = len(simplex)
-    interior = tuple(sum(pts[i][j] for i in simplex) for j in range(d))
     facets: dict[int, tuple] = {}
     ridges: dict[frozenset, list[int]] = {}
     ids = itertools.count()
@@ -527,7 +504,7 @@ def _beneath_beyond_planes(pts, simplex, eq_rows):
         for excl in verts:
             ridges.setdefault(verts - {excl}, []).append(fid)
 
-    for facet in _simplex_planes(pts, simplex, eq_rows, interior, weight):
+    for facet in planes:
         add(facet)
     in_simplex = set(simplex)
     for i in range(n):
@@ -599,13 +576,16 @@ def hull(points: Iterable[Point]) -> Polytope:
     equality values (which are divided by ``L``) runs on ``int`` tuples.
 
     One elimination of the point differences, with the rows tracked, gives
-    the affine span and an initial simplex. Beneath-beyond starts from that
-    simplex, whose k+1 facets all come from one elimination of the square
-    matrix of its edge directions over the equality normals
-    (:func:`_simplex_planes`). Each input point's incidences are then one
-    bitmask per facet, and a point is a vertex iff it is the only input
-    point on every facet through it: the AND of those facets' bitmasks is
-    its own bit alone. No elimination is spent on the vertex test.
+    the affine span, an initial simplex and, when the points span the space,
+    that simplex's facets. A lower-dimensional simplex's facets come from one
+    more elimination, of its k edge directions against their Gram matrix. A
+    simplex is returned as it stands: every point is a vertex and each facet
+    holds all points but one. Otherwise beneath-beyond starts from the
+    simplex's facets (:func:`_beneath_beyond_planes`). Each input point's
+    incidences are then one bitmask per facet, and a point is a vertex iff it
+    is the only input point on every facet through it: the AND of those
+    facets' bitmasks is its own bit alone. No elimination is spent on the
+    vertex test.
     """
     pts = list(points)
     if not pts:
@@ -615,12 +595,18 @@ def hull(points: Iterable[Point]) -> Polytope:
     for p in pts[1:]:
         if p.space != space or p.dim != d:
             raise DimensionMismatch("hull input points disagree on space or dimension")
-    uniq = sorted(set(pts))
+    uniq = set(pts)
     scale = lcm(*[q._den for q in uniq])
-    ipts = [
-        q._num if q._den == scale else tuple(x * (scale // q._den) for x in q._num)
-        for q in uniq
-    ]
+    if all(q._den == scale for q in uniq):
+        # One denominator: the order of the numerators is the order of the points.
+        uniq = sorted(uniq, key=attrgetter("_num"))
+        ipts = [q._num for q in uniq]
+    else:
+        uniq = sorted(uniq)
+        ipts = [
+            q._num if q._den == scale else tuple(x * (scale // q._den) for x in q._num)
+            for q in uniq
+        ]
     x0 = ipts[0]
 
     # One elimination of [B | I], B with the differences x - x0 as columns.
@@ -632,10 +618,10 @@ def hull(points: Iterable[Point]) -> Polytope:
         [x[j] - x0[j] for x in ipts[1:]] + [int(i == j) for i in range(d)]
         for j in range(d)
     ]
-    pivots, _ = eliminate(mat, n - 1)
+    pivots, den = eliminate(mat, n - 1)
     k = len(pivots)
     simplex = [0] + [c + 1 for c in pivots]
-    eq_vecs = _span_basis([row[n - 1:] for row in mat[k:]], d)
+    eq_vecs = _span_basis([row[n - 1:] for row in mat[k:]], d) if k < d else []
     target = dual_space(space)
     equalities = tuple(
         LinearEquality(Point._from_form(v, 1, target), Fraction(_dot(v, x0), scale))
@@ -645,11 +631,41 @@ def hull(points: Iterable[Point]) -> Polytope:
     if k == 0:
         return Polytope(d, space, (uniq[0],), equalities, ())
 
+    # The simplex's facets, from tags t_r with <x_s - x0, t_r> = den * [r = s]
+    # in the direction space (the module docstring gives the argument).
+    if k == d:
+        tags = [row[n - 1:] for row in mat]
+    else:
+        dirs = [[a - b for a, b in zip(ipts[i], x0)] for i in simplex[1:]]
+        mat = [[_dot(u, v) for v in dirs] + u for u in dirs]
+        _, den = eliminate(mat, k)
+        tags = [row[k:] for row in mat]
+    sign = 1 if den > 0 else -1
+    interior = tuple(map(sum, zip(*[ipts[i] for i in simplex])))
+    verts = frozenset(simplex)
+    start = []
+    for excl, nv in enumerate([[-sum(col) for col in zip(*tags)]] + tags):
+        g = sign * gcd(*nv)
+        nv = tuple([x // g for x in nv])
+        c = _dot(ipts[simplex[1 if excl == 0 else 0]], nv)
+        if _dot(interior, nv) <= (k + 1) * c:
+            raise InvariantViolation("interior point on facet plane", witness=sorted(verts))
+        start.append((nv, c, verts - {simplex[excl]}))
+
+    if n == k + 1:
+        # A simplex: simplex[j] = j, the facet opposite it holds every other
+        # point, and no two facets share a normal.
+        facets = tuple(
+            Facet(Point._from_form(nv, 1, target), Fraction(-c, scale), tuple(sorted(on)))
+            for nv, c, on in sorted(start, key=itemgetter(0))
+        )
+        return Polytope(d, space, tuple(uniq), equalities, facets)
+
     # Merge the coplanar pieces; g divides c as well, since c = <x, nv> at an
     # integer point x of the plane. A facet is kept as (normal, e) with
     # <x, normal> >= -e, where e / L is its offset.
     planes = set()
-    for nv, c in _beneath_beyond_planes(ipts, simplex, [list(v) + [0] for v in eq_vecs]):
+    for nv, c in _beneath_beyond_planes(ipts, simplex, start, interior):
         g = gcd(*nv)
         planes.add((tuple(x // g for x in nv), -c // g))
     planes = sorted(planes)

@@ -62,23 +62,33 @@ def sweep(corpus_by_name):
     return out
 
 
+def _bind_hull(monkeypatch, wrapper):
+    """Put ``wrapper(original_hull, points)`` in place of every binding of
+    ``hull`` in nefdual."""
+    original = polytope.hull
+
+    def bound(points):
+        return wrapper(original, points)
+
+    for name, module in list(sys.modules.items()):
+        if name == "nefdual" or name.startswith("nefdual."):
+            for key, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, key, bound)
+
+
 @pytest.fixture
 def count_hulls(monkeypatch):
     """Count the ``hull`` calls of a run: ``count_hulls(fn, *args)`` runs
     ``fn(*args)`` with every binding of ``hull`` in nefdual counted and
     returns the number of calls."""
     calls = []
-    original = polytope.hull
 
-    def counted(points):
+    def counted(original, points):
         calls.append(1)
         return original(points)
 
-    for name, module in list(sys.modules.items()):
-        if name == "nefdual" or name.startswith("nefdual."):
-            for key, value in list(vars(module).items()):
-                if value is original:
-                    monkeypatch.setattr(module, key, counted)
+    _bind_hull(monkeypatch, counted)
 
     def count(fn, *args):
         calls.clear()
@@ -86,3 +96,19 @@ def count_hulls(monkeypatch):
         return len(calls)
 
     return count
+
+
+@pytest.fixture
+def hull_inputs(monkeypatch):
+    """The points every ``hull`` call in nefdual is given from here on,
+    keyed by the id of the polytope it returns (kept alive beside them)."""
+    given = {}
+
+    def recorded(original, points):
+        points = list(points)
+        poly = original(points)
+        given[id(poly)] = (poly, points)
+        return poly
+
+    _bind_hull(monkeypatch, recorded)
+    return given

@@ -16,7 +16,11 @@ routes (:func:`beneath_beyond_planes`, :func:`_intersection_is_origin`,
 (:func:`_set_partitions`, :func:`enumerate_nef_partitions`),
 solve-per-cone PL extension
 (:func:`pl_from_vertex_values`), hull set-up (:func:`simplex_planes`,
-:func:`rank_hull`, :func:`search_hull`), the ``Fraction`` relation and dual-PL checks
+:func:`rank_hull`, :func:`search_hull`), the hull that solved its initial
+simplex's facets by a second elimination (:func:`_simplex_planes`) and sent
+a simplex through insertion (:func:`two_elimination_hull`; the library now
+reads a full-dimensional simplex's facets off the elimination that finds the
+span and returns a simplex at once), the ``Fraction`` relation and dual-PL checks
 (:func:`check_relations`, :func:`check_psi`) and, at the very end, the
 polar as a hull (:func:`polar_dual`) and the Minkowski-sum checks by the
 hull of the sum (:func:`verify_polar_is_nabla_sum`,
@@ -679,8 +683,51 @@ def pl_from_vertex_values(fan: FaceFan, values: Sequence) -> PLFunction:
 # integer nullspace of the point differences for the affine span, then the
 # initial simplex searched by one elimination per tried point (the library
 # now gets both from one elimination of the differences with the rows
-# tracked). The library's simplex planes and horizon planes are read off
-# ``nefdual.polytope`` when called, so a test may replace them there.
+# tracked). The initial simplex's planes come from :func:`_simplex_planes`,
+# the library's former second elimination (the library now reads them off
+# the span elimination), looked up here when called; the horizon planes are
+# read off ``nefdual.polytope`` when called. So a test may replace either.
+
+
+def _simplex_planes(pts, simplex, eq_rows, interior, weight: int):
+    """The k+1 facet planes of the initial simplex, from one elimination.
+
+    ``simplex`` indexes k+1 affinely independent points of ``pts``;
+    ``eq_rows`` are the normals of the hull's affine span, each extended by
+    a 0, and ``interior`` is ``weight`` times a point inside the simplex.
+    With the directions ``pts[simplex[j]] - pts[simplex[0]]`` (j = 1..k),
+    the square matrix M of the directions over the equality normals is
+    invertible, and one elimination of ``[M | I]`` gives M⁻¹ up to a
+    scalar. Column j-1 of M⁻¹ pairs to 1 with direction j and to 0 with the
+    other directions and every equality normal, so it lies in the direction
+    space and is the inward normal of the facet opposite ``simplex[j]``.
+    Minus the sum of those k columns pairs to -1 with every direction, so it
+    is the inward normal of the facet opposite ``simplex[0]``.
+
+    Returns ``(normal, c, vertex set)`` for the facets opposite
+    ``simplex[0]``, ..., ``simplex[k]``, with the simplex on the side
+    ``<x, normal> >= c``; each normal is primitive.
+    """
+    d = len(interior)
+    k = len(simplex) - 1
+    x0 = pts[simplex[0]]
+    rows = [[a - b for a, b in zip(pts[i], x0)] for i in simplex[1:]]
+    rows += [row[:d] for row in eq_rows]
+    mat = [row + [int(i == j) for j in range(d)] for i, row in enumerate(rows)]
+    _, den = eliminate(mat, d)
+    sign = 1 if den > 0 else -1
+    cols = [[sign * row[d + j] for row in mat] for j in range(k)]
+    normals = [[-sum(entries) for entries in zip(*cols)]] + cols
+    verts = frozenset(simplex)
+    planes = []
+    for excl, nv in enumerate(normals):
+        g = gcd(*nv)
+        nv = tuple([x // g for x in nv])
+        c = _dot(pts[simplex[1 if excl == 0 else 0]], nv)
+        if _dot(interior, nv) <= weight * c:
+            raise InvariantViolation("interior point on facet plane", witness=sorted(verts))
+        planes.append((nv, c, verts - {simplex[excl]}))
+    return planes
 
 
 def search_beneath_beyond_planes(pts, k: int, eq_rows):
@@ -723,7 +770,7 @@ def search_beneath_beyond_planes(pts, k: int, eq_rows):
         for excl in verts:
             ridges.setdefault(verts - {excl}, []).append(fid)
 
-    for facet in polytope._simplex_planes(pts, simplex, eq_rows, interior, weight):
+    for facet in _simplex_planes(pts, simplex, eq_rows, interior, weight):
         add(facet)
     in_simplex = set(simplex)
     for i in range(n):
@@ -860,7 +907,7 @@ def search_hull(points: Iterable[Point]) -> Polytope:
 # the rank of the normals of the facets through it (the library now ANDs
 # per-facet incidence bitmasks). :func:`rank_hull` calls the former
 # beneath-beyond insertion above, which makes the initial simplex's facets
-# with ``nefdual.polytope._simplex_planes``; replacing that by
+# with :func:`_simplex_planes`; replacing that by
 # :func:`simplex_planes` gives the hull on the old set-up throughout.
 
 
@@ -947,6 +994,189 @@ def rank_hull(points: Iterable[Point]) -> Polytope:
         for j, (nv, e) in enumerate(planes)
     )
     return Polytope(d, space, tuple(vertices), equalities, facets)
+
+
+# The former hull of the library, verbatim apart from the names: one
+# elimination of the point differences for the affine span and the initial
+# simplex, one more for that simplex's facets (:func:`_simplex_planes`),
+# then beneath-beyond and the bitmask vertex test on every input, a simplex
+# too (the library now reads a simplex's facets off the span elimination
+# when the points span the space, solves a k x (k + d) system otherwise,
+# and returns a simplex without insertion). The span basis and the horizon
+# planes are read off ``nefdual.polytope`` when called.
+
+
+def simplex_beneath_beyond_planes(pts, simplex, eq_rows):
+    """Facet planes of the hull of distinct integer points.
+
+    ``simplex`` indexes k+1 affinely independent points of ``pts``, where k
+    is the dimension of their hull. Incremental insertion with simplicial
+    facets; coplanar pieces of one geometric facet are merged by the caller.
+    Returns (normal, c) pairs with the hull satisfying ``<x, normal> >= c``;
+    each normal lies in the direction space of the points, the orthogonal
+    complement of ``eq_rows``.
+
+    Only the facets of the initial simplex are solved for, all from one
+    elimination (:func:`_simplex_planes`). Every ridge of the simplicial
+    boundary lies in exactly two facets, kept in a ridge -> facets map, and
+    each facet added through a horizon ridge is combined from the two facets
+    that met there (:func:`_plane_across`), in O(d) integer operations.
+    """
+    n = len(pts)
+    d = len(pts[0])
+    weight = len(simplex)
+    interior = tuple(sum(pts[i][j] for i in simplex) for j in range(d))
+    facets: dict[int, tuple] = {}
+    ridges: dict[frozenset, list[int]] = {}
+    ids = itertools.count()
+
+    def add(facet):
+        fid = next(ids)
+        facets[fid] = facet
+        verts = facet[2]
+        for excl in verts:
+            ridges.setdefault(verts - {excl}, []).append(fid)
+
+    for facet in _simplex_planes(pts, simplex, eq_rows, interior, weight):
+        add(facet)
+    in_simplex = set(simplex)
+    for i in range(n):
+        if i in in_simplex:
+            continue
+        p = pts[i]
+        visible = {fid for fid, (nv, c, _) in facets.items() if _dot(p, nv) < c}
+        if not visible:
+            continue
+        new_facets = []
+        for fid in visible:
+            verts = facets[fid][2]
+            for excl in verts:
+                ridge = verts - {excl}
+                a, b = ridges[ridge]
+                other = b if a == fid else a
+                if other not in visible:
+                    new_facets.append(
+                        polytope._plane_across(
+                            p, ridge | {i}, facets[fid], facets[other], interior, weight
+                        )
+                    )
+        for fid in visible:
+            verts = facets.pop(fid)[2]
+            for excl in verts:
+                ridge = verts - {excl}
+                holders = ridges[ridge]
+                holders.remove(fid)
+                if not holders:
+                    del ridges[ridge]
+        for facet in new_facets:
+            add(facet)
+    return [(nv, c) for nv, c, _ in facets.values()]
+
+
+def two_elimination_hull(points: Iterable[Point]) -> Polytope:
+    """Convex hull with irredundant canonical vertex and facet data.
+
+    Accepts any finite nonempty collection of points of one space; duplicates
+    and non-extreme points are dropped. Lower-dimensional input is fine: the
+    affine span becomes equality constraints and the facet system lives
+    within the span, with normals canonicalized along the span's direction
+    space.
+
+    The points are scaled once by the common denominator ``L`` of their
+    coordinates, and everything up to the returned ``Facet`` offsets and
+    equality values (which are divided by ``L``) runs on ``int`` tuples.
+
+    One elimination of the point differences, with the rows tracked, gives
+    the affine span and an initial simplex. Beneath-beyond starts from that
+    simplex, whose k+1 facets all come from one elimination of the square
+    matrix of its edge directions over the equality normals
+    (:func:`_simplex_planes`). Each input point's incidences are then one
+    bitmask per facet, and a point is a vertex iff it is the only input
+    point on every facet through it: the AND of those facets' bitmasks is
+    its own bit alone. No elimination is spent on the vertex test.
+    """
+    pts = list(points)
+    if not pts:
+        raise ValueError("hull needs at least one point")
+    space = pts[0].space
+    d = pts[0].dim
+    for p in pts[1:]:
+        if p.space != space or p.dim != d:
+            raise DimensionMismatch("hull input points disagree on space or dimension")
+    uniq = sorted(set(pts))
+    scale = lcm(*[q._den for q in uniq])
+    ipts = [
+        q._num if q._den == scale else tuple(x * (scale // q._den) for x in q._num)
+        for q in uniq
+    ]
+    x0 = ipts[0]
+
+    # One elimination of [B | I], B with the differences x - x0 as columns.
+    # Its pivot columns are the first differences independent of the ones
+    # before them: an initial simplex. Its zero rows tag vectors orthogonal
+    # to every difference, the normals of the affine span.
+    n = len(ipts)
+    mat = [
+        [x[j] - x0[j] for x in ipts[1:]] + [int(i == j) for i in range(d)]
+        for j in range(d)
+    ]
+    pivots, _ = eliminate(mat, n - 1)
+    k = len(pivots)
+    simplex = [0] + [c + 1 for c in pivots]
+    eq_vecs = polytope._span_basis([row[n - 1:] for row in mat[k:]], d)
+    target = dual_space(space)
+    equalities = tuple(
+        LinearEquality(Point._from_form(v, 1, target), Fraction(_dot(v, x0), scale))
+        for v in eq_vecs
+    )
+
+    if k == 0:
+        return Polytope(d, space, (uniq[0],), equalities, ())
+
+    # Merge the coplanar pieces; g divides c as well, since c = <x, nv> at an
+    # integer point x of the plane. A facet is kept as (normal, e) with
+    # <x, normal> >= -e, where e / L is its offset.
+    planes = set()
+    for nv, c in simplex_beneath_beyond_planes(ipts, simplex, [list(v) + [0] for v in eq_vecs]):
+        g = gcd(*nv)
+        planes.add((tuple(x // g for x in nv), -c // g))
+    planes = sorted(planes)
+
+    # Bit i of masks[j] says that input point i lies on facet j. A point is
+    # a vertex iff it is the only input point on every facet through it:
+    # those facets meet in the smallest face holding the point, and a face
+    # of dimension >= 1 is the hull of the (at least two) input points on it.
+    masks = [0] * len(planes)
+    through: list[list[int]] = []
+    for i, (q, x) in enumerate(zip(uniq, ipts)):
+        on = []
+        for j, (nv, e) in enumerate(planes):
+            val = _dot(x, nv)
+            if val == -e:
+                masks[j] |= 1 << i
+                on.append(j)
+            elif val < -e:
+                # Fail fast on any algorithmic slip: every input point satisfies every facet.
+                raise InvariantViolation(
+                    "hull facet violated by an input point",
+                    witness=(q, nv, Fraction(e, scale)),
+                )
+        through.append(on)
+    full = (1 << len(ipts)) - 1
+    vertex_ids = [
+        i for i, on in enumerate(through)
+        if reduce(and_, [masks[j] for j in on], full) == 1 << i
+    ]
+
+    facets = tuple(
+        Facet(
+            Point._from_form(nv, 1, target),
+            Fraction(e, scale),
+            tuple(pos for pos, i in enumerate(vertex_ids) if masks[j] >> i & 1),
+        )
+        for j, (nv, e) in enumerate(planes)
+    )
+    return Polytope(d, space, tuple([uniq[i] for i in vertex_ids]), equalities, facets)
 
 
 # The former Fraction checks of the pairing relations and of the dual PL

@@ -24,6 +24,7 @@ from nefdual.polytope import (
     SPACE_M,
     SPACE_N,
     hull,
+    origin,
     pair,
     solve_linear,
 )
@@ -132,6 +133,24 @@ def test_points_made_from_a_form_agree_with_points_made_from_coordinates(ab, k):
         assert lazy == p and hash(lazy) == hash(p) and lazy.dim == p.dim
         assert repr(lazy) == repr(p)
         assert_canonical(lazy)
+
+
+def test_origin_is_the_zero_point_made_from_coordinates():
+    """``origin(d, s)`` equals, hashes, orders and prints like
+    ``Point((0,) * d, s)``, and refuses an unknown space tag as it does."""
+    for d in range(1, 6):
+        for space in (SPACE_M, SPACE_N):
+            o, p = origin(d, space), Point((0,) * d, space)
+            assert o == p and hash(o) == hash(p) and o.dim == p.dim
+            assert repr(o) == repr(p) and o.coords == p.coords
+            assert_canonical(o)
+            unit = Point((1,) + (0,) * (d - 1), space)
+            others = [unit, -unit, Point((F(1, 2),) * d, space), Point((0,) * d, space)]
+            for q in others:
+                assert (o < q, q < o, o <= q, q <= o) == (p < q, q < p, p <= q, q <= p)
+            assert sorted(others + [o]) == sorted(others + [p])
+    for fn in (origin, lambda d, space: Point((0,) * d, space)):
+        assert outcome(fn, 2, "X") == ("raise", ValueError, "unknown space tag 'X'")
 
 
 @settings(max_examples=100, deadline=None)

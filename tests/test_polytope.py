@@ -23,6 +23,7 @@ from nefdual.polytope import (
 
 import oracles
 from oracles import caratheodory_member, hrep_vertex_set
+from test_nefpart import _audit_inputs
 
 F = Fraction
 
@@ -312,13 +313,25 @@ def hull_record(poly):
 
 def assert_hull_matches_the_nullspace_insertion(pts):
     """The hull equals the one built by the former beneath-beyond insertion,
-    which solves an integer nullspace for every new facet: vertices, facets
-    with their incidences, and equalities."""
+    which solves an integer nullspace for every facet, the initial
+    simplex's too: vertices, facets with their incidences, and equalities.
+    The insertion is swapped in for the library's, fed the span's normals
+    from a nullspace of its own; every input that is not a simplex reaches
+    it."""
     new = hull(pts)
+    calls = []
+
+    def nullspace_insertion(ipts, simplex, planes, interior):
+        calls.append(1)
+        x0 = ipts[0]
+        eq_vecs = integer_nullspace([[a - b for a, b in zip(x, x0)] for x in ipts[1:]], len(x0))
+        return oracles.beneath_beyond_planes(ipts, simplex, [list(v) + [0] for v in eq_vecs])
+
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(polytope, "_beneath_beyond_planes", oracles.beneath_beyond_planes)
+        mp.setattr(polytope, "_beneath_beyond_planes", nullspace_insertion)
         old = hull(pts)
     assert hull_record(new) == hull_record(old)
+    assert len(calls) == (len(set(pts)) > new.dim + 1)
 
 
 @settings(max_examples=300, deadline=None)
@@ -352,7 +365,7 @@ def assert_hull_matches_the_old_set_up(pts):
     vertices, facets with their incidences, and equalities."""
     new = hull(pts)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(polytope, "_simplex_planes", oracles.simplex_planes)
+        mp.setattr(oracles, "_simplex_planes", oracles.simplex_planes)
         old = oracles.rank_hull(pts)
     assert hull_record(new) == hull_record(old)
 
@@ -392,6 +405,89 @@ def test_hull_matches_the_former_two_reductions_on_the_corpus(corpus):
         inputs += [[poly.vertices[i] for i in f.incidence] for f in poly.facets]
     for pts in inputs:
         assert hull_record(hull(pts)) == hull_record(oracles.search_hull(pts))
+
+
+# The hull against the former one kept in tests/oracles.py, which solves
+# the initial simplex's facets by a second elimination and sends a simplex
+# through beneath-beyond and the bitmask vertex test like any other input.
+
+
+@st.composite
+def simplex_point_sets(draw):
+    """k + 1 affinely independent points of Z^d or (1/q)Z^d, d in 1..5 and
+    k in 0..d, in drawn order."""
+    d = draw(st.integers(1, 5))
+    k = draw(st.integers(0, d))
+    entry = st.integers(-3, 3)
+    if draw(st.booleans()):
+        entry = st.builds(F, st.integers(-6, 6), st.integers(1, 4))
+    vec = st.lists(entry, min_size=d, max_size=d)
+    base = draw(vec)
+    dirs = draw(
+        st.lists(vec, min_size=k, max_size=k).filter(
+            lambda rows: len(oracles.rref(rows, d)[1]) == k
+        )
+    )
+    pts = [Point(tuple(base))] + [
+        Point(tuple(b + x for b, x in zip(base, u))) for u in dirs
+    ]
+    return draw(st.permutations(pts))
+
+
+def assert_hull_matches_the_two_elimination_hull(pts):
+    assert hull_record(hull(pts)) == hull_record(oracles.two_elimination_hull(pts))
+
+
+@settings(max_examples=300, deadline=None)
+@given(simplex_point_sets())
+def test_hull_matches_the_two_elimination_hull_on_simplices(pts):
+    assert_hull_matches_the_two_elimination_hull(pts)
+
+
+@settings(max_examples=300, deadline=None)
+@given(affine_point_sets(max_points=14))
+def test_hull_matches_the_two_elimination_hull_on_random_points(pts):
+    assert_hull_matches_the_two_elimination_hull(pts)
+
+
+@pytest.mark.parametrize("pts", LARGER_INPUTS)
+def test_hull_matches_the_two_elimination_hull_on_larger_inputs(pts):
+    assert_hull_matches_the_two_elimination_hull(pts)
+
+
+def test_hull_matches_the_two_elimination_hull_on_every_audited_part(corpus, hull_inputs):
+    """Every delta and nabla part of the 333 audit inputs, rebuilt by the
+    former hull from the very points the library's hull was given."""
+    count = 0
+    for np_ in _audit_inputs(corpus):
+        for part in np_.delta_parts + np_.nabla_parts:
+            assert_hull_matches_the_two_elimination_hull(hull_inputs[id(part)][1])
+        count += 1
+    assert count == 333
+
+
+@settings(max_examples=200, deadline=None)
+@given(simplex_point_sets())
+def test_a_simplex_skips_insertion_and_a_full_one_eliminates_once(pts):
+    """No simplex reaches beneath-beyond; one that spans the space costs
+    one elimination, the one that finds the span."""
+    ncols = []
+
+    def counted(mat, n):
+        ncols.append(n)
+        return eliminate(mat, n)
+
+    def insertion(*args):
+        raise AssertionError("a simplex reached beneath-beyond")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(polytope, "eliminate", counted)
+        mp.setattr(polytope, "_beneath_beyond_planes", insertion)
+        poly = hull(pts)
+    assert poly.vertices == tuple(sorted(pts))
+    assert len(poly.facets) == (len(pts) if len(pts) > 1 else 0)
+    if poly.is_full_dimensional:
+        assert ncols == [len(pts) - 1]
 
 
 @settings(max_examples=200, deadline=None)
