@@ -66,7 +66,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from math import ceil, floor, gcd, lcm
-from operator import and_, attrgetter, itemgetter, mul
+from operator import and_, itemgetter, mul
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -89,6 +89,11 @@ def _dot(a: Sequence[int], b: Sequence[int]) -> int:
     return sum(map(mul, a, b))
 
 
+def _check_space(space: str) -> None:
+    if space not in (SPACE_M, SPACE_N):
+        raise ValueError(f"unknown space tag {space!r}")
+
+
 class Point:
     """An exact rational point in M or N.
 
@@ -105,8 +110,7 @@ class Point:
     __slots__ = ("_coords", "space", "_num", "_den")
 
     def __init__(self, coords: Iterable, space: str = SPACE_M):
-        if space not in (SPACE_M, SPACE_N):
-            raise ValueError(f"unknown space tag {space!r}")
+        _check_space(space)
         coords = tuple(c if type(c) is Fraction else exact_rational(c) for c in coords)
         den = lcm(*[c.denominator for c in coords])
         self._coords = coords
@@ -223,8 +227,7 @@ def _add_forms(x: Point, y: Point, sign: int) -> tuple[tuple[int, ...], int]:
 
 
 def origin(dim: int, space: str = SPACE_M) -> Point:
-    if space not in (SPACE_M, SPACE_N):
-        raise ValueError(f"unknown space tag {space!r}")
+    _check_space(space)
     return Point._from_form((0,) * dim, 1, space)
 
 
@@ -597,16 +600,12 @@ def hull(points: Iterable[Point]) -> Polytope:
             raise DimensionMismatch("hull input points disagree on space or dimension")
     uniq = set(pts)
     scale = lcm(*[q._den for q in uniq])
-    if all(q._den == scale for q in uniq):
-        # One denominator: the order of the numerators is the order of the points.
-        uniq = sorted(uniq, key=attrgetter("_num"))
-        ipts = [q._num for q in uniq]
-    else:
-        uniq = sorted(uniq)
-        ipts = [
-            q._num if q._den == scale else tuple(x * (scale // q._den) for x in q._num)
-            for q in uniq
-        ]
+    # Scaling by L > 0 keeps the order of the points, and distinct points
+    # have distinct scaled numerators, so no two Points are ever compared.
+    ipts, uniq = zip(*sorted(
+        (q._num if q._den == scale else tuple(x * (scale // q._den) for x in q._num), q)
+        for q in uniq
+    ))
     x0 = ipts[0]
 
     # One elimination of [B | I], B with the differences x - x0 as columns.

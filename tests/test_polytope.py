@@ -317,7 +317,8 @@ def assert_hull_matches_the_nullspace_insertion(pts):
     simplex's too: vertices, facets with their incidences, and equalities.
     The insertion is swapped in for the library's, fed the span's normals
     from a nullspace of its own; every input that is not a simplex reaches
-    it."""
+    it. A simplex never does: ``test_hull_matches_the_old_set_up_on_simplices``
+    checks its facets against one nullspace each."""
     new = hull(pts)
     calls = []
 
@@ -442,6 +443,15 @@ def assert_hull_matches_the_two_elimination_hull(pts):
 @given(simplex_point_sets())
 def test_hull_matches_the_two_elimination_hull_on_simplices(pts):
     assert_hull_matches_the_two_elimination_hull(pts)
+
+
+@settings(max_examples=300, deadline=None)
+@given(simplex_point_sets())
+def test_hull_matches_the_old_set_up_on_simplices(pts):
+    """Every facet of a simplex against its own integer nullspace: a
+    simplex returns before insertion, so the nullspace-insertion
+    differential above never sees one."""
+    assert_hull_matches_the_old_set_up(pts)
 
 
 @settings(max_examples=300, deadline=None)
