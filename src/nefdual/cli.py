@@ -83,27 +83,32 @@ def cmd_minkowski(args) -> tuple[int, str]:
     return 0, write_polytope_text(total)
 
 
-def cmd_nef_validate(args) -> tuple[int, str]:
-    started = time.perf_counter()
+def _validated(args, command: str, started: float):
+    """Load, parse the partition spec, map it to canonical indices and
+    validate: ``(head, outcome)``, with ``head`` the leading arguments of
+    :func:`partition_report`, or ``(None, reply)`` with the ``(code,
+    output)`` reply to a base that is not reflexive, in text or JSON."""
     poly, file_points, mapping = _load_for_partition(args.file)
     file_parts = parse_partition_spec(args.parts, len(file_points))
+    head = (command, args.file, poly, file_points, file_parts, mapping)
     canonical_parts = [[mapping[i] for i in part] for part in file_parts]
     try:
-        outcome = validate_partition(poly, canonical_parts)
+        return head, validate_partition(poly, canonical_parts)
     except NotReflexive as exc:
         if args.json:
-            rep = partition_report(
-                "nef-validate", args.file, poly, file_points, file_parts,
-                mapping, _NotReflexiveOutcome(str(exc)),
-            )
-            return 1, _json_output(rep, started)
-        return 1, f"invalid: NotReflexive: {exc}\n"
+            rep = partition_report(*head, _NotReflexiveOutcome(str(exc)))
+            return None, (1, _json_output(rep, started))
+        return None, (1, f"invalid: NotReflexive: {exc}\n")
+
+
+def cmd_nef_validate(args) -> tuple[int, str]:
+    started = time.perf_counter()
+    head, outcome = _validated(args, "nef-validate", started)
+    if head is None:
+        return outcome
     valid = isinstance(outcome, NefPartition)
     if args.json:
-        rep = partition_report(
-            "nef-validate", args.file, poly, file_points, file_parts, mapping, outcome
-        )
-        return (0 if valid else 1), _json_output(rep, started)
+        return (0 if valid else 1), _json_output(partition_report(*head, outcome), started)
     if valid:
         return 0, "valid\n"
     return 1, f"invalid: {outcome}\n"
@@ -123,28 +128,14 @@ class _NotReflexiveOutcome:
 
 def cmd_nef_dual(args) -> tuple[int, str]:
     started = time.perf_counter()
-    poly, file_points, mapping = _load_for_partition(args.file)
-    file_parts = parse_partition_spec(args.parts, len(file_points))
-    canonical_parts = [[mapping[i] for i in part] for part in file_parts]
-    try:
-        outcome = validate_partition(poly, canonical_parts)
-    except NotReflexive as exc:
-        if args.json:
-            rep = partition_report(
-                "nef-dual", args.file, poly, file_points, file_parts,
-                mapping, _NotReflexiveOutcome(str(exc)),
-            )
-            return 1, _json_output(rep, started)
-        return 1, f"invalid: NotReflexive: {exc}\n"
+    head, outcome = _validated(args, "nef-dual", started)
+    if head is None:
+        return outcome
     valid = isinstance(outcome, NefPartition)
     duality = run_full_duality(outcome) if valid else None
     code = 0 if valid and duality.all_passed else 1
     if args.json:
-        rep = partition_report(
-            "nef-dual", args.file, poly, file_points, file_parts, mapping,
-            outcome, duality,
-        )
-        return code, _json_output(rep, started)
+        return code, _json_output(partition_report(*head, outcome, duality), started)
     if not valid:
         return 1, f"invalid: {outcome}\n"
     lines = [f"valid nef-partition with {outcome.r} parts"]

@@ -61,11 +61,18 @@ vertices span the space, so it is then the unique solution of the cone's
 system, the very ``Point`` a kernel would give, and it goes into the
 fan's memo. A cone where the minimiser is not unique or a pairing misses
 is left to the kernel, as before, so a tampered source gives the same
-``Rejection``, error or ``CheckResult``. On a cone read off, the
-functional test of :func:`_check_psi` (-u is a vertex of Δ_j) holds by
-construction, so it runs on the other cones only. The
-dual is audited in full, its PL functions are cross-checked against the
-source's delta parts, and all six checks run as before. The involution
+``Rejection``, error or ``CheckResult``. On a cone read off, -u = w_j is
+a vertex of Δ_j by construction.
+
+The dual is not audited: once ``_decide`` accepts it on ∇, each test of
+the audit holds. The ψ_i sum to 1 and are the convex integral indicators,
+as decided on a disjoint, covering partition. Σψ is 1 on every vertex of
+the reflexive ∇, so on the cone over a facet F its functional is -n_F and
+its support is ∇*. The cover, origin and part-vertex tests follow from
+:func:`_dual_parts` and the reuse tests. The nabla parts are lattice,
+hold 0 and lie in ∇*, by integral functionals, ψ_i >= 0 and
+<y, u> <= ψ_i(y) <= 1. The ψ_i are cross-checked against the source's
+delta parts (:func:`_check_psi`), and all six checks run. The involution
 check reuses the source as the double dual when the double dual's base
 and labeled parts equal the source's: validation is a deterministic
 function of the vertex list and the labeled parts, so the result would be
@@ -84,11 +91,12 @@ from .fan import face_fan, support_polytope
 from .nefpart import (
     NefPartition,
     Rejection,
-    _assert_partition_invariants,
+    _check_pairable,
     _covers,
     _decide,
     _delta_part,
     _pair_min,
+    _pairing_mismatch,
     check_relations,
 )
 from .polytope import (
@@ -142,9 +150,9 @@ def nabla(np: NefPartition) -> Polytope:
     dual made by :func:`dual_nef_partition` it is the source's base, kept
     there when the cover test shows the hull would equal it. It sits inside
     the polar of ``np.delta`` with no check here: a hull's vertices are a
-    subset of its input points, and every ``NefPartition`` has passed the
-    audit (:func:`nefdual.nefpart._assert_partition_invariants`), which
-    checks that each vertex of each nabla part lies in that polar.
+    subset of its input points, and each vertex of each nabla part lies in
+    that polar: the audit (:func:`nefdual.nefpart._assert_partition_invariants`)
+    checks it, and a dual meets it by construction.
     """
     if np._nabla is None:
         nb = hull([v for part in np.nabla_parts for v in part.vertices])
@@ -225,9 +233,9 @@ def _dual_parts(np: NefPartition, nb: Polytope) -> tuple[frozenset[int], ...]:
     return tuple(parts)
 
 
-def _read_off(np: NefPartition, nb: Polytope, parts) -> list[list[int]]:
+def _read_off(np: NefPartition, nb: Polytope, parts) -> None:
     """Put each psi_j cone functional that reads off Δ_j into the memo of
-    ``face_fan(nb)``; return, per part, the cones left to the kernel.
+    ``face_fan(nb)``, leaving the other cones to the kernel.
 
     On cone F, with ℓ_F the sum of F's vertices, w_j is the unique minimiser
     of <·, ℓ_F> over the vertices of ``np.delta_parts[j]``, and -w_j is kept
@@ -240,7 +248,6 @@ def _read_off(np: NefPartition, nb: Polytope, parts) -> list[list[int]]:
     fan = face_fan(nb)
     verts = [v._num for v in nb.vertices]
     space = dual_space(nb.space)
-    left = []
     for part, dp in zip(parts, np.delta_parts):
         # <x, y> * x._den for each vertex x of the part and y of nabla;
         # <x, ℓ_F> * x._den is the sum of a row over F's vertices.
@@ -248,7 +255,6 @@ def _read_off(np: NefPartition, nb: Polytope, parts) -> list[list[int]]:
             (x._num, x._den, [_dot(x._num, y) for y in verts])
             for x in (dp.vertices if dp.ambient_dim == nb.ambient_dim else ())
         ]
-        missed = []
         for cone in fan.cones:
             vids = cone.vertex_indices
             best = None
@@ -265,40 +271,34 @@ def _read_off(np: NefPartition, nb: Polytope, parts) -> list[list[int]]:
                 fan._solves[(cone.index, values)] = Point._from_form(
                     tuple([-a for a in best]), best_den, space
                 )
-            else:
-                missed.append(cone.index)
-        left.append(missed)
-    return left
 
 
-def _check_psi(np: NefPartition, dual: NefPartition, left=None) -> None:
+def _check_psi(np: NefPartition, dual: NefPartition) -> None:
     """Cross-check each PL function of ``dual`` against the delta parts of
     ``np``: psi_i at a vertex y equals the negated minimum of <x, y> over
     delta part i, and every cone functional of psi_i is the negative of a
-    vertex of delta part i. The minimum is found and compared on ``int``
-    (:func:`nefdual.nefpart._pair_min`).
-
-    The functional test holds by construction on a cone that
-    :func:`_read_off` read off, so with its result ``left`` only the cones
-    in ``left[i]`` are tested; with ``None``, every cone is."""
+    vertex of delta part i (:func:`nefdual.nefpart._pairing_mismatch`).
+    Both hold with no pairing when psi_i is convex and its negated
+    functionals, each taking psi_i's values on its cone, are exactly the
+    vertices of delta part i. Parts that do not pair raise
+    ``DimensionMismatch``."""
+    base = dual.delta
     for i, psi in enumerate(dual.phi):
-        delta_part_verts = np.delta_parts[i].vertices
-        for vi, y in enumerate(dual.delta.vertices):
-            n, d = _pair_min(delta_part_verts, (y,))
-            value = psi.vertex_values[vi]
-            if -n * value.denominator != value.numerator * d:
-                raise InvariantViolation(
-                    "dual PL value disagrees with the pairing formula",
-                    witness=(i, y, value, -Fraction(n, d)),
-                )
-        vert_forms = {(x._num, x._den) for x in delta_part_verts}
-        for ci in range(len(psi.functionals)) if left is None else left[i]:
-            u = psi.functionals[ci]
-            if (tuple([-a for a in u._num]), u._den) not in vert_forms:
-                raise InvariantViolation(
-                    "dual cone functional is not the negative of a delta part vertex",
-                    witness=(i, u),
-                )
+        part = np.delta_parts[i]
+        _check_pairable(part, base)
+        vi, ci = _pairing_mismatch(psi, base, part)
+        if vi is not None:
+            y = base.vertices[vi]
+            n, d = _pair_min(part.vertices, (y,))
+            raise InvariantViolation(
+                "dual PL value disagrees with the pairing formula",
+                witness=(i, y, psi.vertex_values[vi], -Fraction(n, d)),
+            )
+        if ci is not None:
+            raise InvariantViolation(
+                "dual cone functional is not the negative of a delta part vertex",
+                witness=(i, psi.functionals[ci]),
+            )
 
 
 def dual_nef_partition(np: NefPartition) -> NefPartition:
@@ -312,19 +312,18 @@ def dual_nef_partition(np: NefPartition) -> NefPartition:
     its nabla part i is ``np.delta_parts[i]``, and its own nabla is
     ``np.delta``; any other part is built by a hull. The dual's cone
     functionals are read off the delta parts (:func:`_read_off`), and only
-    a cone where that fails gets a kernel. The result is audited like every
-    validated partition, and each dual PL function is cross-checked against
-    the pairing formula (:func:`_check_psi`): psi_i at a vertex y equals
-    the negated minimum of <x, y> over delta part i, and every cone
-    functional of psi_i is the negative of a vertex of delta part i, which
-    a cone read off satisfies by construction.
+    a cone where that fails gets a kernel. The dual is not audited: once
+    ``_decide`` accepts it, each test of the audit holds (see the module
+    docstring). Each dual PL function is cross-checked against the pairing
+    formula (:func:`_check_psi`).
 
     :func:`run_full_duality` calls this once; :func:`verify_involution`
     calls it on the dual only when the double dual cannot be the source.
     """
     nb = nabla(np)
     parts = _dual_parts(np, nb)
-    left = _read_off(np, nb, parts) if nb.is_reflexive() else None
+    if nb.is_reflexive():
+        _read_off(np, nb, parts)
     decided = _decide(nb, parts)
     if isinstance(decided, Rejection):
         raise InvariantViolation(
@@ -344,8 +343,7 @@ def dual_nef_partition(np: NefPartition) -> NefPartition:
         for delta_part, psi in zip(np.delta_parts, psis)
     )
     dual = NefPartition(nb, parts, fan, psis, dparts, nparts)
-    _assert_partition_invariants(dual)
-    _check_psi(np, dual, left)
+    _check_psi(np, dual)
     if _covers(np.delta, nparts):
         object.__setattr__(dual, "_nabla", np.delta)
     return dual

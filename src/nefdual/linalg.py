@@ -182,22 +182,3 @@ def solve(rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]):
         return Underdetermined
     return tuple(Fraction(mat[r][ncols], den) for r in range(ncols))
 
-
-def primitivize(vec: Sequence[Fraction]):
-    """Scale a nonzero rational vector to primitive integer coordinates.
-
-    Returns ``(prim, scale)`` with ``scale > 0`` and ``prim = scale * vec``,
-    where ``prim`` has integer entries with no common factor.
-    """
-    fracs = [Fraction(x) for x in vec]
-    if all(x == 0 for x in fracs):
-        raise ValueError("cannot primitivize the zero vector")
-    denom_lcm = 1
-    for x in fracs:
-        denom_lcm = denom_lcm * x.denominator // gcd(denom_lcm, x.denominator)
-    ints = [int(x * denom_lcm) for x in fracs]
-    g = 0
-    for v in ints:
-        g = gcd(g, abs(v))
-    prim = tuple(Fraction(v // g) for v in ints)
-    return prim, Fraction(denom_lcm, g)

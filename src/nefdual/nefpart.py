@@ -33,7 +33,7 @@ from .errors import (
 )
 from .fan import FaceFan, PLFunction, face_fan, pl_from_vertex_values, support_polytope
 from .linalg import Inconsistent
-from .polytope import Point, Polytope, _dot, hull, origin
+from .polytope import Point, Polytope, _dot, hull, origin, pair
 
 NOT_DISJOINT = "NotDisjoint"
 NOT_COVERING = "NotCovering"
@@ -399,13 +399,42 @@ def _pair_min(xs, ys) -> tuple[int, int]:
     return best_n, best_d
 
 
+def _check_pairable(xs: Polytope, ys: Polytope) -> None:
+    """Raise what ``pair`` raises on a vertex of each, unless they pair."""
+    if xs.space == ys.space or xs.ambient_dim != ys.ambient_dim:
+        pair(xs.vertices[0], ys.vertices[0])
+
+
+def _pairing_mismatch(f: PLFunction, base: Polytope, part: Polytope):
+    """``(vi, ci)``: the first vertex v of ``base`` with f(v) != -min <v, part>
+    and the first cone whose negated functional is not a vertex of ``part``
+    (``None`` if none); ``base`` and ``part`` must pair. Both are ``None``,
+    with no pairing, when ``f`` is convex on the fan of ``base`` and its
+    negated functionals are exactly the vertices of ``part``: each functional
+    takes f's values on its cone (as with ``pl_from_vertex_values`` and
+    ``PLFunction.__add__``), so f(v) = max <v, u> = -min <v, part>."""
+    forms = {(x._num, x._den) for x in part.vertices}
+    negated = [(tuple([-a for a in u._num]), u._den) for u in f.functionals]
+    if f.is_convex and f.fan.base == base and set(negated) == forms:
+        return None, None
+    for vi, v in enumerate(base.vertices):
+        n, d = _pair_min((v,), part.vertices)
+        if -n * f.vertex_values[vi].denominator != f.vertex_values[vi].numerator * d:
+            break
+    else:
+        vi = None
+    return vi, next((ci for ci, u in enumerate(negated) if u not in forms), None)
+
+
 def check_relations(np: NefPartition) -> RelationReport:
     """Verify the pairing relations between the delta and nabla parts.
 
     Also re-derives every ``phi_i`` vertex value as the negated minimum of
-    the pairing against nabla part i, confirming the two descriptions agree.
-    The minima are found and compared on ``int`` (:func:`_pair_min`); a
-    ``Fraction`` is built only for the reported matrix entries.
+    the pairing against nabla part i (:func:`_pairing_mismatch`: no pairing
+    when phi_i is convex and its negated functionals, each taking phi_i's
+    values on its cone, are exactly the vertices of nabla part i). Minima
+    are found on ``int``; a ``Fraction`` is built only for the reported
+    matrix entries. Parts that do not pair raise ``DimensionMismatch``.
     """
     r = np.r
     matrix = []
@@ -413,6 +442,7 @@ def check_relations(np: NefPartition) -> RelationReport:
     for j in range(r):
         row = []
         for i in range(r):
+            _check_pairable(np.delta_parts[j], np.nabla_parts[i])
             n, d = _pair_min(np.delta_parts[j].vertices, np.nabla_parts[i].vertices)
             m = Fraction(n, d)
             row.append(m)
@@ -421,12 +451,9 @@ def check_relations(np: NefPartition) -> RelationReport:
         matrix.append(tuple(row))
     phi_ok = True
     for i, f in enumerate(np.phi):
-        nabla_verts = np.nabla_parts[i].vertices
-        for vi, x in enumerate(np.delta.vertices):
-            n, d = _pair_min((x,), nabla_verts)
-            value = f.vertex_values[vi]
-            if -n * value.denominator != value.numerator * d:
-                phi_ok = False
+        part = np.nabla_parts[i]
+        _check_pairable(np.delta, part)
+        phi_ok = phi_ok and _pairing_mismatch(f, np.delta, part)[0] is None
     return RelationReport(
         matrix=tuple(matrix),
         passed=not violations,

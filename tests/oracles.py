@@ -1315,8 +1315,8 @@ def verify_nabla_polar_is_delta_sum(np: NefPartition) -> CheckResult:
 # The former dual_nef_partition, verbatim apart from the name: it decides
 # the dual on nabla with a kernel for every cone of nabla's fan (the library
 # now reads each psi_j functional off delta part j and leaves to the kernel
-# only the cones where that fails), and it runs the full functional test of
-# ``_check_psi``. Its calls into ``verify_involution`` go through
+# only the cones where that fails), and it audits the dual it has decided
+# (the library no longer does). Its calls into ``verify_involution`` go through
 # ``nefdual.duality.dual_nef_partition``, which a test may replace by this.
 
 

@@ -4,7 +4,7 @@ from dataclasses import replace
 from fractions import Fraction
 
 import oracles
-from test_nefpart import _audit_inputs
+from test_nefpart import _audit_inputs, pairing_checks, shortcut_count
 
 from nefdual import duality
 from nefdual.duality import (
@@ -282,17 +282,20 @@ SOURCES = (
 )
 
 
+def tampered_duals(dual):
+    return [
+        swapped(dual, "delta_parts"),  # the source is reused, then psi fails
+        swapped(dual, "nabla_parts"),
+        swapped(dual, "parts", "nabla_parts"),
+        merged(dual),
+    ]
+
+
 def test_tampered_dual_fails_on_both_involution_routes():
     for source in SOURCES:
         np_ = source()
         dual = dual_nef_partition(np_)
-        tampered = [
-            swapped(dual, "delta_parts"),  # the source is reused, then psi fails
-            swapped(dual, "nabla_parts"),
-            swapped(dual, "parts", "nabla_parts"),
-            merged(dual),
-        ]
-        for bad in tampered:
+        for bad in tampered_duals(dual):
             new = outcome(verify_involution, np_, bad)
             assert new == outcome(oracles.verify_involution, np_, bad), source.__name__
             assert new[0] == "raised" or not new[1].passed, (source.__name__, new)
@@ -317,6 +320,17 @@ SUM_CHECKS = (
 )
 
 
+def sum_check_tampers(np_):
+    """Each tampered partition with the index in SUM_CHECKS of the check
+    that reads the tampered parts."""
+    return [
+        (with_part(np_, "nabla_parts", 0, np_.nabla_parts[1]), 0),
+        (with_part(np_, "nabla_parts", 0, np_.delta_parts[0]), 0),
+        (with_part(np_, "nabla_parts", 1, shrunk(np_.nabla_parts[1])), 0),
+        (with_part(np_, "delta_parts", 0, shrunk(np_.delta_parts[0])), 1),
+    ]
+
+
 def test_tampered_parts_fail_both_sum_check_routes_alike():
     """A nabla part swapped for another nabla part or for a delta part, a
     nabla part shrunk and a delta part shrunk: each sum check gives the same
@@ -324,13 +338,7 @@ def test_tampered_parts_fail_both_sum_check_routes_alike():
     that reads the tampered parts fails."""
     for source in SOURCES:
         for np_ in (source(), dual_nef_partition(source())):
-            tampered = [
-                (with_part(np_, "nabla_parts", 0, np_.nabla_parts[1]), 0),
-                (with_part(np_, "nabla_parts", 0, np_.delta_parts[0]), 0),
-                (with_part(np_, "nabla_parts", 1, shrunk(np_.nabla_parts[1])), 0),
-                (with_part(np_, "delta_parts", 0, shrunk(np_.delta_parts[0])), 1),
-            ]
-            for bad, failing in tampered:
+            for bad, failing in sum_check_tampers(np_):
                 for k, (new_check, old_check) in enumerate(SUM_CHECKS):
                     new = outcome(new_check, bad)
                     assert new == outcome(old_check, bad), (source.__name__, k)
@@ -444,6 +452,20 @@ def without_origin(poly):
     return hull([v for v in poly.vertices if not v.is_zero()])
 
 
+def hull_path_tampers(np_):
+    tampered = [
+        with_part(np_, "delta_parts", 0, shrunk(np_.delta_parts[0])),
+        with_part(np_, "delta_parts", 0, doubled(np_.delta_parts[0])),
+        swapped(np_, "delta_parts"),
+        replace(np_, delta=doubled(np_.delta)),
+    ]
+    for i, part in enumerate(np_.nabla_parts):
+        if any(v.is_zero() for v in part.vertices):
+            # a vertex is not in the hull of the other vertices
+            tampered.append(with_part(np_, "nabla_parts", i, without_origin(part)))
+    return tampered
+
+
 def test_tampered_sources_take_the_hull_path_and_match_the_former_dual(monkeypatch):
     """Each reuse test refuses a source whose objects it cannot vouch for:
     a delta part shrunk, grown out of delta or swapped for another; a base
@@ -453,18 +475,10 @@ def test_tampered_sources_take_the_hull_path_and_match_the_former_dual(monkeypat
     missing_origin = 0
     for source in SOURCES:
         np_ = source()
-        tampered = [
-            with_part(np_, "delta_parts", 0, shrunk(np_.delta_parts[0])),
-            with_part(np_, "delta_parts", 0, doubled(np_.delta_parts[0])),
-            swapped(np_, "delta_parts"),
-            replace(np_, delta=doubled(np_.delta)),
-        ]
-        for i, part in enumerate(np_.nabla_parts):
-            if any(v.is_zero() for v in part.vertices):
-                # a vertex is not in the hull of the other vertices
-                tampered.append(with_part(np_, "nabla_parts", i, without_origin(part)))
-                missing_origin += 1
-        for bad in tampered:
+        missing_origin += sum(
+            any(v.is_zero() for v in part.vertices) for part in np_.nabla_parts
+        )
+        for bad in hull_path_tampers(np_):
             new, old = both_routes(bad, monkeypatch)
             assert new == old, source.__name__
             assert new[0] == "raised" or not all(check.passed for _, check in new[0])
@@ -548,6 +562,16 @@ def projected(poly):
     return hull([Point(v.coords[:-1], poly.space) for v in poly.vertices])
 
 
+def kernel_path_tampers(np_):
+    return [
+        swapped(np_, "delta_parts"),
+        with_part(np_, "delta_parts", 0, shrunk(np_.delta_parts[0])),
+        with_part(np_, "delta_parts", 0, scaled(np_.delta_parts[0], F(2, 3))),
+        with_a_tie(np_),
+        with_part(np_, "delta_parts", 0, projected(np_.delta_parts[0])),
+    ]
+
+
 def test_tampered_delta_parts_take_the_kernel_and_match_the_kernel_route(monkeypatch):
     """A delta part swapped for another, shrunk, scaled by 2/3, grown by a
     point that ties with its minimiser on a cone, or of one dimension less:
@@ -556,15 +580,45 @@ def test_tampered_delta_parts_take_the_kernel_and_match_the_kernel_route(monkeyp
     route."""
     for source in SOURCES:
         np_ = source()
-        tampered = [
-            swapped(np_, "delta_parts"),
-            with_part(np_, "delta_parts", 0, shrunk(np_.delta_parts[0])),
-            with_part(np_, "delta_parts", 0, scaled(np_.delta_parts[0], F(2, 3))),
-            with_a_tie(np_),
-            with_part(np_, "delta_parts", 0, projected(np_.delta_parts[0])),
-        ]
-        for bad in tampered:
+        for bad in kernel_path_tampers(np_):
             new, old = both_routes(bad, monkeypatch, oracles.kernel_dual_nef_partition)
             assert new == old, source.__name__
             assert new[0] == "raised" or not all(check.passed for _, check in new[0])
             assert kernel_cones(bad) == read_off_failures(bad) != set(), source.__name__
+
+
+# The dual is not audited again once it is decided, and the pairing checks
+# take a shortcut: both against the tampered sources above.
+
+
+def tampered_sources():
+    for source in SOURCES:
+        np_ = source()
+        dual = dual_nef_partition(np_)
+        yield from hull_path_tampers(np_)
+        yield from kernel_path_tampers(np_)
+        for side in (np_, dual):
+            yield from (bad for bad, _ in sum_check_tampers(side))
+        yield from tampered_duals(dual)
+
+
+def test_the_audits_pass_on_every_dual_built_from_a_tampered_source():
+    """Each dual that dual_nef_partition returns passes the audit of a
+    validated partition and the former hull audit, which it no longer
+    runs; on every such dual, and on every tampered source, the pairing
+    checks' shortcut agrees with their full loop."""
+    built = taken = total = 0
+    for bad in tampered_sources():
+        got = outcome(dual_nef_partition, bad)
+        dual = got[1] if got[0] == "returned" else None
+        if dual is not None:
+            assert outcome(_assert_partition_invariants, dual) == outcome(
+                oracles.assert_partition_invariants, dual
+            ) == ("returned", None)
+            built += 1
+        checks = list(pairing_checks(bad, dual))
+        total += len(checks)
+        taken += shortcut_count(checks)
+    # 87 tampered sources, of which 11 give a dual; 53 of the checks
+    # take the full loop
+    assert (built, taken, total) == (11, 190, 243)

@@ -10,7 +10,6 @@ from nefdual.linalg import (
     Underdetermined,
     integer_rows,
     nullspace,
-    primitivize,
     rank,
     rref,
     solve,
@@ -69,18 +68,6 @@ def test_nullspace_vectors_are_primitive_kernel_elements():
     (vec,) = basis
     assert all(sum(a * x for a, x in zip(row, vec)) == 0 for row in rows)
     assert all(x.denominator == 1 for x in vec)
-
-
-def test_primitivize():
-    prim, scale = primitivize([F(1, 2), F(-1, 3)])
-    assert prim == (F(3), F(-2))
-    assert scale == F(6)
-    assert all(scale * orig == p for orig, p in zip([F(1, 2), F(-1, 3)], prim))
-
-
-def test_primitivize_rejects_zero():
-    with pytest.raises(ValueError):
-        primitivize([F(0), F(0)])
 
 
 small = st.integers(-5, 5)

@@ -1,5 +1,6 @@
 """Nef-partition validation, the pairing relations, and enumeration."""
 
+import copy
 import itertools
 import time
 from collections import Counter
@@ -20,7 +21,7 @@ from nefdual.duality import (
     verify_nabla_polar_is_delta_sum,
     verify_polar_is_nabla_sum,
 )
-from nefdual.errors import InvariantViolation, NotReflexive
+from nefdual.errors import DimensionMismatch, InvariantViolation, NotReflexive
 from nefdual.nefpart import (
     EMPTY_PART,
     NOT_CONVEX,
@@ -31,6 +32,8 @@ from nefdual.nefpart import (
     NefPartition,
     Rejection,
     _assert_partition_invariants,
+    _check_pairable,
+    _pairing_mismatch,
     check_relations,
     enumerate_nef_partitions,
     validate_partition,
@@ -572,8 +575,8 @@ def _outcome(check, *args):
     """What a check gives: its result, or the exception with its witness."""
     try:
         return ("returned", check(*args))
-    except InvariantViolation as exc:
-        return ("raised", str(exc), exc.witness)
+    except (DimensionMismatch, InvariantViolation) as exc:
+        return ("raised", type(exc), str(exc), getattr(exc, "witness", None))
 
 
 def test_integer_relation_and_psi_checks_match_the_fraction_ones(corpus):
@@ -639,8 +642,30 @@ def test_tampered_partitions_fail_both_relation_and_psi_checks_alike():
         assert got == _outcome(oracles.check_relations, scaled)
         assert got[1].violations and got[1].matrix[0][0] == F(-1, 3)
 
+        # a base that is not the one phi lives on: no shortcut
+        moved = replace(np_, delta=_scaled(np_.delta, 2))
+        got = _outcome(check_relations, moved)
+        assert got == _outcome(oracles.check_relations, moved)
+        assert got[1].passed and not got[1].phi_consistent
+
+        # a nabla part grown by a vertex: {-u} is a proper subset of its vertices
+        grown = replace(np_, nabla_parts=(_grown(np_.nabla_parts[0]), *np_.nabla_parts[1:]))
+        got = _outcome(check_relations, grown)
+        assert got == _outcome(oracles.check_relations, grown)
+        assert not got[1].phi_consistent
+
+        # parts that do not pair: one from M, one of another dimension
+        projected = replace(np_, delta_parts=(_projected(np_.delta_parts[0]), *np_.delta_parts[1:]))
+        for bad in (
+            replace(np_, nabla_parts=(np_.delta_parts[0], *np_.nabla_parts[1:])),
+            projected,
+        ):
+            got = _outcome(check_relations, bad)
+            assert got[:2] == ("raised", DimensionMismatch)
+            assert got == _outcome(oracles.check_relations, bad)
+
         dual = dual_nef_partition(np_)
-        for tampered in (replace(np_, delta_parts=np_.delta_parts[::-1]), scaled):
+        for tampered in (replace(np_, delta_parts=np_.delta_parts[::-1]), scaled, projected):
             got = _outcome(_check_psi, tampered, dual)
             assert got[0] == "raised"
             assert got == _outcome(oracles.check_psi, tampered, dual)
@@ -648,3 +673,106 @@ def test_tampered_partitions_fail_both_relation_and_psi_checks_alike():
 
 def _scaled(poly, factor):
     return hull([v.scale(factor) for v in poly.vertices])
+
+
+def _projected(poly):
+    """``poly`` with its last coordinate dropped: one ambient dimension less."""
+    return hull([Point(v.coords[:-1], poly.space) for v in poly.vertices])
+
+
+def _grown(poly):
+    """``poly`` with one more vertex that leaves each of its vertices a
+    vertex: a point just beyond the centroid of its first facet, or a
+    vertex moved off its affine span."""
+    if poly.affine_span:
+        x = poly.vertices[0]
+        steps = [[int(j == k) for j in range(poly.ambient_dim)] for k in range(poly.ambient_dim)]
+        p = next(
+            q for q in (x + Point(e, poly.space) for e in steps)
+            if any(pair(q, eq.normal) != eq.value for eq in poly.affine_span)
+        )
+    else:
+        facet = poly.facets[0]
+        ends = [poly.vertices[i] for i in facet.incidence]
+        centroid = sum(ends[1:], ends[0]).scale(F(1, len(ends)))
+        p = centroid - Point(facet.normal.coords, poly.space).scale(F(1, 100))
+    out = hull([*poly.vertices, p])
+    assert set(out.vertices) == {*poly.vertices, p}
+    return out
+
+
+# The shortcut of _pairing_mismatch against its full loop, which a copy of
+# the PL function marked non-convex takes.
+
+
+def _full_loop(f, base, part):
+    g = copy.copy(f)
+    g.is_convex = False
+    return _pairing_mismatch(g, base, part)
+
+
+def _takes_the_shortcut(f, base, part):
+    return (
+        f.is_convex
+        and f.fan.base == base
+        and {-u for u in f.functionals} == set(part.vertices)
+    )
+
+
+def pairing_checks(np_, dual=None):
+    """Every (PL function, base, part) that check_relations and _check_psi
+    test on ``np_`` and its ``dual``: (phi_i, delta, nabla part i) on each
+    side and (psi_i, nabla, delta part i) both ways; only the first without
+    a dual. Pairs that do not pair are left out."""
+    sides = ((np_, dual), (dual, np_)) if dual is not None else ((np_, None),)
+    for side, other in sides:
+        for i, f in enumerate(side.phi):
+            parts = [side.nabla_parts[i]] + ([other.delta_parts[i]] if other else [])
+            for part in parts:
+                try:
+                    _check_pairable(side.delta, part)
+                except DimensionMismatch:
+                    continue
+                yield f, side.delta, part
+
+
+def shortcut_count(checks):
+    """Assert that the shortcut agrees with the full loop on each of
+    ``checks``; return how many take it."""
+    taken = 0
+    for f, base, part in checks:
+        assert _pairing_mismatch(f, base, part) == _full_loop(f, base, part)
+        taken += _takes_the_shortcut(f, base, part)
+    return taken
+
+
+def test_the_pairing_shortcut_agrees_with_the_full_loop(corpus):
+    total = taken = 0
+    for np_ in _audit_inputs(corpus):
+        checks = list(pairing_checks(np_, dual_nef_partition(np_)))
+        total += len(checks)
+        taken += shortcut_count(checks)
+    # 4 checks per part of the 333 partitions, and every one takes the shortcut
+    assert (taken, total) == (3040, 3040)
+
+
+def test_a_non_convex_function_takes_the_full_loop(corpus_by_name):
+    """A non-convex PL function whose negated functionals are exactly a
+    polytope's vertices exceeds its value somewhere, where the pairing
+    with that polytope finds the maximum of its functionals."""
+    hexagon = _fresh([v.coords for v in corpus_by_name["hexagon"].polytope.vertices])
+    found = 0
+    for cand in _set_partitions(len(hexagon.vertices), 3):
+        res = validate_partition(hexagon, cand)
+        if not (isinstance(res, Rejection) and res.reason == NOT_CONVEX):
+            continue
+        values = [int(i in cand[res.part]) for i in range(len(hexagon.vertices))]
+        f = fan.pl_from_vertex_values(fan.face_fan(hexagon), values)
+        negated = {-u for u in f.functionals}
+        part = hull(list(negated))
+        if set(part.vertices) != negated:
+            continue
+        vi, _ = _pairing_mismatch(f, hexagon, part)
+        assert vi is not None and (vi, None) == _full_loop(f, hexagon, part)
+        found += 1
+    assert found > 0
