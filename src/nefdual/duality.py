@@ -39,11 +39,10 @@ so equal hulls are equal objects:
   ``np.delta_parts[i]``;
 - the dual's own nabla is the hull of the vertices of its nabla parts,
   which is Δ whenever their nonzero vertices are exactly Δ's vertices and
-  Δ contains 0 (the audit's cover test,
-  :func:`nefdual.nefpart._covers`): ``np.delta``.
+  Δ contains 0 (the cover test, :func:`_covers`): ``np.delta``.
 
 Each test reads the source's objects and not the assumption that the
-source passed its audit, so a tampered source takes the hull path.
+source is a valid nef-partition, so a tampered source takes the hull path.
 
 The dual's PL functions are read off ∇* = Δ_1 + … + Δ_r, with no
 elimination on ∇'s fan (:func:`_read_off`). ∇ is reflexive, so the cone
@@ -64,19 +63,16 @@ is left to the kernel, as before, so a tampered source gives the same
 ``Rejection``, error or ``CheckResult``. On a cone read off, -u = w_j is
 a vertex of Δ_j by construction.
 
-The dual is not audited: once ``_decide`` accepts it on ∇, each test of
-the audit holds. The ψ_i sum to 1 and are the convex integral indicators,
-as decided on a disjoint, covering partition. Σψ is 1 on every vertex of
-the reflexive ∇, so on the cone over a facet F its functional is -n_F and
-its support is ∇*. The cover, origin and part-vertex tests follow from
-:func:`_dual_parts` and the reuse tests. The nabla parts are lattice,
-hold 0 and lie in ∇*, by integral functionals, ψ_i >= 0 and
-<y, u> <= ψ_i(y) <= 1. The ψ_i are cross-checked against the source's
-delta parts (:func:`_check_psi`), and all six checks run. The involution
-check reuses the source as the double dual when the double dual's base
-and labeled parts equal the source's: validation is a deterministic
-function of the vertex list and the labeled parts, so the result would be
-equal to the source. See :func:`verify_involution`.
+The dual is not audited: once ``_decide`` accepts it on ∇, the argument
+of :mod:`nefdual.nefpart` applies with ∇ in place of Δ. What is specific
+to the dual: ``_decide`` accepts only on a reflexive ∇, on which Σψ is 1
+at every vertex, and its parts are those ``_build`` would give, by
+:func:`_dual_parts` and the reuse tests above. The ψ_i are cross-checked
+against the source's delta parts (:func:`_check_psi`), and all six checks
+run. The involution check reuses the source as the double dual when the
+double dual's base and labeled parts equal the source's: validation is a
+deterministic function of the vertex list and the labeled parts, so the
+result would be equal to the source. See :func:`verify_involution`.
 """
 
 from __future__ import annotations
@@ -84,7 +80,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from .errors import InvariantViolation
 from .fan import face_fan, support_polytope
@@ -92,7 +88,6 @@ from .nefpart import (
     NefPartition,
     Rejection,
     _check_pairable,
-    _covers,
     _decide,
     _delta_part,
     _pair_min,
@@ -150,9 +145,10 @@ def nabla(np: NefPartition) -> Polytope:
     dual made by :func:`dual_nef_partition` it is the source's base, kept
     there when the cover test shows the hull would equal it. It sits inside
     the polar of ``np.delta`` with no check here: a hull's vertices are a
-    subset of its input points, and each vertex of each nabla part lies in
-    that polar: the audit (:func:`nefdual.nefpart._assert_partition_invariants`)
-    checks it, and a dual meets it by construction.
+    subset of its input points, and each vertex -u of nabla part i lies in
+    that polar, as <v, -u> >= -phi_i(v) >= -1 at every vertex v of
+    ``np.delta`` by the convexity that ``_decide`` checked (see
+    :mod:`nefdual.nefpart`).
     """
     if np._nabla is None:
         nb = hull([v for part in np.nabla_parts for v in part.vertices])
@@ -211,6 +207,17 @@ def verify_nabla_reflexive(np: NefPartition) -> CheckResult:
         False,
         witness=[v.coords for v in nb.vertices],
     )
+
+
+def _covers(delta: Polytope, parts: Sequence[Polytope]) -> bool:
+    """Whether the hull of the vertices of ``parts`` is ``delta``.
+
+    It is exactly when the parts' nonzero vertices are delta's vertices and
+    0, which a part may add, lies in delta.
+    """
+    zero = origin(delta.ambient_dim, delta.space)
+    covered = {v for part_poly in parts for v in part_poly.vertices if not v.is_zero()}
+    return covered == set(delta.vertices) and delta.contains(zero)
 
 
 def _dual_parts(np: NefPartition, nb: Polytope) -> tuple[frozenset[int], ...]:
@@ -312,8 +319,8 @@ def dual_nef_partition(np: NefPartition) -> NefPartition:
     its nabla part i is ``np.delta_parts[i]``, and its own nabla is
     ``np.delta``; any other part is built by a hull. The dual's cone
     functionals are read off the delta parts (:func:`_read_off`), and only
-    a cone where that fails gets a kernel. The dual is not audited: once
-    ``_decide`` accepts it, each test of the audit holds (see the module
+    a cone where that fails gets a kernel. Nothing is audited once
+    ``_decide`` accepts: every identity then holds (see the module
     docstring). Each dual PL function is cross-checked against the pairing
     formula (:func:`_check_psi`).
 

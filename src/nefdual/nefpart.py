@@ -10,13 +10,28 @@ with pruning: a labelling is abandoned at the first cone on which some
 part's indicator has no lattice linear extension, and only the survivors
 are validated.
 
-Every accepted partition is audited without building a hull. In
-particular the delta parts Δᵢ = conv(0, part i) meet only at the origin
-because every nonzero vertex of Δᵢ is a vertex of part i: each φ_k is
-convex and positively homogeneous and 0 on the other parts' vertices, so
-φ_k ≤ 0 on Δᵢ for k ≠ i, while Σφ_k is linear on each cone and 1 on the
-facet's vertices, so Σφ_k > 0 away from 0. A nonzero point of Δᵢ ∩ Δⱼ,
-i ≠ j, would give φ_k ≤ 0 for every k and so Σφ_k ≤ 0.
+Validation decides (:func:`_decide`) and then builds the parts
+(:func:`_build`), and audits nothing afterwards: once ``_decide`` accepts a
+partition of parts Eᵢ of a reflexive Δ and ``_build`` has run, every
+identity of a nef-partition holds by construction.
+
+- Sum and indicators. The values sum to 1, and each φᵢ is the convex
+  integral indicator of part i: ``_decide`` built them from a disjoint,
+  covering partition and decided exactly that.
+- Σφ supports Δ*. Σφ is 1 on every vertex, so on the cone over a facet
+  with normal n and offset 1 its functional is −n, and the polar's vertices
+  are exactly those n.
+- Δ parts. Δᵢ = hull(0, Eᵢ) holds 0. Every vertex of Δ is extreme in
+  Δᵢ ⊆ Δ, so Δᵢ's nonzero vertices are exactly Eᵢ: the parts cover Δ and
+  no Δᵢ has a vertex outside part i. They meet only at the origin: each
+  φ_k is convex and positively homogeneous and 0 on the other parts'
+  vertices, so φ_k ≤ 0 on Δᵢ for k ≠ i, while Σφ_k is linear on each cone
+  and 1 on the facet's vertices, so Σφ_k > 0 away from 0. A nonzero point
+  of Δᵢ ∩ Δⱼ, i ≠ j, would give φ_k ≤ 0 for every k and so Σφ_k ≤ 0.
+- ∇ parts. Each ∇ᵢ is a lattice polytope, because the functionals are
+  integral. It holds 0, because φᵢ ≥ 0. Each vertex −u lies in Δ*, because
+  ⟨v, −u⟩ ≥ −φᵢ(v) ≥ −1 at every vertex v of Δ, which is the convexity
+  that ``_decide`` checked.
 """
 
 from __future__ import annotations
@@ -24,13 +39,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import index
-from typing import Iterable, Sequence
+from typing import Iterable
 
-from .errors import (
-    InvariantViolation,
-    NotPiecewiseLinear,
-    NotReflexive,
-)
+from .errors import NotPiecewiseLinear, NotReflexive
 from .fan import FaceFan, PLFunction, face_fan, pl_from_vertex_values, support_polytope
 from .linalg import Inconsistent
 from .polytope import Point, Polytope, _dot, hull, origin, pair
@@ -122,16 +133,14 @@ def validate_partition(delta: Polytope, parts: Iterable[Iterable[int]]):
     index that is not an integer (a ``float``, ``Fraction`` or ``str`` is
     not truncated or parsed into one).
 
-    Three steps: :func:`_decide`, :func:`_build` and
-    :func:`_assert_partition_invariants`.
+    Two steps: :func:`_decide` and :func:`_build`. Nothing is audited
+    afterwards; the module docstring shows why every identity then holds.
     """
     decided = _decide(delta, parts)
     if isinstance(decided, Rejection):
         return decided
     norm_parts, fan, phis = decided
-    np = NefPartition(delta, norm_parts, fan, phis, *_build(delta, norm_parts, phis))
-    _assert_partition_invariants(np)
-    return np
+    return NefPartition(delta, norm_parts, fan, phis, *_build(delta, norm_parts, phis))
 
 
 def _decide(delta: Polytope, parts: Iterable[Iterable[int]]):
@@ -201,84 +210,6 @@ def _delta_part(delta: Polytope, part) -> Polytope:
     return hull([zero] + [delta.vertices[i] for i in sorted(part)])
 
 
-def _covers(delta: Polytope, parts: Sequence[Polytope]) -> bool:
-    """Whether the hull of the vertices of ``parts`` is ``delta``.
-
-    It is exactly when the parts' nonzero vertices are delta's vertices and
-    0, which a part may add, lies in delta.
-    """
-    zero = origin(delta.ambient_dim, delta.space)
-    covered = {v for part_poly in parts for v in part_poly.vertices if not v.is_zero()}
-    return covered == set(delta.vertices) and delta.contains(zero)
-
-
-def _assert_partition_invariants(np: NefPartition) -> None:
-    """Identities every valid nef-partition satisfies; failure is a library bug.
-
-    No hull is built. Σφ is summed from the vertex values and the cone
-    functionals of the φ_k; the hull identities are decided on vertex sets.
-
-    Δᵢ ∩ Δⱼ = {0} for i ≠ j follows from a set test: every nonzero vertex of
-    ``delta_parts[i]`` is a vertex of part i. Each φ_k is sublinear (its
-    convexity was decided before the audit) and is 0 on the vertices of
-    every other part, so φ_k ≤ 0 on Δᵢ for k ≠ i. Σφ_k is linear on each
-    cone and 1 on the facet's vertices, so Σφ_k(x) > 0 for x ≠ 0. A nonzero
-    x in Δᵢ ∩ Δⱼ would have φ_k(x) ≤ 0 for every k, as k ≠ i or k ≠ j,
-    hence Σφ_k(x) ≤ 0: a contradiction.
-    """
-    delta = np.delta
-    zero = origin(delta.ambient_dim, delta.space)
-    polar = delta.polar_dual()
-    values = tuple(map(sum, zip(*(f.vertex_values for f in np.phi))))
-    if any(v != 1 for v in values):
-        raise InvariantViolation(
-            "indicator functions do not sum to 1 on the vertices", witness=values
-        )
-    for i, f in enumerate(np.phi):
-        indicator = tuple(int(vi in np.parts[i]) for vi in range(len(delta.vertices)))
-        if not (f.is_convex and f.is_integral) or f.vertex_values != indicator:
-            raise InvariantViolation(f"phi {i} is not the convex indicator of part {i}")
-    # support(Σφ) == polar. The sum is 1 on every vertex, so on the cone
-    # over a facet (normal n, offset 1) its functional is -n, and the
-    # polar's vertices are exactly those normals. Negated functionals equal
-    # to the polar's vertex set give the hull equality, and they make the
-    # sum convex: <v, -y> <= 1 = Σφ(v) for every vertex v of delta and y of
-    # the polar, which is the condition support_polytope needs. Every
-    # functional is integral, so the sum is taken on their ``int`` forms and
-    # compared with the polar's integer forms.
-    negated = {
-        (tuple([-sum(c) for c in zip(*[u._num for u in us])]), 1)
-        for us in zip(*(f.functionals for f in np.phi))
-    }
-    if negated != {(v._num, v._den) for v in polar.vertices}:
-        raise InvariantViolation("sum of the phi functions does not support the polar")
-
-    # hull(union of delta parts) == delta
-    if not _covers(delta, np.delta_parts):
-        raise InvariantViolation("hull of the delta parts is not the base polytope")
-    for i, dp in enumerate(np.delta_parts):
-        if not dp.contains(zero):
-            raise InvariantViolation(f"delta part {i} misses the origin")
-        own = set(np.part_vertices(i))
-        for v in dp.vertices:
-            if not v.is_zero() and v not in own:
-                raise InvariantViolation(
-                    f"delta part {i} has a vertex outside part {i}", witness=v
-                )
-
-    dual_zero = origin(delta.ambient_dim, polar.space)
-    for i, nb in enumerate(np.nabla_parts):
-        if not nb.is_lattice():
-            raise InvariantViolation(f"nabla part {i} is not a lattice polytope")
-        if not nb.contains(dual_zero):
-            raise InvariantViolation(f"nabla part {i} misses the origin")
-        for v in nb.vertices:
-            if not polar.contains(v):
-                raise InvariantViolation(
-                    f"nabla part {i} leaves the polar polytope", witness=v
-                )
-
-
 def _pruned_candidates(delta: Polytope, r: int):
     """Set partitions of delta's vertices into r blocks, less those that cannot be nef.
 
@@ -338,9 +269,9 @@ def enumerate_nef_partitions(delta: Polytope, r: int) -> list[NefPartition]:
     (:func:`_pruned_candidates`) cuts every subtree in which some part's
     indicator fails to extend to a lattice functional on some cone; each
     survivor is checked in full by :func:`validate_partition`. No symmetry
-    reduction is applied. All candidates share the face fan and polar cached
-    on ``delta``, and the fan's memo of per-cone functionals, so validating
-    a survivor reuses the search's functionals. The result is sorted by
+    reduction is applied. All candidates share the face fan cached on
+    ``delta`` and the fan's memo of per-cone functionals, so validating a
+    survivor reuses the search's functionals. The result is sorted by
     canonical part lists.
 
     The result equals that of validating every set partition.
@@ -350,7 +281,7 @@ def enumerate_nef_partitions(delta: Polytope, r: int) -> list[NefPartition]:
     already failed). That is the condition the search tests, and it is
     final once the cone's vertices are all labelled, so every cut candidate
     would have been rejected. Every other candidate is still validated in
-    full, the audit included, in the same order. The accepted partitions,
+    full, decided and built, in the same order. The accepted partitions,
     their order and the labels of their parts are therefore unchanged.
     """
     if not delta.is_reflexive():

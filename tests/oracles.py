@@ -12,7 +12,9 @@ comparisons) reads ``Point.coords`` and ``Point.space`` only, except that
 own reference is :func:`_solve`; and the library's former hull-based
 routes (:func:`beneath_beyond_planes`, :func:`_intersection_is_origin`,
 :func:`assert_partition_invariants`, :func:`dual_nef_partition`,
-:func:`verify_involution`), its former Bell-number enumeration
+:func:`verify_involution`), its former audit of every validated partition
+on vertex sets (:func:`assert_vertex_set_invariants`), its former
+Bell-number enumeration
 (:func:`_set_partitions`, :func:`enumerate_nef_partitions`),
 solve-per-cone PL extension
 (:func:`pl_from_vertex_values`), hull set-up (:func:`simplex_planes`,
@@ -40,7 +42,7 @@ from math import gcd, lcm
 from operator import and_, mul
 from typing import Iterable, Sequence
 
-from nefdual.duality import CheckResult, _check_psi, _dual_parts, nabla
+from nefdual.duality import CheckResult, _check_psi, _covers, _dual_parts, nabla
 from nefdual.errors import (
     DimensionMismatch,
     InvariantViolation,
@@ -64,8 +66,6 @@ from nefdual.nefpart import (
     NefPartition,
     Rejection,
     RelationReport,
-    _assert_partition_invariants,
-    _covers,
     _decide,
     _delta_part,
     validate_partition,
@@ -528,6 +528,81 @@ def assert_partition_invariants(np: NefPartition) -> None:
             raise InvariantViolation(
                 f"delta parts {i} and {j} overlap beyond the origin", witness=witness
             )
+
+    dual_zero = origin(delta.ambient_dim, polar.space)
+    for i, nb in enumerate(np.nabla_parts):
+        if not nb.is_lattice():
+            raise InvariantViolation(f"nabla part {i} is not a lattice polytope")
+        if not nb.contains(dual_zero):
+            raise InvariantViolation(f"nabla part {i} misses the origin")
+        for v in nb.vertices:
+            if not polar.contains(v):
+                raise InvariantViolation(
+                    f"nabla part {i} leaves the polar polytope", witness=v
+                )
+
+
+# The library's former audit of every validated partition, verbatim apart
+# from the name: it decides the two hull identities on vertex sets and
+# Δᵢ ∩ Δⱼ = {0} by a set test. The library no longer audits, because
+# every test follows from ``_decide`` and ``_build`` (the ``nefdual.nefpart``
+# docstring gives the argument); ``assert_partition_invariants`` above is
+# its hull-based reference.
+
+
+def assert_vertex_set_invariants(np: NefPartition) -> None:
+    """Identities every valid nef-partition satisfies; failure is a library bug.
+
+    No hull is built. Σφ is summed from the vertex values and the cone
+    functionals of the φ_k; the hull identities are decided on vertex sets.
+
+    Δᵢ ∩ Δⱼ = {0} for i ≠ j follows from a set test: every nonzero vertex of
+    ``delta_parts[i]`` is a vertex of part i. Each φ_k is sublinear (its
+    convexity was decided before the audit) and is 0 on the vertices of
+    every other part, so φ_k ≤ 0 on Δᵢ for k ≠ i. Σφ_k is linear on each
+    cone and 1 on the facet's vertices, so Σφ_k(x) > 0 for x ≠ 0. A nonzero
+    x in Δᵢ ∩ Δⱼ would have φ_k(x) ≤ 0 for every k, as k ≠ i or k ≠ j,
+    hence Σφ_k(x) ≤ 0: a contradiction.
+    """
+    delta = np.delta
+    zero = origin(delta.ambient_dim, delta.space)
+    polar = delta.polar_dual()
+    values = tuple(map(sum, zip(*(f.vertex_values for f in np.phi))))
+    if any(v != 1 for v in values):
+        raise InvariantViolation(
+            "indicator functions do not sum to 1 on the vertices", witness=values
+        )
+    for i, f in enumerate(np.phi):
+        indicator = tuple(int(vi in np.parts[i]) for vi in range(len(delta.vertices)))
+        if not (f.is_convex and f.is_integral) or f.vertex_values != indicator:
+            raise InvariantViolation(f"phi {i} is not the convex indicator of part {i}")
+    # support(Σφ) == polar. The sum is 1 on every vertex, so on the cone
+    # over a facet (normal n, offset 1) its functional is -n, and the
+    # polar's vertices are exactly those normals. Negated functionals equal
+    # to the polar's vertex set give the hull equality, and they make the
+    # sum convex: <v, -y> <= 1 = Σφ(v) for every vertex v of delta and y of
+    # the polar, which is the condition support_polytope needs. Every
+    # functional is integral, so the sum is taken on their ``int`` forms and
+    # compared with the polar's integer forms.
+    negated = {
+        (tuple([-sum(c) for c in zip(*[u._num for u in us])]), 1)
+        for us in zip(*(f.functionals for f in np.phi))
+    }
+    if negated != {(v._num, v._den) for v in polar.vertices}:
+        raise InvariantViolation("sum of the phi functions does not support the polar")
+
+    # hull(union of delta parts) == delta
+    if not _covers(delta, np.delta_parts):
+        raise InvariantViolation("hull of the delta parts is not the base polytope")
+    for i, dp in enumerate(np.delta_parts):
+        if not dp.contains(zero):
+            raise InvariantViolation(f"delta part {i} misses the origin")
+        own = set(np.part_vertices(i))
+        for v in dp.vertices:
+            if not v.is_zero() and v not in own:
+                raise InvariantViolation(
+                    f"delta part {i} has a vertex outside part {i}", witness=v
+                )
 
     dual_zero = origin(delta.ambient_dim, polar.space)
     for i, nb in enumerate(np.nabla_parts):
@@ -1358,7 +1433,7 @@ def kernel_dual_nef_partition(np: NefPartition) -> NefPartition:
         for delta_part, psi in zip(np.delta_parts, psis)
     )
     dual = NefPartition(nb, parts, fan, psis, dparts, nparts)
-    _assert_partition_invariants(dual)
+    assert_vertex_set_invariants(dual)
     _check_psi(np, dual)
     if _covers(np.delta, nparts):
         object.__setattr__(dual, "_nabla", np.delta)

@@ -10,7 +10,12 @@ import pytest
 
 from nefdual.duality import nabla, run_full_duality
 from nefdual.fan import face_fan
-from nefdual.nefpart import NefPartition, enumerate_nef_partitions, validate_partition
+from nefdual.nefpart import (
+    NefPartition,
+    Rejection,
+    enumerate_nef_partitions,
+    validate_partition,
+)
 from nefdual.polytope import Point, hull
 
 from oracles import _set_partitions
@@ -48,6 +53,18 @@ def test_a_polar_is_not_preset_to_its_source():
     double = polar.polar_dual()
     assert double == p and double is not p
     assert double._polar is None
+
+
+def test_validation_and_enumeration_build_no_polar():
+    """Nothing in validation reads the polar, so none is built and cached."""
+    accepted = octahedron()
+    assert isinstance(validate_partition(accepted, [[0], [1, 2, 3, 4, 5]]), NefPartition)
+    square = hull([Point(c) for c in [(1, 1), (1, -1), (-1, 1), (-1, -1)]])
+    assert isinstance(validate_partition(square, [[0], [1, 2, 3]]), Rejection)
+    enumerated = octahedron()
+    assert len(enumerate_nef_partitions(enumerated, 2)) == 31
+    for p in (accepted, square, enumerated):
+        assert p._polar is None
 
 
 def test_run_full_duality_on_cold_and_warm_objects_agrees():

@@ -16,6 +16,7 @@ import pytest
 
 import nefdual
 from nefdual.cli import main
+from nefdual.polytope import Polytope
 
 DATA = Path(nefdual.__file__).parent / "data"
 FIX = Path(__file__).parent / "fixtures"
@@ -88,6 +89,28 @@ def test_json_output_matches_modulo_timings(capsys, name):
     assert err == ""
     got = normalize_report(json.loads(out))
     assert got == json.loads((GOLDEN / name).read_text(encoding="utf-8"))
+
+
+def test_nef_validate_builds_no_polar(capsys, monkeypatch):
+    """Every nef-validate golden request, text and JSON, gives its golden
+    output with no polar built."""
+
+    def no_polar(self):
+        raise AssertionError("nef-validate built a polar")
+
+    monkeypatch.setattr(Polytope, "polar_dual", no_polar)
+    cases = {**TEXT_CASES, **JSON_CASES}
+    names = sorted(n for n, (_, argv) in cases.items() if argv[0] == "nef-validate")
+    assert names == ["validate_axis.txt", "validate_corner.json", "validate_corner.txt"]
+    for name in names:
+        want_code, argv = cases[name]
+        code, out, err = run_cli(capsys, argv)
+        assert (code, err) == (want_code, "")
+        want = (GOLDEN / name).read_text(encoding="utf-8")
+        if name.endswith(".json"):
+            assert normalize_report(json.loads(out)) == json.loads(want)
+        else:
+            assert out == want
 
 
 # every row: (expected code, argv, expected stderr prefix or None)

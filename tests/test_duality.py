@@ -21,7 +21,6 @@ from nefdual.errors import GeometryError, InvariantViolation
 from nefdual.fan import face_fan
 from nefdual.nefpart import (
     NefPartition,
-    _assert_partition_invariants,
     enumerate_nef_partitions,
     validate_partition,
 )
@@ -228,7 +227,7 @@ def test_involution_and_audit_match_the_rebuilding_routes_on_the_corpus(corpus):
         assert result.all_passed
         assert result.checks["involution"] == oracles.verify_involution(np_, result.dual)
         for side in (np_, result.dual):
-            assert outcome(_assert_partition_invariants, side) == outcome(
+            assert outcome(oracles.assert_vertex_set_invariants, side) == outcome(
                 oracles.assert_partition_invariants, side
             ) == ("returned", None)
         count += 1
@@ -248,7 +247,7 @@ def test_audit_failures_match_the_hull_route():
     # the indicator functions of one part twice
     doubled = replace(np_, phi=(np_.phi[0], np_.phi[0]))
     for bad in (tampered, doubled):
-        new = outcome(_assert_partition_invariants, bad)
+        new = outcome(oracles.assert_vertex_set_invariants, bad)
         assert new[0] == "raised" and new[1] is InvariantViolation
         assert new == outcome(oracles.assert_partition_invariants, bad)
 
@@ -612,7 +611,7 @@ def test_the_audits_pass_on_every_dual_built_from_a_tampered_source():
         got = outcome(dual_nef_partition, bad)
         dual = got[1] if got[0] == "returned" else None
         if dual is not None:
-            assert outcome(_assert_partition_invariants, dual) == outcome(
+            assert outcome(oracles.assert_vertex_set_invariants, dual) == outcome(
                 oracles.assert_partition_invariants, dual
             ) == ("returned", None)
             built += 1

@@ -31,7 +31,6 @@ from nefdual.nefpart import (
     NOT_PIECEWISE_LINEAR,
     NefPartition,
     Rejection,
-    _assert_partition_invariants,
     _check_pairable,
     _pairing_mismatch,
     check_relations,
@@ -501,7 +500,7 @@ def test_audit_passes_with_the_pairwise_hull_audit_on_both_duality_sides(corpus)
     for np_ in _audit_inputs(corpus):
         assert isinstance(np_, NefPartition)
         for side in (np_, dual_nef_partition(np_)):
-            _assert_partition_invariants(side)
+            oracles.assert_vertex_set_invariants(side)
             oracles.assert_partition_invariants(side)
         count += 1
     # 175 corpus partitions, 15 + 15 on the 4-simplex, 1 on the 5-simplex, 127 on cross4
@@ -523,7 +522,7 @@ def test_a_delta_part_with_another_parts_vertex_fails_both_audits():
         parts = list(np_.delta_parts)
         parts[0] = hull(list(parts[0].vertices) + [gained])
         tampered = replace(np_, delta_parts=tuple(parts))
-        for audit in (_assert_partition_invariants, oracles.assert_partition_invariants):
+        for audit in (oracles.assert_vertex_set_invariants, oracles.assert_partition_invariants):
             with pytest.raises(InvariantViolation):
                 audit(tampered)
 
