@@ -26,14 +26,16 @@ polar reaches it only if it holds y. Only a failing check builds the sum, with
 Each object is built once per run, and one duality builds one hull: nabla
 itself, whose polar is an identity under test. The dual side is decided on
 nabla by :func:`dual_nef_partition`, which takes each of its 2r + 1
-polytopes from the source when an exact, local test shows that the hull
-would return that very object. A polytope from :func:`nefdual.polytope.hull`
-depends only on the convex hull of its input (sorted vertices, primitive
-facet normals within the span, sorted facets, a reduced basis of the span),
-so equal hulls are equal objects:
+polytopes from the source when an exact, local test shows that building it
+would give that very polytope. A polytope depends only on the convex hull
+of its points: its sorted vertices, and the span and facets that
+:func:`nefdual.polytope.hull` gives (primitive facet normals within the
+span, sorted facets, a reduced basis of the span), whether built at once or
+on first read. So equal hulls are equal polytopes:
 
 - the dual's delta part i is the hull of 0 and the nonzero vertices of
-  ∇_i, which is ∇_i whenever ∇_i contains 0: ``np.nabla_parts[i]``;
+  ∇_i, which is ∇_i whenever ∇_i contains 0: ``np.nabla_parts[i]``, whose
+  membership test reads no facets;
 - the dual's nabla part i is the hull of the negated cone functionals of
   psi_i, which is Δ_i whenever those are exactly Δ_i's vertices:
   ``np.delta_parts[i]``;
@@ -42,7 +44,8 @@ so equal hulls are equal objects:
   Δ contains 0 (the cover test, :func:`_covers`): ``np.delta``.
 
 Each test reads the source's objects and not the assumption that the
-source is a valid nef-partition, so a tampered source takes the hull path.
+source is a valid nef-partition, so a tampered source gets the parts built
+from their vertices and its own nabla by a hull.
 
 The dual's PL functions are read off ∇* = Δ_1 + … + Δ_r, with no
 elimination on ∇'s fan (:func:`_read_off`). ∇ is reflexive, so the cone
@@ -317,7 +320,8 @@ def dual_nef_partition(np: NefPartition) -> NefPartition:
     its parts are taken from the source wherever that is exact (see the
     module docstring): the dual's delta part i is ``np.nabla_parts[i]``,
     its nabla part i is ``np.delta_parts[i]``, and its own nabla is
-    ``np.delta``; any other part is built by a hull. The dual's cone
+    ``np.delta``; any other part is built from its vertices as
+    :func:`nefdual.nefpart._build` builds it. The dual's cone
     functionals are read off the delta parts (:func:`_read_off`), and only
     a cone where that fails gets a kernel. Nothing is audited once
     ``_decide`` accepts: every identity then holds (see the module
@@ -337,17 +341,17 @@ def dual_nef_partition(np: NefPartition) -> NefPartition:
             "dual partition failed validation", witness=str(decided)
         )
     parts, fan, psis = decided
-    # The source's own object wherever the hull would return it.
-    zero = origin(nb.ambient_dim, nb.space)
-    dparts = tuple(
-        nabla_part if nabla_part.contains(zero) else _delta_part(nb, part)
-        for nabla_part, part in zip(np.nabla_parts, parts)
-    )
+    # The source's own object wherever the build would return it.
     nparts = tuple(
         delta_part
         if {-u for u in psi.functionals} == set(delta_part.vertices)
         else support_polytope(psi)
         for delta_part, psi in zip(np.delta_parts, psis)
+    )
+    zero = origin(nb.ambient_dim, nb.space)
+    dparts = tuple(
+        nabla_part if nabla_part.contains(zero) else _delta_part(nb, parts, nparts, i)
+        for i, nabla_part in enumerate(np.nabla_parts)
     )
     dual = NefPartition(nb, parts, fan, psis, dparts, nparts)
     _check_psi(np, dual)

@@ -21,7 +21,7 @@ identity of a nef-partition holds by construction.
 - Σφ supports Δ*. Σφ is 1 on every vertex, so on the cone over a facet
   with normal n and offset 1 its functional is −n, and the polar's vertices
   are exactly those n.
-- Δ parts. Δᵢ = hull(0, Eᵢ) holds 0. Every vertex of Δ is extreme in
+- Δ parts. Δᵢ = conv(0, Eᵢ) holds 0. Every vertex of Δ is extreme in
   Δᵢ ⊆ Δ, so Δᵢ's nonzero vertices are exactly Eᵢ: the parts cover Δ and
   no Δᵢ has a vertex outside part i. They meet only at the origin: each
   φ_k is convex and positively homogeneous and 0 on the other parts'
@@ -32,6 +32,26 @@ identity of a nef-partition holds by construction.
   integral. It holds 0, because φᵢ ≥ 0. Each vertex −u lies in Δ*, because
   ⟨v, −u⟩ ≥ −φᵢ(v) ≥ −1 at every vertex v of Δ, which is the convexity
   that ``_decide`` checked.
+
+``_build`` makes no hull: each part is built from its vertices, which are
+exact once ``_decide`` accepts, and its span and facets are built by a
+hull only when first read (:meth:`nefdual.polytope.Polytope._from_vertices`).
+
+- ∇ᵢ = {y : ⟨v, y⟩ ≥ −φᵢ(v) at every vertex v of Δ}. Its vertices are
+  the distinct negated cone functionals of φᵢ: the convex φᵢ is the
+  maximum of its functionals, and for a generic x inside a cone, −u of
+  that cone is the unique minimiser of ⟨x, ·⟩ over them
+  (:func:`nefdual.fan.support_polytope`).
+- Δᵢ = conv(0, Eᵢ). Its vertices are Eᵢ, each a vertex of Δ ⊇ Δᵢ, and 0
+  exactly when every e ∈ Eᵢ has ⟨e, u⟩ < 0 for some functional u of some
+  φₖ with k ≠ i. If that holds, let s be the sum of those −u. Every −u is
+  a point of some ∇ₖ, k ≠ i, so ⟨e′, −u⟩ ≥ −φₖ(e′) = 0 for every e′ ∈ Eᵢ,
+  and each e′ has a term > 0 of its own: ⟨e′, s⟩ > 0 = ⟨0, s⟩ separates
+  conv(Eᵢ) strictly from 0. If it fails for some e, then
+  φₖ(−e) = max ⟨−e, u⟩ ≤ 0, so φₖ(−e) = 0 for every k ≠ i, as φₖ ≥ 0.
+  On a cone holding −e, −e is a nonnegative combination of the facet's
+  vertices, and φₖ is linear there and 1 on Eₖ, so only vertices of Eᵢ
+  have weight: −e ∈ cone(Eᵢ), and 0 ∈ conv(Eᵢ).
 """
 
 from __future__ import annotations
@@ -44,7 +64,7 @@ from typing import Iterable
 from .errors import NotPiecewiseLinear, NotReflexive
 from .fan import FaceFan, PLFunction, face_fan, pl_from_vertex_values, support_polytope
 from .linalg import Inconsistent
-from .polytope import Point, Polytope, _dot, hull, origin, pair
+from .polytope import Point, Polytope, _dot, origin, pair
 
 NOT_DISJOINT = "NotDisjoint"
 NOT_COVERING = "NotCovering"
@@ -196,18 +216,25 @@ def _decide(delta: Polytope, parts: Iterable[Iterable[int]]):
 
 
 def _build(delta: Polytope, parts, phis):
-    """The delta parts and the nabla parts, the support polytopes of the
-    ``phis``, each by a hull."""
-    return (
-        tuple(_delta_part(delta, part) for part in parts),
-        tuple(support_polytope(f) for f in phis),
-    )
+    """The delta parts and the nabla parts, each built from its vertices
+    (the module docstring gives both vertex sets), with no hull: a part's
+    span and facets are built on their first read."""
+    nabla_parts = tuple(support_polytope(f) for f in phis)
+    return tuple(_delta_part(delta, parts, nabla_parts, i) for i in range(len(parts))), nabla_parts
 
 
-def _delta_part(delta: Polytope, part) -> Polytope:
-    """conv(0, part): the hull of the origin and the part's vertices."""
-    zero = origin(delta.ambient_dim, delta.space)
-    return hull([zero] + [delta.vertices[i] for i in sorted(part)])
+def _delta_part(delta: Polytope, parts, nabla_parts, i: int) -> Polytope:
+    """Δᵢ = conv(0, Eᵢ), Eᵢ the vertices of ``parts[i]``, from its vertices:
+    Eᵢ, and 0 exactly when every e in Eᵢ pairs positively with a vertex -u
+    of some ``nabla_parts[k]``, k ≠ i."""
+    verts = [delta.vertices[j] for j in sorted(parts[i])]
+    points = [origin(delta.ambient_dim, delta.space)] + verts
+    # Every denominator is positive, so the sign of <e, y> is that of the
+    # dot product of the numerators.
+    others = [y._num for k, nb in enumerate(nabla_parts) if k != i for y in nb.vertices]
+    if all(any(_dot(e._num, y) > 0 for y in others) for e in verts):
+        return Polytope._from_vertices(points, points)
+    return Polytope._from_vertices(verts, points)
 
 
 def _pruned_candidates(delta: Polytope, r: int):

@@ -6,7 +6,9 @@ immutable, canonically ordered (vertices sorted lexicographically), and
 carry an irredundant facet system with primitive integer normals. A facet
 stores the inequality ``<x, normal> >= -offset``. Lower-dimensional
 polytopes are first class: their affine span is recorded as a list of
-equality constraints and facets are facets within that span.
+equality constraints and facets are facets within that span. A polytope
+whose vertices are known in advance is built from them, and its span and
+facets are built by :func:`hull` when first read.
 
 Two polytopes are equal exactly when they live in the same space and have
 the same canonical vertex list.
@@ -273,7 +275,15 @@ class LinearEquality:
 class Polytope:
     """Bounded convex hull of finitely many rational points.
 
-    Construct through :func:`hull`; the constructor trusts its arguments.
+    Built by :func:`hull`, by :meth:`polar_dual`, or from vertices already
+    known (:meth:`_from_vertices`); the constructor trusts its arguments.
+
+    A polytope built from its vertices keeps the points it is the hull of
+    and leaves its affine span and facets unbuilt. The first read of
+    ``affine_span``, ``facets`` or anything derived from them (``dim``,
+    :meth:`contains`, ...) fills both from the hull of those points, and
+    raises :class:`InvariantViolation` instead if that hull's vertices are
+    not the polytope's own.
 
     A polytope never changes, so three derived values are computed on first
     use and kept: :meth:`polar_dual` (the same ``Polytope`` object on every
@@ -283,7 +293,7 @@ class Polytope:
     """
 
     __slots__ = (
-        "ambient_dim", "space", "vertices", "affine_span", "facets",
+        "ambient_dim", "space", "vertices", "_affine_span", "_facets", "_points",
         "_polar", "_reflexive", "_fan",
     )
 
@@ -292,17 +302,53 @@ class Polytope:
         ambient_dim: int,
         space: str,
         vertices: tuple[Point, ...],
-        affine_span: tuple[LinearEquality, ...],
-        facets: tuple[Facet, ...],
+        affine_span: tuple[LinearEquality, ...] | None,
+        facets: tuple[Facet, ...] | None,
     ):
         self.ambient_dim = ambient_dim
         self.space = space
         self.vertices = vertices
-        self.affine_span = affine_span
-        self.facets = facets
+        self._affine_span = affine_span
+        self._facets = facets
+        self._points = None
         self._polar = None
         self._reflexive = None
         self._fan = None
+
+    @classmethod
+    def _from_vertices(cls, vertices: Iterable[Point], points: Sequence[Point]):
+        """The hull of ``points``, whose extreme points are ``vertices``.
+
+        ``vertices`` are distinct points of one space, in any order; they are
+        sorted here as :func:`hull` sorts them. No hull is built until the
+        span or the facets are first read.
+        """
+        vertices = [q for _, q in _scaled_sorted(vertices)[1]]
+        poly = cls(vertices[0].dim, vertices[0].space, tuple(vertices), None, None)
+        poly._points = points
+        return poly
+
+    def _build_facets(self) -> None:
+        built = hull(self._points)
+        if built.vertices != self.vertices:
+            raise InvariantViolation(
+                "vertices are not the extreme points of the polytope's points",
+                witness=(self.vertices, built.vertices),
+            )
+        self._affine_span = built.affine_span
+        self._facets = built.facets
+
+    @property
+    def affine_span(self) -> tuple[LinearEquality, ...]:
+        if self._affine_span is None:
+            self._build_facets()
+        return self._affine_span
+
+    @property
+    def facets(self) -> tuple[Facet, ...]:
+        if self._facets is None:
+            self._build_facets()
+        return self._facets
 
     @property
     def dim(self) -> int:
@@ -324,12 +370,8 @@ class Polytope:
         ``<point._num, normal._num> * b >= -a * point._den * normal._den``,
         as every denominator is positive; equalities likewise.
         """
+        self._check_point(point)
         num = point._num
-        if point.space != self.space or len(num) != self.ambient_dim:
-            raise DimensionMismatch(
-                f"point in {point.space}^{point.dim} against polytope "
-                f"in {self.space}^{self.ambient_dim}"
-            )
         den = point._den
         for eq in self.affine_span:
             n = eq.normal
@@ -342,6 +384,13 @@ class Polytope:
             if _dot(num, n._num) * off.denominator < -off.numerator * den * n._den:
                 return False
         return True
+
+    def _check_point(self, point: Point) -> None:
+        if point.space != self.space or len(point._num) != self.ambient_dim:
+            raise DimensionMismatch(
+                f"point in {point.space}^{point.dim} against polytope "
+                f"in {self.space}^{self.ambient_dim}"
+            )
 
     def __contains__(self, point: Point) -> bool:
         return self.contains(point)
@@ -565,6 +614,21 @@ def _span_basis(rows, d: int) -> list[tuple[int, ...]]:
     return sorted(basis)
 
 
+def _scaled_sorted(points: Iterable[Point]):
+    """``(L, pairs)``: the common denominator ``L`` of distinct ``points``,
+    and each point's numerators over ``L`` paired with the point, sorted.
+
+    Scaling by L > 0 keeps the order of the points, and distinct points
+    have distinct scaled numerators, so no two Points are ever compared.
+    """
+    points = list(points)
+    scale = lcm(*[q._den for q in points])
+    return scale, sorted(
+        (q._num if q._den == scale else tuple(x * (scale // q._den) for x in q._num), q)
+        for q in points
+    )
+
+
 def hull(points: Iterable[Point]) -> Polytope:
     """Convex hull with irredundant canonical vertex and facet data.
 
@@ -598,14 +662,8 @@ def hull(points: Iterable[Point]) -> Polytope:
     for p in pts[1:]:
         if p.space != space or p.dim != d:
             raise DimensionMismatch("hull input points disagree on space or dimension")
-    uniq = set(pts)
-    scale = lcm(*[q._den for q in uniq])
-    # Scaling by L > 0 keeps the order of the points, and distinct points
-    # have distinct scaled numerators, so no two Points are ever compared.
-    ipts, uniq = zip(*sorted(
-        (q._num if q._den == scale else tuple(x * (scale // q._den) for x in q._num), q)
-        for q in uniq
-    ))
+    scale, pairs = _scaled_sorted(set(pts))
+    ipts, uniq = zip(*pairs)
     x0 = ipts[0]
 
     # One elimination of [B | I], B with the differences x - x0 as columns.

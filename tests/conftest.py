@@ -96,19 +96,3 @@ def count_hulls(monkeypatch):
         return len(calls)
 
     return count
-
-
-@pytest.fixture
-def hull_inputs(monkeypatch):
-    """The points every ``hull`` call in nefdual is given from here on,
-    keyed by the id of the polytope it returns (kept alive beside them)."""
-    given = {}
-
-    def recorded(original, points):
-        points = list(points)
-        poly = original(points)
-        given[id(poly)] = (poly, points)
-        return poly
-
-    _bind_hull(monkeypatch, recorded)
-    return given

@@ -12,7 +12,9 @@ comparisons) reads ``Point.coords`` and ``Point.space`` only, except that
 own reference is :func:`_solve`; and the library's former hull-based
 routes (:func:`beneath_beyond_planes`, :func:`_intersection_is_origin`,
 :func:`assert_partition_invariants`, :func:`dual_nef_partition`,
-:func:`verify_involution`), its former audit of every validated partition
+:func:`verify_involution`), its former build of every part by a hull
+(:func:`hull_build`, :func:`_delta_part`, :func:`hull_support_polytope`),
+its former audit of every validated partition
 on vertex sets (:func:`assert_vertex_set_invariants`), its former
 Bell-number enumeration
 (:func:`_set_partitions`, :func:`enumerate_nef_partitions`),
@@ -46,6 +48,7 @@ from nefdual.duality import CheckResult, _check_psi, _covers, _dual_parts, nabla
 from nefdual.errors import (
     DimensionMismatch,
     InvariantViolation,
+    NotConvex,
     NotFullDimensional,
     NotPiecewiseLinear,
     NotReflexive,
@@ -67,7 +70,6 @@ from nefdual.nefpart import (
     Rejection,
     RelationReport,
     _decide,
-    _delta_part,
     validate_partition,
 )
 from nefdual.polytope import (
@@ -615,6 +617,43 @@ def assert_vertex_set_invariants(np: NefPartition) -> None:
                 raise InvariantViolation(
                     f"nabla part {i} leaves the polar polytope", witness=v
                 )
+
+
+# The library's former build of the parts, verbatim apart from the names:
+# ``nefpart._build``, ``nefpart._delta_part`` and ``fan.support_polytope``,
+# which made every delta part and every nabla part by a hull (the library
+# now builds each part from its vertices, and a part's span and facets by
+# a hull only when they are first read). :func:`kernel_dual_nef_partition`
+# below builds its fallback delta parts with this ``_delta_part``.
+
+
+def hull_build(delta: Polytope, parts, phis):
+    """The delta parts and the nabla parts, the support polytopes of the
+    ``phis``, each by a hull."""
+    return (
+        tuple(_delta_part(delta, part) for part in parts),
+        tuple(hull_support_polytope(f) for f in phis),
+    )
+
+
+def _delta_part(delta: Polytope, part) -> Polytope:
+    """conv(0, part): the hull of the origin and the part's vertices."""
+    zero = origin(delta.ambient_dim, delta.space)
+    return hull([zero] + [delta.vertices[i] for i in sorted(part)])
+
+
+def hull_support_polytope(f: PLFunction) -> Polytope:
+    """Hull of the negated cone functionals of a convex PL function.
+
+    This is the polytope whose support function recovers ``f``:
+    ``{y : <x, y> >= -f(x) for all x}``.
+    """
+    if not f.is_convex:
+        raise NotConvex("support polytope needs a convex PL function")
+    # Each generator g = -u already satisfies every vertex constraint:
+    # <v, g> >= -f(v) is <v, u> <= f(v), which is what is_convex checked
+    # for every functional u and vertex v.
+    return hull([-u for u in f.functionals])
 
 
 def dual_nef_partition(np: NefPartition) -> NefPartition:

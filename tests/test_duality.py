@@ -380,15 +380,20 @@ def test_one_duality_builds_each_object_once(count_hulls, corpus):
     assert [count_hulls(run_full_duality, np_) for np_ in found] == [1] * 164
 
 
-def test_validating_an_accepted_partition_builds_only_its_parts(count_hulls):
-    """Validating an accepted partition makes 2r hull calls: r delta parts
-    and r nabla parts. The audit builds none, and neither does the polar,
-    whether or not it and the fan were built before."""
+def test_validating_an_accepted_partition_builds_no_hull(count_hulls):
+    """Validating an accepted partition makes no hull call: each delta and
+    nabla part is built from its vertices, and no polar is built, whether
+    or not it and the fan were built before. A part's first read of its
+    facets makes one hull call, and a second read none."""
     for np_ in (octa_three_part_partition(), axis_partition(), diagonal_partition()):
         parts = [sorted(p) for p in np_.parts]
-        assert count_hulls(validate_partition, np_.delta, parts) == 2 * np_.r
+        assert count_hulls(validate_partition, np_.delta, parts) == 0
         fresh = hull(list(np_.delta.vertices))
-        assert count_hulls(validate_partition, fresh, parts) == 2 * np_.r
+        assert count_hulls(validate_partition, fresh, parts) == 0
+        built = validate_partition(fresh, parts)
+        for part in built.delta_parts + built.nabla_parts:
+            assert count_hulls(getattr, part, "facets") == 1
+            assert count_hulls(getattr, part, "facets") == 0
 
 
 # The dual built from the source against the former dual_nef_partition kept

@@ -37,7 +37,7 @@ from nefdual.nefpart import (
     enumerate_nef_partitions,
     validate_partition,
 )
-from nefdual.polytope import Point, SPACE_N, hull, pair
+from nefdual.polytope import Point, Polytope, SPACE_N, hull, pair
 
 from oracles import _intersection_is_origin, _set_partitions, intersection_is_origin
 from oracles import oracle_nef_partitions
@@ -290,6 +290,7 @@ FOUR_D = {
     "cross4": [_unit(4, i, s) for i in range(4) for s in (1, -1)],
     "cube4": list(itertools.product((1, -1), repeat=4)),
 }
+SIMPLEX5 = [_unit(5, i) for i in range(5)] + [(-1,) * 5]
 
 
 def _fresh(coords, shear=False):
@@ -490,8 +491,7 @@ def _audit_inputs(corpus):
     """The inputs of :func:`_corpus_and_enum4d_inputs`, the 5-simplex's two
     cubics and the 4D cross-polytope at r=2."""
     yield from _corpus_and_enum4d_inputs(corpus)
-    simplex5 = _fresh([_unit(5, i) for i in range(5)] + [(-1,) * 5])
-    yield validate_partition(simplex5, [[0, 1, 2], [3, 4, 5]])
+    yield validate_partition(_fresh(SIMPLEX5), [[0, 1, 2], [3, 4, 5]])
     yield from enumerate_nef_partitions(_fresh(FOUR_D["cross4"]), 2)
 
 
@@ -775,3 +775,89 @@ def test_a_non_convex_function_takes_the_full_loop(corpus_by_name):
         assert vi is not None and (vi, None) == _full_loop(f, hexagon, part)
         found += 1
     assert found > 0
+
+
+# The parts built from their vertices against the former build kept in
+# tests/oracles.py, which makes every part by a hull. Each part's span and
+# facets are read through the properties that build them on first read.
+
+
+def _polytope_record(poly):
+    return (poly.space, poly.ambient_dim, poly.vertices, poly.affine_span, poly.facets)
+
+
+def _assert_parts_match_the_hull_build(np_):
+    """The parts of ``np_`` equal the hull build's in vertices, span and
+    facets with incidence; returns how many delta parts lack the origin."""
+    delta_parts, nabla_parts = oracles.hull_build(np_.delta, np_.parts, np_.phi)
+    assert [_polytope_record(p) for p in np_.delta_parts + np_.nabla_parts] == [
+        _polytope_record(p) for p in delta_parts + nabla_parts
+    ], np_
+    return sum(not any(v.is_zero() for v in p.vertices) for p in np_.delta_parts)
+
+
+def test_parts_built_from_their_vertices_match_the_hull_build_on_the_audit_inputs(corpus):
+    count = without_origin = 0
+    for np_ in _audit_inputs(corpus):
+        without_origin += _assert_parts_match_the_hull_build(np_)
+        count += 1
+    assert (count, without_origin) == (333, 307)
+
+
+@pytest.mark.parametrize(
+    "coords, r, expected",
+    [
+        (FOUR_D["cross4"], 2, (127, 254, 174)),
+        (FOUR_D["cross4"], 3, (966, 2898, 1058)),
+        (SIMPLEX5, 2, (31, 62, 0)),
+        (SIMPLEX5, 3, (90, 270, 0)),
+    ],
+)
+def test_parts_built_from_their_vertices_match_the_hull_build_on_larger_inputs(coords, r, expected):
+    """(partitions, delta parts, delta parts without the origin)."""
+    found = enumerate_nef_partitions(_fresh(coords), r)
+    without_origin = sum(_assert_parts_match_the_hull_build(np_) for np_ in found)
+    assert (len(found), r * len(found), without_origin) == expected
+
+
+def test_the_one_delta_part_of_a_partition_into_one_part_is_delta(corpus):
+    """At r = 1, Δ₁ = Δ: the origin is inside, so not a vertex."""
+    bases = [_fresh([v.coords for v in e.polytope.vertices]) for e in corpus if e.reflexive]
+    bases += [_fresh(FOUR_D[name]) for name in ("simplex4", "cross4", "cube4")]
+    for delta in bases:
+        np_ = validate_partition(delta, [range(len(delta.vertices))])
+        assert _assert_parts_match_the_hull_build(np_) == 1
+        assert _polytope_record(np_.delta_parts[0]) == _polytope_record(delta)
+
+
+def test_a_delta_part_around_the_origin_does_not_have_it_as_a_vertex():
+    """Parts {±e_k}: 0 lies in conv(E_i), so Δᵢ is the segment conv(E_i)."""
+    for delta in (CROSS, OCTA):
+        axes = [
+            [delta.vertex_index(Point(_unit(delta.ambient_dim, k, s))) for s in (1, -1)]
+            for k in range(delta.ambient_dim)
+        ]
+        np_ = validate_partition(_fresh([v.coords for v in delta.vertices]), axes)
+        assert _assert_parts_match_the_hull_build(np_) == np_.r
+        for i, part in enumerate(np_.delta_parts):
+            assert part.vertices == tuple(np_.part_vertices(i)) and part.dim == 1
+
+
+def test_the_h_description_decides_membership_like_the_facets(corpus):
+    """Every nabla part of the audit inputs decides membership by Borisov's
+    H-description, <v, y> >= -phi(v) at every vertex v of delta, which
+    agrees with membership by the part's facets on every lattice point of
+    its bounding box widened by 1 and on the origin."""
+    inside = outside = 0
+    for np_ in _audit_inputs(corpus):
+        for part in np_.nabla_parts:
+            assert isinstance(part, fan._SupportPolytope)
+            box = [range(min(c) - 1, max(c) + 2) for c in zip(*[v._num for v in part.vertices])]
+            ys = [Point(c, part.space) for c in itertools.product(*box)]
+            ys.append(Point((0,) * part.ambient_dim, part.space))
+            for y in ys:
+                got = part.contains(y)
+                assert got == Polytope.contains(part, y), (part, y)
+                inside += got
+                outside += not got
+    assert (inside, outside) == (8877, 175786)

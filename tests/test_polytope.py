@@ -7,10 +7,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nefdual import polytope
-from nefdual.errors import DimensionMismatch, NotFullDimensional, ZeroNotInterior
+from nefdual.errors import (
+    DimensionMismatch,
+    InvariantViolation,
+    NotFullDimensional,
+    ZeroNotInterior,
+)
 from nefdual.linalg import Inconsistent, Underdetermined, eliminate, integer_nullspace
 from nefdual.polytope import (
     Point,
+    Polytope,
     _is_minkowski_sum,
     SPACE_M,
     SPACE_N,
@@ -465,15 +471,46 @@ def test_hull_matches_the_two_elimination_hull_on_larger_inputs(pts):
     assert_hull_matches_the_two_elimination_hull(pts)
 
 
-def test_hull_matches_the_two_elimination_hull_on_every_audited_part(corpus, hull_inputs):
-    """Every delta and nabla part of the 333 audit inputs, rebuilt by the
-    former hull from the very points the library's hull was given."""
+def test_hull_matches_the_two_elimination_hull_on_every_audited_part(corpus):
+    """Every delta and nabla part of the 333 audit inputs, rebuilt by both
+    hulls from the points it is the hull of: the origin and the part's
+    vertices, and the negated cone functionals of the part's PL function."""
     count = 0
     for np_ in _audit_inputs(corpus):
-        for part in np_.delta_parts + np_.nabla_parts:
-            assert_hull_matches_the_two_elimination_hull(hull_inputs[id(part)][1])
+        zero = origin(np_.delta.ambient_dim, np_.delta.space)
+        for i, f in enumerate(np_.phi):
+            assert_hull_matches_the_two_elimination_hull([zero] + np_.part_vertices(i))
+            assert_hull_matches_the_two_elimination_hull([-u for u in f.functionals])
         count += 1
     assert count == 333
+
+
+def test_a_polytope_given_wrong_vertices_raises_on_its_first_read(corpus):
+    """A polytope built from its vertices, given a vertex list with a vertex
+    dropped or an interior point added, raises InvariantViolation on its
+    first read of ``facets``, ``affine_span`` or ``dim``, and again on the
+    next: it never takes the facets of the hull of its points. Given its
+    own vertices in any order, it reads as the hull."""
+    cases = [
+        (CROSS, P(0, 0)),
+        ([P(0, 0, 0), P(3, 0, 0), P(0, 3, 0)], P(1, 1, 0)),
+        ([P(0, 0), P(F(1, 2), F(1, 2))], P(F(1, 4), F(1, 4))),
+    ]
+    np_ = next(np_ for np_ in _audit_inputs(corpus) if np_.r == 2)
+    for part in np_.delta_parts + np_.nabla_parts:
+        points = part._points
+        cases.append((points, reduce(Point.__add__, points).scale(F(1, len(points)))))
+    for points, inner in cases:
+        good = hull(points)
+        assert inner not in good.vertices and good.contains(inner)
+        for vertices in (good.vertices[1:], good.vertices[:-1], good.vertices + (inner,)):
+            for attr in ("facets", "affine_span", "dim"):
+                bad = Polytope._from_vertices(vertices, points)
+                for _ in range(2):
+                    with pytest.raises(InvariantViolation):
+                        getattr(bad, attr)
+        same = Polytope._from_vertices(good.vertices[::-1], points)
+        assert hull_record(same) == hull_record(good)
 
 
 @settings(max_examples=200, deadline=None)
