@@ -1,9 +1,10 @@
 """Exhaustive nef-partition search over the bundled corpus.
 
-Searches the set partitions of the vertex set with r parts, abandoning a
-branch at the first cone on which some part's indicator has no lattice
-linear extension, and keeps the valid ones. Output order is
-deterministic. The same search is available from the command line:
+Decides once which vertex subsets are nef (their indicator extends to an
+integral convex piecewise-linear function), then finds every cover of the
+vertex set by r disjoint nef subsets: those covers are the nef-partitions
+into r parts. Output order is deterministic. The same search is available
+from the command line:
 
     nefdual nef-enumerate src/nefdual/data/d2_cross.poly -r 2
 """

@@ -110,7 +110,7 @@ class FaceFan:
     The fan memoizes its per-cone functionals: ``_solves`` maps a cone
     index and the values on that cone's vertices (in ``vertex_indices``
     order) to the functional taking them, or to ``Inconsistent``. Every PL
-    function on the fan, and the pruned enumeration in ``nefpart``, reads
+    function on the fan, and the subset search in ``nefpart``, reads
     its functionals through :meth:`cone_functional`, so a pattern of values
     on one cone is computed once per fan however many partitions share it.
     A memo miss builds the cone's integer kernel (:class:`_ConeKernel`),
@@ -230,7 +230,8 @@ class PLFunction:
     ``vertex_values[i]`` is the value at the i-th canonical vertex of the
     base polytope; ``functionals[j]`` is the dual-space functional realizing
     the function on the j-th maximal cone. Convexity is scanned once, when
-    the function is built; ``is_convex`` and
+    the function is built, unless its builder has decided it
+    (``integral_convex``); ``is_convex`` and
     :meth:`first_convexity_violation` read the stored result.
     """
 
@@ -241,12 +242,20 @@ class PLFunction:
         fan: FaceFan,
         vertex_values: tuple[Fraction, ...],
         functionals: tuple[Point, ...],
+        *,
+        integral_convex: bool = False,
     ):
         self.fan = fan
         self.vertex_values = vertex_values
         self.functionals = functionals
-        self.is_integral = all(u.is_lattice() for u in functionals)
-        self._violation = _convexity_violation(fan, vertex_values, functionals)
+        if integral_convex:
+            # The builder has decided that every functional is a lattice
+            # point and that the function is convex; nothing is scanned.
+            self.is_integral = True
+            self._violation = None
+        else:
+            self.is_integral = all(u.is_lattice() for u in functionals)
+            self._violation = _convexity_violation(fan, vertex_values, functionals)
         self.is_convex = self._violation is None
 
     def first_convexity_violation(self):

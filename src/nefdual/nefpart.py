@@ -5,10 +5,36 @@ when the indicator values of every part extend to an integral convex
 piecewise-linear function on the face fan. Validation either returns the
 fully populated :class:`NefPartition` or a :class:`Rejection` that names the
 first reason and an exact witness; re-validating the same input always
-yields the identical rejection. Enumeration searches the set partitions
-with pruning: a labelling is abandoned at the first cone on which some
-part's indicator has no lattice linear extension, and only the survivors
-are validated.
+yields the identical rejection.
+
+Enumeration (:func:`enumerate_nef_partitions`) decides vertex subsets, not
+partitions, and then searches the covers of the vertex set by the nef ones.
+Call a nonempty set S of vertices nef when its 0/1 indicator extends to an
+integral convex PL function φ_S on the face fan.
+
+- Nef-partitions are the covers by nef subsets, and these are closed under
+  complements. ``_decide`` decides each part on its own, by exactly that,
+  once the parts are nonempty, disjoint and covering, so the nef-partitions
+  into r parts are the covers of the vertices by r disjoint nef subsets. At
+  r ≥ 2 the complement of a part is the union of the others, and its
+  indicator is the sum of their φs, again integral and convex. So every
+  part is S or Sᶜ for some S that holds vertex 0 with S and Sᶜ both nef,
+  and the search keeps exactly those. At r = 1 the one part is the whole
+  vertex set.
+- The cone cut holds for the complement. On the cone over a facet
+  ⟨x, n⟩ = −1 the all-ones pattern has the functional −n, a lattice point
+  as Δ is reflexive. When S's pattern has the functional u, Sᶜ's has
+  −n − u, which is consistent and lattice exactly when u is. So a branch
+  is cut on S's pattern alone, and at a leaf Sᶜ has a lattice functional
+  on every cone.
+- Two masks per cone decide what the convexity scan decides. φ_S is
+  convex exactly when ⟨v, u⟩ ≤ φ_S(v) for every vertex v and every cone
+  functional u; that is the scan of :func:`nefdual.fan._convexity_violation`.
+  φ_S(v) is 1 on S and 0 off it, so the inequality fails exactly at a v in
+  gt1 = {v : ⟨v, u⟩ > 1}, or at a v outside S in gt0 = {v : ⟨v, u⟩ > 0}.
+  Both sets depend only on the cone and S's pattern on it, so a call
+  computes them once per (cone, pattern), and a subset costs O(cones) mask
+  operations instead of O(vertices × cones) pairings.
 
 Validation decides (:func:`_decide`) and then builds the parts
 (:func:`_build`), and audits nothing afterwards: once ``_decide`` accepts a
@@ -237,87 +263,164 @@ def _delta_part(delta: Polytope, parts, nabla_parts, i: int) -> Polytope:
     return Polytope._from_vertices(verts, points)
 
 
-def _pruned_candidates(delta: Polytope, r: int):
-    """Set partitions of delta's vertices into r blocks, less those that cannot be nef.
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
 
-    Vertices 0..n-1 are labelled by restricted-growth strings, in the order
-    and with the r-feasibility bound of a plain set-partition generator, so
-    the candidates come out in that generator's order with blocks ordered by
-    smallest member. The bound (a label is tried only if opening a new block
-    at every later vertex would still reach r) makes every complete
-    labelling use exactly r labels.
 
-    A cone's vertex values are all known once its largest vertex index is
-    labelled. At that point each opened label's 0/1 pattern on the cone
-    must extend to a lattice functional; a label opened later is 0 on the
-    whole cone, whose functional 0 passes. If some pattern fails, the
-    subtree below is cut: every completion has a part that is not
-    piecewise linear or not integral on that cone.
+class _NefSubsets:
+    """The nef subsets of ``fan``'s base, decided by vertex bitmasks.
+
+    A subset S of the vertices is an ``int`` with bit v set for v in S. For
+    a cone c and S's 0/1 pattern on its vertices, ``cone(c, s)`` memoizes
+    ``(u, gt0, gt1)``: the functional u taking the pattern, when it is a
+    lattice point, and the vertex sets gt0 = {v : <v, u> > 0} and
+    gt1 = {v : <v, u> > 1}; or ``None`` when the pattern has no lattice
+    functional. Then φ_S is an integral convex PL function exactly when
+    every cone has an entry with gt1 empty and gt0 inside S
+    (:meth:`is_nef`; the module docstring gives the argument).
     """
-    n = len(delta.vertices)
-    if r < 1 or r > n:
-        return
-    fan = face_fan(delta)
-    closing: list[list] = [[] for _ in range(n)]
-    for cone in fan.cones:
-        closing[max(cone.vertex_indices)].append(cone)
-    code = [0] * n
 
-    def cones_pass(i: int, nblocks: int) -> bool:
-        for cone in closing[i]:
-            labels = [code[v] for v in cone.vertex_indices]
-            for b in range(nblocks):
-                u = fan.cone_functional(cone.index, tuple([int(c == b) for c in labels]))
-                if u is Inconsistent or not u.is_lattice():
-                    return False
+    __slots__ = ("fan", "forms", "bits", "_masks")
+
+    def __init__(self, fan: FaceFan):
+        self.fan = fan
+        self.forms = [v._num for v in fan.base.vertices]
+        self.bits = [sum(1 << v for v in cone.vertex_indices) for cone in fan.cones]
+        self._masks: dict = {}
+
+    def cone(self, c: int, s: int):
+        pattern = s & self.bits[c]
+        key = (c, pattern)
+        entry = self._masks.get(key, key)
+        if entry is key:
+            indices = self.fan.cones[c].vertex_indices
+            u = self.fan.cone_functional(c, tuple([pattern >> v & 1 for v in indices]))
+            if u is Inconsistent or not u.is_lattice():
+                entry = None
+            else:
+                # Delta and u are lattice, so <v, u> is the int dot product.
+                gt0 = gt1 = 0
+                for v, num in enumerate(self.forms):
+                    x = _dot(num, u._num)
+                    if x > 0:
+                        gt0 |= 1 << v
+                        if x > 1:
+                            gt1 |= 1 << v
+                entry = (u, gt0, gt1)
+            self._masks[key] = entry
+        return entry
+
+    def is_nef(self, s: int) -> bool:
+        for c in range(len(self.bits)):
+            entry = self.cone(c, s)
+            if entry is None or entry[2] or entry[1] & ~s:
+                return False
         return True
 
-    def rec(i: int, nblocks: int):
-        if i == n:
-            blocks: list[list[int]] = [[] for _ in range(r)]
-            for idx, b in enumerate(code):
-                blocks[b].append(idx)
-            yield [tuple(b) for b in blocks]
-            return
-        for b in range(min(nblocks + 1, r)):
-            new_blocks = nblocks if b < nblocks else nblocks + 1
-            if new_blocks + (n - i - 1) >= r:
-                code[i] = b
-                if cones_pass(i, new_blocks):
-                    yield from rec(i + 1, new_blocks)
+    def lattice_subsets(self):
+        """Every S other than the full set that holds vertex 0 and whose
+        pattern on every cone has a lattice functional: vertices are
+        labelled in order, in or out of S, and a branch is cut at the first
+        cone that closes (its largest vertex is labelled) with no lattice
+        functional for S's pattern."""
+        n = len(self.forms)
+        full = (1 << n) - 1
+        closing: list[list[int]] = [[] for _ in range(n)]
+        for c, cone in enumerate(self.fan.cones):
+            closing[max(cone.vertex_indices)].append(c)
 
-    yield from rec(0, 0)
+        def rec(i: int, s: int):
+            if any(self.cone(c, s) is None for c in closing[i]):
+                return
+            if i == n - 1:
+                yield s
+                return
+            t = s | 1 << (i + 1)
+            if t != full:
+                yield from rec(i + 1, t)
+            yield from rec(i + 1, s)
+
+        yield from rec(0, 1)
+
+    def phi(self, s: int) -> PLFunction:
+        """φ_S for an S that :meth:`is_nef` accepted, with no scan."""
+        values = tuple([_ONE if s >> v & 1 else _ZERO for v in range(len(self.forms))])
+        functionals = tuple([self.cone(c, s)[0] for c in range(len(self.bits))])
+        return PLFunction(self.fan, values, functionals, integral_convex=True)
+
+
+def _exact_covers(blocks: list[int], full: int, r: int):
+    """Every way to cover ``full`` by r disjoint ``blocks``, as lists of
+    blocks ordered by lowest vertex: the next block is one that holds the
+    lowest vertex not yet covered (Knuth's Algorithm X), and the last is
+    whatever is left, if it is a block."""
+    by_low: dict[int, list[int]] = {}
+    for b in blocks:
+        by_low.setdefault(b & -b, []).append(b)
+    allowed = set(blocks)
+
+    def rec(rest: int, chosen: list[int]):
+        if len(chosen) == r - 1:
+            if rest in allowed:
+                yield chosen + [rest]
+            return
+        for b in by_low.get(rest & -rest, ()):
+            if b & rest == b:
+                yield from rec(rest ^ b, chosen + [b])
+
+    yield from rec(full, [])
 
 
 def enumerate_nef_partitions(delta: Polytope, r: int) -> list[NefPartition]:
     """All nef-partitions of ``delta`` into exactly ``r`` unlabeled parts.
 
-    A backtracking search over the set partitions of the vertex indices
-    (:func:`_pruned_candidates`) cuts every subtree in which some part's
-    indicator fails to extend to a lattice functional on some cone; each
-    survivor is checked in full by :func:`validate_partition`. No symmetry
-    reduction is applied. All candidates share the face fan cached on
-    ``delta`` and the fan's memo of per-cone functionals, so validating a
-    survivor reuses the search's functionals. The result is sorted by
-    canonical part lists.
+    Two searches share one memo local to the call (:class:`_NefSubsets`).
+    The subset search labels the vertices in or out of a subset S holding
+    vertex 0, cuts a branch at the first cone where S's pattern has no
+    lattice functional, and keeps S and its complement when both are nef
+    (at r = 1, the full vertex set when it is nef). The cover search then
+    builds every cover of the vertices by r disjoint kept subsets, taking
+    each time one that holds the lowest vertex not yet covered, so the
+    parts come in the order of smallest member. The module docstring shows
+    that the covers are exactly the nef-partitions.
 
-    The result equals that of validating every set partition.
-    ``validate_partition`` checks each part's 0/1 values cone by cone and
-    rejects with ``NotPiecewiseLinear`` or ``NotIntegral`` when on some cone
-    they have no solution or a non-lattice one (unless an earlier part has
-    already failed). That is the condition the search tests, and it is
-    final once the cone's vertices are all labelled, so every cut candidate
-    would have been rejected. Every other candidate is still validated in
-    full, decided and built, in the same order. The accepted partitions,
-    their order and the labels of their parts are therefore unchanged.
+    Each subset is decided once and each part of the result is built once
+    per call, however many partitions share it: φ with no convexity scan
+    (the masks decided it), ∇ᵢ from φ, and Δᵢ by :func:`_delta_part`, whose
+    origin test depends on Eᵢ alone. No symmetry reduction is applied. The
+    result is sorted by canonical part lists and equals that of validating
+    every set partition into r parts, labels included.
     """
     if not delta.is_reflexive():
         raise NotReflexive("nef-partitions are defined on reflexive polytopes")
+    n = len(delta.vertices)
+    if r < 1 or r > n:
+        return []
+    fan = face_fan(delta)
+    subsets = _NefSubsets(fan)
+    full = (1 << n) - 1
+    if r == 1:
+        blocks = [full] if subsets.is_nef(full) else []
+    else:
+        blocks = []
+        for s in subsets.lattice_subsets():
+            if subsets.is_nef(s) and subsets.is_nef(full ^ s):
+                blocks += (s, full ^ s)
+    built: dict[int, tuple] = {}  # subset -> (part, φ, ∇ᵢ)
+    delta_parts: dict[int, Polytope] = {}
     found = []
-    for cand in _pruned_candidates(delta, r):
-        res = validate_partition(delta, cand)
-        if isinstance(res, NefPartition):
-            found.append(res)
+    for cover in _exact_covers(blocks, full, r):
+        for s in cover:
+            if s not in built:
+                phi = subsets.phi(s)
+                built[s] = (frozenset(v for v in range(n) if s >> v & 1), phi, support_polytope(phi))
+        parts, phis, nabla_parts = zip(*[built[s] for s in cover])
+        for i, s in enumerate(cover):
+            if s not in delta_parts:
+                delta_parts[s] = _delta_part(delta, parts, nabla_parts, i)
+        found.append(
+            NefPartition(delta, parts, fan, phis, tuple([delta_parts[s] for s in cover]), nabla_parts)
+        )
     found.sort(key=lambda np: np.canonical_parts())
     return found
 

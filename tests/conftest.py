@@ -1,3 +1,5 @@
+import importlib.util
+import os
 import sys
 import time
 
@@ -21,6 +23,16 @@ def corpus():
 @pytest.fixture(scope="session")
 def corpus_by_name(corpus):
     return {entry.name: entry for entry in corpus}
+
+
+@pytest.fixture(scope="session")
+def scale_bench():
+    """``bench/scale.py`` as a module: its inputs, expected counts and main."""
+    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench", "scale.py")
+    spec = importlib.util.spec_from_file_location("scale", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture(scope="session")

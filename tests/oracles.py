@@ -17,7 +17,9 @@ routes (:func:`beneath_beyond_planes`, :func:`_intersection_is_origin`,
 its former audit of every validated partition
 on vertex sets (:func:`assert_vertex_set_invariants`), its former
 Bell-number enumeration
-(:func:`_set_partitions`, :func:`enumerate_nef_partitions`),
+(:func:`_set_partitions`, :func:`enumerate_nef_partitions`), its former
+search over set partitions cut per cone that validated every survivor
+(:func:`_pruned_candidates`, :func:`pruned_enumerate_nef_partitions`),
 solve-per-cone PL extension
 (:func:`pl_from_vertex_values`), hull set-up (:func:`simplex_planes`,
 :func:`rank_hull`, :func:`search_hull`), the hull that solved its initial
@@ -54,7 +56,7 @@ from nefdual.errors import (
     NotReflexive,
     ZeroNotInterior,
 )
-from nefdual.fan import FaceFan, PLFunction, support_polytope
+from nefdual.fan import FaceFan, PLFunction, face_fan, support_polytope
 from nefdual.linalg import (
     Inconsistent,
     SolveFailure,
@@ -711,9 +713,10 @@ def verify_involution(np: NefPartition, dual: NefPartition | None = None) -> Che
 
 
 # The former enumeration and PL extension of the library, verbatim: every
-# set partition validated in turn (the library now prunes the search per
-# cone and validates only the survivors), and one fresh solve per cone for
-# every PL function (the library now memoizes each cone's solve on the fan).
+# set partition validated in turn (the library now decides each vertex
+# subset once and searches the covers by nef subsets), and one fresh solve
+# per cone for every PL function (the library now memoizes each cone's
+# solve on the fan).
 # Here ``solve_linear`` is this file's Fraction version above.
 
 
@@ -791,6 +794,98 @@ def pl_from_vertex_values(fan: FaceFan, values: Sequence) -> PLFunction:
             )
         functionals.append(u)
     return PLFunction(fan, vals, tuple(functionals))
+
+
+# The former enumeration of the library, verbatim apart from the name: a
+# search over the set partitions that cuts a branch at the first cone where
+# some part's pattern has no lattice functional, and validates every
+# survivor in full (the library now decides each nef subset once and
+# searches the covers of the vertex set by them).
+
+
+def _pruned_candidates(delta: Polytope, r: int):
+    """Set partitions of delta's vertices into r blocks, less those that cannot be nef.
+
+    Vertices 0..n-1 are labelled by restricted-growth strings, in the order
+    and with the r-feasibility bound of a plain set-partition generator, so
+    the candidates come out in that generator's order with blocks ordered by
+    smallest member. The bound (a label is tried only if opening a new block
+    at every later vertex would still reach r) makes every complete
+    labelling use exactly r labels.
+
+    A cone's vertex values are all known once its largest vertex index is
+    labelled. At that point each opened label's 0/1 pattern on the cone
+    must extend to a lattice functional; a label opened later is 0 on the
+    whole cone, whose functional 0 passes. If some pattern fails, the
+    subtree below is cut: every completion has a part that is not
+    piecewise linear or not integral on that cone.
+    """
+    n = len(delta.vertices)
+    if r < 1 or r > n:
+        return
+    fan = face_fan(delta)
+    closing: list[list] = [[] for _ in range(n)]
+    for cone in fan.cones:
+        closing[max(cone.vertex_indices)].append(cone)
+    code = [0] * n
+
+    def cones_pass(i: int, nblocks: int) -> bool:
+        for cone in closing[i]:
+            labels = [code[v] for v in cone.vertex_indices]
+            for b in range(nblocks):
+                u = fan.cone_functional(cone.index, tuple([int(c == b) for c in labels]))
+                if u is Inconsistent or not u.is_lattice():
+                    return False
+        return True
+
+    def rec(i: int, nblocks: int):
+        if i == n:
+            blocks: list[list[int]] = [[] for _ in range(r)]
+            for idx, b in enumerate(code):
+                blocks[b].append(idx)
+            yield [tuple(b) for b in blocks]
+            return
+        for b in range(min(nblocks + 1, r)):
+            new_blocks = nblocks if b < nblocks else nblocks + 1
+            if new_blocks + (n - i - 1) >= r:
+                code[i] = b
+                if cones_pass(i, new_blocks):
+                    yield from rec(i + 1, new_blocks)
+
+    yield from rec(0, 0)
+
+
+def pruned_enumerate_nef_partitions(delta: Polytope, r: int) -> list[NefPartition]:
+    """All nef-partitions of ``delta`` into exactly ``r`` unlabeled parts.
+
+    A backtracking search over the set partitions of the vertex indices
+    (:func:`_pruned_candidates`) cuts every subtree in which some part's
+    indicator fails to extend to a lattice functional on some cone; each
+    survivor is checked in full by :func:`validate_partition`. No symmetry
+    reduction is applied. All candidates share the face fan cached on
+    ``delta`` and the fan's memo of per-cone functionals, so validating a
+    survivor reuses the search's functionals. The result is sorted by
+    canonical part lists.
+
+    The result equals that of validating every set partition.
+    ``validate_partition`` checks each part's 0/1 values cone by cone and
+    rejects with ``NotPiecewiseLinear`` or ``NotIntegral`` when on some cone
+    they have no solution or a non-lattice one (unless an earlier part has
+    already failed). That is the condition the search tests, and it is
+    final once the cone's vertices are all labelled, so every cut candidate
+    would have been rejected. Every other candidate is still validated in
+    full, decided and built, in the same order. The accepted partitions,
+    their order and the labels of their parts are therefore unchanged.
+    """
+    if not delta.is_reflexive():
+        raise NotReflexive("nef-partitions are defined on reflexive polytopes")
+    found = []
+    for cand in _pruned_candidates(delta, r):
+        res = validate_partition(delta, cand)
+        if isinstance(res, NefPartition):
+            found.append(res)
+    found.sort(key=lambda np: np.canonical_parts())
+    return found
 
 
 # The former hull of the library, verbatim apart from the names: one

@@ -350,6 +350,12 @@ def test_pruned_search_equals_the_bell_route_in_4d(name, r, shear):
 def test_search_validates_only_candidates_no_cone_rules_out(
     monkeypatch, corpus_by_name, name, r, expected
 ):
+    """The oracle half counts the reasons over every set partition:
+    ``expected`` candidates have a lattice functional for every part on
+    every cone. The enumeration validates no candidate: it decides each
+    vertex subset at most once per call, and builds φ, with no convexity
+    scan, and ∇ᵢ once for each subset that is a part of a partition it
+    returns."""
     if name in FOUR_D:
         coords = FOUR_D[name]
     else:
@@ -364,17 +370,36 @@ def test_search_validates_only_candidates_no_cone_rules_out(
     if name in ("cross2d", "octahedron", "cross4"):  # cross-polytopes: every candidate is nef
         assert reasons == Counter(accepted=expected)
 
-    calls = []
-    original = nefpart.validate_partition
+    validated, scanned, decided, phis, nablas = [], [], Counter(), [], []
+    is_nef = nefpart._NefSubsets.is_nef
+    support = nefpart.support_polytope
 
-    def counting(delta, parts):
-        calls.append(parts)
-        return original(delta, parts)
+    def deciding(self, s):
+        decided[s] += 1
+        return is_nef(self, s)
 
-    monkeypatch.setattr(nefpart, "validate_partition", counting)
+    def building_phi(fan_, values, functionals, **decided_by_builder):
+        assert decided_by_builder == {"integral_convex": True}
+        phis.append(values)
+        return fan.PLFunction(fan_, values, functionals, **decided_by_builder)
+
+    def building_nabla(f):
+        nablas.append(f.vertex_values)
+        return support(f)
+
+    monkeypatch.setattr(nefpart, "validate_partition", lambda *a: validated.append(a))
+    monkeypatch.setattr(nefpart._NefSubsets, "is_nef", deciding)
+    monkeypatch.setattr(nefpart, "PLFunction", building_phi)
+    monkeypatch.setattr(fan, "_convexity_violation", lambda *a: scanned.append(a))
+    monkeypatch.setattr(nefpart, "support_polytope", building_nabla)
     found = enumerate_nef_partitions(_fresh(coords), r)
-    assert len(calls) == expected
     assert len(found) == reasons["accepted"]
+    assert validated == scanned == []
+    assert all(k == 1 for k in decided.values())
+    n = len(reference.vertices)
+    blocks = {tuple(F(int(v in part)) for v in range(n)) for np_ in found for part in np_.parts}
+    assert sorted(phis) == sorted(nablas) == sorted(blocks)
+    assert {f.vertex_values for np_ in found for f in np_.phi} == blocks
 
 
 def test_four_cube_has_no_nef_partitions_at_r2_and_r3():
@@ -395,6 +420,94 @@ def test_four_cube_has_no_nef_partitions_at_r2_and_r3():
     assert found_r2 == expected_r2 == []
     assert found_r3 == []
     assert elapsed < 5.0
+
+
+# The exact-cover enumeration against the former one, kept in
+# tests/oracles.py, which validates every candidate its per-cone search
+# leaves. The larger inputs and their counts are those of bench/scale.py.
+
+
+def _enumeration_record(found, facets=False):
+    """Everything a partition holds: its parts with their labels, each φ's
+    values, functionals and convexity record, and each part polytope's
+    vertices, with span and facets read through the properties if asked."""
+    def poly(p):
+        return _polytope_record(p) if facets else (p.space, p.ambient_dim, p.vertices)
+
+    return [
+        (
+            np_.delta, np_.parts, np_.fan,
+            [(f.vertex_values, f.functionals, f.is_convex, f.is_integral,
+              f.first_convexity_violation()) for f in np_.phi],
+            [poly(p) for p in np_.delta_parts + np_.nabla_parts],
+        )
+        for np_ in found
+    ]
+
+
+def test_exact_covers_equal_the_pruned_search_on_the_corpus(corpus):
+    """Every reflexive corpus polytope at r = 1..3, the segment included:
+    its two cones each close at a single vertex, one of them at vertex 0."""
+    names = set()
+    for entry in corpus:
+        if not entry.reflexive:
+            continue
+        names.add(entry.name)
+        coords = [v.coords for v in entry.polytope.vertices]
+        for r in (1, 2, 3):
+            new = enumerate_nef_partitions(_fresh(coords), r)
+            old = oracles.pruned_enumerate_nef_partitions(_fresh(coords), r)
+            assert new == old, (entry.name, r)
+            assert _enumeration_record(new, facets=True) == _enumeration_record(old, facets=True)
+    assert "segment" in names
+
+
+@pytest.mark.parametrize(
+    "name, r",
+    [
+        ("cross4", 2),
+        ("cross4", 3),
+        ("simplex5", 2),
+        ("simplex5", 3),
+        ("hex+seg+seg", 2),
+        ("hex+seg+seg", 3),
+        ("hex+hex", 2),
+    ],
+)
+def test_exact_covers_equal_the_pruned_search_on_larger_inputs(scale_bench, name, r):
+    coords = scale_bench.POLYTOPES[name]
+    new = enumerate_nef_partitions(_fresh(coords), r)
+    old = oracles.pruned_enumerate_nef_partitions(_fresh(coords), r)
+    assert len(new) == scale_bench.EXPECTED[(name, r)]
+    assert _enumeration_record(new) == _enumeration_record(old)
+
+
+def test_the_masks_decide_convexity_like_the_scan(corpus):
+    """On every 0/1 subset S of the reflexive corpus polytopes and of the
+    three enum4d inputs, the mask verdict equals the scan's, read off the
+    PL function of S's indicator; a subset without one, or with a
+    functional off the lattice, is not nef."""
+    bases = [_fresh([v.coords for v in e.polytope.vertices]) for e in corpus if e.reflexive]
+    bases += [_fresh(FOUR_D[n]) for n in ("simplex4", "octahedron_x_segment", "triangle_x_triangle")]
+    verdicts = Counter()
+    for delta in bases:
+        face = fan.face_fan(delta)
+        subsets = nefpart._NefSubsets(face)
+        n = len(delta.vertices)
+        for s in range(1 << n):
+            values = [F(s >> v & 1) for v in range(n)]
+            try:
+                f = fan.pl_from_vertex_values(face, values)
+            except nefpart.NotPiecewiseLinear:
+                scan = "not piecewise linear"
+            else:
+                if not f.is_integral:
+                    scan = "not integral"
+                else:
+                    scan = fan._convexity_violation(face, f.vertex_values, f.functionals) is None
+            assert subsets.is_nef(s) == (scan is True), (delta, s)
+            verdicts[scan] += 1
+    assert verdicts == {True: 185, False: 35, "not integral": 66, "not piecewise linear": 4830}
 
 
 def test_opposite_rays_meet_only_at_the_origin():
