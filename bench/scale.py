@@ -15,7 +15,19 @@ For each input (a reflexive polytope and a number of parts r) it records:
   ``enumerate_runs_s``;
 * ``accepted``: how many nef-partitions were found, gated against ``EXPECTED``;
 * ``duality_s``: one run of ``run_full_duality`` over the first ``DUALITY``
-  partitions found, each of which must pass every check.
+  partitions found, each of which must pass every check;
+* ``speed_factor``: ``perfbench/speed.py``'s reference factor, sampled
+  after each of the row's runs; a raw time times it is a time at that
+  file's fixed machine speed, so rows of entries not run back to back can
+  be compared.
+
+The full mode also records a cold-start row, each figure the median of
+``COLD`` fresh interpreters started with ``PYTHONDONTWRITEBYTECODE=1``:
+``import_s``, the time ``import nefdual`` takes in the interpreter, and
+``cli_s``, the whole run of ``python -m nefdual`` on ``COLD_ARGS``, with
+``python_s``, the run of a bare interpreter, for comparison. The package's
+own source is compiled on import unless ``src/nefdual/__pycache__``
+exists; ``pycache`` records whether it did.
 
 ``--short`` runs the ``SHORT`` inputs with one enumeration each and
 ``SHORT_DUALITY`` partitions through duality, a check rather than a
@@ -23,9 +35,10 @@ measurement.
 
 A count that differs from ``EXPECTED`` or a failed duality check prints the
 difference and exits with status 1, and no entry is written. Otherwise the full
-mode appends one entry (label, date, host, Python, settings and the rows) to
-the JSON list in ``--out``, so the file is the trajectory of the benchmark
-across commits. Standard library only.
+mode appends one entry (label, date, host, Python, settings, the rows and the
+cold-start row) to the JSON list in ``--out``, so the file is the trajectory
+of the benchmark across commits. Standard library only, with the
+machine-speed reference imported from ``perfbench/speed.py``.
 """
 
 from __future__ import annotations
@@ -36,13 +49,18 @@ import itertools
 import json
 import os
 import platform
+import statistics
 import subprocess
 import sys
 import time
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
-sys.path.insert(0, os.path.join(ROOT, "src"))
+SRC = os.path.join(ROOT, "src")
+sys.path.insert(0, SRC)
+sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+
+import speed  # noqa: E402
 
 from nefdual.duality import run_full_duality  # noqa: E402
 from nefdual.nefpart import enumerate_nef_partitions  # noqa: E402
@@ -102,6 +120,8 @@ SHORT = [("cross4", 2), ("simplex5", 2), ("simplex5", 3)]
 REPEAT = 3  # enumeration runs per input; the best is kept
 DUALITY = 20  # partitions given to run_full_duality
 SHORT_DUALITY = 2
+COLD = 9  # fresh interpreters per cold-start figure
+COLD_ARGS = ["nef-dual", os.path.join(SRC, "nefdual", "data", "d2_cross.poly"), "--parts", "0,2;1,3"]
 
 
 def fresh(name):
@@ -110,16 +130,19 @@ def fresh(name):
 
 def measure(name, r, repeat, duality):
     """One row of the benchmark; see the module docstring."""
+    clock = speed.Speed()
     runs = []
     for _ in range(repeat):
         delta = fresh(name)
         started = time.perf_counter()
         found = enumerate_nef_partitions(delta, r)
         runs.append(time.perf_counter() - started)
+        clock.sample(runs[-1])
     head = found[:duality]
     started = time.perf_counter()
     passed = all(run_full_duality(np_).all_passed for np_ in head)
     duality_s = time.perf_counter() - started
+    clock.sample(duality_s)
     return {
         "name": name,
         "r": r,
@@ -131,7 +154,46 @@ def measure(name, r, repeat, duality):
         "duality_partitions": len(head),
         "duality_s": duality_s,
         "duality_passed": passed,
+        "speed_factor": clock.factor(),
     }
+
+
+def _interpreter_s(args):
+    """Wall seconds of one fresh interpreter run with ``args``, and its output."""
+    env = {**os.environ, "PYTHONPATH": SRC, "PYTHONDONTWRITEBYTECODE": "1"}
+    started = time.perf_counter()
+    out = subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, check=True)
+    return time.perf_counter() - started, out.stdout
+
+
+def cold_start():
+    """The cold-start row; see the module docstring."""
+    clock = speed.Speed()
+    imports, clis, bares = [], [], []
+    for _ in range(COLD):
+        took, out = _interpreter_s(
+            ["-c", "import time; t = time.perf_counter(); import nefdual; print(time.perf_counter() - t)"]
+        )
+        imports.append(float(out))
+        clis.append(_interpreter_s(["-m", "nefdual", *COLD_ARGS])[0])
+        bares.append(_interpreter_s(["-c", "pass"])[0])
+        clock.sample(took + clis[-1] + bares[-1])
+    row = {
+        "import_s": statistics.median(imports),
+        "import_runs_s": imports,
+        "cli_s": statistics.median(clis),
+        "cli_runs_s": clis,
+        "cli_args": ["nef-dual", "d2_cross.poly", *COLD_ARGS[2:]],
+        "python_s": statistics.median(bares),
+        "python_runs_s": bares,
+        "pycache": os.path.isdir(os.path.join(SRC, "nefdual", "__pycache__")),
+        "speed_factor": clock.factor(),
+    }
+    print(
+        f"cold start   import {row['import_s']:.4f} s  cli {row['cli_s']:.4f} s"
+        f"  bare python {row['python_s']:.4f} s  (medians of {COLD})"
+    )
+    return row
 
 
 def problems(row):
@@ -194,6 +256,7 @@ def main(argv=None):
         "repeat": REPEAT,
         "duality": DUALITY,
         "rows": rows,
+        "cold_start": cold_start(),
     }
     history = []
     if os.path.exists(args.out):

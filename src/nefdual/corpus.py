@@ -3,15 +3,14 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from importlib import resources
+from typing import NamedTuple
 
 from .fileio import parse_partition_spec, parse_polytope_text
 from .polytope import Point, Polytope
 
 
-@dataclass(frozen=True)
-class CorpusEntry:
+class CorpusEntry(NamedTuple):
     name: str
     polytope: Polytope
     file_points: tuple[Point, ...]

@@ -80,10 +80,9 @@ result would be equal to the source. See :func:`verify_involution`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .errors import InvariantViolation
 from .fan import face_fan, support_polytope
@@ -109,8 +108,7 @@ from .polytope import (
 )
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     """Outcome of one exact verification."""
 
     name: str
@@ -122,8 +120,7 @@ class CheckResult:
         return self.passed
 
 
-@dataclass(frozen=True)
-class DualityResult:
+class DualityResult(NamedTuple):
     """Everything run_full_duality computed: both sides plus the check record."""
 
     source: NefPartition

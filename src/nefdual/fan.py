@@ -24,10 +24,9 @@ vertex values and functionals.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import (
     DimensionMismatch,
@@ -41,8 +40,7 @@ from .linalg import Inconsistent, eliminate, exact_rational
 from .polytope import Point, Polytope, _dot, dual_space, pair
 
 
-@dataclass(frozen=True)
-class Cone:
+class Cone(NamedTuple):
     """Maximal cone of a face fan: the cone over one facet of the base."""
 
     index: int

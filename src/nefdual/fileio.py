@@ -16,28 +16,33 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import lcm
 
-from .polytope import Point, Polytope, SPACE_M, hull
+from .polytope import Point, Polytope, SPACE_M, _check_space, hull
 
 
 class PolytopeParseError(ValueError):
     """Malformed input: a polytope file, a partition spec or a part count."""
 
 
-_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+_RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 _INDEX = re.compile(r"-?[0-9]+")
 
 
-def _parse_rational(token: str) -> Fraction:
-    """An integer or ``p/q`` in ASCII digits; nothing else (no ``1e2``,
-    ``0.5`` or ``1_0``), so a short token cannot stand for a huge number."""
-    if not _RATIONAL.fullmatch(token):
-        raise PolytopeParseError(f"bad coordinate {token!r}")
-    try:
-        value = Fraction(token)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise PolytopeParseError(f"bad coordinate {token!r}") from exc
-    return value
+def _parse_rational(token: str) -> tuple[int, int]:
+    """``(p, q)`` with q > 0 for an integer or ``p/q`` in ASCII digits;
+    nothing else (no ``1e2``, ``0.5`` or ``1_0``), so a short token cannot
+    stand for a huge number."""
+    match = _RATIONAL.fullmatch(token)
+    if match is not None:
+        try:
+            # int() also refuses more digits than sys.get_int_max_str_digits()
+            p, q = int(match[1]), int(match[2] or 1)
+        except ValueError:
+            q = 0
+        if q:
+            return p, q
+    raise PolytopeParseError(f"bad coordinate {token!r}")
 
 
 def parse_polytope_text(text: str, space: str = SPACE_M):
@@ -70,6 +75,7 @@ def parse_polytope_text(text: str, space: str = SPACE_M):
         raise PolytopeParseError(
             f"expected {count} coordinate lines, found {len(body)}"
         )
+    _check_space(space)
     points = []
     for line in body:
         tokens = line.split()
@@ -77,7 +83,10 @@ def parse_polytope_text(text: str, space: str = SPACE_M):
             raise PolytopeParseError(
                 f"expected {dim} coordinates per line, got {line!r}"
             )
-        points.append(Point((_parse_rational(t) for t in tokens), space))
+        # The point's integer form: numerators over the lcm of the denominators.
+        rationals = [_parse_rational(t) for t in tokens]
+        den = lcm(*[q for _, q in rationals])
+        points.append(Point._from_form(tuple([p * (den // q) for p, q in rationals]), den, space))
     return hull(points), points
 
 

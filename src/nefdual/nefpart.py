@@ -82,10 +82,9 @@ hull only when first read (:meth:`nefdual.polytope.Polytope._from_vertices`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import index
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .errors import NotPiecewiseLinear, NotReflexive
 from .fan import FaceFan, PLFunction, face_fan, pl_from_vertex_values, support_polytope
@@ -100,8 +99,7 @@ NOT_CONVEX = "NotConvex"
 NOT_INTEGRAL = "NotIntegral"
 
 
-@dataclass(frozen=True)
-class Rejection:
+class Rejection(NamedTuple):
     """Why a candidate partition is not a nef-partition.
 
     ``reason`` is one of the module constants; the optional fields pin down
@@ -127,7 +125,6 @@ class Rejection:
         return ": ".join([bits[0], ", ".join(bits[1:])]) if len(bits) > 1 else bits[0]
 
 
-@dataclass(frozen=True)
 class NefPartition:
     """A validated nef-partition with its cached geometric data.
 
@@ -137,7 +134,15 @@ class NefPartition:
     of the origin with part i, and ``nabla_parts[i]`` the support polytope
     of ``phi[i]``. ``_nabla`` holds the hull of the nabla parts once
     :func:`nefdual.duality.nabla` has built it.
+
+    Immutable: assigning an attribute raises ``AttributeError``, and the
+    cache ``_nabla`` is set with ``object.__setattr__``. Equality and the
+    hash take the six public fields, not ``_nabla``. It is not a tuple, so
+    ``len()`` and iteration raise ``TypeError``.
     """
+
+    _fields = ("delta", "parts", "fan", "phi", "delta_parts", "nabla_parts")
+    __slots__ = _fields + ("_nabla",)
 
     delta: Polytope
     parts: tuple[frozenset[int], ...]
@@ -145,7 +150,38 @@ class NefPartition:
     phi: tuple[PLFunction, ...]
     delta_parts: tuple[Polytope, ...]
     nabla_parts: tuple[Polytope, ...]
-    _nabla: Polytope | None = field(default=None, init=False, repr=False, compare=False)
+    _nabla: Polytope | None
+
+    def __init__(self, delta, parts, fan, phi, delta_parts, nabla_parts):
+        init = object.__setattr__
+        init(self, "delta", delta)
+        init(self, "parts", parts)
+        init(self, "fan", fan)
+        init(self, "phi", phi)
+        init(self, "delta_parts", delta_parts)
+        init(self, "nabla_parts", nabla_parts)
+        init(self, "_nabla", None)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _key(self) -> tuple:
+        return (self.delta, self.parts, self.fan, self.phi, self.delta_parts, self.nabla_parts)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def _replace(self, **changes) -> NefPartition:
+        """A copy with ``changes`` in place of those fields; its ``_nabla`` is empty."""
+        return NefPartition(**dict(zip(self._fields, self._key()), **changes))
 
     @property
     def r(self) -> int:
@@ -425,8 +461,7 @@ def enumerate_nef_partitions(delta: Polytope, r: int) -> list[NefPartition]:
     return found
 
 
-@dataclass(frozen=True)
-class RelationReport:
+class RelationReport(NamedTuple):
     """Pairing minima between delta part vertices and nabla part vertices.
 
     ``matrix[j][i]`` is the minimum of ``<x, y>`` over vertices x of delta

@@ -64,12 +64,11 @@ where ``<·, ℓ_y>`` is that small.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from math import ceil, floor, gcd, lcm
 from operator import and_, itemgetter, mul
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import (
     DimensionMismatch,
@@ -251,8 +250,7 @@ def pair(x: Point, y: Point) -> Fraction:
     return Fraction(_dot(x._num, y._num), den)
 
 
-@dataclass(frozen=True)
-class Facet:
+class Facet(NamedTuple):
     """One facet inequality ``<x, normal> >= -offset``.
 
     The normal is a primitive integer vector in the dual space; incidence
@@ -264,8 +262,7 @@ class Facet:
     incidence: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class LinearEquality:
+class LinearEquality(NamedTuple):
     """One affine-span constraint ``<x, normal> = value``."""
 
     normal: Point

@@ -1,6 +1,5 @@
 """The mirror construction: nabla, the dual partition, and the check suite."""
 
-from dataclasses import replace
 from fractions import Fraction
 
 import oracles
@@ -243,9 +242,9 @@ def test_audit_failures_match_the_hull_route():
     shrunk = hull([v for v in part_verts if v != lost] + [P(0, 0, 0)])
     parts = list(np_.delta_parts)
     parts[big] = shrunk
-    tampered = replace(np_, delta_parts=tuple(parts))
+    tampered = np_._replace(delta_parts=tuple(parts))
     # the indicator functions of one part twice
-    doubled = replace(np_, phi=(np_.phi[0], np_.phi[0]))
+    doubled = np_._replace(phi=(np_.phi[0], np_.phi[0]))
     for bad in (tampered, doubled):
         new = outcome(oracles.assert_vertex_set_invariants, bad)
         assert new[0] == "raised" and new[1] is InvariantViolation
@@ -253,7 +252,7 @@ def test_audit_failures_match_the_hull_route():
 
 
 def swapped(dual, *fields):
-    return replace(dual, **{f: tuple(reversed(getattr(dual, f))) for f in fields})
+    return dual._replace(**{f: tuple(reversed(getattr(dual, f))) for f in fields})
 
 
 def merged(dual):
@@ -310,7 +309,7 @@ def shrunk(poly):
 def with_part(np_, field, i, poly):
     parts = list(getattr(np_, field))
     parts[i] = poly
-    return replace(np_, **{field: tuple(parts)})
+    return np_._replace(**{field: tuple(parts)})
 
 
 SUM_CHECKS = (
@@ -429,7 +428,7 @@ def both_routes(np_, monkeypatch, former=oracles.dual_nef_partition):
     library's."""
     with monkeypatch.context() as m:
         m.setattr(duality, "dual_nef_partition", former)
-        old = duality_outcome(replace(np_))
+        old = duality_outcome(np_._replace())
     new = duality_outcome(np_)
     return new, old
 
@@ -461,7 +460,7 @@ def hull_path_tampers(np_):
         with_part(np_, "delta_parts", 0, shrunk(np_.delta_parts[0])),
         with_part(np_, "delta_parts", 0, doubled(np_.delta_parts[0])),
         swapped(np_, "delta_parts"),
-        replace(np_, delta=doubled(np_.delta)),
+        np_._replace(delta=doubled(np_.delta)),
     ]
     for i, part in enumerate(np_.nabla_parts):
         if any(v.is_zero() for v in part.vertices):

@@ -1,8 +1,13 @@
 """File format round-trips, partition specs, and the JSON report shape."""
 
+import re
 from fractions import Fraction
+from importlib import resources
+from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
+from test_cli_fuzz import NOISE, coordinates, garble
 
 from nefdual.corpus import polytope_file_text
 from nefdual.duality import run_full_duality
@@ -78,6 +83,84 @@ def test_parse_rejects_coordinates_outside_the_grammar(token):
     a short token cannot make the parser build a huge integer."""
     with pytest.raises(PolytopeParseError, match="bad coordinate"):
         parse_polytope_text(f"2 3\n{token} 0\n0 1\n-1 -1\n")
+
+
+def _fraction_point(tokens):
+    """The point of a coordinate line by the former route: each token through
+    the grammar, then ``Fraction(token)``, then ``Point`` of the Fractions."""
+    coords = []
+    for token in tokens:
+        if not re.fullmatch(r"[+-]?[0-9]+(/[0-9]+)?", token):
+            raise PolytopeParseError(f"bad coordinate {token!r}")
+        try:
+            coords.append(Fraction(token))
+        except (ValueError, ZeroDivisionError) as exc:
+            raise PolytopeParseError(f"bad coordinate {token!r}") from exc
+    return Point(coords)
+
+
+def _form(p):
+    return p._num, p._den, p.space, p.coords
+
+
+def _outcome(route, tokens):
+    try:
+        return "ok", _form(route(tokens))
+    except PolytopeParseError as exc:
+        return "error", str(exc)
+
+
+def _parsed_point(tokens):
+    _, pts = parse_polytope_text(f"{len(tokens)} 1\n{' '.join(tokens)}\n")
+    return pts[0]
+
+
+CORPUS_FILES = sorted(f.name for f in resources.files("nefdual").joinpath("data").iterdir() if f.name.endswith(".poly"))
+FIXTURES = Path(__file__).parent / "fixtures"
+
+
+def _coordinate_lines(text):
+    lines = [line.split() for line in text.splitlines() if line.strip() and not line.lstrip().startswith("#")]
+    return lines[1:]
+
+
+@pytest.mark.parametrize("filename", CORPUS_FILES)
+def test_corpus_coordinates_parse_as_through_fraction(filename):
+    text = polytope_file_text(filename)
+    _, pts = parse_polytope_text(text)
+    assert [_form(p) for p in pts] == [_form(_fraction_point(t)) for t in _coordinate_lines(text)]
+
+
+@pytest.mark.parametrize("filename", sorted(f.name for f in FIXTURES.glob("*.poly")))
+def test_fixture_coordinate_lines_parse_as_through_fraction(filename):
+    text = (FIXTURES / filename).read_text(encoding="utf-8", errors="replace")
+    for tokens in _coordinate_lines(text):
+        assert _outcome(_parsed_point, tokens) == _outcome(_fraction_point, tokens)
+
+
+@pytest.mark.parametrize(
+    "token",
+    ["0", "-0", "+0", "007", "-12/8", "+2/6", "3/3", "0/5", "-0/7", "1/0", "0/0", "12345678901234567890/6",
+     pytest.param("1" * 5000, id="5000-digit integer"),
+     pytest.param("1/" + "3" * 5000, id="5000-digit denominator")],
+)
+def test_coordinate_tokens_parse_as_through_fraction(token):
+    for tokens in ([token], [token, "1/2"], ["-5/3", token, "7"]):
+        assert _outcome(_parsed_point, tokens) == _outcome(_fraction_point, tokens)
+
+
+@st.composite
+def fuzz_tokens(draw):
+    """Coordinates as the CLI fuzz test draws them, garbled half the time."""
+    token = draw(coordinates())
+    return garble(draw, token, NOISE) if draw(st.booleans()) else token
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(fuzz_tokens(), min_size=1, max_size=3))
+def test_fuzz_tokens_parse_as_through_fraction(tokens):
+    assume(all(t.split() == [t] for t in tokens) and not tokens[0].startswith("#"))
+    assert _outcome(_parsed_point, tokens) == _outcome(_fraction_point, tokens)
 
 
 @pytest.mark.parametrize(

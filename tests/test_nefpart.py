@@ -4,7 +4,6 @@ import copy
 import itertools
 import time
 from collections import Counter
-from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
@@ -634,7 +633,7 @@ def test_a_delta_part_with_another_parts_vertex_fails_both_audits():
         gained = np_.part_vertices(1)[0]
         parts = list(np_.delta_parts)
         parts[0] = hull(list(parts[0].vertices) + [gained])
-        tampered = replace(np_, delta_parts=tuple(parts))
+        tampered = np_._replace(delta_parts=tuple(parts))
         for audit in (oracles.assert_vertex_set_invariants, oracles.assert_partition_invariants):
             with pytest.raises(InvariantViolation):
                 audit(tampered)
@@ -737,7 +736,7 @@ def test_tampered_partitions_fail_both_relation_and_psi_checks_alike():
         CROSS, [part_of(CROSS, (1, 0), (0, 1)), part_of(CROSS, (-1, 0), (0, -1))]
     )
     for np_ in (octa, cross):
-        swapped = replace(np_, nabla_parts=np_.nabla_parts[::-1])
+        swapped = np_._replace(nabla_parts=np_.nabla_parts[::-1])
         got = _outcome(check_relations, swapped)
         assert got == _outcome(oracles.check_relations, swapped)
         report = got[1]
@@ -745,8 +744,7 @@ def test_tampered_partitions_fail_both_relation_and_psi_checks_alike():
         assert report.matrix != check_relations(np_).matrix
 
         # rational parts exercise the denominators of the integer forms
-        scaled = replace(
-            np_,
+        scaled = np_._replace(
             delta_parts=tuple(_scaled(p, F(2, 3)) for p in np_.delta_parts),
             nabla_parts=tuple(_scaled(p, F(1, 2)) for p in np_.nabla_parts),
         )
@@ -755,21 +753,21 @@ def test_tampered_partitions_fail_both_relation_and_psi_checks_alike():
         assert got[1].violations and got[1].matrix[0][0] == F(-1, 3)
 
         # a base that is not the one phi lives on: no shortcut
-        moved = replace(np_, delta=_scaled(np_.delta, 2))
+        moved = np_._replace(delta=_scaled(np_.delta, 2))
         got = _outcome(check_relations, moved)
         assert got == _outcome(oracles.check_relations, moved)
         assert got[1].passed and not got[1].phi_consistent
 
         # a nabla part grown by a vertex: {-u} is a proper subset of its vertices
-        grown = replace(np_, nabla_parts=(_grown(np_.nabla_parts[0]), *np_.nabla_parts[1:]))
+        grown = np_._replace(nabla_parts=(_grown(np_.nabla_parts[0]), *np_.nabla_parts[1:]))
         got = _outcome(check_relations, grown)
         assert got == _outcome(oracles.check_relations, grown)
         assert not got[1].phi_consistent
 
         # parts that do not pair: one from M, one of another dimension
-        projected = replace(np_, delta_parts=(_projected(np_.delta_parts[0]), *np_.delta_parts[1:]))
+        projected = np_._replace(delta_parts=(_projected(np_.delta_parts[0]), *np_.delta_parts[1:]))
         for bad in (
-            replace(np_, nabla_parts=(np_.delta_parts[0], *np_.nabla_parts[1:])),
+            np_._replace(nabla_parts=(np_.delta_parts[0], *np_.nabla_parts[1:])),
             projected,
         ):
             got = _outcome(check_relations, bad)
@@ -777,7 +775,7 @@ def test_tampered_partitions_fail_both_relation_and_psi_checks_alike():
             assert got == _outcome(oracles.check_relations, bad)
 
         dual = dual_nef_partition(np_)
-        for tampered in (replace(np_, delta_parts=np_.delta_parts[::-1]), scaled, projected):
+        for tampered in (np_._replace(delta_parts=np_.delta_parts[::-1]), scaled, projected):
             got = _outcome(_check_psi, tampered, dual)
             assert got[0] == "raised"
             assert got == _outcome(oracles.check_psi, tampered, dual)
