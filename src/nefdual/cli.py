@@ -25,7 +25,7 @@ from .fileio import (
     parse_polytope_file,
     write_polytope_text,
 )
-from .nefpart import NefPartition, enumerate_nef_partitions, validate_partition
+from .nefpart import NefPartition, Rejection, enumerate_nef_partitions, validate_partition
 from .polytope import Polytope, minkowski_sum
 from .report import enumeration_report, partition_report
 
@@ -96,7 +96,7 @@ def _validated(args, command: str, started: float):
         return head, validate_partition(poly, canonical_parts)
     except NotReflexive as exc:
         if args.json:
-            rep = partition_report(*head, _NotReflexiveOutcome(str(exc)))
+            rep = partition_report(*head, Rejection("NotReflexive", detail=str(exc)))
             return None, (1, _json_output(rep, started))
         return None, (1, f"invalid: NotReflexive: {exc}\n")
 
@@ -112,18 +112,6 @@ def cmd_nef_validate(args) -> tuple[int, str]:
     if valid:
         return 0, "valid\n"
     return 1, f"invalid: {outcome}\n"
-
-
-class _NotReflexiveOutcome:
-    """Adapter so a NotReflexive verdict serializes like a rejection."""
-
-    reason = "NotReflexive"
-    part = None
-    cone = None
-    vertex = None
-
-    def __init__(self, detail: str):
-        self.detail = detail
 
 
 def cmd_nef_dual(args) -> tuple[int, str]:
@@ -165,7 +153,7 @@ def cmd_nef_enumerate(args) -> tuple[int, str]:
         if args.json:
             rep = enumeration_report(
                 "nef-enumerate", args.file, poly, file_points, mapping, args.r,
-                None, rejection=_NotReflexiveOutcome(str(exc)),
+                None, rejection=Rejection("NotReflexive", detail=str(exc)),
             )
             return 1, _json_output(rep, started)
         return 1, f"invalid: NotReflexive: {exc}\n"

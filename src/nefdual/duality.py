@@ -24,28 +24,14 @@ polar reaches it only if it holds y. Only a failing check builds the sum, with
 :func:`nefdual.polytope.minkowski_sum`, for its witness.
 
 Each object is built once per run, and one duality builds one hull: nabla
-itself, whose polar is an identity under test. The dual side is decided on
-nabla by :func:`dual_nef_partition`, which takes each of its 2r + 1
-polytopes from the source when an exact, local test shows that building it
-would give that very polytope. A polytope depends only on the convex hull
-of its points: its sorted vertices, and the span and facets that
-:func:`nefdual.polytope.hull` gives (primitive facet normals within the
-span, sorted facets, a reduced basis of the span), whether built at once or
-on first read. So equal hulls are equal polytopes:
-
-- the dual's delta part i is the hull of 0 and the nonzero vertices of
-  ∇_i, which is ∇_i whenever ∇_i contains 0: ``np.nabla_parts[i]``, whose
-  membership test reads no facets;
-- the dual's nabla part i is the hull of the negated cone functionals of
-  psi_i, which is Δ_i whenever those are exactly Δ_i's vertices:
-  ``np.delta_parts[i]``;
-- the dual's own nabla is the hull of the vertices of its nabla parts,
-  which is Δ whenever their nonzero vertices are exactly Δ's vertices and
-  Δ contains 0 (the cover test, :func:`_covers`): ``np.delta``.
-
-Each test reads the source's objects and not the assumption that the
-source is a valid nef-partition, so a tampered source gets the parts built
-from their vertices and its own nabla by a hull.
+itself, whose polar is an identity under test. The dual is validated on
+nabla like any nef-partition (:func:`dual_nef_partition`), so its parts are
+built from their vertices with no hull. Its own nabla, the hull of the
+vertices of its nabla parts, is taken to be the source's Δ when the cover
+test (:func:`_covers`) shows that hull would be Δ: the double dual then
+builds no hull either. The test reads the source's objects and not the
+assumption that the source is a valid nef-partition, so a tampered source
+gets its double dual's base from a hull.
 
 The dual's PL functions are read off ∇* = Δ_1 + … + Δ_r, with no
 elimination on ∇'s fan (:func:`_read_off`). ∇ is reflexive, so the cone
@@ -62,40 +48,32 @@ identities under test, so -w_j is only a candidate. It is taken when
 vertices span the space, so it is then the unique solution of the cone's
 system, the very ``Point`` a kernel would give, and it goes into the
 fan's memo. A cone where the minimiser is not unique or a pairing misses
-is left to the kernel, as before, so a tampered source gives the same
-``Rejection``, error or ``CheckResult``. On a cone read off, -u = w_j is
-a vertex of Δ_j by construction.
+is left to the kernel, so a tampered source gets the same ψ_j as with a
+kernel on every cone. On a cone read off, -u = w_j is a vertex of Δ_j by
+construction.
 
 The dual is not audited: once ``_decide`` accepts it on ∇, the argument
-of :mod:`nefdual.nefpart` applies with ∇ in place of Δ. What is specific
-to the dual: ``_decide`` accepts only on a reflexive ∇, on which Σψ is 1
-at every vertex, and its parts are those ``_build`` would give, by
-:func:`_dual_parts` and the reuse tests above. The ψ_i are cross-checked
-against the source's delta parts (:func:`_check_psi`), and all six checks
-run. The involution check reuses the source as the double dual when the
-double dual's base and labeled parts equal the source's: validation is a
-deterministic function of the vertex list and the labeled parts, so the
-result would be equal to the source. See :func:`verify_involution`.
+of :mod:`nefdual.nefpart` applies with ∇ in place of Δ, since ``_decide``
+accepts only on a reflexive ∇, on which Σψ is 1 at every vertex. Each
+identity between the two sides is checked once, by one of the six checks:
+ψ_i against Δ_i by :func:`verify_delta_parts_from_dual`, φ_i against ∇_i
+on each side by :func:`nefdual.nefpart.check_relations`. The dual's
+relation matrix, the transpose of the source's on a valid run, is kept as
+the check of both sides. The involution check reuses the source as the
+double dual when the double dual's base and labeled parts equal the
+source's: validation is a deterministic function of the vertex list and
+the labeled parts, so the result would be equal to the source. See
+:func:`verify_involution`.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import reduce
 from typing import Mapping, NamedTuple, Sequence
 
 from .errors import InvariantViolation
-from .fan import face_fan, support_polytope
-from .nefpart import (
-    NefPartition,
-    Rejection,
-    _check_pairable,
-    _decide,
-    _delta_part,
-    _pair_min,
-    _pairing_mismatch,
-    check_relations,
-)
+from .fan import face_fan
+from .nefpart import NefPartition, Rejection, check_relations, validate_partition
 from .polytope import (
     Point,
     Polytope,
@@ -280,50 +258,19 @@ def _read_off(np: NefPartition, nb: Polytope, parts) -> None:
                 )
 
 
-def _check_psi(np: NefPartition, dual: NefPartition) -> None:
-    """Cross-check each PL function of ``dual`` against the delta parts of
-    ``np``: psi_i at a vertex y equals the negated minimum of <x, y> over
-    delta part i, and every cone functional of psi_i is the negative of a
-    vertex of delta part i (:func:`nefdual.nefpart._pairing_mismatch`).
-    Both hold with no pairing when psi_i is convex and its negated
-    functionals, each taking psi_i's values on its cone, are exactly the
-    vertices of delta part i. Parts that do not pair raise
-    ``DimensionMismatch``."""
-    base = dual.delta
-    for i, psi in enumerate(dual.phi):
-        part = np.delta_parts[i]
-        _check_pairable(part, base)
-        vi, ci = _pairing_mismatch(psi, base, part)
-        if vi is not None:
-            y = base.vertices[vi]
-            n, d = _pair_min(part.vertices, (y,))
-            raise InvariantViolation(
-                "dual PL value disagrees with the pairing formula",
-                witness=(i, y, psi.vertex_values[vi], -Fraction(n, d)),
-            )
-        if ci is not None:
-            raise InvariantViolation(
-                "dual cone functional is not the negative of a delta part vertex",
-                witness=(i, psi.functionals[ci]),
-            )
-
-
 def dual_nef_partition(np: NefPartition) -> NefPartition:
     """The mirror nef-partition on the nabla polytope.
 
     Part i of the dual collects the nonzero vertices of nabla part i; the
     origin, which can be a genuine vertex of a nabla part, carries no
-    indicator weight and is excluded. The partition is decided on nabla and
-    its parts are taken from the source wherever that is exact (see the
-    module docstring): the dual's delta part i is ``np.nabla_parts[i]``,
-    its nabla part i is ``np.delta_parts[i]``, and its own nabla is
-    ``np.delta``; any other part is built from its vertices as
-    :func:`nefdual.nefpart._build` builds it. The dual's cone
-    functionals are read off the delta parts (:func:`_read_off`), and only
-    a cone where that fails gets a kernel. Nothing is audited once
-    ``_decide`` accepts: every identity then holds (see the module
-    docstring). Each dual PL function is cross-checked against the pairing
-    formula (:func:`_check_psi`).
+    indicator weight and is excluded. The partition is validated on nabla
+    by :func:`nefdual.nefpart.validate_partition`, and a rejection raises
+    ``InvariantViolation``. Its cone functionals are read off the source's
+    delta parts first (:func:`_read_off`), and only a cone where that fails
+    gets a kernel. The dual's own nabla is ``np.delta`` when the cover test
+    shows the hull would be that (see the module docstring). Nothing is
+    checked against the source here: :func:`verify_delta_parts_from_dual`
+    checks psi against the delta parts.
 
     :func:`run_full_duality` calls this once; :func:`verify_involution`
     calls it on the dual only when the double dual cannot be the source.
@@ -332,27 +279,10 @@ def dual_nef_partition(np: NefPartition) -> NefPartition:
     parts = _dual_parts(np, nb)
     if nb.is_reflexive():
         _read_off(np, nb, parts)
-    decided = _decide(nb, parts)
-    if isinstance(decided, Rejection):
-        raise InvariantViolation(
-            "dual partition failed validation", witness=str(decided)
-        )
-    parts, fan, psis = decided
-    # The source's own object wherever the build would return it.
-    nparts = tuple(
-        delta_part
-        if {-u for u in psi.functionals} == set(delta_part.vertices)
-        else support_polytope(psi)
-        for delta_part, psi in zip(np.delta_parts, psis)
-    )
-    zero = origin(nb.ambient_dim, nb.space)
-    dparts = tuple(
-        nabla_part if nabla_part.contains(zero) else _delta_part(nb, parts, nparts, i)
-        for i, nabla_part in enumerate(np.nabla_parts)
-    )
-    dual = NefPartition(nb, parts, fan, psis, dparts, nparts)
-    _check_psi(np, dual)
-    if _covers(np.delta, nparts):
+    dual = validate_partition(nb, parts)
+    if isinstance(dual, Rejection):
+        raise InvariantViolation("dual partition failed validation", witness=str(dual))
+    if _covers(np.delta, dual.nabla_parts):
         object.__setattr__(dual, "_nabla", np.delta)
     return dual
 
@@ -360,7 +290,16 @@ def dual_nef_partition(np: NefPartition) -> NefPartition:
 def verify_delta_parts_from_dual(
     np: NefPartition, dual: NefPartition | None = None
 ) -> CheckResult:
-    """Each delta part is recovered as the support polytope of the dual's psi_i."""
+    """Each delta part is recovered as the support polytope of the dual's psi_i.
+
+    This is the one check of psi against the source's delta parts. psi_i is
+    convex, as ``_decide`` decided it. If its support polytope is delta part
+    i, then psi_i(y) = max <y, u> over its cone functionals u, which is
+    -min <delta part i, y> at every y, and every -u is a vertex of delta
+    part i. So psi_i disagreeing with the pairing formula at a vertex, or a
+    -u that is no vertex of delta part i, each make this check fail, with
+    the recovered and expected vertices as its witness.
+    """
     if dual is None:
         dual = dual_nef_partition(np)
     for i in range(np.r):
@@ -385,22 +324,23 @@ def verify_involution(np: NefPartition, dual: NefPartition | None = None) -> Che
 
     The double dual's base, ``nabla(dual)``, is ``np.delta`` itself when
     :func:`dual_nef_partition` kept it there, and a hull otherwise; its
-    labeled parts are read off that base. Every ``NefPartition`` is what
-    ``validate_partition`` gives on its base and labeled parts (the reuse
-    in :func:`dual_nef_partition` is exact), and validation is
-    deterministic (a polytope's facets follow from its vertices). So when
-    the base equals ``np.delta`` and the labeled parts equal ``np.parts``,
-    the double dual would be ``np`` itself, and ``np`` is reused instead of
-    validated again. The cross-checks of the double dual's PL functions
-    against the delta parts of ``dual`` still run on it. Otherwise the
-    double dual is built by :func:`dual_nef_partition`, and fails as it
-    would.
+    labeled parts are read off that base. The double dual is what
+    ``validate_partition`` gives on that base and those labeled parts, and
+    validation is deterministic (a polytope's facets follow from its
+    vertices). So when the base equals ``np.delta`` and the labeled parts
+    equal ``np.parts``, the double dual would be ``np`` itself, and ``np``
+    is reused instead of validated again. Otherwise the double dual is
+    built by :func:`dual_nef_partition`, and fails as it would. This check
+    compares bases and unlabeled parts only. What the reuse skips, the
+    double dual's PL functions against the delta parts of ``dual``, is the
+    phi check of :func:`nefdual.nefpart.check_relations` on ``np`` when
+    ``dual`` is its own: the dual's delta parts are then the source's nabla
+    parts.
     """
     if dual is None:
         dual = dual_nef_partition(np)
     nb = nabla(dual)
     if nb == np.delta and _dual_parts(dual, nb) == np.parts:
-        _check_psi(dual, np)
         double = np
     else:
         double = dual_nef_partition(dual)

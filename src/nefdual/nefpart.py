@@ -425,8 +425,10 @@ def enumerate_nef_partitions(delta: Polytope, r: int) -> list[NefPartition]:
     (the masks decided it), ∇ᵢ from φ, and Δᵢ by :func:`_delta_part`, whose
     origin test depends on Eᵢ alone. No symmetry reduction is applied. The
     result is sorted by canonical part lists and equals that of validating
-    every set partition into r parts, labels included.
+    every set partition into r parts, labels included. An ``r`` that is not
+    an integer (a ``float`` such as 2.0 included) raises ``TypeError``.
     """
+    r = index(r)
     if not delta.is_reflexive():
         raise NotReflexive("nef-partitions are defined on reflexive polytopes")
     n = len(delta.vertices)
@@ -501,25 +503,23 @@ def _check_pairable(xs: Polytope, ys: Polytope) -> None:
         pair(xs.vertices[0], ys.vertices[0])
 
 
-def _pairing_mismatch(f: PLFunction, base: Polytope, part: Polytope):
-    """``(vi, ci)``: the first vertex v of ``base`` with f(v) != -min <v, part>
-    and the first cone whose negated functional is not a vertex of ``part``
-    (``None`` if none); ``base`` and ``part`` must pair. Both are ``None``,
-    with no pairing, when ``f`` is convex on the fan of ``base`` and its
-    negated functionals are exactly the vertices of ``part``: each functional
-    takes f's values on its cone (as with ``pl_from_vertex_values`` and
+def _pairing_mismatch(f: PLFunction, base: Polytope, part: Polytope) -> int | None:
+    """The index of the first vertex v of ``base`` with f(v) != -min <v, part>,
+    or ``None``; ``base`` and ``part`` must pair. It is ``None``, with no
+    pairing, when ``f`` is convex on the fan of ``base`` and its negated
+    functionals are exactly the vertices of ``part``: each functional takes
+    f's values on its cone (as with ``pl_from_vertex_values`` and
     ``PLFunction.__add__``), so f(v) = max <v, u> = -min <v, part>."""
     forms = {(x._num, x._den) for x in part.vertices}
-    negated = [(tuple([-a for a in u._num]), u._den) for u in f.functionals]
-    if f.is_convex and f.fan.base == base and set(negated) == forms:
-        return None, None
+    if f.is_convex and f.fan.base == base and forms == {
+        (tuple([-a for a in u._num]), u._den) for u in f.functionals
+    }:
+        return None
     for vi, v in enumerate(base.vertices):
         n, d = _pair_min((v,), part.vertices)
         if -n * f.vertex_values[vi].denominator != f.vertex_values[vi].numerator * d:
-            break
-    else:
-        vi = None
-    return vi, next((ci for ci, u in enumerate(negated) if u not in forms), None)
+            return vi
+    return None
 
 
 def check_relations(np: NefPartition) -> RelationReport:
@@ -531,6 +531,11 @@ def check_relations(np: NefPartition) -> RelationReport:
     values on its cone, are exactly the vertices of nabla part i). Minima
     are found on ``int``; a ``Fraction`` is built only for the reported
     matrix entries. Parts that do not pair raise ``DimensionMismatch``.
+
+    This is the one check of each phi_i against its nabla part. On a dual
+    built by :func:`nefdual.duality.dual_nef_partition` it checks psi_i
+    against the dual's nabla part i; psi_i against the source's delta part
+    i is :func:`nefdual.duality.verify_delta_parts_from_dual`.
     """
     r = np.r
     matrix = []
@@ -549,7 +554,7 @@ def check_relations(np: NefPartition) -> RelationReport:
     for i, f in enumerate(np.phi):
         part = np.nabla_parts[i]
         _check_pairable(np.delta, part)
-        phi_ok = phi_ok and _pairing_mismatch(f, np.delta, part)[0] is None
+        phi_ok = phi_ok and _pairing_mismatch(f, np.delta, part) is None
     return RelationReport(
         matrix=tuple(matrix),
         passed=not violations,

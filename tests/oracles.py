@@ -27,7 +27,8 @@ simplex's facets by a second elimination (:func:`_simplex_planes`) and sent
 a simplex through insertion (:func:`two_elimination_hull`; the library now
 reads a full-dimensional simplex's facets off the elimination that finds the
 span and returns a simplex at once), the ``Fraction`` relation and dual-PL checks
-(:func:`check_relations`, :func:`check_psi`) and, at the very end, the
+(:func:`check_relations`, :func:`check_psi`, the psi check that the
+former dual routes here still run) and, at the very end, the
 polar as a hull (:func:`polar_dual`) and the Minkowski-sum checks by the
 hull of the sum (:func:`verify_polar_is_nabla_sum`,
 :func:`verify_nabla_polar_is_delta_sum`) and the dual decided with a
@@ -46,7 +47,7 @@ from math import gcd, lcm
 from operator import and_, mul
 from typing import Iterable, Sequence
 
-from nefdual.duality import CheckResult, _check_psi, _covers, _dual_parts, nabla
+from nefdual.duality import CheckResult, _covers, _dual_parts, nabla
 from nefdual.errors import (
     DimensionMismatch,
     InvariantViolation,
@@ -378,14 +379,18 @@ def point_le(self, other: "Point") -> bool:
 # the partition audit that decides its two hull identities with hulls and
 # Δᵢ ∩ Δⱼ = {0} with one hull per pair of parts (the library now compares
 # vertex sets and tests each part's vertices), the dual partition that is
-# validated on nabla from scratch, building every part by a hull (the
-# library now takes the dual's parts and its nabla from the source where
-# that is exact), and the involution check that always rebuilds the double
-# dual (the library now reuses the source when the double dual's base and
-# labeled parts equal it). These call the
+# validated on nabla from scratch and whose psi is cross-checked against the
+# source's delta parts (the library reads the dual's functionals off the
+# delta parts, takes its nabla from the source when the cover test allows,
+# and checks psi against the delta parts only in
+# ``verify_delta_parts_from_dual``), and the involution check that always
+# rebuilds the double dual (the library now reuses the source when the
+# double dual's base and labeled parts equal it). These call the
 # library's other code; they are the reference for the routes that
 # replaced them. In :func:`_intersection_is_origin`, ``pair`` is this
-# file's Fraction version above, which gives the same values.
+# file's Fraction version above, which gives the same values. The psi
+# cross-check is :func:`check_psi` below, the Fraction version of the
+# library's former ``duality._check_psi``, with the same outcomes.
 
 
 def _plane_through(pts, verts: frozenset, eq_rows, interior, weight: int):
@@ -678,7 +683,7 @@ def dual_nef_partition(np: NefPartition) -> NefPartition:
         raise InvariantViolation(
             "dual partition failed validation", witness=str(result)
         )
-    _check_psi(np, result)
+    check_psi(np, result)
     return result
 
 
@@ -1392,8 +1397,10 @@ def two_elimination_hull(points: Iterable[Point]) -> Polytope:
 # functions, verbatim apart from the names: ``nefpart.check_relations``
 # and ``duality._check_psi``, which built a ``Fraction`` per pairing and
 # compared those (the library now finds and compares the minima on
-# ``int``). ``pair`` is this file's Fraction pairing, which gives the same
-# values as the library's.
+# ``int``, and has no psi cross-check: ``verify_delta_parts_from_dual`` is
+# the one check of psi against the delta parts). :func:`check_psi` is the
+# psi cross-check of the former dual routes in this file. ``pair`` is this
+# file's Fraction pairing, which gives the same values as the library's.
 
 
 def check_relations(np: NefPartition) -> RelationReport:
@@ -1521,12 +1528,16 @@ def verify_nabla_polar_is_delta_sum(np: NefPartition) -> CheckResult:
     )
 
 
-# The former dual_nef_partition, verbatim apart from the name: it decides
-# the dual on nabla with a kernel for every cone of nabla's fan (the library
-# now reads each psi_j functional off delta part j and leaves to the kernel
-# only the cones where that fails), and it audits the dual it has decided
-# (the library no longer does). Its calls into ``verify_involution`` go through
-# ``nefdual.duality.dual_nef_partition``, which a test may replace by this.
+# The former dual_nef_partition, verbatim apart from the name and its psi
+# cross-check, which is this file's :func:`check_psi`: it decides the dual
+# on nabla with a kernel for every cone of nabla's fan (the library now
+# reads each psi_j functional off delta part j and leaves to the kernel
+# only the cones where that fails), takes each part from the source where
+# that is exact (the library builds every part from its vertices), audits
+# the dual it has decided and cross-checks psi against the delta parts
+# (the library does neither). Its calls into ``verify_involution`` go
+# through ``nefdual.duality.dual_nef_partition``, which a test may replace
+# by this.
 
 
 def kernel_dual_nef_partition(np: NefPartition) -> NefPartition:
@@ -1568,7 +1579,7 @@ def kernel_dual_nef_partition(np: NefPartition) -> NefPartition:
     )
     dual = NefPartition(nb, parts, fan, psis, dparts, nparts)
     assert_vertex_set_invariants(dual)
-    _check_psi(np, dual)
+    check_psi(np, dual)
     if _covers(np.delta, nparts):
         object.__setattr__(dual, "_nabla", np.delta)
     return dual

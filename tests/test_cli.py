@@ -195,6 +195,17 @@ def test_output_flag_writes_the_file_instead_of_stdout(capsys, tmp_path):
     assert content == (GOLDEN / "polar_square.txt").read_text(encoding="utf-8")
 
 
+# The rejection object of a base that is not reflexive, on every command
+# that validates or enumerates.
+NOT_REFLEXIVE = {
+    "reason": "NotReflexive",
+    "part": None,
+    "cone": None,
+    "vertex": None,
+    "detail": "nef-partitions are defined on reflexive polytopes",
+}
+
+
 def test_json_rejection_for_not_reflexive_input(capsys):
     code, out, _ = run_cli(
         capsys,
@@ -203,7 +214,7 @@ def test_json_rejection_for_not_reflexive_input(capsys):
     assert code == 1
     rep = json.loads(out)
     assert rep["valid"] is False
-    assert rep["rejection"]["reason"] == "NotReflexive"
+    assert rep["rejection"] == NOT_REFLEXIVE
     assert rep["checks"] is None
 
 
@@ -221,7 +232,7 @@ def test_json_rejection_for_not_reflexive_input_on_dual_and_enumerate(capsys, ar
     rep = json.loads(out)
     assert rep["command"] == argv[0]
     assert rep["valid"] is False
-    assert rep["rejection"]["reason"] == "NotReflexive"
+    assert rep["rejection"] == NOT_REFLEXIVE
 
 
 def test_thread_env_variable_does_not_change_output(capsys, monkeypatch):

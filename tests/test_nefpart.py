@@ -15,7 +15,6 @@ import nefdual.fan as fan
 import nefdual.nefpart as nefpart
 import oracles
 from nefdual.duality import (
-    _check_psi,
     dual_nef_partition,
     verify_nabla_polar_is_delta_sum,
     verify_polar_is_nabla_sum,
@@ -200,15 +199,22 @@ def test_validate_raises_on_bad_index():
 
 
 @pytest.mark.parametrize(
-    "parts",
-    [[[0.9, 1], [2, 3]], [[F(7, 2), 1], [2, 0]], [["3", 1], [2, 0]], [[F(2), 1], [0, 3]]],
-    ids=["float", "Fraction", "str", "integral Fraction"],
+    "call, arg",
+    [
+        (validate_partition, [[0.9, 1], [2, 3]]),
+        (validate_partition, [[F(7, 2), 1], [2, 0]]),
+        (validate_partition, [["3", 1], [2, 0]]),
+        (validate_partition, [[F(2), 1], [0, 3]]),
+        (enumerate_nef_partitions, 2.5),
+        (enumerate_nef_partitions, 2.0),
+    ],
+    ids=["float", "Fraction", "str", "integral Fraction", "float r", "integral float r"],
 )
-def test_validate_refuses_indices_that_are_not_integers(parts):
-    """A float, Fraction or str index is a TypeError, never truncated or
-    parsed into another partition."""
+def test_validate_refuses_indices_that_are_not_integers(call, arg):
+    """A float, Fraction or str index, or a float number of parts, is a
+    TypeError, never truncated or parsed into another partition or count."""
     with pytest.raises(TypeError):
-        validate_partition(CROSS, parts)
+        call(CROSS, arg)
 
 
 def test_validate_accepts_integer_like_indices():
@@ -678,8 +684,7 @@ def test_convexity_is_scanned_once_per_function(monkeypatch, corpus_by_name):
     assert len(scans) == len(built) > 0
 
 
-# The relation and dual-PL checks against the former Fraction ones in
-# tests/oracles.py.
+# The relation checks against the former Fraction ones in tests/oracles.py.
 
 
 def _outcome(check, *args):
@@ -690,18 +695,13 @@ def _outcome(check, *args):
         return ("raised", type(exc), str(exc), getattr(exc, "witness", None))
 
 
-def test_integer_relation_and_psi_checks_match_the_fraction_ones(corpus):
+def test_integer_relation_checks_match_the_fraction_ones(corpus):
     count = 0
     for np_ in _corpus_and_enum4d_inputs(corpus):
-        dual = dual_nef_partition(np_)
-        for side in (np_, dual):
+        for side in (np_, dual_nef_partition(np_)):
             got = _outcome(check_relations, side)
             assert got == _outcome(oracles.check_relations, side)
             assert got[1] and got[1].violations == ()
-        for src, target in ((np_, dual), (dual, np_)):
-            got = _outcome(_check_psi, src, target)
-            assert got == ("returned", None)
-            assert got == _outcome(oracles.check_psi, src, target)
         count += 1
     # 175 corpus partitions, 15 + 15 on the 4-simplex
     assert count == 205
@@ -725,7 +725,7 @@ def test_sum_checks_match_the_hull_of_the_sum_on_both_duality_sides(corpus):
     assert count == 205
 
 
-def test_tampered_partitions_fail_both_relation_and_psi_checks_alike():
+def test_tampered_partitions_fail_both_relation_checks_alike():
     octa = validate_partition(
         OCTA,
         [part_of(OCTA, (1, 0, 0), (-1, 0, 0)),
@@ -773,12 +773,6 @@ def test_tampered_partitions_fail_both_relation_and_psi_checks_alike():
             got = _outcome(check_relations, bad)
             assert got[:2] == ("raised", DimensionMismatch)
             assert got == _outcome(oracles.check_relations, bad)
-
-        dual = dual_nef_partition(np_)
-        for tampered in (np_._replace(delta_parts=np_.delta_parts[::-1]), scaled, projected):
-            got = _outcome(_check_psi, tampered, dual)
-            assert got[0] == "raised"
-            assert got == _outcome(oracles.check_psi, tampered, dual)
 
 
 def _scaled(poly, factor):
@@ -830,20 +824,16 @@ def _takes_the_shortcut(f, base, part):
 
 
 def pairing_checks(np_, dual=None):
-    """Every (PL function, base, part) that check_relations and _check_psi
-    test on ``np_`` and its ``dual``: (phi_i, delta, nabla part i) on each
-    side and (psi_i, nabla, delta part i) both ways; only the first without
-    a dual. Pairs that do not pair are left out."""
-    sides = ((np_, dual), (dual, np_)) if dual is not None else ((np_, None),)
-    for side, other in sides:
+    """Every (PL function, base, part) that check_relations tests on ``np_``
+    and its ``dual``: (phi_i, delta, nabla part i) on each side. Pairs that
+    do not pair are left out."""
+    for side in (np_, dual) if dual is not None else (np_,):
         for i, f in enumerate(side.phi):
-            parts = [side.nabla_parts[i]] + ([other.delta_parts[i]] if other else [])
-            for part in parts:
-                try:
-                    _check_pairable(side.delta, part)
-                except DimensionMismatch:
-                    continue
-                yield f, side.delta, part
+            try:
+                _check_pairable(side.delta, side.nabla_parts[i])
+            except DimensionMismatch:
+                continue
+            yield f, side.delta, side.nabla_parts[i]
 
 
 def shortcut_count(checks):
@@ -862,8 +852,8 @@ def test_the_pairing_shortcut_agrees_with_the_full_loop(corpus):
         checks = list(pairing_checks(np_, dual_nef_partition(np_)))
         total += len(checks)
         taken += shortcut_count(checks)
-    # 4 checks per part of the 333 partitions, and every one takes the shortcut
-    assert (taken, total) == (3040, 3040)
+    # 2 checks per part of the 333 partitions, and every one takes the shortcut
+    assert (taken, total) == (1520, 1520)
 
 
 def test_a_non_convex_function_takes_the_full_loop(corpus_by_name):
@@ -882,8 +872,8 @@ def test_a_non_convex_function_takes_the_full_loop(corpus_by_name):
         part = hull(list(negated))
         if set(part.vertices) != negated:
             continue
-        vi, _ = _pairing_mismatch(f, hexagon, part)
-        assert vi is not None and (vi, None) == _full_loop(f, hexagon, part)
+        vi = _pairing_mismatch(f, hexagon, part)
+        assert vi is not None and vi == _full_loop(f, hexagon, part)
         found += 1
     assert found > 0
 
