@@ -25,10 +25,21 @@ the hull is computed on ``int`` tuples: one integer elimination of
 :mod:`nefdual.linalg` finds the affine span and an initial simplex, and
 gives that simplex's facets too when the points span the space (a lower
 dimensional simplex's facets take one k x (k + d) elimination more). A
-simplex is returned from there, with no insertion. Otherwise every later
-facet is an integer combination of two existing ones, and vertices are read
+simplex is returned from there, with no insertion. Otherwise the other
+points are inserted one at a time as in the double description method
+(Motzkin et al. 1953; Fukuda and Prodon 1996): each facet is kept whole with
+the bitmask of the inserted points on it, every later facet is an integer
+combination of two existing ones that meet in a ridge, and vertices are read
 off per-facet incidence bitmasks. Normals are primitive integer vectors, and
 only the offsets are divided back.
+
+Two facets meet in a ridge exactly when no third facet holds every point on
+both. The hull so far is the hull of the points inserted so far, so each
+face is the hull of the inserted points on it, and the AND of two facets'
+bitmasks names the points of the face they meet in. A ridge lies in exactly
+two facets; a face of dimension j <= k - 3 of a k-dimensional hull lies in
+at least k - j >= 3, the empty face in all of them. A ridge holds at least
+k - 1 points, which rules out most pairs before the other bitmasks are read.
 
 Both routes to the simplex's facet normals rest on one argument. With x0
 and the k directions u_s = x_s - x0 (s = 1..k), a tag t_r with
@@ -499,16 +510,20 @@ class Polytope:
         )
 
 
-def _plane_across(p, ridge_plus_p: frozenset, visible, hidden, interior, weight: int):
+def _plane_across(p, ridge_plus_p, visible, hidden, interior, weight: int):
     """The plane through a horizon ridge and the new point ``p``.
 
-    ``visible`` is the facet ``(n1, c1, verts)`` that ``p`` lies beyond and
-    ``hidden`` its neighbour ``(n2, c2, verts)`` across the ridge, which
-    ``p`` does not. With ``s_i = <p, n_i> - c_i`` (so ``s1 < 0 <= s2``), the
-    plane ``s2 * (n1, c1) - s1 * (n2, c2)`` holds both planes' common points,
-    hence the ridge, and ``p``; as a nonnegative combination of two facet
-    inequalities of the current hull it is oriented with the hull on its
-    nonnegative side, and it lies in the direction space with them.
+    ``visible`` is the facet ``(n1, c1, on)`` that ``p`` lies beyond and
+    ``hidden`` its neighbour ``(n2, c2, on)`` across the ridge, which ``p``
+    lies strictly beneath. With ``s_i = <p, n_i> - c_i`` (so ``s1 < 0 <
+    s2``), the plane ``s2 * (n1, c1) - s1 * (n2, c2)`` holds both planes'
+    common points, hence the ridge, and ``p``; as a nonnegative combination
+    of two facet inequalities of the current hull it is oriented with the
+    hull on its nonnegative side, and it lies in the direction space with
+    them. ``ridge_plus_p`` names the points on the new plane, as a bitmask
+    (bit i for point i) or a set of indices; it becomes the plane's third
+    entry, and its indices, sorted, are the witness if the interior point
+    lies on the plane.
     """
     n1, c1, _ = visible
     n2, c2, _ = hidden
@@ -518,73 +533,64 @@ def _plane_across(p, ridge_plus_p: frozenset, visible, hidden, interior, weight:
     c = s2 * c1 - s1 * c2
     assert _dot(p, nv) == c
     if _dot(interior, nv) <= weight * c:
-        raise InvariantViolation("interior point on facet plane", witness=sorted(ridge_plus_p))
+        on = ridge_plus_p
+        if type(on) is int:
+            on = [i for i in range(on.bit_length()) if on >> i & 1]
+        raise InvariantViolation("interior point on facet plane", witness=sorted(on))
     g = gcd(*nv)
     return (tuple([x // g for x in nv]), c // g, ridge_plus_p)
 
 
-def _beneath_beyond_planes(pts, simplex, planes, interior):
+def _insert_points(pts, simplex, planes, interior):
     """Facet planes of the hull of distinct integer points.
 
     ``simplex`` indexes k+1 affinely independent points of ``pts``, where k
     is the dimension of their hull, ``planes`` are that simplex's facets as
     :func:`hull` finds them, ``(normal, c, vertex set)`` with the simplex on
     the side ``<x, normal> >= c``, and ``interior`` is the sum of the
-    simplex's points. Incremental insertion with simplicial facets; coplanar
-    pieces of one geometric facet are merged by the caller. Returns
-    (normal, c) pairs with the hull satisfying ``<x, normal> >= c``; each
-    normal lies in the direction space of the points.
+    simplex's points. Returns (normal, c) pairs, one per facet, with the
+    hull satisfying ``<x, normal> >= c``; each normal is primitive and lies
+    in the direction space of the points.
 
-    No plane is solved for here. Every ridge of the simplicial boundary lies
-    in exactly two facets, kept in a ridge -> facets map, and each facet
-    added through a horizon ridge is combined from the two facets that met
-    there (:func:`_plane_across`), in O(d) integer operations.
+    The other points are inserted one at a time, each facet kept whole as
+    ``(normal, c, mask)``: bit i is set when inserted point i lies on it. A
+    facet the new point p lies on sets p's bit, and the facets p lies beyond
+    are dropped. Across each ridge (the module docstring gives the test)
+    between a facet p lies beyond and one it lies strictly beneath, the
+    facet through the ridge and p is combined from the two
+    (:func:`_plane_across`) in O(d) integer operations.
     """
-    n = len(pts)
     weight = len(simplex)
-    facets: dict[int, tuple] = {}
-    ridges: dict[frozenset, list[int]] = {}
-    ids = itertools.count()
-
-    def add(facet):
-        fid = next(ids)
-        facets[fid] = facet
-        verts = facet[2]
-        for excl in verts:
-            ridges.setdefault(verts - {excl}, []).append(fid)
-
-    for facet in planes:
-        add(facet)
+    least = weight - 2  # a ridge holds at least k - 1 points
+    facets = [(nv, c, sum([1 << i for i in on])) for nv, c, on in planes]
     in_simplex = set(simplex)
-    for i in range(n):
+    for i, p in enumerate(pts):
         if i in in_simplex:
             continue
-        p = pts[i]
-        visible = {fid for fid, (nv, c, _) in facets.items() if _dot(p, nv) < c}
-        if not visible:
-            continue
-        new_facets = []
-        for fid in visible:
-            verts = facets[fid][2]
-            for excl in verts:
-                ridge = verts - {excl}
-                a, b = ridges[ridge]
-                other = b if a == fid else a
-                if other not in visible:
-                    new_facets.append(
-                        _plane_across(p, ridge | {i}, facets[fid], facets[other], interior, weight)
-                    )
-        for fid in visible:
-            verts = facets.pop(fid)[2]
-            for excl in verts:
-                ridge = verts - {excl}
-                holders = ridges[ridge]
-                holders.remove(fid)
-                if not holders:
-                    del ridges[ridge]
-        for facet in new_facets:
-            add(facet)
-    return [(nv, c) for nv, c, _ in facets.values()]
+        bit = 1 << i
+        visible = []
+        hidden = []
+        kept = []
+        for facet in facets:
+            nv, c, mask = facet
+            s = _dot(p, nv) - c
+            if s < 0:
+                visible.append(facet)
+            elif s:
+                hidden.append(facet)
+                kept.append(facet)
+            else:
+                kept.append((nv, c, mask | bit))
+        if visible:
+            masks = [facet[2] for facet in facets]
+            for v in visible:
+                for h in hidden:
+                    z = v[2] & h[2]
+                    if z.bit_count() < least or len([m for m in masks if m & z == z]) > 2:
+                        continue
+                    kept.append(_plane_across(p, z | bit, v, h, interior, weight))
+        facets = kept
+    return [(nv, c) for nv, c, _ in facets]
 
 
 def _span_basis(rows, d: int) -> list[tuple[int, ...]]:
@@ -644,12 +650,12 @@ def hull(points: Iterable[Point]) -> Polytope:
     that simplex's facets. A lower-dimensional simplex's facets come from one
     more elimination, of its k edge directions against their Gram matrix. A
     simplex is returned as it stands: every point is a vertex and each facet
-    holds all points but one. Otherwise beneath-beyond starts from the
-    simplex's facets (:func:`_beneath_beyond_planes`). Each input point's
-    incidences are then one bitmask per facet, and a point is a vertex iff it
-    is the only input point on every facet through it: the AND of those
-    facets' bitmasks is its own bit alone. No elimination is spent on the
-    vertex test.
+    holds all points but one. Otherwise the other points are inserted from
+    the simplex's facets, each facet kept whole and never split into
+    simplices (:func:`_insert_points`). Each input point's incidences are then
+    one bitmask per facet, and a point is a vertex iff it is the only input
+    point on every facet through it: the AND of those facets' bitmasks is
+    its own bit alone. No elimination is spent on the vertex test.
     """
     pts = list(points)
     if not pts:
@@ -715,14 +721,9 @@ def hull(points: Iterable[Point]) -> Polytope:
         )
         return Polytope(d, space, tuple(uniq), equalities, facets)
 
-    # Merge the coplanar pieces; g divides c as well, since c = <x, nv> at an
-    # integer point x of the plane. A facet is kept as (normal, e) with
-    # <x, normal> >= -e, where e / L is its offset.
-    planes = set()
-    for nv, c in _beneath_beyond_planes(ipts, simplex, start, interior):
-        g = gcd(*nv)
-        planes.add((tuple(x // g for x in nv), -c // g))
-    planes = sorted(planes)
+    # A facet is kept as (normal, e) with <x, normal> >= -e, where e / L is
+    # its offset.
+    planes = sorted([(nv, -c) for nv, c in _insert_points(ipts, simplex, start, interior)])
 
     # Bit i of masks[j] says that input point i lies on facet j. A point is
     # a vertex iff it is the only input point on every facet through it:

@@ -23,10 +23,12 @@ search over set partitions cut per cone that validated every survivor
 solve-per-cone PL extension
 (:func:`pl_from_vertex_values`), hull set-up (:func:`simplex_planes`,
 :func:`rank_hull`, :func:`search_hull`), the hull that solved its initial
-simplex's facets by a second elimination (:func:`_simplex_planes`) and sent
-a simplex through insertion (:func:`two_elimination_hull`; the library now
+simplex's facets by a second elimination (:func:`_simplex_planes`), sent
+a simplex through insertion, inserted points with simplicial facets and
+merged the coplanar pieces (:func:`two_elimination_hull`; the library now
 reads a full-dimensional simplex's facets off the elimination that finds the
-span and returns a simplex at once), the ``Fraction`` relation and dual-PL checks
+span, returns a simplex at once and keeps each facet whole as it inserts
+points), the ``Fraction`` relation and dual-PL checks
 (:func:`check_relations`, :func:`check_psi`, the psi check that the
 former dual routes here still run) and, at the very end, the
 polar as a hull (:func:`polar_dual`) and the Minkowski-sum checks by the
@@ -1213,11 +1215,14 @@ def rank_hull(points: Iterable[Point]) -> Polytope:
 # The former hull of the library, verbatim apart from the names: one
 # elimination of the point differences for the affine span and the initial
 # simplex, one more for that simplex's facets (:func:`_simplex_planes`),
-# then beneath-beyond and the bitmask vertex test on every input, a simplex
-# too (the library now reads a simplex's facets off the span elimination
-# when the points span the space, solves a k x (k + d) system otherwise,
-# and returns a simplex without insertion). The span basis and the horizon
-# planes are read off ``nefdual.polytope`` when called.
+# then beneath-beyond with simplicial facets, a merge of the coplanar
+# pieces and the bitmask vertex test on every input, a simplex too (the
+# library now reads a simplex's facets off the span elimination when the
+# points span the space, solves a k x (k + d) system otherwise, returns a
+# simplex without insertion, and inserts the other points keeping each
+# facet whole, with no merge). The span basis and the horizon planes are
+# read off ``nefdual.polytope`` when called; the horizon planes are handed
+# their points as a frozenset, where the library hands a bitmask.
 
 
 def simplex_beneath_beyond_planes(pts, simplex, eq_rows):
@@ -1287,7 +1292,7 @@ def simplex_beneath_beyond_planes(pts, simplex, eq_rows):
     return [(nv, c) for nv, c, _ in facets.values()]
 
 
-def two_elimination_hull(points: Iterable[Point]) -> Polytope:
+def two_elimination_hull(points: Iterable[Point], insertion=None) -> Polytope:
     """Convex hull with irredundant canonical vertex and facet data.
 
     Accepts any finite nonempty collection of points of one space; duplicates
@@ -1308,6 +1313,9 @@ def two_elimination_hull(points: Iterable[Point]) -> Polytope:
     bitmask per facet, and a point is a vertex iff it is the only input
     point on every facet through it: the AND of those facets' bitmasks is
     its own bit alone. No elimination is spent on the vertex test.
+
+    ``insertion`` replaces :func:`simplex_beneath_beyond_planes`, called
+    with the same arguments.
     """
     pts = list(points)
     if not pts:
@@ -1351,7 +1359,8 @@ def two_elimination_hull(points: Iterable[Point]) -> Polytope:
     # integer point x of the plane. A facet is kept as (normal, e) with
     # <x, normal> >= -e, where e / L is its offset.
     planes = set()
-    for nv, c in simplex_beneath_beyond_planes(ipts, simplex, [list(v) + [0] for v in eq_vecs]):
+    insertion = insertion or simplex_beneath_beyond_planes
+    for nv, c in insertion(ipts, simplex, [list(v) + [0] for v in eq_vecs]):
         g = gcd(*nv)
         planes.add((tuple(x // g for x in nv), -c // g))
     planes = sorted(planes)
@@ -1391,6 +1400,22 @@ def two_elimination_hull(points: Iterable[Point]) -> Polytope:
         for j, (nv, e) in enumerate(planes)
     )
     return Polytope(d, space, tuple([uniq[i] for i in vertex_ids]), equalities, facets)
+
+
+def _nullspace_insertion(pts, simplex, eq_rows):
+    """:func:`beneath_beyond_planes`, fed the span's normals from an integer
+    nullspace of its own instead of ``eq_rows``."""
+    x0 = pts[0]
+    eq_vecs = integer_nullspace([[a - b for a, b in zip(x, x0)] for x in pts[1:]], len(x0))
+    return beneath_beyond_planes(pts, simplex, [list(v) + [0] for v in eq_vecs])
+
+
+def nullspace_insertion_hull(points: Iterable[Point]) -> Polytope:
+    """:func:`two_elimination_hull` with the former beneath-beyond insertion
+    that solves an integer nullspace for every facet, the initial simplex's
+    too (:func:`beneath_beyond_planes`), fed the span's normals from a
+    nullspace of its own."""
+    return two_elimination_hull(points, _nullspace_insertion)
 
 
 # The former Fraction checks of the pairing relations and of the dual PL

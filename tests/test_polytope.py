@@ -1,5 +1,6 @@
 """Kernel behavior: hulls, polars, reflexivity, Minkowski sums, membership."""
 
+import itertools
 from fractions import Fraction
 from functools import reduce
 
@@ -14,6 +15,7 @@ from nefdual.errors import (
     ZeroNotInterior,
 )
 from nefdual.linalg import Inconsistent, Underdetermined, eliminate, integer_nullspace
+from nefdual.nefpart import enumerate_nef_partitions
 from nefdual.polytope import (
     Point,
     Polytope,
@@ -32,6 +34,7 @@ from oracles import caratheodory_member, hrep_vertex_set
 from test_nefpart import _audit_inputs
 
 F = Fraction
+insert_points = polytope._insert_points
 
 
 def P(*coords):
@@ -318,26 +321,23 @@ def hull_record(poly):
 
 
 def assert_hull_matches_the_nullspace_insertion(pts):
-    """The hull equals the one built by the former beneath-beyond insertion,
-    which solves an integer nullspace for every facet, the initial
-    simplex's too: vertices, facets with their incidences, and equalities.
-    The insertion is swapped in for the library's, fed the span's normals
-    from a nullspace of its own; every input that is not a simplex reaches
-    it. A simplex never does: ``test_hull_matches_the_old_set_up_on_simplices``
-    checks its facets against one nullspace each."""
-    new = hull(pts)
+    """The hull equals the whole hull built by the former beneath-beyond
+    insertion, which solves an integer nullspace for every facet, the
+    initial simplex's too, fed the span's normals from a nullspace of its
+    own: vertices, facets with their incidences, and equalities. Every input
+    that is not a simplex reaches the library's insertion. A simplex never
+    does: ``test_hull_matches_the_old_set_up_on_simplices`` checks its
+    facets against one nullspace each."""
     calls = []
 
-    def nullspace_insertion(ipts, simplex, planes, interior):
+    def counted(*args):
         calls.append(1)
-        x0 = ipts[0]
-        eq_vecs = integer_nullspace([[a - b for a, b in zip(x, x0)] for x in ipts[1:]], len(x0))
-        return oracles.beneath_beyond_planes(ipts, simplex, [list(v) + [0] for v in eq_vecs])
+        return insert_points(*args)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(polytope, "_beneath_beyond_planes", nullspace_insertion)
-        old = hull(pts)
-    assert hull_record(new) == hull_record(old)
+        mp.setattr(polytope, "_insert_points", counted)
+        new = hull(pts)
+    assert hull_record(new) == hull_record(oracles.nullspace_insertion_hull(pts))
     assert len(calls) == (len(set(pts)) > new.dim + 1)
 
 
@@ -415,8 +415,10 @@ def test_hull_matches_the_former_two_reductions_on_the_corpus(corpus):
 
 
 # The hull against the former one kept in tests/oracles.py, which solves
-# the initial simplex's facets by a second elimination and sends a simplex
-# through beneath-beyond and the bitmask vertex test like any other input.
+# the initial simplex's facets by a second elimination, sends a simplex
+# through beneath-beyond like any other input, inserts points with
+# simplicial facets and merges the coplanar pieces before the bitmask
+# vertex test.
 
 
 @st.composite
@@ -485,6 +487,85 @@ def test_hull_matches_the_two_elimination_hull_on_every_audited_part(corpus):
     assert count == 333
 
 
+def _nabla_points(np_):
+    """The points ``duality.nabla`` takes the hull of: every vertex of every
+    nabla part."""
+    return [v for part in np_.nabla_parts for v in part.vertices]
+
+
+def test_hull_matches_the_two_elimination_hull_on_every_nabla_of_the_corpus(corpus):
+    """Nabla of every nef-partition of every reflexive corpus polytope into
+    1, 2 or 3 parts."""
+    count = 0
+    for entry in corpus:
+        if not entry.polytope.is_reflexive():
+            continue
+        for r in (1, 2, 3):
+            for np_ in enumerate_nef_partitions(entry.polytope, r):
+                assert_hull_matches_the_two_elimination_hull(_nabla_points(np_))
+                count += 1
+    assert count == 175
+
+
+@pytest.mark.parametrize("name", ["cross4", "simplex5", "cross5", "hex+seg+seg", "hex+hex"])
+def test_hull_matches_the_two_elimination_hull_on_every_nabla_of_the_scale_inputs(
+    scale_bench, name
+):
+    """Nabla of every nef-partition into 2 parts of an input of
+    ``bench/scale.py``, in 4 and 5 dimensions."""
+    found = enumerate_nef_partitions(scale_bench.fresh(name), 2)
+    assert len(found) == scale_bench.EXPECTED[(name, 2)]
+    for np_ in found:
+        assert_hull_matches_the_two_elimination_hull(_nabla_points(np_))
+
+
+@st.composite
+def lattice_boxes(draw):
+    """Every lattice point of a box with 2 or 3 points along each axis of
+    Z^d, d in 3..5, so each facet holds many points; or the box of Z^k, k in
+    1..d, mapped into Z^d by an injective integer affine map, which is
+    lower-dimensional there when k < d."""
+    d = draw(st.integers(3, 5))
+    embed = draw(st.booleans())
+    k = draw(st.integers(1, d)) if embed else d
+    sides = draw(st.lists(st.integers(1, 2), min_size=k, max_size=k))
+    box = list(itertools.product(*[range(s + 1) for s in sides]))
+    if not embed:
+        return [Point(xs) for xs in box]
+    vec = st.lists(st.integers(-2, 2), min_size=d, max_size=d)
+    cols = draw(
+        st.lists(vec, min_size=k, max_size=k).filter(
+            lambda rows: len(oracles.rref(rows, d)[1]) == k
+        )
+    )
+    base = draw(vec)
+    return [
+        Point(tuple(b + sum(x * col[j] for x, col in zip(xs, cols)) for j, b in enumerate(base)))
+        for xs in box
+    ]
+
+
+@settings(max_examples=100, deadline=None)
+@given(lattice_boxes())
+def test_hull_matches_the_two_elimination_hull_on_lattice_boxes(pts):
+    assert_hull_matches_the_two_elimination_hull(pts)
+
+
+@pytest.mark.parametrize("on", [frozenset({0, 2}), 0b101], ids=["frozenset", "bitmask"])
+def test_plane_across_names_the_points_of_a_plane_through_the_interior_point(on):
+    """``x >= 0`` is seen from ``p = (-1, 1)`` and ``y >= 0`` is not; the
+    plane across their ridge is ``x + y >= 0``. Given the origin as the
+    interior point, which lies on it, that is an InvariantViolation whose
+    witness is the plane's point indices, sorted, whether they come as a
+    set or as a bitmask; given ``(1, 1)``, the plane comes back with them."""
+    visible = ((1, 0), 0, on)
+    hidden = ((0, 1), 0, on)
+    with pytest.raises(InvariantViolation, match="interior point on facet plane") as info:
+        polytope._plane_across((-1, 1), on, visible, hidden, (0, 0), 1)
+    assert info.value.witness == [0, 2]
+    assert polytope._plane_across((-1, 1), on, visible, hidden, (1, 1), 1) == ((1, 1), 0, on)
+
+
 def test_a_polytope_given_wrong_vertices_raises_on_its_first_read(corpus):
     """A polytope built from its vertices, given a vertex list with a vertex
     dropped or an interior point added, raises InvariantViolation on its
@@ -516,7 +597,7 @@ def test_a_polytope_given_wrong_vertices_raises_on_its_first_read(corpus):
 @settings(max_examples=200, deadline=None)
 @given(simplex_point_sets())
 def test_a_simplex_skips_insertion_and_a_full_one_eliminates_once(pts):
-    """No simplex reaches beneath-beyond; one that spans the space costs
+    """No simplex reaches the insertion; one that spans the space costs
     one elimination, the one that finds the span."""
     ncols = []
 
@@ -525,11 +606,11 @@ def test_a_simplex_skips_insertion_and_a_full_one_eliminates_once(pts):
         return eliminate(mat, n)
 
     def insertion(*args):
-        raise AssertionError("a simplex reached beneath-beyond")
+        raise AssertionError("a simplex reached the insertion")
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(polytope, "eliminate", counted)
-        mp.setattr(polytope, "_beneath_beyond_planes", insertion)
+        mp.setattr(polytope, "_insert_points", insertion)
         poly = hull(pts)
     assert poly.vertices == tuple(sorted(pts))
     assert len(poly.facets) == (len(pts) if len(pts) > 1 else 0)
