@@ -10,26 +10,39 @@ functions, and applying the construction twice is the identity.
 
 All checks are exact; a returned CheckResult carries a witness on failure.
 
+Every identity between the two sides is a statement about pairings of a
+vertex of the Δ side (Δ, the Δ_j, the dual's nabla parts) with one of the ∇
+side (∇, the ∇_i, the dual's delta parts). One pairing table per duality
+holds them (:class:`nefdual.nefpart._Pairings`): it is kept on the source,
+the dual shares it, and each entry is computed once, when a check first
+reads it. :func:`_read_off`, both sum checks and
+:func:`nefdual.nefpart.check_relations` on each side read the table;
+validation never does.
+
 The two Minkowski identities, Δ* = ∇_1 + … + ∇_r and ∇* = Δ_1 + … + Δ_r,
-build no hull. Each polar is read off its source's facet-vertex incidence
-(:meth:`nefdual.polytope.Polytope.polar_dual`), and each identity is
-decided by support functions on ``int`` forms
-(:func:`nefdual.polytope._is_minkowski_sum`): the sum lies in the polar iff
-its minimum along every facet normal of the polar is at least that facet's
-bound, and it then equals the polar iff, at every vertex y of the polar,
-its minimum along the sum ℓ_y of the normals of the facets through y is
-``<y, ℓ_y>``. ℓ_y lies in the interior of y's normal cone, so y is the
-only point of the polar where that value is reached, and a sum inside the
-polar reaches it only if it holds y. Only a failing check builds the sum, with
-:func:`nefdual.polytope.minkowski_sum`, for its witness.
+build no hull and no polar: each is decided on the base's own vertices and
+facets (:func:`_is_polar_sum`). Support functions add over the summands,
+min over Q = Q_1 + … + Q_r of <x, ·> being Σ_j min over Q_j. For a base P
+with the origin inside, P* = {y : <v, y> >= -1 at every vertex v of P}, so
+Q lies in P* iff Σ_j min_{q ∈ Q_j} <v, q> >= -1 at every vertex v of P.
+Polarity swaps P's facets and vertices and reverses their incidence
+(:meth:`nefdual.polytope.Polytope.polar_dual`): facet F of P gives the
+vertex y_F = n_F / e_F of P*, and the facets of P* through y_F are
+<v, y> >= -1 for the vertices v of F, with inward normals those v. Their
+sum ℓ_F lies in the interior of y_F's normal cone, so y_F is the only point
+of P* where <ℓ_F, ·> is as small as <ℓ_F, y_F> = -|F|, and a Q inside P*
+reaches that value only if it holds y_F. So Q, once inside, equals P* iff
+Σ_j min_{q ∈ Q_j} <ℓ_F, q> = -|F| at every facet F of P. ∇* is lattice iff
+every facet offset of ∇ has numerator 1, as facet (n, a/b), n primitive,
+gives the vertex n b / a. Only a failing check builds the polar and the
+sum, with :func:`nefdual.polytope.minkowski_sum`, for its witness.
 
 Each object is built once per run, and one duality builds one hull: nabla
-itself, whose polar is an identity under test. The dual is validated on
-nabla like any nef-partition (:func:`dual_nef_partition`), so its parts are
-built from their vertices with no hull. Its own nabla, the hull of the
-vertices of its nabla parts, is taken to be the source's Δ when the cover
-test (:func:`_covers`) shows that hull would be Δ: the double dual then
-builds no hull either. The test reads the source's objects and not the
+itself. The dual is validated on nabla like any nef-partition
+(:func:`dual_nef_partition`), so its parts are built from their vertices
+with no hull. Its own nabla, the hull of the vertices of its nabla parts,
+is taken to be the source's Δ when the cover test (:func:`_covers`) shows
+that hull would be Δ: the double dual then builds no hull either. The test reads the source's objects and not the
 assumption that the source is a valid nef-partition, so a tampered source
 gets its double dual's base from a hull.
 
@@ -69,21 +82,13 @@ the labeled parts, so the result would be equal to the source. See
 from __future__ import annotations
 
 from functools import reduce
+from math import lcm
 from typing import Mapping, NamedTuple, Sequence
 
 from .errors import InvariantViolation
 from .fan import face_fan
-from .nefpart import NefPartition, Rejection, check_relations, validate_partition
-from .polytope import (
-    Point,
-    Polytope,
-    _dot,
-    _is_minkowski_sum,
-    dual_space,
-    hull,
-    minkowski_sum,
-    origin,
-)
+from .nefpart import NefPartition, Rejection, _pairings, check_relations, validate_partition
+from .polytope import Polytope, hull, minkowski_sum, origin
 
 
 class CheckResult(NamedTuple):
@@ -134,45 +139,76 @@ def nabla(np: NefPartition) -> Polytope:
     return np._nabla
 
 
+def _is_polar_sum(base: Polytope, summands: Sequence[Polytope], table) -> bool:
+    """Whether the Minkowski sum Q of ``summands`` is the polar of ``base``.
+
+    Decided on the pairings in ``table``, a
+    :class:`nefdual.nefpart._Pairings`, of ``base``'s vertices with the
+    summands' (see the module docstring), with no polar and no sum built.
+    A vertex v stands for its integer form, den_v * v, a positive multiple
+    that bounds the polar by <v._num, y> >= -den_v; ℓ_F is the sum of those
+    forms over facet F, and its bound the sum of the den_v. Every value is
+    scaled by the common denominator L of the summands' vertices, so q
+    contributes its table entry times L / den_q (``table.of`` gives each
+    summand's own LCM and weights, and L is their LCM). A summand in the
+    space of ``base`` or of another dimension makes the answer ``False``.
+    Raises what :meth:`nefdual.polytope.Polytope.polar_dual` raises when
+    ``base`` has no polar.
+    """
+    if not base.has_zero_interior:
+        base.polar_dual()  # raises, as base has no polar
+    if any(q.space == base.space or q.ambient_dim != base.ambient_dim for q in summands):
+        return False
+    parts = [table.of(q.vertices) for q in summands]
+    scale = lcm(*[s for _, _, s, _ in parts])
+    parts = [(scale // s, list(zip(ks, ws))) for ks, _, s, ws in parts]
+    rows = table.of(base.vertices)[1]
+
+    def support(row) -> int:
+        """L times the minimum over Q of the pairing whose entries are ``row``."""
+        return sum([m * min([row[c] * w for c, w in part]) for m, part in parts])
+
+    if any(support(row) < -v._den * scale for v, row in zip(base.vertices, rows)):
+        return False
+    for f in base.facets:
+        ell = [sum(col) for col in zip(*[rows[i] for i in f.incidence])]
+        if support(ell) != -sum([base.vertices[i]._den for i in f.incidence]) * scale:
+            return False
+    return True
+
+
+def _sum_check(np, name, key, base, summands, lattice=True, detail="") -> CheckResult:
+    """The check ``name`` that the polar of ``base`` is lattice (as
+    ``lattice`` says) and the Minkowski sum of ``summands``, decided by
+    :func:`_is_polar_sum` on the table of ``np``. Only a failure builds the
+    polar and the sum, for its witness, the polar's vertices under ``key``."""
+    if lattice and _is_polar_sum(base, summands, _pairings(np)):
+        return CheckResult(name, True, detail=detail)
+    polar = [v.coords for v in base.polar_dual().vertices]
+    total = [v.coords for v in reduce(minkowski_sum, summands).vertices]
+    return CheckResult(name, False, witness={key: polar, "sum_vertices": total})
+
+
 def verify_polar_is_nabla_sum(np: NefPartition) -> CheckResult:
     """Polar of the base polytope equals the Minkowski sum of the nabla parts.
 
-    Decided by support functions, with no hull of the sum
-    (:func:`nefdual.polytope._is_minkowski_sum`); the sum is built only for
-    a failure's witness.
+    Decided on the base's vertices and facets by :func:`_is_polar_sum`; the
+    polar and the sum are built only for a failure's witness.
     """
-    polar = np.delta.polar_dual()
-    if _is_minkowski_sum(polar, np.nabla_parts):
-        return CheckResult("polar_is_nabla_sum", True)
-    total = reduce(minkowski_sum, np.nabla_parts)
-    return CheckResult(
-        "polar_is_nabla_sum",
-        False,
-        witness={
-            "polar_vertices": [v.coords for v in polar.vertices],
-            "sum_vertices": [v.coords for v in total.vertices],
-        },
-    )
+    return _sum_check(np, "polar_is_nabla_sum", "polar_vertices", np.delta, np.nabla_parts)
 
 
 def verify_nabla_polar_is_delta_sum(np: NefPartition) -> CheckResult:
     """Polar of nabla equals the Minkowski sum of the delta parts, and is lattice.
 
-    Decided like :func:`verify_polar_is_nabla_sum`.
+    Decided like :func:`verify_polar_is_nabla_sum`, on nabla's vertices and
+    facets; the polar is lattice iff every facet offset of nabla has
+    numerator 1.
     """
-    polar = nabla(np).polar_dual()
-    if polar.is_lattice() and _is_minkowski_sum(polar, np.delta_parts):
-        return CheckResult(
-            "nabla_polar_is_delta_sum", True, detail="nabla polar is a lattice polytope"
-        )
-    total = reduce(minkowski_sum, np.delta_parts)
-    return CheckResult(
-        "nabla_polar_is_delta_sum",
-        False,
-        witness={
-            "nabla_polar_vertices": [v.coords for v in polar.vertices],
-            "sum_vertices": [v.coords for v in total.vertices],
-        },
+    nb = nabla(np)
+    return _sum_check(
+        np, "nabla_polar_is_delta_sum", "nabla_polar_vertices", nb, np.delta_parts,
+        all(f.offset.numerator == 1 for f in nb.facets), "nabla polar is a lattice polytope",
     )
 
 
@@ -225,37 +261,36 @@ def _read_off(np: NefPartition, nb: Polytope, parts) -> None:
     On cone F, with ℓ_F the sum of F's vertices, w_j is the unique minimiser
     of <·, ℓ_F> over the vertices of ``np.delta_parts[j]``, and -w_j is kept
     when <y, -w_j> is psi_j's indicator value at every vertex y of F (see the
-    module docstring). ``nb`` is reflexive, so its vertices are lattice
-    points and the pairings are ``int`` dot products with w_j's form. A tie,
-    a missed pairing or a part of another dimension leaves the cone to the
-    kernel.
+    module docstring). The pairings are the entries of the duality's table
+    (:func:`nefdual.nefpart._pairings`), the very ones that
+    :func:`verify_nabla_polar_is_delta_sum` reads: ``nb`` is reflexive, so
+    its vertices are lattice points, an entry is <x, y> times x's
+    denominator, and the sum of x's entries over F's vertices is <x, ℓ_F>
+    times it; over the common denominator L of the part's vertices, x's
+    sum times L / den_x is <x, ℓ_F> times L, the same scale for every x. A
+    tie, a missed pairing or a part of the other space or another dimension
+    leaves the cone to the kernel.
     """
     fan = face_fan(nb)
-    verts = [v._num for v in nb.vertices]
-    space = dual_space(nb.space)
-    for part, dp in zip(parts, np.delta_parts):
-        # <x, y> * x._den for each vertex x of the part and y of nabla;
-        # <x, ℓ_F> * x._den is the sum of a row over F's vertices.
-        rows = [
-            (x._num, x._den, [_dot(x._num, y) for y in verts])
-            for x in (dp.vertices if dp.ambient_dim == nb.ambient_dim else ())
-        ]
-        for cone in fan.cones:
-            vids = cone.vertex_indices
-            best = None
-            for num, den, row in rows:
-                n = sum([row[i] for i in vids])
-                if best is None or n * best_den < best_n * den:
-                    best, best_n, best_den, best_row, tie = num, n, den, row, False
-                elif n * best_den == best_n * den:
-                    tie = True
-            values = tuple([int(i in part) for i in vids])
-            if best is not None and not tie and all(
-                best_row[i] == -v * best_den for i, v in zip(vids, values)
-            ):
-                fan._solves[(cone.index, values)] = Point._from_form(
-                    tuple([-a for a in best]), best_den, space
-                )
+    table = _pairings(np)
+    rows = table.of(nb.vertices)[1]
+    pairs = [
+        (part, dp.vertices, *table.of(dp.vertices))
+        for part, dp in zip(parts, np.delta_parts)
+        if dp.space != nb.space and dp.ambient_dim == nb.ambient_dim
+    ]
+    for cone in fan.cones:
+        vids = cone.vertex_indices
+        on = [rows[i] for i in vids]
+        ell = [sum(col) for col in zip(*on)]
+        for part, xs, ks, _, _, ws in pairs:
+            sums = [ell[c] * w for c, w in zip(ks, ws)]
+            low = min(sums)
+            if sums.count(low) == 1:
+                w, c = xs[sums.index(low)], ks[sums.index(low)]
+                values = tuple([int(i in part) for i in vids])
+                if all(row[c] == -v * w._den for row, v in zip(on, values)):
+                    fan._solves[(cone.index, values)] = -w
 
 
 def dual_nef_partition(np: NefPartition) -> NefPartition:
@@ -268,9 +303,9 @@ def dual_nef_partition(np: NefPartition) -> NefPartition:
     ``InvariantViolation``. Its cone functionals are read off the source's
     delta parts first (:func:`_read_off`), and only a cone where that fails
     gets a kernel. The dual's own nabla is ``np.delta`` when the cover test
-    shows the hull would be that (see the module docstring). Nothing is
-    checked against the source here: :func:`verify_delta_parts_from_dual`
-    checks psi against the delta parts.
+    shows the hull would be that (see the module docstring), and it shares
+    the source's pairing table. Nothing is checked against the source here:
+    :func:`verify_delta_parts_from_dual` checks psi against the delta parts.
 
     :func:`run_full_duality` calls this once; :func:`verify_involution`
     calls it on the dual only when the double dual cannot be the source.
@@ -284,6 +319,7 @@ def dual_nef_partition(np: NefPartition) -> NefPartition:
         raise InvariantViolation("dual partition failed validation", witness=str(dual))
     if _covers(np.delta, dual.nabla_parts):
         object.__setattr__(dual, "_nabla", np.delta)
+    object.__setattr__(dual, "_pairings", _pairings(np))
     return dual
 
 

@@ -315,14 +315,20 @@ def _convexity_violation(fan: FaceFan, vertex_values, functionals):
 
     Decided on ``int``: with the value ``a/b`` and every denominator
     positive, ``<v, u> > a/b`` is ``<v._num, u._num> * b > a * v._den * u._den``.
+    Each vertex is paired once with each distinct functional, which stands
+    for the first cone that has it: the distinct functionals come in the
+    order of their first cones, so the first one exceeding a vertex's value
+    names the first such cone.
     """
-    forms = [(u._num, u._den) for u in functionals]
+    forms: dict = {}
+    for ci, u in enumerate(functionals):
+        forms.setdefault((u._num, u._den), ci)
     for vi, v in enumerate(fan.base.vertices):
         val = vertex_values[vi]
         num = v._num
         b = val.denominator
         a = val.numerator * v._den
-        for ci, (un, ud) in enumerate(forms):
+        for (un, ud), ci in forms.items():
             if _dot(num, un) * b > a * ud:
                 return (vi, ci)
     return None

@@ -83,13 +83,14 @@ hull only when first read (:meth:`nefdual.polytope.Polytope._from_vertices`).
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from operator import index
 from typing import Iterable, NamedTuple
 
 from .errors import NotPiecewiseLinear, NotReflexive
 from .fan import FaceFan, PLFunction, face_fan, pl_from_vertex_values, support_polytope
 from .linalg import Inconsistent
-from .polytope import Point, Polytope, _dot, origin, pair
+from .polytope import SPACE_M, SPACE_N, Point, Polytope, _dot, dual_space, origin, pair
 
 NOT_DISJOINT = "NotDisjoint"
 NOT_COVERING = "NotCovering"
@@ -97,6 +98,9 @@ EMPTY_PART = "EmptyPart"
 NOT_PIECEWISE_LINEAR = "NotPiecewiseLinear"
 NOT_CONVEX = "NotConvex"
 NOT_INTEGRAL = "NotIntegral"
+
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
 class Rejection(NamedTuple):
@@ -133,16 +137,17 @@ class NefPartition:
     function extending the indicator of part i, ``delta_parts[i]`` the hull
     of the origin with part i, and ``nabla_parts[i]`` the support polytope
     of ``phi[i]``. ``_nabla`` holds the hull of the nabla parts once
-    :func:`nefdual.duality.nabla` has built it.
+    :func:`nefdual.duality.nabla` has built it, and ``_pairings`` the
+    pairing table of its duality once a check has read it (:func:`_pairings`).
 
     Immutable: assigning an attribute raises ``AttributeError``, and the
-    cache ``_nabla`` is set with ``object.__setattr__``. Equality and the
-    hash take the six public fields, not ``_nabla``. It is not a tuple, so
-    ``len()`` and iteration raise ``TypeError``.
+    caches are set with ``object.__setattr__``. Equality and the hash take
+    the six public fields, not the caches. It is not a tuple, so ``len()``
+    and iteration raise ``TypeError``.
     """
 
     _fields = ("delta", "parts", "fan", "phi", "delta_parts", "nabla_parts")
-    __slots__ = _fields + ("_nabla",)
+    __slots__ = _fields + ("_nabla", "_pairings")
 
     delta: Polytope
     parts: tuple[frozenset[int], ...]
@@ -151,6 +156,7 @@ class NefPartition:
     delta_parts: tuple[Polytope, ...]
     nabla_parts: tuple[Polytope, ...]
     _nabla: Polytope | None
+    _pairings: _Pairings | None
 
     def __init__(self, delta, parts, fan, phi, delta_parts, nabla_parts):
         init = object.__setattr__
@@ -161,6 +167,7 @@ class NefPartition:
         init(self, "delta_parts", delta_parts)
         init(self, "nabla_parts", nabla_parts)
         init(self, "_nabla", None)
+        init(self, "_pairings", None)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -180,7 +187,7 @@ class NefPartition:
         return hash(self._key())
 
     def _replace(self, **changes) -> NefPartition:
-        """A copy with ``changes`` in place of those fields; its ``_nabla`` is empty."""
+        """A copy with ``changes`` in place of those fields; its caches are empty."""
         return NefPartition(**dict(zip(self._fields, self._key()), **changes))
 
     @property
@@ -262,7 +269,7 @@ def _decide(delta: Polytope, parts: Iterable[Iterable[int]]):
     fan = face_fan(delta)
     phis: list[PLFunction] = []
     for pi, part in enumerate(norm_parts):
-        values = [Fraction(1 if i in part else 0) for i in range(nverts)]
+        values = [_ONE if i in part else _ZERO for i in range(nverts)]
         try:
             f = pl_from_vertex_values(fan, values)
         except NotPiecewiseLinear as exc:
@@ -297,10 +304,6 @@ def _delta_part(delta: Polytope, parts, nabla_parts, i: int) -> Polytope:
     if all(any(_dot(e._num, y) > 0 for y in others) for e in verts):
         return Polytope._from_vertices(points, points)
     return Polytope._from_vertices(verts, points)
-
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 class _NefSubsets:
@@ -480,21 +483,71 @@ class RelationReport(NamedTuple):
         return self.passed and self.phi_consistent
 
 
-def _pair_min(xs, ys) -> tuple[int, int]:
-    """The minimum of ``<x, y>`` over ``xs`` x ``ys``, as ``(num, den)``, den > 0.
+class _Pairings:
+    """The exact pairings between the vertices of a duality's two sides.
 
-    Each pairing is an ``int`` dot product of integer forms over the
-    product of the denominators; ``n1/d1 < n2/d2`` is ``n1 * d2 < n2 * d1``.
+    Each point gets a position among the points of its space the first time
+    it is seen: ``index[space]`` maps its integer form ``(_num, _den)`` to
+    that position, in the order of the positions, and ``rows[space][k]``
+    holds the ``int`` dot products of the k-th numerator with those of every
+    point of the other space. The pairing of x and y is that entry over
+    ``x._den * y._den``, as :func:`nefdual.polytope.pair` computes it. Each
+    entry is computed once, when the later of its two points is added, and
+    kept in both rows. An entry of two points that do not pair (of other
+    dimensions) is never read: every reader pairs only polytopes it has
+    checked to pair.
     """
-    best_n, best_d = None, 1
-    for x in xs:
-        xn, xd = x._num, x._den
-        for y in ys:
-            n = _dot(xn, y._num)
-            d = xd * y._den
-            if best_n is None or n * best_d < best_n * d:
-                best_n, best_d = n, d
-    return best_n, best_d
+
+    __slots__ = ("index", "rows", "_of")
+
+    def __init__(self):
+        self.index: dict[str, dict] = {SPACE_M: {}, SPACE_N: {}}
+        self.rows: dict[str, list[list[int]]] = {SPACE_M: [], SPACE_N: []}
+        self._of: dict[int, tuple] = {}
+
+    def _add(self, p: Point) -> int:
+        other = dual_space(p.space)
+        row = [_dot(p._num, num) for num, _ in self.index[other]]
+        for entries, e in zip(self.rows[other], row):
+            entries.append(e)
+        k = self.index[p.space][p._num, p._den] = len(self.rows[p.space])
+        self.rows[p.space].append(row)
+        return k
+
+    def of(self, points: tuple[Point, ...]) -> tuple:
+        """``(positions, rows, L, weights)`` of a tuple of points of one
+        space: each point's position in its space, added if not yet seen;
+        its row; the LCM L of their denominators; and each one's L / den,
+        which scales its pairings to the denominator L. Kept in ``_of``
+        under the tuple's ``id``, with the tuple, which so stays alive and
+        keeps its ``id``."""
+        hit = self._of.get(id(points))
+        if hit is None:
+            get = self.index[points[0].space].get
+            ks = [self._add(p) if (k := get((p._num, p._den))) is None else k for p in points]
+            rows = self.rows[points[0].space]
+            scale = lcm(*[p._den for p in points])
+            weights = [scale // p._den for p in points]
+            hit = self._of[id(points)] = (points, ks, [rows[k] for k in ks], scale, weights)
+        return hit[1:]
+
+
+def _pairings(np: NefPartition) -> _Pairings:
+    """The pairing table of ``np``, made empty on first read and kept on
+    ``np``; :func:`nefdual.duality.dual_nef_partition` gives the dual its
+    source's table."""
+    if np._pairings is None:
+        object.__setattr__(np, "_pairings", _Pairings())
+    return np._pairings
+
+
+def _min_pairing(xs: tuple, ys: tuple) -> tuple[int, int]:
+    """The minimum of ``<x, y>`` over the points of ``xs`` and ``ys``, two
+    :meth:`_Pairings.of` entries of the two spaces, as ``(num, den)``: each
+    pairing is an ``int`` over ``den``, the product of the two LCMs."""
+    _, rows, sx, wx = xs
+    ks, _, sy, wy = ys
+    return min([row[c] * v * w for row, v in zip(rows, wx) for c, w in zip(ks, wy)]), sx * sy
 
 
 def _check_pairable(xs: Polytope, ys: Polytope) -> None:
@@ -503,20 +556,23 @@ def _check_pairable(xs: Polytope, ys: Polytope) -> None:
         pair(xs.vertices[0], ys.vertices[0])
 
 
-def _pairing_mismatch(f: PLFunction, base: Polytope, part: Polytope) -> int | None:
+def _pairing_mismatch(f: PLFunction, base: Polytope, part: Polytope, table) -> int | None:
     """The index of the first vertex v of ``base`` with f(v) != -min <v, part>,
-    or ``None``; ``base`` and ``part`` must pair. It is ``None``, with no
-    pairing, when ``f`` is convex on the fan of ``base`` and its negated
-    functionals are exactly the vertices of ``part``: each functional takes
-    f's values on its cone (as with ``pl_from_vertex_values`` and
+    or ``None``; ``base`` and ``part`` must pair, and the minima are read
+    from ``table``, a :class:`_Pairings`. It is ``None``, with no pairing,
+    when ``f`` is convex on the fan of ``base`` and its negated functionals
+    are exactly the vertices of ``part``: each functional takes f's values
+    on its cone (as with ``pl_from_vertex_values`` and
     ``PLFunction.__add__``), so f(v) = max <v, u> = -min <v, part>."""
     forms = {(x._num, x._den) for x in part.vertices}
     if f.is_convex and f.fan.base == base and forms == {
         (tuple([-a for a in u._num]), u._den) for u in f.functionals
     }:
         return None
+    ys, rows = table.of(part.vertices), table.of(base.vertices)[1]
     for vi, v in enumerate(base.vertices):
-        n, d = _pair_min((v,), part.vertices)
+        # (None, [rows[vi]], v._den, [1]) is the entry of the tuple (v,)
+        n, d = _min_pairing((None, [rows[vi]], v._den, [1]), ys)
         if -n * f.vertex_values[vi].denominator != f.vertex_values[vi].numerator * d:
             return vi
     return None
@@ -528,23 +584,29 @@ def check_relations(np: NefPartition) -> RelationReport:
     Also re-derives every ``phi_i`` vertex value as the negated minimum of
     the pairing against nabla part i (:func:`_pairing_mismatch`: no pairing
     when phi_i is convex and its negated functionals, each taking phi_i's
-    values on its cone, are exactly the vertices of nabla part i). Minima
-    are found on ``int``; a ``Fraction`` is built only for the reported
-    matrix entries. Parts that do not pair raise ``DimensionMismatch``.
+    values on its cone, are exactly the vertices of nabla part i). Every
+    pairing is read from the table of ``np``'s duality (:func:`_pairings`),
+    which a dual shares with its source, so the dual's matrix comes from the
+    entries of the source's. Minima are found on ``int``; a ``Fraction`` is
+    built only for the reported matrix entries. Parts that do not pair
+    raise ``DimensionMismatch``.
 
     This is the one check of each phi_i against its nabla part. On a dual
     built by :func:`nefdual.duality.dual_nef_partition` it checks psi_i
     against the dual's nabla part i; psi_i against the source's delta part
     i is :func:`nefdual.duality.verify_delta_parts_from_dual`.
     """
+    table = _pairings(np)
     r = np.r
+    ys = [table.of(q.vertices) for q in np.nabla_parts]
     matrix = []
     violations = []
     for j in range(r):
+        xs = table.of(np.delta_parts[j].vertices)
         row = []
         for i in range(r):
             _check_pairable(np.delta_parts[j], np.nabla_parts[i])
-            n, d = _pair_min(np.delta_parts[j].vertices, np.nabla_parts[i].vertices)
+            n, d = _min_pairing(xs, ys[i])
             m = Fraction(n, d)
             row.append(m)
             if n != (-d if i == j else 0):
@@ -554,7 +616,7 @@ def check_relations(np: NefPartition) -> RelationReport:
     for i, f in enumerate(np.phi):
         part = np.nabla_parts[i]
         _check_pairable(np.delta, part)
-        phi_ok = phi_ok and _pairing_mismatch(f, np.delta, part) is None
+        phi_ok = phi_ok and _pairing_mismatch(f, np.delta, part, table) is None
     return RelationReport(
         matrix=tuple(matrix),
         passed=not violations,

@@ -56,20 +56,15 @@ u_s as rows, are taken instead; they pair alike and are combinations of the
 u_s. A primitive normal in the direction space is unique, so either route
 gives the normals a per-facet solve would.
 
-Two results are exact without a hull. :meth:`Polytope.polar_dual` reads the
-polar off the facet-vertex incidence: for a full-dimensional polytope with
-the origin inside and an irredundant facet system, polarity swaps facets
-and vertices and reverses their incidence (Batyrev, alg-geom/9310003), so
-facet ``(n, e)`` gives the polar vertex ``n / e`` and vertex ``v`` the polar
-facet ``<v, y> >= -1`` through the polar vertices of the facets through
-``v``; ``<v, n / e> = -1`` exactly when ``v`` lies on the facet.
-:func:`_is_minkowski_sum` decides ``P = Q_1 + ... + Q_r`` for a
-full-dimensional P by support functions, which add over the summands: the
-sum lies in P iff its minimum along each facet normal of P is at least the
-facet's bound, and it then holds every vertex y of P iff its minimum along
-ℓ_y, the sum of the normals of the facets through y, is ``<y, ℓ_y>``:
-ℓ_y lies in the interior of y's normal cone, so y is the only point of P
-where ``<·, ℓ_y>`` is that small.
+The polar is exact without a hull. :meth:`Polytope.polar_dual` reads it
+off the facet-vertex incidence: for a full-dimensional polytope with the
+origin inside and an irredundant facet system, polarity swaps facets and
+vertices and reverses their incidence (Batyrev, alg-geom/9310003), so facet
+``(n, e)`` gives the polar vertex ``n / e`` and vertex ``v`` the polar facet
+``<v, y> >= -1`` through the polar vertices of the facets through ``v``;
+``<v, n / e> = -1`` exactly when ``v`` lies on the facet. The same
+correspondence lets :mod:`nefdual.duality` decide whether a Minkowski sum
+is a polar from the base's own vertices and facets, with no polar built.
 """
 
 from __future__ import annotations
@@ -770,51 +765,6 @@ def minkowski_sum(p: Polytope, q: Polytope) -> Polytope:
             f"to polytope in {q.space}^{q.ambient_dim}"
         )
     return hull([a + b for a in p.vertices for b in q.vertices])
-
-
-def _is_minkowski_sum(p: Polytope, summands: Sequence[Polytope]) -> bool:
-    """Whether the full-dimensional ``p`` equals the Minkowski sum of ``summands``.
-
-    No hull of the sum is built. The sum Q's support function is the sum of
-    the summands', ``min_Q <x, u> = Σ_j min_{q ∈ vert Q_j} <q, u>``, taken on
-    the summands' integer forms over their common denominator L. Then:
-
-    - Q ⊆ p iff ``min_Q <x, n> >= -e`` for every facet ``(n, e)`` of p, as
-      the full-dimensional p is the intersection of its facet half-spaces;
-    - given that, Q ⊇ p iff ``min_Q <x, ℓ_y> = <y, ℓ_y>`` for every vertex
-      y of p, where ℓ_y is the sum of the normals of the facets through y.
-      ℓ_y lies in the interior of y's normal cone, so y is the only point
-      of p where ``<·, ℓ_y>`` is that small, and a point of Q ⊆ p attains
-      it iff it is y; a convex Q holding every vertex of p holds p.
-
-    A summand in another space or dimension makes the answer ``False``.
-    """
-    if any(q.space != p.space or q.ambient_dim != p.ambient_dim for q in summands):
-        return False
-    scale = lcm(*[x._den for q in summands for x in q.vertices])
-    forms = [
-        [x._num if x._den == scale else tuple([a * (scale // x._den) for a in x._num])
-         for x in q.vertices]
-        for q in summands
-    ]
-
-    def support(u) -> int:
-        """L times the minimum of ``<x, u>`` over the sum."""
-        return sum([min([_dot(x, u) for x in xs]) for xs in forms])
-
-    for f in p.facets:
-        off = f.offset
-        if support(f.normal._num) * off.denominator < -off.numerator * scale:
-            return False
-    through: list[list[tuple[int, ...]]] = [[] for _ in p.vertices]
-    for f in p.facets:
-        for i in f.incidence:
-            through[i].append(f.normal._num)
-    for y, normals in zip(p.vertices, through):
-        ell = [sum(c) for c in zip(*normals)]
-        if support(ell) * y._den != _dot(y._num, ell) * scale:
-            return False
-    return True
 
 
 def solve_linear(system: Iterable[tuple[Point, object]]):

@@ -35,7 +35,14 @@ polar as a hull (:func:`polar_dual`) and the Minkowski-sum checks by the
 hull of the sum (:func:`verify_polar_is_nabla_sum`,
 :func:`verify_nabla_polar_is_delta_sum`) and the dual decided with a
 kernel on every cone of nabla's fan (:func:`kernel_dual_nef_partition`),
-which call the rest of the library and serve as the reference for the
+and the pairing route of a duality before its pairing table: the sum checks
+on a polar (:func:`is_minkowski_sum`,
+:func:`polar_support_polar_is_nabla_sum`,
+:func:`polar_support_nabla_polar_is_delta_sum`), the relation check by a
+dot product per pairing (:func:`pair_min`, :func:`pair_min_check_relations`)
+and the read-off that paired on its own (:func:`dot_read_off`), with the
+convexity scan over every cone's functional (:func:`convexity_violation`).
+These call the rest of the library and serve as the reference for the
 routes that replaced them.
 """
 
@@ -74,6 +81,7 @@ from nefdual.nefpart import (
     NefPartition,
     Rejection,
     RelationReport,
+    _check_pairable,
     _decide,
     validate_partition,
 )
@@ -1608,3 +1616,213 @@ def kernel_dual_nef_partition(np: NefPartition) -> NefPartition:
     if _covers(np.delta, nparts):
         object.__setattr__(dual, "_nabla", np.delta)
     return dual
+
+
+# The former pairing route of a duality, verbatim apart from the names:
+# ``polytope._is_minkowski_sum`` and the sum checks that called it on a polar
+# (the library now decides both identities on the base's own vertices and
+# facets, with no polar), ``nefpart._pair_min`` and the relation check and
+# the phi check that paired with it, and ``duality._read_off``, which paired
+# each delta part vertex with every vertex of nabla by its own dot product
+# (the library reads every one of these pairings from one table per
+# duality, computed once). ``fan._convexity_violation`` paired every vertex
+# with every cone's functional (the library pairs it once per distinct
+# functional). A test puts these in place of the library's to run the
+# former route whole.
+
+
+def is_minkowski_sum(p: Polytope, summands: Sequence[Polytope]) -> bool:
+    """Whether the full-dimensional ``p`` equals the Minkowski sum of ``summands``.
+
+    No hull of the sum is built. The sum Q's support function is the sum of
+    the summands', ``min_Q <x, u> = Σ_j min_{q ∈ vert Q_j} <q, u>``, taken on
+    the summands' integer forms over their common denominator L. Then:
+
+    - Q ⊆ p iff ``min_Q <x, n> >= -e`` for every facet ``(n, e)`` of p, as
+      the full-dimensional p is the intersection of its facet half-spaces;
+    - given that, Q ⊇ p iff ``min_Q <x, ℓ_y> = <y, ℓ_y>`` for every vertex
+      y of p, where ℓ_y is the sum of the normals of the facets through y.
+      ℓ_y lies in the interior of y's normal cone, so y is the only point
+      of p where ``<·, ℓ_y>`` is that small, and a point of Q ⊆ p attains
+      it iff it is y; a convex Q holding every vertex of p holds p.
+
+    A summand in another space or dimension makes the answer ``False``.
+    """
+    if any(q.space != p.space or q.ambient_dim != p.ambient_dim for q in summands):
+        return False
+    scale = lcm(*[x._den for q in summands for x in q.vertices])
+    forms = [
+        [x._num if x._den == scale else tuple([a * (scale // x._den) for a in x._num])
+         for x in q.vertices]
+        for q in summands
+    ]
+
+    def support(u) -> int:
+        """L times the minimum of ``<x, u>`` over the sum."""
+        return sum([min([_dot(x, u) for x in xs]) for xs in forms])
+
+    for f in p.facets:
+        off = f.offset
+        if support(f.normal._num) * off.denominator < -off.numerator * scale:
+            return False
+    through: list[list[tuple[int, ...]]] = [[] for _ in p.vertices]
+    for f in p.facets:
+        for i in f.incidence:
+            through[i].append(f.normal._num)
+    for y, normals in zip(p.vertices, through):
+        ell = [sum(c) for c in zip(*normals)]
+        if support(ell) * y._den != _dot(y._num, ell) * scale:
+            return False
+    return True
+
+
+def polar_support_polar_is_nabla_sum(np: NefPartition) -> CheckResult:
+    """Polar of the base polytope equals the Minkowski sum of the nabla parts.
+
+    Decided by support functions, with no hull of the sum
+    (:func:`is_minkowski_sum`); the sum is built only for a failure's
+    witness.
+    """
+    polar = np.delta.polar_dual()
+    if is_minkowski_sum(polar, np.nabla_parts):
+        return CheckResult("polar_is_nabla_sum", True)
+    total = reduce(minkowski_sum, np.nabla_parts)
+    return CheckResult(
+        "polar_is_nabla_sum",
+        False,
+        witness={
+            "polar_vertices": [v.coords for v in polar.vertices],
+            "sum_vertices": [v.coords for v in total.vertices],
+        },
+    )
+
+
+def polar_support_nabla_polar_is_delta_sum(np: NefPartition) -> CheckResult:
+    """Polar of nabla equals the Minkowski sum of the delta parts, and is lattice.
+
+    Decided like :func:`polar_support_polar_is_nabla_sum`.
+    """
+    polar = nabla(np).polar_dual()
+    if polar.is_lattice() and is_minkowski_sum(polar, np.delta_parts):
+        return CheckResult(
+            "nabla_polar_is_delta_sum", True, detail="nabla polar is a lattice polytope"
+        )
+    total = reduce(minkowski_sum, np.delta_parts)
+    return CheckResult(
+        "nabla_polar_is_delta_sum",
+        False,
+        witness={
+            "nabla_polar_vertices": [v.coords for v in polar.vertices],
+            "sum_vertices": [v.coords for v in total.vertices],
+        },
+    )
+
+
+def pair_min(xs, ys) -> tuple[int, int]:
+    """The minimum of ``<x, y>`` over ``xs`` x ``ys``, as ``(num, den)``, den > 0.
+
+    Each pairing is an ``int`` dot product of integer forms over the
+    product of the denominators; ``n1/d1 < n2/d2`` is ``n1 * d2 < n2 * d1``.
+    """
+    best_n, best_d = None, 1
+    for x in xs:
+        xn, xd = x._num, x._den
+        for y in ys:
+            n = _dot(xn, y._num)
+            d = xd * y._den
+            if best_n is None or n * best_d < best_n * d:
+                best_n, best_d = n, d
+    return best_n, best_d
+
+
+def pair_min_pairing_mismatch(f: PLFunction, base: Polytope, part: Polytope) -> int | None:
+    """The index of the first vertex v of ``base`` with f(v) != -min <v, part>,
+    or ``None``; ``base`` and ``part`` must pair. It is ``None``, with no
+    pairing, when ``f`` is convex on the fan of ``base`` and its negated
+    functionals are exactly the vertices of ``part``."""
+    forms = {(x._num, x._den) for x in part.vertices}
+    if f.is_convex and f.fan.base == base and forms == {
+        (tuple([-a for a in u._num]), u._den) for u in f.functionals
+    }:
+        return None
+    for vi, v in enumerate(base.vertices):
+        n, d = pair_min((v,), part.vertices)
+        if -n * f.vertex_values[vi].denominator != f.vertex_values[vi].numerator * d:
+            return vi
+    return None
+
+
+def pair_min_check_relations(np: NefPartition) -> RelationReport:
+    """Verify the pairing relations between the delta and nabla parts, with
+    a dot product per pairing (:func:`pair_min`)."""
+    r = np.r
+    matrix = []
+    violations = []
+    for j in range(r):
+        row = []
+        for i in range(r):
+            _check_pairable(np.delta_parts[j], np.nabla_parts[i])
+            n, d = pair_min(np.delta_parts[j].vertices, np.nabla_parts[i].vertices)
+            m = Fraction(n, d)
+            row.append(m)
+            if n != (-d if i == j else 0):
+                violations.append((j, i, m))
+        matrix.append(tuple(row))
+    phi_ok = True
+    for i, f in enumerate(np.phi):
+        part = np.nabla_parts[i]
+        _check_pairable(np.delta, part)
+        phi_ok = phi_ok and pair_min_pairing_mismatch(f, np.delta, part) is None
+    return RelationReport(
+        matrix=tuple(matrix),
+        passed=not violations,
+        violations=tuple(violations),
+        phi_consistent=phi_ok,
+    )
+
+
+def dot_read_off(np: NefPartition, nb: Polytope, parts) -> None:
+    """Put each psi_j cone functional that reads off Δ_j into the memo of
+    ``face_fan(nb)``, leaving the other cones to the kernel, pairing each
+    vertex of a delta part with every vertex of ``nb`` by a dot product."""
+    fan = face_fan(nb)
+    verts = [v._num for v in nb.vertices]
+    space = dual_space(nb.space)
+    for part, dp in zip(parts, np.delta_parts):
+        # <x, y> * x._den for each vertex x of the part and y of nabla;
+        # <x, ℓ_F> * x._den is the sum of a row over F's vertices.
+        rows = [
+            (x._num, x._den, [_dot(x._num, y) for y in verts])
+            for x in (dp.vertices if dp.ambient_dim == nb.ambient_dim else ())
+        ]
+        for cone in fan.cones:
+            vids = cone.vertex_indices
+            best = None
+            for num, den, row in rows:
+                n = sum([row[i] for i in vids])
+                if best is None or n * best_den < best_n * den:
+                    best, best_n, best_den, best_row, tie = num, n, den, row, False
+                elif n * best_den == best_n * den:
+                    tie = True
+            values = tuple([int(i in part) for i in vids])
+            if best is not None and not tie and all(
+                best_row[i] == -v * best_den for i, v in zip(vids, values)
+            ):
+                fan._solves[(cone.index, values)] = Point._from_form(
+                    tuple([-a for a in best]), best_den, space
+                )
+
+
+def convexity_violation(fan: FaceFan, vertex_values, functionals):
+    """First (vertex_index, cone_index) with ``<vertex, functional> > value``,
+    pairing every vertex with every cone's functional."""
+    forms = [(u._num, u._den) for u in functionals]
+    for vi, v in enumerate(fan.base.vertices):
+        val = vertex_values[vi]
+        num = v._num
+        b = val.denominator
+        a = val.numerator * v._den
+        for ci, (un, ud) in enumerate(forms):
+            if _dot(num, un) * b > a * ud:
+                return (vi, ci)
+    return None

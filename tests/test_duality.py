@@ -1,12 +1,15 @@
 """The mirror construction: nabla, the dual partition, and the check suite."""
 
+import sys
 from collections import Counter
 from fractions import Fraction
 
-import oracles
-from test_nefpart import _audit_inputs, pairing_checks, shortcut_count
+import pytest
 
-from nefdual import duality
+import oracles
+from test_nefpart import _audit_inputs, _fresh, pairing_checks, shortcut_count
+
+from nefdual import duality, fan, nefpart, polytope
 from nefdual.duality import (
     dual_nef_partition,
     nabla,
@@ -25,7 +28,7 @@ from nefdual.nefpart import (
     enumerate_nef_partitions,
     validate_partition,
 )
-from nefdual.polytope import Point, SPACE_N, hull, minkowski_sum
+from nefdual.polytope import Point, Polytope, SPACE_N, hull, minkowski_sum
 
 F = Fraction
 
@@ -373,6 +376,24 @@ def test_tampered_parts_fail_both_sum_check_routes_alike():
                         assert new[0] == "raised" or not new[1].passed, (source.__name__, new)
 
 
+def test_a_sum_that_is_a_polar_off_the_lattice_fails_the_nabla_check():
+    """Nabla parts doubled and delta parts halved: the delta parts still sum
+    to the polar of the doubled nabla, but that polar is not a lattice
+    polytope, so the check fails on every route, as the lattice test of
+    nabla's facet offsets finds."""
+    for source in SOURCES:
+        np_ = source()
+        bad = np_._replace(
+            nabla_parts=tuple(doubled(p) for p in np_.nabla_parts),
+            delta_parts=tuple(scaled(p, F(1, 2)) for p in np_.delta_parts),
+        )
+        assert duality._is_polar_sum(nabla(bad), bad.delta_parts, nefpart._Pairings())
+        new = verify_nabla_polar_is_delta_sum(bad)
+        assert not new.passed
+        assert new == oracles.polar_support_nabla_polar_is_delta_sum(bad)
+        assert new == oracles.verify_nabla_polar_is_delta_sum(bad)
+
+
 def test_relabeled_dual_passes_on_both_involution_routes():
     """A consistent relabeling of the dual is the same unlabeled datum."""
     for source in SOURCES:
@@ -384,20 +405,88 @@ def test_relabeled_dual_passes_on_both_involution_routes():
         assert check == oracles.verify_involution(np_, relabeled)
 
 
-def test_one_duality_builds_each_object_once(count_hulls, corpus):
+@pytest.fixture
+def duality_work(monkeypatch):
+    """``duality_work(np_)`` runs ``run_full_duality(np_)`` and returns what
+    it built and paired: the hull calls, the ``polar_dual`` calls, the
+    pairing tables made, whether the dual shares the source's table, the
+    ``_dot`` calls made outside a hull, the dual's validation, a
+    ``Polytope.contains`` and the table, and whether the table made exactly
+    one ``_dot`` call per entry. Each ``_dot`` call is charged to the
+    innermost of those it is made in."""
+    stack = []
+    counts = Counter()
+
+    def charged(label, fn):
+        def run(*args):
+            counts[label] += 1
+            stack.append(label)
+            try:
+                return fn(*args)
+            finally:
+                stack.pop()
+
+        return run
+
+    originals = {"_dot": polytope._dot, "hull": polytope.hull, "validate_partition": validate_partition}
+    dot = originals["_dot"]
+
+    def counted_dot(a, b):
+        counts[("_dot", stack[-1] if stack else None)] += 1
+        return dot(a, b)
+
+    wrapped = {
+        "_dot": counted_dot,
+        "hull": charged("hull", originals["hull"]),
+        "validate_partition": charged("validate", validate_partition),
+    }
+    for name, module in list(sys.modules.items()):
+        if name == "nefdual" or name.startswith("nefdual."):
+            for key, value in list(vars(module).items()):
+                for fn_name, original in originals.items():
+                    if value is original:
+                        monkeypatch.setattr(module, key, wrapped[fn_name])
+    monkeypatch.setattr(Polytope, "contains", charged("contains", Polytope.contains))
+    monkeypatch.setattr(Polytope, "polar_dual", charged("polar_dual", Polytope.polar_dual))
+    monkeypatch.setattr(nefpart._Pairings, "__init__", charged("table", nefpart._Pairings.__init__))
+    monkeypatch.setattr(nefpart._Pairings, "_add", charged("entries", nefpart._Pairings._add))
+
+    def work(np_):
+        counts.clear()
+        result = run_full_duality(np_)
+        assert result.all_passed
+        table = np_._pairings
+        entries = len(table.rows["M"]) * len(table.rows["N"])
+        return (
+            counts["hull"],
+            counts["polar_dual"],
+            counts["table"],
+            result.dual._pairings is table,
+            counts[("_dot", None)],
+            counts[("_dot", "entries")] == entries,
+        )
+
+    return work
+
+
+def test_one_duality_builds_each_object_once(duality_work, corpus):
     """One run_full_duality on a validated partition makes one hull call:
     nabla. The dual's delta and nabla parts are the source's nabla and delta
-    parts, and the double dual's base is the source's base. Every polar is
-    read off its source's incidence and both Minkowski identities are
-    decided by support functions, so neither builds a hull. A rebuild of
-    any side shows here, on the 5-simplex, the octahedron and every corpus
-    nef-partition at r = 2, 3."""
+    parts, and the double dual's base is the source's base. No polar is
+    built, as both Minkowski identities are decided on the base's own
+    vertices and facets, and no hull either. One pairing table serves the
+    source and the dual, and every pairing the checks make is one of its
+    entries, computed once: no other dot product is made outside the hull,
+    the dual's validation and the cover test. A rebuild of any side or a
+    pairing outside the table shows here, on the 5-simplex, the octahedron
+    and every corpus nef-partition at r = 2, 3."""
+    once = (1, 0, 1, True, 0, True)
     simplex5 = hull(
         [P(*(1 if j == i else 0 for j in range(5))) for i in range(5)] + [P(-1, -1, -1, -1, -1)]
     )
     cubics = validate_partition(simplex5, [[0, 1, 2], [3, 4, 5]])
-    assert count_hulls(run_full_duality, cubics) == 1
-    assert count_hulls(run_full_duality, octa_three_part_partition()) == 1
+    assert duality_work(cubics) == once
+    assert duality_work(octa_three_part_partition()) == once
     found = [
         np_
         for entry in corpus
@@ -405,7 +494,7 @@ def test_one_duality_builds_each_object_once(count_hulls, corpus):
         for r in (2, 3)
         for np_ in enumerate_nef_partitions(entry.polytope, r)
     ]
-    assert [count_hulls(run_full_duality, np_) for np_ in found] == [1] * 164
+    assert [duality_work(np_) for np_ in found] == [once] * 164
 
 
 def test_validating_an_accepted_partition_builds_no_hull(count_hulls):
@@ -687,3 +776,83 @@ def test_every_tampered_source_matches_both_former_duals_or_fails_delta_parts_fr
             new, old = both_routes(bad, monkeypatch, former)
             split[route_difference(new, old)] += 1
         assert split == {"equal": 38, "psi": 49}, former.__name__
+
+
+# The duality read off one pairing table against the former pairing route
+# kept in tests/oracles.py: the sum checks on a polar, the relation checks by
+# a dot product per pairing, the read-off that paired on its own and the
+# convexity scan over every cone's functional.
+
+FORMER_PAIRING_ROUTE = (
+    (duality, "check_relations", oracles.pair_min_check_relations),
+    (duality, "verify_polar_is_nabla_sum", oracles.polar_support_polar_is_nabla_sum),
+    (duality, "verify_nabla_polar_is_delta_sum", oracles.polar_support_nabla_polar_is_delta_sum),
+    (duality, "_read_off", oracles.dot_read_off),
+    (fan, "_convexity_violation", oracles.convexity_violation),
+)
+
+
+def pairing_outcome(np_):
+    """duality_outcome, and the memo of nabla's fan when the run returned."""
+    got = duality_outcome(np_)
+    if got[0] == "raised":
+        return got
+    return got, face_fan(nabla(np_))._solves
+
+
+def table_and_former_pairing_routes(np_, monkeypatch):
+    """pairing_outcome on the former pairing route, on a copy of ``np_``
+    that builds its own nabla and so its own fan, then on the library's."""
+    with monkeypatch.context() as m:
+        for module, name, former in FORMER_PAIRING_ROUTE:
+            m.setattr(module, name, former)
+        old = pairing_outcome(np_._replace())
+    return pairing_outcome(np_), old
+
+
+def test_the_pairing_table_matches_the_former_pairing_route_on_the_corpus(corpus, monkeypatch):
+    """Equal six CheckResults, dual in full and memo of nabla's fan on every
+    corpus nef-partition at r = 1..3."""
+    count = 0
+    for entry in corpus:
+        if entry.reflexive:
+            for r in (1, 2, 3):
+                coords = [v.coords for v in entry.polytope.vertices]
+                for np_ in enumerate_nef_partitions(_fresh(coords), r):
+                    new, old = table_and_former_pairing_routes(np_, monkeypatch)
+                    assert new == old, np_
+                    assert all(check.passed for _, check in new[0][0])
+                    count += 1
+    assert count == 175
+
+
+def test_the_pairing_table_matches_the_former_pairing_route_on_the_scale_inputs(
+    scale_bench, monkeypatch
+):
+    """Alike on at most 48 partitions, evenly strided, of each
+    ``bench/scale.py`` input at r = 2, 3."""
+    count = 0
+    for name in scale_bench.POLYTOPES:
+        for r in (2, 3):
+            found = enumerate_nef_partitions(scale_bench.fresh(name), r)
+            for np_ in found[:: -(-len(found) // 48) or 1]:
+                new, old = table_and_former_pairing_routes(np_, monkeypatch)
+                assert new == old, (name, r, np_)
+                assert all(check.passed for _, check in new[0][0])
+                count += 1
+    assert count == 432
+
+
+def test_the_pairing_table_matches_the_former_pairing_route_on_the_tampered_sources(monkeypatch):
+    """Alike on every tampered source: equal CheckResults, dual and memo,
+    or the same error raised."""
+    raised = Counter()
+    count = 0
+    for bad in tampered_sources():
+        new, old = table_and_former_pairing_routes(bad, monkeypatch)
+        assert new == old, bad
+        if new[0] == "raised":
+            raised[new[1].__name__] += 1
+        count += 1
+    assert count == 87
+    assert raised == {"NotReflexive": 15, "DimensionMismatch": 12}

@@ -30,6 +30,7 @@ from nefdual.nefpart import (
     NefPartition,
     Rejection,
     _check_pairable,
+    _Pairings,
     _pairing_mismatch,
     check_relations,
     enumerate_nef_partitions,
@@ -684,6 +685,49 @@ def test_convexity_is_scanned_once_per_function(monkeypatch, corpus_by_name):
     assert len(scans) == len(built) > 0
 
 
+def test_the_scan_per_distinct_functional_matches_the_scan_per_cone(
+    monkeypatch, corpus, corpus_by_name
+):
+    """Every PL function that validation scans on the reflexive corpus at
+    r = 1..3, of every set partition, accepted or rejected, every dual's
+    psi, and every function with values in {-1, 0, 1} on the hexagon:
+    pairing each vertex once with each distinct functional gives the same
+    first (vertex, cone) as the former scan in tests/oracles.py, which
+    pairs it with every cone's functional."""
+    verdicts = Counter()
+    scan = fan._convexity_violation
+
+    def both_scans(face, values, functionals):
+        got = scan(face, values, functionals)
+        assert got == oracles.convexity_violation(face, values, functionals)
+        verdicts[got is None] += 1
+        return got
+
+    monkeypatch.setattr(fan, "_convexity_violation", both_scans)
+    accepted = []
+    for entry in corpus:
+        if entry.reflexive:
+            delta = _fresh([v.coords for v in entry.polytope.vertices])
+            for r in (1, 2, 3):
+                for cand in _set_partitions(len(delta.vertices), r):
+                    res = validate_partition(delta, cand)
+                    if isinstance(res, NefPartition):
+                        accepted.append(res)
+    assert len(accepted) == 175
+    rejected = verdicts[False]
+    for np_ in accepted:
+        dual_nef_partition(np_)
+    assert verdicts[False] == rejected
+    assert verdicts == {True: 984, False: 110}
+    # Every function with values in {-1, 0, 1} on the hexagon's vertices,
+    # where a cone's functional is often another cone's too.
+    hexagon = _fresh([v.coords for v in corpus_by_name["hexagon"].polytope.vertices])
+    face = fan.face_fan(hexagon)
+    for values in itertools.product((-1, 0, 1), repeat=len(hexagon.vertices)):
+        fan.pl_from_vertex_values(face, values)
+    assert verdicts == {True: 984 + 41, False: 110 + 688}
+
+
 # The relation checks against the former Fraction ones in tests/oracles.py.
 
 
@@ -752,6 +796,17 @@ def test_tampered_partitions_fail_both_relation_checks_alike():
         assert got == _outcome(oracles.check_relations, scaled)
         assert got[1].violations and got[1].matrix[0][0] == F(-1, 3)
 
+        # vertices of one part over different denominators
+        mixed = np_._replace(
+            delta_parts=tuple(
+                hull([v.scale(F(1, k + 2)) for k, v in enumerate(p.vertices)])
+                for p in np_.delta_parts
+            )
+        )
+        got = _outcome(check_relations, mixed)
+        assert got == _outcome(oracles.check_relations, mixed)
+        assert got[1].violations
+
         # a base that is not the one phi lives on: no shortcut
         moved = np_._replace(delta=_scaled(np_.delta, 2))
         got = _outcome(check_relations, moved)
@@ -812,7 +867,7 @@ def _grown(poly):
 def _full_loop(f, base, part):
     g = copy.copy(f)
     g.is_convex = False
-    return _pairing_mismatch(g, base, part)
+    return _pairing_mismatch(g, base, part, _Pairings())
 
 
 def _takes_the_shortcut(f, base, part):
@@ -841,7 +896,7 @@ def shortcut_count(checks):
     ``checks``; return how many take it."""
     taken = 0
     for f, base, part in checks:
-        assert _pairing_mismatch(f, base, part) == _full_loop(f, base, part)
+        assert _pairing_mismatch(f, base, part, _Pairings()) == _full_loop(f, base, part)
         taken += _takes_the_shortcut(f, base, part)
     return taken
 
@@ -872,7 +927,7 @@ def test_a_non_convex_function_takes_the_full_loop(corpus_by_name):
         part = hull(list(negated))
         if set(part.vertices) != negated:
             continue
-        vi = _pairing_mismatch(f, hexagon, part)
+        vi = _pairing_mismatch(f, hexagon, part, _Pairings())
         assert vi is not None and vi == _full_loop(f, hexagon, part)
         found += 1
     assert found > 0

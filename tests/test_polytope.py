@@ -14,12 +14,12 @@ from nefdual.errors import (
     NotFullDimensional,
     ZeroNotInterior,
 )
+from nefdual.duality import _is_polar_sum
 from nefdual.linalg import Inconsistent, Underdetermined, eliminate, integer_nullspace
-from nefdual.nefpart import enumerate_nef_partitions
+from nefdual.nefpart import _Pairings, enumerate_nef_partitions
 from nefdual.polytope import (
     Point,
     Polytope,
-    _is_minkowski_sum,
     SPACE_M,
     SPACE_N,
     hull,
@@ -714,7 +714,9 @@ def test_polar_builds_no_hull(count_hulls):
         assert count_hulls(poly.polar_dual().polar_dual) == 0
 
 
-# The Minkowski-sum test by support functions against the hull of the sum.
+# The test that a Minkowski sum is a polar, decided on the base's vertices
+# and facets, against the hull of the sum. Each case names the polar; the
+# decider is given the base, the polar's own polar.
 
 
 def square(a):
@@ -725,9 +727,15 @@ def segment(*ends):
     return hull([P(*e) for e in ends])
 
 
+def is_polar_sum(polar, summands):
+    """Whether the sum of ``summands`` is ``polar``, decided on the base
+    whose polar it is, with a pairing table of its own."""
+    return _is_polar_sum(polar.polar_dual(), summands, _Pairings())
+
+
 def assert_sum_test_matches_the_hull(poly, summands, expected):
     assert (reduce(minkowski_sum, summands) == poly) is expected
-    assert _is_minkowski_sum(poly, summands) is expected
+    assert is_polar_sum(poly, summands) is expected
 
 
 def test_sum_test_accepts_true_sums():
@@ -751,8 +759,8 @@ def test_sum_test_rejects_a_sum_strictly_inside():
 
 def test_sum_test_rejects_a_sum_out_of_one_facet():
     """The sum sticks out of the facet y <= 1 by 1/3 in the middle, and
-    every vertex of the square is still where its l_y is smallest: only the
-    facet step catches it."""
+    every vertex of the square is still where its l_F is smallest: only the
+    step on the base's vertices catches it."""
     bump = hull([P(x, y) for x in (-1, 1) for y in (-1, 1)] + [P(0, F(4, 3))])
     assert_sum_test_matches_the_hull(square(1), [bump, hull([P(0, 0)])], False)
     assert_sum_test_matches_the_hull(square(1), [bump], False)
@@ -760,7 +768,7 @@ def test_sum_test_rejects_a_sum_out_of_one_facet():
 
 def test_sum_test_rejects_a_sum_that_touches_every_facet_but_misses_a_vertex():
     """The pentagon reaches all four sides of the square but not (1, 1):
-    only the vertex step, with l_y = (-1, -1), catches it."""
+    only the step on the base's facets, with l_F = (-1, -1), catches it."""
     pentagon = hull([P(-1, -1), P(1, -1), P(1, 0), P(0, 1), P(-1, 1)])
     assert_sum_test_matches_the_hull(square(1), [pentagon], False)
     half = F(1, 2)
@@ -770,8 +778,8 @@ def test_sum_test_rejects_a_sum_that_touches_every_facet_but_misses_a_vertex():
 
 def test_sum_test_rejects_summands_from_another_space():
     cross = hull([N(1, 0), N(0, 1), N(-1, 0), N(0, -1)])
-    assert not _is_minkowski_sum(square(1), [cross])
-    assert not _is_minkowski_sum(square(1), [hull([P(0, 0, 0)])])
+    assert not is_polar_sum(square(1), [cross])
+    assert not is_polar_sum(square(1), [hull([P(0, 0, 0)])])
 
 
 small_sets = st.lists(
@@ -785,7 +793,9 @@ small_sets = st.lists(
 @given(st.lists(small_sets, min_size=1, max_size=3), small_sets)
 def test_sum_test_matches_the_hull_of_the_sum_on_random_summands(raw_parts, raw_extra):
     """On the hull of the sum itself, and on that hull with a vertex
-    dropped or with points added."""
+    dropped or with points added. Each is moved, with the first summand,
+    by its vertices' centroid, which puts the origin inside it and changes
+    no answer: the moved one is the polar of a base."""
     parts = [hull([Point(c) for c in raw]) for raw in raw_parts]
     total = reduce(minkowski_sum, parts)
     if not total.is_full_dimensional:
@@ -797,4 +807,6 @@ def test_sum_test_matches_the_hull_of_the_sum_on_random_summands(raw_parts, raw_
         hull(verts + [Point(c) for c in raw_extra]),
     ):
         if other.is_full_dimensional:
-            assert _is_minkowski_sum(other, parts) is (other == total)
+            centre = reduce(Point.__add__, other.vertices).scale(F(1, len(other.vertices)))
+            moved = [hull([v - centre for v in q.vertices]) for q in (other, parts[0])]
+            assert is_polar_sum(moved[0], [moved[1], *parts[1:]]) is (other == total)
