@@ -238,16 +238,13 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 2
     try:
         code, output = args.func(args)
-    except PolytopeParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (PolytopeParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except GeometryError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
-    if getattr(args, "output", None):
+    if args.output:
         try:
             with open(args.output, "w", encoding="utf-8") as fh:
                 fh.write(output)

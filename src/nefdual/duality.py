@@ -13,11 +13,15 @@ All checks are exact; a returned CheckResult carries a witness on failure.
 Every identity between the two sides is a statement about pairings of a
 vertex of the Δ side (Δ, the Δ_j, the dual's nabla parts) with one of the ∇
 side (∇, the ∇_i, the dual's delta parts). One pairing table per duality
-holds them (:class:`nefdual.nefpart._Pairings`): it is kept on the source,
-the dual shares it, and each entry is computed once, when a check first
-reads it. :func:`_read_off`, both sum checks and
-:func:`nefdual.nefpart.check_relations` on each side read the table;
-validation never does.
+holds them (:class:`nefdual.nefpart._Pairings`): it is kept on the source
+and the dual shares it. Its one interface is the exact minimum of <z, y>
+over the points y of a vertex tuple, for each point z of another vertex
+tuple or each facet sum ℓ_F of a polytope, the latter with the one point
+reaching it and that point's pairings with the polytope's vertices. Each
+minimum is computed once per duality: ℓ_F of a facet of ∇ and its minimum
+over each Δ_j serve both :func:`_read_off` and the check ∇* = ΣΔ_j, and
+the minima at ∇'s vertices serve that check and the dual's
+:func:`nefdual.nefpart.check_relations`. Validation never reads the table.
 
 The two Minkowski identities, Δ* = ∇_1 + … + ∇_r and ∇* = Δ_1 + … + Δ_r,
 build no hull and no polar: each is decided on the base's own vertices and
@@ -82,7 +86,6 @@ the labeled parts, so the result would be equal to the source. See
 from __future__ import annotations
 
 from functools import reduce
-from math import lcm
 from typing import Mapping, NamedTuple, Sequence
 
 from .errors import InvariantViolation
@@ -142,39 +145,23 @@ def nabla(np: NefPartition) -> Polytope:
 def _is_polar_sum(base: Polytope, summands: Sequence[Polytope], table) -> bool:
     """Whether the Minkowski sum Q of ``summands`` is the polar of ``base``.
 
-    Decided on the pairings in ``table``, a
-    :class:`nefdual.nefpart._Pairings`, of ``base``'s vertices with the
-    summands' (see the module docstring), with no polar and no sum built.
-    A vertex v stands for its integer form, den_v * v, a positive multiple
-    that bounds the polar by <v._num, y> >= -den_v; ℓ_F is the sum of those
-    forms over facet F, and its bound the sum of the den_v. Every value is
-    scaled by the common denominator L of the summands' vertices, so q
-    contributes its table entry times L / den_q (``table.of`` gives each
-    summand's own LCM and weights, and L is their LCM). A summand in the
-    space of ``base`` or of another dimension makes the answer ``False``.
-    Raises what :meth:`nefdual.polytope.Polytope.polar_dual` raises when
-    ``base`` has no polar.
+    Decided on the minima that ``table``, a
+    :class:`nefdual.nefpart._Pairings`, gives over each summand's vertices:
+    of <v, ·> at each vertex v of ``base``, and of <ℓ_F, ·> at each facet F
+    (see the module docstring), with no polar and no sum built. A summand
+    in the space of ``base`` or of another dimension makes the answer
+    ``False``. Raises what :meth:`nefdual.polytope.Polytope.polar_dual`
+    raises when ``base`` has no polar.
     """
     if not base.has_zero_interior:
         base.polar_dual()  # raises, as base has no polar
     if any(q.space == base.space or q.ambient_dim != base.ambient_dim for q in summands):
         return False
-    parts = [table.of(q.vertices) for q in summands]
-    scale = lcm(*[s for _, _, s, _ in parts])
-    parts = [(scale // s, list(zip(ks, ws))) for ks, _, s, ws in parts]
-    rows = table.of(base.vertices)[1]
-
-    def support(row) -> int:
-        """L times the minimum over Q of the pairing whose entries are ``row``."""
-        return sum([m * min([row[c] * w for c, w in part]) for m, part in parts])
-
-    if any(support(row) < -v._den * scale for v, row in zip(base.vertices, rows)):
+    lows = [table.lows(base.vertices, q.vertices) for q in summands]
+    if any(sum(col) < -1 for col in zip(*lows)):
         return False
-    for f in base.facets:
-        ell = [sum(col) for col in zip(*[rows[i] for i in f.incidence])]
-        if support(ell) != -sum([base.vertices[i]._den for i in f.incidence]) * scale:
-            return False
-    return True
+    answers = [table.facet_lows(base, q.vertices) for q in summands]
+    return all(sum([m for m, _, _ in col]) == -len(f.incidence) for col, f in zip(zip(*answers), base.facets))
 
 
 def _sum_check(np, name, key, base, summands, lattice=True, detail="") -> CheckResult:
@@ -261,36 +248,23 @@ def _read_off(np: NefPartition, nb: Polytope, parts) -> None:
     On cone F, with ℓ_F the sum of F's vertices, w_j is the unique minimiser
     of <·, ℓ_F> over the vertices of ``np.delta_parts[j]``, and -w_j is kept
     when <y, -w_j> is psi_j's indicator value at every vertex y of F (see the
-    module docstring). The pairings are the entries of the duality's table
-    (:func:`nefdual.nefpart._pairings`), the very ones that
-    :func:`verify_nabla_polar_is_delta_sum` reads: ``nb`` is reflexive, so
-    its vertices are lattice points, an entry is <x, y> times x's
-    denominator, and the sum of x's entries over F's vertices is <x, ℓ_F>
-    times it; over the common denominator L of the part's vertices, x's
-    sum times L / den_x is <x, ℓ_F> times L, the same scale for every x. A
-    tie, a missed pairing or a part of the other space or another dimension
-    leaves the cone to the kernel.
+    module docstring). w_j and its pairings with ``nb``'s vertices come
+    with the minimum over Δ_j that the duality's table gives at ℓ_F
+    (:func:`nefdual.nefpart._pairings`), the very answer that
+    :func:`verify_nabla_polar_is_delta_sum` reads. A tie, a missed pairing
+    or a part of the other space or another dimension leaves the cone to
+    the kernel.
     """
     fan = face_fan(nb)
     table = _pairings(np)
-    rows = table.of(nb.vertices)[1]
-    pairs = [
-        (part, dp.vertices, *table.of(dp.vertices))
-        for part, dp in zip(parts, np.delta_parts)
-        if dp.space != nb.space and dp.ambient_dim == nb.ambient_dim
-    ]
-    for cone in fan.cones:
-        vids = cone.vertex_indices
-        on = [rows[i] for i in vids]
-        ell = [sum(col) for col in zip(*on)]
-        for part, xs, ks, _, _, ws in pairs:
-            sums = [ell[c] * w for c, w in zip(ks, ws)]
-            low = min(sums)
-            if sums.count(low) == 1:
-                w, c = xs[sums.index(low)], ks[sums.index(low)]
-                values = tuple([int(i in part) for i in vids])
-                if all(row[c] == -v * w._den for row, v in zip(on, values)):
-                    fan._solves[(cone.index, values)] = -w
+    for part, dp in zip(parts, np.delta_parts):
+        if dp.space != nb.space and dp.ambient_dim == nb.ambient_dim:
+            for cone, (_, w, pairings) in zip(fan.cones, table.facet_lows(nb, dp.vertices)):
+                if w is not None:
+                    vids = cone.vertex_indices
+                    values = tuple([int(i in part) for i in vids])
+                    if all(pairings[i] == -v for i, v in zip(vids, values)):
+                        fan._solves[(cone.index, values)] = -w
 
 
 def dual_nef_partition(np: NefPartition) -> NefPartition:
@@ -334,10 +308,13 @@ def verify_delta_parts_from_dual(
     -min <delta part i, y> at every y, and every -u is a vertex of delta
     part i. So psi_i disagreeing with the pairing formula at a vertex, or a
     -u that is no vertex of delta part i, each make this check fail, with
-    the recovered and expected vertices as its witness.
+    the recovered and expected vertices as its witness. A ``dual`` with
+    another number of parts fails it too, with both counts as its witness.
     """
     if dual is None:
         dual = dual_nef_partition(np)
+    if dual.r != np.r:
+        return CheckResult("delta_parts_from_dual", False, witness={"parts": np.r, "dual_parts": dual.r})
     for i in range(np.r):
         if dual.nabla_parts[i] != np.delta_parts[i]:
             return CheckResult(

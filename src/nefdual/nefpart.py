@@ -78,6 +78,15 @@ hull only when first read (:meth:`nefdual.polytope.Polytope._from_vertices`).
   On a cone holding −e, −e is a nonnegative combination of the facet's
   vertices, and φₖ is linear there and 1 on Eₖ, so only vertices of Eᵢ
   have weight: −e ∈ cone(Eᵢ), and 0 ∈ conv(Eᵢ).
+
+The pairings of a duality live in one table (:class:`_Pairings`), made on
+first read by :func:`_pairings`, kept on the source and shared by its dual.
+Its one interface is the exact minimum of <z, y> over the points y of a
+vertex tuple, for each point z of another vertex tuple or each facet sum
+ℓ_F of a polytope, the latter with the one point reaching it; each minimum
+is computed once per duality. :func:`check_relations` reads it on each
+side, and :mod:`nefdual.duality` for the read-off and both sum checks.
+Validation never does.
 """
 
 from __future__ import annotations
@@ -484,26 +493,42 @@ class RelationReport(NamedTuple):
 
 
 class _Pairings:
-    """The exact pairings between the vertices of a duality's two sides.
+    """The exact pairings between the vertices of a duality's two sides, and
+    their minima.
 
-    Each point gets a position among the points of its space the first time
-    it is seen: ``index[space]`` maps its integer form ``(_num, _den)`` to
-    that position, in the order of the positions, and ``rows[space][k]``
-    holds the ``int`` dot products of the k-th numerator with those of every
-    point of the other space. The pairing of x and y is that entry over
-    ``x._den * y._den``, as :func:`nefdual.polytope.pair` computes it. Each
-    entry is computed once, when the later of its two points is added, and
-    kept in both rows. An entry of two points that do not pair (of other
+    Its one interface answers exact minima of <z, y> over the points y of
+    a vertex tuple: :meth:`lows` for each point z of a vertex tuple of the
+    other space, :meth:`facet_lows` for each facet sum z = ℓ_F of a
+    polytope, the sum of facet F's vertices, with the one point reaching
+    the minimum and that point's pairings with the polytope's vertices. A
+    minimum is an ``int`` when its denominator is 1 and a ``Fraction``
+    otherwise. Each answer is computed once per pair of vertex contents
+    and kept, so every check that reads a minimum shares it, and no reader
+    sees positions, rows, LCMs or weights.
+
+    Storage: each point gets a position among the points of its space the
+    first time it is seen, ``index[space]`` mapping its integer form
+    ``(_num, _den)`` to it, and ``rows[space][k]`` holds the ``int`` dot
+    products of the k-th numerator with those of every point of the other
+    space, in the order of their positions. The pairing of x and y is that
+    entry over ``x._den * y._den``, as :func:`nefdual.polytope.pair`
+    computes it. Each entry is computed once, when the later of its two
+    points is added, and kept in both rows. A vertex tuple is set up once
+    per content (:meth:`_set`), and the entries of two tuples are gathered
+    once into an exact block (:meth:`_block`), from which both kinds of
+    minima are read. An entry of two points that do not pair (of other
     dimensions) is never read: every reader pairs only polytopes it has
     checked to pair.
     """
 
-    __slots__ = ("index", "rows", "_of")
+    __slots__ = ("index", "rows", "_ids", "_sets", "_blocks")
 
     def __init__(self):
         self.index: dict[str, dict] = {SPACE_M: {}, SPACE_N: {}}
         self.rows: dict[str, list[list[int]]] = {SPACE_M: [], SPACE_N: []}
-        self._of: dict[int, tuple] = {}
+        self._ids: dict[int, tuple] = {}
+        self._sets: dict[tuple, tuple] = {}
+        self._blocks: dict[tuple, list] = {}
 
     def _add(self, p: Point) -> int:
         other = dual_space(p.space)
@@ -514,22 +539,76 @@ class _Pairings:
         self.rows[p.space].append(row)
         return k
 
-    def of(self, points: tuple[Point, ...]) -> tuple:
-        """``(positions, rows, L, weights)`` of a tuple of points of one
-        space: each point's position in its space, added if not yet seen;
-        its row; the LCM L of their denominators; and each one's L / den,
-        which scales its pairings to the denominator L. Kept in ``_of``
-        under the tuple's ``id``, with the tuple, which so stays alive and
-        keeps its ``id``."""
-        hit = self._of.get(id(points))
+    def _set(self, points: tuple[Point, ...]) -> tuple:
+        """``(number, positions, L, weights)`` of a vertex tuple: its number
+        among the contents set up, each point's position, added if not yet
+        seen, the LCM L of their denominators, and each one's L / den,
+        which scales its pairings to the denominator L. Set up once per
+        content, kept under the space and the positions, so equal vertex
+        tuples of different polytopes share it, and found by the tuple's
+        ``id`` first; the tuple is kept with it, so the ``id`` stays its
+        own."""
+        hit = self._ids.get(id(points))
         if hit is None:
             get = self.index[points[0].space].get
-            ks = [self._add(p) if (k := get((p._num, p._den))) is None else k for p in points]
-            rows = self.rows[points[0].space]
-            scale = lcm(*[p._den for p in points])
-            weights = [scale // p._den for p in points]
-            hit = self._of[id(points)] = (points, ks, [rows[k] for k in ks], scale, weights)
-        return hit[1:]
+            ks = tuple([self._add(p) if (k := get((p._num, p._den))) is None else k for p in points])
+            key = (points[0].space, ks)
+            entry = self._sets.get(key)
+            if entry is None:
+                scale = lcm(*[p._den for p in points])
+                entry = self._sets[key] = (len(self._sets), ks, scale, [scale // p._den for p in points])
+            hit = self._ids[id(points)] = (points, entry)
+        return hit[1]
+
+    def _block(self, xs: tuple[Point, ...], ys: tuple[Point, ...]) -> list:
+        """``[block, lows, facet lows]`` of two vertex tuples of the two
+        spaces, made once per pair of contents: ``block[i][j]`` is the exact
+        <xs[i], ys[j]>, an ``int`` when the product of the tuples' LCMs is
+        1, and the answers of :meth:`lows` and :meth:`facet_lows` are kept
+        there once asked for."""
+        nx, kx, lx, wx = self._set(xs)
+        ny, ky, ly, wy = self._set(ys)
+        entry = self._blocks.get((nx, ny))
+        if entry is None:
+            rows = self.rows[xs[0].space]
+            block = [list(map(rows[k].__getitem__, ky)) for k in kx]
+            if lx * ly != 1:
+                block = [[Fraction(e * w * v, lx * ly) for e, v in zip(row, wy)] for row, w in zip(block, wx)]
+            entry = self._blocks[nx, ny] = [block, None, None]
+        return entry
+
+    def lows(self, xs: tuple[Point, ...], ys: tuple[Point, ...]) -> tuple:
+        """For each point x of ``xs``, the exact minimum of <x, y> over the
+        points y of ``ys``, a vertex tuple of the other space."""
+        entry = self._block(xs, ys)
+        if entry[1] is None:
+            entry[1] = tuple(map(min, entry[0]))
+        return entry[1]
+
+    def facet_lows(self, base: Polytope, ys: tuple[Point, ...]) -> tuple:
+        """For each facet F of ``base``, in order, ``(m, q, pairings)``: m
+        the exact minimum of <ℓ_F, y> over the points y of ``ys``, ℓ_F the
+        sum of F's vertices, q the one point of ``ys`` where it is reached
+        and ``pairings`` the exact <v, q> at each vertex v of ``base``; or
+        ``(m, None, None)`` when more points reach it
+        (:func:`_facet_lows`)."""
+        entry = self._block(base.vertices, ys)
+        if entry[2] is None:
+            entry[2] = _facet_lows(entry[0], base.facets, ys)
+        return entry[2]
+
+
+def _facet_lows(block, facets, ys: tuple[Point, ...]) -> tuple:
+    """The answer of :meth:`_Pairings.facet_lows` from the ``block`` of a
+    polytope's vertices with ``ys`` and the polytope's ``facets``: ℓ_F's
+    pairings with ``ys`` are the sums of the block's rows over F, formed
+    here once per facet and vertex tuple."""
+    ells = [list(map(sum, zip(*map(block.__getitem__, f.incidence)))) for f in facets]
+    at = list(zip(*block))
+    return tuple([
+        (low, ys[e.index(low)], at[e.index(low)]) if e.count(low) == 1 else (low, None, None)
+        for e, low in zip(ells, map(min, ells))
+    ])
 
 
 def _pairings(np: NefPartition) -> _Pairings:
@@ -541,15 +620,6 @@ def _pairings(np: NefPartition) -> _Pairings:
     return np._pairings
 
 
-def _min_pairing(xs: tuple, ys: tuple) -> tuple[int, int]:
-    """The minimum of ``<x, y>`` over the points of ``xs`` and ``ys``, two
-    :meth:`_Pairings.of` entries of the two spaces, as ``(num, den)``: each
-    pairing is an ``int`` over ``den``, the product of the two LCMs."""
-    _, rows, sx, wx = xs
-    ks, _, sy, wy = ys
-    return min([row[c] * v * w for row, v in zip(rows, wx) for c, w in zip(ks, wy)]), sx * sy
-
-
 def _check_pairable(xs: Polytope, ys: Polytope) -> None:
     """Raise what ``pair`` raises on a vertex of each, unless they pair."""
     if xs.space == ys.space or xs.ambient_dim != ys.ambient_dim:
@@ -559,37 +629,21 @@ def _check_pairable(xs: Polytope, ys: Polytope) -> None:
 def _pairing_mismatch(f: PLFunction, base: Polytope, part: Polytope, table) -> int | None:
     """The index of the first vertex v of ``base`` with f(v) != -min <v, part>,
     or ``None``; ``base`` and ``part`` must pair, and the minima are read
-    from ``table``, a :class:`_Pairings`. It is ``None``, with no pairing,
-    when ``f`` is convex on the fan of ``base`` and its negated functionals
-    are exactly the vertices of ``part``: each functional takes f's values
-    on its cone (as with ``pl_from_vertex_values`` and
-    ``PLFunction.__add__``), so f(v) = max <v, u> = -min <v, part>."""
-    forms = {(x._num, x._den) for x in part.vertices}
-    if f.is_convex and f.fan.base == base and forms == {
-        (tuple([-a for a in u._num]), u._den) for u in f.functionals
-    }:
-        return None
-    ys, rows = table.of(part.vertices), table.of(base.vertices)[1]
-    for vi, v in enumerate(base.vertices):
-        # (None, [rows[vi]], v._den, [1]) is the entry of the tuple (v,)
-        n, d = _min_pairing((None, [rows[vi]], v._den, [1]), ys)
-        if -n * f.vertex_values[vi].denominator != f.vertex_values[vi].numerator * d:
-            return vi
-    return None
+    from ``table``, a :class:`_Pairings`."""
+    lows = table.lows(base.vertices, part.vertices)
+    return next((vi for vi, m in enumerate(lows) if -m != f.vertex_values[vi]), None)
 
 
 def check_relations(np: NefPartition) -> RelationReport:
     """Verify the pairing relations between the delta and nabla parts.
 
     Also re-derives every ``phi_i`` vertex value as the negated minimum of
-    the pairing against nabla part i (:func:`_pairing_mismatch`: no pairing
-    when phi_i is convex and its negated functionals, each taking phi_i's
-    values on its cone, are exactly the vertices of nabla part i). Every
-    pairing is read from the table of ``np``'s duality (:func:`_pairings`),
-    which a dual shares with its source, so the dual's matrix comes from the
-    entries of the source's. Minima are found on ``int``; a ``Fraction`` is
-    built only for the reported matrix entries. Parts that do not pair
-    raise ``DimensionMismatch``.
+    the pairing against nabla part i (:func:`_pairing_mismatch`). Every
+    minimum is read from the table of ``np``'s duality (:func:`_pairings`),
+    which a dual shares with its source, so a minimum that a sum check or
+    the other side also reads is computed once. A ``Fraction`` is built
+    for the reported matrix entries. Parts that do not pair raise
+    ``DimensionMismatch``.
 
     This is the one check of each phi_i against its nabla part. On a dual
     built by :func:`nefdual.duality.dual_nef_partition` it checks psi_i
@@ -597,19 +651,15 @@ def check_relations(np: NefPartition) -> RelationReport:
     i is :func:`nefdual.duality.verify_delta_parts_from_dual`.
     """
     table = _pairings(np)
-    r = np.r
-    ys = [table.of(q.vertices) for q in np.nabla_parts]
     matrix = []
     violations = []
-    for j in range(r):
-        xs = table.of(np.delta_parts[j].vertices)
+    for j, dp in enumerate(np.delta_parts):
         row = []
-        for i in range(r):
-            _check_pairable(np.delta_parts[j], np.nabla_parts[i])
-            n, d = _min_pairing(xs, ys[i])
-            m = Fraction(n, d)
+        for i, q in enumerate(np.nabla_parts):
+            _check_pairable(dp, q)
+            m = Fraction(min(table.lows(dp.vertices, q.vertices)))
             row.append(m)
-            if n != (-d if i == j else 0):
+            if m != (-1 if i == j else 0):
                 violations.append((j, i, m))
         matrix.append(tuple(row))
     phi_ok = True

@@ -172,6 +172,23 @@ def test_delta_parts_recovered_from_dual():
     assert dual.nabla_parts[0] == hull([P(0, 0), P(1, 0), P(0, 1)])
 
 
+def test_a_dual_with_another_number_of_parts_fails_delta_parts_from_dual():
+    """The octahedron's three-part dual cut to two parts, and the
+    octahedron cut to two parts given its three-part dual: each fails the
+    check, with both part counts as its witness, and raises nothing."""
+    np_ = octa_three_part_partition()
+    dual = dual_nef_partition(np_)
+
+    def cut(p):
+        return p._replace(**{f: getattr(p, f)[:2] for f in ("parts", "phi", "delta_parts", "nabla_parts")})
+
+    for source, given in ((np_, cut(dual)), (cut(np_), dual)):
+        assert verify_delta_parts_from_dual(source, given) == (
+            "delta_parts_from_dual", False, {"parts": source.r, "dual_parts": given.r}, ""
+        )
+    assert verify_delta_parts_from_dual(np_, dual).passed
+
+
 def test_involution_examples():
     assert verify_involution(axis_partition()).passed
     assert verify_involution(diagonal_partition()).passed
@@ -411,9 +428,11 @@ def duality_work(monkeypatch):
     it built and paired: the hull calls, the ``polar_dual`` calls, the
     pairing tables made, whether the dual shares the source's table, the
     ``_dot`` calls made outside a hull, the dual's validation, a
-    ``Polytope.contains`` and the table, and whether the table made exactly
-    one ``_dot`` call per entry. Each ``_dot`` call is charged to the
-    innermost of those it is made in."""
+    ``Polytope.contains`` and the table, whether the table made exactly
+    one ``_dot`` call per entry, and whether it formed ℓ_F and its minimum
+    exactly once per (facet, part) of the two sum checks: each facet of Δ
+    with each nabla part, each facet of ∇ with each delta part. Each
+    ``_dot`` call is charged to the innermost of those it is made in."""
     stack = []
     counts = Counter()
 
@@ -450,6 +469,13 @@ def duality_work(monkeypatch):
     monkeypatch.setattr(Polytope, "polar_dual", charged("polar_dual", Polytope.polar_dual))
     monkeypatch.setattr(nefpart._Pairings, "__init__", charged("table", nefpart._Pairings.__init__))
     monkeypatch.setattr(nefpart._Pairings, "_add", charged("entries", nefpart._Pairings._add))
+    facet_lows = nefpart._facet_lows
+
+    def counted_facet_lows(block, facets, ys):
+        counts["facet answers"] += len(facets)
+        return facet_lows(block, facets, ys)
+
+    monkeypatch.setattr(nefpart, "_facet_lows", counted_facet_lows)
 
     def work(np_):
         counts.clear()
@@ -464,6 +490,7 @@ def duality_work(monkeypatch):
             result.dual._pairings is table,
             counts[("_dot", None)],
             counts[("_dot", "entries")] == entries,
+            counts["facet answers"] == (len(result.nabla.facets) + len(np_.delta.facets)) * np_.r,
         )
 
     return work
@@ -477,10 +504,12 @@ def test_one_duality_builds_each_object_once(duality_work, corpus):
     vertices and facets, and no hull either. One pairing table serves the
     source and the dual, and every pairing the checks make is one of its
     entries, computed once: no other dot product is made outside the hull,
-    the dual's validation and the cover test. A rebuild of any side or a
-    pairing outside the table shows here, on the 5-simplex, the octahedron
+    the dual's validation and the cover test. Each facet sum ℓ_F and its
+    minimum over a part are formed once, so the read-off and the ∇ sum
+    check share them. A rebuild of any side, a pairing outside the table or
+    a facet sum formed twice shows here, on the 5-simplex, the octahedron
     and every corpus nef-partition at r = 2, 3."""
-    once = (1, 0, 1, True, 0, True)
+    once = (1, 0, 1, True, 0, True, True)
     simplex5 = hull(
         [P(*(1 if j == i else 0 for j in range(5))) for i in range(5)] + [P(-1, -1, -1, -1, -1)]
     )
@@ -726,8 +755,8 @@ def test_tampered_delta_parts_take_the_kernel_and_match_the_kernel_route(monkeyp
 
 
 # The dual is not audited again once it is decided, it is not cross-checked
-# against the source, and the pairing checks take a shortcut: each against
-# the tampered sources above.
+# against the source, and the pairing checks read the table's minima: each
+# against the tampered sources above.
 
 
 def tampered_sources():
@@ -745,7 +774,7 @@ def test_the_audits_pass_on_every_dual_built_from_a_tampered_source():
     """Each dual that dual_nef_partition returns passes the audit of a
     validated partition and the former hull audit, which it no longer
     runs; on every such dual, and on every tampered source, the pairing
-    checks' shortcut agrees with their full loop."""
+    checks agree with the full loop that pairs by dot products."""
     built = taken = total = 0
     for bad in tampered_sources():
         got = outcome(dual_nef_partition, bad)

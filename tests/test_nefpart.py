@@ -860,14 +860,17 @@ def _grown(poly):
     return out
 
 
-# The shortcut of _pairing_mismatch against its full loop, which a copy of
-# the PL function marked non-convex takes.
+# _pairing_mismatch, which reads its minima from a pairing table, against
+# the full loop of tests/oracles.py, which pairs each vertex by a dot
+# product; a copy of the PL function marked non-convex keeps the oracle off
+# its shortcut. _takes_the_shortcut counts the checks whose negated
+# functionals are exactly the part's vertices, where no vertex can mismatch.
 
 
 def _full_loop(f, base, part):
     g = copy.copy(f)
     g.is_convex = False
-    return _pairing_mismatch(g, base, part, _Pairings())
+    return oracles.pair_min_pairing_mismatch(g, base, part)
 
 
 def _takes_the_shortcut(f, base, part):
@@ -892,8 +895,8 @@ def pairing_checks(np_, dual=None):
 
 
 def shortcut_count(checks):
-    """Assert that the shortcut agrees with the full loop on each of
-    ``checks``; return how many take it."""
+    """Assert that _pairing_mismatch agrees with the full loop on each of
+    ``checks``; return how many meet the shortcut's condition."""
     taken = 0
     for f, base, part in checks:
         assert _pairing_mismatch(f, base, part, _Pairings()) == _full_loop(f, base, part)
