@@ -25,6 +25,11 @@ _BODIES = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
 
 def code_lines(source: str) -> int:
     """The number of code lines of ``source``."""
+    return len(code_line_numbers(source))
+
+
+def code_line_numbers(source: str) -> set[int]:
+    """The numbers (from 1) of the code lines of ``source``."""
     lines = set()
     for tok in tokenize.generate_tokens(io.StringIO(source).readline):
         if tok.type not in _SKIP:
@@ -38,7 +43,7 @@ def code_lines(source: str) -> int:
                 and isinstance(first.value.value, str)
             ):
                 lines.difference_update(range(first.lineno, first.end_lineno + 1))
-    return len(lines)
+    return lines
 
 
 def _files(paths):

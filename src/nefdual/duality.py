@@ -30,7 +30,7 @@ min over Q = Q_1 + … + Q_r of <x, ·> being Σ_j min over Q_j. For a base P
 with the origin inside, P* = {y : <v, y> >= -1 at every vertex v of P}, so
 Q lies in P* iff Σ_j min_{q ∈ Q_j} <v, q> >= -1 at every vertex v of P.
 Polarity swaps P's facets and vertices and reverses their incidence
-(:meth:`nefdual.polytope.Polytope.polar_dual`): facet F of P gives the
+(Batyrev, alg-geom/9310003): facet F of P gives the
 vertex y_F = n_F / e_F of P*, and the facets of P* through y_F are
 <v, y> >= -1 for the vertices v of F, with inward normals those v. Their
 sum ℓ_F lies in the interior of y_F's normal cone, so y_F is the only point

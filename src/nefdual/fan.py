@@ -363,31 +363,6 @@ def pl_from_vertex_values(fan: FaceFan, values: Sequence) -> PLFunction:
     return PLFunction(fan, vals, tuple(functionals))
 
 
-class _SupportPolytope(Polytope):
-    """A support polytope that keeps its convex PL function ``function``.
-
-    Membership is decided by Borisov's H-description, with no facets:
-    ``<v, y> >= -f(v)`` at every vertex v of the fan's base. That is the
-    whole polytope, because f is linear on each cone and every point of a
-    cone is a nonnegative combination of its facet's vertices.
-    """
-
-    __slots__ = ("function",)
-
-    def contains(self, point: Point) -> bool:
-        """Membership, decided on ``int`` like :meth:`Polytope.contains`:
-        with f(v) = a/b, ``<v, y> >= -a/b`` is
-        ``<v._num, y._num> * b >= -a * v._den * y._den``."""
-        self._check_point(point)
-        num = point._num
-        den = point._den
-        f = self.function
-        for v, val in zip(f.fan.base.vertices, f.vertex_values):
-            if _dot(v._num, num) * val.denominator < -val.numerator * v._den * den:
-                return False
-        return True
-
-
 def support_polytope(f: PLFunction) -> Polytope:
     """The polytope ``{y : <x, y> >= -f(x) for all x}`` of a convex PL function.
 
@@ -395,8 +370,8 @@ def support_polytope(f: PLFunction) -> Polytope:
     f is the maximum of its functionals, so the polytope is their negated
     hull, and for a generic x inside a cone, -u of that cone is the unique
     minimiser of ``<x, ·>`` over them. Its span and facets are the hull's,
-    built on first read (:meth:`Polytope._from_vertices`); it keeps ``f``
-    and decides membership without them (:class:`_SupportPolytope`).
+    built on first read (:meth:`Polytope._from_vertices`), and it decides
+    membership by them like any polytope.
     """
     if not f.is_convex:
         raise NotConvex("support polytope needs a convex PL function")
@@ -405,6 +380,4 @@ def support_polytope(f: PLFunction) -> Polytope:
         Point._from_form(tuple([-x for x in num]), den, space)
         for num, den in {(u._num, u._den) for u in f.functionals}
     ]
-    poly = _SupportPolytope._from_vertices(vertices, vertices)
-    poly.function = f
-    return poly
+    return Polytope._from_vertices(vertices, vertices)

@@ -56,15 +56,15 @@ u_s as rows, are taken instead; they pair alike and are combinations of the
 u_s. A primitive normal in the direction space is unique, so either route
 gives the normals a per-facet solve would.
 
-The polar is exact without a hull. :meth:`Polytope.polar_dual` reads it
-off the facet-vertex incidence: for a full-dimensional polytope with the
-origin inside and an irredundant facet system, polarity swaps facets and
-vertices and reverses their incidence (Batyrev, alg-geom/9310003), so facet
-``(n, e)`` gives the polar vertex ``n / e`` and vertex ``v`` the polar facet
-``<v, y> >= -1`` through the polar vertices of the facets through ``v``;
-``<v, n / e> = -1`` exactly when ``v`` lies on the facet. The same
-correspondence lets :mod:`nefdual.duality` decide whether a Minkowski sum
-is a polar from the base's own vertices and facets, with no polar built.
+A polar is built from its vertices like any polytope whose vertices are
+known. For a full-dimensional polytope with the origin inside and an
+irredundant facet system, polarity swaps facets and vertices and reverses
+their incidence (Batyrev, alg-geom/9310003): facet ``(n, e)`` gives the polar
+vertex ``n / e``, so :meth:`Polytope.polar_dual` reads the vertices off the
+facets, with no hull, and the polar's span and facets come from one hull of
+those vertices on first read. The same correspondence lets
+:mod:`nefdual.duality` decide whether a Minkowski sum is a polar from the
+base's own vertices and facets, with no polar built.
 """
 
 from __future__ import annotations
@@ -278,8 +278,9 @@ class LinearEquality(NamedTuple):
 class Polytope:
     """Bounded convex hull of finitely many rational points.
 
-    Built by :func:`hull`, by :meth:`polar_dual`, or from vertices already
-    known (:meth:`_from_vertices`); the constructor trusts its arguments.
+    Built by :func:`hull` or from vertices already known
+    (:meth:`_from_vertices`), as a polar and a support polytope are; the
+    constructor trusts its arguments.
 
     A polytope built from its vertices keeps the points it is the hull of
     and leaves its affine span and facets unbuilt. The first read of
@@ -402,12 +403,17 @@ class Polytope:
         return all(v.is_lattice() for v in self.vertices)
 
     def is_reflexive(self) -> bool:
-        """Lattice, full-dimensional, origin interior, all facets at lattice distance 1."""
+        """Lattice, full-dimensional, all facets at lattice distance 1.
+
+        The origin is then strictly inside, with no second pass over the
+        facets: on a full-dimensional polytope a point is strictly inside
+        exactly when it meets every facet inequality strictly, and the
+        origin meets ``0 >= -offset`` strictly when the offset is 1.
+        """
         if self._reflexive is None:
             self._reflexive = (
                 self.is_full_dimensional
                 and self.is_lattice()
-                and self.has_zero_interior
                 and all(f.offset == 1 for f in self.facets)
             )
         return self._reflexive
@@ -415,14 +421,12 @@ class Polytope:
     def polar_dual(self) -> "Polytope":
         """The polar polytope ``{y : <x, y> >= -1 for all x here}``.
 
-        Read off the facet-vertex incidence, with no hull. Each facet
-        ``(n, a/b)`` gives the polar vertex ``n * b / a``: its normal divided
-        by its offset. Each vertex ``v = num/den`` gives the polar facet
-        ``<v, y> >= -1``, with primitive normal ``num/g`` and offset ``den/g``
-        for ``g = gcd(num)``, through the polar vertices of the facets
-        through ``v``. Vertices and facets are sorted as :func:`hull` sorts
-        them. It is built on the first call and the same object is returned
-        afterwards.
+        Its vertices are read off the facets, with no hull: each facet
+        ``(n, a/b)`` gives the polar vertex ``n * b / a``, its normal divided
+        by its offset. The polar is built from them
+        (:meth:`_from_vertices`), so its span and facets come from one
+        :func:`hull` when first read. It is built on the first call and the
+        same object is returned afterwards.
         """
         if self._polar is None:
             if not self.is_full_dimensional:
@@ -439,28 +443,7 @@ class Polytope:
                 )
                 for f in self.facets
             ]
-            order = sorted(range(len(gens)), key=gens.__getitem__)
-            position = [0] * len(gens)
-            for pos, j in enumerate(order):
-                position[j] = pos
-            through: list[list[int]] = [[] for _ in self.vertices]
-            for j, f in enumerate(self.facets):
-                for i in f.incidence:
-                    through[i].append(position[j])
-            # The origin is interior, so no vertex is 0 and no two share a
-            # direction: the normals are distinct and sort the facets alone.
-            planes = []
-            for v, on in zip(self.vertices, through):
-                g = gcd(*v._num)
-                planes.append((tuple([x // g for x in v._num]), Fraction(v._den, g), sorted(on)))
-            planes.sort(key=lambda plane: plane[0])
-            facets = tuple(
-                Facet(Point._from_form(nv, 1, self.space), offset, tuple(on))
-                for nv, offset, on in planes
-            )
-            self._polar = Polytope(
-                self.ambient_dim, target, tuple([gens[j] for j in order]), (), facets
-            )
+            self._polar = Polytope._from_vertices(gens, gens)
         return self._polar
 
     def lattice_points(self) -> list[Point]:

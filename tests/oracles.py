@@ -31,8 +31,7 @@ span, returns a simplex at once and keeps each facet whole as it inserts
 points), the ``Fraction`` relation and dual-PL checks
 (:func:`check_relations`, :func:`check_psi`, the psi check that the
 former dual routes here still run) and, at the very end, the
-polar as a hull (:func:`polar_dual`) and the Minkowski-sum checks by the
-hull of the sum (:func:`verify_polar_is_nabla_sum`,
+Minkowski-sum checks by the hull of the sum (:func:`verify_polar_is_nabla_sum`,
 :func:`verify_nabla_polar_is_delta_sum`) and the dual decided with a
 kernel on every cone of nabla's fan (:func:`kernel_dual_nef_partition`),
 and the pairing route of a duality before its pairing table: the sum checks
@@ -41,7 +40,10 @@ on a polar (:func:`is_minkowski_sum`,
 :func:`polar_support_nabla_polar_is_delta_sum`), the relation check by a
 dot product per pairing (:func:`pair_min`, :func:`pair_min_check_relations`)
 and the read-off that paired on its own (:func:`dot_read_off`), with the
-convexity scan over every cone's functional (:func:`convexity_violation`).
+convexity scan over every cone's functional (:func:`convexity_violation`),
+and the polar read off the facet-vertex incidence
+(:func:`incidence_polar`) and a nabla part's membership by Borisov's
+H-description (:func:`hrep_contains`).
 These call the rest of the library and serve as the reference for the
 routes that replaced them.
 """
@@ -1496,35 +1498,14 @@ def check_psi(np: NefPartition, dual: NefPartition) -> None:
                 )
 
 
-# The former polar and the former Minkowski-sum checks, verbatim apart from
-# the names and the polar's cache: ``Polytope.polar_dual`` as the hull of
-# the facet normals divided by the offsets (the library now reads the polar
-# off the facet-vertex incidence), and ``duality.verify_polar_is_nabla_sum``
-# and ``duality.verify_nabla_polar_is_delta_sum``, which compared the polar
+# The former Minkowski-sum checks, verbatim apart from the names:
+# ``duality.verify_polar_is_nabla_sum`` and
+# ``duality.verify_nabla_polar_is_delta_sum``, which compared the polar
 # with the hull of every pairwise vertex sum (the library now decides both
 # by support functions and builds the sum only for a failure's witness).
-
-
-def polar_dual(self: Polytope) -> Polytope:
-    """The polar polytope ``{y : <x, y> >= -1 for all x here}``.
-
-    Its vertices are the facet normals divided by the facet offsets.
-    """
-    if not self.is_full_dimensional:
-        raise NotFullDimensional("polar dual needs a full-dimensional polytope")
-    if not self.has_zero_interior:
-        raise ZeroNotInterior("polar dual needs the origin strictly inside")
-    target = dual_space(self.space)
-    # normal / offset, with offset = a/b > 0: the form (b * _num, a * _den).
-    gens = [
-        Point._from_form(
-            tuple([f.offset.denominator * x for x in f.normal._num]),
-            f.offset.numerator * f.normal._den,
-            target,
-        )
-        for f in self.facets
-    ]
-    return hull(gens)
+# The polar they compare is the library's, which is again the hull of the
+# facet normals divided by the offsets, its former route before the
+# incidence reversal (:func:`incidence_polar` below).
 
 
 def verify_polar_is_nabla_sum(np: NefPartition) -> CheckResult:
@@ -1826,3 +1807,73 @@ def convexity_violation(fan: FaceFan, vertex_values, functionals):
             if _dot(num, un) * b > a * ud:
                 return (vi, ci)
     return None
+
+
+# The library's former polar and the former membership test of a nabla
+# part, verbatim apart from the names, the polar's cache and the point
+# check: ``Polytope.polar_dual``, which read the polar's facets off the
+# facet-vertex incidence, and ``fan._SupportPolytope.contains``, which
+# decided membership in a support polytope by Borisov's H-description (the
+# library now builds the polar from its vertices, with its span and facets
+# from one hull on first read, and a nabla part decides membership by its
+# facets like any polytope).
+
+
+def incidence_polar(self: Polytope) -> Polytope:
+    """The polar polytope ``{y : <x, y> >= -1 for all x here}``.
+
+    Read off the facet-vertex incidence, with no hull. Each facet
+    ``(n, a/b)`` gives the polar vertex ``n * b / a``: its normal divided
+    by its offset. Each vertex ``v = num/den`` gives the polar facet
+    ``<v, y> >= -1``, with primitive normal ``num/g`` and offset ``den/g``
+    for ``g = gcd(num)``, through the polar vertices of the facets
+    through ``v``. Vertices and facets are sorted as :func:`hull` sorts
+    them.
+    """
+    if not self.is_full_dimensional:
+        raise NotFullDimensional("polar dual needs a full-dimensional polytope")
+    if not self.has_zero_interior:
+        raise ZeroNotInterior("polar dual needs the origin strictly inside")
+    target = dual_space(self.space)
+    # normal / offset, with offset = a/b > 0: the form (b * _num, a * _den).
+    gens = [
+        Point._from_form(
+            tuple([f.offset.denominator * x for x in f.normal._num]),
+            f.offset.numerator * f.normal._den,
+            target,
+        )
+        for f in self.facets
+    ]
+    order = sorted(range(len(gens)), key=gens.__getitem__)
+    position = [0] * len(gens)
+    for pos, j in enumerate(order):
+        position[j] = pos
+    through: list[list[int]] = [[] for _ in self.vertices]
+    for j, f in enumerate(self.facets):
+        for i in f.incidence:
+            through[i].append(position[j])
+    # The origin is interior, so no vertex is 0 and no two share a
+    # direction: the normals are distinct and sort the facets alone.
+    planes = []
+    for v, on in zip(self.vertices, through):
+        g = gcd(*v._num)
+        planes.append((tuple([x // g for x in v._num]), Fraction(v._den, g), sorted(on)))
+    planes.sort(key=lambda plane: plane[0])
+    facets = tuple(
+        Facet(Point._from_form(nv, 1, self.space), offset, tuple(on))
+        for nv, offset, on in planes
+    )
+    return Polytope(self.ambient_dim, target, tuple([gens[j] for j in order]), (), facets)
+
+
+def hrep_contains(f: PLFunction, point: Point) -> bool:
+    """Membership of ``point`` in the support polytope of ``f``, decided by
+    Borisov's H-description, ``<v, y> >= -f(v)`` at every vertex v of the
+    fan's base, on ``int``: with f(v) = a/b, ``<v, y> >= -a/b`` is
+    ``<v._num, y._num> * b >= -a * v._den * y._den``."""
+    num = point._num
+    den = point._den
+    for v, val in zip(f.fan.base.vertices, f.vertex_values):
+        if _dot(v._num, num) * val.denominator < -val.numerator * v._den * den:
+            return False
+    return True

@@ -1,5 +1,6 @@
 """The mirror construction: nabla, the dual partition, and the check suite."""
 
+import os
 import sys
 from collections import Counter
 from fractions import Fraction
@@ -9,7 +10,7 @@ import pytest
 import oracles
 from test_nefpart import _audit_inputs, _fresh, pairing_checks, shortcut_count
 
-from nefdual import duality, fan, nefpart, polytope
+from nefdual import cli, duality, fan, nefpart, polytope
 from nefdual.duality import (
     dual_nef_partition,
     nabla,
@@ -409,6 +410,34 @@ def test_a_sum_that_is_a_polar_off_the_lattice_fails_the_nabla_check():
         assert not new.passed
         assert new == oracles.polar_support_nabla_polar_is_delta_sum(bad)
         assert new == oracles.verify_nabla_polar_is_delta_sum(bad)
+
+
+def test_no_request_builds_the_facets_of_a_polar(capsys, monkeypatch):
+    """The polar ``nefdual polar`` writes and the one a failing sum check
+    puts in its witness are used for their vertices alone: neither gets its
+    span or facets, so neither takes a hull."""
+    polars = []
+    polar_dual = Polytope.polar_dual
+
+    def kept(self):
+        polars.append(polar_dual(self))
+        return polars[-1]
+
+    monkeypatch.setattr(Polytope, "polar_dual", kept)
+    square = os.path.join(os.path.dirname(cli.__file__), "data", "d2_square.poly")
+    assert cli.main(["polar", square]) == 0
+    assert capsys.readouterr().out.startswith("2 4\n")
+    np_ = octa_three_part_partition()
+    bad = np_._replace(
+        nabla_parts=tuple(doubled(p) for p in np_.nabla_parts),
+        delta_parts=tuple(scaled(p, F(1, 2)) for p in np_.delta_parts),
+    )
+    check = verify_nabla_polar_is_delta_sum(bad)
+    assert not check.passed
+    assert check.witness["nabla_polar_vertices"] == [v.coords for v in polars[-1].vertices]
+    assert len(polars) == 2
+    for polar in polars:
+        assert polar._affine_span is None and polar._facets is None
 
 
 def test_relabeled_dual_passes_on_both_involution_routes():

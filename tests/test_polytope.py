@@ -646,18 +646,21 @@ def test_span_basis_is_the_canonical_nullspace_basis(case):
     assert n == d - len(eliminate([list(r) for r in rows], d)[0])
 
 
-# The polar read off the facet-vertex incidence against the former hull of
-# the facet normals divided by the offsets, kept in tests/oracles.py.
+# The polar built from its vertices, with its span and facets from a hull
+# on first read, against the former polar read off the facet-vertex
+# incidence, kept in tests/oracles.py.
 
 
 def assert_polar_matches_the_hull_polar(poly):
-    """The polar and its polar equal the hull route's: vertices, facet
-    normals, offsets and incidences, and the (empty) affine span."""
+    """The polar and its polar equal the incidence route's: vertices, facet
+    normals, offsets and incidences, and the (empty) affine span, read
+    first here."""
     fresh = hull(list(poly.vertices))
     new = fresh.polar_dual()
-    old = oracles.polar_dual(fresh)
+    old = oracles.incidence_polar(fresh)
+    assert new._affine_span is None and new._facets is None
     assert hull_record(new) == hull_record(old)
-    assert hull_record(new.polar_dual()) == hull_record(oracles.polar_dual(old))
+    assert hull_record(new.polar_dual()) == hull_record(oracles.incidence_polar(old))
     assert new.polar_dual() == fresh
 
 
@@ -708,10 +711,12 @@ def test_polar_matches_the_hull_polar_on_the_corpus(corpus):
 
 
 def test_polar_builds_no_hull(count_hulls):
+    """The polar's vertices take no hull; its own polar takes one, the
+    first read of the polar's facets."""
     for pts in (CROSS, TRIANGLE, *NON_SIMPLICIAL.values()):
         poly = hull(pts)
         assert count_hulls(poly.polar_dual) == 0
-        assert count_hulls(poly.polar_dual().polar_dual) == 0
+        assert count_hulls(poly.polar_dual().polar_dual) == 1
 
 
 # The test that a Minkowski sum is a polar, decided on the base's vertices
