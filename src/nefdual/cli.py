@@ -3,8 +3,11 @@
 Subcommands: polar, check-reflexive, nef-validate, nef-dual, nef-enumerate,
 minkowski. Exit codes follow one contract everywhere: 0 success or positive
 verdict, 1 well-formed input with a negative verdict, 2 malformed input.
-Output is deterministic; the only timing information lives in the JSON
-``timings`` field. No environment variable is consulted.
+Each command returns its exit code and its reply: the text, or with
+``--json`` the report dict, which :func:`main` alone stamps with
+``timings`` and writes as JSON. Output is deterministic; the only timing
+information lives in that ``timings`` field. No environment variable is
+consulted.
 """
 
 from __future__ import annotations
@@ -51,11 +54,6 @@ def _reflexive_verdict(p: Polytope) -> str:
     return "reflexive"
 
 
-def _json_output(rep: dict, started: float) -> str:
-    rep["timings"] = {"seconds": time.perf_counter() - started}
-    return json.dumps(rep, indent=2) + "\n"
-
-
 def _load_for_partition(path: str):
     poly, file_points = parse_polytope_file(path)
     mapping = file_to_canonical_map(poly, file_points)
@@ -83,11 +81,12 @@ def cmd_minkowski(args) -> tuple[int, str]:
     return 0, write_polytope_text(total)
 
 
-def _validated(args, command: str, started: float):
+def _validated(args, command: str):
     """Load, parse the partition spec, map it to canonical indices and
     validate: ``(head, outcome)``, with ``head`` the leading arguments of
-    :func:`partition_report`, or ``(None, reply)`` with the ``(code,
-    output)`` reply to a base that is not reflexive, in text or JSON."""
+    :func:`partition_report` and ``outcome`` the :class:`NefPartition` or
+    the :class:`Rejection`. A base that is not reflexive is a
+    ``NotReflexive`` rejection like any other."""
     poly, file_points, mapping = _load_for_partition(args.file)
     file_parts = parse_partition_spec(args.parts, len(file_points))
     head = (command, args.file, poly, file_points, file_parts, mapping)
@@ -95,35 +94,26 @@ def _validated(args, command: str, started: float):
     try:
         return head, validate_partition(poly, canonical_parts)
     except NotReflexive as exc:
-        if args.json:
-            rep = partition_report(*head, Rejection("NotReflexive", detail=str(exc)))
-            return None, (1, _json_output(rep, started))
-        return None, (1, f"invalid: NotReflexive: {exc}\n")
+        return head, Rejection("NotReflexive", detail=str(exc))
 
 
-def cmd_nef_validate(args) -> tuple[int, str]:
-    started = time.perf_counter()
-    head, outcome = _validated(args, "nef-validate", started)
-    if head is None:
-        return outcome
+def cmd_nef_validate(args) -> tuple[int, str | dict]:
+    head, outcome = _validated(args, "nef-validate")
     valid = isinstance(outcome, NefPartition)
     if args.json:
-        return (0 if valid else 1), _json_output(partition_report(*head, outcome), started)
+        return (0 if valid else 1), partition_report(*head, outcome)
     if valid:
         return 0, "valid\n"
     return 1, f"invalid: {outcome}\n"
 
 
-def cmd_nef_dual(args) -> tuple[int, str]:
-    started = time.perf_counter()
-    head, outcome = _validated(args, "nef-dual", started)
-    if head is None:
-        return outcome
+def cmd_nef_dual(args) -> tuple[int, str | dict]:
+    head, outcome = _validated(args, "nef-dual")
     valid = isinstance(outcome, NefPartition)
     duality = run_full_duality(outcome) if valid else None
     code = 0 if valid and duality.all_passed else 1
     if args.json:
-        return code, _json_output(partition_report(*head, outcome, duality), started)
+        return code, partition_report(*head, outcome, duality)
     if not valid:
         return 1, f"invalid: {outcome}\n"
     lines = [f"valid nef-partition with {outcome.r} parts"]
@@ -142,21 +132,18 @@ def cmd_nef_dual(args) -> tuple[int, str]:
     return code, "\n".join(lines) + "\n"
 
 
-def cmd_nef_enumerate(args) -> tuple[int, str]:
+def cmd_nef_enumerate(args) -> tuple[int, str | dict]:
     if args.r < 1:
         raise PolytopeParseError(f"-r must be a positive number of parts, got {args.r}")
-    started = time.perf_counter()
     poly, file_points, mapping = _load_for_partition(args.file)
+    head = ("nef-enumerate", args.file, poly, file_points, mapping, args.r)
     try:
         found = enumerate_nef_partitions(poly, args.r)
     except NotReflexive as exc:
+        rejection = Rejection("NotReflexive", detail=str(exc))
         if args.json:
-            rep = enumeration_report(
-                "nef-enumerate", args.file, poly, file_points, mapping, args.r,
-                None, rejection=Rejection("NotReflexive", detail=str(exc)),
-            )
-            return 1, _json_output(rep, started)
-        return 1, f"invalid: NotReflexive: {exc}\n"
+            return 1, enumeration_report(*head, None, rejection=rejection)
+        return 1, f"invalid: {rejection}\n"
     canon_to_file = {c: f for f, c in enumerate(mapping)}
     displayed = []
     for np in found:
@@ -166,10 +153,7 @@ def cmd_nef_enumerate(args) -> tuple[int, str]:
         displayed.append(parts)
     displayed.sort()
     if args.json:
-        rep = enumeration_report(
-            "nef-enumerate", args.file, poly, file_points, mapping, args.r, displayed
-        )
-        return 0, _json_output(rep, started)
+        return 0, enumeration_report(*head, displayed)
     lines = [";".join(",".join(str(i) for i in part) for part in parts) for parts in displayed]
     return 0, ("\n".join(lines) + "\n") if lines else ""
 
@@ -236,6 +220,7 @@ def main(argv=None) -> int:
         args = _parser().parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
+    started = time.perf_counter()
     try:
         code, output = args.func(args)
     except (PolytopeParseError, OSError) as exc:
@@ -244,6 +229,9 @@ def main(argv=None) -> int:
     except GeometryError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
+    if isinstance(output, dict):
+        output["timings"] = {"seconds": time.perf_counter() - started}
+        output = json.dumps(output, indent=2) + "\n"
     if args.output:
         try:
             with open(args.output, "w", encoding="utf-8") as fh:

@@ -364,8 +364,15 @@ class Polytope:
 
     @property
     def has_zero_interior(self) -> bool:
-        """Whether the origin lies strictly inside (forces full dimension)."""
-        return self.is_full_dimensional and all(f.offset > 0 for f in self.facets)
+        """Whether the origin lies strictly inside (forces full dimension).
+
+        A polytope already found reflexive answers at once, with no pass
+        over its facets: offsets all 1 put the origin strictly inside
+        (:meth:`is_reflexive`).
+        """
+        return self._reflexive or (
+            self.is_full_dimensional and all(f.offset > 0 for f in self.facets)
+        )
 
     def contains(self, point: Point) -> bool:
         """Membership, decided by cross-multiplied ``int`` comparisons.

@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .duality import DualityResult
-from .nefpart import NefPartition, Rejection
+from .nefpart import NefPartition
 from .polytope import Point, Polytope
 
 SCHEMA = "nefdual-report/1"
@@ -33,16 +33,6 @@ def polytope_json(p: Polytope) -> dict:
     return {
         "dimension": p.ambient_dim,
         "vertices": [point_json(v) for v in p.vertices],
-    }
-
-
-def rejection_json(rej: Rejection) -> dict:
-    return {
-        "reason": rej.reason,
-        "part": rej.part,
-        "cone": rej.cone,
-        "vertex": rej.vertex,
-        "detail": rej.detail,
     }
 
 
@@ -72,11 +62,24 @@ def checks_json(result: DualityResult) -> dict:
     }
 
 
-def base_report(command: str, source_file: str | None) -> dict:
+def base_report(
+    command: str, source_file: str | None, polytope: Polytope, file_points, file_to_canonical
+) -> dict:
+    """The keys every report opens with: the ``input`` block (file,
+    dimension, points) and the ``canonical`` block (vertices,
+    file_to_canonical), to which each report appends its own keys."""
     return {
         "schema": SCHEMA,
         "command": command,
-        "input": {"file": source_file},
+        "input": {
+            "file": source_file,
+            "dimension": polytope.ambient_dim,
+            "points": [point_json(p) for p in file_points],
+        },
+        "canonical": {
+            "vertices": [point_json(v) for v in polytope.vertices],
+            "file_to_canonical": list(file_to_canonical),
+        },
     }
 
 
@@ -92,22 +95,17 @@ def partition_report(
 ) -> dict:
     """Report for nef-validate / nef-dual runs.
 
-    ``outcome`` is the NefPartition or the Rejection returned by validation.
+    ``outcome`` is the NefPartition or the Rejection returned by validation;
+    a base that is not reflexive is a ``NotReflexive`` Rejection.
     """
-    rep = base_report(command, source_file)
-    rep["input"]["dimension"] = polytope.ambient_dim
-    rep["input"]["points"] = [point_json(p) for p in file_points]
+    rep = base_report(command, source_file, polytope, file_points, file_to_canonical)
     rep["input"]["parts"] = [list(part) for part in file_parts]
-    rep["canonical"] = {
-        "vertices": [point_json(v) for v in polytope.vertices],
-        "file_to_canonical": list(file_to_canonical),
-        "parts": [
-            sorted(file_to_canonical[i] for i in part) for part in file_parts
-        ],
-    }
+    rep["canonical"]["parts"] = [
+        sorted(file_to_canonical[i] for i in part) for part in file_parts
+    ]
     valid = isinstance(outcome, NefPartition)
     rep["valid"] = valid
-    rep["rejection"] = None if valid else rejection_json(outcome)
+    rep["rejection"] = None if valid else outcome._asdict()
     rep["nabla"] = None
     rep["nabla_parts"] = None
     rep["dual_parts"] = None
@@ -142,25 +140,17 @@ def enumeration_report(
 ) -> dict:
     """Report for nef-enumerate runs.
 
-    When the input itself is rejected (``rejection`` given, with the fields
-    of a :class:`Rejection`), the report says so under ``valid`` and
-    ``rejection`` and ``count`` and ``partitions`` are null; a successful
-    enumeration carries neither of those two keys.
+    When the input itself is rejected (``rejection`` given, a
+    :class:`nefdual.nefpart.Rejection`, and ``partitions_file_order``
+    None), the report says so under ``valid`` and ``rejection`` and
+    ``count`` and ``partitions`` are null; a successful enumeration carries
+    neither of those two keys.
     """
-    rep = base_report(command, source_file)
-    rep["input"]["dimension"] = polytope.ambient_dim
-    rep["input"]["points"] = [point_json(p) for p in file_points]
+    rep = base_report(command, source_file, polytope, file_points, file_to_canonical)
     rep["input"]["r"] = r
-    rep["canonical"] = {
-        "vertices": [point_json(v) for v in polytope.vertices],
-        "file_to_canonical": list(file_to_canonical),
-    }
     if rejection is not None:
         rep["valid"] = False
-        rep["rejection"] = rejection_json(rejection)
-        rep["count"] = None
-        rep["partitions"] = None
-        return rep
-    rep["count"] = len(partitions_file_order)
+        rep["rejection"] = rejection._asdict()
+    rep["count"] = None if partitions_file_order is None else len(partitions_file_order)
     rep["partitions"] = partitions_file_order
     return rep

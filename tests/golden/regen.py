@@ -4,91 +4,33 @@ Usage, from the repository root:
 
     python3 tests/golden/regen.py
 
-Text outputs are stored byte for byte. JSON outputs are stored after
-normalization: the ``timings`` field is dropped (wall-clock, never
-reproducible) and ``input.file`` is reduced to its basename so the
-goldens do not depend on where the tree is checked out.
+The cases are the ``TEXT_CASES`` and ``JSON_CASES`` tables of
+``tests/test_cli.py``, which compares against these files. Text outputs are
+stored byte for byte. JSON outputs are stored after that module's
+``normalize_report``: the ``timings`` field is dropped (wall-clock, never
+reproducible) and ``input.file`` is reduced to its basename so the goldens
+do not depend on where the tree is checked out.
 """
 
 import io
 import json
+import sys
 from contextlib import redirect_stdout
 from pathlib import Path
 
-import nefdual
-from nefdual.cli import main
-
-DATA = Path(nefdual.__file__).parent / "data"
 HERE = Path(__file__).parent
-FIXTURES = HERE.parent / "fixtures"
+sys.path.insert(0, str(HERE.parent))
+
+from test_cli import JSON_CASES, TEXT_CASES, normalize_report  # noqa: E402
+
+from nefdual.cli import main  # noqa: E402
 
 
 def run(argv):
     buf = io.StringIO()
     with redirect_stdout(buf):
-        code = main(argv)
+        code = main([str(a) for a in argv])
     return code, buf.getvalue()
-
-
-def normalize_json(text):
-    rep = json.loads(text)
-    rep.pop("timings", None)
-    rep["input"]["file"] = Path(rep["input"]["file"]).name
-    return json.dumps(rep, indent=2) + "\n"
-
-
-TEXT_CASES = {
-    "polar_square.txt": (0, ["polar", str(DATA / "d2_square.poly")]),
-    "polar_triangle.txt": (0, ["polar", str(DATA / "d2_triangle.poly")]),
-    "check_cross.txt": (0, ["check-reflexive", str(DATA / "d2_cross.poly")]),
-    "check_square_big.txt": (1, ["check-reflexive", str(DATA / "d2_square_big.poly")]),
-    "check_halfpoint.txt": (1, ["check-reflexive", str(FIXTURES / "halfpoint_triangle.poly")]),
-    "minkowski_square.txt": (
-        0,
-        ["minkowski", str(FIXTURES / "seg_x.poly"), str(FIXTURES / "seg_y.poly")],
-    ),
-    "minkowski_cube.txt": (
-        0,
-        ["minkowski", str(FIXTURES / "seg_z3.poly"), str(FIXTURES / "box_xy3.poly")],
-    ),
-    "validate_axis.txt": (
-        0,
-        ["nef-validate", str(DATA / "d2_cross.poly"), "--parts", "0,2;1,3"],
-    ),
-    "validate_corner.txt": (
-        1,
-        ["nef-validate", str(DATA / "d2_square.poly"), "--parts", "0;1,2,3"],
-    ),
-    "dual_axis.txt": (
-        0,
-        ["nef-dual", str(DATA / "d2_cross.poly"), "--parts", "0,2;1,3"],
-    ),
-    "dual_diag.txt": (
-        0,
-        ["nef-dual", str(DATA / "d2_cross.poly"), "--parts", "0,1;2,3"],
-    ),
-    "dual_octa.txt": (
-        0,
-        ["nef-dual", str(DATA / "d3_octahedron.poly"), "--parts", "0;1,2,3,4,5"],
-    ),
-    "enum_cross_r2.txt": (0, ["nef-enumerate", str(DATA / "d2_cross.poly"), "-r", "2"]),
-    "enum_triangle_r1.txt": (0, ["nef-enumerate", str(DATA / "d2_triangle.poly"), "-r", "1"]),
-}
-
-JSON_CASES = {
-    "dual_diag.json": (
-        0,
-        ["nef-dual", str(DATA / "d2_cross.poly"), "--parts", "0,1;2,3", "--json"],
-    ),
-    "validate_corner.json": (
-        1,
-        ["nef-validate", str(DATA / "d2_square.poly"), "--parts", "0;1,2,3", "--json"],
-    ),
-    "enum_cross_r2.json": (
-        0,
-        ["nef-enumerate", str(DATA / "d2_cross.poly"), "-r", "2", "--json"],
-    ),
-}
 
 
 def main_regen():
@@ -100,7 +42,8 @@ def main_regen():
     for name, (want_code, argv) in JSON_CASES.items():
         code, out = run(argv)
         assert code == want_code, f"{name}: exit {code}, expected {want_code}"
-        (HERE / name).write_text(normalize_json(out), encoding="utf-8")
+        rep = normalize_report(json.loads(out))
+        (HERE / name).write_text(json.dumps(rep, indent=2) + "\n", encoding="utf-8")
         print(f"wrote {name}")
 
 

@@ -1,9 +1,10 @@
 """End-to-end command-line behavior: golden outputs and the exit-code contract.
 
 Golden text files are compared byte for byte. JSON output is compared as
-parsed data after dropping the wall-clock ``timings`` field and reducing
-``input.file`` to a basename; ``tests/golden/regen.py`` regenerates the
-stored files the same way.
+parsed data, key order included, after dropping the wall-clock ``timings``
+field and reducing ``input.file`` to a basename (:func:`normalize_report`);
+``tests/golden/regen.py`` regenerates the stored files from the case tables
+here, normalized the same way.
 """
 
 import json
@@ -81,14 +82,22 @@ def normalize_report(rep):
     return rep
 
 
+def pairs(rep):
+    """``rep`` as nested lists of (key, value) pairs, so that key order counts."""
+    return json.loads(json.dumps(rep), object_pairs_hook=list)
+
+
+def golden_pairs(name):
+    return json.loads((GOLDEN / name).read_text(encoding="utf-8"), object_pairs_hook=list)
+
+
 @pytest.mark.parametrize("name", sorted(JSON_CASES))
 def test_json_output_matches_modulo_timings(capsys, name):
     want_code, argv = JSON_CASES[name]
     code, out, err = run_cli(capsys, argv)
     assert code == want_code
     assert err == ""
-    got = normalize_report(json.loads(out))
-    assert got == json.loads((GOLDEN / name).read_text(encoding="utf-8"))
+    assert pairs(normalize_report(json.loads(out))) == golden_pairs(name)
 
 
 def test_nef_validate_builds_no_polar(capsys, monkeypatch):
@@ -106,11 +115,10 @@ def test_nef_validate_builds_no_polar(capsys, monkeypatch):
         want_code, argv = cases[name]
         code, out, err = run_cli(capsys, argv)
         assert (code, err) == (want_code, "")
-        want = (GOLDEN / name).read_text(encoding="utf-8")
         if name.endswith(".json"):
-            assert normalize_report(json.loads(out)) == json.loads(want)
+            assert pairs(normalize_report(json.loads(out))) == golden_pairs(name)
         else:
-            assert out == want
+            assert out == (GOLDEN / name).read_text(encoding="utf-8")
 
 
 # every row: (expected code, argv, expected stderr prefix or None)
@@ -160,14 +168,14 @@ def test_exit_code_contract(capsys, want_code, argv, err_prefix):
 
 
 def test_not_reflexive_messages_name_the_failure(capsys):
-    code, out, _ = run_cli(
-        capsys, ["nef-validate", FIX / "halfpoint_triangle.poly", "--parts", "0;1,2"]
-    )
-    assert code == 1
-    assert out.startswith("invalid: NotReflexive:")
-    code, out, _ = run_cli(capsys, ["nef-enumerate", DATA / "d2_square_big.poly", "-r", "2"])
-    assert code == 1
-    assert out.startswith("invalid: NotReflexive:")
+    for argv in (
+        ["nef-validate", FIX / "halfpoint_triangle.poly", "--parts", "0;1,2"],
+        ["nef-dual", DATA / "d2_square_big.poly", "--parts", "0,1;2,3"],
+        ["nef-enumerate", DATA / "d2_square_big.poly", "-r", "2"],
+    ):
+        code, out, _ = run_cli(capsys, argv)
+        assert code == 1
+        assert out.startswith("invalid: NotReflexive:")
 
 
 def test_argparse_failures_exit_2(capsys):
@@ -212,7 +220,7 @@ def test_json_rejection_for_not_reflexive_input(capsys):
         ["nef-validate", FIX / "halfpoint_triangle.poly", "--parts", "0;1,2", "--json"],
     )
     assert code == 1
-    rep = json.loads(out)
+    rep = normalize_report(json.loads(out))
     assert rep["valid"] is False
     assert rep["rejection"] == NOT_REFLEXIVE
     assert rep["checks"] is None
@@ -229,7 +237,7 @@ def test_json_rejection_for_not_reflexive_input_on_dual_and_enumerate(capsys, ar
     code, out, err = run_cli(capsys, argv)
     assert code == 1
     assert err == ""
-    rep = json.loads(out)
+    rep = normalize_report(json.loads(out))
     assert rep["command"] == argv[0]
     assert rep["valid"] is False
     assert rep["rejection"] == NOT_REFLEXIVE

@@ -144,6 +144,23 @@ def test_is_reflexive():
     assert not hull([P(F(1, 2), 0), P(0, 1), P(-1, -1)]).is_reflexive()
 
 
+def test_a_polytope_found_reflexive_answers_zero_interior_with_no_pass_over_its_facets(
+    monkeypatch,
+):
+    cross = hull(CROSS)
+    square_big = hull([P(2, 2), P(2, -2), P(-2, 2), P(-2, -2)])
+    assert cross.is_reflexive() and not square_big.is_reflexive()
+
+    def no_facets(self):
+        raise AssertionError("read the facets")
+
+    monkeypatch.setattr(Polytope, "facets", property(no_facets))
+    assert cross.has_zero_interior
+    # one found not reflexive is still decided by its facets
+    with pytest.raises(AssertionError, match="read the facets"):
+        square_big.has_zero_interior
+
+
 def test_minkowski_box_decomposition():
     seg_x = hull([P(-1, 0), P(1, 0)])
     seg_y = hull([P(0, -1), P(0, 1)])
