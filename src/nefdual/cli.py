@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 import time
 
@@ -26,15 +25,12 @@ from .fileio import (
     format_rational,
     parse_partition_spec,
     parse_polytope_file,
+    point_text,
     write_polytope_text,
 )
 from .nefpart import NefPartition, Rejection, enumerate_nef_partitions, validate_partition
 from .polytope import Polytope, minkowski_sum
-from .report import enumeration_report, partition_report
-
-
-def _coords_str(coords) -> str:
-    return "(" + ", ".join(format_rational(c) for c in coords) + ")"
+from .report import enumeration_report, json_text, partition_report
 
 
 def _reflexive_verdict(p: Polytope) -> str:
@@ -42,13 +38,13 @@ def _reflexive_verdict(p: Polytope) -> str:
         return "not reflexive: not full-dimensional"
     for v in p.vertices:
         if not v.is_lattice():
-            return f"not reflexive: non-lattice vertex {_coords_str(v.coords)}"
+            return f"not reflexive: non-lattice vertex ({point_text(v, ', ')})"
     if not p.has_zero_interior:
         return "not reflexive: origin not strictly interior"
     for f in p.facets:
         if f.offset != 1:
             return (
-                f"not reflexive: facet with normal {_coords_str(f.normal.coords)} "
+                f"not reflexive: facet with normal ({point_text(f.normal, ', ')}) "
                 f"at lattice distance {format_rational(f.offset)}"
             )
     return "reflexive"
@@ -118,12 +114,10 @@ def cmd_nef_dual(args) -> tuple[int, str | dict]:
         return 1, f"invalid: {outcome}\n"
     lines = [f"valid nef-partition with {outcome.r} parts"]
     lines.append("nabla vertices:")
-    for v in duality.nabla.vertices:
-        lines.append("  " + " ".join(format_rational(c) for c in v.coords))
+    lines += ["  " + point_text(v) for v in duality.nabla.vertices]
+    vertices = duality.dual.delta.vertices
     for i, part in enumerate(duality.dual.parts):
-        coords = " ".join(
-            _coords_str(duality.dual.delta.vertices[j].coords) for j in sorted(part)
-        )
+        coords = " ".join(f"({point_text(vertices[j], ', ')})" for j in sorted(part))
         lines.append(f"dual part {i}: {coords}")
     lines.append("checks:")
     for name, check in duality.checks.items():
@@ -231,7 +225,7 @@ def main(argv=None) -> int:
         return 1
     if isinstance(output, dict):
         output["timings"] = {"seconds": time.perf_counter() - started}
-        output = json.dumps(output, indent=2) + "\n"
+        output = json_text(output) + "\n"
     if args.output:
         try:
             with open(args.output, "w", encoding="utf-8") as fh:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from .polytope import Point, Polytope, SPACE_M, _check_space, hull
 
@@ -104,11 +104,25 @@ def format_rational(x: Fraction) -> str:
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
+def point_text(p: Point, sep: str = " ") -> str:
+    """The coordinates of ``p`` as :func:`format_rational` writes them,
+    joined by ``sep``. They are read off the point's integer form, each
+    numerator reduced by its gcd with the common denominator, so no
+    ``Fraction`` is made."""
+    den = p._den
+    if den == 1:
+        return sep.join(map(str, p._num))
+    terms = []
+    for x in p._num:
+        g = gcd(x, den)
+        terms.append(str(x // den) if g == den else f"{x // g}/{den // g}")
+    return sep.join(terms)
+
+
 def write_polytope_text(p: Polytope) -> str:
     """Serialize in canonical vertex order; parsing the result round-trips."""
     lines = [f"{p.ambient_dim} {len(p.vertices)}"]
-    for v in p.vertices:
-        lines.append(" ".join(format_rational(c) for c in v.coords))
+    lines += [point_text(v) for v in p.vertices]
     return "\n".join(lines) + "\n"
 
 
@@ -155,15 +169,15 @@ def file_to_canonical_map(polytope: Polytope, file_points: list[Point]) -> list[
     Every file point must be a distinct vertex of the polytope, otherwise
     partition indices would be ambiguous.
     """
+    index = {v: i for i, v in enumerate(polytope.vertices)}
     seen: set[int] = set()
     mapping = []
     for k, p in enumerate(file_points):
-        try:
-            idx = polytope.vertex_index(p)
-        except ValueError as exc:
+        idx = index.get(p)
+        if idx is None:
             raise PolytopeParseError(
                 f"file point #{k} {tuple(str(c) for c in p.coords)} is not a vertex"
-            ) from exc
+            )
         if idx in seen:
             raise PolytopeParseError(f"file point #{k} repeats an earlier vertex")
         seen.add(idx)

@@ -9,7 +9,10 @@ from golden comparisons.
 
 from __future__ import annotations
 
+import json
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
+from math import gcd
 
 from .duality import DualityResult
 from .nefpart import NefPartition
@@ -26,7 +29,17 @@ def coord(x: Fraction):
 
 
 def point_json(p: Point) -> list:
-    return [coord(c) for c in p.coords]
+    """The coordinates of ``p`` as :func:`coord` writes them, read off the
+    point's integer form: each numerator is reduced by its gcd with the
+    common denominator, so no ``Fraction`` is made."""
+    den = p._den
+    if den == 1:
+        return list(p._num)
+    terms = []
+    for x in p._num:
+        g = gcd(x, den)
+        terms.append(x // den if g == den else f"{x // g}/{den // g}")
+    return terms
 
 
 def polytope_json(p: Polytope) -> dict:
@@ -154,3 +167,51 @@ def enumeration_report(
     rep["count"] = None if partitions_file_order is None else len(partitions_file_order)
     rep["partitions"] = partitions_file_order
     return rep
+
+
+def json_text(obj) -> str:
+    """``obj`` written exactly as ``json.dumps(obj, indent=2)`` writes it:
+    two spaces per level, non-ASCII characters as ``\\u`` escapes, keys in
+    the dict's own order.
+
+    With an indent, ``json.dumps`` runs its pure-Python encoder. Here dicts
+    with ``str`` keys, lists and tuples are walked; strings are written by
+    the C escaper, ``int``s by ``int.__repr__``, and None, True and False
+    as the encoder spells them. A list of ``int``s is joined in one step.
+    Any other value (a float, a dict with a key that is not a ``str``) is
+    handed to ``json.dumps`` itself, its lines moved to the depth it sits
+    at. Reports hold no cycles, so none is looked for.
+    """
+    return _json_at(obj, "\n")
+
+
+def _json_at(obj, newline: str) -> str:
+    """``obj`` as :func:`json_text` writes it, at the depth whose lines
+    start with ``newline``."""
+    kind = type(obj)
+    if kind is list or kind is tuple:
+        if not obj:
+            return "[]"
+        inner = newline + "  "
+        if {*map(type, obj)} == {int}:
+            items = map(int.__repr__, obj)
+        else:
+            items = [_json_at(x, inner) for x in obj]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    if kind is dict and {*map(type, obj)} <= {str}:
+        if not obj:
+            return "{}"
+        inner = newline + "  "
+        items = [
+            encode_basestring_ascii(k) + ": " + _json_at(v, inner) for k, v in obj.items()
+        ]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if kind is str:
+        return encode_basestring_ascii(obj)
+    if kind is int:
+        return int.__repr__(obj)
+    if obj is None:
+        return "null"
+    if kind is bool:
+        return "true" if obj else "false"
+    return json.dumps(obj, indent=2).replace("\n", newline)
