@@ -63,10 +63,10 @@ in the cone pairs least with w_j over Δ_j: ψ_j(y) = -min <Δ_j, y> is
 identities under test, so -w_j is only a candidate. It is taken when
 <y, -w_j> equals ψ_j's indicator value at every vertex y of F; F's
 vertices span the space, so it is then the unique solution of the cone's
-system, the very ``Point`` a kernel would give, and it goes into the
+system, the very ``Point`` the cone's table would give, and it goes into the
 fan's memo. A cone where the minimiser is not unique or a pairing misses
-is left to the kernel, so a tampered source gets the same ψ_j as with a
-kernel on every cone. On a cone read off, -u = w_j is a vertex of Δ_j by
+is left to the cone's table, so a tampered source gets the same ψ_j as with a
+table on every cone. On a cone read off, -u = w_j is a vertex of Δ_j by
 construction.
 
 The dual is not audited: once ``_decide`` accepts it on ∇, the argument
@@ -243,7 +243,7 @@ def _dual_parts(np: NefPartition, nb: Polytope) -> tuple[frozenset[int], ...]:
 
 def _read_off(np: NefPartition, nb: Polytope, parts) -> None:
     """Put each psi_j cone functional that reads off Δ_j into the memo of
-    ``face_fan(nb)``, leaving the other cones to the kernel.
+    ``face_fan(nb)``, leaving the other cones to their tables.
 
     On cone F, with ℓ_F the sum of F's vertices, w_j is the unique minimiser
     of <·, ℓ_F> over the vertices of ``np.delta_parts[j]``, and -w_j is kept
@@ -253,7 +253,7 @@ def _read_off(np: NefPartition, nb: Polytope, parts) -> None:
     (:func:`nefdual.nefpart._pairings`), the very answer that
     :func:`verify_nabla_polar_is_delta_sum` reads. A tie, a missed pairing
     or a part of the other space or another dimension leaves the cone to
-    the kernel.
+    its table.
     """
     fan = face_fan(nb)
     table = _pairings(np)
@@ -276,7 +276,7 @@ def dual_nef_partition(np: NefPartition) -> NefPartition:
     by :func:`nefdual.nefpart.validate_partition`, and a rejection raises
     ``InvariantViolation``. Its cone functionals are read off the source's
     delta parts first (:func:`_read_off`), and only a cone where that fails
-    gets a kernel. The dual's own nabla is ``np.delta`` when the cover test
+    gets a table. The dual's own nabla is ``np.delta`` when the cover test
     shows the hull would be that (see the module docstring), and it shares
     the source's pairing table. Nothing is checked against the source here:
     :func:`verify_delta_parts_from_dual` checks psi against the delta parts.

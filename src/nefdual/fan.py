@@ -5,18 +5,21 @@ maximal cone per facet: the cone over that facet. A piecewise-linear
 function on the fan is stored as one linear functional per maximal cone,
 determined exactly by prescribed vertex values.
 
-Nothing here solves a linear system. A maximal cone gets an integer
-kernel when a functional is first asked of it: d linearly independent
-vertices of its facet, the integer matrix ``R = D * B^-1`` of that basis B
-with its denominator ``D``, and, on a non-simplicial facet, the integer
-coordinates of every other vertex against the basis, all from one
-fraction-free elimination of the facet's vertices with the rows tracked.
-A cone's functional is then ``R`` times the scaled values over ``D``, and
-the values admit one exactly when every other vertex's coordinates
-reproduce its own value (see :meth:`FaceFan.cone_functional`). The cones
-of a nabla's fan mostly get none: :mod:`nefdual.duality` reads the dual's
-functionals there off the delta parts, checks each against its cone's
-values, and puts it into the fan's memo. The convexity scan compares
+Nothing here solves a linear system. A maximal cone gets an integer table
+on its first read: one fraction-free elimination of ``[Vᵀ | I]``, V the
+integer forms of all the base's vertices with the cone's own first, pivoting
+only among the cone's columns (:class:`_ConeKernel`). Its row r is ``D``
+times every vertex's coordinate along basis vertex r, followed by row r of
+``(D B⁻¹)ᵀ``, B the d facet vertices pivoted on. A sum of rows weighted by
+a functional's values at the basis holds ``D`` times that functional's
+value at every vertex, and ``D`` times the functional itself. So a cone's
+functional for given values is read off such a sum, and the values admit
+one exactly when the sum reproduces them at the cone's other vertices (see
+:meth:`FaceFan.cone_functional`); the subset search of
+:mod:`nefdual.nefpart` reads whole 0/1 sums. The cones of a nabla's fan
+mostly get no table: :mod:`nefdual.duality` reads the dual's functionals
+there off the delta parts, checks each against its cone's values, and puts
+it into the fan's memo. The convexity scan compares
 ``int`` dot products of the points' integer forms, cross-multiplied by
 their denominators. ``Fraction`` and ``Point`` appear only in the public values:
 vertex values and functionals.
@@ -50,54 +53,60 @@ class Cone(NamedTuple):
 
 
 class _ConeKernel:
-    """Integer data that turns a cone's linear solve into a product.
+    """One cone's table: the fraction-free elimination of ``[Vᵀ | I]``.
 
-    ``basis`` lists the positions (in the cone's ``vertex_indices``) of d
-    linearly independent facet vertices, whose integer forms are the rows
-    of B. ``adj = D * B^-1`` and ``det = D > 0``. ``rest`` pairs each
-    remaining position with ``mu``, that vertex's ``_num`` times ``adj`` (its
-    coordinates against the basis, times ``D``). ``dens`` holds the
-    vertices' denominators, and ``lattice`` says they are all 1.
+    The matrix is d × (n + d): the integer forms of all n base vertices as
+    columns, the cone's own vertices first, then the d × d identity. Pivots
+    are taken only among the cone's columns, so the d pivot columns are the
+    integer forms of d linearly independent facet vertices, the basis B.
+    The elimination multiplies the matrix on the left by some E with
+    ``E Bᵀ = D I``, that is ``E = D (Bᵀ)⁻¹``. So afterwards row r holds, at
+    each vertex's column, ``D`` times that vertex's coordinate along basis
+    vertex r (``D`` at its own column and 0 at the other basis columns), and
+    the identity block has become E, which is ``(D B⁻¹)ᵀ``.
 
-    All of it comes from one elimination of ``[R | I]``, with R the integer
-    forms of all m facet vertices as rows and I tracking the rows. Rows only
-    ever take multiples of pivot rows, so the d pivot rows are built from
-    the rows picked as pivots, the basis: their tags hold ``D * B^-1`` on
-    the basis positions and 0 elsewhere. Each other row, zero on R's columns,
-    is ``D`` times its own row less ``mu`` times the basis rows: its tag is
-    ``D`` at its own position and ``-mu`` on the basis. On a simplicial
-    facet m = d and this is the elimination of ``[B | I]``.
+    ``order`` lists the base vertex at each of the first n columns, and
+    ``rows[r]`` is row r; ``basis[r]`` is the column, which is also the
+    position in the cone's ``vertex_indices``, of basis vertex r, and
+    ``det = D > 0``. A functional u is fixed by its values c_r = <b_r, u>
+    at the basis, and the sum S = Σ c_r rows[r] holds ``D <v, u>`` at every
+    base vertex v's column and ``D u`` in its last d entries.
+    :meth:`FaceFan.cone_functional` reads two slices of that sum off
+    columns kept here: ``rest`` pairs each other cone position with its
+    column, and ``adj`` holds the identity block's columns, the rows of
+    ``D B⁻¹``. The subset search in :mod:`nefdual.nefpart` sums whole rows.
+    ``dens`` holds the cone's vertices' denominators, and ``lattice`` says
+    they are all 1.
     """
 
-    __slots__ = ("basis", "adj", "det", "rest", "dens", "lattice", "space")
+    __slots__ = ("order", "rows", "basis", "det", "rest", "adj", "dens", "lattice", "space")
 
     def __init__(self, base: Polytope, cone: Cone):
         verts = base.vertices
-        m = len(cone.vertex_indices)
+        n = len(verts)
         d = base.ambient_dim
-        mat = [
-            list(verts[i]._num) + [int(pos == j) for j in range(m)]
-            for pos, i in enumerate(cone.vertex_indices)
-        ]
-        pivots, det = eliminate(mat, d)
-        if len(pivots) < d:
+        indices = cone.vertex_indices
+        m = len(indices)
+        inside = set(indices)
+        order = indices + tuple([v for v in range(n) if v not in inside])
+        coords = zip(*[verts[v]._num for v in order])
+        mat = [list(col) + [int(k == j) for j in range(d)] for k, col in enumerate(coords)]
+        basis, det = eliminate(mat, m)
+        if len(basis) < d:
             raise InvariantViolation(
                 "facet vertices failed to span the ambient space", witness=cone.index
             )
         if det < 0:
             det = -det
             mat = [[-x for x in row] for row in mat]
-        tags = [row[d:] for row in mat]
-        basis = [pos for pos in range(m) if any(tag[pos] for tag in tags[:d])]
-        self.adj = tuple([tuple([tag[pos] for pos in basis]) for tag in tags[:d]])
-        self.det = det
+        cols = list(zip(*mat))
+        self.order = order
+        self.rows = mat
         self.basis = tuple(basis)
-        others = [pos for pos in range(m) if pos not in basis]
-        self.rest = tuple(
-            (next(pos for pos in others if tag[pos]), tuple([-tag[pos] for pos in basis]))
-            for tag in tags[d:]
-        )
-        self.dens = tuple([verts[i]._den for i in cone.vertex_indices])
+        self.det = det
+        self.rest = tuple([(p, cols[p]) for p in range(m) if p not in basis])
+        self.adj = tuple(cols[n:])
+        self.dens = tuple([verts[i]._den for i in indices])
         self.lattice = all(den == 1 for den in self.dens)
         self.space = dual_space(base.space)
 
@@ -105,18 +114,19 @@ class _ConeKernel:
 class FaceFan:
     """Complete fan whose maximal cones are cones over the facets of ``base``.
 
-    The fan memoizes its per-cone functionals: ``_solves`` maps a cone
+    Each cone's table (:class:`_ConeKernel`) is built once per fan, on its
+    first read (:meth:`_kernel`), and kept in ``_kernels``. It has two
+    readers. Every PL function on the fan reads its functionals through
+    :meth:`cone_functional`, which memoizes them: ``_solves`` maps a cone
     index and the values on that cone's vertices (in ``vertex_indices``
-    order) to the functional taking them, or to ``Inconsistent``. Every PL
-    function on the fan, and the subset search in ``nefpart``, reads
-    its functionals through :meth:`cone_functional`, so a pattern of values
-    on one cone is computed once per fan however many partitions share it.
-    A memo miss builds the cone's integer kernel (:class:`_ConeKernel`),
-    kept in ``_kernels``, and a cone whose every pattern is found in the
-    memo never gets one. On a nabla's fan that is most cones:
-    :func:`nefdual.duality.dual_nef_partition` puts the dual's functionals
-    into the memo, read off the delta parts and checked against the cone's
-    values, before it decides the dual.
+    order) to the functional taking them, or to ``Inconsistent``, so a
+    pattern of values on one cone is computed once per fan however many
+    partitions share it. The subset search in :mod:`nefdual.nefpart` sums
+    the table's rows itself and calls no :meth:`cone_functional`. A cone
+    that neither reads never gets a table. On a nabla's fan that is most
+    cones: :func:`nefdual.duality.dual_nef_partition` puts the dual's
+    functionals into the memo, read off the delta parts and checked against
+    the cone's values, before it decides the dual.
     """
 
     __slots__ = ("base", "cones", "_solves", "_kernels")
@@ -134,6 +144,13 @@ class FaceFan:
         self._solves: dict = {}
         self._kernels: list = [None] * len(self.cones)
 
+    def _kernel(self, index: int) -> _ConeKernel:
+        """The table of cone ``index``, built on first read and kept."""
+        kernel = self._kernels[index]
+        if kernel is None:
+            kernel = self._kernels[index] = _ConeKernel(self.base, self.cones[index])
+        return kernel
+
     def cone_functional(self, index: int, values: tuple):
         """The functional taking ``values`` on the vertices of cone ``index``.
 
@@ -142,24 +159,24 @@ class FaceFan:
         or ``Inconsistent`` when a non-simplicial facet admits none; both
         are memoized.
 
-        No linear system is solved. With the cone's kernel (basis B of d
-        facet vertices, ``R = D * B^-1``), scale the values by the LCM ``L``
-        of their denominators and each by its vertex's denominator, so that
-        ``c`` is the ``int`` right-hand side of ``<_num, u> = c / L``; then
-        ``u = R c_B / (D L)``. The basis spans the ambient space, so every
-        solution of the cone's system is this ``u``, and the system is
-        solvable iff ``u`` also meets every remaining vertex ``w``. With
-        ``mu = w._num R``, ``<w._num, u> = mu c_B / (D L)``, so ``w`` is met
-        iff ``mu . c_B == D * c_w``, an ``int`` equality. Facet vertices that
+        No linear system is solved. Scale the values by the LCM ``L`` of
+        their denominators and each by its vertex's denominator, so that
+        ``c`` is the ``int`` right-hand side of ``<_num, u> = c / L``. The
+        basis spans the ambient space, so every solution of the cone's
+        system is the u taking ``c_B / L`` at the basis, and the system is
+        solvable iff that u also meets every other vertex w of the cone.
+        The sum S = Σ c_r rows[r] of the cone's table (:class:`_ConeKernel`)
+        holds ``D L <_num, u>`` at each vertex and ``D L u`` in its last d
+        entries; only those slices are formed. So w is met iff its entry of
+        S, ``mu . c_B`` with ``mu`` its column, equals ``D * c_w``, an
+        ``int`` equality, and ``u = adj c_B / (D L)``. Facet vertices that
         fail to span the space are a library bug and raise
         :class:`InvariantViolation` on every call.
         """
         key = (index, values)
         u = self._solves.get(key)
         if u is None:
-            kernel = self._kernels[index]
-            if kernel is None:
-                kernel = self._kernels[index] = _ConeKernel(self.base, self.cones[index])
+            kernel = self._kernel(index)
             scale = lcm(*[v.denominator for v in values])
             if scale == 1 and kernel.lattice:
                 c = [v.numerator for v in values]
@@ -343,7 +360,7 @@ def pl_from_vertex_values(fan: FaceFan, values: Sequence) -> PLFunction:
     non-simplicial facet is unsolvable, raises NotPiecewiseLinear naming the
     first such cone. Values are exact rationals; a ``float`` is a
     ``TypeError``. Each cone's functional comes from the fan's integer
-    kernel and memo (:meth:`FaceFan.cone_functional`).
+    table and memo (:meth:`FaceFan.cone_functional`).
     """
     verts = fan.base.vertices
     if len(values) != len(verts):

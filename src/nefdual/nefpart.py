@@ -35,6 +35,20 @@ integral convex PL function φ_S on the face fan.
   Both sets depend only on the cone and S's pattern on it, so a call
   computes them once per (cone, pattern), and a subset costs O(cones) mask
   operations instead of O(vertices × cones) pairings.
+- Each (cone, pattern) is read off one sum of integer rows. The cone's
+  table (:class:`nefdual.fan._ConeKernel`) has, for each of d basis
+  vertices b_r of its facet, a row holding D λ_r(v) at every vertex v of Δ,
+  where v = Σ λ_r(v) b_r, and D times column r of B⁻¹ in its last d
+  entries, B the matrix of the basis rows. A functional u with u's values
+  p_r = ⟨b_r, u⟩ on the basis is B⁻¹p, and ⟨v, u⟩ = Σ λ_r(v) p_r. S's
+  pattern puts p_r = 1 on the basis vertices in S and 0 on the others, so
+  the sum T of the rows of the basis vertices in S holds D ⟨v, u⟩ at every
+  vertex v and D u in its last d entries. Hence the pattern has a
+  functional iff T is D times the pattern at the cone's other vertices
+  (the basis spans, so u is the only candidate), u is a lattice point iff
+  D divides T's last d entries, and gt0 and gt1 are the v with T at v
+  above 0 and above D. No functional is paired with a vertex, and a
+  ``Point`` is made only for a pattern that passes.
 
 Validation decides (:func:`_decide`) and then builds the parts
 (:func:`_build`), and audits nothing afterwards: once ``_decide`` accepts a
@@ -98,7 +112,6 @@ from typing import Iterable, NamedTuple
 
 from .errors import NotPiecewiseLinear, NotReflexive
 from .fan import FaceFan, PLFunction, face_fan, pl_from_vertex_values, support_polytope
-from .linalg import Inconsistent
 from .polytope import SPACE_M, SPACE_N, Point, Polytope, _dot, dual_space, origin, pair
 
 NOT_DISJOINT = "NotDisjoint"
@@ -326,13 +339,18 @@ class _NefSubsets:
     functional. Then φ_S is an integral convex PL function exactly when
     every cone has an entry with gt1 empty and gt0 inside S
     (:meth:`is_nef`; the module docstring gives the argument).
+
+    An entry is read off one sum of rows of the cone's table
+    (:meth:`nefdual.fan.FaceFan._kernel`; the module docstring gives the
+    argument), which holds for a base with lattice vertices, as a reflexive
+    one has.
     """
 
-    __slots__ = ("fan", "forms", "bits", "_masks")
+    __slots__ = ("fan", "n", "bits", "_masks")
 
     def __init__(self, fan: FaceFan):
         self.fan = fan
-        self.forms = [v._num for v in fan.base.vertices]
+        self.n = len(fan.base.vertices)
         self.bits = [sum(1 << v for v in cone.vertex_indices) for cone in fan.cones]
         self._masks: dict = {}
 
@@ -341,22 +359,34 @@ class _NefSubsets:
         key = (c, pattern)
         entry = self._masks.get(key, key)
         if entry is key:
-            indices = self.fan.cones[c].vertex_indices
-            u = self.fan.cone_functional(c, tuple([pattern >> v & 1 for v in indices]))
-            if u is Inconsistent or not u.is_lattice():
-                entry = None
-            else:
-                # Delta and u are lattice, so <v, u> is the int dot product.
-                gt0 = gt1 = 0
-                for v, num in enumerate(self.forms):
-                    x = _dot(num, u._num)
-                    if x > 0:
-                        gt0 |= 1 << v
-                        if x > 1:
-                            gt1 |= 1 << v
-                entry = (u, gt0, gt1)
-            self._masks[key] = entry
+            entry = self._masks[key] = self._read(c, pattern)
         return entry
+
+    def _read(self, c: int, pattern: int):
+        """The entry of cone ``c`` for ``pattern`` from its row sum S: the
+        pattern has a functional iff S is D times the pattern at the cone's
+        other vertices (at the basis it is by construction), and the
+        functional is a lattice point iff D divides S's last d entries."""
+        table = self.fan._kernel(c)
+        order = table.order
+        rows = [row for p, row in zip(table.basis, table.rows) if pattern >> order[p] & 1]
+        total = list(map(sum, zip(*rows))) if rows else [0] * len(table.rows[0])
+        det = table.det
+        for p, _ in table.rest:
+            if total[p] != (det if pattern >> order[p] & 1 else 0):
+                return None
+        dual = total[len(order):]
+        if det != 1:
+            if any([x % det for x in dual]):
+                return None
+            dual = [x // det for x in dual]
+        gt0 = gt1 = 0
+        for x, v in zip(total, order):
+            if x > 0:
+                gt0 |= 1 << v
+                if x > det:
+                    gt1 |= 1 << v
+        return (Point._from_form(tuple(dual), 1, table.space), gt0, gt1)
 
     def is_nef(self, s: int) -> bool:
         for c in range(len(self.bits)):
@@ -368,31 +398,34 @@ class _NefSubsets:
     def lattice_subsets(self):
         """Every S other than the full set that holds vertex 0 and whose
         pattern on every cone has a lattice functional: vertices are
-        labelled in order, in or out of S, and a branch is cut at the first
-        cone that closes (its largest vertex is labelled) with no lattice
-        functional for S's pattern."""
-        n = len(self.forms)
+        labelled in order, in or out of S (in first), and a branch is cut
+        at the first cone that closes (its largest vertex is labelled) with
+        no lattice functional for S's pattern. Depth first, on an explicit
+        stack of (last labelled vertex, S)."""
+        n = self.n
         full = (1 << n) - 1
         closing: list[list[int]] = [[] for _ in range(n)]
         for c, cone in enumerate(self.fan.cones):
             closing[max(cone.vertex_indices)].append(c)
-
-        def rec(i: int, s: int):
-            if any(self.cone(c, s) is None for c in closing[i]):
-                return
-            if i == n - 1:
-                yield s
-                return
-            t = s | 1 << (i + 1)
-            if t != full:
-                yield from rec(i + 1, t)
-            yield from rec(i + 1, s)
-
-        yield from rec(0, 1)
+        stack = [(0, 1)]
+        cone = self.cone
+        while stack:
+            i, s = stack.pop()
+            for c in closing[i]:
+                if cone(c, s) is None:
+                    break
+            else:
+                if i == n - 1:
+                    yield s
+                    continue
+                stack.append((i + 1, s))
+                t = s | 1 << (i + 1)
+                if t != full:
+                    stack.append((i + 1, t))
 
     def phi(self, s: int) -> PLFunction:
         """φ_S for an S that :meth:`is_nef` accepted, with no scan."""
-        values = tuple([_ONE if s >> v & 1 else _ZERO for v in range(len(self.forms))])
+        values = tuple([_ONE if s >> v & 1 else _ZERO for v in range(self.n)])
         functionals = tuple([self.cone(c, s)[0] for c in range(len(self.bits))])
         return PLFunction(self.fan, values, functionals, integral_convex=True)
 
@@ -401,22 +434,21 @@ def _exact_covers(blocks: list[int], full: int, r: int):
     """Every way to cover ``full`` by r disjoint ``blocks``, as lists of
     blocks ordered by lowest vertex: the next block is one that holds the
     lowest vertex not yet covered (Knuth's Algorithm X), and the last is
-    whatever is left, if it is a block."""
+    whatever is left, if it is a block. Depth first, on an explicit stack
+    of (vertices left, blocks chosen), the blocks tried in list order."""
     by_low: dict[int, list[int]] = {}
     for b in blocks:
         by_low.setdefault(b & -b, []).append(b)
     allowed = set(blocks)
-
-    def rec(rest: int, chosen: list[int]):
+    stack = [(full, [])]
+    while stack:
+        rest, chosen = stack.pop()
         if len(chosen) == r - 1:
             if rest in allowed:
                 yield chosen + [rest]
-            return
-        for b in by_low.get(rest & -rest, ()):
-            if b & rest == b:
-                yield from rec(rest ^ b, chosen + [b])
-
-    yield from rec(full, [])
+            continue
+        fits = [b for b in by_low.get(rest & -rest, ()) if b & rest == b]
+        stack += [(rest ^ b, chosen + [b]) for b in reversed(fits)]
 
 
 def enumerate_nef_partitions(delta: Polytope, r: int) -> list[NefPartition]:
@@ -430,15 +462,20 @@ def enumerate_nef_partitions(delta: Polytope, r: int) -> list[NefPartition]:
     builds every cover of the vertices by r disjoint kept subsets, taking
     each time one that holds the lowest vertex not yet covered, so the
     parts come in the order of smallest member. The module docstring shows
-    that the covers are exactly the nef-partitions.
+    that the covers are exactly the nef-partitions. Both searches run depth
+    first on an explicit stack.
 
-    Each subset is decided once and each part of the result is built once
-    per call, however many partitions share it: φ with no convexity scan
-    (the masks decided it), ∇ᵢ from φ, and Δᵢ by :func:`_delta_part`, whose
-    origin test depends on Eᵢ alone. No symmetry reduction is applied. The
-    result is sorted by canonical part lists and equals that of validating
-    every set partition into r parts, labels included. An ``r`` that is not
-    an integer (a ``float`` such as 2.0 included) raises ``TypeError``.
+    The subset search makes no :meth:`~nefdual.fan.FaceFan.cone_functional`
+    call: each (cone, pattern) is read off one sum of rows of the cone's
+    integer table, built once per cone and kept on the fan (the module
+    docstring gives the argument). Each subset is decided once and each
+    part of the result is built once per call, however many partitions
+    share it: φ with no convexity scan (the masks decided it), ∇ᵢ from φ,
+    and Δᵢ by :func:`_delta_part`, whose origin test depends on Eᵢ alone.
+    No symmetry reduction is applied. The result is sorted by canonical
+    part lists and equals that of validating every set partition into r
+    parts, labels included. An ``r`` that is not an integer (a ``float``
+    such as 2.0 included) raises ``TypeError``.
     """
     r = index(r)
     if not delta.is_reflexive():

@@ -470,13 +470,6 @@ class Polytope:
                 found.append(p)
         return found
 
-    def vertex_index(self, point: Point) -> int:
-        """Index of ``point`` in the canonical vertex list, or raise ValueError."""
-        for i, v in enumerate(self.vertices):
-            if v == point:
-                return i
-        raise ValueError(f"{point!r} is not a vertex")
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Polytope)

@@ -42,8 +42,9 @@ dot product per pairing (:func:`pair_min`, :func:`pair_min_check_relations`)
 and the read-off that paired on its own (:func:`dot_read_off`), with the
 convexity scan over every cone's functional (:func:`convexity_violation`),
 and the polar read off the facet-vertex incidence
-(:func:`incidence_polar`) and a nabla part's membership by Borisov's
-H-description (:func:`hrep_contains`).
+(:func:`incidence_polar`), a nabla part's membership by Borisov's
+H-description (:func:`hrep_contains`) and the subset search's cone entry
+by a functional and a dot product per vertex (:func:`functional_cone_entry`).
 These call the rest of the library and serve as the reference for the
 routes that replaced them.
 """
@@ -1877,3 +1878,23 @@ def hrep_contains(f: PLFunction, point: Point) -> bool:
         if _dot(v._num, num) * val.denominator < -val.numerator * v._den * den:
             return False
     return True
+
+
+def functional_cone_entry(subsets, c: int, s: int):
+    """The former ``nefpart._NefSubsets.cone`` entry, with no memo of its own:
+    the functional of S's 0/1 pattern on cone ``c`` by
+    :meth:`FaceFan.cone_functional`, and gt0 and gt1 by one ``int`` dot
+    product per vertex. ``None`` when the pattern has no lattice functional."""
+    fan = subsets.fan
+    pattern = s & subsets.bits[c]
+    u = fan.cone_functional(c, tuple([pattern >> v & 1 for v in fan.cones[c].vertex_indices]))
+    if u is Inconsistent or not u.is_lattice():
+        return None
+    gt0 = gt1 = 0
+    for v, vertex in enumerate(fan.base.vertices):
+        x = _dot(vertex._num, u._num)
+        if x > 0:
+            gt0 |= 1 << v
+            if x > 1:
+                gt1 |= 1 << v
+    return (u, gt0, gt1)

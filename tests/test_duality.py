@@ -60,7 +60,7 @@ HEXAGON_N = hull([N(1, 0), N(0, 1), N(1, 1), N(-1, 0), N(0, -1), N(-1, -1)])
 
 
 def part_of(base, *coord_tuples):
-    return frozenset(base.vertex_index(P(*c)) for c in coord_tuples)
+    return frozenset(base.vertices.index(P(*c)) for c in coord_tuples)
 
 
 def axis_partition():

@@ -1,6 +1,8 @@
 """Face fans and piecewise-linear functions on them."""
 
 import itertools
+import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -14,11 +16,12 @@ from nefdual.errors import (
     ZeroNotInterior,
 )
 import nefdual.fan as fan_module
-from nefdual import linalg, polytope
+from nefdual import linalg, nefpart, polytope
 from nefdual.duality import run_full_duality
 from nefdual.fan import FaceFan, PLFunction, face_fan, pl_from_vertex_values, support_polytope
+from nefdual.linalg import Inconsistent
 from nefdual.nefpart import enumerate_nef_partitions
-from nefdual.polytope import Point, SPACE_N, hull, minkowski_sum, pair
+from nefdual.polytope import Point, SPACE_N, dual_space, hull, minkowski_sum, pair
 
 import oracles
 
@@ -357,12 +360,42 @@ def test_every_cone_pattern_gets_the_solve_per_cone_answer(name):
             assert fan.cone_functional(cone.index, values) == expected, (cone.index, values)
 
 
+def test_cone_functionals_equal_the_solve_per_cone_on_every_corpus_fan_and_polar_fan(corpus):
+    """On every cone of the face fan of every corpus polytope and of its
+    polar, the functional for rational values equals the oracle's Fraction
+    solve: values taken by a rational functional (consistent on every cone),
+    the same with one value moved by 1/3 (Inconsistent on a non-simplicial
+    cone) and the 0/1 pattern of every other vertex."""
+    rng = random.Random(7)
+    checked = Counter()
+    for entry in corpus:
+        for base in (entry.polytope, entry.polytope.polar_dual()):
+            base = hull(list(base.vertices))  # a fan of its own, no table shared
+            fan = face_fan(base)
+            verts = base.vertices
+            space = dual_space(base.space)
+            for cone in fan:
+                coords = [F(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(base.ambient_dim)]
+                u = Point(coords, space)
+                points = [verts[i] for i in cone.vertex_indices]
+                taken = [pair(p, u) for p in points]
+                moved = taken[:-1] + [taken[-1] + F(1, 3)]
+                pattern = [F(k % 2) for k in range(len(taken))]
+                for values in (taken, moved, pattern):
+                    expected = oracles.solve_linear(list(zip(points, values)))
+                    got = fan.cone_functional(cone.index, tuple(values))
+                    assert got == expected, (entry.name, base.space, cone.index, values)
+                    checked[expected is Inconsistent] += 1
+                assert fan.cone_functional(cone.index, tuple(taken)) == u
+    assert checked[True] and checked[False]
+
+
 def test_no_linear_solve_is_left_on_the_pl_path_and_each_used_cone_gets_one_kernel(monkeypatch):
     """Enumeration and full duality on fresh polytopes call ``linalg.solve``
-    0 times. No cone of any nabla's fan gets a kernel, though each nabla's
+    0 times. No cone of any nabla's fan gets a table, though each nabla's
     fan is asked for functionals: the dual's are read off the delta parts.
-    On each delta's fan, each cone asked for a functional gets exactly one
-    kernel, and no other fan gets one."""
+    On each delta's fan, each cone read, for a functional or by the subset
+    search's row sums, gets exactly one table, and no other fan gets one."""
     solves = []
     original_solve = linalg.solve
 
@@ -385,15 +418,23 @@ def test_no_linear_solve_is_left_on_the_pl_path_and_each_used_cone_gets_one_kern
             built.append((id(base), cone.index))
             super().__init__(base, cone)
 
+    searched = set()
     original_functional = FaceFan.cone_functional
+    original_read = nefpart._NefSubsets._read
 
     def recording_functional(self, index, values):
         alive.append(self.base)
         used.add((id(self.base), index))
         return original_functional(self, index, values)
 
+    def recording_read(self, index, pattern):
+        alive.append(self.fan.base)
+        searched.add((id(self.fan.base), index))
+        return original_read(self, index, pattern)
+
     monkeypatch.setattr(fan_module, "_ConeKernel", CountingKernel)
     monkeypatch.setattr(FaceFan, "cone_functional", recording_functional)
+    monkeypatch.setattr(nefpart._NefSubsets, "_read", recording_read)
     simplex4 = [_unit(4, i) for i in range(4)] + [(-1,) * 4]
     octahedron = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, 0, 0), (0, -1, 0), (0, 0, -1)]
     deltas = []
@@ -411,4 +452,5 @@ def test_no_linear_solve_is_left_on_the_pl_path_and_each_used_cone_gets_one_kern
     assert len(built) == len(set(built)) > 0
     assert not nabla_ids & {base for base, _ in built}
     assert nabla_ids <= {base for base, _ in used}
-    assert set(built) == {(base, ci) for base, ci in used if base in delta_ids}
+    assert {base for base, _ in searched} == delta_ids
+    assert set(built) == {(base, ci) for base, ci in used | searched if base in delta_ids}

@@ -60,7 +60,7 @@ OCTA = hull([P(1, 0, 0), P(0, 1, 0), P(0, 0, 1), P(-1, 0, 0), P(0, -1, 0), P(0, 
 
 
 def part_of(base, *coord_tuples):
-    return frozenset(base.vertex_index(P(*c)) for c in coord_tuples)
+    return frozenset(base.vertices.index(P(*c)) for c in coord_tuples)
 
 
 def test_axis_bipartition_of_cross_is_valid():
@@ -514,6 +514,33 @@ def test_the_masks_decide_convexity_like_the_scan(corpus):
             assert subsets.is_nef(s) == (scan is True), (delta, s)
             verdicts[scan] += 1
     assert verdicts == {True: 185, False: 35, "not integral": 66, "not piecewise linear": 4830}
+
+
+def test_the_row_sums_give_the_former_cone_entries(corpus, scale_bench):
+    """On every cone and every 0/1 pattern on its vertices, the entry read
+    off the cone table's row sum equals the former route's, a functional
+    and one dot product per vertex (``oracles.functional_cone_entry``), on a
+    fan of its own: every reflexive corpus polytope, the three enum4d
+    inputs, and 4D cross, the 4-cube and hex⊕hex of bench/scale.py. Tables
+    with D > 1 and D = 1, and entries with and without a lattice
+    functional, all occur."""
+    inputs = [[v.coords for v in e.polytope.vertices] for e in corpus if e.reflexive]
+    inputs += [FOUR_D[n] for n in ("simplex4", "octahedron_x_segment", "triangle_x_triangle")]
+    inputs += [scale_bench.POLYTOPES[n] for n in ("cross4", "cube4", "hex+hex")]
+    dets, kinds = set(), Counter()
+    for coords in inputs:
+        subsets = nefpart._NefSubsets(fan.face_fan(_fresh(coords)))
+        former = nefpart._NefSubsets(fan.face_fan(_fresh(coords)))
+        for c, cone in enumerate(subsets.fan.cones):
+            for bits in itertools.product((0, 1), repeat=len(cone.vertex_indices)):
+                s = sum(1 << v for v, b in zip(cone.vertex_indices, bits) if b)
+                entry = subsets.cone(c, s)
+                assert entry == oracles.functional_cone_entry(former, c, s), (coords, c, bits)
+                kinds[entry is None] += 1
+            dets.add(subsets.fan._kernels[c].det > 1)
+        assert not subsets.fan._solves
+    assert dets == {True, False}
+    assert kinds[True] and kinds[False]
 
 
 def test_opposite_rays_meet_only_at_the_origin():
@@ -993,7 +1020,7 @@ def test_a_delta_part_around_the_origin_does_not_have_it_as_a_vertex():
     """Parts {±e_k}: 0 lies in conv(E_i), so Δᵢ is the segment conv(E_i)."""
     for delta in (CROSS, OCTA):
         axes = [
-            [delta.vertex_index(Point(_unit(delta.ambient_dim, k, s))) for s in (1, -1)]
+            [delta.vertices.index(Point(_unit(delta.ambient_dim, k, s))) for s in (1, -1)]
             for k in range(delta.ambient_dim)
         ]
         np_ = validate_partition(_fresh([v.coords for v in delta.vertices]), axes)
