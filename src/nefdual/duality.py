@@ -90,7 +90,7 @@ from typing import Mapping, NamedTuple, Sequence
 
 from .errors import InvariantViolation
 from .fan import face_fan
-from .nefpart import NefPartition, Rejection, _pairings, check_relations, validate_partition
+from .nefpart import NefPartition, Rejection, _pairable, _pairings, check_relations, validate_partition
 from .polytope import Polytope, hull, minkowski_sum, origin
 
 
@@ -155,7 +155,7 @@ def _is_polar_sum(base: Polytope, summands: Sequence[Polytope], table) -> bool:
     """
     if not base.has_zero_interior:
         base.polar_dual()  # raises, as base has no polar
-    if any(q.space == base.space or q.ambient_dim != base.ambient_dim for q in summands):
+    if not all(_pairable(base, q) for q in summands):
         return False
     lows = [table.lows(base.vertices, q.vertices) for q in summands]
     if any(sum(col) < -1 for col in zip(*lows)):
@@ -258,7 +258,7 @@ def _read_off(np: NefPartition, nb: Polytope, parts) -> None:
     fan = face_fan(nb)
     table = _pairings(np)
     for part, dp in zip(parts, np.delta_parts):
-        if dp.space != nb.space and dp.ambient_dim == nb.ambient_dim:
+        if _pairable(nb, dp):
             for cone, (_, w, pairings) in zip(fan.cones, table.facet_lows(nb, dp.vertices)):
                 if w is not None:
                     vids = cone.vertex_indices

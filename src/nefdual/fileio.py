@@ -104,19 +104,26 @@ def format_rational(x: Fraction) -> str:
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
-def point_text(p: Point, sep: str = " ") -> str:
-    """The coordinates of ``p`` as :func:`format_rational` writes them,
-    joined by ``sep``. They are read off the point's integer form, each
+def point_terms(p: Point) -> list:
+    """The coordinates of ``p`` as :func:`format_rational` and
+    :func:`nefdual.report.coord` write them: an ``int``, or ``"p/q"`` in
+    lowest terms. They are read off the point's integer form, each
     numerator reduced by its gcd with the common denominator, so no
     ``Fraction`` is made."""
     den = p._den
     if den == 1:
-        return sep.join(map(str, p._num))
+        return list(p._num)
     terms = []
     for x in p._num:
         g = gcd(x, den)
-        terms.append(str(x // den) if g == den else f"{x // g}/{den // g}")
-    return sep.join(terms)
+        terms.append(x // den if g == den else f"{x // g}/{den // g}")
+    return terms
+
+
+def point_text(p: Point, sep: str = " ") -> str:
+    """The coordinates of ``p`` as :func:`format_rational` writes them,
+    joined by ``sep`` (:func:`point_terms`)."""
+    return sep.join(map(str, point_terms(p)))
 
 
 def write_polytope_text(p: Polytope) -> str:

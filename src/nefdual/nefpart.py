@@ -106,7 +106,6 @@ Validation never does.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 from operator import index
 from typing import Iterable, NamedTuple
 
@@ -538,10 +537,11 @@ class _Pairings:
     other space, :meth:`facet_lows` for each facet sum z = ℓ_F of a
     polytope, the sum of facet F's vertices, with the one point reaching
     the minimum and that point's pairings with the polytope's vertices. A
-    minimum is an ``int`` when its denominator is 1 and a ``Fraction``
-    otherwise. Each answer is computed once per pair of vertex contents
-    and kept, so every check that reads a minimum shares it, and no reader
-    sees positions, rows, LCMs or weights.
+    minimum is an ``int`` when both vertex tuples are lattice, as on every
+    duality of a reflexive polytope, and a ``Fraction`` otherwise. Each
+    answer is computed once per pair of vertex contents and kept, so every
+    check that reads a minimum shares it, and no reader sees positions or
+    rows.
 
     Storage: each point gets a position among the points of its space the
     first time it is seen, ``index[space]`` mapping its integer form
@@ -555,7 +555,7 @@ class _Pairings:
     once into an exact block (:meth:`_block`), from which both kinds of
     minima are read. An entry of two points that do not pair (of other
     dimensions) is never read: every reader pairs only polytopes it has
-    checked to pair.
+    checked to pair (:func:`_pairable`).
     """
 
     __slots__ = ("index", "rows", "_ids", "_sets", "_blocks")
@@ -577,10 +577,9 @@ class _Pairings:
         return k
 
     def _set(self, points: tuple[Point, ...]) -> tuple:
-        """``(number, positions, L, weights)`` of a vertex tuple: its number
+        """``(number, positions, lattice)`` of a vertex tuple: its number
         among the contents set up, each point's position, added if not yet
-        seen, the LCM L of their denominators, and each one's L / den,
-        which scales its pairings to the denominator L. Set up once per
+        seen, and whether every point is a lattice point. Set up once per
         content, kept under the space and the positions, so equal vertex
         tuples of different polytopes share it, and found by the tuple's
         ``id`` first; the tuple is kept with it, so the ``id`` stays its
@@ -590,27 +589,26 @@ class _Pairings:
             get = self.index[points[0].space].get
             ks = tuple([self._add(p) if (k := get((p._num, p._den))) is None else k for p in points])
             key = (points[0].space, ks)
-            entry = self._sets.get(key)
-            if entry is None:
-                scale = lcm(*[p._den for p in points])
-                entry = self._sets[key] = (len(self._sets), ks, scale, [scale // p._den for p in points])
+            lattice = all([p._den == 1 for p in points])
+            entry = self._sets.setdefault(key, (len(self._sets), ks, lattice))
             hit = self._ids[id(points)] = (points, entry)
         return hit[1]
 
     def _block(self, xs: tuple[Point, ...], ys: tuple[Point, ...]) -> list:
         """``[block, lows, facet lows]`` of two vertex tuples of the two
         spaces, made once per pair of contents: ``block[i][j]`` is the exact
-        <xs[i], ys[j]>, an ``int`` when the product of the tuples' LCMs is
-        1, and the answers of :meth:`lows` and :meth:`facet_lows` are kept
-        there once asked for."""
-        nx, kx, lx, wx = self._set(xs)
-        ny, ky, ly, wy = self._set(ys)
+        <xs[i], ys[j]>, an ``int`` when both tuples are lattice and the
+        ``Fraction`` of the entry over ``xs[i]._den * ys[j]._den``
+        otherwise, and the answers of :meth:`lows` and :meth:`facet_lows`
+        are kept there once asked for."""
+        nx, kx, x_lattice = self._set(xs)
+        ny, ky, y_lattice = self._set(ys)
         entry = self._blocks.get((nx, ny))
         if entry is None:
             rows = self.rows[xs[0].space]
             block = [list(map(rows[k].__getitem__, ky)) for k in kx]
-            if lx * ly != 1:
-                block = [[Fraction(e * w * v, lx * ly) for e, v in zip(row, wy)] for row, w in zip(block, wx)]
+            if not (x_lattice and y_lattice):
+                block = [[Fraction(e, x._den * y._den) for e, y in zip(row, ys)] for row, x in zip(block, xs)]
             entry = self._blocks[nx, ny] = [block, None, None]
         return entry
 
@@ -657,9 +655,18 @@ def _pairings(np: NefPartition) -> _Pairings:
     return np._pairings
 
 
+def _pairable(xs: Polytope, ys: Polytope) -> bool:
+    """Whether the points of ``xs`` pair with those of ``ys``: the two lie
+    in the two spaces and have one ambient dimension. The one test of it:
+    :func:`check_relations` raises on its failure (:func:`_check_pairable`),
+    :func:`nefdual.duality._is_polar_sum` answers ``False`` and
+    :func:`nefdual.duality._read_off` skips the part."""
+    return xs.space != ys.space and xs.ambient_dim == ys.ambient_dim
+
+
 def _check_pairable(xs: Polytope, ys: Polytope) -> None:
     """Raise what ``pair`` raises on a vertex of each, unless they pair."""
-    if xs.space == ys.space or xs.ambient_dim != ys.ambient_dim:
+    if not _pairable(xs, ys):
         pair(xs.vertices[0], ys.vertices[0])
 
 

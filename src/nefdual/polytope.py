@@ -28,10 +28,19 @@ dimensional simplex's facets take one k x (k + d) elimination more). A
 simplex is returned from there, with no insertion. Otherwise the other
 points are inserted one at a time as in the double description method
 (Motzkin et al. 1953; Fukuda and Prodon 1996): each facet is kept whole with
-the bitmask of the inserted points on it, every later facet is an integer
-combination of two existing ones that meet in a ridge, and vertices are read
-off per-facet incidence bitmasks. Normals are primitive integer vectors, and
-only the offsets are divided back.
+the bitmask of the inserted points on it, and every later facet is an
+integer combination of two existing ones that meet in a ridge. Those
+bitmasks are the hull's incidences, kept during the insertion and read
+once: the vertex test and each ``Facet.incidence`` come from them, and no
+point is paired with a facet again except to check that it satisfies it.
+Normals are primitive integer vectors, and only the offsets are divided
+back.
+
+The bitmasks are exact. A facet the new point lies on gets its bit when
+the point is inserted. A facet made through a ridge is s2 * l1 - s1 * l2
+for the ridge's two facet inequalities l1, l2 and s1 < 0 < s2, both
+``>= 0`` on the hull so far; a point inserted earlier lies on it exactly
+when it lies on both, so its bit is already in the AND of their bitmasks.
 
 Two facets meet in a ridge exactly when no third facet holds every point on
 both. The hull so far is the hull of the points inserted so far, so each
@@ -499,9 +508,9 @@ def _plane_across(p, ridge_plus_p, visible, hidden, interior, weight: int):
     of two facet inequalities of the current hull it is oriented with the
     hull on its nonnegative side, and it lies in the direction space with
     them. ``ridge_plus_p`` names the points on the new plane, as a bitmask
-    (bit i for point i) or a set of indices; it becomes the plane's third
-    entry, and its indices, sorted, are the witness if the interior point
-    lies on the plane.
+    (bit i for point i), as :func:`_insert_points` gives it, or a set of
+    indices; it becomes the plane's third entry, and its indices, sorted,
+    are the witness if the interior point lies on the plane.
     """
     n1, c1, _ = visible
     n2, c2, _ = hidden
@@ -520,27 +529,30 @@ def _plane_across(p, ridge_plus_p, visible, hidden, interior, weight: int):
 
 
 def _insert_points(pts, simplex, planes, interior):
-    """Facet planes of the hull of distinct integer points.
+    """Facet planes of the hull of distinct integer points, with their
+    incidences.
 
     ``simplex`` indexes k+1 affinely independent points of ``pts``, where k
     is the dimension of their hull, ``planes`` are that simplex's facets as
-    :func:`hull` finds them, ``(normal, c, vertex set)`` with the simplex on
-    the side ``<x, normal> >= c``, and ``interior`` is the sum of the
-    simplex's points. Returns (normal, c) pairs, one per facet, with the
-    hull satisfying ``<x, normal> >= c``; each normal is primitive and lies
-    in the direction space of the points.
+    :func:`hull` finds them, ``(normal, c, mask)`` with the simplex on the
+    side ``<x, normal> >= c`` and bit i of ``mask`` set when point i of the
+    simplex lies on it, and ``interior`` is the sum of the simplex's
+    points. Returns the hull's facets as ``(normal, c, mask)``, with the
+    hull satisfying ``<x, normal> >= c`` and bit i of ``mask`` set exactly
+    when ``pts[i]`` lies on the facet (the module docstring gives the
+    argument); each normal is primitive and lies in the direction space of
+    the points.
 
-    The other points are inserted one at a time, each facet kept whole as
-    ``(normal, c, mask)``: bit i is set when inserted point i lies on it. A
-    facet the new point p lies on sets p's bit, and the facets p lies beyond
-    are dropped. Across each ridge (the module docstring gives the test)
-    between a facet p lies beyond and one it lies strictly beneath, the
-    facet through the ridge and p is combined from the two
+    The other points are inserted one at a time, each facet kept whole with
+    its mask. A facet the new point p lies on sets p's bit, and the facets
+    p lies beyond are dropped. Across each ridge (the module docstring gives
+    the test) between a facet p lies beyond and one it lies strictly
+    beneath, the facet through the ridge and p is combined from the two
     (:func:`_plane_across`) in O(d) integer operations.
     """
     weight = len(simplex)
     least = weight - 2  # a ridge holds at least k - 1 points
-    facets = [(nv, c, sum([1 << i for i in on])) for nv, c, on in planes]
+    facets = planes
     in_simplex = set(simplex)
     for i, p in enumerate(pts):
         if i in in_simplex:
@@ -568,7 +580,7 @@ def _insert_points(pts, simplex, planes, interior):
                         continue
                     kept.append(_plane_across(p, z | bit, v, h, interior, weight))
         facets = kept
-    return [(nv, c) for nv, c, _ in facets]
+    return facets
 
 
 def _span_basis(rows, d: int) -> list[tuple[int, ...]]:
@@ -630,10 +642,12 @@ def hull(points: Iterable[Point]) -> Polytope:
     simplex is returned as it stands: every point is a vertex and each facet
     holds all points but one. Otherwise the other points are inserted from
     the simplex's facets, each facet kept whole and never split into
-    simplices (:func:`_insert_points`). Each input point's incidences are then
-    one bitmask per facet, and a point is a vertex iff it is the only input
-    point on every facet through it: the AND of those facets' bitmasks is
-    its own bit alone. No elimination is spent on the vertex test.
+    simplices (:func:`_insert_points`), which returns each facet with the
+    bitmask of the input points on it. A point is a vertex iff it is the
+    only input point on every facet through it: the AND of those facets'
+    bitmasks is its own bit alone. The bitmasks also give each
+    ``Facet.incidence``; a last pass over the points only checks that every
+    point satisfies every facet. No elimination is spent on the vertex test.
     """
     pts = list(points)
     if not pts:
@@ -680,62 +694,48 @@ def hull(points: Iterable[Point]) -> Polytope:
         tags = [row[k:] for row in mat]
     sign = 1 if den > 0 else -1
     interior = tuple(map(sum, zip(*[ipts[i] for i in simplex])))
-    verts = frozenset(simplex)
-    start = []
+    verts = sum([1 << i for i in simplex])
+    planes = []
     for excl, nv in enumerate([[-sum(col) for col in zip(*tags)]] + tags):
         g = sign * gcd(*nv)
         nv = tuple([x // g for x in nv])
         c = _dot(ipts[simplex[1 if excl == 0 else 0]], nv)
         if _dot(interior, nv) <= (k + 1) * c:
-            raise InvariantViolation("interior point on facet plane", witness=sorted(verts))
-        start.append((nv, c, verts - {simplex[excl]}))
+            raise InvariantViolation("interior point on facet plane", witness=sorted(simplex))
+        planes.append((nv, c, verts ^ 1 << simplex[excl]))
 
     if n == k + 1:
-        # A simplex: simplex[j] = j, the facet opposite it holds every other
-        # point, and no two facets share a normal.
-        facets = tuple(
-            Facet(Point._from_form(nv, 1, target), Fraction(-c, scale), tuple(sorted(on)))
-            for nv, c, on in sorted(start, key=itemgetter(0))
-        )
-        return Polytope(d, space, tuple(uniq), equalities, facets)
+        # A simplex: simplex[j] = j, and every point is a vertex.
+        vertex_ids = range(n)
+    else:
+        planes = _insert_points(ipts, simplex, planes, interior)
+        for q, x in zip(uniq, ipts):
+            for nv, c, _ in planes:
+                if _dot(x, nv) < c:
+                    # Fail fast on any algorithmic slip: every input point satisfies every facet.
+                    raise InvariantViolation(
+                        "hull facet violated by an input point",
+                        witness=(q, nv, Fraction(-c, scale)),
+                    )
+        # Bit i of a facet's mask says that input point i lies on it. A point
+        # is a vertex iff it is the only input point on every facet through
+        # it: those facets meet in the smallest face holding the point, and a
+        # face of dimension >= 1 is the hull of the (at least two) input
+        # points on it (an AND over no facets is -1, all bits set).
+        vertex_ids = [
+            i for i in range(n)
+            if reduce(and_, [m for _, _, m in planes if m >> i & 1], -1) == 1 << i
+        ]
 
-    # A facet is kept as (normal, e) with <x, normal> >= -e, where e / L is
-    # its offset.
-    planes = sorted([(nv, -c) for nv, c in _insert_points(ipts, simplex, start, interior)])
-
-    # Bit i of masks[j] says that input point i lies on facet j. A point is
-    # a vertex iff it is the only input point on every facet through it:
-    # those facets meet in the smallest face holding the point, and a face
-    # of dimension >= 1 is the hull of the (at least two) input points on it.
-    masks = [0] * len(planes)
-    through: list[list[int]] = []
-    for i, (q, x) in enumerate(zip(uniq, ipts)):
-        on = []
-        for j, (nv, e) in enumerate(planes):
-            val = _dot(x, nv)
-            if val == -e:
-                masks[j] |= 1 << i
-                on.append(j)
-            elif val < -e:
-                # Fail fast on any algorithmic slip: every input point satisfies every facet.
-                raise InvariantViolation(
-                    "hull facet violated by an input point",
-                    witness=(q, nv, Fraction(e, scale)),
-                )
-        through.append(on)
-    full = (1 << len(ipts)) - 1
-    vertex_ids = [
-        i for i, on in enumerate(through)
-        if reduce(and_, [masks[j] for j in on], full) == 1 << i
-    ]
-
+    # Normals are distinct, so sorting on them alone orders the facets.
+    planes.sort(key=itemgetter(0))
     facets = tuple(
         Facet(
             Point._from_form(nv, 1, target),
-            Fraction(e, scale),
-            tuple(pos for pos, i in enumerate(vertex_ids) if masks[j] >> i & 1),
+            Fraction(-c, scale),
+            tuple([pos for pos, i in enumerate(vertex_ids) if m >> i & 1]),
         )
-        for j, (nv, e) in enumerate(planes)
+        for nv, c, m in planes
     )
     return Polytope(d, space, tuple([uniq[i] for i in vertex_ids]), equalities, facets)
 

@@ -12,9 +12,9 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
-from math import gcd
 
 from .duality import DualityResult
+from .fileio import point_terms
 from .nefpart import NefPartition
 from .polytope import Point, Polytope
 
@@ -28,24 +28,10 @@ def coord(x: Fraction):
     return f"{x.numerator}/{x.denominator}"
 
 
-def point_json(p: Point) -> list:
-    """The coordinates of ``p`` as :func:`coord` writes them, read off the
-    point's integer form: each numerator is reduced by its gcd with the
-    common denominator, so no ``Fraction`` is made."""
-    den = p._den
-    if den == 1:
-        return list(p._num)
-    terms = []
-    for x in p._num:
-        g = gcd(x, den)
-        terms.append(x // den if g == den else f"{x // g}/{den // g}")
-    return terms
-
-
 def polytope_json(p: Polytope) -> dict:
     return {
         "dimension": p.ambient_dim,
-        "vertices": [point_json(v) for v in p.vertices],
+        "vertices": [point_terms(v) for v in p.vertices],
     }
 
 
@@ -55,7 +41,7 @@ def _witness_json(obj):
     if isinstance(obj, Fraction):
         return coord(obj)
     if isinstance(obj, Point):
-        return point_json(obj)
+        return point_terms(obj)
     if isinstance(obj, dict):
         return {str(k): _witness_json(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple, set, frozenset)):
@@ -87,10 +73,10 @@ def base_report(
         "input": {
             "file": source_file,
             "dimension": polytope.ambient_dim,
-            "points": [point_json(p) for p in file_points],
+            "points": [point_terms(p) for p in file_points],
         },
         "canonical": {
-            "vertices": [point_json(v) for v in polytope.vertices],
+            "vertices": [point_terms(v) for v in polytope.vertices],
             "file_to_canonical": list(file_to_canonical),
         },
     }
@@ -131,7 +117,7 @@ def partition_report(
                 {
                     "indices": sorted(part),
                     "vertices": [
-                        point_json(duality.dual.delta.vertices[i])
+                        point_terms(duality.dual.delta.vertices[i])
                         for i in sorted(part)
                     ],
                 }

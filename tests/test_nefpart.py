@@ -36,7 +36,7 @@ from nefdual.nefpart import (
     enumerate_nef_partitions,
     validate_partition,
 )
-from nefdual.polytope import Point, SPACE_N, hull, pair
+from nefdual.polytope import Point, SPACE_M, SPACE_N, hull, pair
 
 from oracles import _intersection_is_origin, _set_partitions, intersection_is_origin
 from oracles import oracle_nef_partitions
@@ -961,6 +961,64 @@ def test_a_non_convex_function_takes_the_full_loop(corpus_by_name):
         assert vi is not None and vi == _full_loop(f, hexagon, part)
         found += 1
     assert found > 0
+
+
+# The pairing table's minima against minima of polytope.pair, on vertex
+# tuples with mixed denominators. A duality of a reflexive polytope pairs
+# only lattice tuples, so the table's exact path for a non-lattice side is
+# reached here: with one side lattice and with neither.
+
+
+@st.composite
+def pairing_sides(draw, lattice):
+    """A hull in M and a tuple of distinct points of N, of one dimension,
+    with the hull's vertices and the tuple lattice as the pair of flags
+    ``lattice`` says."""
+    d = draw(st.integers(1, 3))
+
+    def points(space, is_lattice):
+        num = st.integers(-5, 5)
+        entry = num if is_lattice else st.builds(F, num, st.integers(1, 4))
+        vec = st.lists(entry, min_size=d, max_size=d).map(tuple)
+        return [Point(p, space) for p in draw(st.lists(vec, min_size=1, max_size=6, unique=True))]
+
+    base = hull(points(SPACE_M, lattice[0]))
+    ys = tuple(points(SPACE_N, lattice[1]))
+    assume(base.is_lattice() == lattice[0])
+    assume(all(y.is_lattice() for y in ys) == lattice[1])
+    return base, ys
+
+
+@pytest.mark.parametrize(
+    "lattice", [(True, False), (False, True), (False, False), (True, True)],
+    ids=["lattice-rational", "rational-lattice", "rational-rational", "lattice-lattice"],
+)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_the_table_minima_are_the_minima_of_pair(lattice, data):
+    """``lows`` in both directions and ``facet_lows`` give the exact minima
+    of ``pair``, ``int``s when both tuples are lattice and ``Fraction``s
+    otherwise; ``facet_lows`` gives the one point reaching a minimum with
+    its pairings, or ``None`` on a tie."""
+    base, ys = data.draw(pairing_sides(lattice))
+    xs = base.vertices
+    kind = int if all(lattice) else Fraction
+    table = _Pairings()
+    lows = table.lows(xs, ys)
+    assert lows == tuple(min(pair(x, y) for y in ys) for x in xs)
+    assert {type(m) for m in lows} == {kind}
+    assert table.lows(ys, xs) == tuple(min(pair(x, y) for x in xs) for y in ys)
+    answers = table.facet_lows(base, ys)
+    assert len(answers) == len(base.facets)
+    for f, (m, q, pairings) in zip(base.facets, answers):
+        sums = [sum(pair(xs[i], y) for i in f.incidence) for y in ys]
+        assert m == min(sums) and type(m) is kind
+        if sums.count(m) == 1:
+            assert q == ys[sums.index(m)]
+            assert pairings == tuple(pair(v, q) for v in xs)
+            assert {type(e) for e in pairings} == {kind}
+        else:
+            assert q is None and pairings is None
 
 
 # The parts built from their vertices against the former build kept in

@@ -1,10 +1,12 @@
 """The CLI's reply writers against the routes they replace.
 
 ``report.json_text`` must write exactly what ``json.dumps(obj, indent=2)``
-writes, and the coordinate writers ``fileio.point_text`` and
-``report.point_json``, which read a point's integer form, must write
-exactly what ``format_rational`` and ``report.coord`` write from its
-``Fraction`` coordinates. Every passing golden request is also pinned to
+writes. The one coordinate writer ``fileio.point_terms``, which reads a
+point's integer form, must write exactly what ``report.coord`` writes from
+its ``Fraction`` coordinates; every report writes points through it, and
+it is imported here as ``point_json``, the list a report holds.
+``fileio.point_text`` joins its terms and must write exactly what
+``format_rational`` writes. Every passing golden request is also pinned to
 read no ``Point.coords`` at all.
 """
 
@@ -26,12 +28,13 @@ from nefdual.fileio import (
     format_rational,
     parse_polytope_file,
     parse_polytope_text,
+    point_terms as point_json,
     point_text,
     write_polytope_text,
 )
 from nefdual.nefpart import enumerate_nef_partitions
 from nefdual.polytope import SPACE_M, SPACE_N, Point
-from nefdual.report import coord, json_text, point_json
+from nefdual.report import coord, json_text
 
 DATA, FIX = test_cli.DATA, test_cli.FIX
 PERFBENCH_GOLDEN = Path(__file__).parent.parent / "perfbench" / "golden_cli.json"
