@@ -63,10 +63,12 @@ in the cone pairs least with w_j over Δ_j: ψ_j(y) = -min <Δ_j, y> is
 identities under test, so -w_j is only a candidate. It is taken when
 <y, -w_j> equals ψ_j's indicator value at every vertex y of F; F's
 vertices span the space, so it is then the unique solution of the cone's
-system, the very ``Point`` the cone's table would give, and it goes into the
-fan's memo. A cone where the minimiser is not unique or a pairing misses
-is left to the cone's table, so a tampered source gets the same ψ_j as with a
-table on every cone. On a cone read off, -u = w_j is a vertex of Δ_j by
+system, the very ``Point`` the cone's table would give. Its entry in the
+fan's memo, the masks of the vertices where it exceeds 0 and 1 included,
+comes from the same pairings, and validation of the dual reads it there.
+A cone where the minimiser is not unique or a pairing misses is left to the
+cone's table, so a tampered source gets the same ψ_j as with a table on
+every cone. On a cone read off, -u = w_j is a vertex of Δ_j by
 construction.
 
 The dual is not audited: once ``_decide`` accepts it on ∇, the argument
@@ -242,29 +244,36 @@ def _dual_parts(np: NefPartition, nb: Polytope) -> tuple[frozenset[int], ...]:
 
 
 def _read_off(np: NefPartition, nb: Polytope, parts) -> None:
-    """Put each psi_j cone functional that reads off Δ_j into the memo of
-    ``face_fan(nb)``, leaving the other cones to their tables.
+    """Put the entry of each psi_j cone pattern that reads off Δ_j into the
+    memo of ``face_fan(nb)`` (:meth:`nefdual.fan.FaceFan.entry`), leaving
+    the other cones to their tables.
 
     On cone F, with ℓ_F the sum of F's vertices, w_j is the unique minimiser
-    of <·, ℓ_F> over the vertices of ``np.delta_parts[j]``, and -w_j is kept
-    when <y, -w_j> is psi_j's indicator value at every vertex y of F (see the
-    module docstring). w_j and its pairings with ``nb``'s vertices come
-    with the minimum over Δ_j that the duality's table gives at ℓ_F
+    of <·, ℓ_F> over the vertices of ``np.delta_parts[j]``, and u = -w_j is
+    taken when <y, -w_j> is psi_j's indicator value at every vertex y of F
+    (see the module docstring). w_j and its pairings with ``nb``'s vertices
+    come with the minimum over Δ_j that the duality's table gives at ℓ_F
     (:func:`nefdual.nefpart._pairings`), the very answer that
-    :func:`verify_nabla_polar_is_delta_sum` reads. A tie, a missed pairing
-    or a part of the other space or another dimension leaves the cone to
-    its table.
+    :func:`verify_nabla_polar_is_delta_sum` reads, and they give the whole
+    entry: ``(u, gt0, gt1)`` with gt0 = {v : <v, w_j> < 0} and
+    gt1 = {v : <v, w_j> < -1}. A tie, a missed pairing, a w_j off the
+    lattice (only a tampered source has one) or a part of the other space
+    or another dimension leaves the cone to its table.
     """
     fan = face_fan(nb)
     table = _pairings(np)
     for part, dp in zip(parts, np.delta_parts):
         if _pairable(nb, dp):
-            for cone, (_, w, pairings) in zip(fan.cones, table.facet_lows(nb, dp.vertices)):
-                if w is not None:
-                    vids = cone.vertex_indices
-                    values = tuple([int(i in part) for i in vids])
-                    if all(pairings[i] == -v for i, v in zip(vids, values)):
-                        fan._solves[(cone.index, values)] = -w
+            s = sum([1 << i for i in part])
+            answers = table.facet_lows(nb, dp.vertices)
+            for cone, bits, (_, w, pairings) in zip(fan.cones, fan.bits, answers):
+                pattern = s & bits
+                if w is not None and w.is_lattice() and all(
+                    pairings[i] == -(pattern >> i & 1) for i in cone.vertex_indices
+                ):
+                    gt0 = sum([1 << v for v, x in enumerate(pairings) if x < 0])
+                    gt1 = sum([1 << v for v, x in enumerate(pairings) if x < -1])
+                    fan._entries[cone.index, pattern] = (-w, gt0, gt1)
 
 
 def dual_nef_partition(np: NefPartition) -> NefPartition:
@@ -274,11 +283,11 @@ def dual_nef_partition(np: NefPartition) -> NefPartition:
     origin, which can be a genuine vertex of a nabla part, carries no
     indicator weight and is excluded. The partition is validated on nabla
     by :func:`nefdual.nefpart.validate_partition`, and a rejection raises
-    ``InvariantViolation``. Its cone functionals are read off the source's
-    delta parts first (:func:`_read_off`), and only a cone where that fails
-    gets a table. The dual's own nabla is ``np.delta`` when the cover test
-    shows the hull would be that (see the module docstring), and it shares
-    the source's pairing table. Nothing is checked against the source here:
+    ``InvariantViolation``. Its fan entries are read off the source's delta
+    parts first (:func:`_read_off`), so validation finds them in the memo,
+    and only a cone where that fails gets a table. The dual's own nabla is
+    ``np.delta`` when the cover test shows the hull would be that (see the
+    module docstring), and it shares the source's pairing table. Nothing is checked against the source here:
     :func:`verify_delta_parts_from_dual` checks psi against the delta parts.
 
     :func:`run_full_duality` calls this once; :func:`verify_involution`

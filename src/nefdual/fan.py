@@ -12,14 +12,21 @@ only among the cone's columns (:class:`_ConeKernel`). Its row r is ``D``
 times every vertex's coordinate along basis vertex r, followed by row r of
 ``(D B⁻¹)ᵀ``, B the d facet vertices pivoted on. A sum of rows weighted by
 a functional's values at the basis holds ``D`` times that functional's
-value at every vertex, and ``D`` times the functional itself. So a cone's
-functional for given values is read off such a sum, and the values admit
-one exactly when the sum reproduces them at the cone's other vertices (see
-:meth:`FaceFan.cone_functional`); the subset search of
-:mod:`nefdual.nefpart` reads whole 0/1 sums. The cones of a nabla's fan
-mostly get no table: :mod:`nefdual.duality` reads the dual's functionals
-there off the delta parts, checks each against its cone's values, and puts
-it into the fan's memo. The convexity scan compares
+value at every vertex, and ``D`` times the functional itself. So the
+values admit a functional on the cone exactly when the sum reproduces them
+at the cone's other vertices (:meth:`_ConeKernel.row_sum`), and the
+functional is read off it.
+
+Whether a vertex set S is nef is decided on the fan's one memo, keyed by
+(cone, S's 0/1 pattern on the cone) (:meth:`FaceFan.entry`): its entry says
+whether the pattern has a functional, whether that is a lattice point, and
+which vertices pair with it above 0 and above 1. Validation and
+enumeration in :mod:`nefdual.nefpart` read the same entries, and
+:mod:`nefdual.duality` writes the dual's entries there, read off the delta
+parts, so the cones of a nabla's fan mostly get no table.
+:func:`pl_from_vertex_values` serves arbitrary rational values: it reads
+each cone's functional off a weighted row sum (:meth:`FaceFan.cone_functional`,
+with no memo), and :class:`PLFunction` scans its convexity, comparing
 ``int`` dot products of the points' integer forms, cross-multiplied by
 their denominators. ``Fraction`` and ``Point`` appear only in the public values:
 vertex values and functionals.
@@ -67,19 +74,15 @@ class _ConeKernel:
 
     ``order`` lists the base vertex at each of the first n columns, and
     ``rows[r]`` is row r; ``basis[r]`` is the column, which is also the
-    position in the cone's ``vertex_indices``, of basis vertex r, and
-    ``det = D > 0``. A functional u is fixed by its values c_r = <b_r, u>
-    at the basis, and the sum S = Σ c_r rows[r] holds ``D <v, u>`` at every
-    base vertex v's column and ``D u`` in its last d entries.
-    :meth:`FaceFan.cone_functional` reads two slices of that sum off
-    columns kept here: ``rest`` pairs each other cone position with its
-    column, and ``adj`` holds the identity block's columns, the rows of
-    ``D B⁻¹``. The subset search in :mod:`nefdual.nefpart` sums whole rows.
-    ``dens`` holds the cone's vertices' denominators, and ``lattice`` says
-    they are all 1.
+    position in the cone's ``vertex_indices``, of basis vertex r,
+    ``others`` the cone's other positions, and ``det = D > 0``. A
+    functional u is fixed by its values c_r = <b_r, u> at the basis, and
+    the sum S = Σ c_r rows[r] holds ``D <v, u>`` at every base vertex v's
+    column and ``D u`` in its last d entries; :meth:`row_sum` is its one
+    reader. ``dens`` holds the cone's vertices' denominators.
     """
 
-    __slots__ = ("order", "rows", "basis", "det", "rest", "adj", "dens", "lattice", "space")
+    __slots__ = ("order", "rows", "basis", "others", "det", "dens", "space")
 
     def __init__(self, base: Polytope, cone: Cone):
         verts = base.vertices
@@ -99,37 +102,50 @@ class _ConeKernel:
         if det < 0:
             det = -det
             mat = [[-x for x in row] for row in mat]
-        cols = list(zip(*mat))
         self.order = order
         self.rows = mat
         self.basis = tuple(basis)
+        self.others = tuple([p for p in range(m) if p not in basis])
         self.det = det
-        self.rest = tuple([(p, cols[p]) for p in range(m) if p not in basis])
-        self.adj = tuple(cols[n:])
         self.dens = tuple([verts[i]._den for i in indices])
-        self.lattice = all(den == 1 for den in self.dens)
         self.space = dual_space(base.space)
+
+    def row_sum(self, values) -> list | None:
+        """S = Σ values[basis[r]] rows[r] when S is ``D`` times ``values`` at
+        the cone's other positions, and ``None`` otherwise.
+
+        ``values`` are ``int``s, one per position of the cone's
+        ``vertex_indices``. S is ``D`` times ``values`` at the basis by
+        construction, so ``None`` says that no functional takes them. A
+        weight 1 adds its row as it is, so a 0/1 pattern is a plain sum of
+        rows, with no multiplication.
+        """
+        pairs = zip(self.basis, self.rows)
+        rows = [row if w == 1 else [w * x for x in row] for p, row in pairs if (w := values[p])]
+        total = list(map(sum, zip(*rows))) if rows else [0] * len(self.rows[0])
+        det = self.det
+        for p in self.others:
+            if total[p] != det * values[p]:
+                return None
+        return total
 
 
 class FaceFan:
     """Complete fan whose maximal cones are cones over the facets of ``base``.
 
-    Each cone's table (:class:`_ConeKernel`) is built once per fan, on its
-    first read (:meth:`_kernel`), and kept in ``_kernels``. It has two
-    readers. Every PL function on the fan reads its functionals through
-    :meth:`cone_functional`, which memoizes them: ``_solves`` maps a cone
-    index and the values on that cone's vertices (in ``vertex_indices``
-    order) to the functional taking them, or to ``Inconsistent``, so a
-    pattern of values on one cone is computed once per fan however many
-    partitions share it. The subset search in :mod:`nefdual.nefpart` sums
-    the table's rows itself and calls no :meth:`cone_functional`. A cone
-    that neither reads never gets a table. On a nabla's fan that is most
-    cones: :func:`nefdual.duality.dual_nef_partition` puts the dual's
-    functionals into the memo, read off the delta parts and checked against
-    the cone's values, before it decides the dual.
+    ``bits[c]`` has bit v set for each vertex v of cone c. Each cone's table
+    (:class:`_ConeKernel`) is built once per fan, on its first read
+    (:meth:`_kernel`), and kept in ``_kernels``. The fan keeps one memo,
+    ``_entries``, keyed by a cone and a 0/1 pattern on its vertices
+    (:meth:`entry`), which validation and enumeration both read, so a
+    pattern is read off its table once per fan however many partitions and
+    calls share it. On a nabla's fan most entries are written by
+    :func:`nefdual.duality.dual_nef_partition`, read off the delta parts,
+    and those cones get no table. :meth:`cone_functional` serves arbitrary
+    values and keeps nothing.
     """
 
-    __slots__ = ("base", "cones", "_solves", "_kernels")
+    __slots__ = ("base", "cones", "bits", "_entries", "_kernels")
 
     def __init__(self, base: Polytope):
         if not base.is_full_dimensional:
@@ -141,7 +157,8 @@ class FaceFan:
             Cone(i, f.normal, f.offset, f.incidence)
             for i, f in enumerate(base.facets)
         )
-        self._solves: dict = {}
+        self.bits = tuple([sum([1 << v for v in cone.vertex_indices]) for cone in self.cones])
+        self._entries: dict = {}
         self._kernels: list = [None] * len(self.cones)
 
     def _kernel(self, index: int) -> _ConeKernel:
@@ -151,52 +168,74 @@ class FaceFan:
             kernel = self._kernels[index] = _ConeKernel(self.base, self.cones[index])
         return kernel
 
+    def entry(self, c: int, s: int):
+        """The entry of cone ``c`` for the 0/1 pattern of the vertex set
+        ``s`` (bit v set for v in S) on its vertices, read once per fan.
+
+        It is ``(u, gt0, gt1)`` when a lattice functional u takes the
+        pattern, with the vertex bitmasks gt0 = {v : <v, u> > 0} and
+        gt1 = {v : <v, u> > 1}; ``False`` when a functional takes it that
+        is not a lattice point; and ``None`` when none does. Both failures
+        are falsy. The base must be a lattice polytope (:meth:`_read`).
+        """
+        key = (c, s & self.bits[c])
+        entry = self._entries.get(key, key)
+        if entry is key:
+            entry = self._entries[key] = self._read(*key)
+        return entry
+
+    def _read(self, c: int, pattern: int):
+        """The entry of cone ``c`` for ``pattern``, from the row sum S of
+        the basis vertices in the pattern: S is ``D`` times the pattern at
+        every cone vertex iff the pattern has a functional, D divides S's
+        last d entries iff that is a lattice point, and gt0 and gt1 are the
+        vertices where S is above 0 and above D. The 0/1 values stand for
+        the values at the points themselves only when every vertex is a
+        lattice point."""
+        table = self._kernel(c)
+        total = table.row_sum([pattern >> v & 1 for v in self.cones[c].vertex_indices])
+        if total is None:
+            return None
+        order = table.order
+        det = table.det
+        dual = total[len(order):]
+        if det != 1:
+            if any([x % det for x in dual]):
+                return False
+            dual = [x // det for x in dual]
+        gt0 = gt1 = 0
+        for x, v in zip(total, order):
+            if x > 0:
+                gt0 |= 1 << v
+                if x > det:
+                    gt1 |= 1 << v
+        return (Point._from_form(tuple(dual), 1, table.space), gt0, gt1)
+
     def cone_functional(self, index: int, values: tuple):
         """The functional taking ``values`` on the vertices of cone ``index``.
 
         ``values`` are exact rationals (``int`` or ``Fraction``) aligned
         with the cone's ``vertex_indices``. Returns the solution ``Point``,
-        or ``Inconsistent`` when a non-simplicial facet admits none; both
-        are memoized.
+        or ``Inconsistent`` when a non-simplicial facet admits none.
 
         No linear system is solved. Scale the values by the LCM ``L`` of
         their denominators and each by its vertex's denominator, so that
         ``c`` is the ``int`` right-hand side of ``<_num, u> = c / L``. The
         basis spans the ambient space, so every solution of the cone's
         system is the u taking ``c_B / L`` at the basis, and the system is
-        solvable iff that u also meets every other vertex w of the cone.
-        The sum S = Σ c_r rows[r] of the cone's table (:class:`_ConeKernel`)
-        holds ``D L <_num, u>`` at each vertex and ``D L u`` in its last d
-        entries; only those slices are formed. So w is met iff its entry of
-        S, ``mu . c_B`` with ``mu`` its column, equals ``D * c_w``, an
-        ``int`` equality, and ``u = adj c_B / (D L)``. Facet vertices that
+        solvable iff that u also meets every other vertex of the cone: iff
+        the table's row sum weighted by ``c`` (:meth:`_ConeKernel.row_sum`)
+        exists. Its last d entries are then ``D L u``. Facet vertices that
         fail to span the space are a library bug and raise
         :class:`InvariantViolation` on every call.
         """
-        key = (index, values)
-        u = self._solves.get(key)
-        if u is None:
-            kernel = self._kernel(index)
-            scale = lcm(*[v.denominator for v in values])
-            if scale == 1 and kernel.lattice:
-                c = [v.numerator for v in values]
-            else:
-                c = [
-                    v.numerator * (scale // v.denominator) * den
-                    for v, den in zip(values, kernel.dens)
-                ]
-            basis = [c[p] for p in kernel.basis]
-            det = kernel.det
-            if any(_dot(mu, basis) != det * c[p] for p, mu in kernel.rest):
-                u = Inconsistent
-            else:
-                u = Point._from_form(
-                    tuple([_dot(row, basis) for row in kernel.adj]),
-                    det * scale,
-                    kernel.space,
-                )
-            self._solves[key] = u
-        return u
+        kernel = self._kernel(index)
+        scale = lcm(*[v.denominator for v in values])
+        c = [v.numerator * (scale // v.denominator) * den for v, den in zip(values, kernel.dens)]
+        total = kernel.row_sum(c)
+        if total is None:
+            return Inconsistent
+        return Point._from_form(tuple(total[len(kernel.order):]), kernel.det * scale, kernel.space)
 
     def cone_contains(self, cone: Cone, x: Point) -> bool:
         """Exact membership of ``x`` in the (closed) maximal cone."""
@@ -245,8 +284,9 @@ class PLFunction:
     ``vertex_values[i]`` is the value at the i-th canonical vertex of the
     base polytope; ``functionals[j]`` is the dual-space functional realizing
     the function on the j-th maximal cone. Convexity is scanned once, when
-    the function is built, unless its builder has decided it
-    (``integral_convex``); ``is_convex`` and
+    the function is built (:func:`_convexity_violation`), unless its
+    builder has decided it (``integral_convex``), as validation and
+    enumeration do on the fan's entries; ``is_convex`` and
     :meth:`first_convexity_violation` read the stored result.
     """
 
@@ -360,7 +400,10 @@ def pl_from_vertex_values(fan: FaceFan, values: Sequence) -> PLFunction:
     non-simplicial facet is unsolvable, raises NotPiecewiseLinear naming the
     first such cone. Values are exact rationals; a ``float`` is a
     ``TypeError``. Each cone's functional comes from the fan's integer
-    table and memo (:meth:`FaceFan.cone_functional`).
+    table (:meth:`FaceFan.cone_functional`), and the function's convexity
+    is scanned (:class:`PLFunction`). Validation and enumeration call
+    neither: they decide 0/1 values on the fan's entries
+    (:meth:`FaceFan.entry`).
     """
     verts = fan.base.vertices
     if len(values) != len(verts):
@@ -368,12 +411,9 @@ def pl_from_vertex_values(fan: FaceFan, values: Sequence) -> PLFunction:
             f"{len(verts)} vertices but {len(values)} prescribed values"
         )
     vals = tuple(v if type(v) is Fraction else exact_rational(v) for v in values)
-    # Integral values go to the memo as ``int``s: an equal key with a hash
-    # computed in C, where a ``Fraction`` hashes in Python on every lookup.
-    keys = [v.numerator if v.denominator == 1 else v for v in vals]
     functionals = []
     for cone in fan.cones:
-        u = fan.cone_functional(cone.index, tuple([keys[i] for i in cone.vertex_indices]))
+        u = fan.cone_functional(cone.index, tuple([vals[i] for i in cone.vertex_indices]))
         if u is Inconsistent:
             raise NotPiecewiseLinear(cone.index)
         functionals.append(u)

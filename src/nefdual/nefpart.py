@@ -27,14 +27,14 @@ integral convex PL function φ_S on the face fan.
   −n − u, which is consistent and lattice exactly when u is. So a branch
   is cut on S's pattern alone, and at a leaf Sᶜ has a lattice functional
   on every cone.
-- Two masks per cone decide what the convexity scan decides. φ_S is
-  convex exactly when ⟨v, u⟩ ≤ φ_S(v) for every vertex v and every cone
-  functional u; that is the scan of :func:`nefdual.fan._convexity_violation`.
-  φ_S(v) is 1 on S and 0 off it, so the inequality fails exactly at a v in
+- Two masks per cone decide convexity. φ_S is convex exactly when
+  ⟨v, u⟩ ≤ φ_S(v) for every vertex v and every cone functional u. φ_S(v)
+  is 1 on S and 0 off it, so the inequality fails exactly at a v in
   gt1 = {v : ⟨v, u⟩ > 1}, or at a v outside S in gt0 = {v : ⟨v, u⟩ > 0}.
-  Both sets depend only on the cone and S's pattern on it, so a call
-  computes them once per (cone, pattern), and a subset costs O(cones) mask
-  operations instead of O(vertices × cones) pairings.
+  Both sets depend only on the cone and S's pattern on it, so the fan
+  keeps them once per (cone, pattern) (:meth:`nefdual.fan.FaceFan.entry`),
+  and a subset costs O(cones) mask operations instead of
+  O(vertices × cones) pairings.
 - Each (cone, pattern) is read off one sum of integer rows. The cone's
   table (:class:`nefdual.fan._ConeKernel`) has, for each of d basis
   vertices b_r of its facet, a row holding D λ_r(v) at every vertex v of Δ,
@@ -49,6 +49,18 @@ integral convex PL function φ_S on the face fan.
   D divides T's last d entries, and gt0 and gt1 are the v with T at v
   above 0 and above D. No functional is paired with a vertex, and a
   ``Point`` is made only for a pattern that passes.
+
+Validation decides each part on the same entries (:meth:`_NefSubsets.failure`),
+with the part as a vertex bitmask s: the first cone with no functional
+gives ``NotPiecewiseLinear``; failing that, the first cone whose functional
+is not a lattice point gives ``NotIntegral``; failing that, a nonzero
+bad_c = gt1 | (gt0 & ~s) gives ``NotConvex`` at the lowest vertex v in
+any bad_c and the first cone c whose bad_c holds v. That is the first
+(vertex, cone) where a cone's functional exceeds φ_S, the witness that the
+scan of :class:`nefdual.fan.PLFunction` finds for the same values: cones
+that share a functional share their masks, so the first cone holding v is
+the first cone of the first functional exceeding φ_S at v. So the
+validator, the enumeration and the dual read one memo per fan.
 
 Validation decides (:func:`_decide`) and then builds the parts
 (:func:`_build`), and audits nothing afterwards: once ``_decide`` accepts a
@@ -106,11 +118,12 @@ Validation never does.
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import index
+from functools import reduce
+from operator import index, or_
 from typing import Iterable, NamedTuple
 
-from .errors import NotPiecewiseLinear, NotReflexive
-from .fan import FaceFan, PLFunction, face_fan, pl_from_vertex_values, support_polytope
+from .errors import NotReflexive
+from .fan import FaceFan, PLFunction, face_fan, support_polytope
 from .polytope import SPACE_M, SPACE_N, Point, Polytope, _dot, dual_space, origin, pair
 
 NOT_DISJOINT = "NotDisjoint"
@@ -258,7 +271,9 @@ def _decide(delta: Polytope, parts: Iterable[Iterable[int]]):
 
     Returns the first :class:`Rejection`, or ``(parts, fan, phis)``: the
     parts as a tuple of frozensets, the face fan of ``delta`` and the
-    integral convex PL extension of each part's indicator.
+    integral convex PL extension of each part's indicator. Each part is
+    decided on the fan's entries (:meth:`_NefSubsets.failure`), and φ is
+    built from them with no scan.
     """
     if not delta.is_reflexive():
         raise NotReflexive("nef-partitions are defined on reflexive polytopes")
@@ -288,20 +303,15 @@ def _decide(delta: Polytope, parts: Iterable[Iterable[int]]):
         return Rejection(NOT_COVERING, vertex=missing[0])
 
     fan = face_fan(delta)
+    subsets = _NefSubsets(fan)
     phis: list[PLFunction] = []
     for pi, part in enumerate(norm_parts):
-        values = [_ONE if i in part else _ZERO for i in range(nverts)]
-        try:
-            f = pl_from_vertex_values(fan, values)
-        except NotPiecewiseLinear as exc:
-            return Rejection(NOT_PIECEWISE_LINEAR, part=pi, cone=exc.cone_index)
-        bad_cone = f.first_nonintegral_cone()
-        if bad_cone is not None:
-            return Rejection(NOT_INTEGRAL, part=pi, cone=bad_cone)
-        if not f.is_convex:
-            vi, ci = f.first_convexity_violation()
-            return Rejection(NOT_CONVEX, part=pi, vertex=vi, cone=ci)
-        phis.append(f)
+        s = sum([1 << i for i in part])
+        failure = subsets.failure(s)
+        if failure is not None:
+            reason, cone, vertex = failure
+            return Rejection(reason, part=pi, cone=cone, vertex=vertex)
+        phis.append(subsets.phi(s))
     return norm_parts, fan, tuple(phis)
 
 
@@ -331,68 +341,50 @@ class _NefSubsets:
     """The nef subsets of ``fan``'s base, decided by vertex bitmasks.
 
     A subset S of the vertices is an ``int`` with bit v set for v in S. For
-    a cone c and S's 0/1 pattern on its vertices, ``cone(c, s)`` memoizes
-    ``(u, gt0, gt1)``: the functional u taking the pattern, when it is a
-    lattice point, and the vertex sets gt0 = {v : <v, u> > 0} and
-    gt1 = {v : <v, u> > 1}; or ``None`` when the pattern has no lattice
-    functional. Then φ_S is an integral convex PL function exactly when
-    every cone has an entry with gt1 empty and gt0 inside S
-    (:meth:`is_nef`; the module docstring gives the argument).
-
-    An entry is read off one sum of rows of the cone's table
-    (:meth:`nefdual.fan.FaceFan._kernel`; the module docstring gives the
-    argument), which holds for a base with lattice vertices, as a reflexive
-    one has.
+    a cone c, the fan's entry for S's pattern on it
+    (:meth:`nefdual.fan.FaceFan.entry`) is ``(u, gt0, gt1)``, u the lattice
+    functional taking the pattern and gt0 = {v : <v, u> > 0},
+    gt1 = {v : <v, u> > 1}; or ``False`` (a functional off the lattice) or
+    ``None`` (no functional). Then φ_S is an integral convex PL function
+    exactly when every cone has an entry ``(u, gt0, gt1)`` with gt1 empty
+    and gt0 inside S (:meth:`is_nef`; the module docstring gives the
+    argument), and :meth:`failure` names the first reason it is not. The
+    entries are kept on the fan, so every reader of one fan shares them.
+    An entry is read off one sum of rows of the cone's table, which holds
+    for a base with lattice vertices, as a reflexive one has.
     """
 
-    __slots__ = ("fan", "n", "bits", "_masks")
+    __slots__ = ("fan", "n")
 
     def __init__(self, fan: FaceFan):
         self.fan = fan
         self.n = len(fan.base.vertices)
-        self.bits = [sum(1 << v for v in cone.vertex_indices) for cone in fan.cones]
-        self._masks: dict = {}
-
-    def cone(self, c: int, s: int):
-        pattern = s & self.bits[c]
-        key = (c, pattern)
-        entry = self._masks.get(key, key)
-        if entry is key:
-            entry = self._masks[key] = self._read(c, pattern)
-        return entry
-
-    def _read(self, c: int, pattern: int):
-        """The entry of cone ``c`` for ``pattern`` from its row sum S: the
-        pattern has a functional iff S is D times the pattern at the cone's
-        other vertices (at the basis it is by construction), and the
-        functional is a lattice point iff D divides S's last d entries."""
-        table = self.fan._kernel(c)
-        order = table.order
-        rows = [row for p, row in zip(table.basis, table.rows) if pattern >> order[p] & 1]
-        total = list(map(sum, zip(*rows))) if rows else [0] * len(table.rows[0])
-        det = table.det
-        for p, _ in table.rest:
-            if total[p] != (det if pattern >> order[p] & 1 else 0):
-                return None
-        dual = total[len(order):]
-        if det != 1:
-            if any([x % det for x in dual]):
-                return None
-            dual = [x // det for x in dual]
-        gt0 = gt1 = 0
-        for x, v in zip(total, order):
-            if x > 0:
-                gt0 |= 1 << v
-                if x > det:
-                    gt1 |= 1 << v
-        return (Point._from_form(tuple(dual), 1, table.space), gt0, gt1)
 
     def is_nef(self, s: int) -> bool:
-        for c in range(len(self.bits)):
-            entry = self.cone(c, s)
-            if entry is None or entry[2] or entry[1] & ~s:
+        entry = self.fan.entry
+        for c in range(len(self.fan.cones)):
+            e = entry(c, s)
+            if not e or e[2] or e[1] & ~s:
                 return False
         return True
+
+    def failure(self, s: int):
+        """``None`` when S is nef, and otherwise ``(reason, cone, vertex)``:
+        the first cone with no functional (``NotPiecewiseLinear``), else the
+        first with a functional off the lattice (``NotIntegral``), else the
+        lowest vertex v where some cone's functional exceeds φ_S and the
+        first such cone (``NotConvex``), vertex ``None`` for the first two."""
+        entries = [self.fan.entry(c, s) for c in range(len(self.fan.cones))]
+        if None in entries:
+            return NOT_PIECEWISE_LINEAR, entries.index(None), None
+        if False in entries:
+            return NOT_INTEGRAL, entries.index(False), None
+        bad = [gt1 | gt0 & ~s for _, gt0, gt1 in entries]
+        low = reduce(or_, bad)
+        if not low:
+            return None
+        low &= -low
+        return NOT_CONVEX, next(c for c, b in enumerate(bad) if b & low), low.bit_length() - 1
 
     def lattice_subsets(self):
         """Every S other than the full set that holds vertex 0 and whose
@@ -407,11 +399,11 @@ class _NefSubsets:
         for c, cone in enumerate(self.fan.cones):
             closing[max(cone.vertex_indices)].append(c)
         stack = [(0, 1)]
-        cone = self.cone
+        entry = self.fan.entry
         while stack:
             i, s = stack.pop()
             for c in closing[i]:
-                if cone(c, s) is None:
+                if not entry(c, s):
                     break
             else:
                 if i == n - 1:
@@ -423,9 +415,9 @@ class _NefSubsets:
                     stack.append((i + 1, t))
 
     def phi(self, s: int) -> PLFunction:
-        """φ_S for an S that :meth:`is_nef` accepted, with no scan."""
+        """φ_S for a nef S, from the fan's entries, with no scan."""
         values = tuple([_ONE if s >> v & 1 else _ZERO for v in range(self.n)])
-        functionals = tuple([self.cone(c, s)[0] for c in range(len(self.bits))])
+        functionals = tuple([self.fan.entry(c, s)[0] for c in range(len(self.fan.cones))])
         return PLFunction(self.fan, values, functionals, integral_convex=True)
 
 
@@ -453,7 +445,8 @@ def _exact_covers(blocks: list[int], full: int, r: int):
 def enumerate_nef_partitions(delta: Polytope, r: int) -> list[NefPartition]:
     """All nef-partitions of ``delta`` into exactly ``r`` unlabeled parts.
 
-    Two searches share one memo local to the call (:class:`_NefSubsets`).
+    Two searches read the fan's entries (:class:`_NefSubsets`), kept on the
+    fan, so a later call or validation on the same base reads them again.
     The subset search labels the vertices in or out of a subset S holding
     vertex 0, cuts a branch at the first cone where S's pattern has no
     lattice functional, and keeps S and its complement when both are nef

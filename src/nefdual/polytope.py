@@ -508,9 +508,9 @@ def _plane_across(p, ridge_plus_p, visible, hidden, interior, weight: int):
     of two facet inequalities of the current hull it is oriented with the
     hull on its nonnegative side, and it lies in the direction space with
     them. ``ridge_plus_p`` names the points on the new plane, as a bitmask
-    (bit i for point i), as :func:`_insert_points` gives it, or a set of
-    indices; it becomes the plane's third entry, and its indices, sorted,
-    are the witness if the interior point lies on the plane.
+    (bit i for point i), as :func:`_insert_points` gives it; it becomes the
+    plane's third entry, and its indices, in order, are the witness if the
+    interior point lies on the plane.
     """
     n1, c1, _ = visible
     n2, c2, _ = hidden
@@ -520,10 +520,8 @@ def _plane_across(p, ridge_plus_p, visible, hidden, interior, weight: int):
     c = s2 * c1 - s1 * c2
     assert _dot(p, nv) == c
     if _dot(interior, nv) <= weight * c:
-        on = ridge_plus_p
-        if type(on) is int:
-            on = [i for i in range(on.bit_length()) if on >> i & 1]
-        raise InvariantViolation("interior point on facet plane", witness=sorted(on))
+        on = [i for i in range(ridge_plus_p.bit_length()) if ridge_plus_p >> i & 1]
+        raise InvariantViolation("interior point on facet plane", witness=on)
     g = gcd(*nv)
     return (tuple([x // g for x in nv]), c // g, ridge_plus_p)
 

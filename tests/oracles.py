@@ -21,7 +21,9 @@ Bell-number enumeration
 search over set partitions cut per cone that validated every survivor
 (:func:`_pruned_candidates`, :func:`pruned_enumerate_nef_partitions`),
 solve-per-cone PL extension
-(:func:`pl_from_vertex_values`), hull set-up (:func:`simplex_planes`,
+(:func:`pl_from_vertex_values`), its former validation by the PL extension
+and the convexity scan (:func:`scan_decide`, :func:`scan_validate_partition`,
+:func:`scan_dual_nef_partition`), hull set-up (:func:`simplex_planes`,
 :func:`rank_hull`, :func:`search_hull`), the hull that solved its initial
 simplex's facets by a second elimination (:func:`_simplex_planes`), sent
 a simplex through insertion, inserted points with simplicial facets and
@@ -52,6 +54,7 @@ routes that replaced them.
 from __future__ import annotations
 
 import itertools
+import operator
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations
@@ -69,7 +72,7 @@ from nefdual.errors import (
     NotReflexive,
     ZeroNotInterior,
 )
-from nefdual.fan import FaceFan, PLFunction, face_fan, support_polytope
+from nefdual.fan import FaceFan, PLFunction, face_fan, pl_from_vertex_values as pl_extension, support_polytope
 from nefdual.linalg import (
     Inconsistent,
     SolveFailure,
@@ -81,11 +84,19 @@ from nefdual.linalg import (
 )
 from nefdual import polytope
 from nefdual.nefpart import (
+    EMPTY_PART,
+    NOT_CONVEX,
+    NOT_COVERING,
+    NOT_DISJOINT,
+    NOT_INTEGRAL,
+    NOT_PIECEWISE_LINEAR,
     NefPartition,
     Rejection,
     RelationReport,
+    _build,
     _check_pairable,
     _decide,
+    _pairings,
     validate_partition,
 )
 from nefdual.polytope import (
@@ -733,8 +744,8 @@ def verify_involution(np: NefPartition, dual: NefPartition | None = None) -> Che
 # The former enumeration and PL extension of the library, verbatim: every
 # set partition validated in turn (the library now decides each vertex
 # subset once and searches the covers by nef subsets), and one fresh solve
-# per cone for every PL function (the library now memoizes each cone's
-# solve on the fan).
+# per cone for every PL function (the library now reads each cone's
+# functional off the cone's integer table, kept on the fan).
 # Here ``solve_linear`` is this file's Fraction version above.
 
 
@@ -814,6 +825,86 @@ def pl_from_vertex_values(fan: FaceFan, values: Sequence) -> PLFunction:
     return PLFunction(fan, vals, tuple(functionals))
 
 
+# The library's former validation, verbatim apart from the names: each part
+# decided by the PL extension of its indicator (``fan.pl_from_vertex_values``),
+# then ``first_nonintegral_cone`` and the convexity scan that ``PLFunction``
+# runs when it is built (the library now decides each part on the fan's
+# (cone, pattern) entries, the ones its enumeration reads), and the former
+# dual, validated on nabla with it and given no entry read off the delta
+# parts.
+
+
+def scan_decide(delta: Polytope, parts):
+    """The former ``nefpart._decide``: the first :class:`Rejection`, or
+    ``(parts, fan, phis)``."""
+    if not delta.is_reflexive():
+        raise NotReflexive("nef-partitions are defined on reflexive polytopes")
+    nverts = len(delta.vertices)
+    norm_parts = tuple(frozenset(operator.index(i) for i in part) for part in parts)
+    for part in norm_parts:
+        for i in part:
+            if i < 0 or i >= nverts:
+                raise IndexError(f"vertex index {i} out of range 0..{nverts - 1}")
+
+    for pi, part in enumerate(norm_parts):
+        if not part:
+            return Rejection(EMPTY_PART, part=pi)
+    seen: dict[int, int] = {}
+    for pi, part in enumerate(norm_parts):
+        for i in sorted(part):
+            if i in seen:
+                return Rejection(
+                    NOT_DISJOINT,
+                    part=pi,
+                    vertex=i,
+                    detail=f"also in part {seen[i]}",
+                )
+            seen[i] = pi
+    missing = [i for i in range(nverts) if i not in seen]
+    if missing:
+        return Rejection(NOT_COVERING, vertex=missing[0])
+
+    fan = face_fan(delta)
+    phis: list[PLFunction] = []
+    for pi, part in enumerate(norm_parts):
+        values = [Fraction(1) if i in part else Fraction(0) for i in range(nverts)]
+        try:
+            f = pl_extension(fan, values)
+        except NotPiecewiseLinear as exc:
+            return Rejection(NOT_PIECEWISE_LINEAR, part=pi, cone=exc.cone_index)
+        bad_cone = f.first_nonintegral_cone()
+        if bad_cone is not None:
+            return Rejection(NOT_INTEGRAL, part=pi, cone=bad_cone)
+        if not f.is_convex:
+            vi, ci = f.first_convexity_violation()
+            return Rejection(NOT_CONVEX, part=pi, vertex=vi, cone=ci)
+        phis.append(f)
+    return norm_parts, fan, tuple(phis)
+
+
+def scan_validate_partition(delta: Polytope, parts):
+    """The former ``validate_partition``: :func:`scan_decide`, then the
+    library's build of the parts."""
+    decided = scan_decide(delta, parts)
+    if isinstance(decided, Rejection):
+        return decided
+    norm_parts, fan, phis = decided
+    return NefPartition(delta, norm_parts, fan, phis, *_build(delta, norm_parts, phis))
+
+
+def scan_dual_nef_partition(np: NefPartition) -> NefPartition:
+    """The library's ``dual_nef_partition`` with the dual validated by
+    :func:`scan_validate_partition`, and nothing read off the delta parts."""
+    nb = nabla(np)
+    dual = scan_validate_partition(nb, _dual_parts(np, nb))
+    if isinstance(dual, Rejection):
+        raise InvariantViolation("dual partition failed validation", witness=str(dual))
+    if _covers(np.delta, dual.nabla_parts):
+        object.__setattr__(dual, "_nabla", np.delta)
+    object.__setattr__(dual, "_pairings", _pairings(np))
+    return dual
+
+
 # The former enumeration of the library, verbatim apart from the name: a
 # search over the set partitions that cuts a branch at the first cone where
 # some part's pattern has no lattice functional, and validates every
@@ -881,9 +972,8 @@ def pruned_enumerate_nef_partitions(delta: Polytope, r: int) -> list[NefPartitio
     indicator fails to extend to a lattice functional on some cone; each
     survivor is checked in full by :func:`validate_partition`. No symmetry
     reduction is applied. All candidates share the face fan cached on
-    ``delta`` and the fan's memo of per-cone functionals, so validating a
-    survivor reuses the search's functionals. The result is sorted by
-    canonical part lists.
+    ``delta`` and its cone tables. The result is sorted by canonical part
+    lists.
 
     The result equals that of validating every set partition.
     ``validate_partition`` checks each part's 0/1 values cone by cone and
@@ -957,6 +1047,14 @@ def _simplex_planes(pts, simplex, eq_rows, interior, weight: int):
     return planes
 
 
+def _plane_across_set(p, on, visible, hidden, interior, weight: int):
+    """``polytope._plane_across`` for a plane whose points come as a set:
+    the library's plane, read off ``nefdual.polytope`` when called and
+    given the set as a bitmask, with the set as its third entry."""
+    normal, c, _ = polytope._plane_across(p, sum(1 << i for i in on), visible, hidden, interior, weight)
+    return (normal, c, on)
+
+
 def search_beneath_beyond_planes(pts, k: int, eq_rows):
     """Facet planes of the hull of distinct integer points spanning k dimensions.
 
@@ -1016,7 +1114,7 @@ def search_beneath_beyond_planes(pts, k: int, eq_rows):
                 other = b if a == fid else a
                 if other not in visible:
                     new_facets.append(
-                        polytope._plane_across(
+                        _plane_across_set(
                             p, ridge | {i}, facets[fid], facets[other], interior, weight
                         )
                     )
@@ -1286,7 +1384,7 @@ def simplex_beneath_beyond_planes(pts, simplex, eq_rows):
                 other = b if a == fid else a
                 if other not in visible:
                     new_facets.append(
-                        polytope._plane_across(
+                        _plane_across_set(
                             p, ridge | {i}, facets[fid], facets[other], interior, weight
                         )
                     )
@@ -1764,9 +1862,13 @@ def pair_min_check_relations(np: NefPartition) -> RelationReport:
 
 
 def dot_read_off(np: NefPartition, nb: Polytope, parts) -> None:
-    """Put each psi_j cone functional that reads off Δ_j into the memo of
-    ``face_fan(nb)``, leaving the other cones to the kernel, pairing each
-    vertex of a delta part with every vertex of ``nb`` by a dot product."""
+    """Put the entry of each psi_j cone pattern that reads off Δ_j into the
+    memo of ``face_fan(nb)``, leaving the other cones to the kernel, pairing
+    each vertex of a delta part with every vertex of ``nb`` by a dot
+    product. The entry is the one :meth:`FaceFan.entry` describes, with
+    its masks read off the minimiser's pairings, so only its format is the
+    library's; the former read-off put the functional alone into the
+    former memo of functionals."""
     fan = face_fan(nb)
     verts = [v._num for v in nb.vertices]
     space = dual_space(nb.space)
@@ -1790,9 +1892,15 @@ def dot_read_off(np: NefPartition, nb: Polytope, parts) -> None:
             if best is not None and not tie and all(
                 best_row[i] == -v * best_den for i, v in zip(vids, values)
             ):
-                fan._solves[(cone.index, values)] = Point._from_form(
-                    tuple([-a for a in best]), best_den, space
-                )
+                pattern = sum(1 << i for i, v in zip(vids, values) if v)
+                u = Point._from_form(tuple([-a for a in best]), best_den, space)
+                if not u.is_lattice():
+                    fan._entries[cone.index, pattern] = False
+                    continue
+                # <v, u> = -best_row[v] / best_den, with best_den = 1 here
+                gt0 = sum(1 << v for v, x in enumerate(best_row) if -x > 0)
+                gt1 = sum(1 << v for v, x in enumerate(best_row) if -x > 1)
+                fan._entries[cone.index, pattern] = (u, gt0, gt1)
 
 
 def convexity_violation(fan: FaceFan, vertex_values, functionals):
@@ -1880,16 +1988,18 @@ def hrep_contains(f: PLFunction, point: Point) -> bool:
     return True
 
 
-def functional_cone_entry(subsets, c: int, s: int):
-    """The former ``nefpart._NefSubsets.cone`` entry, with no memo of its own:
-    the functional of S's 0/1 pattern on cone ``c`` by
-    :meth:`FaceFan.cone_functional`, and gt0 and gt1 by one ``int`` dot
-    product per vertex. ``None`` when the pattern has no lattice functional."""
-    fan = subsets.fan
-    pattern = s & subsets.bits[c]
+def functional_cone_entry(fan: FaceFan, c: int, s: int):
+    """The fan's entry for S's 0/1 pattern on cone ``c``
+    (:meth:`FaceFan.entry`) by the former route, with no memo: the
+    functional by :meth:`FaceFan.cone_functional`, and gt0 and gt1 by one
+    ``int`` dot product per vertex. ``None`` when the pattern has no
+    functional, ``False`` when it is not a lattice point."""
+    pattern = s & fan.bits[c]
     u = fan.cone_functional(c, tuple([pattern >> v & 1 for v in fan.cones[c].vertex_indices]))
-    if u is Inconsistent or not u.is_lattice():
+    if u is Inconsistent:
         return None
+    if not u.is_lattice():
+        return False
     gt0 = gt1 = 0
     for v, vertex in enumerate(fan.base.vertices):
         x = _dot(vertex._num, u._num)

@@ -2,14 +2,15 @@
 
 Every cached value must be the identical object on a repeated call, and a
 computation on objects whose caches are already filled must give the same
-answer as one on freshly built objects. The face fan's memo of per-cone
-solves is one such cache.
+answer as one on freshly built objects. The face fan's memo of
+(cone, pattern) entries is one such cache, shared by validation and
+enumeration.
 """
 
 import pytest
 
 from nefdual.duality import nabla, run_full_duality
-from nefdual.fan import face_fan
+from nefdual.fan import FaceFan, face_fan
 from nefdual.nefpart import (
     NefPartition,
     Rejection,
@@ -82,11 +83,27 @@ def test_run_full_duality_on_cold_and_warm_objects_agrees():
 
 
 @pytest.mark.parametrize("name,r", [("cube", 2), ("hexagon", 3), ("octahedron", 2)])
-def test_validation_on_a_cold_fan_and_on_one_warmed_by_enumeration_agrees(corpus_by_name, name, r):
+def test_validation_on_a_cold_fan_and_on_one_warmed_by_enumeration_agrees(
+    corpus_by_name, monkeypatch, name, r
+):
+    """Validation on a fan whose entries enumeration has read gives what it
+    gives on a fresh fan, and reads none of those (cone, pattern) entries
+    off a table again: each entry it reads is read once, and fewer are read
+    than on the fresh fans (none on the hexagon and the octahedron)."""
     coords = [v.coords for v in corpus_by_name[name].polytope.vertices]
     warm = hull([Point(c) for c in coords])
     enumerate_nef_partitions(warm, r)  # builds the tables of the cones the search reads
-    assert any(table is not None for table in face_fan(warm)._kernels)
+    fan = face_fan(warm)
+    assert any(table is not None for table in fan._kernels)
+    decided = set(fan._entries)
+    reads = {True: [], False: []}
+    original_read = FaceFan._read
+
+    def recording_read(self, c, pattern):
+        reads[self is fan].append((c, pattern))
+        return original_read(self, c, pattern)
+
+    monkeypatch.setattr(FaceFan, "_read", recording_read)
     for cand in _set_partitions(len(coords), r):
         cold = validate_partition(hull([Point(c) for c in coords]), cand)
         again = validate_partition(warm, cand)
@@ -95,3 +112,5 @@ def test_validation_on_a_cold_fan_and_on_one_warmed_by_enumeration_agrees(corpus
         if isinstance(cold, NefPartition):
             assert [f.functionals for f in again.phi] == [f.functionals for f in cold.phi]
             assert again.nabla_parts == cold.nabla_parts
+    assert not decided & set(reads[True])
+    assert len(reads[True]) == len(set(reads[True])) < len(set(reads[False]))

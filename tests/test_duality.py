@@ -10,7 +10,7 @@ import pytest
 import oracles
 from test_nefpart import _audit_inputs, _fresh, pairing_checks, shortcut_count
 
-from nefdual import cli, duality, fan, nefpart, polytope
+from nefdual import cli, duality, nefpart, polytope
 from nefdual.duality import (
     dual_nef_partition,
     nabla,
@@ -838,24 +838,25 @@ def test_every_tampered_source_matches_both_former_duals_or_fails_delta_parts_fr
 
 # The duality read off one pairing table against the former pairing route
 # kept in tests/oracles.py: the sum checks on a polar, the relation checks by
-# a dot product per pairing, the read-off that paired on its own and the
-# convexity scan over every cone's functional.
+# a dot product per pairing and the read-off that paired on its own. The
+# former route's convexity scan over every cone's functional is no longer
+# on this path: the dual is decided on the fan's entries.
 
 FORMER_PAIRING_ROUTE = (
     (duality, "check_relations", oracles.pair_min_check_relations),
     (duality, "verify_polar_is_nabla_sum", oracles.polar_support_polar_is_nabla_sum),
     (duality, "verify_nabla_polar_is_delta_sum", oracles.polar_support_nabla_polar_is_delta_sum),
     (duality, "_read_off", oracles.dot_read_off),
-    (fan, "_convexity_violation", oracles.convexity_violation),
 )
 
 
 def pairing_outcome(np_):
-    """duality_outcome, and the memo of nabla's fan when the run returned."""
+    """duality_outcome, and the entry memo of nabla's fan when the run
+    returned."""
     got = duality_outcome(np_)
     if got[0] == "raised":
         return got
-    return got, face_fan(nabla(np_))._solves
+    return got, face_fan(nabla(np_))._entries
 
 
 def table_and_former_pairing_routes(np_, monkeypatch):
@@ -869,8 +870,8 @@ def table_and_former_pairing_routes(np_, monkeypatch):
 
 
 def test_the_pairing_table_matches_the_former_pairing_route_on_the_corpus(corpus, monkeypatch):
-    """Equal six CheckResults, dual in full and memo of nabla's fan on every
-    corpus nef-partition at r = 1..3."""
+    """Equal six CheckResults, dual in full and entry memo of nabla's fan on
+    every corpus nef-partition at r = 1..3."""
     count = 0
     for entry in corpus:
         if entry.reflexive:
@@ -902,8 +903,8 @@ def test_the_pairing_table_matches_the_former_pairing_route_on_the_scale_inputs(
 
 
 def test_the_pairing_table_matches_the_former_pairing_route_on_the_tampered_sources(monkeypatch):
-    """Alike on every tampered source: equal CheckResults, dual and memo,
-    or the same error raised."""
+    """Alike on every tampered source: equal CheckResults, dual and entry
+    memo, or the same error raised."""
     raised = Counter()
     count = 0
     for bad in tampered_sources():
@@ -914,3 +915,73 @@ def test_the_pairing_table_matches_the_former_pairing_route_on_the_tampered_sour
         count += 1
     assert count == 87
     assert raised == {"NotReflexive": 15, "DimensionMismatch": 12}
+
+
+# The dual decided on the entries that _read_off writes into nabla's fan,
+# against the former dual kept in tests/oracles.py, validated by the PL
+# extension of each part's indicator and the convexity scan.
+
+
+def corpus_and_tampered_sources(corpus):
+    """Every corpus nef-partition at r = 1..3, then every tampered source."""
+    for entry in corpus:
+        if entry.reflexive:
+            coords = [v.coords for v in entry.polytope.vertices]
+            for r in (1, 2, 3):
+                yield from enumerate_nef_partitions(_fresh(coords), r)
+    yield from tampered_sources()
+
+
+def dual_decision(route, np_):
+    """The dual that ``route`` gives, with its psi functionals and its own
+    nabla when it was kept, or the error it raised."""
+    got = outcome(route, np_)
+    if got[0] == "raised":
+        return got
+    dual = got[1]
+    return (dual, [(f.functionals, f.is_convex, f.is_integral) for f in dual.phi], dual._nabla)
+
+
+def test_the_dual_decided_on_the_fan_entries_matches_the_scan_route(corpus):
+    """dual_nef_partition, whose validation reads the entries _read_off
+    writes, and ``oracles.scan_dual_nef_partition`` on a copy of the source
+    that builds its own nabla and fan give equal duals with equal psi
+    functionals, or raise the same error, on every corpus nef-partition at
+    r = 1..3 and every tampered source."""
+    raised = Counter()
+    count = 0
+    for np_ in corpus_and_tampered_sources(corpus):
+        new = dual_decision(dual_nef_partition, np_)
+        assert new == dual_decision(oracles.scan_dual_nef_partition, np_._replace()), np_
+        if new[0] == "raised":
+            raised[new[1].__name__] += 1
+        count += 1
+    assert count == 175 + 87
+    assert raised == {"NotReflexive": 15, "DimensionMismatch": 8}
+
+
+def test_every_entry_read_off_the_delta_parts_is_the_tables_entry(corpus):
+    """On the nabla of every corpus nef-partition at r = 1..3 and of every
+    tampered source whose nabla is reflexive, each entry that _read_off
+    writes equals the entry the cone's table gives for that (cone, pattern)
+    (``FaceFan._read``) on a fan of its own. On the corpus every (cone,
+    part) is read off."""
+    kinds = Counter()
+    for k, np_ in enumerate(corpus_and_tampered_sources(corpus)):
+        source = np_._replace()
+        got = outcome(nabla, source)
+        if got[0] == "raised" or not got[1].is_reflexive():
+            continue
+        nb = got[1]
+        parts = duality._dual_parts(source, nb)
+        duality._read_off(source, nb, parts)
+        written = face_fan(nb)._entries
+        fresh = face_fan(hull(list(nb.vertices)))
+        assert fresh.cones == face_fan(nb).cones
+        for key, entry in written.items():
+            assert fresh._read(*key) == entry, (np_, key)
+            kinds[entry if not entry else "lattice"] += 1
+        if k < 175:
+            masks = [sum(1 << i for i in part) for part in parts]
+            assert {(c, s & bits) for c, bits in enumerate(fresh.bits) for s in masks} == set(written)
+    assert kinds == {"lattice": 4664}

@@ -16,7 +16,7 @@ from nefdual.errors import (
     ZeroNotInterior,
 )
 import nefdual.fan as fan_module
-from nefdual import linalg, nefpart, polytope
+from nefdual import linalg, polytope
 from nefdual.duality import run_full_duality
 from nefdual.fan import FaceFan, PLFunction, face_fan, pl_from_vertex_values, support_polytope
 from nefdual.linalg import Inconsistent
@@ -318,7 +318,7 @@ def test_memoized_pl_extension_matches_the_solve_per_cone_route(case):
     fan, values = case
     expected = _pl_outcome(*ORACLE, fan, values)
     assert _pl_outcome(*LIBRARY, fan, values) == expected
-    # the second call answers every cone from the memo
+    # the second call reads every cone off the table its first call built
     assert _pl_outcome(*LIBRARY, fan, values) == expected
     # an indicator shares cone patterns with many others: 1 on the first vertex
     indicator = [1] + [0] * (len(values) - 1)
@@ -393,9 +393,9 @@ def test_cone_functionals_equal_the_solve_per_cone_on_every_corpus_fan_and_polar
 def test_no_linear_solve_is_left_on_the_pl_path_and_each_used_cone_gets_one_kernel(monkeypatch):
     """Enumeration and full duality on fresh polytopes call ``linalg.solve``
     0 times. No cone of any nabla's fan gets a table, though each nabla's
-    fan is asked for functionals: the dual's are read off the delta parts.
-    On each delta's fan, each cone read, for a functional or by the subset
-    search's row sums, gets exactly one table, and no other fan gets one."""
+    fan is asked for entries: the dual's are read off the delta parts.
+    On each delta's fan, each cone read by a row sum gets exactly one
+    table, and no other fan gets one; nothing asks for a functional."""
     solves = []
     original_solve = linalg.solve
 
@@ -419,22 +419,24 @@ def test_no_linear_solve_is_left_on_the_pl_path_and_each_used_cone_gets_one_kern
             super().__init__(base, cone)
 
     searched = set()
-    original_functional = FaceFan.cone_functional
-    original_read = nefpart._NefSubsets._read
+    functionals = []
+    original_entry = FaceFan.entry
+    original_read = FaceFan._read
 
-    def recording_functional(self, index, values):
+    def recording_entry(self, index, s):
         alive.append(self.base)
         used.add((id(self.base), index))
-        return original_functional(self, index, values)
+        return original_entry(self, index, s)
 
     def recording_read(self, index, pattern):
-        alive.append(self.fan.base)
-        searched.add((id(self.fan.base), index))
+        alive.append(self.base)
+        searched.add((id(self.base), index))
         return original_read(self, index, pattern)
 
     monkeypatch.setattr(fan_module, "_ConeKernel", CountingKernel)
-    monkeypatch.setattr(FaceFan, "cone_functional", recording_functional)
-    monkeypatch.setattr(nefpart._NefSubsets, "_read", recording_read)
+    monkeypatch.setattr(FaceFan, "entry", recording_entry)
+    monkeypatch.setattr(FaceFan, "_read", recording_read)
+    monkeypatch.setattr(FaceFan, "cone_functional", lambda *args: functionals.append(args))
     simplex4 = [_unit(4, i) for i in range(4)] + [(-1,) * 4]
     octahedron = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, 0, 0), (0, -1, 0), (0, 0, -1)]
     deltas = []
@@ -446,11 +448,11 @@ def test_no_linear_solve_is_left_on_the_pl_path_and_each_used_cone_gets_one_kern
             assert result.all_passed
             nablas.append(result.nabla)
     assert len(nablas) == 31 + 15  # every set partition of either vertex set is nef
-    assert solves == []
+    assert solves == functionals == []
     delta_ids = {id(base) for base in deltas}
     nabla_ids = {id(base) for base in nablas}
     assert len(built) == len(set(built)) > 0
     assert not nabla_ids & {base for base, _ in built}
     assert nabla_ids <= {base for base, _ in used}
     assert {base for base, _ in searched} == delta_ids
-    assert set(built) == {(base, ci) for base, ci in used | searched if base in delta_ids}
+    assert set(built) == searched

@@ -11,6 +11,7 @@ from math import comb
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import nefdual
 import nefdual.fan as fan
 import nefdual.nefpart as nefpart
 import oracles
@@ -19,7 +20,7 @@ from nefdual.duality import (
     verify_nabla_polar_is_delta_sum,
     verify_polar_is_nabla_sum,
 )
-from nefdual.errors import DimensionMismatch, InvariantViolation, NotReflexive
+from nefdual.errors import DimensionMismatch, InvariantViolation, NotPiecewiseLinear, NotReflexive
 from nefdual.nefpart import (
     EMPTY_PART,
     NOT_CONVEX,
@@ -504,7 +505,7 @@ def test_the_masks_decide_convexity_like_the_scan(corpus):
             values = [F(s >> v & 1) for v in range(n)]
             try:
                 f = fan.pl_from_vertex_values(face, values)
-            except nefpart.NotPiecewiseLinear:
+            except NotPiecewiseLinear:
                 scan = "not piecewise linear"
             else:
                 if not f.is_integral:
@@ -517,30 +518,31 @@ def test_the_masks_decide_convexity_like_the_scan(corpus):
 
 
 def test_the_row_sums_give_the_former_cone_entries(corpus, scale_bench):
-    """On every cone and every 0/1 pattern on its vertices, the entry read
-    off the cone table's row sum equals the former route's, a functional
-    and one dot product per vertex (``oracles.functional_cone_entry``), on a
-    fan of its own: every reflexive corpus polytope, the three enum4d
-    inputs, and 4D cross, the 4-cube and hex⊕hex of bench/scale.py. Tables
-    with D > 1 and D = 1, and entries with and without a lattice
-    functional, all occur."""
+    """On every cone and every 0/1 pattern on its vertices, the fan's entry
+    read off the cone table's row sum equals the former route's, a
+    functional and one dot product per vertex
+    (``oracles.functional_cone_entry``), on a fan of its own: every
+    reflexive corpus polytope, the three enum4d inputs, and 4D cross, the
+    4-cube and hex⊕hex of bench/scale.py. Tables with D > 1 and D = 1, and
+    entries with a lattice functional, with one off the lattice and with
+    none, all occur. The former route keeps no entry."""
     inputs = [[v.coords for v in e.polytope.vertices] for e in corpus if e.reflexive]
     inputs += [FOUR_D[n] for n in ("simplex4", "octahedron_x_segment", "triangle_x_triangle")]
     inputs += [scale_bench.POLYTOPES[n] for n in ("cross4", "cube4", "hex+hex")]
     dets, kinds = set(), Counter()
     for coords in inputs:
-        subsets = nefpart._NefSubsets(fan.face_fan(_fresh(coords)))
-        former = nefpart._NefSubsets(fan.face_fan(_fresh(coords)))
-        for c, cone in enumerate(subsets.fan.cones):
+        face = fan.face_fan(_fresh(coords))
+        former = fan.face_fan(_fresh(coords))
+        for c, cone in enumerate(face.cones):
             for bits in itertools.product((0, 1), repeat=len(cone.vertex_indices)):
                 s = sum(1 << v for v, b in zip(cone.vertex_indices, bits) if b)
-                entry = subsets.cone(c, s)
+                entry = face.entry(c, s)
                 assert entry == oracles.functional_cone_entry(former, c, s), (coords, c, bits)
-                kinds[entry is None] += 1
-            dets.add(subsets.fan._kernels[c].det > 1)
-        assert not subsets.fan._solves
+                kinds[entry if not entry else "lattice"] += 1
+            dets.add(face._kernels[c].det > 1)
+        assert not former._entries
     assert dets == {True, False}
-    assert kinds[True] and kinds[False]
+    assert set(kinds) == {None, False, "lattice"}
 
 
 def test_opposite_rays_meet_only_at_the_origin():
@@ -673,30 +675,24 @@ def test_a_delta_part_with_another_parts_vertex_fails_both_audits():
                 audit(tampered)
 
 
-def test_convexity_is_scanned_once_per_function(monkeypatch, corpus_by_name):
-    """On the hexagon at r=3 most set partitions are NotConvex. Each PL
-    function is scanned once, and the rejection reads the violation found
-    then: the first (vertex, cone) of a scan over the former solve-per-cone
-    functionals with the Fraction pairing."""
-    built = []
+def test_convexity_is_decided_with_no_scan_at_the_first_violation(monkeypatch, corpus_by_name):
+    """On the hexagon at r=3 most set partitions are NotConvex. Validation
+    scans no PL function, and the rejection names the first (vertex, cone)
+    of a scan over the former solve-per-cone functionals with the Fraction
+    pairing."""
     scans = []
-    original_init = fan.PLFunction.__init__
     original_scan = fan._convexity_violation
-
-    def counting_init(self, *args):
-        built.append(1)
-        original_init(self, *args)
 
     def counting_scan(*args):
         scans.append(1)
         return original_scan(*args)
 
-    monkeypatch.setattr(fan.PLFunction, "__init__", counting_init)
     monkeypatch.setattr(fan, "_convexity_violation", counting_scan)
     hexagon = _fresh([v.coords for v in corpus_by_name["hexagon"].polytope.vertices])
     not_convex = 0
     for cand in _set_partitions(len(hexagon.vertices), 3):
         res = validate_partition(hexagon, cand)
+        assert scans == []
         if isinstance(res, Rejection) and res.reason == NOT_CONVEX:
             not_convex += 1
             values = [F(int(i in cand[res.part])) for i in range(len(hexagon.vertices))]
@@ -708,14 +704,16 @@ def test_convexity_is_scanned_once_per_function(monkeypatch, corpus_by_name):
                 if oracles.pair(v, u) > values[vi]
             )
             assert (res.vertex, res.cone) == first
+            scans.clear()  # the oracle's PL function was scanned when built
     assert not_convex > 0
-    assert len(scans) == len(built) > 0
 
 
 def test_the_scan_per_distinct_functional_matches_the_scan_per_cone(
     monkeypatch, corpus, corpus_by_name
 ):
-    """Every PL function that validation scans on the reflexive corpus at
+    """Every PL function that the former validation scanned
+    (``oracles.scan_validate_partition``, which extends each part's
+    indicator by ``pl_from_vertex_values``) on the reflexive corpus at
     r = 1..3, of every set partition, accepted or rejected, every dual's
     psi, and every function with values in {-1, 0, 1} on the hexagon:
     pairing each vertex once with each distinct functional gives the same
@@ -737,13 +735,13 @@ def test_the_scan_per_distinct_functional_matches_the_scan_per_cone(
             delta = _fresh([v.coords for v in entry.polytope.vertices])
             for r in (1, 2, 3):
                 for cand in _set_partitions(len(delta.vertices), r):
-                    res = validate_partition(delta, cand)
+                    res = oracles.scan_validate_partition(delta, cand)
                     if isinstance(res, NefPartition):
                         accepted.append(res)
     assert len(accepted) == 175
     rejected = verdicts[False]
     for np_ in accepted:
-        dual_nef_partition(np_)
+        oracles.scan_dual_nef_partition(np_)
     assert verdicts[False] == rejected
     assert verdicts == {True: 984, False: 110}
     # Every function with values in {-1, 0, 1} on the hexagon's vertices,
@@ -753,6 +751,75 @@ def test_the_scan_per_distinct_functional_matches_the_scan_per_cone(
     for values in itertools.product((-1, 0, 1), repeat=len(hexagon.vertices)):
         fan.pl_from_vertex_values(face, values)
     assert verdicts == {True: 984 + 41, False: 110 + 688}
+
+
+# Validation on the fan's (cone, pattern) entries against the former
+# validation kept in tests/oracles.py, which extends each part's indicator
+# by pl_from_vertex_values, then reads first_nonintegral_cone and the
+# convexity scan.
+
+
+def _decision(res):
+    """A Rejection as it is, or a NefPartition with its φ functionals."""
+    if isinstance(res, Rejection):
+        return res
+    return (res, [(f.functionals, f.is_convex, f.is_integral) for f in res.phi])
+
+
+def test_validation_on_the_fan_entries_matches_the_scan_route(corpus):
+    """Every set partition of each reflexive corpus polytope at r = 1..3,
+    the hexagon at r = 3 among them, and of the three enum4d inputs at
+    r = 2: equal Rejections, or equal NefPartitions with equal φ
+    functionals, from ``validate_partition`` and from
+    ``oracles.scan_validate_partition``."""
+    cases = [
+        ([v.coords for v in e.polytope.vertices], r)
+        for e in corpus if e.reflexive for r in (1, 2, 3)
+    ]
+    assert any(e.name == "hexagon" and e.reflexive for e in corpus)
+    cases += [(FOUR_D[n], 2) for n in ("simplex4", "octahedron_x_segment", "triangle_x_triangle")]
+    reasons = Counter()
+    for coords, r in cases:
+        delta = _fresh(coords)
+        for cand in _set_partitions(len(delta.vertices), r):
+            new = validate_partition(delta, cand)
+            assert _decision(new) == _decision(oracles.scan_validate_partition(delta, cand)), cand
+            reasons[new.reason if isinstance(new, Rejection) else "accepted"] += 1
+    assert reasons == {
+        "accepted": 190, NOT_CONVEX: 110, NOT_INTEGRAL: 68, NOT_PIECEWISE_LINEAR: 3360
+    }
+
+
+def test_validation_extends_no_function_and_scans_none(monkeypatch, corpus):
+    """``validate_partition`` on every set partition of the reflexive
+    corpus at r = 1..3, and ``dual_nef_partition`` on every one accepted,
+    call no ``pl_from_vertex_values``, ``FaceFan.cone_functional`` or
+    convexity scan."""
+    calls = Counter()
+
+    def refused(name):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            raise AssertionError(name)
+        return call
+
+    for module in (nefdual, fan, nefpart):
+        if hasattr(module, "pl_from_vertex_values"):
+            monkeypatch.setattr(module, "pl_from_vertex_values", refused("pl_from_vertex_values"))
+    monkeypatch.setattr(fan.FaceFan, "cone_functional", refused("cone_functional"))
+    monkeypatch.setattr(fan, "_convexity_violation", refused("_convexity_violation"))
+    accepted = 0
+    for entry in corpus:
+        if entry.reflexive:
+            delta = _fresh([v.coords for v in entry.polytope.vertices])
+            for r in (1, 2, 3):
+                for cand in _set_partitions(len(delta.vertices), r):
+                    res = validate_partition(delta, cand)
+                    if isinstance(res, NefPartition):
+                        dual_nef_partition(res)
+                        accepted += 1
+    assert accepted == 175
+    assert calls == {}
 
 
 # The relation checks against the former Fraction ones in tests/oracles.py.

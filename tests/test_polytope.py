@@ -568,19 +568,24 @@ def test_hull_matches_the_two_elimination_hull_on_lattice_boxes(pts):
     assert_hull_matches_the_two_elimination_hull(pts)
 
 
-@pytest.mark.parametrize("on", [frozenset({0, 2}), 0b101], ids=["frozenset", "bitmask"])
-def test_plane_across_names_the_points_of_a_plane_through_the_interior_point(on):
-    """``x >= 0`` is seen from ``p = (-1, 1)`` and ``y >= 0`` is not; the
-    plane across their ridge is ``x + y >= 0``. Given the origin as the
-    interior point, which lies on it, that is an InvariantViolation whose
-    witness is the plane's point indices, sorted, whether they come as a
-    set or as a bitmask; given ``(1, 1)``, the plane comes back with them."""
-    visible = ((1, 0), 0, on)
-    hidden = ((0, 1), 0, on)
+@pytest.mark.parametrize(
+    "visible_on, hidden_on", [(0b0011, 0b1001), (0b101, 0b101)], ids=["ridge_of_the_facets", "bitmask"]
+)
+def test_plane_across_names_the_points_of_a_plane_through_the_interior_point(visible_on, hidden_on):
+    """``x >= 0`` is seen from ``p = (-1, 1)``, point 2, and ``y >= 0`` is
+    not; the plane across their ridge is ``x + y >= 0``, through the ridge's
+    points (those on both facets: point 0, or points 0 and 2 as given) and
+    p, named by one bitmask. Given the origin as the interior point, which
+    lies on it, that is an InvariantViolation whose witness is the plane's
+    point indices in order; given ``(1, 1)``, the plane comes back with its
+    bitmask."""
+    on = visible_on & hidden_on | 1 << 2
+    visible = ((1, 0), 0, visible_on)
+    hidden = ((0, 1), 0, hidden_on)
     with pytest.raises(InvariantViolation, match="interior point on facet plane") as info:
         polytope._plane_across((-1, 1), on, visible, hidden, (0, 0), 1)
     assert info.value.witness == [0, 2]
-    assert polytope._plane_across((-1, 1), on, visible, hidden, (1, 1), 1) == ((1, 1), 0, on)
+    assert polytope._plane_across((-1, 1), on, visible, hidden, (1, 1), 1) == ((1, 1), 0, 0b101)
 
 
 def test_a_polytope_given_wrong_vertices_raises_on_its_first_read(corpus):
