@@ -6,16 +6,20 @@ function on the fan is stored as one linear functional per maximal cone,
 determined exactly by prescribed vertex values.
 
 Nothing here solves a linear system. A maximal cone gets an integer table
-on its first read: one fraction-free elimination of ``[Vᵀ | I]``, V the
-integer forms of all the base's vertices with the cone's own first, pivoting
-only among the cone's columns (:class:`_ConeKernel`). Its row r is ``D``
-times every vertex's coordinate along basis vertex r, followed by row r of
-``(D B⁻¹)ᵀ``, B the d facet vertices pivoted on. A sum of rows weighted by
-a functional's values at the basis holds ``D`` times that functional's
-value at every vertex, and ``D`` times the functional itself. So the
-values admit a functional on the cone exactly when the sum reproduces them
-at the cone's other vertices (:meth:`_ConeKernel.row_sum`), and the
-functional is read off it.
+on its first read (:class:`_ConeKernel`): ``[Vᵀ | I]``, V the integer forms
+of all the base's vertices in vertex order, reduced so that d of the cone's
+vertices are its basis. Its row r is ``D`` times every vertex's coordinate
+along basis vertex r, followed by row r of ``D (Bᵀ)⁻¹``, B the basis
+vertices' forms as rows. The fan starts from ``[Vᵀ | I]`` itself, and each
+table is derived from the last one built by one fraction-free exchange per
+basis vertex not on the new cone (Avis and Fukuda's pivoting step with
+Bareiss's exact division), so a simplicial cone next to the one before
+costs one exchange. A sum of rows weighted by a functional's values at the basis
+holds ``D`` times that functional's value at every vertex, and ``D`` times
+the functional itself. So the values admit a functional on the cone
+exactly when the sum reproduces them at the cone's other vertices, which
+the readers check first, at those columns alone, and the functional is
+read off the full sum.
 
 Whether a vertex set S is nef is decided on the fan's one memo, keyed by
 (cone, S's 0/1 pattern on the cone) (:meth:`FaceFan.entry`): its entry says
@@ -46,7 +50,7 @@ from .errors import (
     NotPiecewiseLinear,
     ZeroNotInterior,
 )
-from .linalg import Inconsistent, eliminate, exact_rational
+from .linalg import Inconsistent, exact_rational
 from .polytope import Point, Polytope, _dot, dual_space, pair
 
 
@@ -59,75 +63,89 @@ class Cone(NamedTuple):
     vertex_indices: tuple[int, ...]
 
 
-class _ConeKernel:
-    """One cone's table: the fraction-free elimination of ``[Vᵀ | I]``.
+class _ConeKernel(NamedTuple):
+    """One cone's table: ``[Vᵀ | I]`` multiplied on the left by ``D (Bᵀ)⁻¹``.
 
-    The matrix is d × (n + d): the integer forms of all n base vertices as
-    columns, the cone's own vertices first, then the d × d identity. Pivots
-    are taken only among the cone's columns, so the d pivot columns are the
-    integer forms of d linearly independent facet vertices, the basis B.
-    The elimination multiplies the matrix on the left by some E with
-    ``E Bᵀ = D I``, that is ``E = D (Bᵀ)⁻¹``. So afterwards row r holds, at
-    each vertex's column, ``D`` times that vertex's coordinate along basis
-    vertex r (``D`` at its own column and 0 at the other basis columns), and
-    the identity block has become E, which is ``(D B⁻¹)ᵀ``.
+    The table is d × (n + d): column v < n holds the integer form of base
+    vertex v, in the base's vertex order, and the last d columns start as
+    the identity. ``rows[r]`` is row r, ``basis[r]`` the column of basis
+    vector r, B the d × d matrix whose rows b_r are those columns of
+    ``[Vᵀ | I]``, and ``det = D = |det B| > 0``. So row r holds, at each
+    vertex's column, ``D`` times that vertex's coordinate along b_r (``D``
+    at its own column and 0 at the other basis columns), and the last d
+    entries of the rows form E = ``D (Bᵀ)⁻¹``, that is ``E Bᵀ = D I``.
 
-    ``order`` lists the base vertex at each of the first n columns, and
-    ``rows[r]`` is row r; ``basis[r]`` is the column, which is also the
-    position in the cone's ``vertex_indices``, of basis vertex r,
-    ``others`` the cone's other positions, and ``det = D > 0``. A
-    functional u is fixed by its values c_r = <b_r, u> at the basis, and
+    A fan's first table is ``[Vᵀ | I]`` itself, basis the identity columns
+    and ``D = 1`` (:meth:`identity`). Every cone's table is derived from the
+    last table built by one exchange per basis column that is not a vertex
+    of the cone (:meth:`exchange`), so its basis is d facet vertices, and
+    ``others`` lists the cone's other vertices. Adjacent simplicial facets
+    share all but one vertex, so between them a table is one exchange away
+    from the one before it.
+
+    A functional u is fixed by its values c_r = <b_r, u> at the basis, and
     the sum S = Σ c_r rows[r] holds ``D <v, u>`` at every base vertex v's
-    column and ``D u`` in its last d entries; :meth:`row_sum` is its one
-    reader. ``dens`` holds the cone's vertices' denominators.
+    column and ``D u`` in its last d entries. So values on the cone admit
+    a functional exactly when S is ``D`` times them at ``others``, and the
+    readers (:meth:`FaceFan._read`, :meth:`FaceFan.cone_functional`) check
+    those columns before they sum a full row.
     """
 
-    __slots__ = ("order", "rows", "basis", "others", "det", "dens", "space")
+    rows: list
+    basis: list
+    det: int
+    others: tuple
 
-    def __init__(self, base: Polytope, cone: Cone):
-        verts = base.vertices
-        n = len(verts)
+    @classmethod
+    def identity(cls, base: Polytope) -> "_ConeKernel":
+        """``[Vᵀ | I]``, whose basis is the identity columns, with ``D = 1``."""
+        n = len(base.vertices)
         d = base.ambient_dim
-        indices = cone.vertex_indices
-        m = len(indices)
-        inside = set(indices)
-        order = indices + tuple([v for v in range(n) if v not in inside])
-        coords = zip(*[verts[v]._num for v in order])
-        mat = [list(col) + [int(k == j) for j in range(d)] for k, col in enumerate(coords)]
-        basis, det = eliminate(mat, m)
-        if len(basis) < d:
-            raise InvariantViolation(
-                "facet vertices failed to span the ambient space", witness=cone.index
-            )
-        if det < 0:
-            det = -det
-            mat = [[-x for x in row] for row in mat]
-        self.order = order
-        self.rows = mat
-        self.basis = tuple(basis)
-        self.others = tuple([p for p in range(m) if p not in basis])
-        self.det = det
-        self.dens = tuple([verts[i]._den for i in indices])
-        self.space = dual_space(base.space)
+        coords = zip(*[v._num for v in base.vertices])
+        rows = [list(col) + [int(k == j) for j in range(d)] for k, col in enumerate(coords)]
+        return cls(rows, list(range(n, n + d)), 1, ())
 
-    def row_sum(self, values) -> list | None:
-        """S = Σ values[basis[r]] rows[r] when S is ``D`` times ``values`` at
-        the cone's other positions, and ``None`` otherwise.
+    def exchange(self, cone: Cone) -> "_ConeKernel":
+        """The table of ``cone``, derived from this one by one fraction-free
+        exchange per basis column that is not a vertex of the cone.
 
-        ``values`` are ``int``s, one per position of the cone's
-        ``vertex_indices``. S is ``D`` times ``values`` at the basis by
-        construction, so ``None`` says that no functional takes them. A
-        weight 1 adds its row as it is, so a 0/1 pattern is a plain sum of
-        rows, with no multiplication.
+        Row r's basis column goes out for the first cone vertex v with a
+        nonzero entry p in row r: row r stays, and every other row i
+        becomes ``(p row_i - row_i[v] row_r) / D``, the new D being p
+        (Bareiss's step; by Sylvester's identity every entry is again a
+        minor, so the division is exact). The cone's vertices span the
+        ambient space, so such a v exists; facet vertices that do not are
+        a library bug and raise :class:`InvariantViolation`. D is made
+        positive at the end: a negative last pivot has its row negated
+        first, which negates every row the step makes. Rows are replaced,
+        never modified, so tables share the rows an exchange leaves alone.
         """
-        pairs = zip(self.basis, self.rows)
-        rows = [row if w == 1 else [w * x for x in row] for p, row in pairs if (w := values[p])]
-        total = list(map(sum, zip(*rows))) if rows else [0] * len(self.rows[0])
+        indices = cone.vertex_indices
+        rows = list(self.rows)
+        basis = list(self.basis)
         det = self.det
-        for p in self.others:
-            if total[p] != det * values[p]:
-                return None
-        return total
+        out = [r for r, b in enumerate(basis) if b not in indices]
+        for r in out:
+            prow = rows[r]
+            col = next((v for v in indices if prow[v]), None)
+            if col is None:
+                raise InvariantViolation(
+                    "facet vertices failed to span the ambient space", witness=cone.index
+                )
+            if r == out[-1] and prow[col] < 0:
+                prow = rows[r] = [-x for x in prow]
+            piv = prow[col]
+            for i, row in enumerate(rows):
+                if i == r:
+                    continue
+                f = row[col]
+                if f:
+                    rows[i] = [(piv * a - f * x) // det for a, x in zip(row, prow)]
+                elif piv != det:
+                    rows[i] = [piv * a // det for a in row]
+            basis[r] = col
+            det = piv
+        return _ConeKernel(rows, basis, det, tuple([v for v in indices if v not in basis]))
 
 
 class FaceFan:
@@ -135,8 +153,9 @@ class FaceFan:
 
     ``bits[c]`` has bit v set for each vertex v of cone c. Each cone's table
     (:class:`_ConeKernel`) is built once per fan, on its first read
-    (:meth:`_kernel`), and kept in ``_kernels``. The fan keeps one memo,
-    ``_entries``, keyed by a cone and a 0/1 pattern on its vertices
+    (:meth:`_kernel`) by exchange from the last table built (``_last``),
+    and kept in ``_kernels``. The fan keeps one memo, ``_entries``, keyed
+    by a cone and a 0/1 pattern on its vertices
     (:meth:`entry`), which validation and enumeration both read, so a
     pattern is read off its table once per fan however many partitions and
     calls share it. On a nabla's fan most entries are written by
@@ -145,7 +164,7 @@ class FaceFan:
     values and keeps nothing.
     """
 
-    __slots__ = ("base", "cones", "bits", "_entries", "_kernels")
+    __slots__ = ("base", "cones", "bits", "_entries", "_kernels", "_last")
 
     def __init__(self, base: Polytope):
         if not base.is_full_dimensional:
@@ -160,12 +179,16 @@ class FaceFan:
         self.bits = tuple([sum([1 << v for v in cone.vertex_indices]) for cone in self.cones])
         self._entries: dict = {}
         self._kernels: list = [None] * len(self.cones)
+        self._last = None
 
     def _kernel(self, index: int) -> _ConeKernel:
-        """The table of cone ``index``, built on first read and kept."""
+        """The table of cone ``index``, built on first read and kept: one
+        exchange from the last table built, or from ``[Vᵀ | I]`` for the
+        fan's first."""
         kernel = self._kernels[index]
         if kernel is None:
-            kernel = self._kernels[index] = _ConeKernel(self.base, self.cones[index])
+            parent = self._last or _ConeKernel.identity(self.base)
+            kernel = self._kernels[index] = self._last = parent.exchange(self.cones[index])
         return kernel
 
     def entry(self, c: int, s: int):
@@ -185,57 +208,76 @@ class FaceFan:
         return entry
 
     def _read(self, c: int, pattern: int):
-        """The entry of cone ``c`` for ``pattern``, from the row sum S of
-        the basis vertices in the pattern: S is ``D`` times the pattern at
-        every cone vertex iff the pattern has a functional, D divides S's
-        last d entries iff that is a lattice point, and gt0 and gt1 are the
-        vertices where S is above 0 and above D. The 0/1 values stand for
-        the values at the points themselves only when every vertex is a
-        lattice point."""
+        """The entry of cone ``c`` for ``pattern``, from the sum S of the
+        table rows whose basis vertex is in the pattern. The pattern has a
+        functional iff S is ``D`` times it at the cone's other vertices,
+        which is checked first, at those columns alone; only then is S
+        summed in full. D divides S's last d entries iff the functional is
+        a lattice point, and gt0 and gt1 are the vertices where S is above
+        0 and above D. The 0/1 values stand for the values at the points
+        themselves only when every vertex is a lattice point."""
         table = self._kernel(c)
-        total = table.row_sum([pattern >> v & 1 for v in self.cones[c].vertex_indices])
-        if total is None:
-            return None
-        order = table.order
         det = table.det
-        dual = total[len(order):]
+        rows = [row for b, row in zip(table.basis, table.rows) if pattern >> b & 1]
+        for v in table.others:
+            # Most patterns fail here; a plain loop over the few rows beats sum().
+            x = 0
+            for row in rows:
+                x += row[v]
+            if x != (pattern >> v & 1) * det:
+                return None
+        n = len(self.base.vertices)
+        total = list(map(sum, zip(*rows))) if rows else [0] * (n + len(table.rows))
+        dual = total[n:]
         if det != 1:
             if any([x % det for x in dual]):
                 return False
             dual = [x // det for x in dual]
         gt0 = gt1 = 0
-        for x, v in zip(total, order):
+        for v, x in zip(range(n), total):
             if x > 0:
                 gt0 |= 1 << v
                 if x > det:
                     gt1 |= 1 << v
-        return (Point._from_form(tuple(dual), 1, table.space), gt0, gt1)
+        return (Point._from_form(tuple(dual), 1, dual_space(self.base.space)), gt0, gt1)
 
     def cone_functional(self, index: int, values: tuple):
         """The functional taking ``values`` on the vertices of cone ``index``.
 
-        ``values`` are exact rationals (``int`` or ``Fraction``) aligned
-        with the cone's ``vertex_indices``. Returns the solution ``Point``,
-        or ``Inconsistent`` when a non-simplicial facet admits none.
+        ``values`` are exact rationals (as :func:`nefdual.linalg.exact_rational`
+        takes them; a ``float`` is a ``TypeError``), one per vertex of the
+        cone's ``vertex_indices``; another count is a
+        :class:`DimensionMismatch`. Returns the solution ``Point``, or
+        ``Inconsistent`` when a non-simplicial facet admits none.
 
         No linear system is solved. Scale the values by the LCM ``L`` of
         their denominators and each by its vertex's denominator, so that
-        ``c`` is the ``int`` right-hand side of ``<_num, u> = c / L``. The
-        basis spans the ambient space, so every solution of the cone's
-        system is the u taking ``c_B / L`` at the basis, and the system is
-        solvable iff that u also meets every other vertex of the cone: iff
-        the table's row sum weighted by ``c`` (:meth:`_ConeKernel.row_sum`)
-        exists. Its last d entries are then ``D L u``. Facet vertices that
-        fail to span the space are a library bug and raise
-        :class:`InvariantViolation` on every call.
+        the weight ``c_v`` is the ``int`` right-hand side of
+        ``<_num, u> = c_v / L``. The basis spans the ambient space, so every
+        solution of the cone's system is the u taking ``c / L`` at the
+        basis, and the system is solvable iff that u also meets the cone's
+        other vertices: iff the table's row sum weighted by ``c`` is ``D``
+        times ``c`` at their columns, which is checked first. Its last d
+        entries are then ``D L u``. Facet vertices that fail to span the
+        space are a library bug and raise :class:`InvariantViolation` on
+        every call.
         """
-        kernel = self._kernel(index)
-        scale = lcm(*[v.denominator for v in values])
-        c = [v.numerator * (scale // v.denominator) * den for v, den in zip(values, kernel.dens)]
-        total = kernel.row_sum(c)
-        if total is None:
-            return Inconsistent
-        return Point._from_form(tuple(total[len(kernel.order):]), kernel.det * scale, kernel.space)
+        indices = self.cones[index].vertex_indices
+        if len(values) != len(indices):
+            raise DimensionMismatch(f"cone {index} has {len(indices)} vertices but {len(values)} values")
+        vals = [v if type(v) is int or type(v) is Fraction else exact_rational(v) for v in values]
+        table = self._kernel(index)
+        verts = self.base.vertices
+        scale = lcm(*[v.denominator for v in vals])
+        weight = {i: v.numerator * (scale // v.denominator) * verts[i]._den for i, v in zip(indices, vals)}
+        rows = [(weight[b], row) for b, row in zip(table.basis, table.rows)]
+        det = table.det
+        for v in table.others:
+            if sum([w * row[v] for w, row in rows]) != det * weight[v]:
+                return Inconsistent
+        n = len(verts)
+        dual = [sum([w * row[j] for w, row in rows]) for j in range(n, n + len(rows))]
+        return Point._from_form(tuple(dual), det * scale, dual_space(self.base.space))
 
     def cone_contains(self, cone: Cone, x: Point) -> bool:
         """Exact membership of ``x`` in the (closed) maximal cone."""

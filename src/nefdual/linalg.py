@@ -14,8 +14,8 @@ tolerances: every comparison is exact.
 
 ``integer_rows``, ``eliminate`` and ``integer_nullspace`` are the integer
 layer itself, for callers that already hold integer coordinates;
-``exact_rational`` is the float guard that ``integer_rows`` and ``Point``
-share.
+``exact_rational`` is the float guard that ``integer_rows``, ``Point`` and
+the face fan's value readers share.
 """
 
 from __future__ import annotations
@@ -74,6 +74,11 @@ def eliminate(mat: list[list[int]], ncols: int) -> tuple[list[int], int]:
     are zero in the first ``ncols`` columns, and ``mat / den`` is the reduced
     row echelon form. Each update ``(piv*a - f*b) // prev`` divides exactly,
     because every entry is a minor of the input matrix.
+
+    Outside this module, :func:`nefdual.polytope.hull` is the library's
+    only caller. The face fan's cone tables make the same update one
+    exchange at a time, each from the table before
+    (:meth:`nefdual.fan._ConeKernel.exchange`), and call no elimination.
     """
     m = len(mat)
     pivots: list[int] = []

@@ -35,20 +35,23 @@ integral convex PL function φ_S on the face fan.
   keeps them once per (cone, pattern) (:meth:`nefdual.fan.FaceFan.entry`),
   and a subset costs O(cones) mask operations instead of
   O(vertices × cones) pairings.
-- Each (cone, pattern) is read off one sum of integer rows. The cone's
-  table (:class:`nefdual.fan._ConeKernel`) has, for each of d basis
-  vertices b_r of its facet, a row holding D λ_r(v) at every vertex v of Δ,
-  where v = Σ λ_r(v) b_r, and D times column r of B⁻¹ in its last d
-  entries, B the matrix of the basis rows. A functional u with u's values
-  p_r = ⟨b_r, u⟩ on the basis is B⁻¹p, and ⟨v, u⟩ = Σ λ_r(v) p_r. S's
-  pattern puts p_r = 1 on the basis vertices in S and 0 on the others, so
-  the sum T of the rows of the basis vertices in S holds D ⟨v, u⟩ at every
-  vertex v and D u in its last d entries. Hence the pattern has a
+- Each (cone, pattern) is read off the rows of the cone's integer table
+  that the pattern picks. The table (:class:`nefdual.fan._ConeKernel`,
+  one exchange from the fan's last table in the usual case) has, for each
+  of d basis vertices b_r of its facet, a row holding D λ_r(v) at every
+  vertex v of Δ, where v = Σ λ_r(v) b_r, and D times column r of B⁻¹ in
+  its last d entries, B the matrix of the basis rows. A functional u with
+  u's values p_r = ⟨b_r, u⟩ on the basis is B⁻¹p, and ⟨v, u⟩ = Σ λ_r(v) p_r.
+  S's pattern puts p_r = 1 on the basis vertices in S and 0 on the others,
+  so the sum T of the rows of the basis vertices in S holds D ⟨v, u⟩ at
+  every vertex v and D u in its last d entries. Hence the pattern has a
   functional iff T is D times the pattern at the cone's other vertices
-  (the basis spans, so u is the only candidate), u is a lattice point iff
-  D divides T's last d entries, and gt0 and gt1 are the v with T at v
-  above 0 and above D. No functional is paired with a vertex, and a
-  ``Point`` is made only for a pattern that passes.
+  (the basis spans, so u is the only candidate), which is checked first,
+  summing those columns alone, so a pattern with no functional costs no
+  full-width sum. Then u is a lattice point iff D divides T's last d
+  entries, and gt0 and gt1 are the v with T at v above 0 and above D. No
+  functional is paired with a vertex, and a ``Point`` is made only for a
+  pattern that passes.
 
 Validation decides each part on the same entries (:meth:`_NefSubsets.failure`),
 with the part as a vertex bitmask s: the first cone with no functional
@@ -350,8 +353,9 @@ class _NefSubsets:
     and gt0 inside S (:meth:`is_nef`; the module docstring gives the
     argument), and :meth:`failure` names the first reason it is not. The
     entries are kept on the fan, so every reader of one fan shares them.
-    An entry is read off one sum of rows of the cone's table, which holds
-    for a base with lattice vertices, as a reflexive one has.
+    An entry is read off the rows of the cone's table that the pattern
+    picks, which holds for a base with lattice vertices, as a reflexive
+    one has.
     """
 
     __slots__ = ("fan", "n")
@@ -458,8 +462,9 @@ def enumerate_nef_partitions(delta: Polytope, r: int) -> list[NefPartition]:
     first on an explicit stack.
 
     The subset search makes no :meth:`~nefdual.fan.FaceFan.cone_functional`
-    call: each (cone, pattern) is read off one sum of rows of the cone's
-    integer table, built once per cone and kept on the fan (the module
+    call: each (cone, pattern) is read off the rows of the cone's integer
+    table that the pattern picks, the table built once per cone, by
+    exchange from the fan's last one, and kept on the fan (the module
     docstring gives the argument). Each subset is decided once and each
     part of the result is built once per call, however many partitions
     share it: φ with no convexity scan (the masks decided it), ∇ᵢ from φ,

@@ -45,8 +45,9 @@ and the read-off that paired on its own (:func:`dot_read_off`), with the
 convexity scan over every cone's functional (:func:`convexity_violation`),
 and the polar read off the facet-vertex incidence
 (:func:`incidence_polar`), a nabla part's membership by Borisov's
-H-description (:func:`hrep_contains`) and the subset search's cone entry
-by a functional and a dot product per vertex (:func:`functional_cone_entry`).
+H-description (:func:`hrep_contains`), the subset search's cone entry by
+the ``Fraction`` solve and a pairing per vertex (:func:`functional_cone_entry`),
+and the determinant by the Leibniz formula (:func:`determinant`).
 These call the rest of the library and serve as the reference for the
 routes that replaced them.
 """
@@ -1990,21 +1991,34 @@ def hrep_contains(f: PLFunction, point: Point) -> bool:
 
 def functional_cone_entry(fan: FaceFan, c: int, s: int):
     """The fan's entry for S's 0/1 pattern on cone ``c``
-    (:meth:`FaceFan.entry`) by the former route, with no memo: the
-    functional by :meth:`FaceFan.cone_functional`, and gt0 and gt1 by one
-    ``int`` dot product per vertex. ``None`` when the pattern has no
-    functional, ``False`` when it is not a lattice point."""
+    (:meth:`FaceFan.entry`) by the former route, with no memo and no cone
+    table: the functional by the ``Fraction`` solve (:func:`solve_linear`),
+    and gt0 and gt1 by one ``Fraction`` pairing (:func:`pair`) per vertex.
+    ``None`` when the pattern has no functional, ``False`` when it is not a
+    lattice point."""
     pattern = s & fan.bits[c]
-    u = fan.cone_functional(c, tuple([pattern >> v & 1 for v in fan.cones[c].vertex_indices]))
+    verts = fan.base.vertices
+    u = solve_linear([(verts[v], pattern >> v & 1) for v in fan.cones[c].vertex_indices])
     if u is Inconsistent:
         return None
     if not u.is_lattice():
         return False
     gt0 = gt1 = 0
-    for v, vertex in enumerate(fan.base.vertices):
-        x = _dot(vertex._num, u._num)
+    for v, vertex in enumerate(verts):
+        x = pair(vertex, u)
         if x > 0:
             gt0 |= 1 << v
             if x > 1:
                 gt1 |= 1 << v
     return (u, gt0, gt1)
+
+
+def determinant(rows) -> int:
+    """The determinant of a square matrix by the Leibniz formula: the sum
+    over permutations p of sign(p) times the product of ``rows[i][p(i)]``."""
+    n = len(rows)
+    total = 0
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i, j in combinations(range(n), 2))
+        total += (-1) ** inversions * reduce(mul, [rows[i][perm[i]] for i in range(n)], 1)
+    return total

@@ -15,7 +15,6 @@ from nefdual.errors import (
     NotPiecewiseLinear,
     ZeroNotInterior,
 )
-import nefdual.fan as fan_module
 from nefdual import linalg, polytope
 from nefdual.duality import run_full_duality
 from nefdual.fan import FaceFan, PLFunction, face_fan, pl_from_vertex_values, support_polytope
@@ -390,6 +389,71 @@ def test_cone_functionals_equal_the_solve_per_cone_on_every_corpus_fan_and_polar
     assert checked[True] and checked[False]
 
 
+def test_cone_functional_takes_one_exact_value_per_cone_vertex():
+    """A cone of the pentagon below has 2 vertices: 3, 1 or 0 values are a
+    DimensionMismatch, and a float or a value that is no number is a
+    TypeError. A str is parsed as ``pl_from_vertex_values`` parses it."""
+    fan = face_fan(hull([P(1, 0), P(0, 1), P(-1, 0), P(0, -1), P(1, 1)]))
+    assert len(fan.cones[0].vertex_indices) == 2
+    for values in ((1, 1, 1), (1,), ()):
+        with pytest.raises(DimensionMismatch):
+            fan.cone_functional(0, values)
+    for values in ((1.0, 1), (1, F(1, 2) + 0.0), (None, 1), (1, object())):
+        with pytest.raises(TypeError):
+            fan.cone_functional(0, values)
+    assert fan.cone_functional(0, ("1/2", 1)) == fan.cone_functional(0, (F(1, 2), 1))
+
+
+def test_every_cone_table_meets_its_definition_from_every_parent(corpus, scale_bench):
+    """Each cone's table, built by exchange from the table built before it,
+    meets the table's definition, with the cones' tables built in index
+    order, in reversed order and in two seeded shuffles, so that each
+    exchange starts from other parents. With b_r the integer form of basis
+    vertex r, n vertices and d the dimension: the basis is d vertices of
+    the cone and the others are the rest of them; D = |det B| (Leibniz
+    formula, ``oracles.determinant``); rows[r][basis[s]] = D δ_rs;
+    Σ_r rows[r][v] b_r = D v for every base vertex v; and the identity
+    block E (the last d entries of the rows) satisfies E Bᵀ = D I. The
+    bases: every corpus polytope and its polar (two polars have vertices
+    off the lattice), the three enum4d inputs, and cube4, hex⊕hex and
+    cross5 of bench/scale.py."""
+    bases = []
+    for entry in corpus:
+        for base in (entry.polytope, entry.polytope.polar_dual()):
+            bases.append([v.coords for v in base.vertices])
+    bases.append([_unit(4, i) for i in range(4)] + [(-1,) * 4])
+    bases += [NON_SIMPLICIAL["octahedron_x_segment"], NON_SIMPLICIAL["triangle_x_triangle"]]
+    bases += [scale_bench.POLYTOPES[n] for n in ("cube4", "hex+hex", "cross5")]
+    rng = random.Random(29)
+    checked = Counter()
+    for coords in bases:
+        index_order = list(range(len(face_fan(hull([Point(c) for c in coords])))))
+        orders = [index_order, index_order[::-1]]
+        orders += [rng.sample(index_order, len(index_order)) for _ in range(2)]
+        for order in orders:
+            fan = face_fan(hull([Point(c) for c in coords]))  # a fan of its own
+            verts = fan.base.vertices
+            n, d = len(verts), fan.base.ambient_dim
+            for c in order:
+                table = fan._kernel(c)
+                cone = fan.cones[c]
+                rows, basis, det = table.rows, table.basis, table.det
+                assert len(basis) == d and set(basis) <= set(cone.vertex_indices)
+                assert sorted(basis + list(table.others)) == sorted(cone.vertex_indices)
+                b = [verts[v]._num for v in basis]
+                assert det == abs(oracles.determinant(b)) > 0
+                for r in range(d):
+                    assert [rows[r][v] for v in basis] == [det * (s == r) for s in range(d)]
+                for v in range(n):
+                    combo = [sum(rows[r][v] * b[r][j] for r in range(d)) for j in range(d)]
+                    assert combo == [det * x for x in verts[v]._num], (coords, c, v)
+                for r in range(d):
+                    row = [sum(rows[r][n + j] * b[s][j] for j in range(d)) for s in range(d)]
+                    assert row == [det * (s == r) for s in range(d)], (coords, c, r)
+                checked[det > 1, all(v.is_lattice() for v in verts)] += 1
+    assert set(checked) == {(True, True), (False, True), (True, False), (False, False)}
+
+
 def test_no_linear_solve_is_left_on_the_pl_path_and_each_used_cone_gets_one_kernel(monkeypatch):
     """Enumeration and full duality on fresh polytopes call ``linalg.solve``
     0 times. No cone of any nabla's fan gets a table, though each nabla's
@@ -410,13 +474,14 @@ def test_no_linear_solve_is_left_on_the_pl_path_and_each_used_cone_gets_one_kern
     built = []
     used = set()
 
-    class CountingKernel(fan_module._ConeKernel):
-        __slots__ = ()
+    original_kernel = FaceFan._kernel
 
-        def __init__(self, base, cone):
-            alive.append(base)
-            built.append((id(base), cone.index))
-            super().__init__(base, cone)
+    def counting_kernel(self, index):
+        # A table is built exactly when the fan has none stored for the cone.
+        if self._kernels[index] is None:
+            alive.append(self.base)
+            built.append((id(self.base), index))
+        return original_kernel(self, index)
 
     searched = set()
     functionals = []
@@ -433,7 +498,7 @@ def test_no_linear_solve_is_left_on_the_pl_path_and_each_used_cone_gets_one_kern
         searched.add((id(self.base), index))
         return original_read(self, index, pattern)
 
-    monkeypatch.setattr(fan_module, "_ConeKernel", CountingKernel)
+    monkeypatch.setattr(FaceFan, "_kernel", counting_kernel)
     monkeypatch.setattr(FaceFan, "entry", recording_entry)
     monkeypatch.setattr(FaceFan, "_read", recording_read)
     monkeypatch.setattr(FaceFan, "cone_functional", lambda *args: functionals.append(args))

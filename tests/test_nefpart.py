@@ -2,6 +2,7 @@
 
 import copy
 import itertools
+import random
 import time
 from collections import Counter
 from fractions import Fraction
@@ -519,28 +520,33 @@ def test_the_masks_decide_convexity_like_the_scan(corpus):
 
 def test_the_row_sums_give_the_former_cone_entries(corpus, scale_bench):
     """On every cone and every 0/1 pattern on its vertices, the fan's entry
-    read off the cone table's row sum equals the former route's, a
-    functional and one dot product per vertex
-    (``oracles.functional_cone_entry``), on a fan of its own: every
+    read off the cone table's rows equals the former route's, the
+    ``Fraction`` solve and one ``Fraction`` pairing per vertex
+    (``oracles.functional_cone_entry``), which reads no table: every
     reflexive corpus polytope, the three enum4d inputs, and 4D cross, the
-    4-cube and hex⊕hex of bench/scale.py. Tables with D > 1 and D = 1, and
-    entries with a lattice functional, with one off the lattice and with
-    none, all occur. The former route keeps no entry."""
+    4-cube and hex⊕hex of bench/scale.py. The cones are read in a seeded
+    shuffled order, so each table is exchanged from another parent than in
+    index order. Tables with D > 1 and D = 1, and entries with a lattice
+    functional, with one off the lattice and with none, all occur. The
+    former route's fan gets no entry and no table."""
     inputs = [[v.coords for v in e.polytope.vertices] for e in corpus if e.reflexive]
     inputs += [FOUR_D[n] for n in ("simplex4", "octahedron_x_segment", "triangle_x_triangle")]
     inputs += [scale_bench.POLYTOPES[n] for n in ("cross4", "cube4", "hex+hex")]
+    rng = random.Random(29)
     dets, kinds = set(), Counter()
     for coords in inputs:
         face = fan.face_fan(_fresh(coords))
         former = fan.face_fan(_fresh(coords))
-        for c, cone in enumerate(face.cones):
+        cones = list(enumerate(face.cones))
+        rng.shuffle(cones)
+        for c, cone in cones:
             for bits in itertools.product((0, 1), repeat=len(cone.vertex_indices)):
                 s = sum(1 << v for v, b in zip(cone.vertex_indices, bits) if b)
                 entry = face.entry(c, s)
                 assert entry == oracles.functional_cone_entry(former, c, s), (coords, c, bits)
                 kinds[entry if not entry else "lattice"] += 1
             dets.add(face._kernels[c].det > 1)
-        assert not former._entries
+        assert not former._entries and not any(former._kernels)
     assert dets == {True, False}
     assert set(kinds) == {None, False, "lattice"}
 
