@@ -14,32 +14,46 @@ vertices' forms as rows. The fan starts from ``[Vᵀ | I]`` itself, and each
 table is derived from the last one built by one fraction-free exchange per
 basis vertex not on the new cone (Avis and Fukuda's pivoting step with
 Bareiss's exact division), so a simplicial cone next to the one before
-costs one exchange. A sum of rows weighted by a functional's values at the basis
-holds ``D`` times that functional's value at every vertex, and ``D`` times
-the functional itself. So the values admit a functional on the cone
+costs one exchange. A sum of rows weighted by a functional's values at the
+basis holds ``D`` times that functional's value at every vertex, and ``D``
+times the functional itself. So the values admit a functional on the cone
 exactly when the sum reproduces them at the cone's other vertices, which
-the readers check first, at those columns alone, and the functional is
+both reads check first, at those columns alone, and the functional is
 read off the full sum.
 
-Whether a vertex set S is nef is decided on the fan's one memo, keyed by
-(cone, S's 0/1 pattern on the cone) (:meth:`FaceFan.entry`): its entry says
-whether the pattern has a functional, whether that is a lattice point, and
-which vertices pair with it above 0 and above 1. Validation and
-enumeration in :mod:`nefdual.nefpart` read the same entries, and
-:mod:`nefdual.duality` writes the dual's entries there, read off the delta
-parts, so the cones of a nabla's fan mostly get no table.
-:func:`pl_from_vertex_values` serves arbitrary rational values: it reads
-each cone's functional off a weighted row sum (:meth:`FaceFan.cone_functional`,
-with no memo), and :class:`PLFunction` scans its convexity, comparing
-``int`` dot products of the points' integer forms, cross-multiplied by
-their denominators. ``Fraction`` and ``Point`` appear only in the public values:
-vertex values and functionals.
+Convexity is decided one way, on one vertex bitmask per cone. A PL
+function f is convex exactly when <v, u> <= f(v) for every vertex v and
+every cone's functional u, so the mask of a cone holds the vertices where
+its functional exceeds f, and f is convex iff every mask is empty. A
+failure's witness is the lowest vertex in any mask and the first cone
+whose mask holds it (:func:`_first_violation`), the first (vertex, cone)
+met by pairing each vertex in turn with each cone's functional. Two reads
+of a table give the masks:
+
+- For 0/1 values, the fan's one memo, keyed by (cone, S's 0/1 pattern on
+  the cone) (:meth:`FaceFan.entry`): its entry says whether the pattern
+  has a functional, whether that is a lattice point, and which vertices
+  pair with it above 0 and above 1, from which :mod:`nefdual.nefpart`
+  forms the mask gt1 | (gt0 & ~S). Validation and enumeration read the
+  same entries, and :mod:`nefdual.duality` writes the dual's entries
+  there, read off the delta parts, so the cones of a nabla's fan mostly
+  get no table.
+- For arbitrary rational values, the weighted read
+  (:meth:`FaceFan._weighted_read`, with no memo) gives each cone's
+  functional and mask, which :func:`pl_from_vertex_values` hands to the
+  :class:`PLFunction` it builds; :meth:`FaceFan.cone_functional` keeps
+  the functional alone.
+
+``Fraction`` and ``Point`` appear only in the public values: vertex values
+and functionals.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 from math import lcm
+from operator import or_
 from typing import NamedTuple, Sequence
 
 from .errors import (
@@ -51,7 +65,7 @@ from .errors import (
     ZeroNotInterior,
 )
 from .linalg import Inconsistent, exact_rational
-from .polytope import Point, Polytope, _dot, dual_space, pair
+from .polytope import Point, Polytope, dual_space, pair
 
 
 class Cone(NamedTuple):
@@ -87,8 +101,8 @@ class _ConeKernel(NamedTuple):
     the sum S = Σ c_r rows[r] holds ``D <v, u>`` at every base vertex v's
     column and ``D u`` in its last d entries. So values on the cone admit
     a functional exactly when S is ``D`` times them at ``others``, and the
-    readers (:meth:`FaceFan._read`, :meth:`FaceFan.cone_functional`) check
-    those columns before they sum a full row.
+    two reads (:meth:`FaceFan._read`, :meth:`FaceFan._weighted_read`)
+    check those columns before they sum a full row.
     """
 
     rows: list
@@ -154,14 +168,16 @@ class FaceFan:
     ``bits[c]`` has bit v set for each vertex v of cone c. Each cone's table
     (:class:`_ConeKernel`) is built once per fan, on its first read
     (:meth:`_kernel`) by exchange from the last table built (``_last``),
-    and kept in ``_kernels``. The fan keeps one memo, ``_entries``, keyed
-    by a cone and a 0/1 pattern on its vertices
-    (:meth:`entry`), which validation and enumeration both read, so a
-    pattern is read off its table once per fan however many partitions and
-    calls share it. On a nabla's fan most entries are written by
-    :func:`nefdual.duality.dual_nef_partition`, read off the delta parts,
-    and those cones get no table. :meth:`cone_functional` serves arbitrary
-    values and keeps nothing.
+    and kept in ``_kernels``. A table has two reads. The 0/1 read
+    (:meth:`_read`) fills the fan's one memo, ``_entries``, keyed by a cone
+    and a 0/1 pattern on its vertices (:meth:`entry`), which validation
+    and enumeration both read, so a pattern is read off its table once per
+    fan however many partitions and calls share it. On a nabla's fan most
+    entries are written by :func:`nefdual.duality.dual_nef_partition`, read
+    off the delta parts, and those cones get no table. The weighted read
+    (:meth:`_weighted_read`) serves arbitrary rational values, for
+    :func:`pl_from_vertex_values` and :meth:`cone_functional`, and keeps
+    nothing.
     """
 
     __slots__ = ("base", "cones", "bits", "_entries", "_kernels", "_last")
@@ -241,6 +257,34 @@ class FaceFan:
                     gt1 |= 1 << v
         return (Point._from_form(tuple(dual), 1, dual_space(self.base.space)), gt0, gt1)
 
+    def _weighted_read(self, c: int, weights: list, scale: int):
+        """The functional u of cone ``c`` and its mask, for values given by
+        ``weights``, or ``None`` when no functional takes them.
+
+        ``weights[v]`` is the ``int`` L·value(v)·den(v) of base vertex v,
+        L = ``scale`` the LCM of the values' denominators and den(v) the
+        vertex's denominator (:func:`_weights`), so that
+        ``<_num, u> = weights[v] / L``. The sum S of the table's rows
+        weighted by the basis vertices' weights holds D·L·den(v)·<v, u> at
+        each vertex v's column, and D·L·u in its last d entries. The basis spans the ambient space, so u is the only
+        candidate, and the values have a functional on the cone iff S is
+        D times the weights at the cone's other vertices, which is checked
+        first, at those columns alone. Then u is S's last d entries over
+        D·L, and the mask {v : S[v] > D·weights[v]} holds the vertices
+        where u exceeds the value. Facet vertices that fail to span the
+        space are a library bug and raise :class:`InvariantViolation`.
+        """
+        table = self._kernel(c)
+        det = table.det
+        rows = [(weights[b], row) for b, row in zip(table.basis, table.rows) if weights[b]]
+        for v in table.others:
+            if sum([w * row[v] for w, row in rows]) != det * weights[v]:
+                return None
+        n = len(weights)
+        total = [sum([w * row[j] for w, row in rows]) for j in range(n + len(table.basis))]
+        mask = sum([1 << v for v in range(n) if total[v] > det * weights[v]])
+        return Point._from_form(tuple(total[n:]), det * scale, dual_space(self.base.space)), mask
+
     def cone_functional(self, index: int, values: tuple):
         """The functional taking ``values`` on the vertices of cone ``index``.
 
@@ -248,36 +292,20 @@ class FaceFan:
         takes them; a ``float`` is a ``TypeError``), one per vertex of the
         cone's ``vertex_indices``; another count is a
         :class:`DimensionMismatch`. Returns the solution ``Point``, or
-        ``Inconsistent`` when a non-simplicial facet admits none.
-
-        No linear system is solved. Scale the values by the LCM ``L`` of
-        their denominators and each by its vertex's denominator, so that
-        the weight ``c_v`` is the ``int`` right-hand side of
-        ``<_num, u> = c_v / L``. The basis spans the ambient space, so every
-        solution of the cone's system is the u taking ``c / L`` at the
-        basis, and the system is solvable iff that u also meets the cone's
-        other vertices: iff the table's row sum weighted by ``c`` is ``D``
-        times ``c`` at their columns, which is checked first. Its last d
-        entries are then ``D L u``. Facet vertices that fail to span the
-        space are a library bug and raise :class:`InvariantViolation` on
-        every call.
+        ``Inconsistent`` when a non-simplicial facet admits none. No linear
+        system is solved: the cone's vertices get their weights
+        (:func:`_weights`, 0 off the cone) and the weighted read
+        (:meth:`_weighted_read`) gives the functional; its mask is not
+        needed here.
         """
         indices = self.cones[index].vertex_indices
         if len(values) != len(indices):
             raise DimensionMismatch(f"cone {index} has {len(indices)} vertices but {len(values)} values")
-        vals = [v if type(v) is int or type(v) is Fraction else exact_rational(v) for v in values]
-        table = self._kernel(index)
-        verts = self.base.vertices
-        scale = lcm(*[v.denominator for v in vals])
-        weight = {i: v.numerator * (scale // v.denominator) * verts[i]._den for i, v in zip(indices, vals)}
-        rows = [(weight[b], row) for b, row in zip(table.basis, table.rows)]
-        det = table.det
-        for v in table.others:
-            if sum([w * row[v] for w, row in rows]) != det * weight[v]:
-                return Inconsistent
-        n = len(verts)
-        dual = [sum([w * row[j] for w, row in rows]) for j in range(n, n + len(rows))]
-        return Point._from_form(tuple(dual), det * scale, dual_space(self.base.space))
+        vals = [0] * len(self.base.vertices)
+        for i, v in zip(indices, values):
+            vals[i] = v if type(v) is int or type(v) is Fraction else exact_rational(v)
+        read = self._weighted_read(index, *_weights(vals, self.base.vertices))
+        return Inconsistent if read is None else read[0]
 
     def cone_contains(self, cone: Cone, x: Point) -> bool:
         """Exact membership of ``x`` in the (closed) maximal cone."""
@@ -325,11 +353,15 @@ class PLFunction:
 
     ``vertex_values[i]`` is the value at the i-th canonical vertex of the
     base polytope; ``functionals[j]`` is the dual-space functional realizing
-    the function on the j-th maximal cone. Convexity is scanned once, when
-    the function is built (:func:`_convexity_violation`), unless its
-    builder has decided it (``integral_convex``), as validation and
-    enumeration do on the fan's entries; ``is_convex`` and
-    :meth:`first_convexity_violation` read the stored result.
+    the function on the j-th maximal cone. ``violation`` is the builder's
+    verdict on convexity, decided on the per-cone masks
+    (:func:`_first_violation`): ``None`` for a convex function, or the
+    first (vertex_index, cone_index) where a functional exceeds the value.
+    :func:`pl_from_vertex_values` (and so ``+``) reads the masks off the
+    weighted read, and validation and enumeration off the fan's 0/1
+    entries; nothing here re-decides it. ``is_convex`` and
+    :meth:`first_convexity_violation` read it, and ``is_integral`` says
+    whether every functional is a lattice point.
     """
 
     __slots__ = ("fan", "vertex_values", "functionals", "is_convex", "is_integral", "_violation")
@@ -339,21 +371,14 @@ class PLFunction:
         fan: FaceFan,
         vertex_values: tuple[Fraction, ...],
         functionals: tuple[Point, ...],
-        *,
-        integral_convex: bool = False,
+        violation: tuple[int, int] | None,
     ):
         self.fan = fan
         self.vertex_values = vertex_values
         self.functionals = functionals
-        if integral_convex:
-            # The builder has decided that every functional is a lattice
-            # point and that the function is convex; nothing is scanned.
-            self.is_integral = True
-            self._violation = None
-        else:
-            self.is_integral = all(u.is_lattice() for u in functionals)
-            self._violation = _convexity_violation(fan, vertex_values, functionals)
-        self.is_convex = self._violation is None
+        self.is_integral = self.first_nonintegral_cone() is None
+        self._violation = violation
+        self.is_convex = violation is None
 
     def first_convexity_violation(self):
         """First (vertex_index, cone_index) where a functional exceeds the value."""
@@ -386,9 +411,9 @@ class PLFunction:
             return NotImplemented
         if self.fan != other.fan:
             raise DimensionMismatch("can only add PL functions on the same fan")
-        values = tuple(a + b for a, b in zip(self.vertex_values, other.vertex_values))
-        funcs = tuple(a + b for a, b in zip(self.functionals, other.functionals))
-        return PLFunction(self.fan, values, funcs)
+        return pl_from_vertex_values(
+            self.fan, [a + b for a, b in zip(self.vertex_values, other.vertex_values)]
+        )
 
     def __eq__(self, other) -> bool:
         return (
@@ -409,28 +434,26 @@ class PLFunction:
         return f"PLFunction({', '.join(flags) or 'general'}, values={self.vertex_values})"
 
 
-def _convexity_violation(fan: FaceFan, vertex_values, functionals):
-    """First (vertex_index, cone_index) with ``<vertex, functional> > value``.
+def _first_violation(masks: list):
+    """The witness of a convexity failure, from one vertex bitmask per cone
+    holding the vertices where that cone's functional exceeds the function:
+    ``(v, c)``, v the lowest vertex in any mask and c the first cone whose
+    mask holds it, or ``None`` when every mask is empty. It is the first
+    (vertex, cone) met by pairing each vertex in turn with each cone's
+    functional."""
+    low = reduce(or_, masks, 0)
+    if not low:
+        return None
+    low &= -low
+    return low.bit_length() - 1, next(c for c, m in enumerate(masks) if m & low)
 
-    Decided on ``int``: with the value ``a/b`` and every denominator
-    positive, ``<v, u> > a/b`` is ``<v._num, u._num> * b > a * v._den * u._den``.
-    Each vertex is paired once with each distinct functional, which stands
-    for the first cone that has it: the distinct functionals come in the
-    order of their first cones, so the first one exceeding a vertex's value
-    names the first such cone.
-    """
-    forms: dict = {}
-    for ci, u in enumerate(functionals):
-        forms.setdefault((u._num, u._den), ci)
-    for vi, v in enumerate(fan.base.vertices):
-        val = vertex_values[vi]
-        num = v._num
-        b = val.denominator
-        a = val.numerator * v._den
-        for (un, ud), ci in forms.items():
-            if _dot(num, un) * b > a * ud:
-                return (vi, ci)
-    return None
+
+def _weights(values: list, verts) -> tuple[list, int]:
+    """The ``int`` weight L·value·den of each exact value at the point of
+    ``verts`` it belongs to, L the LCM of the values' denominators and den
+    the point's, and L (:meth:`FaceFan._weighted_read`)."""
+    scale = lcm(*[v.denominator for v in values])
+    return [v.numerator * (scale // v.denominator) * p._den for v, p in zip(values, verts)], scale
 
 
 def pl_from_vertex_values(fan: FaceFan, values: Sequence) -> PLFunction:
@@ -441,11 +464,12 @@ def pl_from_vertex_values(fan: FaceFan, values: Sequence) -> PLFunction:
     because they span the ambient space; if the (overdetermined) system of a
     non-simplicial facet is unsolvable, raises NotPiecewiseLinear naming the
     first such cone. Values are exact rationals; a ``float`` is a
-    ``TypeError``. Each cone's functional comes from the fan's integer
-    table (:meth:`FaceFan.cone_functional`), and the function's convexity
-    is scanned (:class:`PLFunction`). Validation and enumeration call
-    neither: they decide 0/1 values on the fan's entries
-    (:meth:`FaceFan.entry`).
+    ``TypeError``. The values get their weights once (:func:`_weights`),
+    and each cone's functional and mask come from the weighted read of its
+    table (:meth:`FaceFan._weighted_read`); the function's convexity is
+    decided on the masks (:func:`_first_violation`) and handed to the
+    :class:`PLFunction`. Validation and enumeration call none of this:
+    they decide 0/1 values on the fan's entries (:meth:`FaceFan.entry`).
     """
     verts = fan.base.vertices
     if len(values) != len(verts):
@@ -453,13 +477,15 @@ def pl_from_vertex_values(fan: FaceFan, values: Sequence) -> PLFunction:
             f"{len(verts)} vertices but {len(values)} prescribed values"
         )
     vals = tuple(v if type(v) is Fraction else exact_rational(v) for v in values)
-    functionals = []
+    weights, scale = _weights(vals, verts)
+    functionals, masks = [], []
     for cone in fan.cones:
-        u = fan.cone_functional(cone.index, tuple([vals[i] for i in cone.vertex_indices]))
-        if u is Inconsistent:
+        read = fan._weighted_read(cone.index, weights, scale)
+        if read is None:
             raise NotPiecewiseLinear(cone.index)
-        functionals.append(u)
-    return PLFunction(fan, vals, tuple(functionals))
+        functionals.append(read[0])
+        masks.append(read[1])
+    return PLFunction(fan, vals, tuple(functionals), _first_violation(masks))
 
 
 def support_polytope(f: PLFunction) -> Polytope:

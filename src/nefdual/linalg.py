@@ -14,8 +14,8 @@ tolerances: every comparison is exact.
 
 ``integer_rows``, ``eliminate`` and ``integer_nullspace`` are the integer
 layer itself, for callers that already hold integer coordinates;
-``exact_rational`` is the float guard that ``integer_rows``, ``Point`` and
-the face fan's value readers share.
+``exact_rational`` is the guard against floats and unreadable strings
+that ``integer_rows``, ``Point`` and the face fan's value readers share.
 """
 
 from __future__ import annotations
@@ -56,10 +56,16 @@ def _exact_row(row) -> list:
 
 
 def exact_rational(x) -> Fraction:
-    """``Fraction(x)``, except that a ``float`` raises ``TypeError``."""
+    """``Fraction(x)``, except that a ``float`` raises ``TypeError`` and a
+    string that ``Fraction`` cannot read (such as "x" or "1/0") raises one
+    ``ValueError`` naming it. A numeric string is parsed, and any other
+    value that is not a number raises ``TypeError``, as ``Fraction`` does."""
     if isinstance(x, float):
         raise TypeError(f"exact rational expected, got float {x!r}")
-    return Fraction(x)
+    try:
+        return Fraction(x)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"exact rational expected, got {x!r}") from None
 
 
 def eliminate(mat: list[list[int]], ncols: int) -> tuple[list[int], int]:

@@ -53,17 +53,18 @@ integral convex PL function φ_S on the face fan.
   functional is paired with a vertex, and a ``Point`` is made only for a
   pattern that passes.
 
-Validation decides each part on the same entries (:meth:`_NefSubsets.failure`),
+Validation decides each part on the same entries (:func:`_failure`),
 with the part as a vertex bitmask s: the first cone with no functional
 gives ``NotPiecewiseLinear``; failing that, the first cone whose functional
-is not a lattice point gives ``NotIntegral``; failing that, a nonzero
-bad_c = gt1 | (gt0 & ~s) gives ``NotConvex`` at the lowest vertex v in
-any bad_c and the first cone c whose bad_c holds v. That is the first
-(vertex, cone) where a cone's functional exceeds φ_S, the witness that the
-scan of :class:`nefdual.fan.PLFunction` finds for the same values: cones
-that share a functional share their masks, so the first cone holding v is
-the first cone of the first functional exceeding φ_S at v. So the
-validator, the enumeration and the dual read one memo per fan.
+is not a lattice point gives ``NotIntegral``; failing that, a nonzero mask
+bad_c = gt1 | (gt0 & ~s) gives ``NotConvex`` at the lowest vertex v in any
+bad_c and the first cone c whose bad_c holds v. That is the first
+(vertex, cone) where a cone's functional exceeds φ_S, and the one witness
+rule of the library (:func:`nefdual.fan._first_violation`), which
+:func:`nefdual.fan.pl_from_vertex_values` applies to the masks of its
+weighted read for the same values. So the validator, the enumeration and
+the dual read one memo per fan, and every PL function is decided on
+per-cone masks.
 
 Validation decides (:func:`_decide`) and then builds the parts
 (:func:`_build`), and audits nothing afterwards: once ``_decide`` accepts a
@@ -121,12 +122,11 @@ Validation never does.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import reduce
-from operator import index, or_
+from operator import index
 from typing import Iterable, NamedTuple
 
 from .errors import NotReflexive
-from .fan import FaceFan, PLFunction, face_fan, support_polytope
+from .fan import FaceFan, PLFunction, _first_violation, face_fan, support_polytope
 from .polytope import SPACE_M, SPACE_N, Point, Polytope, _dot, dual_space, origin, pair
 
 NOT_DISJOINT = "NotDisjoint"
@@ -275,8 +275,8 @@ def _decide(delta: Polytope, parts: Iterable[Iterable[int]]):
     Returns the first :class:`Rejection`, or ``(parts, fan, phis)``: the
     parts as a tuple of frozensets, the face fan of ``delta`` and the
     integral convex PL extension of each part's indicator. Each part is
-    decided on the fan's entries (:meth:`_NefSubsets.failure`), and φ is
-    built from them with no scan.
+    decided on the fan's entries (:func:`_failure`), and φ is built from
+    them (:func:`_phi`).
     """
     if not delta.is_reflexive():
         raise NotReflexive("nef-partitions are defined on reflexive polytopes")
@@ -306,15 +306,14 @@ def _decide(delta: Polytope, parts: Iterable[Iterable[int]]):
         return Rejection(NOT_COVERING, vertex=missing[0])
 
     fan = face_fan(delta)
-    subsets = _NefSubsets(fan)
     phis: list[PLFunction] = []
     for pi, part in enumerate(norm_parts):
         s = sum([1 << i for i in part])
-        failure = subsets.failure(s)
+        failure = _failure(fan, s)
         if failure is not None:
-            reason, cone, vertex = failure
+            reason, vertex, cone = failure
             return Rejection(reason, part=pi, cone=cone, vertex=vertex)
-        phis.append(subsets.phi(s))
+        phis.append(_phi(fan, s))
     return norm_parts, fan, tuple(phis)
 
 
@@ -340,89 +339,68 @@ def _delta_part(delta: Polytope, parts, nabla_parts, i: int) -> Polytope:
     return Polytope._from_vertices(verts, points)
 
 
-class _NefSubsets:
-    """The nef subsets of ``fan``'s base, decided by vertex bitmasks.
+def _is_nef(fan: FaceFan, s: int) -> bool:
+    """Whether the vertex set S, bit v of ``s`` set for v in S, is nef: every
+    cone has an entry ``(u, gt0, gt1)`` (:meth:`nefdual.fan.FaceFan.entry`)
+    with gt1 empty and gt0 inside S (the module docstring gives the
+    argument). It stops at the first cone that fails."""
+    entry = fan.entry
+    for c in range(len(fan.cones)):
+        e = entry(c, s)
+        if not e or e[2] or e[1] & ~s:
+            return False
+    return True
 
-    A subset S of the vertices is an ``int`` with bit v set for v in S. For
-    a cone c, the fan's entry for S's pattern on it
-    (:meth:`nefdual.fan.FaceFan.entry`) is ``(u, gt0, gt1)``, u the lattice
-    functional taking the pattern and gt0 = {v : <v, u> > 0},
-    gt1 = {v : <v, u> > 1}; or ``False`` (a functional off the lattice) or
-    ``None`` (no functional). Then φ_S is an integral convex PL function
-    exactly when every cone has an entry ``(u, gt0, gt1)`` with gt1 empty
-    and gt0 inside S (:meth:`is_nef`; the module docstring gives the
-    argument), and :meth:`failure` names the first reason it is not. The
-    entries are kept on the fan, so every reader of one fan shares them.
-    An entry is read off the rows of the cone's table that the pattern
-    picks, which holds for a base with lattice vertices, as a reflexive
-    one has.
-    """
 
-    __slots__ = ("fan", "n")
+def _failure(fan: FaceFan, s: int):
+    """``None`` when S is nef, and otherwise ``(reason, vertex, cone)``: the
+    first cone with no functional (``NotPiecewiseLinear``), else the first
+    with a functional off the lattice (``NotIntegral``), vertex ``None`` for
+    both, else the witness of the masks gt1 | (gt0 & ~s)
+    (:func:`nefdual.fan._first_violation`, ``NotConvex``)."""
+    entries = [fan.entry(c, s) for c in range(len(fan.cones))]
+    if None in entries:
+        return NOT_PIECEWISE_LINEAR, None, entries.index(None)
+    if False in entries:
+        return NOT_INTEGRAL, None, entries.index(False)
+    violation = _first_violation([gt1 | gt0 & ~s for _, gt0, gt1 in entries])
+    return None if violation is None else (NOT_CONVEX, *violation)
 
-    def __init__(self, fan: FaceFan):
-        self.fan = fan
-        self.n = len(fan.base.vertices)
 
-    def is_nef(self, s: int) -> bool:
-        entry = self.fan.entry
-        for c in range(len(self.fan.cones)):
-            e = entry(c, s)
-            if not e or e[2] or e[1] & ~s:
-                return False
-        return True
+def _lattice_subsets(fan: FaceFan):
+    """Every S other than the full set that holds vertex 0 and whose
+    pattern on every cone has a lattice functional: vertices are labelled
+    in order, in or out of S (in first), and a branch is cut at the first
+    cone that closes (its largest vertex is labelled) with no lattice
+    functional for S's pattern. Depth first, on an explicit stack of (last
+    labelled vertex, S)."""
+    n = len(fan.base.vertices)
+    full = (1 << n) - 1
+    closing: list[list[int]] = [[] for _ in range(n)]
+    for c, cone in enumerate(fan.cones):
+        closing[max(cone.vertex_indices)].append(c)
+    stack = [(0, 1)]
+    entry = fan.entry
+    while stack:
+        i, s = stack.pop()
+        for c in closing[i]:
+            if not entry(c, s):
+                break
+        else:
+            if i == n - 1:
+                yield s
+                continue
+            stack.append((i + 1, s))
+            t = s | 1 << (i + 1)
+            if t != full:
+                stack.append((i + 1, t))
 
-    def failure(self, s: int):
-        """``None`` when S is nef, and otherwise ``(reason, cone, vertex)``:
-        the first cone with no functional (``NotPiecewiseLinear``), else the
-        first with a functional off the lattice (``NotIntegral``), else the
-        lowest vertex v where some cone's functional exceeds φ_S and the
-        first such cone (``NotConvex``), vertex ``None`` for the first two."""
-        entries = [self.fan.entry(c, s) for c in range(len(self.fan.cones))]
-        if None in entries:
-            return NOT_PIECEWISE_LINEAR, entries.index(None), None
-        if False in entries:
-            return NOT_INTEGRAL, entries.index(False), None
-        bad = [gt1 | gt0 & ~s for _, gt0, gt1 in entries]
-        low = reduce(or_, bad)
-        if not low:
-            return None
-        low &= -low
-        return NOT_CONVEX, next(c for c, b in enumerate(bad) if b & low), low.bit_length() - 1
 
-    def lattice_subsets(self):
-        """Every S other than the full set that holds vertex 0 and whose
-        pattern on every cone has a lattice functional: vertices are
-        labelled in order, in or out of S (in first), and a branch is cut
-        at the first cone that closes (its largest vertex is labelled) with
-        no lattice functional for S's pattern. Depth first, on an explicit
-        stack of (last labelled vertex, S)."""
-        n = self.n
-        full = (1 << n) - 1
-        closing: list[list[int]] = [[] for _ in range(n)]
-        for c, cone in enumerate(self.fan.cones):
-            closing[max(cone.vertex_indices)].append(c)
-        stack = [(0, 1)]
-        entry = self.fan.entry
-        while stack:
-            i, s = stack.pop()
-            for c in closing[i]:
-                if not entry(c, s):
-                    break
-            else:
-                if i == n - 1:
-                    yield s
-                    continue
-                stack.append((i + 1, s))
-                t = s | 1 << (i + 1)
-                if t != full:
-                    stack.append((i + 1, t))
-
-    def phi(self, s: int) -> PLFunction:
-        """φ_S for a nef S, from the fan's entries, with no scan."""
-        values = tuple([_ONE if s >> v & 1 else _ZERO for v in range(self.n)])
-        functionals = tuple([self.fan.entry(c, s)[0] for c in range(len(self.fan.cones))])
-        return PLFunction(self.fan, values, functionals, integral_convex=True)
+def _phi(fan: FaceFan, s: int) -> PLFunction:
+    """φ_S for a nef S, its functionals read off the fan's entries and its
+    verdict convex, as the entries decided."""
+    values = tuple([_ONE if s >> v & 1 else _ZERO for v in range(len(fan.base.vertices))])
+    return PLFunction(fan, values, tuple([fan.entry(c, s)[0] for c in range(len(fan.cones))]), None)
 
 
 def _exact_covers(blocks: list[int], full: int, r: int):
@@ -449,25 +427,26 @@ def _exact_covers(blocks: list[int], full: int, r: int):
 def enumerate_nef_partitions(delta: Polytope, r: int) -> list[NefPartition]:
     """All nef-partitions of ``delta`` into exactly ``r`` unlabeled parts.
 
-    Two searches read the fan's entries (:class:`_NefSubsets`), kept on the
-    fan, so a later call or validation on the same base reads them again.
-    The subset search labels the vertices in or out of a subset S holding
-    vertex 0, cuts a branch at the first cone where S's pattern has no
-    lattice functional, and keeps S and its complement when both are nef
-    (at r = 1, the full vertex set when it is nef). The cover search then
+    Two searches read the fan's entries (:meth:`~nefdual.fan.FaceFan.entry`),
+    kept on the fan, so a later call or validation on the same base reads
+    them again. The subset search (:func:`_lattice_subsets`) labels the
+    vertices in or out of a subset S holding vertex 0, cuts a branch at the
+    first cone where S's pattern has no lattice functional, and keeps S and
+    its complement when both are nef (:func:`_is_nef`; at r = 1, the full
+    vertex set when it is nef). The cover search then
     builds every cover of the vertices by r disjoint kept subsets, taking
     each time one that holds the lowest vertex not yet covered, so the
     parts come in the order of smallest member. The module docstring shows
     that the covers are exactly the nef-partitions. Both searches run depth
     first on an explicit stack.
 
-    The subset search makes no :meth:`~nefdual.fan.FaceFan.cone_functional`
-    call: each (cone, pattern) is read off the rows of the cone's integer
-    table that the pattern picks, the table built once per cone, by
-    exchange from the fan's last one, and kept on the fan (the module
-    docstring gives the argument). Each subset is decided once and each
+    The subset search makes no weighted read
+    (:meth:`~nefdual.fan.FaceFan._weighted_read`): each (cone, pattern) is
+    read off the rows of the cone's integer table that the pattern picks,
+    the table built once per cone, by exchange from the fan's last one, and
+    kept on the fan (the module docstring gives the argument). Each subset is decided once and each
     part of the result is built once per call, however many partitions
-    share it: φ with no convexity scan (the masks decided it), ∇ᵢ from φ,
+    share it: φ by :func:`_phi`, its verdict the masks', ∇ᵢ from φ,
     and Δᵢ by :func:`_delta_part`, whose origin test depends on Eᵢ alone.
     No symmetry reduction is applied. The result is sorted by canonical
     part lists and equals that of validating every set partition into r
@@ -481,14 +460,13 @@ def enumerate_nef_partitions(delta: Polytope, r: int) -> list[NefPartition]:
     if r < 1 or r > n:
         return []
     fan = face_fan(delta)
-    subsets = _NefSubsets(fan)
     full = (1 << n) - 1
     if r == 1:
-        blocks = [full] if subsets.is_nef(full) else []
+        blocks = [full] if _is_nef(fan, full) else []
     else:
         blocks = []
-        for s in subsets.lattice_subsets():
-            if subsets.is_nef(s) and subsets.is_nef(full ^ s):
+        for s in _lattice_subsets(fan):
+            if _is_nef(fan, s) and _is_nef(fan, full ^ s):
                 blocks += (s, full ^ s)
     built: dict[int, tuple] = {}  # subset -> (part, φ, ∇ᵢ)
     delta_parts: dict[int, Polytope] = {}
@@ -496,7 +474,7 @@ def enumerate_nef_partitions(delta: Polytope, r: int) -> list[NefPartition]:
     for cover in _exact_covers(blocks, full, r):
         for s in cover:
             if s not in built:
-                phi = subsets.phi(s)
+                phi = _phi(fan, s)
                 built[s] = (frozenset(v for v in range(n) if s >> v & 1), phi, support_polytope(phi))
         parts, phis, nabla_parts = zip(*[built[s] for s in cover])
         for i, s in enumerate(cover):

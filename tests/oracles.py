@@ -22,7 +22,7 @@ search over set partitions cut per cone that validated every survivor
 (:func:`_pruned_candidates`, :func:`pruned_enumerate_nef_partitions`),
 solve-per-cone PL extension
 (:func:`pl_from_vertex_values`), its former validation by the PL extension
-and the convexity scan (:func:`scan_decide`, :func:`scan_validate_partition`,
+and its convexity verdict (:func:`scan_decide`, :func:`scan_validate_partition`,
 :func:`scan_dual_nef_partition`), hull set-up (:func:`simplex_planes`,
 :func:`rank_hull`, :func:`search_hull`), the hull that solved its initial
 simplex's facets by a second elimination (:func:`_simplex_planes`), sent
@@ -803,7 +803,9 @@ def pl_from_vertex_values(fan: FaceFan, values: Sequence) -> PLFunction:
     each cone the facet's vertices pin down a unique linear functional
     because they span the ambient space; if the (overdetermined) system of a
     non-simplicial facet is unsolvable, raises NotPiecewiseLinear naming the
-    cone. Values are exact rationals; a ``float`` is a ``TypeError``.
+    cone. Values are exact rationals; a ``float`` is a ``TypeError``. The
+    function's convexity verdict is that of :func:`convexity_violation`,
+    the scan over every cone's functional.
     """
     verts = fan.base.vertices
     if len(values) != len(verts):
@@ -823,14 +825,17 @@ def pl_from_vertex_values(fan: FaceFan, values: Sequence) -> PLFunction:
                 witness=cone.index,
             )
         functionals.append(u)
-    return PLFunction(fan, vals, tuple(functionals))
+    return PLFunction(fan, vals, tuple(functionals), convexity_violation(fan, vals, functionals))
 
 
 # The library's former validation, verbatim apart from the names: each part
 # decided by the PL extension of its indicator (``fan.pl_from_vertex_values``),
-# then ``first_nonintegral_cone`` and the convexity scan that ``PLFunction``
-# runs when it is built (the library now decides each part on the fan's
-# (cone, pattern) entries, the ones its enumeration reads), and the former
+# then ``first_nonintegral_cone`` and the convexity verdict that the
+# ``PLFunction`` records (a scan when this route was the library's, now the
+# masks of the extension's weighted read; the library now decides each part
+# on the fan's (cone, pattern) entries, the ones its enumeration reads). A
+# test compares that verdict with :func:`convexity_violation` on every
+# function this route builds on the corpus. And the former
 # dual, validated on nabla with it and given no entry read off the delta
 # parts.
 
@@ -1706,10 +1711,11 @@ def kernel_dual_nef_partition(np: NefPartition) -> NefPartition:
 # the phi check that paired with it, and ``duality._read_off``, which paired
 # each delta part vertex with every vertex of nabla by its own dot product
 # (the library reads every one of these pairings from one table per
-# duality, computed once). ``fan._convexity_violation`` paired every vertex
-# with every cone's functional (the library pairs it once per distinct
-# functional). A test puts these in place of the library's to run the
-# former route whole.
+# duality, computed once). :func:`convexity_violation` pairs every vertex
+# with every cone's functional: the library's former convexity scan, which
+# paired it once per distinct functional (the library now decides
+# convexity on one vertex bitmask per cone). A test puts these in place
+# of the library's to run the former route whole.
 
 
 def is_minkowski_sum(p: Polytope, summands: Sequence[Polytope]) -> bool:

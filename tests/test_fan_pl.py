@@ -182,6 +182,50 @@ def test_pl_addition_and_support_additivity():
     assert support_polytope(total) == minkowski_sum(support_polytope(f), support_polytope(g))
 
 
+def _decided(f):
+    return (f.vertex_values, f.functionals, f.is_convex, f.is_integral, f.first_convexity_violation())
+
+
+def test_a_sum_of_pl_functions_is_decided_afresh():
+    """A sum's convexity and integrality are its own, not its summands':
+    a function that is not convex plus one that makes the sum convex, and
+    two functions off the lattice whose sum is integral. Each sum equals
+    the oracle's extension of the summed values (the Fraction solve per
+    cone and the scan over every cone's functional), its witness
+    included. Then every pair of functions with values in {-1, 0, 1} on
+    the cross and with values in {0, 1/2} on the square."""
+    cross = face_fan(CROSS)
+    # canonical vertex order (-1,0),(0,-1),(0,1),(1,0)
+    bent = pl_from_vertex_values(cross, [0, -2, 1, 0])
+    lift = pl_from_vertex_values(cross, [0, 2, 0, 0])
+    assert not bent.is_convex and lift.is_convex
+    total = bent + lift
+    assert total.is_convex and total.is_integral
+    assert _decided(total) == _decided(oracles.pl_from_vertex_values(cross, [0, 0, 1, 0]))
+    half = pl_from_vertex_values(cross, [F(1, 2)] * 4)
+    other = pl_from_vertex_values(cross, [F(1, 2), F(1, 2), F(1, 2), F(3, 2)])
+    assert not half.is_integral and not other.is_integral
+    total = half + other
+    assert total.is_integral
+    assert _decided(total) == _decided(oracles.pl_from_vertex_values(cross, [1, 1, 1, 2]))
+    kinds = {"is_convex": Counter(), "is_integral": Counter()}
+    for base, levels in ((CROSS, (-1, 0, 1)), (SQUARE, (0, F(1, 2)))):
+        fan = face_fan(base)
+        functions = [
+            pl_from_vertex_values(fan, values)
+            for values in itertools.product(levels, repeat=len(base.vertices))
+        ]
+        for f, g in itertools.product(functions, repeat=2):
+            total = f + g
+            values = [a + b for a, b in zip(f.vertex_values, g.vertex_values)]
+            assert _decided(total) == _decided(oracles.pl_from_vertex_values(fan, values))
+            for kind, counts in kinds.items():
+                both = getattr(f, kind) and getattr(g, kind)
+                counts[both, getattr(total, kind)] += 1
+    # summands not both convex (or integral) with a sum that is, and with one that is not
+    assert all(counts[False, True] and counts[False, False] for counts in kinds.values()), kinds
+
+
 value = st.integers(0, 2)
 
 
@@ -402,6 +446,29 @@ def test_cone_functional_takes_one_exact_value_per_cone_vertex():
         with pytest.raises(TypeError):
             fan.cone_functional(0, values)
     assert fan.cone_functional(0, ("1/2", 1)) == fan.cone_functional(0, (F(1, 2), 1))
+
+
+def test_a_string_that_is_no_exact_number_is_one_value_error_naming_it():
+    """``Point``, ``pl_from_vertex_values`` and ``cone_functional`` take
+    their values alike: a string that ``Fraction`` cannot read, "1/0"
+    among them, is a ``ValueError`` whose message names it; a value that
+    is no number, a ``float`` or ``None``, is a ``TypeError``; and a
+    numeric string is parsed."""
+    fan = face_fan(CROSS)
+    readers = (
+        lambda x: Point((x, 1)),
+        lambda x: pl_from_vertex_values(fan, [x, 0, 0, 1]),
+        lambda x: fan.cone_functional(0, (x, 1)),
+    )
+    for read in readers:
+        for text in ("x", "1/0", "", "nan", "1/2/3"):
+            with pytest.raises(ValueError) as info:
+                read(text)
+            assert repr(text) in str(info.value)
+        for value in (None, 0.5, b"1", 1j):
+            with pytest.raises(TypeError):
+                read(value)
+        assert read(" -1/2 ") == read(F(-1, 2))
 
 
 def test_every_cone_table_meets_its_definition_from_every_parent(corpus, scale_bench):

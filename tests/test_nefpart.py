@@ -361,9 +361,10 @@ def test_search_validates_only_candidates_no_cone_rules_out(
     """The oracle half counts the reasons over every set partition:
     ``expected`` candidates have a lattice functional for every part on
     every cone. The enumeration validates no candidate: it decides each
-    vertex subset at most once per call, and builds φ, with no convexity
-    scan, and ∇ᵢ once for each subset that is a part of a partition it
-    returns."""
+    vertex subset at most once per call, makes no weighted read (the
+    masks of the fan's entries decide convexity), and builds φ, with the
+    verdict convex, and ∇ᵢ once for each subset that is a part of a
+    partition it returns."""
     if name in FOUR_D:
         coords = FOUR_D[name]
     else:
@@ -378,31 +379,36 @@ def test_search_validates_only_candidates_no_cone_rules_out(
     if name in ("cross2d", "octahedron", "cross4"):  # cross-polytopes: every candidate is nef
         assert reasons == Counter(accepted=expected)
 
-    validated, scanned, decided, phis, nablas = [], [], Counter(), [], []
-    is_nef = nefpart._NefSubsets.is_nef
+    validated, weighted, decided, phis, nablas = [], [], Counter(), [], []
+    is_nef = nefpart._is_nef
+    weighted_read = fan.FaceFan._weighted_read
     support = nefpart.support_polytope
 
-    def deciding(self, s):
+    def deciding(fan_, s):
         decided[s] += 1
-        return is_nef(self, s)
+        return is_nef(fan_, s)
 
-    def building_phi(fan_, values, functionals, **decided_by_builder):
-        assert decided_by_builder == {"integral_convex": True}
+    def reading(*args):
+        weighted.append(args)
+        return weighted_read(*args)
+
+    def building_phi(fan_, values, functionals, violation):
+        assert violation is None
         phis.append(values)
-        return fan.PLFunction(fan_, values, functionals, **decided_by_builder)
+        return fan.PLFunction(fan_, values, functionals, violation)
 
     def building_nabla(f):
         nablas.append(f.vertex_values)
         return support(f)
 
     monkeypatch.setattr(nefpart, "validate_partition", lambda *a: validated.append(a))
-    monkeypatch.setattr(nefpart._NefSubsets, "is_nef", deciding)
+    monkeypatch.setattr(nefpart, "_is_nef", deciding)
     monkeypatch.setattr(nefpart, "PLFunction", building_phi)
-    monkeypatch.setattr(fan, "_convexity_violation", lambda *a: scanned.append(a))
+    monkeypatch.setattr(fan.FaceFan, "_weighted_read", reading)
     monkeypatch.setattr(nefpart, "support_polytope", building_nabla)
     found = enumerate_nef_partitions(_fresh(coords), r)
     assert len(found) == reasons["accepted"]
-    assert validated == scanned == []
+    assert validated == weighted == []
     assert all(k == 1 for k in decided.values())
     n = len(reference.vertices)
     blocks = {tuple(F(int(v in part)) for v in range(n)) for np_ in found for part in np_.parts}
@@ -492,7 +498,8 @@ def test_exact_covers_equal_the_pruned_search_on_larger_inputs(scale_bench, name
 
 def test_the_masks_decide_convexity_like_the_scan(corpus):
     """On every 0/1 subset S of the reflexive corpus polytopes and of the
-    three enum4d inputs, the mask verdict equals the scan's, read off the
+    three enum4d inputs, the mask verdict equals the verdict of the scan
+    over every cone's functional (``oracles.convexity_violation``) on the
     PL function of S's indicator; a subset without one, or with a
     functional off the lattice, is not nef."""
     bases = [_fresh([v.coords for v in e.polytope.vertices]) for e in corpus if e.reflexive]
@@ -500,7 +507,6 @@ def test_the_masks_decide_convexity_like_the_scan(corpus):
     verdicts = Counter()
     for delta in bases:
         face = fan.face_fan(delta)
-        subsets = nefpart._NefSubsets(face)
         n = len(delta.vertices)
         for s in range(1 << n):
             values = [F(s >> v & 1) for v in range(n)]
@@ -512,8 +518,8 @@ def test_the_masks_decide_convexity_like_the_scan(corpus):
                 if not f.is_integral:
                     scan = "not integral"
                 else:
-                    scan = fan._convexity_violation(face, f.vertex_values, f.functionals) is None
-            assert subsets.is_nef(s) == (scan is True), (delta, s)
+                    scan = oracles.convexity_violation(face, f.vertex_values, f.functionals) is None
+            assert nefpart._is_nef(face, s) == (scan is True), (delta, s)
             verdicts[scan] += 1
     assert verdicts == {True: 185, False: 35, "not integral": 66, "not piecewise linear": 4830}
 
@@ -683,22 +689,22 @@ def test_a_delta_part_with_another_parts_vertex_fails_both_audits():
 
 def test_convexity_is_decided_with_no_scan_at_the_first_violation(monkeypatch, corpus_by_name):
     """On the hexagon at r=3 most set partitions are NotConvex. Validation
-    scans no PL function, and the rejection names the first (vertex, cone)
-    of a scan over the former solve-per-cone functionals with the Fraction
-    pairing."""
-    scans = []
-    original_scan = fan._convexity_violation
+    makes no weighted read, the library's one route that decides a PL
+    function of arbitrary values, and the rejection names the first
+    (vertex, cone) of a scan over the former solve-per-cone functionals
+    with the Fraction pairing."""
+    reads = []
+    weighted_read = fan.FaceFan._weighted_read
 
-    def counting_scan(*args):
-        scans.append(1)
-        return original_scan(*args)
+    def counting_read(*args):
+        reads.append(1)
+        return weighted_read(*args)
 
-    monkeypatch.setattr(fan, "_convexity_violation", counting_scan)
+    monkeypatch.setattr(fan.FaceFan, "_weighted_read", counting_read)
     hexagon = _fresh([v.coords for v in corpus_by_name["hexagon"].polytope.vertices])
     not_convex = 0
     for cand in _set_partitions(len(hexagon.vertices), 3):
         res = validate_partition(hexagon, cand)
-        assert scans == []
         if isinstance(res, Rejection) and res.reason == NOT_CONVEX:
             not_convex += 1
             values = [F(int(i in cand[res.part])) for i in range(len(hexagon.vertices))]
@@ -710,31 +716,34 @@ def test_convexity_is_decided_with_no_scan_at_the_first_violation(monkeypatch, c
                 if oracles.pair(v, u) > values[vi]
             )
             assert (res.vertex, res.cone) == first
-            scans.clear()  # the oracle's PL function was scanned when built
     assert not_convex > 0
+    assert reads == []
 
 
-def test_the_scan_per_distinct_functional_matches_the_scan_per_cone(
+def test_pl_from_vertex_values_decides_convexity_like_the_scan_per_cone(
     monkeypatch, corpus, corpus_by_name
 ):
-    """Every PL function that the former validation scanned
+    """Every PL function that the former validation built
     (``oracles.scan_validate_partition``, which extends each part's
     indicator by ``pl_from_vertex_values``) on the reflexive corpus at
     r = 1..3, of every set partition, accepted or rejected, every dual's
     psi, and every function with values in {-1, 0, 1} on the hexagon:
-    pairing each vertex once with each distinct functional gives the same
-    first (vertex, cone) as the former scan in tests/oracles.py, which
-    pairs it with every cone's functional."""
+    the verdict that ``pl_from_vertex_values`` reads off the per-cone
+    masks of its weighted read is the first (vertex, cone) of the scan in
+    tests/oracles.py, which pairs each vertex with every cone's
+    functional, or ``None`` with both."""
     verdicts = Counter()
-    scan = fan._convexity_violation
+    extend = fan.pl_from_vertex_values
 
-    def both_scans(face, values, functionals):
-        got = scan(face, values, functionals)
-        assert got == oracles.convexity_violation(face, values, functionals)
+    def checked_extension(face, values):
+        f = extend(face, values)
+        got = f.first_convexity_violation()
+        assert got == oracles.convexity_violation(face, f.vertex_values, f.functionals)
+        assert f.is_convex == (got is None)
         verdicts[got is None] += 1
-        return got
+        return f
 
-    monkeypatch.setattr(fan, "_convexity_violation", both_scans)
+    monkeypatch.setattr(oracles, "pl_extension", checked_extension)
     accepted = []
     for entry in corpus:
         if entry.reflexive:
@@ -755,7 +764,7 @@ def test_the_scan_per_distinct_functional_matches_the_scan_per_cone(
     hexagon = _fresh([v.coords for v in corpus_by_name["hexagon"].polytope.vertices])
     face = fan.face_fan(hexagon)
     for values in itertools.product((-1, 0, 1), repeat=len(hexagon.vertices)):
-        fan.pl_from_vertex_values(face, values)
+        checked_extension(face, values)
     assert verdicts == {True: 984 + 41, False: 110 + 688}
 
 
@@ -800,7 +809,8 @@ def test_validation_extends_no_function_and_scans_none(monkeypatch, corpus):
     """``validate_partition`` on every set partition of the reflexive
     corpus at r = 1..3, and ``dual_nef_partition`` on every one accepted,
     call no ``pl_from_vertex_values``, ``FaceFan.cone_functional`` or
-    convexity scan."""
+    weighted read (``FaceFan._weighted_read``), the one route that decides
+    a PL function of arbitrary values."""
     calls = Counter()
 
     def refused(name):
@@ -813,7 +823,7 @@ def test_validation_extends_no_function_and_scans_none(monkeypatch, corpus):
         if hasattr(module, "pl_from_vertex_values"):
             monkeypatch.setattr(module, "pl_from_vertex_values", refused("pl_from_vertex_values"))
     monkeypatch.setattr(fan.FaceFan, "cone_functional", refused("cone_functional"))
-    monkeypatch.setattr(fan, "_convexity_violation", refused("_convexity_violation"))
+    monkeypatch.setattr(fan.FaceFan, "_weighted_read", refused("_weighted_read"))
     accepted = 0
     for entry in corpus:
         if entry.reflexive:
