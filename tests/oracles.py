@@ -1,66 +1,66 @@
-"""Independent reimplementations used only as test oracles.
+"""Test oracles: checks from the definition, and the library's former routes.
 
-Nothing here calls into the package's computational code. Each helper works
-on raw coordinate tuples with its own elimination routine, so a defect in
-the library cannot hide behind a shared code path. The exceptions:
-:func:`intersection_is_origin` reads the facet and equality data of the
-two ``Polytope``s it compares, and decides with its own elimination; the
-former ``Fraction`` arithmetic of ``nefdual.polytope`` at the end of this
-file (:func:`pair`, :func:`contains`, :func:`solve_linear` and the ``Point``
-comparisons) reads ``Point.coords`` and ``Point.space`` only, except that
-:func:`solve_linear` still hands ``Fraction`` rows to ``linalg.solve``, whose
-own reference is :func:`_solve`; and the library's former hull-based
-routes (:func:`beneath_beyond_planes`, :func:`_intersection_is_origin`,
-:func:`assert_partition_invariants`, :func:`dual_nef_partition`,
-:func:`verify_involution`), its former build of every part by a hull
-(:func:`hull_build`, :func:`_delta_part`, :func:`hull_support_polytope`),
-its former audit of every validated partition
-on vertex sets (:func:`assert_vertex_set_invariants`), its former
-Bell-number enumeration
-(:func:`_set_partitions`, :func:`enumerate_nef_partitions`), its former
-search over set partitions cut per cone that validated every survivor
-(:func:`_pruned_candidates`, :func:`pruned_enumerate_nef_partitions`),
-solve-per-cone PL extension
-(:func:`pl_from_vertex_values`), its former validation by the PL extension
-and its convexity verdict (:func:`scan_decide`, :func:`scan_validate_partition`,
-:func:`scan_dual_nef_partition`), hull set-up (:func:`simplex_planes`,
-:func:`rank_hull`, :func:`search_hull`), the hull that solved its initial
-simplex's facets by a second elimination (:func:`_simplex_planes`), sent
-a simplex through insertion, inserted points with simplicial facets and
-merged the coplanar pieces (:func:`two_elimination_hull`; the library now
-reads a full-dimensional simplex's facets off the elimination that finds the
-span, returns a simplex at once and keeps each facet whole as it inserts
-points), the ``Fraction`` relation and dual-PL checks
-(:func:`check_relations`, :func:`check_psi`, the psi check that the
-former dual routes here still run) and, at the very end, the
-Minkowski-sum checks by the hull of the sum (:func:`verify_polar_is_nabla_sum`,
-:func:`verify_nabla_polar_is_delta_sum`) and the dual decided with a
-kernel on every cone of nabla's fan (:func:`kernel_dual_nef_partition`),
-and the pairing route of a duality before its pairing table: the sum checks
-on a polar (:func:`is_minkowski_sum`,
-:func:`polar_support_polar_is_nabla_sum`,
+**From the definition.** Nothing here calls into the package's
+computational code. Each of these works on raw coordinate tuples with its
+own elimination (:func:`rref`, :func:`_solve`), or reads only the fields of
+a ``Point`` and a ``Polytope``, so a defect in the library cannot hide
+behind a shared code path: convex-hull membership
+(:func:`caratheodory_member`), the vertices of an H-description
+(:func:`hrep_vertex_set`), the hull certificate (:func:`certify_hull`,
+which reads the points' integer forms and the hull's span, facets and
+vertices, and checks them against the definition), the intersection of
+two polytopes at the origin (:func:`intersection_is_origin`, from their
+facet and equality data), a reflexive polytope's facets
+(:func:`reflexive_facets`), nef-partitions by the definition
+(:func:`is_nef_partition`, :func:`oracle_nef_partitions`) and the
+determinant by the Leibniz formula (:func:`determinant`).
+
+**Former routes.** The rest call the rest of the library and serve as the
+reference for the routes that replaced them: the former ``Fraction``
+arithmetic of ``nefdual.polytope`` (:func:`pair`, :func:`contains`,
+:func:`solve_linear` and the ``Point`` comparisons, which read
+``Point.coords`` and ``Point.space`` only, except that :func:`solve_linear`
+hands ``Fraction`` rows to ``linalg.solve``, whose own reference is
+:func:`_solve`); the former hull-based routes
+(:func:`_intersection_is_origin`, :func:`assert_partition_invariants`,
+:func:`dual_nef_partition`, :func:`verify_involution`); the former build of
+every part by a hull (:func:`hull_build`, :func:`_delta_part`,
+:func:`hull_support_polytope`); the former audit of every validated
+partition on vertex sets (:func:`assert_vertex_set_invariants`); the former
+Bell-number enumeration (:func:`_set_partitions`,
+:func:`enumerate_nef_partitions`); the former search over set partitions
+cut per cone that validated every survivor (:func:`_pruned_candidates`,
+:func:`pruned_enumerate_nef_partitions`); the solve-per-cone PL extension
+(:func:`pl_from_vertex_values`); the former validation by that extension
+and its convexity scan (:func:`scan_decide`, :func:`scan_validate_partition`,
+:func:`scan_dual_nef_partition`); the ``Fraction`` relation and dual-PL
+checks (:func:`check_relations`, :func:`check_psi`, the psi check that the
+former dual routes here still run); the Minkowski-sum checks by the hull
+of the sum (:func:`verify_polar_is_nabla_sum`,
+:func:`verify_nabla_polar_is_delta_sum`); the dual decided with a kernel on
+every cone of nabla's fan (:func:`kernel_dual_nef_partition`); the pairing
+route of a duality before its pairing table: the sum checks on a polar
+(:func:`is_minkowski_sum`, :func:`polar_support_polar_is_nabla_sum`,
 :func:`polar_support_nabla_polar_is_delta_sum`), the relation check by a
 dot product per pairing (:func:`pair_min`, :func:`pair_min_check_relations`)
 and the read-off that paired on its own (:func:`dot_read_off`), with the
-convexity scan over every cone's functional (:func:`convexity_violation`),
-and the polar read off the facet-vertex incidence
-(:func:`incidence_polar`), a nabla part's membership by Borisov's
-H-description (:func:`hrep_contains`), the subset search's cone entry by
-the ``Fraction`` solve and a pairing per vertex (:func:`functional_cone_entry`),
-and the determinant by the Leibniz formula (:func:`determinant`).
-These call the rest of the library and serve as the reference for the
-routes that replaced them.
+convexity scan over every cone's functional (:func:`convexity_violation`);
+the polar read off the facet-vertex incidence (:func:`incidence_polar`); a
+nabla part's membership by Borisov's H-description (:func:`hrep_contains`);
+and the subset search's cone entry by the ``Fraction`` solve and a pairing
+per vertex (:func:`functional_cone_entry`).
 """
 
 from __future__ import annotations
 
 import itertools
 import operator
+from collections import Counter
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations
 from math import gcd, lcm
-from operator import and_, mul
+from operator import mul
 from typing import Iterable, Sequence
 
 from nefdual.duality import CheckResult, _covers, _dual_parts, nabla
@@ -73,17 +73,14 @@ from nefdual.errors import (
     NotReflexive,
     ZeroNotInterior,
 )
-from nefdual.fan import FaceFan, PLFunction, face_fan, pl_from_vertex_values as pl_extension, support_polytope
+from nefdual.fan import FaceFan, PLFunction, face_fan, support_polytope
 from nefdual.linalg import (
     Inconsistent,
     SolveFailure,
     Underdetermined,
-    eliminate,
     exact_rational,
-    integer_nullspace,
     solve,
 )
-from nefdual import polytope
 from nefdual.nefpart import (
     EMPTY_PART,
     NOT_CONVEX,
@@ -102,7 +99,6 @@ from nefdual.nefpart import (
 )
 from nefdual.polytope import (
     Facet,
-    LinearEquality,
     Point,
     Polytope,
     _dot,
@@ -235,6 +231,134 @@ def _hrep_vertices(
             continue
         found.add(sol)
     return sorted(found)
+
+
+def certify_hull(points, poly) -> None:
+    """Check that ``poly`` is the hull of ``points`` as :func:`hull` records
+    it, from the definition and with no second hull; raise AssertionError
+    naming the first check that fails.
+
+    Only ``Point.space``, ``_num`` and ``_den`` and the ``Polytope`` fields
+    are read, and nothing of the library is called: the span comes from
+    :func:`rref`, and every other step is ``int`` arithmetic on the points
+    scaled by their common denominator L.
+
+    1. ``space`` and ``ambient_dim`` are the points'.
+    2. The equalities are the canonical basis of the span's normals: one
+       primitive integer vector per free column of the rref of the
+       differences, positive at that column, sorted. Every point satisfies
+       every equality.
+    3. Each facet normal is a primitive lattice vector orthogonal to every
+       equality normal, the normals are strictly sorted, each offset is a
+       ``Fraction`` and every point satisfies every facet. The points each
+       facet is tight on form its mask.
+    4. On the lattice L of those masks, walked down from the top (all
+       points), the covers of X are the maximal sets among
+       {X & m : m ⊉ X} ∪ {∅}. Every cover has rank one below X, with the
+       top at k, the points' affine dimension, and ∅ at -1, so every
+       maximal chain has length k + 1. The top's covers are exactly the
+       facet masks, and every interval [Z, X] of length 2 has exactly two
+       middles (the diamond property).
+    5. The vertices are the points of the rank-0 elements, sorted, and each
+       ``Facet.incidence`` lists the vertices in its facet's mask.
+
+    Why that is the hull. By step 3 each facet is a valid inequality whose
+    normal is not constant on the span, so its mask is the point set of a
+    proper face of P = conv(points). Every element of L is an intersection
+    of such masks, hence a face too, and a face is the hull of the points
+    on it, so strict inclusion in L is strict inclusion of faces and raises
+    the geometric dimension. A maximal chain takes k + 1 steps from the top
+    (dimension k) to ∅ (dimension -1), so each step lowers the dimension by
+    exactly one, and rank = dimension throughout L.
+
+    By induction on the dimension, every face of an element X of L is in
+    L. A vertex has only itself and ∅. For X of dimension j >= 1, its covers
+    are facets of X, and it has one, Y; by induction every face of Y is in
+    L, so every ridge R of X inside Y is. The middles of [R, X] are facets
+    of X through R, and R lies in exactly two of them; the diamond check
+    finds two middles, so both are in L. The facet-ridge graph of X is
+    connected, so stepping across ridges puts every facet of X in L, and
+    with it every face of X, each lying in some facet. At the top this
+    means that the covers of the top, the facet masks, are every facet of
+    P, one record each, so no facet is missing; and the rank-0 elements are
+    every vertex of P. A facet's primitive normal in the direction space
+    and its offset are fixed by its face, so the record is the hull's.
+    """
+    pts = list(points)
+    space, d = pts[0].space, len(pts[0]._num)
+    assert (poly.space, poly.ambient_dim) == (space, d), "space or ambient dimension"
+    scale = lcm(*[p._den for p in pts])
+    own = {tuple([x * (scale // p._den) for x in p._num]): (p._num, p._den) for p in pts}
+    forms = sorted(own)
+
+    x0 = forms[0]
+    mat, pivots = rref([[a - b for a, b in zip(x, x0)] for x in forms[1:]], d)
+    k = len(pivots)
+    basis = []
+    for f in range(d):
+        if f not in pivots:
+            v = [Fraction(int(c == f)) for c in range(d)]
+            for row, c in zip(mat, pivots):
+                v[c] = -row[f]
+            m = lcm(*[x.denominator for x in v])
+            v = [int(x * m) for x in v]
+            g = gcd(*v)
+            basis.append(tuple([x // g for x in v]))
+    eqs = poly.affine_span
+    assert [(e.normal._num, e.normal._den) for e in eqs] == [(v, 1) for v in sorted(basis)], "span"
+    for e in eqs:
+        a, b = e.value.numerator, e.value.denominator
+        assert type(e.value) is Fraction and e.normal.space != space, "equality record"
+        assert all(sum(map(mul, x, e.normal._num)) * b == a * scale for x in forms), "off the span"
+
+    masks = []
+    for f in poly.facets:
+        n, off = f.normal._num, f.offset
+        assert f.normal._den == 1 and gcd(*n) == 1 and f.normal.space != space, "normal"
+        assert not any(sum(map(mul, n, e.normal._num)) for e in eqs), "normal off the span"
+        assert type(off) is Fraction, "offset"
+        mask = 0
+        for i, x in enumerate(forms):
+            s = sum(map(mul, x, n)) * off.denominator + off.numerator * scale
+            assert s >= 0, "a point violates a facet"
+            mask |= (s == 0) << i
+        masks.append(mask)
+    normals = [f.normal._num for f in poly.facets]
+    assert normals == sorted(set(normals)), "facet order"
+
+    def covers(x):
+        kept = []
+        for y in sorted({x & m for m in masks if x & m != x} | {0}, key=int.bit_count, reverse=True):
+            if all(y & z != y for z in kept):
+                kept.append(y)
+        return kept
+
+    top = (1 << len(forms)) - 1
+    rank = {top: k}
+    down = {}
+    level = {top}
+    for r in range(k, -1, -1):
+        below = set()
+        for x in level:
+            down[x] = covers(x)
+            for y in down[x]:
+                assert bool(y) == (r > 0) and rank.setdefault(y, r - 1) == r - 1, "not graded"
+                below.add(y)
+        level = below - {0}
+    assert sorted(y for y in down[top] if y) == sorted(masks), "facets"
+    for x, ys in down.items():
+        if rank[x] > 0:
+            middles = Counter(z for y in ys for z in down[y])
+            assert set(middles.values()) == {2}, "diamond"
+
+    points_at = sorted(x for x, r in rank.items() if r == 0)
+    assert all(x & (x - 1) == 0 for x in points_at), "a rank-0 element is not one point"
+    bits = [x.bit_length() - 1 for x in points_at]
+    assert [(v._num, v._den, v.space) for v in poly.vertices] == [
+        (*own[forms[i]], space) for i in bits
+    ], "vertices"
+    for f, m in zip(poly.facets, masks):
+        assert f.incidence == tuple([pos for pos, i in enumerate(bits) if m >> i & 1]), "incidence"
 
 
 def intersection_is_origin(p, q):
@@ -399,9 +523,7 @@ def point_le(self, other: "Point") -> bool:
 
 
 # The former hull-based routes of the library, verbatim apart from their
-# names: the beneath-beyond insertion that solves one integer nullspace per
-# new facet (the library now combines each new facet from two neighbours),
-# the partition audit that decides its two hull identities with hulls and
+# names: the partition audit that decides its two hull identities with hulls and
 # Δᵢ ∩ Δⱼ = {0} with one hull per pair of parts (the library now compares
 # vertex sets and tests each part's vertices), the dual partition that is
 # validated on nabla from scratch and whose psi is cross-checked against the
@@ -416,79 +538,6 @@ def point_le(self, other: "Point") -> bool:
 # file's Fraction version above, which gives the same values. The psi
 # cross-check is :func:`check_psi` below, the Fraction version of the
 # library's former ``duality._check_psi``, with the same outcomes.
-
-
-def _plane_through(pts, verts: frozenset, eq_rows, interior, weight: int):
-    """Hyperplane ``<x, n> = c`` through the given points, with ``n`` in the
-    direction space of the hull, oriented so ``<interior, n> > weight * c``.
-
-    ``eq_rows`` are the normals of the hull's affine span, each extended by a
-    0; ``interior`` is ``weight`` times a point inside the hull.
-    """
-    rows = [list(pts[i]) + [-1] for i in sorted(verts)] + eq_rows
-    basis = integer_nullspace(rows, len(interior) + 1)
-    if len(basis) != 1:
-        raise InvariantViolation("degenerate facet candidate", witness=sorted(verts))
-    *nv, c = basis[0]
-    s = _dot(interior, nv)
-    if s == weight * c:
-        raise InvariantViolation("interior point on facet plane", witness=sorted(verts))
-    if s < weight * c:
-        nv = [-x for x in nv]
-        c = -c
-    return (tuple(nv), c, frozenset(verts))
-
-
-def beneath_beyond_planes(pts, simplex, eq_rows):
-    """Facet planes of the hull of distinct integer points spanning k dimensions.
-
-    Incremental insertion with simplicial facets; coplanar pieces of one
-    geometric facet are merged by the caller. Returns (normal, c) pairs with
-    the hull satisfying ``<x, normal> >= c``; each normal lies in the
-    direction space of the points, the orthogonal complement of ``eq_rows``.
-    Only the size k + 1 of the caller's ``simplex`` is read: the initial
-    simplex is searched for here.
-    """
-    k = len(simplex) - 1
-    n = len(pts)
-    d = len(pts[0])
-    simplex = [0]
-    dirs: list[list[int]] = []
-    for i in range(1, n):
-        v = [a - b for a, b in zip(pts[i], pts[0])]
-        if len(eliminate(dirs + [v], d)[0]) > len(dirs):
-            dirs.append(v)
-            simplex.append(i)
-            if len(simplex) == k + 1:
-                break
-    if len(simplex) != k + 1:
-        raise InvariantViolation("points do not span the expected dimension")
-    interior = tuple(sum(pts[i][j] for i in simplex) for j in range(d))
-    facets = [
-        _plane_through(pts, frozenset(simplex) - {simplex[excl]}, eq_rows, interior, k + 1)
-        for excl in range(k + 1)
-    ]
-    in_simplex = set(simplex)
-    for i in range(n):
-        if i in in_simplex:
-            continue
-        p = pts[i]
-        vis_idx = {ix for ix, f in enumerate(facets) if _dot(p, f[0]) < f[1]}
-        if not vis_idx:
-            continue
-        ridge_count: dict[frozenset, int] = {}
-        for ix in vis_idx:
-            verts = facets[ix][2]
-            for excl in verts:
-                ridge = verts - {excl}
-                ridge_count[ridge] = ridge_count.get(ridge, 0) + 1
-        new_facets = [
-            _plane_through(pts, ridge | {i}, eq_rows, interior, k + 1)
-            for ridge, cnt in ridge_count.items()
-            if cnt == 1
-        ]
-        facets = [f for ix, f in enumerate(facets) if ix not in vis_idx] + new_facets
-    return [(nv, c) for nv, c, _ in facets]
 
 
 def _intersection_is_origin(p: Polytope, q: Polytope):
@@ -828,16 +877,17 @@ def pl_from_vertex_values(fan: FaceFan, values: Sequence) -> PLFunction:
     return PLFunction(fan, vals, tuple(functionals), convexity_violation(fan, vals, functionals))
 
 
-# The library's former validation, verbatim apart from the names: each part
-# decided by the PL extension of its indicator (``fan.pl_from_vertex_values``),
-# then ``first_nonintegral_cone`` and the convexity verdict that the
-# ``PLFunction`` records (a scan when this route was the library's, now the
-# masks of the extension's weighted read; the library now decides each part
-# on the fan's (cone, pattern) entries, the ones its enumeration reads). A
-# test compares that verdict with :func:`convexity_violation` on every
-# function this route builds on the corpus. And the former
-# dual, validated on nabla with it and given no entry read off the delta
-# parts.
+# The library's former validation, verbatim apart from the names and the
+# extension: each part decided by the PL extension of its indicator, here
+# this file's :func:`pl_from_vertex_values`, then ``first_nonintegral_cone``
+# and the convexity verdict of :func:`convexity_violation`, the scan the
+# library ran when this route was its own (the library now decides each
+# part on the fan's (cone, pattern) entries, the ones its enumeration reads,
+# and takes its witness from those entries' masks). So no part of the
+# decision is the library's extension or its masks. A test compares the
+# library's ``pl_from_vertex_values`` verdict with the scan on every
+# function this route builds on the corpus. And the former dual, validated
+# on nabla with it and given no entry read off the delta parts.
 
 
 def scan_decide(delta: Polytope, parts):
@@ -875,7 +925,7 @@ def scan_decide(delta: Polytope, parts):
     for pi, part in enumerate(norm_parts):
         values = [Fraction(1) if i in part else Fraction(0) for i in range(nverts)]
         try:
-            f = pl_extension(fan, values)
+            f = pl_from_vertex_values(fan, values)
         except NotPiecewiseLinear as exc:
             return Rejection(NOT_PIECEWISE_LINEAR, part=pi, cone=exc.cone_index)
         bad_cone = f.first_nonintegral_cone()
@@ -1000,537 +1050,6 @@ def pruned_enumerate_nef_partitions(delta: Polytope, r: int) -> list[NefPartitio
             found.append(res)
     found.sort(key=lambda np: np.canonical_parts())
     return found
-
-
-# The former hull of the library, verbatim apart from the names: one
-# integer nullspace of the point differences for the affine span, then the
-# initial simplex searched by one elimination per tried point (the library
-# now gets both from one elimination of the differences with the rows
-# tracked). The initial simplex's planes come from :func:`_simplex_planes`,
-# the library's former second elimination (the library now reads them off
-# the span elimination), looked up here when called; the horizon planes are
-# read off ``nefdual.polytope`` when called. So a test may replace either.
-
-
-def _simplex_planes(pts, simplex, eq_rows, interior, weight: int):
-    """The k+1 facet planes of the initial simplex, from one elimination.
-
-    ``simplex`` indexes k+1 affinely independent points of ``pts``;
-    ``eq_rows`` are the normals of the hull's affine span, each extended by
-    a 0, and ``interior`` is ``weight`` times a point inside the simplex.
-    With the directions ``pts[simplex[j]] - pts[simplex[0]]`` (j = 1..k),
-    the square matrix M of the directions over the equality normals is
-    invertible, and one elimination of ``[M | I]`` gives M⁻¹ up to a
-    scalar. Column j-1 of M⁻¹ pairs to 1 with direction j and to 0 with the
-    other directions and every equality normal, so it lies in the direction
-    space and is the inward normal of the facet opposite ``simplex[j]``.
-    Minus the sum of those k columns pairs to -1 with every direction, so it
-    is the inward normal of the facet opposite ``simplex[0]``.
-
-    Returns ``(normal, c, vertex set)`` for the facets opposite
-    ``simplex[0]``, ..., ``simplex[k]``, with the simplex on the side
-    ``<x, normal> >= c``; each normal is primitive.
-    """
-    d = len(interior)
-    k = len(simplex) - 1
-    x0 = pts[simplex[0]]
-    rows = [[a - b for a, b in zip(pts[i], x0)] for i in simplex[1:]]
-    rows += [row[:d] for row in eq_rows]
-    mat = [row + [int(i == j) for j in range(d)] for i, row in enumerate(rows)]
-    _, den = eliminate(mat, d)
-    sign = 1 if den > 0 else -1
-    cols = [[sign * row[d + j] for row in mat] for j in range(k)]
-    normals = [[-sum(entries) for entries in zip(*cols)]] + cols
-    verts = frozenset(simplex)
-    planes = []
-    for excl, nv in enumerate(normals):
-        g = gcd(*nv)
-        nv = tuple([x // g for x in nv])
-        c = _dot(pts[simplex[1 if excl == 0 else 0]], nv)
-        if _dot(interior, nv) <= weight * c:
-            raise InvariantViolation("interior point on facet plane", witness=sorted(verts))
-        planes.append((nv, c, verts - {simplex[excl]}))
-    return planes
-
-
-def _plane_across_set(p, on, visible, hidden, interior, weight: int):
-    """``polytope._plane_across`` for a plane whose points come as a set:
-    the library's plane, read off ``nefdual.polytope`` when called and
-    given the set as a bitmask, with the set as its third entry."""
-    normal, c, _ = polytope._plane_across(p, sum(1 << i for i in on), visible, hidden, interior, weight)
-    return (normal, c, on)
-
-
-def search_beneath_beyond_planes(pts, k: int, eq_rows):
-    """Facet planes of the hull of distinct integer points spanning k dimensions.
-
-    Incremental insertion with simplicial facets; coplanar pieces of one
-    geometric facet are merged by the caller. Returns (normal, c) pairs with
-    the hull satisfying ``<x, normal> >= c``; each normal lies in the
-    direction space of the points, the orthogonal complement of ``eq_rows``.
-
-    Only the facets of the initial simplex are solved for, all from one
-    elimination (:func:`_simplex_planes`). Every ridge of the simplicial
-    boundary lies in exactly two facets, kept in a ridge -> facets map, and
-    each facet added through a horizon ridge is combined from the two facets
-    that met there (:func:`_plane_across`), in O(d) integer operations.
-    """
-    n = len(pts)
-    d = len(pts[0])
-    simplex = [0]
-    dirs: list[list[int]] = []
-    for i in range(1, n):
-        v = [a - b for a, b in zip(pts[i], pts[0])]
-        if len(eliminate(dirs + [v], d)[0]) > len(dirs):
-            dirs.append(v)
-            simplex.append(i)
-            if len(simplex) == k + 1:
-                break
-    if len(simplex) != k + 1:
-        raise InvariantViolation("points do not span the expected dimension")
-    weight = k + 1
-    interior = tuple(sum(pts[i][j] for i in simplex) for j in range(d))
-    facets: dict[int, tuple] = {}
-    ridges: dict[frozenset, list[int]] = {}
-    ids = itertools.count()
-
-    def add(facet):
-        fid = next(ids)
-        facets[fid] = facet
-        verts = facet[2]
-        for excl in verts:
-            ridges.setdefault(verts - {excl}, []).append(fid)
-
-    for facet in _simplex_planes(pts, simplex, eq_rows, interior, weight):
-        add(facet)
-    in_simplex = set(simplex)
-    for i in range(n):
-        if i in in_simplex:
-            continue
-        p = pts[i]
-        visible = {fid for fid, (nv, c, _) in facets.items() if _dot(p, nv) < c}
-        if not visible:
-            continue
-        new_facets = []
-        for fid in visible:
-            verts = facets[fid][2]
-            for excl in verts:
-                ridge = verts - {excl}
-                a, b = ridges[ridge]
-                other = b if a == fid else a
-                if other not in visible:
-                    new_facets.append(
-                        _plane_across_set(
-                            p, ridge | {i}, facets[fid], facets[other], interior, weight
-                        )
-                    )
-        for fid in visible:
-            verts = facets.pop(fid)[2]
-            for excl in verts:
-                ridge = verts - {excl}
-                holders = ridges[ridge]
-                holders.remove(fid)
-                if not holders:
-                    del ridges[ridge]
-        for facet in new_facets:
-            add(facet)
-    return [(nv, c) for nv, c, _ in facets.values()]
-
-
-def search_hull(points: Iterable[Point]) -> Polytope:
-    """Convex hull with irredundant canonical vertex and facet data.
-
-    Accepts any finite nonempty collection of points of one space; duplicates
-    and non-extreme points are dropped. Lower-dimensional input is fine: the
-    affine span becomes equality constraints and the facet system lives
-    within the span, with normals canonicalized along the span's direction
-    space.
-
-    The points are scaled once by the common denominator ``L`` of their
-    coordinates, and everything up to the returned ``Facet`` offsets and
-    equality values (which are divided by ``L``) runs on ``int`` tuples.
-
-    One integer nullspace gives the affine span. Beneath-beyond starts from
-    a simplex of the points whose k+1 facets all come from one elimination
-    of the square matrix of its edge directions over the equality normals
-    (:func:`_simplex_planes`). Each input point's incidences are then one
-    bitmask per facet, and a point is a vertex iff it is the only input
-    point on every facet through it: the AND of those facets' bitmasks is
-    its own bit alone. No elimination is spent on the vertex test.
-    """
-    pts = list(points)
-    if not pts:
-        raise ValueError("hull needs at least one point")
-    space = pts[0].space
-    d = pts[0].dim
-    for p in pts[1:]:
-        if p.space != space or p.dim != d:
-            raise DimensionMismatch("hull input points disagree on space or dimension")
-    uniq = sorted(set(pts))
-    scale = lcm(*[q._den for q in uniq])
-    ipts = [
-        q._num if q._den == scale else tuple(x * (scale // q._den) for x in q._num)
-        for q in uniq
-    ]
-    x0 = ipts[0]
-
-    eq_vecs = sorted(integer_nullspace([[a - b for a, b in zip(x, x0)] for x in ipts[1:]], d))
-    target = dual_space(space)
-    equalities = tuple(
-        LinearEquality(Point._from_form(v, 1, target), Fraction(_dot(v, x0), scale))
-        for v in eq_vecs
-    )
-    k = d - len(eq_vecs)
-
-    if k == 0:
-        return Polytope(d, space, (uniq[0],), equalities, ())
-
-    # Merge the coplanar pieces; g divides c as well, since c = <x, nv> at an
-    # integer point x of the plane. A facet is kept as (normal, e) with
-    # <x, normal> >= -e, where e / L is its offset.
-    planes = set()
-    for nv, c in search_beneath_beyond_planes(ipts, k, [list(v) + [0] for v in eq_vecs]):
-        g = gcd(*nv)
-        planes.add((tuple(x // g for x in nv), -c // g))
-    planes = sorted(planes)
-
-    # Bit i of masks[j] says that input point i lies on facet j. A point is
-    # a vertex iff it is the only input point on every facet through it:
-    # those facets meet in the smallest face holding the point, and a face
-    # of dimension >= 1 is the hull of the (at least two) input points on it.
-    masks = [0] * len(planes)
-    through: list[list[int]] = []
-    for i, (q, x) in enumerate(zip(uniq, ipts)):
-        on = []
-        for j, (nv, e) in enumerate(planes):
-            val = _dot(x, nv)
-            if val == -e:
-                masks[j] |= 1 << i
-                on.append(j)
-            elif val < -e:
-                # Fail fast on any algorithmic slip: every input point satisfies every facet.
-                raise InvariantViolation(
-                    "hull facet violated by an input point",
-                    witness=(q, nv, Fraction(e, scale)),
-                )
-        through.append(on)
-    full = (1 << len(ipts)) - 1
-    vertex_ids = [
-        i for i, on in enumerate(through)
-        if reduce(and_, [masks[j] for j in on], full) == 1 << i
-    ]
-
-    facets = tuple(
-        Facet(
-            Point._from_form(nv, 1, target),
-            Fraction(e, scale),
-            tuple(pos for pos, i in enumerate(vertex_ids) if masks[j] >> i & 1),
-        )
-        for j, (nv, e) in enumerate(planes)
-    )
-    return Polytope(d, space, tuple([uniq[i] for i in vertex_ids]), equalities, facets)
-
-
-# The former set-up of the library's hull, verbatim apart from the names:
-# each facet of the initial simplex from its own integer nullspace
-# (:func:`_plane_through` above; the library now gets all k+1 from one
-# elimination), and the hull that decides each input point's vertexhood by
-# the rank of the normals of the facets through it (the library now ANDs
-# per-facet incidence bitmasks). :func:`rank_hull` calls the former
-# beneath-beyond insertion above, which makes the initial simplex's facets
-# with :func:`_simplex_planes`; replacing that by
-# :func:`simplex_planes` gives the hull on the old set-up throughout.
-
-
-def simplex_planes(pts, simplex, eq_rows, interior, weight: int):
-    """The facet planes of the initial simplex, one nullspace each, in the
-    order excl = 0..k."""
-    return [
-        _plane_through(pts, frozenset(simplex) - {simplex[excl]}, eq_rows, interior, weight)
-        for excl in range(len(simplex))
-    ]
-
-
-def rank_hull(points: Iterable[Point]) -> Polytope:
-    """Convex hull with irredundant canonical vertex and facet data.
-
-    Accepts any finite nonempty collection of points of one space; duplicates
-    and non-extreme points are dropped. Lower-dimensional input is fine: the
-    affine span becomes equality constraints and the facet system lives
-    within the span, with normals canonicalized along the span's direction
-    space.
-
-    The points are scaled once by the common denominator ``L`` of their
-    coordinates, and everything up to the returned ``Facet`` offsets and
-    equality values (which are divided by ``L``) runs on ``int`` tuples.
-    """
-    pts = list(points)
-    if not pts:
-        raise ValueError("hull needs at least one point")
-    space = pts[0].space
-    d = pts[0].dim
-    for p in pts[1:]:
-        if p.space != space or p.dim != d:
-            raise DimensionMismatch("hull input points disagree on space or dimension")
-    uniq = sorted(set(pts))
-    scale = lcm(*[q._den for q in uniq])
-    ipts = [
-        q._num if q._den == scale else tuple(x * (scale // q._den) for x in q._num)
-        for q in uniq
-    ]
-    x0 = ipts[0]
-
-    eq_vecs = sorted(integer_nullspace([[a - b for a, b in zip(x, x0)] for x in ipts[1:]], d))
-    target = dual_space(space)
-    equalities = tuple(
-        LinearEquality(Point._from_form(v, 1, target), Fraction(_dot(v, x0), scale))
-        for v in eq_vecs
-    )
-    k = d - len(eq_vecs)
-
-    if k == 0:
-        return Polytope(d, space, (uniq[0],), equalities, ())
-
-    # Merge the coplanar pieces; g divides c as well, since c = <x, nv> at an
-    # integer point x of the plane. A facet is kept as (normal, e) with
-    # <x, normal> >= -e, where e / L is its offset.
-    planes = set()
-    for nv, c in search_beneath_beyond_planes(ipts, k, [list(v) + [0] for v in eq_vecs]):
-        g = gcd(*nv)
-        planes.add((tuple(x // g for x in nv), -c // g))
-    planes = sorted(planes)
-
-    vertices = []
-    vertex_values = []
-    for q, x in zip(uniq, ipts):
-        values = [_dot(x, nv) for nv, _ in planes]
-        # Fail fast on any algorithmic slip: every input point satisfies every facet.
-        for (nv, e), val in zip(planes, values):
-            if val < -e:
-                raise InvariantViolation(
-                    "hull facet violated by an input point",
-                    witness=(q, nv, Fraction(e, scale)),
-                )
-        active = [nv for (nv, e), val in zip(planes, values) if val == -e] + eq_vecs
-        if len(eliminate(active, d)[0]) == d:
-            vertices.append(q)
-            vertex_values.append(values)
-
-    facets = tuple(
-        Facet(
-            Point._from_form(nv, 1, target),
-            Fraction(e, scale),
-            tuple(i for i, values in enumerate(vertex_values) if values[j] == -e),
-        )
-        for j, (nv, e) in enumerate(planes)
-    )
-    return Polytope(d, space, tuple(vertices), equalities, facets)
-
-
-# The former hull of the library, verbatim apart from the names: one
-# elimination of the point differences for the affine span and the initial
-# simplex, one more for that simplex's facets (:func:`_simplex_planes`),
-# then beneath-beyond with simplicial facets, a merge of the coplanar
-# pieces and the bitmask vertex test on every input, a simplex too (the
-# library now reads a simplex's facets off the span elimination when the
-# points span the space, solves a k x (k + d) system otherwise, returns a
-# simplex without insertion, and inserts the other points keeping each
-# facet whole, with no merge). The span basis and the horizon planes are
-# read off ``nefdual.polytope`` when called; the horizon planes are handed
-# their points as a frozenset, where the library hands a bitmask.
-
-
-def simplex_beneath_beyond_planes(pts, simplex, eq_rows):
-    """Facet planes of the hull of distinct integer points.
-
-    ``simplex`` indexes k+1 affinely independent points of ``pts``, where k
-    is the dimension of their hull. Incremental insertion with simplicial
-    facets; coplanar pieces of one geometric facet are merged by the caller.
-    Returns (normal, c) pairs with the hull satisfying ``<x, normal> >= c``;
-    each normal lies in the direction space of the points, the orthogonal
-    complement of ``eq_rows``.
-
-    Only the facets of the initial simplex are solved for, all from one
-    elimination (:func:`_simplex_planes`). Every ridge of the simplicial
-    boundary lies in exactly two facets, kept in a ridge -> facets map, and
-    each facet added through a horizon ridge is combined from the two facets
-    that met there (:func:`_plane_across`), in O(d) integer operations.
-    """
-    n = len(pts)
-    d = len(pts[0])
-    weight = len(simplex)
-    interior = tuple(sum(pts[i][j] for i in simplex) for j in range(d))
-    facets: dict[int, tuple] = {}
-    ridges: dict[frozenset, list[int]] = {}
-    ids = itertools.count()
-
-    def add(facet):
-        fid = next(ids)
-        facets[fid] = facet
-        verts = facet[2]
-        for excl in verts:
-            ridges.setdefault(verts - {excl}, []).append(fid)
-
-    for facet in _simplex_planes(pts, simplex, eq_rows, interior, weight):
-        add(facet)
-    in_simplex = set(simplex)
-    for i in range(n):
-        if i in in_simplex:
-            continue
-        p = pts[i]
-        visible = {fid for fid, (nv, c, _) in facets.items() if _dot(p, nv) < c}
-        if not visible:
-            continue
-        new_facets = []
-        for fid in visible:
-            verts = facets[fid][2]
-            for excl in verts:
-                ridge = verts - {excl}
-                a, b = ridges[ridge]
-                other = b if a == fid else a
-                if other not in visible:
-                    new_facets.append(
-                        _plane_across_set(
-                            p, ridge | {i}, facets[fid], facets[other], interior, weight
-                        )
-                    )
-        for fid in visible:
-            verts = facets.pop(fid)[2]
-            for excl in verts:
-                ridge = verts - {excl}
-                holders = ridges[ridge]
-                holders.remove(fid)
-                if not holders:
-                    del ridges[ridge]
-        for facet in new_facets:
-            add(facet)
-    return [(nv, c) for nv, c, _ in facets.values()]
-
-
-def two_elimination_hull(points: Iterable[Point], insertion=None) -> Polytope:
-    """Convex hull with irredundant canonical vertex and facet data.
-
-    Accepts any finite nonempty collection of points of one space; duplicates
-    and non-extreme points are dropped. Lower-dimensional input is fine: the
-    affine span becomes equality constraints and the facet system lives
-    within the span, with normals canonicalized along the span's direction
-    space.
-
-    The points are scaled once by the common denominator ``L`` of their
-    coordinates, and everything up to the returned ``Facet`` offsets and
-    equality values (which are divided by ``L``) runs on ``int`` tuples.
-
-    One elimination of the point differences, with the rows tracked, gives
-    the affine span and an initial simplex. Beneath-beyond starts from that
-    simplex, whose k+1 facets all come from one elimination of the square
-    matrix of its edge directions over the equality normals
-    (:func:`_simplex_planes`). Each input point's incidences are then one
-    bitmask per facet, and a point is a vertex iff it is the only input
-    point on every facet through it: the AND of those facets' bitmasks is
-    its own bit alone. No elimination is spent on the vertex test.
-
-    ``insertion`` replaces :func:`simplex_beneath_beyond_planes`, called
-    with the same arguments.
-    """
-    pts = list(points)
-    if not pts:
-        raise ValueError("hull needs at least one point")
-    space = pts[0].space
-    d = pts[0].dim
-    for p in pts[1:]:
-        if p.space != space or p.dim != d:
-            raise DimensionMismatch("hull input points disagree on space or dimension")
-    uniq = sorted(set(pts))
-    scale = lcm(*[q._den for q in uniq])
-    ipts = [
-        q._num if q._den == scale else tuple(x * (scale // q._den) for x in q._num)
-        for q in uniq
-    ]
-    x0 = ipts[0]
-
-    # One elimination of [B | I], B with the differences x - x0 as columns.
-    # Its pivot columns are the first differences independent of the ones
-    # before them: an initial simplex. Its zero rows tag vectors orthogonal
-    # to every difference, the normals of the affine span.
-    n = len(ipts)
-    mat = [
-        [x[j] - x0[j] for x in ipts[1:]] + [int(i == j) for i in range(d)]
-        for j in range(d)
-    ]
-    pivots, _ = eliminate(mat, n - 1)
-    k = len(pivots)
-    simplex = [0] + [c + 1 for c in pivots]
-    eq_vecs = polytope._span_basis([row[n - 1:] for row in mat[k:]], d)
-    target = dual_space(space)
-    equalities = tuple(
-        LinearEquality(Point._from_form(v, 1, target), Fraction(_dot(v, x0), scale))
-        for v in eq_vecs
-    )
-
-    if k == 0:
-        return Polytope(d, space, (uniq[0],), equalities, ())
-
-    # Merge the coplanar pieces; g divides c as well, since c = <x, nv> at an
-    # integer point x of the plane. A facet is kept as (normal, e) with
-    # <x, normal> >= -e, where e / L is its offset.
-    planes = set()
-    insertion = insertion or simplex_beneath_beyond_planes
-    for nv, c in insertion(ipts, simplex, [list(v) + [0] for v in eq_vecs]):
-        g = gcd(*nv)
-        planes.add((tuple(x // g for x in nv), -c // g))
-    planes = sorted(planes)
-
-    # Bit i of masks[j] says that input point i lies on facet j. A point is
-    # a vertex iff it is the only input point on every facet through it:
-    # those facets meet in the smallest face holding the point, and a face
-    # of dimension >= 1 is the hull of the (at least two) input points on it.
-    masks = [0] * len(planes)
-    through: list[list[int]] = []
-    for i, (q, x) in enumerate(zip(uniq, ipts)):
-        on = []
-        for j, (nv, e) in enumerate(planes):
-            val = _dot(x, nv)
-            if val == -e:
-                masks[j] |= 1 << i
-                on.append(j)
-            elif val < -e:
-                # Fail fast on any algorithmic slip: every input point satisfies every facet.
-                raise InvariantViolation(
-                    "hull facet violated by an input point",
-                    witness=(q, nv, Fraction(e, scale)),
-                )
-        through.append(on)
-    full = (1 << len(ipts)) - 1
-    vertex_ids = [
-        i for i, on in enumerate(through)
-        if reduce(and_, [masks[j] for j in on], full) == 1 << i
-    ]
-
-    facets = tuple(
-        Facet(
-            Point._from_form(nv, 1, target),
-            Fraction(e, scale),
-            tuple(pos for pos, i in enumerate(vertex_ids) if masks[j] >> i & 1),
-        )
-        for j, (nv, e) in enumerate(planes)
-    )
-    return Polytope(d, space, tuple([uniq[i] for i in vertex_ids]), equalities, facets)
-
-
-def _nullspace_insertion(pts, simplex, eq_rows):
-    """:func:`beneath_beyond_planes`, fed the span's normals from an integer
-    nullspace of its own instead of ``eq_rows``."""
-    x0 = pts[0]
-    eq_vecs = integer_nullspace([[a - b for a, b in zip(x, x0)] for x in pts[1:]], len(x0))
-    return beneath_beyond_planes(pts, simplex, [list(v) + [0] for v in eq_vecs])
-
-
-def nullspace_insertion_hull(points: Iterable[Point]) -> Polytope:
-    """:func:`two_elimination_hull` with the former beneath-beyond insertion
-    that solves an integer nullspace for every facet, the initial simplex's
-    too (:func:`beneath_beyond_planes`), fed the span's normals from a
-    nullspace of its own."""
-    return two_elimination_hull(points, _nullspace_insertion)
 
 
 # The former Fraction checks of the pairing relations and of the dual PL

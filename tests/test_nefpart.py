@@ -723,27 +723,28 @@ def test_convexity_is_decided_with_no_scan_at_the_first_violation(monkeypatch, c
 def test_pl_from_vertex_values_decides_convexity_like_the_scan_per_cone(
     monkeypatch, corpus, corpus_by_name
 ):
-    """Every PL function that the former validation built
+    """Every PL function that the former validation builds
     (``oracles.scan_validate_partition``, which extends each part's
-    indicator by ``pl_from_vertex_values``) on the reflexive corpus at
-    r = 1..3, of every set partition, accepted or rejected, every dual's
-    psi, and every function with values in {-1, 0, 1} on the hexagon:
-    the verdict that ``pl_from_vertex_values`` reads off the per-cone
-    masks of its weighted read is the first (vertex, cone) of the scan in
-    tests/oracles.py, which pairs each vertex with every cone's
-    functional, or ``None`` with both."""
+    indicator by ``oracles.pl_from_vertex_values``) on the reflexive corpus
+    at r = 1..3, of every set partition, accepted or rejected, every dual's
+    psi, and every function with values in {-1, 0, 1} on the hexagon,
+    extended by the library too: the verdict that ``pl_from_vertex_values``
+    reads off the per-cone masks of its weighted read is the first
+    (vertex, cone) of the scan in tests/oracles.py, which pairs each vertex
+    with every cone's functional, or ``None`` with both. The former
+    validation goes on with its own extension."""
     verdicts = Counter()
-    extend = fan.pl_from_vertex_values
+    extend = oracles.pl_from_vertex_values
 
     def checked_extension(face, values):
-        f = extend(face, values)
+        f = fan.pl_from_vertex_values(face, values)
         got = f.first_convexity_violation()
         assert got == oracles.convexity_violation(face, f.vertex_values, f.functionals)
         assert f.is_convex == (got is None)
         verdicts[got is None] += 1
-        return f
+        return extend(face, values)
 
-    monkeypatch.setattr(oracles, "pl_extension", checked_extension)
+    monkeypatch.setattr(oracles, "pl_from_vertex_values", checked_extension)
     accepted = []
     for entry in corpus:
         if entry.reflexive:

@@ -7,7 +7,7 @@ from functools import reduce
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nefdual import polytope
+from nefdual import linalg, polytope
 from nefdual.errors import (
     DimensionMismatch,
     InvariantViolation,
@@ -337,14 +337,15 @@ def hull_record(poly):
     return (poly.ambient_dim, poly.space, poly.vertices, poly.affine_span, poly.facets)
 
 
-def assert_hull_matches_the_nullspace_insertion(pts):
-    """The hull equals the whole hull built by the former beneath-beyond
-    insertion, which solves an integer nullspace for every facet, the
-    initial simplex's too, fed the span's normals from a nullspace of its
-    own: vertices, facets with their incidences, and equalities. Every input
-    that is not a simplex reaches the library's insertion. A simplex never
-    does: ``test_hull_matches_the_old_set_up_on_simplices`` checks its
-    facets against one nullspace each."""
+# The hull against the certificate from the definition in tests/oracles.py,
+# which checks the span, every facet and the face lattice of the facets'
+# point masks, and calls nothing of the library.
+
+
+def assert_hull_is_certified(pts):
+    """The hull passes ``oracles.certify_hull``: span, facets with their
+    incidences, and vertices. It reaches the library's insertion exactly
+    when the input is not a simplex."""
     calls = []
 
     def counted(*args):
@@ -353,15 +354,15 @@ def assert_hull_matches_the_nullspace_insertion(pts):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(polytope, "_insert_points", counted)
-        new = hull(pts)
-    assert hull_record(new) == hull_record(oracles.nullspace_insertion_hull(pts))
-    assert len(calls) == (len(set(pts)) > new.dim + 1)
+        poly = hull(pts)
+    oracles.certify_hull(pts, poly)
+    assert len(calls) == (len(set(pts)) > poly.dim + 1)
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=1200, deadline=None)
 @given(affine_point_sets(max_points=14))
-def test_hull_matches_the_nullspace_insertion_on_random_points(pts):
-    assert_hull_matches_the_nullspace_insertion(pts)
+def test_hull_is_certified_on_random_points(pts):
+    assert_hull_is_certified(pts)
 
 
 LARGER_INPUTS = [
@@ -378,45 +379,30 @@ LARGER_INPUTS = [
 
 
 @pytest.mark.parametrize("pts", LARGER_INPUTS)
-def test_hull_matches_the_nullspace_insertion_on_larger_inputs(pts):
-    assert_hull_matches_the_nullspace_insertion(pts)
+def test_hull_is_certified_on_larger_inputs(pts):
+    assert_hull_is_certified(pts)
 
 
-def assert_hull_matches_the_old_set_up(pts):
-    """The hull equals the one built on the former set-up, which solves one
-    integer nullspace per facet of the initial simplex and decides each
-    point's vertexhood by the rank of the normals of the facets through it:
-    vertices, facets with their incidences, and equalities."""
-    new = hull(pts)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(oracles, "_simplex_planes", oracles.simplex_planes)
-        old = oracles.rank_hull(pts)
-    assert hull_record(new) == hull_record(old)
+def test_the_certificate_calls_none_of_the_library(monkeypatch):
+    """The hulls of the larger inputs, made first, pass the certificate
+    with the library's eliminations, span basis, plane combination,
+    insertion and hull all made to raise."""
+    polys = [hull(pts) for pts in LARGER_INPUTS]
+
+    def refused(*args, **kwargs):
+        raise AssertionError("the certificate called the library")
+
+    for module, name in [
+        (linalg, "eliminate"), (linalg, "integer_nullspace"), (polytope, "eliminate"),
+        (polytope, "_span_basis"), (polytope, "_plane_across"), (polytope, "_insert_points"),
+        (polytope, "hull"), (oracles, "hull"),
+    ]:
+        monkeypatch.setattr(module, name, refused)
+    for pts, poly in zip(LARGER_INPUTS, polys):
+        oracles.certify_hull(pts, poly)
 
 
-@settings(max_examples=300, deadline=None)
-@given(affine_point_sets(max_points=14))
-def test_hull_matches_the_old_set_up_on_random_points(pts):
-    assert_hull_matches_the_old_set_up(pts)
-
-
-@pytest.mark.parametrize("pts", LARGER_INPUTS)
-def test_hull_matches_the_old_set_up_on_larger_inputs(pts):
-    assert_hull_matches_the_old_set_up(pts)
-
-
-# The hull against the former one kept in tests/oracles.py, which finds the
-# affine span by an integer nullspace and then searches the initial simplex
-# with one elimination per tried point.
-
-
-@settings(max_examples=300, deadline=None)
-@given(affine_point_sets(max_points=14))
-def test_hull_matches_the_former_two_reductions_on_random_points(pts):
-    assert hull_record(hull(pts)) == hull_record(oracles.search_hull(pts))
-
-
-def test_hull_matches_the_former_two_reductions_on_the_corpus(corpus):
+def test_hull_is_certified_on_the_corpus(corpus):
     """On every corpus polytope's vertices, on its lattice points when it
     is a lattice polytope, and on each facet's vertices (one dimension
     less), and on the larger inputs."""
@@ -428,14 +414,7 @@ def test_hull_matches_the_former_two_reductions_on_the_corpus(corpus):
             inputs.append(poly.lattice_points())
         inputs += [[poly.vertices[i] for i in f.incidence] for f in poly.facets]
     for pts in inputs:
-        assert hull_record(hull(pts)) == hull_record(oracles.search_hull(pts))
-
-
-# The hull against the former one kept in tests/oracles.py, which solves
-# the initial simplex's facets by a second elimination, sends a simplex
-# through beneath-beyond like any other input, inserts points with
-# simplicial facets and merges the coplanar pieces before the bitmask
-# vertex test.
+        assert_hull_is_certified(pts)
 
 
 @st.composite
@@ -460,46 +439,22 @@ def simplex_point_sets(draw):
     return draw(st.permutations(pts))
 
 
-def assert_hull_matches_the_two_elimination_hull(pts):
-    assert hull_record(hull(pts)) == hull_record(oracles.two_elimination_hull(pts))
-
-
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=600, deadline=None)
 @given(simplex_point_sets())
-def test_hull_matches_the_two_elimination_hull_on_simplices(pts):
-    assert_hull_matches_the_two_elimination_hull(pts)
+def test_hull_is_certified_on_simplices(pts):
+    assert_hull_is_certified(pts)
 
 
-@settings(max_examples=300, deadline=None)
-@given(simplex_point_sets())
-def test_hull_matches_the_old_set_up_on_simplices(pts):
-    """Every facet of a simplex against its own integer nullspace: a
-    simplex returns before insertion, so the nullspace-insertion
-    differential above never sees one."""
-    assert_hull_matches_the_old_set_up(pts)
-
-
-@settings(max_examples=300, deadline=None)
-@given(affine_point_sets(max_points=14))
-def test_hull_matches_the_two_elimination_hull_on_random_points(pts):
-    assert_hull_matches_the_two_elimination_hull(pts)
-
-
-@pytest.mark.parametrize("pts", LARGER_INPUTS)
-def test_hull_matches_the_two_elimination_hull_on_larger_inputs(pts):
-    assert_hull_matches_the_two_elimination_hull(pts)
-
-
-def test_hull_matches_the_two_elimination_hull_on_every_audited_part(corpus):
-    """Every delta and nabla part of the 333 audit inputs, rebuilt by both
-    hulls from the points it is the hull of: the origin and the part's
-    vertices, and the negated cone functionals of the part's PL function."""
+def test_hull_is_certified_on_every_audited_part(corpus):
+    """Every delta and nabla part of the 333 audit inputs, rebuilt from the
+    points it is the hull of: the origin and the part's vertices, and the
+    negated cone functionals of the part's PL function."""
     count = 0
     for np_ in _audit_inputs(corpus):
         zero = origin(np_.delta.ambient_dim, np_.delta.space)
         for i, f in enumerate(np_.phi):
-            assert_hull_matches_the_two_elimination_hull([zero] + np_.part_vertices(i))
-            assert_hull_matches_the_two_elimination_hull([-u for u in f.functionals])
+            assert_hull_is_certified([zero] + np_.part_vertices(i))
+            assert_hull_is_certified([-u for u in f.functionals])
         count += 1
     assert count == 333
 
@@ -510,7 +465,7 @@ def _nabla_points(np_):
     return [v for part in np_.nabla_parts for v in part.vertices]
 
 
-def test_hull_matches_the_two_elimination_hull_on_every_nabla_of_the_corpus(corpus):
+def test_hull_is_certified_on_every_nabla_of_the_corpus(corpus):
     """Nabla of every nef-partition of every reflexive corpus polytope into
     1, 2 or 3 parts."""
     count = 0
@@ -519,21 +474,19 @@ def test_hull_matches_the_two_elimination_hull_on_every_nabla_of_the_corpus(corp
             continue
         for r in (1, 2, 3):
             for np_ in enumerate_nef_partitions(entry.polytope, r):
-                assert_hull_matches_the_two_elimination_hull(_nabla_points(np_))
+                assert_hull_is_certified(_nabla_points(np_))
                 count += 1
     assert count == 175
 
 
 @pytest.mark.parametrize("name", ["cross4", "simplex5", "cross5", "hex+seg+seg", "hex+hex"])
-def test_hull_matches_the_two_elimination_hull_on_every_nabla_of_the_scale_inputs(
-    scale_bench, name
-):
+def test_hull_is_certified_on_every_nabla_of_the_scale_inputs(scale_bench, name):
     """Nabla of every nef-partition into 2 parts of an input of
     ``bench/scale.py``, in 4 and 5 dimensions."""
     found = enumerate_nef_partitions(scale_bench.fresh(name), 2)
     assert len(found) == scale_bench.EXPECTED[(name, 2)]
     for np_ in found:
-        assert_hull_matches_the_two_elimination_hull(_nabla_points(np_))
+        assert_hull_is_certified(_nabla_points(np_))
 
 
 @st.composite
@@ -564,8 +517,59 @@ def lattice_boxes(draw):
 
 @settings(max_examples=100, deadline=None)
 @given(lattice_boxes())
-def test_hull_matches_the_two_elimination_hull_on_lattice_boxes(pts):
-    assert_hull_matches_the_two_elimination_hull(pts)
+def test_hull_is_certified_on_lattice_boxes(pts):
+    assert_hull_is_certified(pts)
+
+
+MUTANT_INPUTS = {
+    "full_lattice": LARGER_INPUTS[0],
+    "lower_dimensional": LARGER_INPUTS[3],
+    "rational": [P(F(1, 2), 0, 0), P(0, F(2, 3), 0), P(0, 0, 1), P(-1, -1, F(-1, 3)), P(0, 0, 0)],
+    "simplex": [P(1, 0, 0), P(0, 1, 0), P(0, 0, 1), P(-1, -1, -1)],
+}
+
+
+MUTATIONS = ["dropped_facet", "offset_moved_out", "normal_flipped", "centroid_added"]
+
+
+def _wrong_records(poly, mutation):
+    """Each record the mutation makes of the hull's, with the message its
+    rejection must match (None: any failed check). The facet mutations are
+    made on every facet in turn."""
+    facets = list(poly.facets)
+
+    def record(vertices=poly.vertices, facets=facets):
+        return Polytope(poly.ambient_dim, poly.space, tuple(vertices), poly.affine_span, tuple(facets))
+
+    if mutation == "centroid_added":
+        centroid = reduce(Point.__add__, poly.vertices).scale(F(1, len(poly.vertices)))
+        yield record(vertices=sorted(poly.vertices + (centroid,))), "vertices"
+        return
+    for j, f in enumerate(facets):
+        if mutation == "dropped_facet":
+            yield record(facets=facets[:j] + facets[j + 1:]), "diamond"
+            continue
+        if mutation == "offset_moved_out":
+            wrong = f._replace(offset=f.offset + F(1, 2))
+        else:
+            wrong = f._replace(normal=-f.normal)
+        yield record(facets=facets[:j] + [wrong] + facets[j + 1:]), None
+
+
+@pytest.mark.parametrize("mutation", MUTATIONS)
+@pytest.mark.parametrize("name", sorted(MUTANT_INPUTS))
+def test_the_certificate_rejects_a_wrong_record(name, mutation):
+    """A hull's record with one facet dropped fails at the diamond check;
+    with one offset moved out by 1/2, one normal flipped, or the centroid
+    of the vertices added as a vertex, it fails the certificate."""
+    pts = MUTANT_INPUTS[name]
+    poly = hull(pts)
+    oracles.certify_hull(pts, poly)
+    wrong_records = list(_wrong_records(poly, mutation))
+    assert wrong_records
+    for wrong, match in wrong_records:
+        with pytest.raises(AssertionError, match=match):
+            oracles.certify_hull(pts, wrong)
 
 
 @pytest.mark.parametrize(
