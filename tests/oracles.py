@@ -1,19 +1,26 @@
 """Test oracles: checks from the definition, and the library's former routes.
 
 **From the definition.** Nothing here calls into the package's
-computational code. Each of these works on raw coordinate tuples with its
-own elimination (:func:`rref`, :func:`_solve`), or reads only the fields of
-a ``Point`` and a ``Polytope``, so a defect in the library cannot hide
-behind a shared code path: convex-hull membership
+computational code but ``hull``, whose every result here is certified.
+Each of these works on raw coordinate tuples with its own elimination
+(:func:`rref`, :func:`_solve`, :func:`_gauss_jordan`), or reads only the
+fields of a ``Point``, a ``Polytope`` and a nef-partition, so a defect in
+the library cannot hide behind a shared code path: convex-hull membership
 (:func:`caratheodory_member`), the vertices of an H-description
 (:func:`hrep_vertex_set`), the hull certificate (:func:`certify_hull`,
 which reads the points' integer forms and the hull's span, facets and
-vertices, and checks them against the definition), the intersection of
-two polytopes at the origin (:func:`intersection_is_origin`, from their
-facet and equality data), a reflexive polytope's facets
-(:func:`reflexive_facets`), nef-partitions by the definition
-(:func:`is_nef_partition`, :func:`oracle_nef_partitions`) and the
-determinant by the Leibniz formula (:func:`determinant`).
+vertices, and checks them against the definition), Borisov's duality as
+the duality of reflexive Gorenstein cones (:func:`cayley_duality`: the
+nabla parts read off one certified hull of the Cayley polytope
+(:func:`cayley_read_off`), nabla, the dual's labels, every part's
+functional on every cone and the double dual), one decider per check of
+``run_full_duality`` (:func:`polar_sum_check`, :func:`relation_report`
+and :func:`relations_check`, :func:`delta_parts_check`,
+:func:`involution_check`, all six at once by :func:`duality_checks`, and
+:func:`failure_reasons` for a source on which no duality can be run), a
+reflexive polytope's facets (:func:`reflexive_facets`), nef-partitions by
+the definition (:func:`is_nef_partition`, :func:`oracle_nef_partitions`)
+and the determinant by the Leibniz formula (:func:`determinant`).
 
 **Former routes.** The rest call the rest of the library and serve as the
 reference for the routes that replaced them: the former ``Fraction``
@@ -21,34 +28,18 @@ arithmetic of ``nefdual.polytope`` (:func:`pair`, :func:`contains`,
 :func:`solve_linear` and the ``Point`` comparisons, which read
 ``Point.coords`` and ``Point.space`` only, except that :func:`solve_linear`
 hands ``Fraction`` rows to ``linalg.solve``, whose own reference is
-:func:`_solve`); the former hull-based routes
-(:func:`_intersection_is_origin`, :func:`assert_partition_invariants`,
-:func:`dual_nef_partition`, :func:`verify_involution`); the former build of
-every part by a hull (:func:`hull_build`, :func:`_delta_part`,
-:func:`hull_support_polytope`); the former audit of every validated
-partition on vertex sets (:func:`assert_vertex_set_invariants`); the former
-Bell-number enumeration (:func:`_set_partitions`,
+:func:`_solve`); the former Bell-number enumeration (:func:`_set_partitions`,
 :func:`enumerate_nef_partitions`); the former search over set partitions
 cut per cone that validated every survivor (:func:`_pruned_candidates`,
 :func:`pruned_enumerate_nef_partitions`); the solve-per-cone PL extension
 (:func:`pl_from_vertex_values`); the former validation by that extension
 and its convexity scan (:func:`scan_decide`, :func:`scan_validate_partition`,
-:func:`scan_dual_nef_partition`); the ``Fraction`` relation and dual-PL
-checks (:func:`check_relations`, :func:`check_psi`, the psi check that the
-former dual routes here still run); the Minkowski-sum checks by the hull
-of the sum (:func:`verify_polar_is_nabla_sum`,
-:func:`verify_nabla_polar_is_delta_sum`); the dual decided with a kernel on
-every cone of nabla's fan (:func:`kernel_dual_nef_partition`); the pairing
-route of a duality before its pairing table: the sum checks on a polar
-(:func:`is_minkowski_sum`, :func:`polar_support_polar_is_nabla_sum`,
-:func:`polar_support_nabla_polar_is_delta_sum`), the relation check by a
-dot product per pairing (:func:`pair_min`, :func:`pair_min_check_relations`)
-and the read-off that paired on its own (:func:`dot_read_off`), with the
-convexity scan over every cone's functional (:func:`convexity_violation`);
-the polar read off the facet-vertex incidence (:func:`incidence_polar`); a
-nabla part's membership by Borisov's H-description (:func:`hrep_contains`);
-and the subset search's cone entry by the ``Fraction`` solve and a pairing
-per vertex (:func:`functional_cone_entry`).
+:func:`scan_dual_nef_partition`), with the scan over every cone's
+functional (:func:`convexity_violation`); the polar read off the
+facet-vertex incidence (:func:`incidence_polar`); a nabla part's membership
+by Borisov's H-description (:func:`hrep_contains`); and the subset
+search's cone entry by the ``Fraction`` solve and a pairing per vertex
+(:func:`functional_cone_entry`).
 """
 
 from __future__ import annotations
@@ -57,23 +48,22 @@ import itertools
 import operator
 from collections import Counter
 from fractions import Fraction
-from functools import reduce
+from functools import lru_cache, reduce
 from itertools import combinations
 from math import gcd, lcm
 from operator import mul
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from nefdual.duality import CheckResult, _covers, _dual_parts, nabla
 from nefdual.errors import (
     DimensionMismatch,
     InvariantViolation,
-    NotConvex,
     NotFullDimensional,
     NotPiecewiseLinear,
     NotReflexive,
     ZeroNotInterior,
 )
-from nefdual.fan import FaceFan, PLFunction, face_fan, support_polytope
+from nefdual.fan import FaceFan, PLFunction, face_fan
 from nefdual.linalg import (
     Inconsistent,
     SolveFailure,
@@ -92,8 +82,6 @@ from nefdual.nefpart import (
     Rejection,
     RelationReport,
     _build,
-    _check_pairable,
-    _decide,
     _pairings,
     validate_partition,
 )
@@ -104,8 +92,6 @@ from nefdual.polytope import (
     _dot,
     dual_space,
     hull,
-    minkowski_sum,
-    origin,
 )
 
 
@@ -174,6 +160,39 @@ def _solve(rows, rhs):
     return "unique", tuple(x)
 
 
+def _gauss_jordan(rows, ncols: int):
+    """Fraction-free Gauss–Jordan elimination (Bareiss) of ``int`` rows on
+    their first ``ncols`` columns, on a copy.
+
+    Returns ``(matrix, pivot_columns, den)``: each step puts
+    (p·row - row[c]·pivot_row) / prev in every other row, p the new pivot
+    and prev the last, an exact division (every entry is a minor of the
+    input, by Sylvester's identity). Pivot row r then holds ``den`` at its
+    pivot column and 0 at the others, the rows below the pivots are 0 in
+    the first ``ncols`` columns, and ``matrix / den`` is :func:`rref`'s
+    result.
+    """
+    mat = [list(row) for row in rows]
+    pivots: list[int] = []
+    den = 1
+    for c in range(ncols):
+        r = len(pivots)
+        p = next((i for i in range(r, len(mat)) if mat[i][c]), None)
+        if p is None:
+            continue
+        mat[r], mat[p] = mat[p], mat[r]
+        pivot = mat[r]
+        for i, row in enumerate(mat):
+            if i != r:
+                a = row[c]
+                mat[i] = [(pivot[c] * x - a * y) // den for x, y in zip(row, pivot)]
+        den = pivot[c]
+        pivots.append(c)
+        if len(pivots) == len(mat):
+            break
+    return mat, pivots, den
+
+
 def caratheodory_member(point, vertices):
     """Convex-hull membership by exhausting small support sets.
 
@@ -239,15 +258,15 @@ def certify_hull(points, poly) -> None:
     naming the first check that fails.
 
     Only ``Point.space``, ``_num`` and ``_den`` and the ``Polytope`` fields
-    are read, and nothing of the library is called: the span comes from
-    :func:`rref`, and every other step is ``int`` arithmetic on the points
-    scaled by their common denominator L.
+    are read, and nothing of the library is called: every step is ``int``
+    arithmetic on the points scaled by their common denominator L, the span
+    by :func:`_gauss_jordan`.
 
     1. ``space`` and ``ambient_dim`` are the points'.
     2. The equalities are the canonical basis of the span's normals: one
-       primitive integer vector per free column of the rref of the
-       differences, positive at that column, sorted. Every point satisfies
-       every equality.
+       primitive integer vector per free column of the reduced row
+       echelon form of the differences, positive at that column, sorted.
+       Every point satisfies every equality.
     3. Each facet normal is a primitive lattice vector orthogonal to every
        equality normal, the normals are strictly sorted, each offset is a
        ``Fraction`` and every point satisfies every facet. The points each
@@ -292,17 +311,16 @@ def certify_hull(points, poly) -> None:
     forms = sorted(own)
 
     x0 = forms[0]
-    mat, pivots = rref([[a - b for a, b in zip(x, x0)] for x in forms[1:]], d)
+    mat, pivots, den = _gauss_jordan([[a - b for a, b in zip(x, x0)] for x in forms[1:]], d)
     k = len(pivots)
     basis = []
     for f in range(d):
         if f not in pivots:
-            v = [Fraction(int(c == f)) for c in range(d)]
+            # den times the rref's vector: den at f, minus row r's entry at f at pivot r
+            v = [den * (c == f) for c in range(d)]
             for row, c in zip(mat, pivots):
                 v[c] = -row[f]
-            m = lcm(*[x.denominator for x in v])
-            v = [int(x * m) for x in v]
-            g = gcd(*v)
+            g = gcd(*v) if den > 0 else -gcd(*v)
             basis.append(tuple([x // g for x in v]))
     eqs = poly.affine_span
     assert [(e.normal._num, e.normal._den) for e in eqs] == [(v, 1) for v in sorted(basis)], "span"
@@ -328,8 +346,11 @@ def certify_hull(points, poly) -> None:
 
     def covers(x):
         kept = []
-        for y in sorted({x & m for m in masks if x & m != x} | {0}, key=int.bit_count, reverse=True):
-            if all(y & z != y for z in kept):
+        for y in sorted({x & m for m in masks} - {x} | {0}, key=int.bit_count, reverse=True):
+            for z in kept:
+                if y & z == y:
+                    break
+            else:
                 kept.append(y)
         return kept
 
@@ -361,29 +382,374 @@ def certify_hull(points, poly) -> None:
         assert f.incidence == tuple([pos for pos, i in enumerate(bits) if m >> i & 1]), "incidence"
 
 
-def intersection_is_origin(p, q):
-    """Exact check that two polytopes containing the origin meet only there.
+def _certified_hull(points) -> Polytope:
+    """``hull(points)``, passed through :func:`certify_hull`. The last few
+    are kept by their point sets, as a duality and its checks hull the same
+    points more than once; the hull is a function of the set alone, so
+    what is kept changes no result."""
+    return _certified_hull_of(frozenset(points))
 
-    The library's former audit routine: every vertex of the intersection is
-    found by :func:`_hrep_vertices` over both facet systems, and a nonzero
-    one is the witness. Kept as the reference for the dual-cone test.
+
+@lru_cache(maxsize=16)
+def _certified_hull_of(points: frozenset) -> Polytope:
+    poly = hull(points)
+    certify_hull(points, poly)
+    return poly
+
+
+def _pairs(p: Polytope, q: Polytope) -> bool:
+    """Whether the points of ``p`` pair with those of ``q``: other spaces, one dimension."""
+    return p.space != q.space and p.ambient_dim == q.ambient_dim
+
+
+def _sides_pair(np: NefPartition) -> bool:
+    """Whether delta and every delta part pair with every nabla part."""
+    return all(_pairs(p, q) for p in (np.delta, *np.delta_parts) for q in np.nabla_parts)
+
+
+def _low(xs, ys) -> Fraction:
+    """The minimum of <x, y> over ``xs`` x ``ys``: ``int`` dot products of
+    the integer forms, each scaled to the common denominator L."""
+    scale = lcm(*[x._den for x in xs]) * lcm(*[y._den for y in ys])
+    low = min([sum(map(mul, x._num, y._num)) * (scale // (x._den * y._den)) for x in xs for y in ys])
+    return Fraction(low, scale)
+
+
+def _is_reflexive(poly: Polytope) -> bool:
+    """Reflexivity by the facets: full-dimensional, lattice, every offset 1."""
+    return not poly.affine_span and all(v._den == 1 for v in poly.vertices) and all(
+        f.offset == 1 for f in poly.facets
+    )
+
+
+def _labels(base: Polytope, vertex_sets) -> tuple[frozenset[int], ...]:
+    """The index in ``base`` of each nonzero point of each of ``vertex_sets``,
+    each of which must be a vertex of ``base``."""
+    index = {(v._num, v._den): i for i, v in enumerate(base.vertices)}
+    labels = tuple(frozenset([index.get((w._num, w._den)) for w in ws if any(w._num)]) for ws in vertex_sets)
+    assert all(None not in part for part in labels), "a nonzero vertex of a part is no vertex of the hull"
+    return labels
+
+
+def cayley_read_off(base: Polytope, parts) -> tuple[tuple[Point, ...], ...]:
+    """The vertices of the dual parts of a nef-partition, read off one hull.
+
+    ``base`` is a reflexive polytope and ``parts`` the vertex index sets
+    E_1, …, E_r of a nef-partition of it. The Cayley points (x, e_j), x in
+    {0} ∪ E_j, of R^(d+r) are hulled once and certified
+    (:func:`certify_hull`). Each facet ``<z, n> >= -e`` is homogenized to
+    m = (n_x, n_t + e·1). Its t-part has exactly one nonzero entry, at some
+    k, which is positive; scaled to 1 there, the x-part is a vertex w of
+    ∇_k = {y : <v, y> >= -φ_k(v) at every vertex v of base}, φ_k the PL
+    extension of E_k's indicator, and every vertex of every ∇_k comes so
+    from one facet. Returns each ∇_k's vertices, sorted as :func:`hull`
+    sorts them.
+
+    Why. Let C be the cone over the Cayley points and C^∨ its dual cone.
+    They lie in the plane Σt = 1, which misses the origin, and span it: the
+    E_j hold every vertex of the full-dimensional base, and the (0, e_j)
+    give the t-directions. So C is full-dimensional and pointed, and its
+    facets are the cones over the hull's facets, which are all of the
+    hull's facets by the certificate. On the plane, e = e·Σt, so m is ``>= 0``
+    on C and 0 on the facet's points: it is the inward normal of the facet
+    of C over it, and the rays of C^∨ are exactly these normals, one per
+    facet. (Another normal n + λ(0; 1, …, 1) of the same facet, offset
+    e - λ, gives the same m.)
+
+    (y, s) lies in C^∨ iff s >= 0 (the points (0, e_j)) and
+    <x, y> >= -s_j at every x in E_j: <v, y> >= -φ_s(v) at every vertex v,
+    φ_s = Σ s_k φ_k. The parts are nef, so each φ_k is convex and linear on
+    every cone over a facet of ``base``, and so is φ_s. The condition at the
+    vertices then holds at every x, and the y meeting it form the polytope
+    whose minimum of <x, ·> is -φ_s(x) = Σ s_k·(-φ_k(x)), the support
+    function of Σ s_k ∇_k. Equal support functions make equal polytopes, so
+    C^∨ = {(y, s) : s >= 0, y in Σ s_k ∇_k}, the cone over the (w, e_k),
+    w in ∇_k. A ray of C^∨ is therefore some (w, e_k) up to a positive
+    factor, with exactly one nonzero t-entry. It has w a vertex of ∇_k: if
+    w = (a + b)/2 in ∇_k, (w, e_k) is the midpoint of (a, e_k) and (b, e_k)
+    in C^∨, and extremality gives a = b. Conversely, for a vertex w of ∇_k,
+    split (w, e_k) = p + q in C^∨. The t-parts are λe_k and (1 - λ)e_k, so
+    p = λ(a, e_k) and q = (1 - λ)(b, e_k) with a, b in ∇_k, and
+    w = λa + (1 - λ)b gives a = b = w: a ray. (At λ = 0, p = (y, 0) has
+    <v, y> >= 0 at every vertex v of ``base``, which holds the origin
+    inside, so y = 0.)
+
+    Run on ∇ = conv(∪ ∇_k) with the labels of the ∇_k's nonzero vertices,
+    the same read-off gives the rays of the dual of C^∨, which is C. C at
+    t = s is Σ s_j Δ_j, Δ_j = conv({0} ∪ E_j), so by the same extremality
+    argument its rays are the (x, e_j) with x a vertex of Δ_j: the read-off
+    gives the Δ_j.
     """
-    d = p.ambient_dim
-    ineqs = []
-    eqs = []
-    for poly in (p, q):
-        for f in poly.facets:
-            ineqs.append((f.normal.coords, -f.offset))
-        for eq in poly.affine_span:
-            eqs.append((eq.normal.coords, eq.value))
-    verts = _hrep_vertices(ineqs, eqs, d)
-    zero = tuple(Fraction(0) for _ in range(d))
-    if not verts:
-        raise InvariantViolation("intersection of parts lost the origin")
-    witnesses = [v for v in verts if v != zero]
-    if witnesses:
-        return False, witnesses[0]
-    return True, None
+    return _read_off(base.vertices, tuple(map(frozenset, parts)))
+
+
+@lru_cache(maxsize=16)
+def _read_off(vertices: tuple[Point, ...], parts: tuple[frozenset[int], ...]):
+    """:func:`cayley_read_off` of the polytope with ``vertices``, kept by
+    its arguments as :func:`_certified_hull` keeps a hull."""
+    d, r, space = vertices[0].dim, len(parts), vertices[0].space
+    zero = Point((0,) * d, space)
+    points = [
+        Point(x.coords + tuple([int(k == j) for k in range(r)]), space)
+        for j, part in enumerate(parts)
+        for x in [zero] + [vertices[i] for i in sorted(part)]
+    ]
+    found = [set() for _ in range(r)]
+    for f in _certified_hull(points).facets:
+        # m = (n_x, n_t + a/b) for the offset a/b, times b: ints
+        a, b = f.offset.numerator, f.offset.denominator
+        n = f.normal._num
+        t = [c * b + a for c in n[d:]]
+        ks = [k for k, c in enumerate(t) if c]
+        assert len(ks) == 1 and t[ks[0]] > 0, "a homogenized facet has no single positive t-entry"
+        k = ks[0]
+        found[k].add(Point([Fraction(c * b, t[k]) for c in n[:d]], dual_space(space)))
+    return tuple(tuple(sorted(ws)) for ws in found)
+
+
+def _functionals(base: Polytope, parts) -> tuple[tuple[Point, ...], ...]:
+    """For each part, the functional of its indicator's PL extension on the
+    cone over each facet of ``base``, in facet order: the one u with
+    <v, u> = 1 on the part and 0 off it at every vertex v of the facet.
+
+    Each facet's system, <v._num, u> = v._den times the value, is solved
+    for every part at once by one :func:`_gauss_jordan` on ``int`` rows,
+    which must find d pivots: the facet's vertices span the space, so u is
+    unique. Every candidate is then checked on every row, so a slip of the
+    elimination fails here and cannot pass a wrong functional.
+    """
+    d, space = base.ambient_dim, dual_space(base.space)
+    per_facet = []
+    for f in base.facets:
+        verts = [base.vertices[i] for i in f.incidence]
+        rows = [[*v._num, *[v._den * (i in part) for part in parts]] for i, v in zip(f.incidence, verts)]
+        mat, pivots, den = _gauss_jordan(rows, d)
+        assert len(pivots) == d, "the facet's vertices do not span the space"
+        us = [[mat[j][d + k] for j in range(d)] for k in range(len(parts))]
+        assert all(
+            sum(map(mul, row[:d], u)) == row[d + k] * den for row in rows for k, u in enumerate(us)
+        ), "a part's indicator has no functional on a cone"
+        per_facet.append([Point([Fraction(x, den) for x in u], space) for u in us])
+    return tuple(zip(*per_facet))
+
+
+class CayleyDuality(NamedTuple):
+    """The duality of a nef-partition built from the definition
+    (:func:`cayley_duality`): each ∇_k's and Δ_j's vertices, ∇ (a
+    certified hull), the dual's labels, and each φ_j's and ψ_k's functional
+    on each cone of Δ's and ∇'s face fan."""
+
+    nabla_parts: tuple[tuple[Point, ...], ...]
+    nabla: Polytope
+    labels: tuple[frozenset[int], ...]
+    phi: tuple[tuple[Point, ...], ...]
+    psi: tuple[tuple[Point, ...], ...]
+    delta_parts: tuple[tuple[Point, ...], ...]
+
+
+def cayley_duality(delta: Polytope, parts) -> CayleyDuality:
+    """Borisov's duality of the nef-partition ``parts`` of the reflexive
+    ``delta``, as the duality of reflexive Gorenstein cones (Batyrev–Borisov,
+    alg-geom/9412017; Batyrev–Nill, math/0703456), with no fan, PL function,
+    pairing table, polar, Minkowski sum or validation of the library.
+
+    The ∇_k are read off one Cayley hull (:func:`cayley_read_off`); ∇ is
+    the certified hull of their union and must be reflexive by its facets;
+    the dual's labels are the indices in ∇ of each ∇_k's nonzero vertices;
+    φ_j and ψ_k are solved on each cone (:func:`_functionals`); and the same
+    read-off on (∇, labels) must give each Δ_j = conv({0} ∪ E_j) as the
+    certified hull of those points.
+    """
+    nabla_parts = cayley_read_off(delta, parts)
+    nb = _certified_hull([w for ws in nabla_parts for w in ws])
+    assert _is_reflexive(nb), "nabla is not reflexive"
+    labels = _labels(nb, nabla_parts)
+    delta_parts = cayley_read_off(nb, labels)
+    zero = Point((0,) * delta.ambient_dim, delta.space)
+    for part, vertices in zip(parts, delta_parts):
+        own = _certified_hull([zero] + [delta.vertices[i] for i in part])
+        assert vertices == own.vertices, "the double dual's part is not conv(0, E_j)"
+    return CayleyDuality(
+        nabla_parts, nb, labels, _functionals(delta, parts), _functionals(nb, labels), delta_parts
+    )
+
+
+# One decider per check of ``duality.run_full_duality``, from the
+# definition. Each reads only the fields it is given, so a tampered source
+# is judged too, and gives the result the library's check returns: the same
+# name, verdict and detail, and on a failure the same witness, from the
+# certified hull of the few points involved. The sources on which no
+# duality can be run are named by :func:`failure_reasons`.
+
+
+def polar_sum_check(
+    name: str, key: str, base: Polytope, summands, lattice: bool = False
+) -> CheckResult | None:
+    """Whether Q = Σ Q_j, for the polytopes ``summands``, is the polar
+    P* = {y : <v, y> >= -1 at every vertex v of P} of ``base`` = P, and,
+    when ``lattice``, whether P* is a lattice polytope; ``None`` when P has
+    no polar (the origin is not inside) or Q is not defined (the summands
+    do not share a space and a dimension). P's facets are read as they are,
+    and no hull of the sum is built.
+
+    The vertices of Q are sums of one vertex per summand. Q ⊆ P* iff every
+    such sum q has <v, q> >= -1 at every vertex v of P: the least of
+    <v, q> over those sums is the sum over j of the least over Q_j's
+    vertices. Given that, Q ⊇ P* iff every vertex of P* is such a sum: a
+    point of Q that is a vertex of P* ⊇ Q is a vertex of Q. The vertices of
+    P* are n_F / e_F, one per facet (n_F, e_F) of P. Summands in the space
+    of P fail the check. It runs on the summands' integer forms over their
+    common denominator L.
+    """
+    if base.affine_span or any(f.offset <= 0 for f in base.facets):
+        return None
+    if len({(q.space, q.ambient_dim) for q in summands}) != 1:
+        return None
+    polar = [
+        Point([Fraction(x * f.offset.denominator, f.offset.numerator) for x in f.normal._num], f.normal.space)
+        for f in base.facets
+    ]
+    scale = lcm(*[q._den for s in summands for q in s.vertices])
+    forms = [[tuple([x * (scale // q._den) for x in q._num]) for q in s.vertices] for s in summands]
+    sums = {tuple(map(sum, zip(*choice))) for choice in itertools.product(*forms)}
+    if (
+        _pairs(base, summands[0])
+        and (not lattice or all(y._den == 1 for y in polar))
+        and all(
+            sum([min([sum(map(mul, v._num, q)) for q in qs]) for qs in forms]) >= -scale * v._den
+            for v in base.vertices
+        )
+        and all(scale % y._den == 0 and tuple([x * (scale // y._den) for x in y._num]) in sums for y in polar)
+    ):
+        return CheckResult(name, True, detail="nabla polar is a lattice polytope" if lattice else "")
+    space = summands[0].space
+    total = _certified_hull([Point([Fraction(x, scale) for x in s], space) for s in sums])
+    return CheckResult(name, False, witness={
+        key: [v.coords for v in _certified_hull(polar).vertices],
+        "sum_vertices": [v.coords for v in total.vertices],
+    })
+
+
+def relation_report(np: NefPartition) -> RelationReport | None:
+    """The pairing relations of ``np``: the minimum of <x, y> over delta
+    part j and nabla part i for each (j, i), a violation where it is not -1
+    on the diagonal and 0 off it, and whether each φ_i(v) is -min <v, y>
+    over nabla part i at every vertex v of delta; ``None`` when delta or a
+    delta part does not pair with a nabla part."""
+    if not _sides_pair(np):
+        return None
+    matrix = tuple(tuple(_low(p.vertices, q.vertices) for q in np.nabla_parts) for p in np.delta_parts)
+    violations = tuple(
+        (j, i, m) for j, row in enumerate(matrix) for i, m in enumerate(row) if m != -(i == j)
+    )
+    phi_ok = all(
+        f.vertex_values[vi] == -_low([v], q.vertices)
+        for f, q in zip(np.phi, np.nabla_parts)
+        for vi, v in enumerate(np.delta.vertices)
+    )
+    return RelationReport(matrix, not violations, violations, phi_ok)
+
+
+def relations_check(np: NefPartition, dual: NefPartition) -> CheckResult:
+    """``pairing_relations``: :func:`relation_report` holds on both sides."""
+    reports = (relation_report(np), relation_report(dual))
+    passed = all(reports)
+    witness = None if passed else {
+        side: [[str(x) for x in row] for row in report.matrix]
+        for side, report in zip(("source_matrix", "dual_matrix"), reports)
+    }
+    return CheckResult("pairing_relations", passed, witness, "pairing minima on both sides")
+
+
+def delta_parts_check(np: NefPartition, dual: NefPartition) -> CheckResult:
+    """``delta_parts_from_dual``: the support polytopes of the dual's ψ_k,
+    read off the dual's own Cayley hull (:func:`cayley_read_off`; the dual
+    must be a nef-partition), are the delta parts."""
+    if dual.r != np.r:
+        return CheckResult("delta_parts_from_dual", False, witness={"parts": np.r, "dual_parts": dual.r})
+    recovered = cayley_read_off(dual.delta, dual.parts)
+    for i, (ws, part) in enumerate(zip(recovered, np.delta_parts)):
+        if ws != part.vertices:
+            return CheckResult("delta_parts_from_dual", False, witness={
+                "part": i, "recovered": [v.coords for v in ws], "expected": [v.coords for v in part.vertices],
+            })
+    return CheckResult("delta_parts_from_dual", True)
+
+
+def involution_check(np: NefPartition, dual: NefPartition) -> CheckResult:
+    """``involution``: the double dual, the certified hull of the dual's
+    nabla parts read off its Cayley hull with the labels of their nonzero
+    vertices, is delta with its parts, unlabeled."""
+    recovered = cayley_read_off(dual.delta, dual.parts)
+    double = _certified_hull([v for ws in recovered for v in ws])
+    if (double.space, double.vertices) != (np.delta.space, np.delta.vertices):
+        return CheckResult("involution", False, witness={
+            "original_vertices": [v.coords for v in np.delta.vertices],
+            "double_dual_vertices": [v.coords for v in double.vertices],
+        })
+    labels = _labels(double, recovered)
+    if frozenset(labels) != frozenset(np.parts):
+        return CheckResult("involution", False, witness={
+            "original_parts": sorted(sorted(p) for p in np.parts),
+            "double_dual_parts": sorted(sorted(p) for p in labels),
+        })
+    return CheckResult("involution", True)
+
+
+def _nabla(np: NefPartition) -> Polytope | None:
+    """The certified hull of the nabla parts' vertices, or ``None`` when
+    they share no space and dimension."""
+    if len({(q.space, q.ambient_dim) for q in np.nabla_parts}) != 1:
+        return None
+    return _certified_hull([v for q in np.nabla_parts for v in q.vertices])
+
+
+def sum_checks(np: NefPartition) -> dict[str, CheckResult | None]:
+    """The two Minkowski identities of ``np`` (:func:`polar_sum_check`), on
+    the certified hulls of delta's vertices and of the nabla parts'
+    vertices (∇); the second is ``None`` when there is no ∇."""
+    nb = _nabla(np)
+    return {
+        "polar_is_nabla_sum": polar_sum_check(
+            "polar_is_nabla_sum", "polar_vertices", _certified_hull(np.delta.vertices), np.nabla_parts
+        ),
+        "nabla_polar_is_delta_sum": nb and polar_sum_check(
+            "nabla_polar_is_delta_sum", "nabla_polar_vertices", nb, np.delta_parts, lattice=True
+        ),
+    }
+
+
+def duality_checks(np: NefPartition, dual: NefPartition) -> dict[str, CheckResult]:
+    """The six checks of ``run_full_duality`` on ``np`` and the ``dual`` it
+    built, each decided from the definition: the two Minkowski identities
+    (:func:`sum_checks`), ∇'s reflexivity by its facets, the pairing
+    relations, the delta parts from the dual and the involution."""
+    nb = _nabla(np)
+    reflexive = CheckResult("nabla_reflexive", True) if _is_reflexive(nb) else CheckResult(
+        "nabla_reflexive", False, witness=[v.coords for v in nb.vertices]
+    )
+    return {
+        **sum_checks(np),
+        "nabla_reflexive": reflexive,
+        "pairing_relations": relations_check(np, dual),
+        "delta_parts_from_dual": delta_parts_check(np, dual),
+        "involution": involution_check(np, dual),
+    }
+
+
+def failure_reasons(np: NefPartition) -> set[str]:
+    """Why no duality of ``np``'s fields can be run: ``"parts that do not
+    pair"`` when delta or a delta part does not pair with a nabla part
+    (other spaces, one dimension), and ``"nabla is not reflexive"`` when
+    the nabla parts share a space and a dimension and the certified hull of
+    their vertices is not reflexive by its facets."""
+    reasons = set()
+    if not _sides_pair(np):
+        reasons.add("parts that do not pair")
+    nb = _nabla(np)
+    if nb is not None and not _is_reflexive(nb):
+        reasons.add("nabla is not reflexive")
+    return reasons
 
 
 def reflexive_facets(vertices, dim):
@@ -520,275 +886,6 @@ def point_lt(self, other: "Point") -> bool:
 def point_le(self, other: "Point") -> bool:
     self._check_compatible(other)
     return self.coords <= other.coords
-
-
-# The former hull-based routes of the library, verbatim apart from their
-# names: the partition audit that decides its two hull identities with hulls and
-# Δᵢ ∩ Δⱼ = {0} with one hull per pair of parts (the library now compares
-# vertex sets and tests each part's vertices), the dual partition that is
-# validated on nabla from scratch and whose psi is cross-checked against the
-# source's delta parts (the library reads the dual's functionals off the
-# delta parts, takes its nabla from the source when the cover test allows,
-# and checks psi against the delta parts only in
-# ``verify_delta_parts_from_dual``), and the involution check that always
-# rebuilds the double dual (the library now reuses the source when the
-# double dual's base and labeled parts equal it). These call the
-# library's other code; they are the reference for the routes that
-# replaced them. In :func:`_intersection_is_origin`, ``pair`` is this
-# file's Fraction version above, which gives the same values. The psi
-# cross-check is :func:`check_psi` below, the Fraction version of the
-# library's former ``duality._check_psi``, with the same outcomes.
-
-
-def _intersection_is_origin(p: Polytope, q: Polytope):
-    """Exact check that two polytopes containing the origin meet only there.
-
-    Both are convex and contain 0, so ``p`` and ``q`` meet only at 0 exactly
-    when their tangent cones at 0 do. The intersection T of those cones is
-    cut out by the facets through 0 (offset 0) and by the affine-span
-    equalities. By Farkas' lemma its dual cone is generated by G, the normals
-    of those facets together with plus and minus every equality normal, so
-    T = {0} iff cone(G) is the whole space iff the origin is interior to
-    conv(G): one small hull decides it.
-
-    Returns ``(True, None)``, or ``(False, witness)`` with a nonzero point of
-    both polytopes: a normal u of conv(G) that does not have the origin
-    strictly inside pairs nonnegatively with all of G, so u lies in T, and
-    it is scaled out to the boundary of the intersection.
-    """
-    zero = origin(p.ambient_dim, p.space)
-    if not (p.contains(zero) and q.contains(zero)):
-        raise InvariantViolation("intersection of parts lost the origin")
-    gens = []
-    for poly in (p, q):
-        gens += [f.normal for f in poly.facets if f.offset == 0]
-        for eq in poly.affine_span:
-            gens += [eq.normal, -eq.normal]
-    if not gens:
-        # the origin is interior to both: T is the whole space
-        u = Point([1] + [0] * (p.ambient_dim - 1), p.space)
-    else:
-        g = hull(gens)
-        if g.has_zero_interior:
-            return True, None
-        if g.affine_span:
-            eq = g.affine_span[0]
-            u = eq.normal if eq.value >= 0 else -eq.normal
-        else:
-            u = next(f.normal for f in g.facets if f.offset <= 0)
-    t = min(
-        f.offset / -s
-        for poly in (p, q)
-        for f in poly.facets
-        if (s := pair(u, f.normal)) < 0
-    )
-    return False, u.scale(t)
-
-
-def assert_partition_invariants(np: NefPartition) -> None:
-    """Identities every valid nef-partition satisfies; failure is a library bug."""
-    delta = np.delta
-    zero = origin(delta.ambient_dim, delta.space)
-    polar = delta.polar_dual()
-    total = reduce(lambda a, b: a + b, np.phi)
-    if any(v != 1 for v in total.vertex_values):
-        raise InvariantViolation(
-            "indicator functions do not sum to 1 on the vertices",
-            witness=total.vertex_values,
-        )
-    if support_polytope(total) != polar:
-        raise InvariantViolation("sum of the phi functions does not support the polar")
-
-    covered = hull([v for part_poly in np.delta_parts for v in part_poly.vertices])
-    if covered != delta:
-        raise InvariantViolation("hull of the delta parts is not the base polytope")
-    for i, dp in enumerate(np.delta_parts):
-        if not dp.contains(zero):
-            raise InvariantViolation(f"delta part {i} misses the origin")
-    for i, j in itertools.combinations(range(np.r), 2):
-        ok, witness = _intersection_is_origin(np.delta_parts[i], np.delta_parts[j])
-        if not ok:
-            raise InvariantViolation(
-                f"delta parts {i} and {j} overlap beyond the origin", witness=witness
-            )
-
-    dual_zero = origin(delta.ambient_dim, polar.space)
-    for i, nb in enumerate(np.nabla_parts):
-        if not nb.is_lattice():
-            raise InvariantViolation(f"nabla part {i} is not a lattice polytope")
-        if not nb.contains(dual_zero):
-            raise InvariantViolation(f"nabla part {i} misses the origin")
-        for v in nb.vertices:
-            if not polar.contains(v):
-                raise InvariantViolation(
-                    f"nabla part {i} leaves the polar polytope", witness=v
-                )
-
-
-# The library's former audit of every validated partition, verbatim apart
-# from the name: it decides the two hull identities on vertex sets and
-# Δᵢ ∩ Δⱼ = {0} by a set test. The library no longer audits, because
-# every test follows from ``_decide`` and ``_build`` (the ``nefdual.nefpart``
-# docstring gives the argument); ``assert_partition_invariants`` above is
-# its hull-based reference.
-
-
-def assert_vertex_set_invariants(np: NefPartition) -> None:
-    """Identities every valid nef-partition satisfies; failure is a library bug.
-
-    No hull is built. Σφ is summed from the vertex values and the cone
-    functionals of the φ_k; the hull identities are decided on vertex sets.
-
-    Δᵢ ∩ Δⱼ = {0} for i ≠ j follows from a set test: every nonzero vertex of
-    ``delta_parts[i]`` is a vertex of part i. Each φ_k is sublinear (its
-    convexity was decided before the audit) and is 0 on the vertices of
-    every other part, so φ_k ≤ 0 on Δᵢ for k ≠ i. Σφ_k is linear on each
-    cone and 1 on the facet's vertices, so Σφ_k(x) > 0 for x ≠ 0. A nonzero
-    x in Δᵢ ∩ Δⱼ would have φ_k(x) ≤ 0 for every k, as k ≠ i or k ≠ j,
-    hence Σφ_k(x) ≤ 0: a contradiction.
-    """
-    delta = np.delta
-    zero = origin(delta.ambient_dim, delta.space)
-    polar = delta.polar_dual()
-    values = tuple(map(sum, zip(*(f.vertex_values for f in np.phi))))
-    if any(v != 1 for v in values):
-        raise InvariantViolation(
-            "indicator functions do not sum to 1 on the vertices", witness=values
-        )
-    for i, f in enumerate(np.phi):
-        indicator = tuple(int(vi in np.parts[i]) for vi in range(len(delta.vertices)))
-        if not (f.is_convex and f.is_integral) or f.vertex_values != indicator:
-            raise InvariantViolation(f"phi {i} is not the convex indicator of part {i}")
-    # support(Σφ) == polar. The sum is 1 on every vertex, so on the cone
-    # over a facet (normal n, offset 1) its functional is -n, and the
-    # polar's vertices are exactly those normals. Negated functionals equal
-    # to the polar's vertex set give the hull equality, and they make the
-    # sum convex: <v, -y> <= 1 = Σφ(v) for every vertex v of delta and y of
-    # the polar, which is the condition support_polytope needs. Every
-    # functional is integral, so the sum is taken on their ``int`` forms and
-    # compared with the polar's integer forms.
-    negated = {
-        (tuple([-sum(c) for c in zip(*[u._num for u in us])]), 1)
-        for us in zip(*(f.functionals for f in np.phi))
-    }
-    if negated != {(v._num, v._den) for v in polar.vertices}:
-        raise InvariantViolation("sum of the phi functions does not support the polar")
-
-    # hull(union of delta parts) == delta
-    if not _covers(delta, np.delta_parts):
-        raise InvariantViolation("hull of the delta parts is not the base polytope")
-    for i, dp in enumerate(np.delta_parts):
-        if not dp.contains(zero):
-            raise InvariantViolation(f"delta part {i} misses the origin")
-        own = set(np.part_vertices(i))
-        for v in dp.vertices:
-            if not v.is_zero() and v not in own:
-                raise InvariantViolation(
-                    f"delta part {i} has a vertex outside part {i}", witness=v
-                )
-
-    dual_zero = origin(delta.ambient_dim, polar.space)
-    for i, nb in enumerate(np.nabla_parts):
-        if not nb.is_lattice():
-            raise InvariantViolation(f"nabla part {i} is not a lattice polytope")
-        if not nb.contains(dual_zero):
-            raise InvariantViolation(f"nabla part {i} misses the origin")
-        for v in nb.vertices:
-            if not polar.contains(v):
-                raise InvariantViolation(
-                    f"nabla part {i} leaves the polar polytope", witness=v
-                )
-
-
-# The library's former build of the parts, verbatim apart from the names:
-# ``nefpart._build``, ``nefpart._delta_part`` and ``fan.support_polytope``,
-# which made every delta part and every nabla part by a hull (the library
-# now builds each part from its vertices, and a part's span and facets by
-# a hull only when they are first read). :func:`kernel_dual_nef_partition`
-# below builds its fallback delta parts with this ``_delta_part``.
-
-
-def hull_build(delta: Polytope, parts, phis):
-    """The delta parts and the nabla parts, the support polytopes of the
-    ``phis``, each by a hull."""
-    return (
-        tuple(_delta_part(delta, part) for part in parts),
-        tuple(hull_support_polytope(f) for f in phis),
-    )
-
-
-def _delta_part(delta: Polytope, part) -> Polytope:
-    """conv(0, part): the hull of the origin and the part's vertices."""
-    zero = origin(delta.ambient_dim, delta.space)
-    return hull([zero] + [delta.vertices[i] for i in sorted(part)])
-
-
-def hull_support_polytope(f: PLFunction) -> Polytope:
-    """Hull of the negated cone functionals of a convex PL function.
-
-    This is the polytope whose support function recovers ``f``:
-    ``{y : <x, y> >= -f(x) for all x}``.
-    """
-    if not f.is_convex:
-        raise NotConvex("support polytope needs a convex PL function")
-    # Each generator g = -u already satisfies every vertex constraint:
-    # <v, g> >= -f(v) is <v, u> <= f(v), which is what is_convex checked
-    # for every functional u and vertex v.
-    return hull([-u for u in f.functionals])
-
-
-def dual_nef_partition(np: NefPartition) -> NefPartition:
-    """The mirror nef-partition on the nabla polytope.
-
-    Part i of the dual collects the nonzero vertices of nabla part i; the
-    origin, which can be a genuine vertex of a nabla part, carries no
-    indicator weight and is excluded. The resulting partition is validated
-    on nabla from scratch, and each dual PL function is cross-checked
-    against the pairing formula: psi_i at a vertex y equals the negated
-    minimum of <x, y> over delta part i, and every cone functional of
-    psi_i is the negative of a vertex of delta part i.
-
-    :func:`run_full_duality` calls this once; :func:`verify_involution`
-    calls it on the dual only when the double dual cannot be the source.
-    """
-    nb = nabla(np)
-    result = validate_partition(nb, _dual_parts(np, nb))
-    if isinstance(result, Rejection):
-        raise InvariantViolation(
-            "dual partition failed validation", witness=str(result)
-        )
-    check_psi(np, result)
-    return result
-
-
-def verify_involution(np: NefPartition, dual: NefPartition | None = None) -> CheckResult:
-    """Applying the construction twice returns the original datum.
-
-    The base polytopes must agree exactly and the part families must agree
-    as unlabeled families of vertex-index sets.
-    """
-    if dual is None:
-        dual = dual_nef_partition(np)
-    double = dual_nef_partition(dual)
-    if double.delta != np.delta:
-        return CheckResult(
-            "involution",
-            False,
-            witness={
-                "original_vertices": [v.coords for v in np.delta.vertices],
-                "double_dual_vertices": [v.coords for v in double.delta.vertices],
-            },
-        )
-    if double.unlabeled() != np.unlabeled():
-        return CheckResult(
-            "involution",
-            False,
-            witness={
-                "original_parts": sorted(sorted(p) for p in np.parts),
-                "double_dual_parts": sorted(sorted(p) for p in double.parts),
-            },
-        )
-    return CheckResult("involution", True)
 
 
 # The former enumeration and PL extension of the library, verbatim: every
@@ -1052,381 +1149,10 @@ def pruned_enumerate_nef_partitions(delta: Polytope, r: int) -> list[NefPartitio
     return found
 
 
-# The former Fraction checks of the pairing relations and of the dual PL
-# functions, verbatim apart from the names: ``nefpart.check_relations``
-# and ``duality._check_psi``, which built a ``Fraction`` per pairing and
-# compared those (the library now finds and compares the minima on
-# ``int``, and has no psi cross-check: ``verify_delta_parts_from_dual`` is
-# the one check of psi against the delta parts). :func:`check_psi` is the
-# psi cross-check of the former dual routes in this file. ``pair`` is this
-# file's Fraction pairing, which gives the same values as the library's.
-
-
-def check_relations(np: NefPartition) -> RelationReport:
-    """Verify the pairing relations between the delta and nabla parts.
-
-    Also re-derives every ``phi_i`` vertex value as the negated minimum of
-    the pairing against nabla part i, confirming the two descriptions agree.
-    """
-    r = np.r
-    matrix = []
-    violations = []
-    for j in range(r):
-        row = []
-        for i in range(r):
-            pairs = [
-                pair(x, y)
-                for x in np.delta_parts[j].vertices
-                for y in np.nabla_parts[i].vertices
-            ]
-            m = min(pairs)
-            row.append(m)
-            expected = Fraction(-1 if i == j else 0)
-            if m != expected or any(p < expected for p in pairs):
-                violations.append((j, i, m))
-        matrix.append(tuple(row))
-    phi_ok = True
-    for i, f in enumerate(np.phi):
-        for vi, x in enumerate(np.delta.vertices):
-            derived = -min(pair(x, y) for y in np.nabla_parts[i].vertices)
-            if derived != f.vertex_values[vi]:
-                phi_ok = False
-    return RelationReport(
-        matrix=tuple(matrix),
-        passed=not violations,
-        violations=tuple(violations),
-        phi_consistent=phi_ok,
-    )
-
-
-def check_psi(np: NefPartition, dual: NefPartition) -> None:
-    """Cross-check each PL function of ``dual`` against the delta parts of
-    ``np``: psi_i at a vertex y equals the negated minimum of <x, y> over
-    delta part i, and every cone functional of psi_i is the negative of a
-    vertex of delta part i."""
-    for i, psi in enumerate(dual.phi):
-        delta_part_verts = np.delta_parts[i].vertices
-        for vi, y in enumerate(dual.delta.vertices):
-            derived = -min(pair(x, y) for x in delta_part_verts)
-            if psi.vertex_values[vi] != derived:
-                raise InvariantViolation(
-                    "dual PL value disagrees with the pairing formula",
-                    witness=(i, y, psi.vertex_values[vi], derived),
-                )
-        vert_set = set(delta_part_verts)
-        for u in psi.functionals:
-            if -u not in vert_set:
-                raise InvariantViolation(
-                    "dual cone functional is not the negative of a delta part vertex",
-                    witness=(i, u),
-                )
-
-
-# The former Minkowski-sum checks, verbatim apart from the names:
-# ``duality.verify_polar_is_nabla_sum`` and
-# ``duality.verify_nabla_polar_is_delta_sum``, which compared the polar
-# with the hull of every pairwise vertex sum (the library now decides both
-# by support functions and builds the sum only for a failure's witness).
-# The polar they compare is the library's, which is again the hull of the
-# facet normals divided by the offsets, its former route before the
-# incidence reversal (:func:`incidence_polar` below).
-
-
-def verify_polar_is_nabla_sum(np: NefPartition) -> CheckResult:
-    """Polar of the base polytope equals the Minkowski sum of the nabla parts."""
-    polar = np.delta.polar_dual()
-    total = reduce(minkowski_sum, np.nabla_parts)
-    if polar == total:
-        return CheckResult("polar_is_nabla_sum", True)
-    return CheckResult(
-        "polar_is_nabla_sum",
-        False,
-        witness={
-            "polar_vertices": [v.coords for v in polar.vertices],
-            "sum_vertices": [v.coords for v in total.vertices],
-        },
-    )
-
-
-def verify_nabla_polar_is_delta_sum(np: NefPartition) -> CheckResult:
-    """Polar of nabla equals the Minkowski sum of the delta parts, and is lattice."""
-    nb = nabla(np)
-    polar = nb.polar_dual()
-    total = reduce(minkowski_sum, np.delta_parts)
-    detail = "nabla polar is a lattice polytope" if polar.is_lattice() else ""
-    if polar == total and polar.is_lattice():
-        return CheckResult("nabla_polar_is_delta_sum", True, detail=detail)
-    return CheckResult(
-        "nabla_polar_is_delta_sum",
-        False,
-        witness={
-            "nabla_polar_vertices": [v.coords for v in polar.vertices],
-            "sum_vertices": [v.coords for v in total.vertices],
-        },
-    )
-
-
-# The former dual_nef_partition, verbatim apart from the name and its psi
-# cross-check, which is this file's :func:`check_psi`: it decides the dual
-# on nabla with a kernel for every cone of nabla's fan (the library now
-# reads each psi_j functional off delta part j and leaves to the kernel
-# only the cones where that fails), takes each part from the source where
-# that is exact (the library builds every part from its vertices), audits
-# the dual it has decided and cross-checks psi against the delta parts
-# (the library does neither). Its calls into ``verify_involution`` go
-# through ``nefdual.duality.dual_nef_partition``, which a test may replace
-# by this.
-
-
-def kernel_dual_nef_partition(np: NefPartition) -> NefPartition:
-    """The mirror nef-partition on the nabla polytope.
-
-    Part i of the dual collects the nonzero vertices of nabla part i; the
-    origin, which can be a genuine vertex of a nabla part, carries no
-    indicator weight and is excluded. The partition is decided on nabla and
-    its parts are taken from the source wherever that is exact (see the
-    module docstring): the dual's delta part i is ``np.nabla_parts[i]``,
-    its nabla part i is ``np.delta_parts[i]``, and its own nabla is
-    ``np.delta``; any other part is built by a hull. The result is audited
-    like every validated partition, and each dual PL function is
-    cross-checked against the pairing formula: psi_i at a vertex y equals
-    the negated minimum of <x, y> over delta part i, and every cone
-    functional of psi_i is the negative of a vertex of delta part i.
-
-    :func:`run_full_duality` calls this once; :func:`verify_involution`
-    calls it on the dual only when the double dual cannot be the source.
-    """
-    nb = nabla(np)
-    decided = _decide(nb, _dual_parts(np, nb))
-    if isinstance(decided, Rejection):
-        raise InvariantViolation(
-            "dual partition failed validation", witness=str(decided)
-        )
-    parts, fan, psis = decided
-    # The source's own object wherever the hull would return it.
-    zero = origin(nb.ambient_dim, nb.space)
-    dparts = tuple(
-        nabla_part if nabla_part.contains(zero) else _delta_part(nb, part)
-        for nabla_part, part in zip(np.nabla_parts, parts)
-    )
-    nparts = tuple(
-        delta_part
-        if {-u for u in psi.functionals} == set(delta_part.vertices)
-        else support_polytope(psi)
-        for delta_part, psi in zip(np.delta_parts, psis)
-    )
-    dual = NefPartition(nb, parts, fan, psis, dparts, nparts)
-    assert_vertex_set_invariants(dual)
-    check_psi(np, dual)
-    if _covers(np.delta, nparts):
-        object.__setattr__(dual, "_nabla", np.delta)
-    return dual
-
-
-# The former pairing route of a duality, verbatim apart from the names:
-# ``polytope._is_minkowski_sum`` and the sum checks that called it on a polar
-# (the library now decides both identities on the base's own vertices and
-# facets, with no polar), ``nefpart._pair_min`` and the relation check and
-# the phi check that paired with it, and ``duality._read_off``, which paired
-# each delta part vertex with every vertex of nabla by its own dot product
-# (the library reads every one of these pairings from one table per
-# duality, computed once). :func:`convexity_violation` pairs every vertex
-# with every cone's functional: the library's former convexity scan, which
-# paired it once per distinct functional (the library now decides
-# convexity on one vertex bitmask per cone). A test puts these in place
-# of the library's to run the former route whole.
-
-
-def is_minkowski_sum(p: Polytope, summands: Sequence[Polytope]) -> bool:
-    """Whether the full-dimensional ``p`` equals the Minkowski sum of ``summands``.
-
-    No hull of the sum is built. The sum Q's support function is the sum of
-    the summands', ``min_Q <x, u> = Σ_j min_{q ∈ vert Q_j} <q, u>``, taken on
-    the summands' integer forms over their common denominator L. Then:
-
-    - Q ⊆ p iff ``min_Q <x, n> >= -e`` for every facet ``(n, e)`` of p, as
-      the full-dimensional p is the intersection of its facet half-spaces;
-    - given that, Q ⊇ p iff ``min_Q <x, ℓ_y> = <y, ℓ_y>`` for every vertex
-      y of p, where ℓ_y is the sum of the normals of the facets through y.
-      ℓ_y lies in the interior of y's normal cone, so y is the only point
-      of p where ``<·, ℓ_y>`` is that small, and a point of Q ⊆ p attains
-      it iff it is y; a convex Q holding every vertex of p holds p.
-
-    A summand in another space or dimension makes the answer ``False``.
-    """
-    if any(q.space != p.space or q.ambient_dim != p.ambient_dim for q in summands):
-        return False
-    scale = lcm(*[x._den for q in summands for x in q.vertices])
-    forms = [
-        [x._num if x._den == scale else tuple([a * (scale // x._den) for a in x._num])
-         for x in q.vertices]
-        for q in summands
-    ]
-
-    def support(u) -> int:
-        """L times the minimum of ``<x, u>`` over the sum."""
-        return sum([min([_dot(x, u) for x in xs]) for xs in forms])
-
-    for f in p.facets:
-        off = f.offset
-        if support(f.normal._num) * off.denominator < -off.numerator * scale:
-            return False
-    through: list[list[tuple[int, ...]]] = [[] for _ in p.vertices]
-    for f in p.facets:
-        for i in f.incidence:
-            through[i].append(f.normal._num)
-    for y, normals in zip(p.vertices, through):
-        ell = [sum(c) for c in zip(*normals)]
-        if support(ell) * y._den != _dot(y._num, ell) * scale:
-            return False
-    return True
-
-
-def polar_support_polar_is_nabla_sum(np: NefPartition) -> CheckResult:
-    """Polar of the base polytope equals the Minkowski sum of the nabla parts.
-
-    Decided by support functions, with no hull of the sum
-    (:func:`is_minkowski_sum`); the sum is built only for a failure's
-    witness.
-    """
-    polar = np.delta.polar_dual()
-    if is_minkowski_sum(polar, np.nabla_parts):
-        return CheckResult("polar_is_nabla_sum", True)
-    total = reduce(minkowski_sum, np.nabla_parts)
-    return CheckResult(
-        "polar_is_nabla_sum",
-        False,
-        witness={
-            "polar_vertices": [v.coords for v in polar.vertices],
-            "sum_vertices": [v.coords for v in total.vertices],
-        },
-    )
-
-
-def polar_support_nabla_polar_is_delta_sum(np: NefPartition) -> CheckResult:
-    """Polar of nabla equals the Minkowski sum of the delta parts, and is lattice.
-
-    Decided like :func:`polar_support_polar_is_nabla_sum`.
-    """
-    polar = nabla(np).polar_dual()
-    if polar.is_lattice() and is_minkowski_sum(polar, np.delta_parts):
-        return CheckResult(
-            "nabla_polar_is_delta_sum", True, detail="nabla polar is a lattice polytope"
-        )
-    total = reduce(minkowski_sum, np.delta_parts)
-    return CheckResult(
-        "nabla_polar_is_delta_sum",
-        False,
-        witness={
-            "nabla_polar_vertices": [v.coords for v in polar.vertices],
-            "sum_vertices": [v.coords for v in total.vertices],
-        },
-    )
-
-
-def pair_min(xs, ys) -> tuple[int, int]:
-    """The minimum of ``<x, y>`` over ``xs`` x ``ys``, as ``(num, den)``, den > 0.
-
-    Each pairing is an ``int`` dot product of integer forms over the
-    product of the denominators; ``n1/d1 < n2/d2`` is ``n1 * d2 < n2 * d1``.
-    """
-    best_n, best_d = None, 1
-    for x in xs:
-        xn, xd = x._num, x._den
-        for y in ys:
-            n = _dot(xn, y._num)
-            d = xd * y._den
-            if best_n is None or n * best_d < best_n * d:
-                best_n, best_d = n, d
-    return best_n, best_d
-
-
-def pair_min_pairing_mismatch(f: PLFunction, base: Polytope, part: Polytope) -> int | None:
-    """The index of the first vertex v of ``base`` with f(v) != -min <v, part>,
-    or ``None``; ``base`` and ``part`` must pair. It is ``None``, with no
-    pairing, when ``f`` is convex on the fan of ``base`` and its negated
-    functionals are exactly the vertices of ``part``."""
-    forms = {(x._num, x._den) for x in part.vertices}
-    if f.is_convex and f.fan.base == base and forms == {
-        (tuple([-a for a in u._num]), u._den) for u in f.functionals
-    }:
-        return None
-    for vi, v in enumerate(base.vertices):
-        n, d = pair_min((v,), part.vertices)
-        if -n * f.vertex_values[vi].denominator != f.vertex_values[vi].numerator * d:
-            return vi
-    return None
-
-
-def pair_min_check_relations(np: NefPartition) -> RelationReport:
-    """Verify the pairing relations between the delta and nabla parts, with
-    a dot product per pairing (:func:`pair_min`)."""
-    r = np.r
-    matrix = []
-    violations = []
-    for j in range(r):
-        row = []
-        for i in range(r):
-            _check_pairable(np.delta_parts[j], np.nabla_parts[i])
-            n, d = pair_min(np.delta_parts[j].vertices, np.nabla_parts[i].vertices)
-            m = Fraction(n, d)
-            row.append(m)
-            if n != (-d if i == j else 0):
-                violations.append((j, i, m))
-        matrix.append(tuple(row))
-    phi_ok = True
-    for i, f in enumerate(np.phi):
-        part = np.nabla_parts[i]
-        _check_pairable(np.delta, part)
-        phi_ok = phi_ok and pair_min_pairing_mismatch(f, np.delta, part) is None
-    return RelationReport(
-        matrix=tuple(matrix),
-        passed=not violations,
-        violations=tuple(violations),
-        phi_consistent=phi_ok,
-    )
-
-
-def dot_read_off(np: NefPartition, nb: Polytope, parts) -> None:
-    """Put the entry of each psi_j cone pattern that reads off Δ_j into the
-    memo of ``face_fan(nb)``, leaving the other cones to the kernel, pairing
-    each vertex of a delta part with every vertex of ``nb`` by a dot
-    product. The entry is the one :meth:`FaceFan.entry` describes, with
-    its masks read off the minimiser's pairings, so only its format is the
-    library's; the former read-off put the functional alone into the
-    former memo of functionals."""
-    fan = face_fan(nb)
-    verts = [v._num for v in nb.vertices]
-    space = dual_space(nb.space)
-    for part, dp in zip(parts, np.delta_parts):
-        # <x, y> * x._den for each vertex x of the part and y of nabla;
-        # <x, ℓ_F> * x._den is the sum of a row over F's vertices.
-        rows = [
-            (x._num, x._den, [_dot(x._num, y) for y in verts])
-            for x in (dp.vertices if dp.ambient_dim == nb.ambient_dim else ())
-        ]
-        for cone in fan.cones:
-            vids = cone.vertex_indices
-            best = None
-            for num, den, row in rows:
-                n = sum([row[i] for i in vids])
-                if best is None or n * best_den < best_n * den:
-                    best, best_n, best_den, best_row, tie = num, n, den, row, False
-                elif n * best_den == best_n * den:
-                    tie = True
-            values = tuple([int(i in part) for i in vids])
-            if best is not None and not tie and all(
-                best_row[i] == -v * best_den for i, v in zip(vids, values)
-            ):
-                pattern = sum(1 << i for i, v in zip(vids, values) if v)
-                u = Point._from_form(tuple([-a for a in best]), best_den, space)
-                if not u.is_lattice():
-                    fan._entries[cone.index, pattern] = False
-                    continue
-                # <v, u> = -best_row[v] / best_den, with best_den = 1 here
-                gt0 = sum(1 << v for v, x in enumerate(best_row) if -x > 0)
-                gt1 = sum(1 << v for v, x in enumerate(best_row) if -x > 1)
-                fan._entries[cone.index, pattern] = (u, gt0, gt1)
+# The library's former convexity scan, verbatim apart from the name: it
+# paired every vertex with every cone's functional (the library now decides
+# convexity on one vertex bitmask per cone). :func:`pl_from_vertex_values`
+# above takes its verdict from it.
 
 
 def convexity_violation(fan: FaceFan, vertex_values, functionals):

@@ -4,13 +4,14 @@ import os
 import sys
 from collections import Counter
 from fractions import Fraction
+from operator import mul
 
 import pytest
 
 import oracles
-from test_nefpart import _audit_inputs, _fresh, pairing_checks, shortcut_count
+from test_nefpart import _audit_inputs, _fresh, exact_count, pairing_checks
 
-from nefdual import cli, duality, nefpart, polytope
+from nefdual import cli, duality, fan, nefpart, polytope
 from nefdual.duality import (
     dual_nef_partition,
     nabla,
@@ -21,14 +22,9 @@ from nefdual.duality import (
     verify_nabla_reflexive,
     verify_polar_is_nabla_sum,
 )
-from nefdual.errors import GeometryError, InvariantViolation
-from nefdual.fan import face_fan
-from nefdual.nefpart import (
-    NefPartition,
-    check_relations,
-    enumerate_nef_partitions,
-    validate_partition,
-)
+from nefdual.errors import DimensionMismatch, GeometryError, InvariantViolation, NotReflexive
+from nefdual.fan import PLFunction, face_fan
+from nefdual.nefpart import NefPartition, enumerate_nef_partitions, validate_partition
 from nefdual.polytope import Point, Polytope, SPACE_N, hull, minkowski_sum
 
 F = Fraction
@@ -222,70 +218,12 @@ def test_run_full_duality_reports_all_checks():
     assert len(result.psi) == result.source.r
 
 
-# The faster routes against the former ones kept in tests/oracles.py: the
-# involution check that always rebuilds the double dual, and the audit that
-# decides its two hull identities with hulls.
-
-
 def outcome(fn, *args):
     """What a check did: its returned value, or the exception it raised."""
     try:
         return ("returned", fn(*args))
     except (GeometryError, InvariantViolation) as exc:
         return ("raised", type(exc), str(exc), getattr(exc, "witness", None))
-
-
-# The errors of the former psi cross-check, which the former routes in
-# tests/oracles.py still raise (oracles.check_psi). The library checks psi
-# against the delta parts once, in verify_delta_parts_from_dual, which fails
-# whenever the cross-check would raise (see its docstring).
-PSI_ERRORS = (
-    "dual PL value disagrees with the pairing formula",
-    "dual cone functional is not the negative of a delta part vertex",
-)
-
-
-def raised_psi_error(old):
-    return old[:2] == ("raised", InvariantViolation) and old[2] in PSI_ERRORS
-
-
-def corpus_partitions(corpus):
-    for entry in corpus:
-        if entry.reflexive and entry.polytope.ambient_dim in (2, 3):
-            for r in (2, 3):
-                yield from enumerate_nef_partitions(entry.polytope, r)
-
-
-def test_involution_and_audit_match_the_rebuilding_routes_on_the_corpus(corpus):
-    count = 0
-    for np_ in corpus_partitions(corpus):
-        result = run_full_duality(np_)
-        assert result.all_passed
-        assert result.checks["involution"] == oracles.verify_involution(np_, result.dual)
-        for side in (np_, result.dual):
-            assert outcome(oracles.assert_vertex_set_invariants, side) == outcome(
-                oracles.assert_partition_invariants, side
-            ) == ("returned", None)
-        count += 1
-    assert count == 163
-
-
-def test_audit_failures_match_the_hull_route():
-    np_ = octa_single_vertex_partition()
-    # a delta part that lost a vertex of delta
-    big = max(range(2), key=lambda i: len(np_.parts[i]))
-    part_verts = np_.delta_parts[big].vertices
-    lost = next(v for v in part_verts if not v.is_zero())
-    shrunk = hull([v for v in part_verts if v != lost] + [P(0, 0, 0)])
-    parts = list(np_.delta_parts)
-    parts[big] = shrunk
-    tampered = np_._replace(delta_parts=tuple(parts))
-    # the indicator functions of one part twice
-    doubled = np_._replace(phi=(np_.phi[0], np_.phi[0]))
-    for bad in (tampered, doubled):
-        new = outcome(oracles.assert_vertex_set_invariants, bad)
-        assert new[0] == "raised" and new[1] is InvariantViolation
-        assert new == outcome(oracles.assert_partition_invariants, bad)
 
 
 def swapped(dual, *fields):
@@ -326,27 +264,22 @@ def tampered_duals(dual):
     ]
 
 
-def test_tampered_dual_fails_on_both_involution_routes():
-    """Each tampered dual either gives the same outcome on both routes, a
-    failing or raising check, or the former route raised the psi error; the
-    involution then passes, as the datum does come back, and the relation
-    check of the tampered dual fails."""
-    split = Counter()
+def test_a_tampered_dual_gets_the_involution_deciders_verdict():
+    """Each tampered dual gives the involution check the verdict and
+    witness of the decider, which reads the double dual off the dual's
+    Cayley hull. Where it passes, as the datum does come back, the
+    tampered dual fails the relation decider."""
+    verdicts = Counter()
     for source in SOURCES:
         np_ = source()
         dual = dual_nef_partition(np_)
         for bad in tampered_duals(dual):
-            new = outcome(verify_involution, np_, bad)
-            old = outcome(oracles.verify_involution, np_, bad)
-            if new == old:
-                assert new[0] == "raised" or not new[1].passed, (source.__name__, new)
-                split["equal"] += 1
-            else:
-                assert raised_psi_error(old), (source.__name__, old)
-                assert new[0] == "returned" and new[1].passed, (source.__name__, new)
-                assert not check_relations(bad), source.__name__
-                split["psi"] += 1
-    assert split == {"equal": 4, "psi": 12}
+            check = verify_involution(np_, bad)
+            assert check == oracles.involution_check(np_, bad), source.__name__
+            if check.passed:
+                assert not oracles.relation_report(bad), source.__name__
+            verdicts[check.passed] += 1
+    assert verdicts == {True: 12, False: 4}
 
 
 def shrunk(poly):
@@ -362,10 +295,7 @@ def with_part(np_, field, i, poly):
     return np_._replace(**{field: tuple(parts)})
 
 
-SUM_CHECKS = (
-    (verify_polar_is_nabla_sum, oracles.verify_polar_is_nabla_sum),
-    (verify_nabla_polar_is_delta_sum, oracles.verify_nabla_polar_is_delta_sum),
-)
+SUM_CHECKS = (verify_polar_is_nabla_sum, verify_nabla_polar_is_delta_sum)
 
 
 def sum_check_tampers(np_):
@@ -379,26 +309,34 @@ def sum_check_tampers(np_):
     ]
 
 
-def test_tampered_parts_fail_both_sum_check_routes_alike():
+def test_tampered_parts_get_the_sum_check_deciders_verdicts():
     """A nabla part swapped for another nabla part or for a delta part, a
-    nabla part shrunk and a delta part shrunk: each sum check gives the same
-    CheckResult, or raises the same error, on both routes, and the check
-    that reads the tampered parts fails."""
+    nabla part shrunk and a delta part shrunk: each sum check gives the
+    CheckResult of its decider, or raises where the decider finds no polar
+    or no sum, and the check that reads the tampered parts fails."""
+    raised = Counter()
     for source in SOURCES:
         for np_ in (source(), dual_nef_partition(source())):
             for bad, failing in sum_check_tampers(np_):
-                for k, (new_check, old_check) in enumerate(SUM_CHECKS):
-                    new = outcome(new_check, bad)
-                    assert new == outcome(old_check, bad), (source.__name__, k)
+                deciders = oracles.sum_checks(bad)
+                for k, check in enumerate(SUM_CHECKS):
+                    got = outcome(check, bad)
+                    expected = deciders[check.__name__.removeprefix("verify_")]
+                    if got[0] == "raised":
+                        assert expected is None, (source.__name__, k, expected)
+                        raised[got[1].__name__] += 1
+                    else:
+                        assert got[1] == expected, (source.__name__, k)
                     if k == failing:
-                        assert new[0] == "raised" or not new[1].passed, (source.__name__, new)
+                        assert got[0] == "raised" or not got[1].passed, (source.__name__, got)
+    assert raised == {"DimensionMismatch": 16, "ZeroNotInterior": 10, "NotFullDimensional": 4}
 
 
 def test_a_sum_that_is_a_polar_off_the_lattice_fails_the_nabla_check():
     """Nabla parts doubled and delta parts halved: the delta parts still sum
     to the polar of the doubled nabla, but that polar is not a lattice
-    polytope, so the check fails on every route, as the lattice test of
-    nabla's facet offsets finds."""
+    polytope, so the check fails, as the lattice test of nabla's facet
+    offsets finds, with the decider's witness."""
     for source in SOURCES:
         np_ = source()
         bad = np_._replace(
@@ -408,8 +346,7 @@ def test_a_sum_that_is_a_polar_off_the_lattice_fails_the_nabla_check():
         assert duality._is_polar_sum(nabla(bad), bad.delta_parts, nefpart._Pairings())
         new = verify_nabla_polar_is_delta_sum(bad)
         assert not new.passed
-        assert new == oracles.polar_support_nabla_polar_is_delta_sum(bad)
-        assert new == oracles.verify_nabla_polar_is_delta_sum(bad)
+        assert new == oracles.sum_checks(bad)["nabla_polar_is_delta_sum"]
 
 
 def test_no_request_builds_the_facets_of_a_polar(capsys, monkeypatch):
@@ -440,7 +377,7 @@ def test_no_request_builds_the_facets_of_a_polar(capsys, monkeypatch):
         assert polar._affine_span is None and polar._facets is None
 
 
-def test_relabeled_dual_passes_on_both_involution_routes():
+def test_a_relabeled_dual_passes_the_involution_decider():
     """A consistent relabeling of the dual is the same unlabeled datum."""
     for source in SOURCES:
         np_ = source()
@@ -448,7 +385,18 @@ def test_relabeled_dual_passes_on_both_involution_routes():
         relabeled = swapped(dual, "parts", "phi", "delta_parts", "nabla_parts")
         check = verify_involution(np_, relabeled)
         assert check.passed
-        assert check == oracles.verify_involution(np_, relabeled)
+        assert check == oracles.involution_check(np_, relabeled)
+
+
+def test_the_dual_of_another_partition_fails_the_involution_decider():
+    """The dual of the cross's diagonal partition given as the dual of its
+    axis partition, and back: the double dual's base is the cross, but its
+    parts are the other partition's, so the check fails on the parts, with
+    the decider's witness."""
+    for np_, other in ((axis_partition(), diagonal_partition()), (diagonal_partition(), axis_partition())):
+        check = verify_involution(np_, dual_nef_partition(other))
+        assert not check.passed and "double_dual_parts" in check.witness
+        assert check == oracles.involution_check(np_, dual_nef_partition(other))
 
 
 @pytest.fixture
@@ -571,66 +519,63 @@ def test_validating_an_accepted_partition_builds_no_hull(count_hulls):
             assert count_hulls(getattr, part, "facets") == 0
 
 
-# The dual built from the source against the former dual_nef_partition kept
-# in tests/oracles.py, which validates on nabla from scratch and builds every
-# part by a hull. Polytope.__eq__ compares vertices only, so the parts are
-# compared in full.
+# The duality against the definition: every object run_full_duality
+# builds against tests/oracles.cayley_duality, which reads the nabla parts
+# off one certified hull of the Cayley polytope and builds nabla, the dual's
+# labels, every functional and the double dual with no fan, PL function,
+# pairing table, polar, Minkowski sum or validation, and the six checks
+# against the deciders in tests/oracles.py. Polytope.__eq__ compares
+# vertices only, so nabla is compared in full.
 
 
 def polytope_data(poly):
     return (poly.space, poly.ambient_dim, poly.vertices, poly.affine_span, poly.facets)
 
 
-def duality_outcome(np_):
-    """What run_full_duality did: its six checks and the dual in full, or
-    the error it raised."""
-    got = outcome(run_full_duality, np_)
-    if got[0] == "raised":
-        return got
-    result = got[1]
-    dual = result.dual
-    polys = (dual.delta, nabla(dual), *dual.delta_parts, *dual.nabla_parts)
-    return (
-        tuple(result.checks.items()),
-        dual.parts,
-        [(f.vertex_values, f.functionals) for f in dual.phi],
-        [polytope_data(p) for p in polys],
-    )
+def assert_the_cayley_oracle_holds(result):
+    """``result``, a DualityResult, is the oracle's duality of its source:
+    nabla in full, every nabla part and delta part on both sides as vertex
+    sets, the dual's labels, every phi and psi functional on every cone,
+    and the six checks equal to the deciders'. Returns the oracle's
+    duality."""
+    np_, dual = result.source, result.dual
+    oracle = oracles.cayley_duality(np_.delta, np_.parts)
+    assert polytope_data(result.nabla) == polytope_data(oracle.nabla), "nabla"
+    assert [p.vertices for p in np_.nabla_parts] == list(oracle.nabla_parts), "nabla parts"
+    assert [p.vertices for p in dual.delta_parts] == list(oracle.nabla_parts), "the dual's delta parts"
+    assert [p.vertices for p in np_.delta_parts] == list(oracle.delta_parts), "delta parts"
+    assert [p.vertices for p in dual.nabla_parts] == list(oracle.delta_parts), "the dual's nabla parts"
+    assert dual.parts == oracle.labels, "labels"
+    assert [f.functionals for f in np_.phi] == list(oracle.phi), "phi"
+    assert [f.functionals for f in dual.phi] == list(oracle.psi), "psi"
+    assert dict(result.checks) == oracles.duality_checks(np_, dual), "checks"
+    return oracle
 
 
-def both_routes(np_, monkeypatch, former=oracles.dual_nef_partition):
-    """duality_outcome with a former dual_nef_partition, on a copy of
-    ``np_`` that builds its own nabla and so its own fan, then with the
-    library's."""
-    with monkeypatch.context() as m:
-        m.setattr(duality, "dual_nef_partition", former)
-        old = duality_outcome(np_._replace())
-    new = duality_outcome(np_)
-    return new, old
+def memo_from_the_definition(nb, labels, psi):
+    """The entry memo of nabla's fan that a duality leaves: for each cone c
+    over a facet of ``nb`` and each dual part k, the entry of k's pattern on
+    c (:meth:`FaceFan.entry`), (psi_k's functional u on c, the vertices
+    where <v, u> > 0, those where it is > 1), paired by ``int`` dot
+    products of the integer forms."""
+    memo = {}
+    for part, us in zip(labels, psi):
+        s = sum(1 << i for i in part)
+        for c, (f, u) in enumerate(zip(nb.facets, us)):
+            # <v, u> > 1 is <v._num, u._num> > v._den * u._den, both positive
+            dots = [(sum(map(mul, v._num, u._num)), v._den * u._den) for v in nb.vertices]
+            gt0 = sum(1 << v for v, (x, _) in enumerate(dots) if x > 0)
+            gt1 = sum(1 << v for v, (x, den) in enumerate(dots) if x > den)
+            memo[c, s & sum(1 << i for i in f.incidence)] = (u, gt0, gt1)
+    return memo
 
 
-def route_difference(new, old):
-    """"equal" when both routes gave the same outcome, and "psi" when the
-    former route raised the psi error where the run returns with
-    delta_parts_from_dual failing; any other difference fails."""
-    if new == old:
-        return "equal"
-    assert raised_psi_error(old), old
-    assert new[0] != "raised" and not dict(new[0])["delta_parts_from_dual"].passed, new
-    return "psi"
-
-
-def test_the_dual_from_the_source_matches_the_dual_validated_from_scratch(corpus, monkeypatch):
-    """Equal six CheckResults, parts, psi values and functionals, and every
-    polytope of the dual equal in vertices, facets and span."""
-    count = 0
-    for np_ in _audit_inputs(corpus):
-        new, old = both_routes(np_, monkeypatch)
-        assert new == old, np_
-        assert all(check.passed for _, check in new[0])
-        count += 1
-    # 175 corpus partitions, 15 + 15 on the 4-simplex, 1 on the 5-simplex, 127 on cross4
-    assert count == 333
+def assert_the_duality_and_its_memo_hold(np_):
+    result = run_full_duality(np_)
+    assert result.all_passed
+    oracle = assert_the_cayley_oracle_holds(result)
+    memo = memo_from_the_definition(oracle.nabla, oracle.labels, oracle.psi)
+    assert face_fan(result.nabla)._entries == memo
 
 
 def doubled(poly):
@@ -656,33 +601,52 @@ def hull_path_tampers(np_):
     return tampered
 
 
-def test_tampered_sources_take_the_hull_path_and_match_the_former_dual(monkeypatch):
+RAISED_FOR = {NotReflexive: "nabla is not reflexive", DimensionMismatch: "parts that do not pair"}
+
+
+def judged(bad):
+    """run_full_duality on the tampered source ``bad`` against the
+    definition: its six checks equal the deciders', or it raised the error
+    of the one reason ``oracles.failure_reasons`` finds. Returns the names
+    of the failing checks, or the name of the error raised."""
+    got = outcome(run_full_duality, bad)
+    reasons = oracles.failure_reasons(bad)
+    if got[0] == "raised":
+        assert reasons == {RAISED_FOR[got[1]]}, (bad, got)
+        return got[1].__name__
+    assert reasons == set(), bad
+    checks = dict(got[1].checks)
+    assert checks == oracles.duality_checks(bad, got[1].dual), bad
+    return tuple(name for name, check in checks.items() if not check.passed)
+
+
+def test_tampered_sources_take_the_hull_path_and_are_judged_by_the_definition():
     """A delta part shrunk, grown out of delta or swapped for another; a
     base that is not the union of the delta parts (so the cover test
     refuses it and the double dual's base is a hull); and a nabla part that
-    misses the origin. The run gives the same checks, dual or raised error
-    as the former route, or returns with delta_parts_from_dual failing
-    where the former route raised the psi error."""
+    misses the origin. Each fails a decider, and the run gives the
+    deciders' checks, or raises for the reason they name."""
     missing_origin = 0
-    split = Counter()
+    failed = Counter()
     for source in SOURCES:
         np_ = source()
         missing_origin += sum(
             any(v.is_zero() for v in part.vertices) for part in np_.nabla_parts
         )
         for bad in hull_path_tampers(np_):
-            new, old = both_routes(bad, monkeypatch)
-            split[route_difference(new, old)] += 1
-            assert new[0] == "raised" or not all(check.passed for _, check in new[0])
+            verdict = judged(bad)
+            assert verdict, bad
+            failed.update(["source", *verdict])
     assert missing_origin > 0
-    assert split == {"equal": 7, "psi": 12}
+    assert failed == {
+        "source": 19, "pairing_relations": 14, "delta_parts_from_dual": 12,
+        "nabla_polar_is_delta_sum": 8, "polar_is_nabla_sum": 7, "involution": 4,
+    }
 
 
-# The dual whose PL functions are read off the delta parts against the
-# former dual_nef_partition kept in tests/oracles.py, which builds a kernel
-# for every cone of nabla's fan. Each cone of nabla's fan that gets a kernel
-# in the library is one where the read-off fails; the expected set is
-# computed here with the Fraction pairing of tests/oracles.py.
+# The cones of nabla's fan that get a kernel in the library are those where
+# the read-off fails; the expected set is computed here with the Fraction
+# pairing of tests/oracles.py.
 
 
 def kernel_cones(np_):
@@ -715,19 +679,128 @@ def read_off_failures(np_):
     return failed
 
 
-def test_the_dual_read_off_the_delta_parts_matches_the_kernel_route(corpus, monkeypatch):
-    """Equal six CheckResults, parts, psi values and functionals, and every
-    polytope of the dual equal in vertices, facets and span; no cone of
-    nabla's fan gets a kernel."""
+def test_the_duality_is_the_cayley_oracles_on_the_audit_inputs(corpus):
+    """Every corpus nef-partition at r = 1..3, the enum4d inputs at r = 2
+    as they are and sheared, the 5-simplex's two cubics and the 4D
+    cross-polytope at r = 2: the duality is the oracle's, with every check
+    passing, the entry memo of nabla's fan is the definition's, and no cone
+    of nabla's fan gets a kernel."""
     count = 0
     for np_ in _audit_inputs(corpus):
-        new, old = both_routes(np_, monkeypatch, oracles.kernel_dual_nef_partition)
-        assert new == old, np_
-        assert all(check.passed for _, check in new[0])
+        assert_the_duality_and_its_memo_hold(np_)
         assert kernel_cones(np_) == set() == read_off_failures(np_)
         count += 1
     # 175 corpus partitions, 15 + 15 on the 4-simplex, 1 on the 5-simplex, 127 on cross4
     assert count == 333
+
+
+def test_the_duality_is_the_cayley_oracles_on_the_scale_inputs(scale_bench):
+    """Alike on at most 48 partitions, evenly strided, of each
+    ``bench/scale.py`` input at r = 2, 3."""
+    count = 0
+    for name in scale_bench.POLYTOPES:
+        for r in (2, 3):
+            found = enumerate_nef_partitions(scale_bench.fresh(name), r)
+            for np_ in found[:: -(-len(found) // 48) or 1]:
+                assert_the_duality_and_its_memo_hold(np_)
+                count += 1
+    assert count == 432
+
+
+def dropped_vertex(result):
+    """Nabla part 0 less its first nonzero vertex."""
+    part = result.source.nabla_parts[0]
+    lost = next(v for v in part.vertices if not v.is_zero())
+    bad = with_part(result.source, "nabla_parts", 0, hull([v for v in part.vertices if v != lost]))
+    return result._replace(source=bad), "nabla parts"
+
+
+def added_point(result):
+    """Nabla part 0 with a lattice point of it that is no vertex listed
+    among its vertices."""
+    part = result.source.nabla_parts[0]
+    point = next(y for y in part.lattice_points() if y not in part.vertices)
+    points = [*part.vertices, point]
+    bad = with_part(result.source, "nabla_parts", 0, Polytope._from_vertices(points, points))
+    return result._replace(source=bad), "nabla parts"
+
+
+def swapped_labels(result):
+    """The dual's first vertex of part 0 and first vertex of part 1 given
+    each other's part."""
+    parts = list(result.dual.parts)
+    a, b = min(parts[0]), min(parts[1])
+    parts[0], parts[1] = parts[0] - {a} | {b}, parts[1] - {b} | {a}
+    return result._replace(dual=result.dual._replace(parts=tuple(parts))), "labels"
+
+
+def shifted_psi(result):
+    """psi_0's functional on cone 0 moved by a unit lattice vector."""
+    f = result.dual.phi[0]
+    step = Point((1,) + (0,) * (f.functionals[0].dim - 1), f.functionals[0].space)
+    moved = PLFunction(f.fan, f.vertex_values, (f.functionals[0] + step, *f.functionals[1:]), None)
+    return result._replace(dual=result.dual._replace(phi=(moved, *result.dual.phi[1:]))), "psi"
+
+
+MUTANT_SOURCES = {
+    1: lambda: validate_partition(CROSS, [range(4)]), 2: axis_partition, 3: octa_three_part_partition
+}
+
+
+@pytest.mark.parametrize(
+    "mutation, r",
+    [(m, r) for m in (dropped_vertex, added_point, swapped_labels, shifted_psi) for r in (1, 2, 3)
+     if (m, r) != (swapped_labels, 1)],
+    ids=lambda x: x.__name__ if callable(x) else f"r{x}",
+)
+def test_the_oracle_rejects_a_wrong_duality(mutation, r):
+    """The duality of the cross at r = 1, of its axis partition at r = 2 and
+    of the octahedron's three axes at r = 3 passes the oracle comparison;
+    with a nabla part's vertex dropped, a non-vertex lattice point listed
+    as a nabla part's vertex, two of the dual's labels swapped (at r >= 2,
+    as one part has no other to swap with) or one cone's psi functional
+    moved by a lattice vector, it fails, at the comparison that reads the
+    mutated field."""
+    result = run_full_duality(MUTANT_SOURCES[r]())
+    assert result.source.r == r
+    assert_the_cayley_oracle_holds(result)
+    wrong, match = mutation(result)
+    with pytest.raises(AssertionError, match=match):
+        assert_the_cayley_oracle_holds(wrong)
+
+
+def test_the_oracle_calls_none_of_the_librarys_duality_routes(corpus, monkeypatch):
+    """The dualities of every corpus nef-partition at r = 2, run first,
+    pass the oracle comparison with FaceFan's reads, face_fan,
+    validate_partition, the pairing table, support_polytope,
+    Polytope.polar_dual, minkowski_sum and the read-off all made to
+    raise."""
+    results = [
+        run_full_duality(np_)
+        for entry in corpus if entry.reflexive
+        for np_ in enumerate_nef_partitions(_fresh([v.coords for v in entry.polytope.vertices]), 2)
+    ]
+
+    def refused(*args, **kwargs):
+        raise AssertionError("the oracle called the library's duality")
+
+    originals = (
+        fan.face_fan, nefpart.validate_partition, nefpart._Pairings, fan.support_polytope,
+        polytope.minkowski_sum, duality._read_off,
+    )
+    for name, module in list(sys.modules.items()):
+        if name == "oracles" or name == "nefdual" or name.startswith("nefdual."):
+            for key, value in list(vars(module).items()):
+                if any(value is original for original in originals):
+                    monkeypatch.setattr(module, key, refused)
+    for method in ("entry", "_read", "_weighted_read", "cone_functional", "_kernel"):
+        monkeypatch.setattr(fan.FaceFan, method, refused)
+    monkeypatch.setattr(Polytope, "polar_dual", refused)
+    with pytest.raises(AssertionError, match="called the library"):
+        run_full_duality(results[0].source._replace())
+    for result in results:
+        assert_the_cayley_oracle_holds(result)
+    assert len(results) == 59
 
 
 def scaled(poly, factor):
@@ -765,27 +838,30 @@ def kernel_path_tampers(np_):
     ]
 
 
-def test_tampered_delta_parts_take_the_kernel_and_match_the_kernel_route(monkeypatch):
+def test_tampered_delta_parts_take_the_kernel_and_are_judged_by_the_definition():
     """A delta part swapped for another, shrunk, scaled by 2/3, grown by a
     point that ties with its minimiser on a cone, or of one dimension less:
-    the cones where the read-off fails, and only those, get a kernel, and
-    the run gives the same checks, dual or raised error as the kernel
-    route, or returns with delta_parts_from_dual failing where the kernel
-    route raised the psi error."""
-    split = Counter()
+    the cones where the read-off fails, and only those, get a kernel; each
+    source fails a decider, and the run gives the deciders' checks, or
+    raises for the reason they name."""
+    failed = Counter()
     for source in SOURCES:
         np_ = source()
         for bad in kernel_path_tampers(np_):
-            new, old = both_routes(bad, monkeypatch, oracles.kernel_dual_nef_partition)
-            split[route_difference(new, old)] += 1
-            assert new[0] == "raised" or not all(check.passed for _, check in new[0])
+            verdict = judged(bad)
+            assert verdict, bad
+            failed.update(["source", *([verdict] if isinstance(verdict, str) else verdict)])
             assert kernel_cones(bad) == read_off_failures(bad) != set(), source.__name__
-    assert split == {"equal": 4, "psi": 16}
+    assert failed == {
+        "source": 20, "delta_parts_from_dual": 16, "pairing_relations": 13,
+        "nabla_polar_is_delta_sum": 12, "DimensionMismatch": 4,
+    }
 
 
-# The dual is not audited again once it is decided, it is not cross-checked
-# against the source, and the pairing checks read the table's minima: each
-# against the tampered sources above.
+# Every tampered source above judged by the definition: the dual is not
+# audited once it is decided and not cross-checked against the source, and
+# the pairing checks read the table's minima, so only the six checks stand
+# between a wrong source and a passing run.
 
 
 def tampered_sources():
@@ -799,122 +875,73 @@ def tampered_sources():
         yield from tampered_duals(dual)
 
 
-def test_the_audits_pass_on_every_dual_built_from_a_tampered_source():
-    """Each dual that dual_nef_partition returns passes the audit of a
-    validated partition and the former hull audit, which it no longer
-    runs; on every such dual, and on every tampered source, the pairing
-    checks agree with the full loop that pairs by dot products."""
-    built = taken = total = 0
+def test_the_pairing_mismatch_matches_the_definition_on_every_tampered_source():
+    """On every dual that dual_nef_partition builds from a tampered source,
+    and on every tampered source, the pairing checks find the mismatch
+    that the definition finds."""
+    built = exact = total = 0
     for bad in tampered_sources():
         got = outcome(dual_nef_partition, bad)
         dual = got[1] if got[0] == "returned" else None
-        if dual is not None:
-            assert outcome(oracles.assert_vertex_set_invariants, dual) == outcome(
-                oracles.assert_partition_invariants, dual
-            ) == ("returned", None)
-            built += 1
+        built += dual is not None
         checks = list(pairing_checks(bad, dual))
         total += len(checks)
-        taken += shortcut_count(checks)
-    # 87 tampered sources, of which 64 give a dual; 44 of the checks
-    # take the full loop
-    assert (built, taken, total) == (64, 278, 322)
+        exact += exact_count(checks)
+    # 87 tampered sources, of which 64 give a dual; on 44 of the checks
+    # the part's vertices are not exactly the negated functionals
+    assert (built, exact, total) == (64, 278, 322)
 
 
-def test_every_tampered_source_matches_both_former_duals_or_fails_delta_parts_from_dual(
-    monkeypatch,
-):
-    """On each tampered source the run gives the same checks, dual or
-    raised error as the former dual validated from scratch and as the
-    kernel route, or returns with delta_parts_from_dual failing where both
-    raised the psi error."""
-    for former in (oracles.dual_nef_partition, oracles.kernel_dual_nef_partition):
-        split = Counter()
-        for bad in tampered_sources():
-            new, old = both_routes(bad, monkeypatch, former)
-            split[route_difference(new, old)] += 1
-        assert split == {"equal": 38, "psi": 49}, former.__name__
+def test_a_wrong_delta_part_or_phi_fails_the_oracle():
+    """A delta part that lost a vertex of delta, or one part's phi given
+    for both: the run is not the Cayley oracle's, and fails a decider."""
+    np_ = octa_single_vertex_partition()
+    big = max(range(2), key=lambda i: len(np_.parts[i]))
+    shrunk_part = with_part(np_, "delta_parts", big, shrunk(np_.delta_parts[big]))
+    doubled_phi = np_._replace(phi=(np_.phi[0], np_.phi[0]))
+    for bad, match in ((shrunk_part, "delta parts"), (doubled_phi, "phi")):
+        with pytest.raises(AssertionError, match=match):
+            assert_the_cayley_oracle_holds(run_full_duality(bad))
+        assert judged(bad)
 
 
-# The duality read off one pairing table against the former pairing route
-# kept in tests/oracles.py: the sum checks on a polar, the relation checks by
-# a dot product per pairing and the read-off that paired on its own. The
-# former route's convexity scan over every cone's functional is no longer
-# on this path: the dual is decided on the fan's entries.
-
-FORMER_PAIRING_ROUTE = (
-    (duality, "check_relations", oracles.pair_min_check_relations),
-    (duality, "verify_polar_is_nabla_sum", oracles.polar_support_polar_is_nabla_sum),
-    (duality, "verify_nabla_polar_is_delta_sum", oracles.polar_support_nabla_polar_is_delta_sum),
-    (duality, "_read_off", oracles.dot_read_off),
-)
+def test_a_delta_part_with_another_parts_vertex_fails_the_oracle():
+    """Delta part 0 grown by a vertex of part 1: alike."""
+    octa = octa_three_part_partition()
+    for np_ in (octa, diagonal_partition()):
+        gained = np_.part_vertices(1)[0]
+        bad = with_part(np_, "delta_parts", 0, hull(list(np_.delta_parts[0].vertices) + [gained]))
+        with pytest.raises(AssertionError, match="delta parts"):
+            assert_the_cayley_oracle_holds(run_full_duality(bad))
+        assert judged(bad)
 
 
-def pairing_outcome(np_):
-    """duality_outcome, and the entry memo of nabla's fan when the run
-    returned."""
-    got = duality_outcome(np_)
-    if got[0] == "raised":
-        return got
-    return got, face_fan(nabla(np_))._entries
-
-
-def table_and_former_pairing_routes(np_, monkeypatch):
-    """pairing_outcome on the former pairing route, on a copy of ``np_``
-    that builds its own nabla and so its own fan, then on the library's."""
-    with monkeypatch.context() as m:
-        for module, name, former in FORMER_PAIRING_ROUTE:
-            m.setattr(module, name, former)
-        old = pairing_outcome(np_._replace())
-    return pairing_outcome(np_), old
-
-
-def test_the_pairing_table_matches_the_former_pairing_route_on_the_corpus(corpus, monkeypatch):
-    """Equal six CheckResults, dual in full and entry memo of nabla's fan on
-    every corpus nef-partition at r = 1..3."""
-    count = 0
-    for entry in corpus:
-        if entry.reflexive:
-            for r in (1, 2, 3):
-                coords = [v.coords for v in entry.polytope.vertices]
-                for np_ in enumerate_nef_partitions(_fresh(coords), r):
-                    new, old = table_and_former_pairing_routes(np_, monkeypatch)
-                    assert new == old, np_
-                    assert all(check.passed for _, check in new[0][0])
-                    count += 1
-    assert count == 175
-
-
-def test_the_pairing_table_matches_the_former_pairing_route_on_the_scale_inputs(
-    scale_bench, monkeypatch
-):
-    """Alike on at most 48 partitions, evenly strided, of each
-    ``bench/scale.py`` input at r = 2, 3."""
-    count = 0
-    for name in scale_bench.POLYTOPES:
-        for r in (2, 3):
-            found = enumerate_nef_partitions(scale_bench.fresh(name), r)
-            for np_ in found[:: -(-len(found) // 48) or 1]:
-                new, old = table_and_former_pairing_routes(np_, monkeypatch)
-                assert new == old, (name, r, np_)
-                assert all(check.passed for _, check in new[0][0])
-                count += 1
-    assert count == 432
-
-
-def test_the_pairing_table_matches_the_former_pairing_route_on_the_tampered_sources(monkeypatch):
-    """Alike on every tampered source: equal CheckResults, dual and entry
-    memo, or the same error raised."""
+def test_every_tampered_source_is_judged_by_the_definition():
+    """On each tampered source the run gives the deciders' six checks, and
+    the entry memo of nabla's fan holds the definition's entry for every
+    (cone, pattern) the dual's validation read; or it raises
+    NotReflexive where nabla is not reflexive and DimensionMismatch where
+    parts do not pair. Every source fails a decider but the four duals with
+    two parts merged, which are nef-partitions: their dualities are the
+    Cayley oracle's."""
     raised = Counter()
-    count = 0
+    valid = 0
     for bad in tampered_sources():
-        new, old = table_and_former_pairing_routes(bad, monkeypatch)
-        assert new == old, bad
-        if new[0] == "raised":
-            raised[new[1].__name__] += 1
-        count += 1
-    assert count == 87
+        verdict = judged(bad)
+        if isinstance(verdict, str):
+            raised[verdict] += 1
+            continue
+        result = run_full_duality(bad._replace())
+        fan = face_fan(result.nabla)
+        masks = [sum(1 << i for i in part) for part in result.dual.parts]
+        assert set(fan._entries) == {(c, s & bits) for c, bits in enumerate(fan.bits) for s in masks}
+        for key, entry in fan._entries.items():
+            assert entry == oracles.functional_cone_entry(fan, *key), (bad, key)
+        if not verdict:
+            assert_the_cayley_oracle_holds(result)
+            valid += 1
     assert raised == {"NotReflexive": 15, "DimensionMismatch": 12}
+    assert valid == 4
 
 
 # The dual decided on the entries that _read_off writes into nabla's fan,

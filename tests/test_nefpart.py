@@ -1,13 +1,11 @@
 """Nef-partition validation, the pairing relations, and enumeration."""
 
-import copy
 import itertools
 import random
 import time
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -40,7 +38,7 @@ from nefdual.nefpart import (
 )
 from nefdual.polytope import Point, SPACE_M, SPACE_N, hull, pair
 
-from oracles import _intersection_is_origin, _set_partitions, intersection_is_origin
+from oracles import _set_partitions
 from oracles import oracle_nef_partitions
 from oracles import enumerate_nef_partitions as bell_enumerate
 
@@ -557,81 +555,7 @@ def test_the_row_sums_give_the_former_cone_entries(corpus, scale_bench):
     assert set(kinds) == {None, False, "lattice"}
 
 
-def test_opposite_rays_meet_only_at_the_origin():
-    right = hull([P(0, 0), P(2, 0)])
-    left = hull([P(0, 0), P(-1, 0)])
-    assert _intersection_is_origin(right, left) == (True, None)
-
-
-def test_intersection_test_needs_the_origin_in_both():
-    with pytest.raises(InvariantViolation):
-        _intersection_is_origin(hull([P(1, 0), P(2, 0)]), hull([P(0, 0), P(1, 1)]))
-
-
-def test_overlapping_triangles_meet_beyond_the_origin():
-    a = hull([P(0, 0), P(2, 0), P(0, 2)])
-    b = hull([P(0, 0), P(2, 1), P(1, 2)])
-    ok, witness = _intersection_is_origin(a, b)
-    assert not ok
-    assert not witness.is_zero() and a.contains(witness) and b.contains(witness)
-    assert intersection_is_origin(a, b)[0] is False
-
-
-def _neg(v):
-    return tuple(-c for c in v)
-
-
-@st.composite
-def polytope_pairs_through_origin(draw):
-    """Two polytopes of Q^d containing the origin, d in 1..5.
-
-    Each is the hull of 0 and a few lattice or p/q points, so it may be
-    lower-dimensional. The origin is left where it falls (often a vertex),
-    put on a face (the negative of a point is added), or made interior (a
-    simplex around it is added). Half the pairs are pushed to the two closed
-    sides of a hyperplane through 0, so that many meet only at 0 or touch
-    only within that hyperplane. Few points in high dimension keep the
-    brute-force oracle, which solves every d-subset of the constraints, fast.
-    """
-    d = draw(st.integers(1, 5))
-    entry = st.integers(-2, 2)
-    if draw(st.booleans()):
-        entry = st.builds(F, st.integers(-4, 4), st.integers(1, 3))
-    vec = st.lists(entry, min_size=d, max_size=d).map(tuple)
-    w = draw(vec) if draw(st.booleans()) else None
-
-    def part(sign):
-        pts = draw(st.lists(vec, min_size=1, max_size=max(1, 4 - d)))
-        if w is not None:
-            pts = [p if sign * sum(a * b for a, b in zip(p, w)) >= 0 else _neg(p) for p in pts]
-        where = draw(st.sampled_from(["as drawn", "face", "interior"]))
-        if where == "face" and pts:
-            pts.append(_neg(pts[0]))
-        if where == "interior":
-            pts += [tuple(int(i == j) for j in range(d)) for i in range(d)] + [(-1,) * d]
-        return hull([Point((0,) * d)] + [Point(p) for p in pts])
-
-    return part(1), part(-1)
-
-
-@settings(max_examples=100, deadline=None)
-@given(polytope_pairs_through_origin())
-def test_dual_cone_test_matches_the_vertex_search(pair_):
-    p, q = pair_
-    constraints = sum(len(x.facets) + len(x.affine_span) for x in pair_)
-    assume(comb(constraints, p.ambient_dim) <= 1000)
-    ok, witness = _intersection_is_origin(p, q)
-    assert ok == intersection_is_origin(p, q)[0]
-    if ok:
-        assert witness is None
-    else:
-        assert not witness.is_zero()
-        assert p.contains(witness) and q.contains(witness)
-
-
-# The audit against the former one in tests/oracles.py, which builds a hull
-# per pair of delta parts to decide that they meet only at the origin and
-# sums the phi functions with PLFunction addition.
+# The inputs of the duality tests here and in tests/test_duality.py.
 
 
 def _corpus_and_enum4d_inputs(corpus):
@@ -653,38 +577,6 @@ def _audit_inputs(corpus):
     yield from _corpus_and_enum4d_inputs(corpus)
     yield validate_partition(_fresh(SIMPLEX5), [[0, 1, 2], [3, 4, 5]])
     yield from enumerate_nef_partitions(_fresh(FOUR_D["cross4"]), 2)
-
-
-def test_audit_passes_with_the_pairwise_hull_audit_on_both_duality_sides(corpus):
-    count = 0
-    for np_ in _audit_inputs(corpus):
-        assert isinstance(np_, NefPartition)
-        for side in (np_, dual_nef_partition(np_)):
-            oracles.assert_vertex_set_invariants(side)
-            oracles.assert_partition_invariants(side)
-        count += 1
-    # 175 corpus partitions, 15 + 15 on the 4-simplex, 1 on the 5-simplex, 127 on cross4
-    assert count == 333
-
-
-def test_a_delta_part_with_another_parts_vertex_fails_both_audits():
-    octa = validate_partition(
-        OCTA,
-        [part_of(OCTA, (1, 0, 0), (-1, 0, 0)),
-         part_of(OCTA, (0, 1, 0), (0, -1, 0)),
-         part_of(OCTA, (0, 0, 1), (0, 0, -1))],
-    )
-    cross = validate_partition(
-        CROSS, [part_of(CROSS, (1, 0), (0, 1)), part_of(CROSS, (-1, 0), (0, -1))]
-    )
-    for np_ in (octa, cross):
-        gained = np_.part_vertices(1)[0]
-        parts = list(np_.delta_parts)
-        parts[0] = hull(list(parts[0].vertices) + [gained])
-        tampered = np_._replace(delta_parts=tuple(parts))
-        for audit in (oracles.assert_vertex_set_invariants, oracles.assert_partition_invariants):
-            with pytest.raises(InvariantViolation):
-                audit(tampered)
 
 
 def test_convexity_is_decided_with_no_scan_at_the_first_violation(monkeypatch, corpus_by_name):
@@ -839,7 +731,10 @@ def test_validation_extends_no_function_and_scans_none(monkeypatch, corpus):
     assert calls == {}
 
 
-# The relation checks against the former Fraction ones in tests/oracles.py.
+# The relation checks and the sum checks against their deciders in
+# tests/oracles.py: the minima by int dot products, and the Minkowski
+# identities on the vertices of the polar and the sums of one vertex per
+# summand, with no hull of the sum.
 
 
 def _outcome(check, *args):
@@ -850,37 +745,35 @@ def _outcome(check, *args):
         return ("raised", type(exc), str(exc), getattr(exc, "witness", None))
 
 
-def test_integer_relation_checks_match_the_fraction_ones(corpus):
+def test_relation_checks_match_the_definition(corpus):
     count = 0
     for np_ in _corpus_and_enum4d_inputs(corpus):
         for side in (np_, dual_nef_partition(np_)):
-            got = _outcome(check_relations, side)
-            assert got == _outcome(oracles.check_relations, side)
-            assert got[1] and got[1].violations == ()
+            got = check_relations(side)
+            assert got == oracles.relation_report(side)
+            assert got and got.violations == ()
         count += 1
     # 175 corpus partitions, 15 + 15 on the 4-simplex
     assert count == 205
 
 
-def test_sum_checks_match_the_hull_of_the_sum_on_both_duality_sides(corpus):
-    """Both Minkowski identities, decided by support functions, give the
-    same CheckResult (name, passed, witness, detail) as the former checks
-    in tests/oracles.py, which compare the polar with the hull of the sum."""
+def test_sum_checks_match_the_deciders_on_both_duality_sides(corpus):
+    """Both Minkowski identities give the CheckResult (name, passed,
+    witness, detail) of their deciders in tests/oracles.py, on the
+    certified hulls of the base's vertices and of the nabla parts'."""
     count = 0
     for np_ in _corpus_and_enum4d_inputs(corpus):
         for side in (np_, dual_nef_partition(np_)):
-            for new, old in (
-                (verify_polar_is_nabla_sum, oracles.verify_polar_is_nabla_sum),
-                (verify_nabla_polar_is_delta_sum, oracles.verify_nabla_polar_is_delta_sum),
-            ):
-                got = new(side)
+            deciders = oracles.sum_checks(side)
+            for check in (verify_polar_is_nabla_sum, verify_nabla_polar_is_delta_sum):
+                got = check(side)
                 assert got.passed
-                assert got == old(side)
+                assert got == deciders[got.name]
         count += 1
     assert count == 205
 
 
-def test_tampered_partitions_fail_both_relation_checks_alike():
+def test_tampered_partitions_fail_the_relation_decider_alike():
     octa = validate_partition(
         OCTA,
         [part_of(OCTA, (1, 0, 0), (-1, 0, 0)),
@@ -892,9 +785,8 @@ def test_tampered_partitions_fail_both_relation_checks_alike():
     )
     for np_ in (octa, cross):
         swapped = np_._replace(nabla_parts=np_.nabla_parts[::-1])
-        got = _outcome(check_relations, swapped)
-        assert got == _outcome(oracles.check_relations, swapped)
-        report = got[1]
+        report = check_relations(swapped)
+        assert report == oracles.relation_report(swapped)
         assert report.violations and not report.passed and not report.phi_consistent
         assert report.matrix != check_relations(np_).matrix
 
@@ -903,9 +795,9 @@ def test_tampered_partitions_fail_both_relation_checks_alike():
             delta_parts=tuple(_scaled(p, F(2, 3)) for p in np_.delta_parts),
             nabla_parts=tuple(_scaled(p, F(1, 2)) for p in np_.nabla_parts),
         )
-        got = _outcome(check_relations, scaled)
-        assert got == _outcome(oracles.check_relations, scaled)
-        assert got[1].violations and got[1].matrix[0][0] == F(-1, 3)
+        report = check_relations(scaled)
+        assert report == oracles.relation_report(scaled)
+        assert report.violations and report.matrix[0][0] == F(-1, 3)
 
         # vertices of one part over different denominators
         mixed = np_._replace(
@@ -914,21 +806,21 @@ def test_tampered_partitions_fail_both_relation_checks_alike():
                 for p in np_.delta_parts
             )
         )
-        got = _outcome(check_relations, mixed)
-        assert got == _outcome(oracles.check_relations, mixed)
-        assert got[1].violations
+        report = check_relations(mixed)
+        assert report == oracles.relation_report(mixed)
+        assert report.violations
 
-        # a base that is not the one phi lives on: no shortcut
+        # a base that is not the one phi lives on
         moved = np_._replace(delta=_scaled(np_.delta, 2))
-        got = _outcome(check_relations, moved)
-        assert got == _outcome(oracles.check_relations, moved)
-        assert got[1].passed and not got[1].phi_consistent
+        report = check_relations(moved)
+        assert report == oracles.relation_report(moved)
+        assert report.passed and not report.phi_consistent
 
         # a nabla part grown by a vertex: {-u} is a proper subset of its vertices
         grown = np_._replace(nabla_parts=(_grown(np_.nabla_parts[0]), *np_.nabla_parts[1:]))
-        got = _outcome(check_relations, grown)
-        assert got == _outcome(oracles.check_relations, grown)
-        assert not got[1].phi_consistent
+        report = check_relations(grown)
+        assert report == oracles.relation_report(grown)
+        assert not report.phi_consistent
 
         # parts that do not pair: one from M, one of another dimension
         projected = np_._replace(delta_parts=(_projected(np_.delta_parts[0]), *np_.delta_parts[1:]))
@@ -936,9 +828,8 @@ def test_tampered_partitions_fail_both_relation_checks_alike():
             np_._replace(nabla_parts=(np_.delta_parts[0], *np_.nabla_parts[1:])),
             projected,
         ):
-            got = _outcome(check_relations, bad)
-            assert got[:2] == ("raised", DimensionMismatch)
-            assert got == _outcome(oracles.check_relations, bad)
+            assert _outcome(check_relations, bad)[:2] == ("raised", DimensionMismatch)
+            assert oracles.relation_report(bad) is None
 
 
 def _scaled(poly, factor):
@@ -972,19 +863,18 @@ def _grown(poly):
 
 
 # _pairing_mismatch, which reads its minima from a pairing table, against
-# the full loop of tests/oracles.py, which pairs each vertex by a dot
-# product; a copy of the PL function marked non-convex keeps the oracle off
-# its shortcut. _takes_the_shortcut counts the checks whose negated
-# functionals are exactly the part's vertices, where no vertex can mismatch.
+# the definition: the first vertex v of the base with f(v) != -min <v, y>
+# over the part, the minima by the int dot products of tests/oracles.py.
+# exact_count counts the checks whose negated functionals are exactly the
+# part's vertices, where no vertex of a convex function's base can mismatch.
 
 
-def _full_loop(f, base, part):
-    g = copy.copy(f)
-    g.is_convex = False
-    return oracles.pair_min_pairing_mismatch(g, base, part)
+def _mismatch_by_definition(f, base, part):
+    lows = [oracles._low([v], part.vertices) for v in base.vertices]
+    return next((vi for vi, low in enumerate(lows) if f.vertex_values[vi] != -low), None)
 
 
-def _takes_the_shortcut(f, base, part):
+def _negated_functionals_are_the_vertices(f, base, part):
     return (
         f.is_convex
         and f.fan.base == base
@@ -1005,30 +895,33 @@ def pairing_checks(np_, dual=None):
             yield f, side.delta, side.nabla_parts[i]
 
 
-def shortcut_count(checks):
-    """Assert that _pairing_mismatch agrees with the full loop on each of
-    ``checks``; return how many meet the shortcut's condition."""
-    taken = 0
+def exact_count(checks):
+    """Assert that _pairing_mismatch finds the definition's mismatch on
+    each of ``checks``; return on how many the negated functionals are
+    exactly the part's vertices."""
+    exact = 0
     for f, base, part in checks:
-        assert _pairing_mismatch(f, base, part, _Pairings()) == _full_loop(f, base, part)
-        taken += _takes_the_shortcut(f, base, part)
-    return taken
+        assert _pairing_mismatch(f, base, part, _Pairings()) == _mismatch_by_definition(f, base, part)
+        exact += _negated_functionals_are_the_vertices(f, base, part)
+    return exact
 
 
-def test_the_pairing_shortcut_agrees_with_the_full_loop(corpus):
-    total = taken = 0
+def test_the_pairing_mismatch_matches_the_definition(corpus):
+    total = exact = 0
     for np_ in _audit_inputs(corpus):
         checks = list(pairing_checks(np_, dual_nef_partition(np_)))
         total += len(checks)
-        taken += shortcut_count(checks)
-    # 2 checks per part of the 333 partitions, and every one takes the shortcut
-    assert (taken, total) == (1520, 1520)
+        exact += exact_count(checks)
+    # 2 checks per part of the 333 partitions, on each of which the negated
+    # functionals are exactly the part's vertices
+    assert (exact, total) == (1520, 1520)
 
 
-def test_a_non_convex_function_takes_the_full_loop(corpus_by_name):
+def test_a_non_convex_function_mismatches_where_the_definition_says(corpus_by_name):
     """A non-convex PL function whose negated functionals are exactly a
     polytope's vertices exceeds its value somewhere, where the pairing
-    with that polytope finds the maximum of its functionals."""
+    with that polytope finds the maximum of its functionals: a mismatch,
+    at the vertex the definition names."""
     hexagon = _fresh([v.coords for v in corpus_by_name["hexagon"].polytope.vertices])
     found = 0
     for cand in _set_partitions(len(hexagon.vertices), 3):
@@ -1042,7 +935,7 @@ def test_a_non_convex_function_takes_the_full_loop(corpus_by_name):
         if set(part.vertices) != negated:
             continue
         vi = _pairing_mismatch(f, hexagon, part, _Pairings())
-        assert vi is not None and vi == _full_loop(f, hexagon, part)
+        assert vi is not None and vi == _mismatch_by_definition(f, hexagon, part)
         found += 1
     assert found > 0
 
@@ -1105,29 +998,35 @@ def test_the_table_minima_are_the_minima_of_pair(lattice, data):
             assert q is None and pairings is None
 
 
-# The parts built from their vertices against the former build kept in
-# tests/oracles.py, which makes every part by a hull. Each part's span and
-# facets are read through the properties that build them on first read.
+# The parts built from their vertices against the definition: each delta
+# part Δᵢ is certified (oracles.certify_hull) as the hull of the origin and
+# part i's vertices, and each nabla part ∇ᵢ as the hull of the negated
+# functionals of φᵢ, which tests/oracles.py solves on every cone. Each
+# part's span and facets are read through the properties that build them
+# on first read.
 
 
 def _polytope_record(poly):
     return (poly.space, poly.ambient_dim, poly.vertices, poly.affine_span, poly.facets)
 
 
-def _assert_parts_match_the_hull_build(np_):
-    """The parts of ``np_`` equal the hull build's in vertices, span and
-    facets with incidence; returns how many delta parts lack the origin."""
-    delta_parts, nabla_parts = oracles.hull_build(np_.delta, np_.parts, np_.phi)
-    assert [_polytope_record(p) for p in np_.delta_parts + np_.nabla_parts] == [
-        _polytope_record(p) for p in delta_parts + nabla_parts
-    ], np_
+def _assert_parts_are_certified(np_):
+    """The parts of ``np_`` are the certified hulls of their definitions,
+    with φ's functionals the oracle's; returns how many delta parts lack
+    the origin."""
+    zero = Point((0,) * np_.delta.ambient_dim, np_.delta.space)
+    functionals = oracles._functionals(np_.delta, np_.parts)
+    assert tuple(f.functionals for f in np_.phi) == functionals, np_
+    for part, delta_part, us, nabla_part in zip(np_.parts, np_.delta_parts, functionals, np_.nabla_parts):
+        oracles.certify_hull([zero] + [np_.delta.vertices[i] for i in part], delta_part)
+        oracles.certify_hull([-u for u in us], nabla_part)
     return sum(not any(v.is_zero() for v in p.vertices) for p in np_.delta_parts)
 
 
-def test_parts_built_from_their_vertices_match_the_hull_build_on_the_audit_inputs(corpus):
+def test_parts_built_from_their_vertices_are_certified_on_the_audit_inputs(corpus):
     count = without_origin = 0
     for np_ in _audit_inputs(corpus):
-        without_origin += _assert_parts_match_the_hull_build(np_)
+        without_origin += _assert_parts_are_certified(np_)
         count += 1
     assert (count, without_origin) == (333, 307)
 
@@ -1141,10 +1040,10 @@ def test_parts_built_from_their_vertices_match_the_hull_build_on_the_audit_input
         (SIMPLEX5, 3, (90, 270, 0)),
     ],
 )
-def test_parts_built_from_their_vertices_match_the_hull_build_on_larger_inputs(coords, r, expected):
+def test_parts_built_from_their_vertices_are_certified_on_larger_inputs(coords, r, expected):
     """(partitions, delta parts, delta parts without the origin)."""
     found = enumerate_nef_partitions(_fresh(coords), r)
-    without_origin = sum(_assert_parts_match_the_hull_build(np_) for np_ in found)
+    without_origin = sum(_assert_parts_are_certified(np_) for np_ in found)
     assert (len(found), r * len(found), without_origin) == expected
 
 
@@ -1154,7 +1053,7 @@ def test_the_one_delta_part_of_a_partition_into_one_part_is_delta(corpus):
     bases += [_fresh(FOUR_D[name]) for name in ("simplex4", "cross4", "cube4")]
     for delta in bases:
         np_ = validate_partition(delta, [range(len(delta.vertices))])
-        assert _assert_parts_match_the_hull_build(np_) == 1
+        assert _assert_parts_are_certified(np_) == 1
         assert _polytope_record(np_.delta_parts[0]) == _polytope_record(delta)
 
 
@@ -1166,7 +1065,7 @@ def test_a_delta_part_around_the_origin_does_not_have_it_as_a_vertex():
             for k in range(delta.ambient_dim)
         ]
         np_ = validate_partition(_fresh([v.coords for v in delta.vertices]), axes)
-        assert _assert_parts_match_the_hull_build(np_) == np_.r
+        assert _assert_parts_are_certified(np_) == np_.r
         for i, part in enumerate(np_.delta_parts):
             assert part.vertices == tuple(np_.part_vertices(i)) and part.dim == 1
 
