@@ -1,51 +1,45 @@
-"""Test oracles: checks from the definition, and the library's former routes.
+"""Test oracles: checks from the definition, and the library's former arithmetic.
 
 **From the definition.** Nothing here calls into the package's
 computational code but ``hull``, whose every result here is certified.
 Each of these works on raw coordinate tuples with its own elimination
-(:func:`rref`, :func:`_solve`, :func:`_gauss_jordan`), or reads only the
-fields of a ``Point``, a ``Polytope`` and a nef-partition, so a defect in
-the library cannot hide behind a shared code path: convex-hull membership
-(:func:`caratheodory_member`), the vertices of an H-description
-(:func:`hrep_vertex_set`), the hull certificate (:func:`certify_hull`,
-which reads the points' integer forms and the hull's span, facets and
-vertices, and checks them against the definition), Borisov's duality as
-the duality of reflexive Gorenstein cones (:func:`cayley_duality`: the
-nabla parts read off one certified hull of the Cayley polytope
-(:func:`cayley_read_off`), nabla, the dual's labels, every part's
-functional on every cone and the double dual), one decider per check of
-``run_full_duality`` (:func:`polar_sum_check`, :func:`relation_report`
-and :func:`relations_check`, :func:`delta_parts_check`,
-:func:`involution_check`, all six at once by :func:`duality_checks`, and
-:func:`failure_reasons` for a source on which no duality can be run), a
-reflexive polytope's facets (:func:`reflexive_facets`), nef-partitions by
-the definition (:func:`is_nef_partition`, :func:`oracle_nef_partitions`)
-and the determinant by the Leibniz formula (:func:`determinant`).
+(:func:`_solve`, :func:`_gauss_jordan`), or reads only the
+fields of a ``Point``, a ``Polytope``, a PL function and a nef-partition,
+so a defect in the library cannot hide behind a shared code path:
+convex-hull membership (:func:`caratheodory_member`), the vertices of an
+H-description (:func:`hrep_vertex_set`), the hull certificate
+(:func:`certify_hull`, which reads the points' integer forms and the
+hull's span, facets and vertices, and checks them against the
+definition), Borisov's duality as the duality of reflexive Gorenstein
+cones (:func:`cayley_duality`: the nabla parts read off one certified hull
+of the Cayley polytope (:func:`cayley_read_off`), nabla, the dual's
+labels, every part's functional on every cone and the double dual), one
+decider per check of ``run_full_duality`` (:func:`polar_sum_check`,
+:func:`relation_report` and :func:`relations_check`,
+:func:`delta_parts_check`, :func:`involution_check`, all six at once by
+:func:`duality_checks`, and :func:`failure_reasons` for a source on which
+no duality can be run), nef-partitions by the definition on coordinates,
+with no hull (a reflexive polytope's facets by :func:`reflexive_facets`,
+the PL extension of vertex values by one solve per cone and a scan,
+:func:`pl_extension`, the verdict on a partition with the library's
+rejection witnesses, :func:`nef_verdict`, and every nef-partition by the
+set partitions whose blocks are all nef, :func:`nef_partitions` and
+:func:`oracle_nef_partitions`), a nabla part's membership by Borisov's
+H-description (:func:`hrep_contains`), and the determinant by the Leibniz
+formula (:func:`determinant`).
 
-**Former routes.** The rest call the rest of the library and serve as the
-reference for the routes that replaced them: the former ``Fraction``
-arithmetic of ``nefdual.polytope`` (:func:`pair`, :func:`contains`,
-:func:`solve_linear` and the ``Point`` comparisons, which read
-``Point.coords`` and ``Point.space`` only, except that :func:`solve_linear`
-hands ``Fraction`` rows to ``linalg.solve``, whose own reference is
-:func:`_solve`); the former Bell-number enumeration (:func:`_set_partitions`,
-:func:`enumerate_nef_partitions`); the former search over set partitions
-cut per cone that validated every survivor (:func:`_pruned_candidates`,
-:func:`pruned_enumerate_nef_partitions`); the solve-per-cone PL extension
-(:func:`pl_from_vertex_values`); the former validation by that extension
-and its convexity scan (:func:`scan_decide`, :func:`scan_validate_partition`,
-:func:`scan_dual_nef_partition`), with the scan over every cone's
-functional (:func:`convexity_violation`); the polar read off the
-facet-vertex incidence (:func:`incidence_polar`); a nabla part's membership
-by Borisov's H-description (:func:`hrep_contains`); and the subset
-search's cone entry by the ``Fraction`` solve and a pairing per vertex
-(:func:`functional_cone_entry`).
+**Former arithmetic.** The rest call the rest of the library and serve as
+the reference for the integer route that replaced them: the former
+``Fraction`` elimination (:func:`rref`) and ``Fraction`` arithmetic of
+``nefdual.polytope`` (:func:`pair`, :func:`contains`, :func:`solve_linear`
+and the ``Point`` comparisons, which read ``Point.coords`` and
+``Point.space`` only, except that :func:`solve_linear` hands ``Fraction``
+rows to ``linalg.solve``, whose own reference is :func:`_solve`).
 """
 
 from __future__ import annotations
 
 import itertools
-import operator
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache, reduce
@@ -54,45 +48,18 @@ from math import gcd, lcm
 from operator import mul
 from typing import Iterable, NamedTuple, Sequence
 
-from nefdual.duality import CheckResult, _covers, _dual_parts, nabla
-from nefdual.errors import (
-    DimensionMismatch,
-    InvariantViolation,
-    NotFullDimensional,
-    NotPiecewiseLinear,
-    NotReflexive,
-    ZeroNotInterior,
-)
-from nefdual.fan import FaceFan, PLFunction, face_fan
-from nefdual.linalg import (
-    Inconsistent,
-    SolveFailure,
-    Underdetermined,
-    exact_rational,
-    solve,
-)
+from nefdual.duality import CheckResult
+from nefdual.errors import DimensionMismatch
+from nefdual.linalg import SolveFailure, solve
 from nefdual.nefpart import (
-    EMPTY_PART,
     NOT_CONVEX,
-    NOT_COVERING,
-    NOT_DISJOINT,
     NOT_INTEGRAL,
     NOT_PIECEWISE_LINEAR,
     NefPartition,
     Rejection,
     RelationReport,
-    _build,
-    _pairings,
-    validate_partition,
 )
-from nefdual.polytope import (
-    Facet,
-    Point,
-    Polytope,
-    _dot,
-    dual_space,
-    hull,
-)
+from nefdual.polytope import Point, Polytope, _dot, dual_space, hull
 
 
 def rref(rows: Sequence[Sequence[Fraction]], ncols: int | None = None):
@@ -511,25 +478,19 @@ def _functionals(base: Polytope, parts) -> tuple[tuple[Point, ...], ...]:
     """For each part, the functional of its indicator's PL extension on the
     cone over each facet of ``base``, in facet order: the one u with
     <v, u> = 1 on the part and 0 off it at every vertex v of the facet.
-
-    Each facet's system, <v._num, u> = v._den times the value, is solved
-    for every part at once by one :func:`_gauss_jordan` on ``int`` rows,
-    which must find d pivots: the facet's vertices span the space, so u is
-    unique. Every candidate is then checked on every row, so a slip of the
-    elimination fails here and cannot pass a wrong functional.
+    Each facet is solved for every part at once by
+    :func:`_cone_functionals`; its vertices span the space, so u is
+    unique, and there must be one. A lattice vertex is given as its
+    ``int`` coordinates, which hash faster than ``Fraction`` ones.
     """
-    d, space = base.ambient_dim, dual_space(base.space)
+    coords = [v._num if v._den == 1 else v.coords for v in base.vertices]
+    space = dual_space(base.space)
     per_facet = []
     for f in base.facets:
-        verts = [base.vertices[i] for i in f.incidence]
-        rows = [[*v._num, *[v._den * (i in part) for part in parts]] for i, v in zip(f.incidence, verts)]
-        mat, pivots, den = _gauss_jordan(rows, d)
-        assert len(pivots) == d, "the facet's vertices do not span the space"
-        us = [[mat[j][d + k] for j in range(d)] for k in range(len(parts))]
-        assert all(
-            sum(map(mul, row[:d], u)) == row[d + k] * den for row in rows for k, u in enumerate(us)
-        ), "a part's indicator has no functional on a cone"
-        per_facet.append([Point([Fraction(x, den) for x in u], space) for u in us])
+        columns = tuple([tuple([int(i in part) for i in f.incidence]) for part in parts])
+        got = _cone_functionals(tuple([coords[i] for i in f.incidence]), columns)
+        assert None not in got, "a part's indicator has no functional on a cone"
+        per_facet.append([Point(u, space) for u, _ in got])
     return tuple(zip(*per_facet))
 
 
@@ -752,66 +713,236 @@ def failure_reasons(np: NefPartition) -> set[str]:
     return reasons
 
 
+# Nef-partitions by Borisov's definition, on coordinates: a partition of a
+# reflexive polytope's vertices is a nef-partition when each part's 0/1
+# indicator extends to an integral convex piecewise-linear function on the
+# face fan. The cones come from the vertices alone (:func:`reflexive_facets`),
+# each extension from one solve per cone and a scan (:func:`pl_extension`),
+# with no fan, PL function, table, hull or validation of the library.
+
+
 def reflexive_facets(vertices, dim):
     """Facets of a reflexive polytope straight from its vertex list.
 
     Every facet spans a hyperplane {x : <x, u> = -1}, so u is recovered by
-    solving on dim-subsets of vertices and keeping solutions that no vertex
-    violates. Returns (u, incidence) pairs with incidence sorted.
+    solving on dim-subsets of vertices (:func:`_gauss_jordan` on their
+    integer forms) and keeping solutions that no vertex violates. Returns
+    (u, incidence) pairs with incidence sorted.
     """
-    verts = [tuple(Fraction(c) for c in v) for v in vertices]
+    forms = [_form(v) for v in vertices]
     facets = {}
-    for subset in combinations(range(len(verts)), dim):
-        rows = [list(verts[i]) for i in subset]
-        status, u = _solve(rows, [Fraction(-1)] * dim)
-        if status != "unique":
+    for subset in combinations(forms, dim):
+        mat, pivots, den = _gauss_jordan([[*num, -d] for num, d in subset], dim)
+        if len(pivots) < dim:
             continue
-        values = [sum(a * c for a, c in zip(v, u)) for v in verts]
-        if any(val < -1 for val in values):
+        # u = U / |den|, and <x, u> + 1 = value / (d·|den|) at x = num / d
+        sign = 1 if den > 0 else -1
+        u = [sign * row[dim] for row in mat]
+        values = [sum(map(mul, num, u)) + d * den * sign for num, d in forms]
+        if min(values) < 0:
             continue
-        incidence = tuple(i for i, val in enumerate(values) if val == -1)
-        facets[u] = incidence
+        incidence = tuple(i for i, val in enumerate(values) if val == 0)
+        facets[tuple(Fraction(x, den * sign) for x in u)] = incidence
     return sorted(facets.items())
 
 
-def is_nef_partition(vertices, parts, dim):
-    """Direct definition check: on every facet cone the indicator values of
-    each part must extend to a single linear functional that is integral,
-    and no functional may exceed the prescribed value at any vertex."""
-    verts = [tuple(Fraction(c) for c in v) for v in vertices]
-    facets = reflexive_facets(verts, dim)
-    for part in parts:
-        values = [Fraction(1 if i in part else 0) for i in range(len(verts))]
-        functionals = []
-        for _, incidence in facets:
-            rows = [list(verts[i]) for i in incidence]
-            rhs = [values[i] for i in incidence]
-            status, w = _solve(rows, rhs)
-            if status == "inconsistent":
-                return False
-            if status == "underdetermined":
-                raise AssertionError("facet vertices failed to span the space")
-            functionals.append(w)
-        for w in functionals:
-            if any(c.denominator != 1 for c in w):
-                return False
-            for v, val in zip(verts, values):
-                if sum(a * c for a, c in zip(v, w)) > val:
-                    return False
-    return True
+@lru_cache(maxsize=32)
+def _cones(vertices: tuple, dim: int) -> tuple:
+    """The cones of the face fan of the reflexive polytope with ``vertices``,
+    as the incidences of :func:`reflexive_facets`, in its order (sorted by
+    the normals, as :func:`hull` sorts facets)."""
+    return tuple(incidence for _, incidence in reflexive_facets(vertices, dim))
+
+
+def _form(xs) -> tuple[tuple[int, ...], int]:
+    """The integer form ``(num, den)`` of a rational vector: den the LCM of
+    the entries' denominators and num the vector times den."""
+    if all(type(x) is int for x in xs):
+        return tuple(xs), 1
+    xs = [Fraction(x) for x in xs]
+    den = lcm(*[x.denominator for x in xs])
+    return tuple([x.numerator * (den // x.denominator) for x in xs]), den
+
+
+@lru_cache(maxsize=1 << 14)
+def _cone_functionals(points: tuple, columns: tuple):
+    """For each column of values, one value per point of ``points``, which
+    span the space: the functional u with <x, u> = value at each point,
+    with an integer form (num, den > 0) of u, or ``None`` when there is none (a row below the
+    pivots keeps a nonzero value). All columns are solved by one
+    :func:`_gauss_jordan` on each row's integer form, and each functional
+    found is checked at every point, so a slip of the elimination fails
+    here and cannot pass a wrong functional. Kept by its arguments, as one
+    cone's pattern recurs in many functions."""
+    d = len(points[0])
+    rows = [_form((*x, *values))[0] for x, *values in zip(points, *columns)]
+    mat, pivots, den = _gauss_jordan(rows, d)
+    assert len(pivots) == d, "a cone's vertices do not span the space"
+    sign = 1 if den > 0 else -1
+    ud = den * sign
+    found = []
+    for j in range(d, d + len(columns)):
+        if any(row[j] for row in mat[d:]):
+            found.append(None)
+            continue
+        un = tuple([sign * row[j] for row in mat[:d]])
+        assert all(sum(map(mul, row[:d], un)) == row[j] * ud for row in rows), "a slip of the elimination"
+        found.append((tuple([Fraction(x, ud) for x in un]), (un, ud)))
+    return tuple(found)
+
+
+def pl_extension(vertices, cones, values):
+    """The piecewise-linear extension of ``values``, one per point of
+    ``vertices`` (coordinate tuples), on the cones over ``cones`` (vertex
+    index tuples, each spanning the space).
+
+    Returns ``(functionals, violation)``: for each cone in order the
+    functional u_c with <x, u_c> = value(x) at each of its vertices x (a
+    ``Fraction`` tuple), and the first (vertex, cone) with
+    <v, u_c> > value(v), met pairing each vertex in turn with each cone's
+    functional, or ``None`` when there is none (the function is convex).
+    When some cone has no such functional, returns the index of the first
+    such cone instead. These are the witness rules of ``nefdual.fan`` and
+    ``nefdual.nefpart``. The pairings are ``int`` dot products of the
+    integer forms.
+    """
+    functionals = []
+    for c, cone in enumerate(cones):
+        (got,) = _cone_functionals(tuple([vertices[i] for i in cone]), (tuple([values[i] for i in cone]),))
+        if got is None:
+            return c
+        functionals.append(got)
+    us = tuple([u for u, _ in functionals])
+    for v, (x, value) in enumerate(zip(vertices, values)):
+        (xn, xd), value = _form(x), Fraction(value)
+        for c, (_, (un, ud)) in enumerate(functionals):
+            if sum(map(mul, xn, un)) * value.denominator > value.numerator * xd * ud:
+                return us, (v, c)
+    return us, None
+
+
+def nef_verdict(vertices, parts, dim):
+    """Whether ``parts``, a set partition of the vertex indices of the
+    reflexive polytope with ``vertices`` (coordinate tuples), is a
+    nef-partition, by the definition.
+
+    Each part in turn: its indicator's extension (:func:`pl_extension`, on
+    the cones of :func:`reflexive_facets`) is rejected ``NotPiecewiseLinear``
+    at the first cone with no functional, else ``NotIntegral`` at the first
+    cone whose functional is not a lattice point, else ``NotConvex`` at the
+    first (vertex, cone) of the scan. Returns that :class:`Rejection`, or
+    each part's functionals, cone by cone.
+    """
+    vertices = tuple(map(tuple, vertices))
+    cones = _cones(vertices, dim)
+    phis = []
+    for p, part in enumerate(parts):
+        got = pl_extension(vertices, cones, [int(i in part) for i in range(len(vertices))])
+        if isinstance(got, int):
+            return Rejection(NOT_PIECEWISE_LINEAR, part=p, cone=got)
+        us, violation = got
+        off = next((c for c, u in enumerate(us) if any(x.denominator != 1 for x in u)), None)
+        if off is not None:
+            return Rejection(NOT_INTEGRAL, part=p, cone=off)
+        if violation is not None:
+            return Rejection(NOT_CONVEX, part=p, vertex=violation[0], cone=violation[1])
+        phis.append(us)
+    return tuple(phis)
+
+
+def _set_partitions(n: int, r: int):
+    """All partitions of range(n) into exactly r nonempty unlabeled blocks.
+
+    Restricted-growth strings; blocks come out ordered by smallest member.
+    """
+    if r < 1 or r > n:
+        return
+    code = [0] * n
+
+    def rec(i: int, nblocks: int):
+        if i == n:
+            if nblocks == r:
+                blocks: list[list[int]] = [[] for _ in range(r)]
+                for idx, b in enumerate(code):
+                    blocks[b].append(idx)
+                yield [tuple(b) for b in blocks]
+            return
+        # cannot finish if even opening a new block at every remaining slot is too few
+        for b in range(min(nblocks + 1, r)):
+            new_blocks = nblocks if b < nblocks else nblocks + 1
+            if new_blocks + (n - i - 1) >= r:
+                code[i] = b
+                yield from rec(i + 1, new_blocks)
+
+    yield from rec(1, 1)
+
+
+def nef_partitions(vertices, dim, r):
+    """Every nef-partition of the reflexive polytope with ``vertices`` into
+    r parts, by the definition: the set partitions (:func:`_set_partitions`)
+    whose blocks are all nef (:func:`nef_verdict`), each block decided once.
+
+    Each is ``(parts, phis)``: the parts as frozensets in the order of their
+    smallest member, and each part's functionals, cone by cone. The list is
+    sorted by canonical parts. At r >= 2 every block is a proper subset, so
+    when no proper nonempty subset is nef there is none, and the set
+    partitions are not walked.
+    """
+    verdicts = {}
+
+    def nef(block):
+        if block not in verdicts:
+            got = nef_verdict(vertices, [block], dim)
+            verdicts[block] = None if isinstance(got, Rejection) else got[0]
+        return verdicts[block]
+
+    n = len(vertices)
+    subsets = (frozenset(i for i in range(n) if s >> i & 1) for s in range(1, (1 << n) - 1))
+    if r > 1 and not any(nef(s) for s in subsets):
+        return []
+    found = []
+    for cand in _set_partitions(n, r):
+        blocks = tuple(map(frozenset, cand))
+        phis = tuple(map(nef, blocks))
+        if all(phis):
+            found.append((blocks, phis))
+    found.sort(key=lambda p: sorted(sorted(b) for b in p[0]))
+    return found
 
 
 def oracle_nef_partitions(vertices, dim, r):
-    """All valid r-part partitions as a set of frozen unlabeled partitions."""
-    from sympy.utilities.iterables import multiset_partitions
+    """All valid r-part partitions as a set of frozen unlabeled partitions
+    (:func:`nef_partitions`)."""
+    return {frozenset(parts) for parts, _ in nef_partitions(vertices, dim, r)}
 
-    n = len(vertices)
-    valid = set()
-    for cand in multiset_partitions(list(range(n)), r):
-        parts = [frozenset(block) for block in cand]
-        if is_nef_partition(vertices, parts, dim):
-            valid.add(frozenset(parts))
-    return valid
+
+# A nabla part's membership by Borisov's H-description (the library's
+# nabla part decides membership by its facets like any polytope), and the
+# determinant by the Leibniz formula.
+
+
+def hrep_contains(f, point: Point) -> bool:
+    """Membership of ``point`` in the support polytope of ``f``, a PL
+    function, decided by Borisov's H-description, ``<v, y> >= -f(v)`` at
+    every vertex v of the fan's base, on ``int``: with f(v) = a/b,
+    ``<v, y> >= -a/b`` is ``<v._num, y._num> * b >= -a * v._den * y._den``."""
+    num = point._num
+    den = point._den
+    for v, val in zip(f.fan.base.vertices, f.vertex_values):
+        if _dot(v._num, num) * val.denominator < -val.numerator * v._den * den:
+            return False
+    return True
+
+
+def determinant(rows) -> int:
+    """The determinant of a square matrix by the Leibniz formula: the sum
+    over permutations p of sign(p) times the product of ``rows[i][p(i)]``."""
+    n = len(rows)
+    total = 0
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i, j in combinations(range(n), 2))
+        total += (-1) ** inversions * reduce(mul, [rows[i][perm[i]] for i in range(n)], 1)
+    return total
 
 
 # The former Fraction arithmetic of nefdual.polytope, verbatim: the pairing,
@@ -886,390 +1017,3 @@ def point_lt(self, other: "Point") -> bool:
 def point_le(self, other: "Point") -> bool:
     self._check_compatible(other)
     return self.coords <= other.coords
-
-
-# The former enumeration and PL extension of the library, verbatim: every
-# set partition validated in turn (the library now decides each vertex
-# subset once and searches the covers by nef subsets), and one fresh solve
-# per cone for every PL function (the library now reads each cone's
-# functional off the cone's integer table, kept on the fan).
-# Here ``solve_linear`` is this file's Fraction version above.
-
-
-def _set_partitions(n: int, r: int):
-    """All partitions of range(n) into exactly r nonempty unlabeled blocks.
-
-    Restricted-growth strings; blocks come out ordered by smallest member.
-    """
-    if r < 1 or r > n:
-        return
-    code = [0] * n
-
-    def rec(i: int, nblocks: int):
-        if i == n:
-            if nblocks == r:
-                blocks: list[list[int]] = [[] for _ in range(r)]
-                for idx, b in enumerate(code):
-                    blocks[b].append(idx)
-                yield [tuple(b) for b in blocks]
-            return
-        # cannot finish if even opening a new block at every remaining slot is too few
-        for b in range(min(nblocks + 1, r)):
-            new_blocks = nblocks if b < nblocks else nblocks + 1
-            if new_blocks + (n - i - 1) >= r:
-                code[i] = b
-                yield from rec(i + 1, new_blocks)
-
-    yield from rec(1, 1)
-
-
-def enumerate_nef_partitions(delta: Polytope, r: int) -> list[NefPartition]:
-    """All nef-partitions of ``delta`` into exactly ``r`` unlabeled parts.
-
-    Candidates are every set partition of the vertex indices, each checked
-    by :func:`validate_partition`; no symmetry reduction is applied. All
-    candidates share the face fan and polar cached on ``delta``. The result
-    is sorted by canonical part lists.
-    """
-    if not delta.is_reflexive():
-        raise NotReflexive("nef-partitions are defined on reflexive polytopes")
-    found = []
-    for cand in _set_partitions(len(delta.vertices), r):
-        res = validate_partition(delta, cand)
-        if isinstance(res, NefPartition):
-            found.append(res)
-    found.sort(key=lambda np: np.canonical_parts())
-    return found
-
-
-def pl_from_vertex_values(fan: FaceFan, values: Sequence) -> PLFunction:
-    """Extend prescribed vertex values linearly on every maximal cone.
-
-    ``values`` aligns with the canonical vertex order of ``fan.base``. On
-    each cone the facet's vertices pin down a unique linear functional
-    because they span the ambient space; if the (overdetermined) system of a
-    non-simplicial facet is unsolvable, raises NotPiecewiseLinear naming the
-    cone. Values are exact rationals; a ``float`` is a ``TypeError``. The
-    function's convexity verdict is that of :func:`convexity_violation`,
-    the scan over every cone's functional.
-    """
-    verts = fan.base.vertices
-    if len(values) != len(verts):
-        raise DimensionMismatch(
-            f"{len(verts)} vertices but {len(values)} prescribed values"
-        )
-    vals = tuple(v if type(v) is Fraction else exact_rational(v) for v in values)
-    functionals = []
-    for cone in fan.cones:
-        system = [(verts[i], vals[i]) for i in cone.vertex_indices]
-        u = solve_linear(system)
-        if u is Inconsistent:
-            raise NotPiecewiseLinear(cone.index)
-        if u is Underdetermined:
-            raise InvariantViolation(
-                "facet vertices failed to span the ambient space",
-                witness=cone.index,
-            )
-        functionals.append(u)
-    return PLFunction(fan, vals, tuple(functionals), convexity_violation(fan, vals, functionals))
-
-
-# The library's former validation, verbatim apart from the names and the
-# extension: each part decided by the PL extension of its indicator, here
-# this file's :func:`pl_from_vertex_values`, then ``first_nonintegral_cone``
-# and the convexity verdict of :func:`convexity_violation`, the scan the
-# library ran when this route was its own (the library now decides each
-# part on the fan's (cone, pattern) entries, the ones its enumeration reads,
-# and takes its witness from those entries' masks). So no part of the
-# decision is the library's extension or its masks. A test compares the
-# library's ``pl_from_vertex_values`` verdict with the scan on every
-# function this route builds on the corpus. And the former dual, validated
-# on nabla with it and given no entry read off the delta parts.
-
-
-def scan_decide(delta: Polytope, parts):
-    """The former ``nefpart._decide``: the first :class:`Rejection`, or
-    ``(parts, fan, phis)``."""
-    if not delta.is_reflexive():
-        raise NotReflexive("nef-partitions are defined on reflexive polytopes")
-    nverts = len(delta.vertices)
-    norm_parts = tuple(frozenset(operator.index(i) for i in part) for part in parts)
-    for part in norm_parts:
-        for i in part:
-            if i < 0 or i >= nverts:
-                raise IndexError(f"vertex index {i} out of range 0..{nverts - 1}")
-
-    for pi, part in enumerate(norm_parts):
-        if not part:
-            return Rejection(EMPTY_PART, part=pi)
-    seen: dict[int, int] = {}
-    for pi, part in enumerate(norm_parts):
-        for i in sorted(part):
-            if i in seen:
-                return Rejection(
-                    NOT_DISJOINT,
-                    part=pi,
-                    vertex=i,
-                    detail=f"also in part {seen[i]}",
-                )
-            seen[i] = pi
-    missing = [i for i in range(nverts) if i not in seen]
-    if missing:
-        return Rejection(NOT_COVERING, vertex=missing[0])
-
-    fan = face_fan(delta)
-    phis: list[PLFunction] = []
-    for pi, part in enumerate(norm_parts):
-        values = [Fraction(1) if i in part else Fraction(0) for i in range(nverts)]
-        try:
-            f = pl_from_vertex_values(fan, values)
-        except NotPiecewiseLinear as exc:
-            return Rejection(NOT_PIECEWISE_LINEAR, part=pi, cone=exc.cone_index)
-        bad_cone = f.first_nonintegral_cone()
-        if bad_cone is not None:
-            return Rejection(NOT_INTEGRAL, part=pi, cone=bad_cone)
-        if not f.is_convex:
-            vi, ci = f.first_convexity_violation()
-            return Rejection(NOT_CONVEX, part=pi, vertex=vi, cone=ci)
-        phis.append(f)
-    return norm_parts, fan, tuple(phis)
-
-
-def scan_validate_partition(delta: Polytope, parts):
-    """The former ``validate_partition``: :func:`scan_decide`, then the
-    library's build of the parts."""
-    decided = scan_decide(delta, parts)
-    if isinstance(decided, Rejection):
-        return decided
-    norm_parts, fan, phis = decided
-    return NefPartition(delta, norm_parts, fan, phis, *_build(delta, norm_parts, phis))
-
-
-def scan_dual_nef_partition(np: NefPartition) -> NefPartition:
-    """The library's ``dual_nef_partition`` with the dual validated by
-    :func:`scan_validate_partition`, and nothing read off the delta parts."""
-    nb = nabla(np)
-    dual = scan_validate_partition(nb, _dual_parts(np, nb))
-    if isinstance(dual, Rejection):
-        raise InvariantViolation("dual partition failed validation", witness=str(dual))
-    if _covers(np.delta, dual.nabla_parts):
-        object.__setattr__(dual, "_nabla", np.delta)
-    object.__setattr__(dual, "_pairings", _pairings(np))
-    return dual
-
-
-# The former enumeration of the library, verbatim apart from the name: a
-# search over the set partitions that cuts a branch at the first cone where
-# some part's pattern has no lattice functional, and validates every
-# survivor in full (the library now decides each nef subset once and
-# searches the covers of the vertex set by them).
-
-
-def _pruned_candidates(delta: Polytope, r: int):
-    """Set partitions of delta's vertices into r blocks, less those that cannot be nef.
-
-    Vertices 0..n-1 are labelled by restricted-growth strings, in the order
-    and with the r-feasibility bound of a plain set-partition generator, so
-    the candidates come out in that generator's order with blocks ordered by
-    smallest member. The bound (a label is tried only if opening a new block
-    at every later vertex would still reach r) makes every complete
-    labelling use exactly r labels.
-
-    A cone's vertex values are all known once its largest vertex index is
-    labelled. At that point each opened label's 0/1 pattern on the cone
-    must extend to a lattice functional; a label opened later is 0 on the
-    whole cone, whose functional 0 passes. If some pattern fails, the
-    subtree below is cut: every completion has a part that is not
-    piecewise linear or not integral on that cone.
-    """
-    n = len(delta.vertices)
-    if r < 1 or r > n:
-        return
-    fan = face_fan(delta)
-    closing: list[list] = [[] for _ in range(n)]
-    for cone in fan.cones:
-        closing[max(cone.vertex_indices)].append(cone)
-    code = [0] * n
-
-    def cones_pass(i: int, nblocks: int) -> bool:
-        for cone in closing[i]:
-            labels = [code[v] for v in cone.vertex_indices]
-            for b in range(nblocks):
-                u = fan.cone_functional(cone.index, tuple([int(c == b) for c in labels]))
-                if u is Inconsistent or not u.is_lattice():
-                    return False
-        return True
-
-    def rec(i: int, nblocks: int):
-        if i == n:
-            blocks: list[list[int]] = [[] for _ in range(r)]
-            for idx, b in enumerate(code):
-                blocks[b].append(idx)
-            yield [tuple(b) for b in blocks]
-            return
-        for b in range(min(nblocks + 1, r)):
-            new_blocks = nblocks if b < nblocks else nblocks + 1
-            if new_blocks + (n - i - 1) >= r:
-                code[i] = b
-                if cones_pass(i, new_blocks):
-                    yield from rec(i + 1, new_blocks)
-
-    yield from rec(0, 0)
-
-
-def pruned_enumerate_nef_partitions(delta: Polytope, r: int) -> list[NefPartition]:
-    """All nef-partitions of ``delta`` into exactly ``r`` unlabeled parts.
-
-    A backtracking search over the set partitions of the vertex indices
-    (:func:`_pruned_candidates`) cuts every subtree in which some part's
-    indicator fails to extend to a lattice functional on some cone; each
-    survivor is checked in full by :func:`validate_partition`. No symmetry
-    reduction is applied. All candidates share the face fan cached on
-    ``delta`` and its cone tables. The result is sorted by canonical part
-    lists.
-
-    The result equals that of validating every set partition.
-    ``validate_partition`` checks each part's 0/1 values cone by cone and
-    rejects with ``NotPiecewiseLinear`` or ``NotIntegral`` when on some cone
-    they have no solution or a non-lattice one (unless an earlier part has
-    already failed). That is the condition the search tests, and it is
-    final once the cone's vertices are all labelled, so every cut candidate
-    would have been rejected. Every other candidate is still validated in
-    full, decided and built, in the same order. The accepted partitions,
-    their order and the labels of their parts are therefore unchanged.
-    """
-    if not delta.is_reflexive():
-        raise NotReflexive("nef-partitions are defined on reflexive polytopes")
-    found = []
-    for cand in _pruned_candidates(delta, r):
-        res = validate_partition(delta, cand)
-        if isinstance(res, NefPartition):
-            found.append(res)
-    found.sort(key=lambda np: np.canonical_parts())
-    return found
-
-
-# The library's former convexity scan, verbatim apart from the name: it
-# paired every vertex with every cone's functional (the library now decides
-# convexity on one vertex bitmask per cone). :func:`pl_from_vertex_values`
-# above takes its verdict from it.
-
-
-def convexity_violation(fan: FaceFan, vertex_values, functionals):
-    """First (vertex_index, cone_index) with ``<vertex, functional> > value``,
-    pairing every vertex with every cone's functional."""
-    forms = [(u._num, u._den) for u in functionals]
-    for vi, v in enumerate(fan.base.vertices):
-        val = vertex_values[vi]
-        num = v._num
-        b = val.denominator
-        a = val.numerator * v._den
-        for ci, (un, ud) in enumerate(forms):
-            if _dot(num, un) * b > a * ud:
-                return (vi, ci)
-    return None
-
-
-# The library's former polar and the former membership test of a nabla
-# part, verbatim apart from the names, the polar's cache and the point
-# check: ``Polytope.polar_dual``, which read the polar's facets off the
-# facet-vertex incidence, and ``fan._SupportPolytope.contains``, which
-# decided membership in a support polytope by Borisov's H-description (the
-# library now builds the polar from its vertices, with its span and facets
-# from one hull on first read, and a nabla part decides membership by its
-# facets like any polytope).
-
-
-def incidence_polar(self: Polytope) -> Polytope:
-    """The polar polytope ``{y : <x, y> >= -1 for all x here}``.
-
-    Read off the facet-vertex incidence, with no hull. Each facet
-    ``(n, a/b)`` gives the polar vertex ``n * b / a``: its normal divided
-    by its offset. Each vertex ``v = num/den`` gives the polar facet
-    ``<v, y> >= -1``, with primitive normal ``num/g`` and offset ``den/g``
-    for ``g = gcd(num)``, through the polar vertices of the facets
-    through ``v``. Vertices and facets are sorted as :func:`hull` sorts
-    them.
-    """
-    if not self.is_full_dimensional:
-        raise NotFullDimensional("polar dual needs a full-dimensional polytope")
-    if not self.has_zero_interior:
-        raise ZeroNotInterior("polar dual needs the origin strictly inside")
-    target = dual_space(self.space)
-    # normal / offset, with offset = a/b > 0: the form (b * _num, a * _den).
-    gens = [
-        Point._from_form(
-            tuple([f.offset.denominator * x for x in f.normal._num]),
-            f.offset.numerator * f.normal._den,
-            target,
-        )
-        for f in self.facets
-    ]
-    order = sorted(range(len(gens)), key=gens.__getitem__)
-    position = [0] * len(gens)
-    for pos, j in enumerate(order):
-        position[j] = pos
-    through: list[list[int]] = [[] for _ in self.vertices]
-    for j, f in enumerate(self.facets):
-        for i in f.incidence:
-            through[i].append(position[j])
-    # The origin is interior, so no vertex is 0 and no two share a
-    # direction: the normals are distinct and sort the facets alone.
-    planes = []
-    for v, on in zip(self.vertices, through):
-        g = gcd(*v._num)
-        planes.append((tuple([x // g for x in v._num]), Fraction(v._den, g), sorted(on)))
-    planes.sort(key=lambda plane: plane[0])
-    facets = tuple(
-        Facet(Point._from_form(nv, 1, self.space), offset, tuple(on))
-        for nv, offset, on in planes
-    )
-    return Polytope(self.ambient_dim, target, tuple([gens[j] for j in order]), (), facets)
-
-
-def hrep_contains(f: PLFunction, point: Point) -> bool:
-    """Membership of ``point`` in the support polytope of ``f``, decided by
-    Borisov's H-description, ``<v, y> >= -f(v)`` at every vertex v of the
-    fan's base, on ``int``: with f(v) = a/b, ``<v, y> >= -a/b`` is
-    ``<v._num, y._num> * b >= -a * v._den * y._den``."""
-    num = point._num
-    den = point._den
-    for v, val in zip(f.fan.base.vertices, f.vertex_values):
-        if _dot(v._num, num) * val.denominator < -val.numerator * v._den * den:
-            return False
-    return True
-
-
-def functional_cone_entry(fan: FaceFan, c: int, s: int):
-    """The fan's entry for S's 0/1 pattern on cone ``c``
-    (:meth:`FaceFan.entry`) by the former route, with no memo and no cone
-    table: the functional by the ``Fraction`` solve (:func:`solve_linear`),
-    and gt0 and gt1 by one ``Fraction`` pairing (:func:`pair`) per vertex.
-    ``None`` when the pattern has no functional, ``False`` when it is not a
-    lattice point."""
-    pattern = s & fan.bits[c]
-    verts = fan.base.vertices
-    u = solve_linear([(verts[v], pattern >> v & 1) for v in fan.cones[c].vertex_indices])
-    if u is Inconsistent:
-        return None
-    if not u.is_lattice():
-        return False
-    gt0 = gt1 = 0
-    for v, vertex in enumerate(verts):
-        x = pair(vertex, u)
-        if x > 0:
-            gt0 |= 1 << v
-            if x > 1:
-                gt1 |= 1 << v
-    return (u, gt0, gt1)
-
-
-def determinant(rows) -> int:
-    """The determinant of a square matrix by the Leibniz formula: the sum
-    over permutations p of sign(p) times the product of ``rows[i][p(i)]``."""
-    n = len(rows)
-    total = 0
-    for perm in itertools.permutations(range(n)):
-        inversions = sum(perm[i] > perm[j] for i, j in combinations(range(n), 2))
-        total += (-1) ** inversions * reduce(mul, [rows[i][perm[i]] for i in range(n)], 1)
-    return total

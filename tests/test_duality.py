@@ -9,7 +9,15 @@ from operator import mul
 import pytest
 
 import oracles
-from test_nefpart import _audit_inputs, _fresh, exact_count, pairing_checks
+from test_nefpart import (
+    _assert_parts_are_certified,
+    _audit_inputs,
+    _coords,
+    _fresh,
+    entry_by_definition,
+    exact_count,
+    pairing_checks,
+)
 
 from nefdual import cli, duality, fan, nefpart, polytope
 from nefdual.duality import (
@@ -25,7 +33,7 @@ from nefdual.duality import (
 from nefdual.errors import DimensionMismatch, GeometryError, InvariantViolation, NotReflexive
 from nefdual.fan import PLFunction, face_fan
 from nefdual.nefpart import NefPartition, enumerate_nef_partitions, validate_partition
-from nefdual.polytope import Point, Polytope, SPACE_N, hull, minkowski_sum
+from nefdual.polytope import SPACE_N, Point, Polytope, dual_space, hull, minkowski_sum
 
 F = Fraction
 
@@ -916,10 +924,20 @@ def test_a_delta_part_with_another_parts_vertex_fails_the_oracle():
         assert judged(bad)
 
 
+def assert_the_memo_is_the_definitions(nb):
+    """Every entry in the memo of the fan of ``nb``, a reflexive polytope,
+    is the definition's."""
+    vertices = _coords(nb)
+    cones = oracles._cones(tuple(vertices), nb.ambient_dim)
+    for (c, s), entry in face_fan(nb)._entries.items():
+        assert entry == entry_by_definition(vertices, cones[c], s, dual_space(nb.space)), (nb, c, s)
+
+
 def test_every_tampered_source_is_judged_by_the_definition():
     """On each tampered source the run gives the deciders' six checks, and
-    the entry memo of nabla's fan holds the definition's entry for every
-    (cone, pattern) the dual's validation read; or it raises
+    the entry memo of nabla's fan holds the definition's entry
+    (``entry_by_definition``, on the cones of ``oracles.reflexive_facets``)
+    for every (cone, pattern) the dual's validation read; or it raises
     NotReflexive where nabla is not reflexive and DimensionMismatch where
     parts do not pair. Every source fails a decider but the four duals with
     two parts merged, which are nef-partitions: their dualities are the
@@ -935,8 +953,7 @@ def test_every_tampered_source_is_judged_by_the_definition():
         fan = face_fan(result.nabla)
         masks = [sum(1 << i for i in part) for part in result.dual.parts]
         assert set(fan._entries) == {(c, s & bits) for c, bits in enumerate(fan.bits) for s in masks}
-        for key, entry in fan._entries.items():
-            assert entry == oracles.functional_cone_entry(fan, *key), (bad, key)
+        assert_the_memo_is_the_definitions(result.nabla)
         if not verdict:
             assert_the_cayley_oracle_holds(result)
             valid += 1
@@ -945,8 +962,8 @@ def test_every_tampered_source_is_judged_by_the_definition():
 
 
 # The dual decided on the entries that _read_off writes into nabla's fan,
-# against the former dual kept in tests/oracles.py, validated by the PL
-# extension of each part's indicator and the convexity scan.
+# against the definition: nabla, the dual's labels and every psi
+# functional, the last by oracles.nef_verdict on nabla's coordinates.
 
 
 def corpus_and_tampered_sources(corpus):
@@ -959,32 +976,75 @@ def corpus_and_tampered_sources(corpus):
     yield from tampered_sources()
 
 
-def dual_decision(route, np_):
-    """The dual that ``route`` gives, with its psi functionals and its own
-    nabla when it was kept, or the error it raised."""
-    got = outcome(route, np_)
-    if got[0] == "raised":
-        return got
-    dual = got[1]
-    return (dual, [(f.functionals, f.is_convex, f.is_integral) for f in dual.phi], dual._nabla)
-
-
-def test_the_dual_decided_on_the_fan_entries_matches_the_scan_route(corpus):
+def test_the_dual_decided_on_the_fan_entries_gets_the_definitions_verdict(corpus):
     """dual_nef_partition, whose validation reads the entries _read_off
-    writes, and ``oracles.scan_dual_nef_partition`` on a copy of the source
-    that builds its own nabla and fan give equal duals with equal psi
-    functionals, or raise the same error, on every corpus nef-partition at
-    r = 1..3 and every tampered source."""
+    writes, on every corpus nef-partition at r = 1..3 and every tampered
+    source: its base is the certified hull of the nabla parts' vertices,
+    its labels are the indices there of each nabla part's nonzero
+    vertices, its psi functionals are ``oracles.nef_verdict``'s on that
+    base and those labels, with psi convex and integral, each of its delta
+    and nabla parts is the certified hull of its definition
+    (``_assert_parts_are_certified``), and it keeps the source's base as
+    its own nabla exactly when that is the hull of its nabla parts'
+    vertices. Or it
+    raises NotReflexive where nabla is not reflexive and DimensionMismatch
+    where parts do not pair, as ``oracles.failure_reasons`` finds."""
     raised = Counter()
     count = 0
     for np_ in corpus_and_tampered_sources(corpus):
-        new = dual_decision(dual_nef_partition, np_)
-        assert new == dual_decision(oracles.scan_dual_nef_partition, np_._replace()), np_
-        if new[0] == "raised":
-            raised[new[1].__name__] += 1
         count += 1
+        got = outcome(dual_nef_partition, np_)
+        if got[0] == "raised":
+            assert RAISED_FOR[got[1]] in oracles.failure_reasons(np_), np_
+            raised[got[1].__name__] += 1
+            continue
+        dual = got[1]
+        points = [v for p in np_.nabla_parts for v in p.vertices]
+        oracles.certify_hull(points, dual.delta)
+        nb = oracles._certified_hull(points)
+        assert dual.parts == oracles._labels(nb, [p.vertices for p in np_.nabla_parts]), np_
+        psi = oracles.nef_verdict(_coords(nb), dual.parts, nb.ambient_dim)
+        assert tuple(tuple(u.coords for u in f.functionals) for f in dual.phi) == psi, np_
+        assert all(f.is_convex and f.is_integral for f in dual.phi), np_
+        _assert_parts_are_certified(dual)
+        covered = oracles._certified_hull([v for p in dual.nabla_parts for v in p.vertices])
+        assert (dual._nabla is np_.delta) == (covered.vertices == np_.delta.vertices), np_
     assert count == 175 + 87
     assert raised == {"NotReflexive": 15, "DimensionMismatch": 8}
+
+
+def test_a_read_off_functional_above_one_is_the_definitions_entry(corpus_by_name):
+    """The 3-simplex parted {(-1, -1, -1)}, {e1, e2, e3}, with e1 moved
+    from nabla part 0 to nabla part 1 and (-1, 0, 0) added to delta part 1.
+    Nabla is unchanged, but the dual's part 1 now holds e1 alone of the
+    facet {e1, e2, e3} of nabla, and along e1 + e2 + e3 delta part 1's one
+    minimiser w = (-1, 0, 0) takes that pattern. So the read-off writes the
+    functional -w, which is 2 at the vertex (2, -1, -1) of nabla: an entry
+    whose gt1 is not empty. Every entry in the memo is the definition's,
+    and the dual's validation rejects the labels as the definition does."""
+    simplex = corpus_by_name["simplex3d"].polytope
+    np_ = validate_partition(simplex, [[0], [1, 2, 3]])
+    e1 = N(1, 0, 0)
+    nabla0, nabla1 = np_.nabla_parts
+    bad = np_._replace(
+        nabla_parts=(
+            hull([v for v in nabla0.vertices if v != e1]),
+            hull([*nabla1.vertices, e1]),
+        ),
+        delta_parts=(np_.delta_parts[0], hull([*np_.delta_parts[1].vertices, P(-1, 0, 0)])),
+    )
+    got = outcome(dual_nef_partition, bad)
+    nb = nabla(bad)
+    assert nb.vertices == nabla(np_).vertices
+    labels = oracles._labels(nb, [p.vertices for p in bad.nabla_parts])
+    rejection = oracles.nef_verdict(_coords(nb), labels, 3)
+    assert got == ("raised", InvariantViolation, "dual partition failed validation", str(rejection))
+    assert_the_memo_is_the_definitions(nb)
+    corner = {e1, N(0, 1, 0), N(0, 0, 1)}
+    cone = next(c for c, f in enumerate(nb.facets) if {nb.vertices[i] for i in f.incidence} == corner)
+    s = sum(1 << i for i in labels[1])
+    gt1 = face_fan(nb)._entries[cone, s & face_fan(nb).bits[cone]][2]
+    assert [nb.vertices[v] for v in range(len(nb.vertices)) if gt1 >> v & 1] == [N(2, -1, -1)]
 
 
 def test_every_entry_read_off_the_delta_parts_is_the_tables_entry(corpus):

@@ -17,7 +17,7 @@ from nefdual.errors import (
 )
 from nefdual import linalg, polytope
 from nefdual.duality import run_full_duality
-from nefdual.fan import FaceFan, PLFunction, face_fan, pl_from_vertex_values, support_polytope
+from nefdual.fan import FaceFan, face_fan, pl_from_vertex_values, support_polytope
 from nefdual.linalg import Inconsistent
 from nefdual.nefpart import enumerate_nef_partitions
 from nefdual.polytope import Point, SPACE_N, dual_space, hull, minkowski_sum, pair
@@ -183,17 +183,34 @@ def test_pl_addition_and_support_additivity():
 
 
 def _decided(f):
-    return (f.vertex_values, f.functionals, f.is_convex, f.is_integral, f.first_convexity_violation())
+    """What ``f`` holds, in the form of ``oracles.pl_extension``: its
+    values, its functionals and its first convexity violation, with its
+    convexity and integrality flags checked against the last two."""
+    us = tuple(u.coords for u in f.functionals)
+    violation = f.first_convexity_violation()
+    assert f.is_convex == (violation is None)
+    assert f.is_integral == all(x.denominator == 1 for u in us for x in u)
+    return f.vertex_values, us, violation
+
+
+def _extended(fan, values):
+    """The definition's extension of ``values`` on the face fan of
+    ``fan.base``: ``oracles.pl_extension`` on the base's coordinates and the
+    cones over the facets of its certified hull, with the values as
+    ``Fraction``s; or the first cone with no functional."""
+    base = oracles._certified_hull(fan.base.vertices)
+    got = oracles.pl_extension([v.coords for v in base.vertices], [f.incidence for f in base.facets], values)
+    return got if isinstance(got, int) else (tuple(map(F, values)), *got)
 
 
 def test_a_sum_of_pl_functions_is_decided_afresh():
     """A sum's convexity and integrality are its own, not its summands':
     a function that is not convex plus one that makes the sum convex, and
-    two functions off the lattice whose sum is integral. Each sum equals
-    the oracle's extension of the summed values (the Fraction solve per
-    cone and the scan over every cone's functional), its witness
-    included. Then every pair of functions with values in {-1, 0, 1} on
-    the cross and with values in {0, 1/2} on the square."""
+    two functions off the lattice whose sum is integral. Each sum holds
+    the definition's extension of the summed values (the solve per cone
+    and the scan over every cone's functional), its witness included.
+    Then every pair of functions with values in {-1, 0, 1} on the cross
+    and with values in {0, 1/2} on the square."""
     cross = face_fan(CROSS)
     # canonical vertex order (-1,0),(0,-1),(0,1),(1,0)
     bent = pl_from_vertex_values(cross, [0, -2, 1, 0])
@@ -201,13 +218,13 @@ def test_a_sum_of_pl_functions_is_decided_afresh():
     assert not bent.is_convex and lift.is_convex
     total = bent + lift
     assert total.is_convex and total.is_integral
-    assert _decided(total) == _decided(oracles.pl_from_vertex_values(cross, [0, 0, 1, 0]))
+    assert _decided(total) == _extended(cross, [0, 0, 1, 0])
     half = pl_from_vertex_values(cross, [F(1, 2)] * 4)
     other = pl_from_vertex_values(cross, [F(1, 2), F(1, 2), F(1, 2), F(3, 2)])
     assert not half.is_integral and not other.is_integral
     total = half + other
     assert total.is_integral
-    assert _decided(total) == _decided(oracles.pl_from_vertex_values(cross, [1, 1, 1, 2]))
+    assert _decided(total) == _extended(cross, [1, 1, 1, 2])
     kinds = {"is_convex": Counter(), "is_integral": Counter()}
     for base, levels in ((CROSS, (-1, 0, 1)), (SQUARE, (0, F(1, 2)))):
         fan = face_fan(base)
@@ -218,7 +235,7 @@ def test_a_sum_of_pl_functions_is_decided_afresh():
         for f, g in itertools.product(functions, repeat=2):
             total = f + g
             values = [a + b for a, b in zip(f.vertex_values, g.vertex_values)]
-            assert _decided(total) == _decided(oracles.pl_from_vertex_values(fan, values))
+            assert _decided(total) == _extended(fan, values)
             for kind, counts in kinds.items():
                 both = getattr(f, kind) and getattr(g, kind)
                 counts[both, getattr(total, kind)] += 1
@@ -301,32 +318,13 @@ def test_pl_bases_exercise_vertex_denominators_and_the_basis_search():
     )
 
 
-def _fraction_scan(f):
-    """First (vertex, cone) with ``<vertex, functional> > value``, by the
-    Fraction pairing of tests/oracles.py."""
-    return next(
-        (
-            (vi, ci)
-            for vi, v in enumerate(f.fan.base.vertices)
-            for ci, u in enumerate(f.functionals)
-            if oracles.pair(v, u) > f.vertex_values[vi]
-        ),
-        None,
-    )
-
-
-def _pl_outcome(route, scan, fan, values):
-    """Everything a PL extension gives, its first convexity violation by
-    ``scan`` included, or the exception and its cone."""
+def _pl_outcome(fan, values):
+    """What ``pl_from_vertex_values`` gives (:func:`_decided`), or the
+    index of the cone its NotPiecewiseLinear names."""
     try:
-        f = route(fan, values)
+        return _decided(pl_from_vertex_values(fan, values))
     except NotPiecewiseLinear as exc:
-        return ("NotPiecewiseLinear", exc.cone_index)
-    return (f.vertex_values, f.functionals, f.is_convex, f.is_integral, f, scan(f))
-
-
-LIBRARY = (pl_from_vertex_values, PLFunction.first_convexity_violation)
-ORACLE = (oracles.pl_from_vertex_values, _fraction_scan)
+        return exc.cone_index
 
 
 @st.composite
@@ -359,13 +357,13 @@ def fan_and_values(draw):
 @given(fan_and_values())
 def test_memoized_pl_extension_matches_the_solve_per_cone_route(case):
     fan, values = case
-    expected = _pl_outcome(*ORACLE, fan, values)
-    assert _pl_outcome(*LIBRARY, fan, values) == expected
+    expected = _extended(fan, values)
+    assert _pl_outcome(fan, values) == expected
     # the second call reads every cone off the table its first call built
-    assert _pl_outcome(*LIBRARY, fan, values) == expected
+    assert _pl_outcome(fan, values) == expected
     # an indicator shares cone patterns with many others: 1 on the first vertex
     indicator = [1] + [0] * (len(values) - 1)
-    assert _pl_outcome(*LIBRARY, fan, indicator) == _pl_outcome(*ORACLE, fan, indicator)
+    assert _pl_outcome(fan, indicator) == _extended(fan, indicator)
 
 
 # Bases with non-simplicial facets, whose kernels find their basis in the

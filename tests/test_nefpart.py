@@ -2,10 +2,11 @@
 
 import itertools
 import random
+import sys
 import time
 from collections import Counter
 from fractions import Fraction
-from functools import lru_cache
+from operator import mul
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -14,6 +15,7 @@ import nefdual
 import nefdual.fan as fan
 import nefdual.nefpart as nefpart
 import oracles
+from nefdual import linalg, polytope
 from nefdual.duality import (
     dual_nef_partition,
     verify_nabla_polar_is_delta_sum,
@@ -40,7 +42,6 @@ from nefdual.polytope import Point, SPACE_M, SPACE_N, hull, pair
 
 from oracles import _set_partitions
 from oracles import oracle_nef_partitions
-from oracles import enumerate_nef_partitions as bell_enumerate
 
 F = Fraction
 
@@ -310,22 +311,85 @@ def _fresh(coords, shear=False):
     return hull([Point(c) for c in coords])
 
 
-@lru_cache(maxsize=None)
-def bell_route(name, r, shear=False):
-    """The former enumeration (every set partition validated) on a 4D input."""
-    return bell_enumerate(_fresh(FOUR_D[name], shear), r)
+def _coords(delta):
+    """The integer coordinates of a lattice polytope's vertices, in its
+    vertex order: the input of the definition's deciders in tests/oracles.py."""
+    return [v._num for v in delta.vertices]
 
 
-def test_pruned_search_equals_the_bell_route_on_the_corpus(corpus):
+def _phi_functionals(np_):
+    return tuple(tuple(u.coords for u in f.functionals) for f in np_.phi)
+
+
+def _decided(res):
+    """A Rejection as it is, or a NefPartition's φ functionals."""
+    return res if isinstance(res, Rejection) else _phi_functionals(res)
+
+
+# The enumeration against the definition (oracles.nef_partitions): the set
+# partitions whose blocks are all nef, each block decided by
+# oracles.nef_verdict on the vertices' coordinates alone. The larger inputs
+# and their counts are those of bench/scale.py.
+
+
+def assert_enumeration_is_the_definitions(delta, r):
+    """``enumerate_nef_partitions(delta, r)`` gives the definition's
+    partitions: the parts with their labels, in order, and every φ's
+    functionals. Returns what it found."""
+    found = enumerate_nef_partitions(delta, r)
+    expected = oracles.nef_partitions(_coords(delta), delta.ambient_dim, r)
+    assert [np_.parts for np_ in found] == [parts for parts, _ in expected]
+    # Both sides keep one φ per vertex subset, so each pair is compared once.
+    pairs = {}
+    for np_, (_, phis) in zip(found, expected):
+        assert len(np_.phi) == len(phis)
+        for f, phi in zip(np_.phi, phis):
+            pairs[id(f), id(phi)] = f, phi
+    for f, phi in pairs.values():
+        assert tuple(u.coords for u in f.functionals) == phi
+    return found
+
+
+def _enumeration_record(found, facets=True):
+    """Everything a partition holds: its parts with their labels, each φ's
+    values, functionals and convexity record, and each part polytope's
+    vertices, with span and facets read through the properties if asked."""
+    def poly(p):
+        return _polytope_record(p) if facets else (p.space, p.ambient_dim, p.vertices)
+
+    return [
+        (
+            np_.delta, np_.parts, np_.fan,
+            [(f.vertex_values, f.functionals, f.is_convex, f.is_integral,
+              f.first_convexity_violation()) for f in np_.phi],
+            [poly(p) for p in np_.delta_parts + np_.nabla_parts],
+        )
+        for np_ in found
+    ]
+
+
+def _validated(found):
+    """Each partition of ``found`` validated from its parts on one newly
+    built polytope, which shares no cache with the enumeration."""
+    base = _fresh(_coords(found[0].delta)) if found else None
+    return [validate_partition(base, np_.parts) for np_ in found]
+
+
+def test_the_enumeration_is_the_definitions_on_the_corpus(corpus):
+    """Every reflexive corpus polytope at r = 1..3, the segment included:
+    its two cones each close at a single vertex, one of them at vertex 0.
+    Each partition found is also what validation builds from its parts:
+    φ with its verdicts, and each part's vertices, span and facets."""
+    names = set()
     for entry in corpus:
         if not entry.reflexive:
             continue
+        names.add(entry.name)
         coords = [v.coords for v in entry.polytope.vertices]
         for r in (1, 2, 3):
-            new = enumerate_nef_partitions(_fresh(coords), r)
-            old = bell_enumerate(_fresh(coords), r)
-            assert new == old, (entry.name, r)
-            assert [np_.parts for np_ in new] == [np_.parts for np_ in old]
+            found = assert_enumeration_is_the_definitions(_fresh(coords), r)
+            assert _enumeration_record(found) == _enumeration_record(_validated(found))
+    assert "segment" in names
 
 
 @pytest.mark.parametrize(
@@ -334,11 +398,49 @@ def test_pruned_search_equals_the_bell_route_on_the_corpus(corpus):
      for shear in (False, True)]
     + [("cross4", 2, False), ("cube4", 2, False)],
 )
-def test_pruned_search_equals_the_bell_route_in_4d(name, r, shear):
-    new = enumerate_nef_partitions(_fresh(FOUR_D[name], shear), r)
-    old = bell_route(name, r, shear)
-    assert new == old
-    assert [np_.parts for np_ in new] == [np_.parts for np_ in old]
+def test_the_enumeration_is_the_definitions_in_4d(name, r, shear):
+    found = assert_enumeration_is_the_definitions(_fresh(FOUR_D[name], shear), r)
+    assert found == _validated(found)
+
+
+def test_the_definition_calls_none_of_the_librarys_routes(corpus, monkeypatch):
+    """On every reflexive corpus polytope at r = 2, ``oracles.nef_partitions``
+    gives the library's enumeration and ``oracles.nef_verdict`` its verdict
+    on every set partition, both computed first, with their caches emptied
+    and hull, face_fan, FaceFan's reads, validate_partition,
+    enumerate_nef_partitions, pl_from_vertex_values and linalg's eliminate
+    and solve all made to raise."""
+    cases = []
+    for entry in corpus:
+        if entry.reflexive:
+            delta = _fresh([v.coords for v in entry.polytope.vertices])
+            found = [(np_.parts, _phi_functionals(np_)) for np_ in enumerate_nef_partitions(delta, 2)]
+            cands = list(_set_partitions(len(delta.vertices), 2))
+            verdicts = [_decided(validate_partition(delta, cand)) for cand in cands]
+            cases.append((_coords(delta), delta.ambient_dim, found, cands, verdicts))
+
+    def refused(*args, **kwargs):
+        raise AssertionError("the definition called the library")
+
+    originals = (
+        polytope.hull, fan.face_fan, nefpart.validate_partition, nefpart.enumerate_nef_partitions,
+        fan.pl_from_vertex_values, linalg.eliminate, linalg.solve,
+    )
+    for name, module in list(sys.modules.items()):
+        if name == "oracles" or name == "nefdual" or name.startswith("nefdual."):
+            for key, value in list(vars(module).items()):
+                if any(value is original for original in originals):
+                    monkeypatch.setattr(module, key, refused)
+    for method in ("entry", "_read", "_weighted_read", "cone_functional", "_kernel"):
+        monkeypatch.setattr(fan.FaceFan, method, refused)
+    oracles._cones.cache_clear()
+    oracles._cone_functionals.cache_clear()
+    with pytest.raises(AssertionError, match="called the library"):
+        enumerate_nef_partitions(_fresh(FOUR_D["simplex4"]), 2)
+    for vertices, dim, found, cands, verdicts in cases:
+        assert oracles.nef_partitions(vertices, dim, 2) == found
+        assert [oracles.nef_verdict(vertices, cand, dim) for cand in cands] == verdicts
+    assert len(cases) == 11
 
 
 @pytest.mark.parametrize(
@@ -356,13 +458,13 @@ def test_pruned_search_equals_the_bell_route_in_4d(name, r, shear):
 def test_search_validates_only_candidates_no_cone_rules_out(
     monkeypatch, corpus_by_name, name, r, expected
 ):
-    """The oracle half counts the reasons over every set partition:
-    ``expected`` candidates have a lattice functional for every part on
-    every cone. The enumeration validates no candidate: it decides each
-    vertex subset at most once per call, makes no weighted read (the
-    masks of the fan's entries decide convexity), and builds φ, with the
-    verdict convex, and ∇ᵢ once for each subset that is a part of a
-    partition it returns."""
+    """The definition's half counts the reasons over every set partition
+    (``oracles.nef_verdict``): ``expected`` candidates have a lattice
+    functional for every part on every cone. The enumeration validates no
+    candidate: it decides each vertex subset at most once per call, makes
+    no weighted read (the masks of the fan's entries decide convexity),
+    and builds φ, with the verdict convex, and ∇ᵢ once for each subset
+    that is a part of a partition it returns."""
     if name in FOUR_D:
         coords = FOUR_D[name]
     else:
@@ -370,8 +472,8 @@ def test_search_validates_only_candidates_no_cone_rules_out(
     reference = _fresh(coords)
     reasons = Counter()
     for cand in _set_partitions(len(reference.vertices), r):
-        res = validate_partition(reference, cand)
-        reasons["accepted" if isinstance(res, NefPartition) else res.reason] += 1
+        res = oracles.nef_verdict(_coords(reference), cand, reference.ambient_dim)
+        reasons[res.reason if isinstance(res, Rejection) else "accepted"] += 1
     not_cut = sum(n for why, n in reasons.items() if why not in (NOT_PIECEWISE_LINEAR, NOT_INTEGRAL))
     assert not_cut == expected
     if name in ("cross2d", "octahedron", "cross4"):  # cross-polytopes: every candidate is nef
@@ -417,89 +519,48 @@ def test_search_validates_only_candidates_no_cone_rules_out(
 def test_four_cube_has_no_nef_partitions_at_r2_and_r3():
     """The 4-cube: no nef-partition into 2 or 3 parts, both found in well under 5 s.
 
-    r=2 is checked against the former route, which validates all 32767 set
-    partitions. r=3 has about 7.1 million set partitions, too many for that
-    route to check here, so its count rests on the pruned search alone. The
+    By the definition no proper nonempty subset of its 16 vertices is nef,
+    so no set partition into r >= 2 blocks is a nef-partition, where r=3
+    alone has about 7.1 million set partitions: the cube4 rows of
+    ``test_the_enumeration_is_the_definitions_on_the_scale_inputs`` check
+    both counts against ``oracles.nef_partitions``, which finds that. The
     time bound is generous; a search that validated every set partition
     again would miss it by far.
     """
-    expected_r2 = bell_route("cube4", 2)
     cube = _fresh(FOUR_D["cube4"])
     started = time.perf_counter()
     found_r2 = enumerate_nef_partitions(cube, 2)
     found_r3 = enumerate_nef_partitions(cube, 3)
     elapsed = time.perf_counter() - started
-    assert found_r2 == expected_r2 == []
-    assert found_r3 == []
+    assert found_r2 == found_r3 == []
     assert elapsed < 5.0
 
 
-# The exact-cover enumeration against the former one, kept in
-# tests/oracles.py, which validates every candidate its per-cone search
-# leaves. The larger inputs and their counts are those of bench/scale.py.
+SCALE_ROWS = [
+    (name, r)
+    for name in ("cross4", "simplex5", "cross5", "hex+seg+seg", "hex+hex", "cube4")
+    for r in (2, 3)
+]
 
 
-def _enumeration_record(found, facets=False):
-    """Everything a partition holds: its parts with their labels, each φ's
-    values, functionals and convexity record, and each part polytope's
-    vertices, with span and facets read through the properties if asked."""
-    def poly(p):
-        return _polytope_record(p) if facets else (p.space, p.ambient_dim, p.vertices)
-
-    return [
-        (
-            np_.delta, np_.parts, np_.fan,
-            [(f.vertex_values, f.functionals, f.is_convex, f.is_integral,
-              f.first_convexity_violation()) for f in np_.phi],
-            [poly(p) for p in np_.delta_parts + np_.nabla_parts],
-        )
-        for np_ in found
-    ]
-
-
-def test_exact_covers_equal_the_pruned_search_on_the_corpus(corpus):
-    """Every reflexive corpus polytope at r = 1..3, the segment included:
-    its two cones each close at a single vertex, one of them at vertex 0."""
-    names = set()
-    for entry in corpus:
-        if not entry.reflexive:
-            continue
-        names.add(entry.name)
-        coords = [v.coords for v in entry.polytope.vertices]
-        for r in (1, 2, 3):
-            new = enumerate_nef_partitions(_fresh(coords), r)
-            old = oracles.pruned_enumerate_nef_partitions(_fresh(coords), r)
-            assert new == old, (entry.name, r)
-            assert _enumeration_record(new, facets=True) == _enumeration_record(old, facets=True)
-    assert "segment" in names
-
-
-@pytest.mark.parametrize(
-    "name, r",
-    [
-        ("cross4", 2),
-        ("cross4", 3),
-        ("simplex5", 2),
-        ("simplex5", 3),
-        ("hex+seg+seg", 2),
-        ("hex+seg+seg", 3),
-        ("hex+hex", 2),
-    ],
-)
-def test_exact_covers_equal_the_pruned_search_on_larger_inputs(scale_bench, name, r):
-    coords = scale_bench.POLYTOPES[name]
-    new = enumerate_nef_partitions(_fresh(coords), r)
-    old = oracles.pruned_enumerate_nef_partitions(_fresh(coords), r)
-    assert len(new) == scale_bench.EXPECTED[(name, r)]
-    assert _enumeration_record(new) == _enumeration_record(old)
+@pytest.mark.parametrize("name, r", SCALE_ROWS)
+def test_the_enumeration_is_the_definitions_on_the_scale_inputs(scale_bench, name, r):
+    """Every row of bench/scale.py, with its count. Each partition found is
+    also what validation builds from its parts: φ with its verdicts, and
+    each part's vertices (the corpus test reads spans and facets too)."""
+    assert sorted(SCALE_ROWS) == sorted(scale_bench.EXPECTED)
+    found = assert_enumeration_is_the_definitions(scale_bench.fresh(name), r)
+    assert len(found) == scale_bench.EXPECTED[(name, r)]
+    assert _enumeration_record(found, facets=False) == _enumeration_record(_validated(found), facets=False)
 
 
 def test_the_masks_decide_convexity_like_the_scan(corpus):
     """On every 0/1 subset S of the reflexive corpus polytopes and of the
-    three enum4d inputs, the mask verdict equals the verdict of the scan
-    over every cone's functional (``oracles.convexity_violation``) on the
-    PL function of S's indicator; a subset without one, or with a
-    functional off the lattice, is not nef."""
+    three enum4d inputs, the mask verdict is the definition's
+    (``oracles.nef_verdict``): S is nef exactly when its indicator has a
+    functional on every cone, each a lattice point, and the scan pairing
+    every vertex with every cone's functional finds none above the
+    indicator."""
     bases = [_fresh([v.coords for v in e.polytope.vertices]) for e in corpus if e.reflexive]
     bases += [_fresh(FOUR_D[n]) for n in ("simplex4", "octahedron_x_segment", "triangle_x_triangle")]
     verdicts = Counter()
@@ -507,50 +568,62 @@ def test_the_masks_decide_convexity_like_the_scan(corpus):
         face = fan.face_fan(delta)
         n = len(delta.vertices)
         for s in range(1 << n):
-            values = [F(s >> v & 1) for v in range(n)]
-            try:
-                f = fan.pl_from_vertex_values(face, values)
-            except NotPiecewiseLinear:
-                scan = "not piecewise linear"
-            else:
-                if not f.is_integral:
-                    scan = "not integral"
-                else:
-                    scan = oracles.convexity_violation(face, f.vertex_values, f.functionals) is None
-            assert nefpart._is_nef(face, s) == (scan is True), (delta, s)
-            verdicts[scan] += 1
-    assert verdicts == {True: 185, False: 35, "not integral": 66, "not piecewise linear": 4830}
+            got = oracles.nef_verdict(_coords(delta), [[v for v in range(n) if s >> v & 1]], delta.ambient_dim)
+            verdict = got.reason if isinstance(got, Rejection) else "nef"
+            assert nefpart._is_nef(face, s) == (verdict == "nef"), (delta, s)
+            verdicts[verdict] += 1
+    assert verdicts == {"nef": 185, NOT_CONVEX: 35, NOT_INTEGRAL: 66, NOT_PIECEWISE_LINEAR: 4830}
 
 
-def test_the_row_sums_give_the_former_cone_entries(corpus, scale_bench):
+def entry_by_definition(vertices, cone, s, space):
+    """The entry (:meth:`FaceFan.entry`) of a cone, given by its vertex
+    indices, for the 0/1 pattern of the vertex set ``s`` on it, from the
+    definition: ``None`` when no functional takes the pattern on the cone
+    (``oracles.pl_extension``), ``False`` when it is not a lattice point,
+    and else (u, gt0, gt1) with the vertices where <v, u> > 0 and where
+    <v, u> > 1, by ``int`` dot products with the lattice ``vertices``."""
+    got = oracles.pl_extension(vertices, [cone], [s >> v & 1 for v in range(len(vertices))])
+    if got == 0:
+        return None
+    (u,), _ = got
+    if any(x.denominator != 1 for x in u):
+        return False
+    dots = [sum(map(mul, v, [int(x) for x in u])) for v in vertices]
+    gt0 = sum(1 << v for v, x in enumerate(dots) if x > 0)
+    gt1 = sum(1 << v for v, x in enumerate(dots) if x > 1)
+    return Point(u, space), gt0, gt1
+
+
+def test_the_row_sums_give_the_definitions_cone_entries(corpus, scale_bench):
     """On every cone and every 0/1 pattern on its vertices, the fan's entry
-    read off the cone table's rows equals the former route's, the
-    ``Fraction`` solve and one ``Fraction`` pairing per vertex
-    (``oracles.functional_cone_entry``), which reads no table: every
-    reflexive corpus polytope, the three enum4d inputs, and 4D cross, the
-    4-cube and hex⊕hex of bench/scale.py. The cones are read in a seeded
-    shuffled order, so each table is exchanged from another parent than in
-    index order. Tables with D > 1 and D = 1, and entries with a lattice
-    functional, with one off the lattice and with none, all occur. The
-    former route's fan gets no entry and no table."""
+    read off the cone table's rows is the definition's
+    (:func:`entry_by_definition`), which reads no table, on the cones of
+    ``oracles.reflexive_facets`` in their order: every reflexive corpus
+    polytope, the three enum4d inputs, and 4D cross, the 4-cube and
+    hex⊕hex of bench/scale.py. The cones are read in a seeded shuffled
+    order, so each table is exchanged from another parent than in index
+    order. Tables with D > 1 and D = 1, and entries with a lattice
+    functional, with one off the lattice and with none, all occur."""
     inputs = [[v.coords for v in e.polytope.vertices] for e in corpus if e.reflexive]
     inputs += [FOUR_D[n] for n in ("simplex4", "octahedron_x_segment", "triangle_x_triangle")]
     inputs += [scale_bench.POLYTOPES[n] for n in ("cross4", "cube4", "hex+hex")]
     rng = random.Random(29)
     dets, kinds = set(), Counter()
     for coords in inputs:
-        face = fan.face_fan(_fresh(coords))
-        former = fan.face_fan(_fresh(coords))
+        delta = _fresh(coords)
+        face = fan.face_fan(delta)
+        vertices = _coords(delta)
+        defined = [incidence for _, incidence in oracles.reflexive_facets(vertices, delta.ambient_dim)]
+        assert [cone.vertex_indices for cone in face.cones] == defined
         cones = list(enumerate(face.cones))
         rng.shuffle(cones)
         for c, cone in cones:
             for bits in itertools.product((0, 1), repeat=len(cone.vertex_indices)):
                 s = sum(1 << v for v, b in zip(cone.vertex_indices, bits) if b)
                 entry = face.entry(c, s)
-                assert entry == oracles.functional_cone_entry(former, c, s), (coords, c, bits)
+                assert entry == entry_by_definition(vertices, defined[c], s, SPACE_N), (coords, c, bits)
                 kinds[entry if not entry else "lattice"] += 1
             dets.add(face._kernels[c].det > 1)
-        assert not former._entries and not any(former._kernels)
     assert dets == {True, False}
     assert set(kinds) == {None, False, "lattice"}
 
@@ -582,9 +655,8 @@ def _audit_inputs(corpus):
 def test_convexity_is_decided_with_no_scan_at_the_first_violation(monkeypatch, corpus_by_name):
     """On the hexagon at r=3 most set partitions are NotConvex. Validation
     makes no weighted read, the library's one route that decides a PL
-    function of arbitrary values, and the rejection names the first
-    (vertex, cone) of a scan over the former solve-per-cone functionals
-    with the Fraction pairing."""
+    function of arbitrary values, and the rejection is the definition's
+    (``oracles.nef_verdict``): the first (vertex, cone) of its scan."""
     reads = []
     weighted_read = fan.FaceFan._weighted_read
 
@@ -599,87 +671,78 @@ def test_convexity_is_decided_with_no_scan_at_the_first_violation(monkeypatch, c
         res = validate_partition(hexagon, cand)
         if isinstance(res, Rejection) and res.reason == NOT_CONVEX:
             not_convex += 1
-            values = [F(int(i in cand[res.part])) for i in range(len(hexagon.vertices))]
-            f = oracles.pl_from_vertex_values(fan.face_fan(hexagon), values)
-            first = next(
-                (vi, ci)
-                for vi, v in enumerate(hexagon.vertices)
-                for ci, u in enumerate(f.functionals)
-                if oracles.pair(v, u) > values[vi]
-            )
-            assert (res.vertex, res.cone) == first
+            assert res == oracles.nef_verdict(_coords(hexagon), cand, 2)
     assert not_convex > 0
     assert reads == []
 
 
-def test_pl_from_vertex_values_decides_convexity_like_the_scan_per_cone(
-    monkeypatch, corpus, corpus_by_name
-):
-    """Every PL function that the former validation builds
-    (``oracles.scan_validate_partition``, which extends each part's
-    indicator by ``oracles.pl_from_vertex_values``) on the reflexive corpus
-    at r = 1..3, of every set partition, accepted or rejected, every dual's
-    psi, and every function with values in {-1, 0, 1} on the hexagon,
-    extended by the library too: the verdict that ``pl_from_vertex_values``
-    reads off the per-cone masks of its weighted read is the first
-    (vertex, cone) of the scan in tests/oracles.py, which pairs each vertex
-    with every cone's functional, or ``None`` with both. The former
-    validation goes on with its own extension."""
+def test_pl_from_vertex_values_decides_convexity_like_the_scan_per_cone(corpus, corpus_by_name):
+    """Every PL function that validation by the definition extends on the
+    reflexive corpus at r = 1..3 (each part of every set partition in
+    turn, up to the first that is not nef), every dual's psi, and every
+    function with values in {-1, 0, 1} on the hexagon, extended by the
+    library and by ``oracles.pl_extension``, the solve per cone and the
+    scan pairing each vertex with every cone's functional: the same
+    functionals, and the verdict that ``pl_from_vertex_values`` reads off
+    the per-cone masks of its weighted read is the scan's first
+    (vertex, cone), or ``None`` with both; or both find the same first cone
+    with no functional."""
     verdicts = Counter()
-    extend = oracles.pl_from_vertex_values
 
-    def checked_extension(face, values):
-        f = fan.pl_from_vertex_values(face, values)
+    def checked(delta, values):
+        """Whether the function extending ``values`` is integral and convex."""
+        face = fan.face_fan(delta)
+        vertices = _coords(delta)
+        cones = oracles._cones(tuple(vertices), delta.ambient_dim)
+        expected = oracles.pl_extension(vertices, cones, values)
+        try:
+            f = fan.pl_from_vertex_values(face, values)
+        except NotPiecewiseLinear as exc:
+            assert exc.cone_index == expected
+            return False
         got = f.first_convexity_violation()
-        assert got == oracles.convexity_violation(face, f.vertex_values, f.functionals)
+        assert (tuple(u.coords for u in f.functionals), got) == expected
         assert f.is_convex == (got is None)
         verdicts[got is None] += 1
-        return extend(face, values)
+        return f.is_integral and f.is_convex
 
-    monkeypatch.setattr(oracles, "pl_from_vertex_values", checked_extension)
     accepted = []
     for entry in corpus:
         if entry.reflexive:
             delta = _fresh([v.coords for v in entry.polytope.vertices])
+            n = len(delta.vertices)
             for r in (1, 2, 3):
-                for cand in _set_partitions(len(delta.vertices), r):
-                    res = oracles.scan_validate_partition(delta, cand)
-                    if isinstance(res, NefPartition):
-                        accepted.append(res)
+                for cand in _set_partitions(n, r):
+                    if all(checked(delta, [F(int(i in part)) for i in range(n)]) for part in cand):
+                        accepted.append(validate_partition(delta, cand))
     assert len(accepted) == 175
     rejected = verdicts[False]
     for np_ in accepted:
-        oracles.scan_dual_nef_partition(np_)
+        dual = dual_nef_partition(np_)
+        for part in dual.parts:
+            assert checked(dual.delta, [F(int(i in part)) for i in range(len(dual.delta.vertices))])
     assert verdicts[False] == rejected
     assert verdicts == {True: 984, False: 110}
     # Every function with values in {-1, 0, 1} on the hexagon's vertices,
     # where a cone's functional is often another cone's too.
     hexagon = _fresh([v.coords for v in corpus_by_name["hexagon"].polytope.vertices])
-    face = fan.face_fan(hexagon)
     for values in itertools.product((-1, 0, 1), repeat=len(hexagon.vertices)):
-        checked_extension(face, values)
+        checked(hexagon, values)
     assert verdicts == {True: 984 + 41, False: 110 + 688}
 
 
-# Validation on the fan's (cone, pattern) entries against the former
-# validation kept in tests/oracles.py, which extends each part's indicator
-# by pl_from_vertex_values, then reads first_nonintegral_cone and the
-# convexity scan.
+# Validation on the fan's (cone, pattern) entries against the definition
+# (oracles.nef_verdict): each part's indicator extended by one solve per
+# cone of oracles.reflexive_facets, its functionals tested for the lattice,
+# and the scan pairing every vertex with every cone's functional.
 
 
-def _decision(res):
-    """A Rejection as it is, or a NefPartition with its φ functionals."""
-    if isinstance(res, Rejection):
-        return res
-    return (res, [(f.functionals, f.is_convex, f.is_integral) for f in res.phi])
-
-
-def test_validation_on_the_fan_entries_matches_the_scan_route(corpus):
+def test_validation_on_the_fan_entries_gives_the_definitions_verdict(corpus):
     """Every set partition of each reflexive corpus polytope at r = 1..3,
     the hexagon at r = 3 among them, and of the three enum4d inputs at
-    r = 2: equal Rejections, or equal NefPartitions with equal φ
-    functionals, from ``validate_partition`` and from
-    ``oracles.scan_validate_partition``."""
+    r = 2: ``validate_partition`` and ``oracles.nef_verdict`` give equal
+    Rejections (reason, part, cone and vertex), or a NefPartition whose φ
+    functionals are the definition's, each φ convex and integral."""
     cases = [
         ([v.coords for v in e.polytope.vertices], r)
         for e in corpus if e.reflexive for r in (1, 2, 3)
@@ -691,8 +754,10 @@ def test_validation_on_the_fan_entries_matches_the_scan_route(corpus):
         delta = _fresh(coords)
         for cand in _set_partitions(len(delta.vertices), r):
             new = validate_partition(delta, cand)
-            assert _decision(new) == _decision(oracles.scan_validate_partition(delta, cand)), cand
-            reasons[new.reason if isinstance(new, Rejection) else "accepted"] += 1
+            assert _decided(new) == oracles.nef_verdict(_coords(delta), cand, delta.ambient_dim), cand
+            if isinstance(new, NefPartition):
+                assert all(f.is_convex and f.is_integral for f in new.phi)
+            reasons["accepted" if isinstance(new, NefPartition) else new.reason] += 1
     assert reasons == {
         "accepted": 190, NOT_CONVEX: 110, NOT_INTEGRAL: 68, NOT_PIECEWISE_LINEAR: 3360
     }
@@ -1072,10 +1137,10 @@ def test_a_delta_part_around_the_origin_does_not_have_it_as_a_vertex():
 
 def test_the_h_description_decides_membership_like_the_facets(corpus):
     """Every nabla part of the audit inputs decides membership by its
-    facets, which agrees with the former membership by Borisov's
-    H-description, <v, y> >= -phi(v) at every vertex v of delta (kept in
-    tests/oracles.py), on every lattice point of its bounding box widened
-    by 1 and on the origin."""
+    facets, which agrees with membership by Borisov's H-description,
+    <v, y> >= -phi(v) at every vertex v of delta (``oracles.hrep_contains``),
+    on every lattice point of its bounding box widened by 1 and on the
+    origin."""
     inside = outside = 0
     for np_ in _audit_inputs(corpus):
         for f, part in zip(np_.phi, np_.nabla_parts):

@@ -673,21 +673,24 @@ def test_span_basis_is_the_canonical_nullspace_basis(case):
 
 
 # The polar built from its vertices, with its span and facets from a hull
-# on first read, against the former polar read off the facet-vertex
-# incidence, kept in tests/oracles.py.
+# on first read, against the definition: the polar of P, {y : <x, y> >= -1
+# on P}, has one vertex n·b/a per facet (n, a/b) of P, and its span, its
+# facets and its own polar are certified (oracles.certify_hull).
 
 
 def assert_polar_matches_the_hull_polar(poly):
-    """The polar and its polar equal the incidence route's: vertices, facet
-    normals, offsets and incidences, and the (empty) affine span, read
-    first here."""
+    """The polar's vertices are n·b/a, one for each facet (n, a/b) of the
+    certified hull of ``poly``'s vertices, sorted; its span and facets,
+    read first here, pass ``certify_hull`` on those vertices; and its polar
+    is the hull of ``poly``'s vertices, certified."""
     fresh = hull(list(poly.vertices))
     new = fresh.polar_dual()
-    old = oracles.incidence_polar(fresh)
     assert new._affine_span is None and new._facets is None
-    assert hull_record(new) == hull_record(old)
-    assert hull_record(new.polar_dual()) == hull_record(oracles.incidence_polar(old))
-    assert new.polar_dual() == fresh
+    base = oracles._certified_hull(fresh.vertices)
+    vertices = sorted(Point([x / f.offset for x in f.normal.coords], f.normal.space) for f in base.facets)
+    assert new.vertices == tuple(vertices)
+    oracles.certify_hull(vertices, new)
+    oracles.certify_hull(list(fresh.vertices), new.polar_dual())
 
 
 @st.composite
