@@ -18,6 +18,10 @@ For each input (a reflexive polytope and a number of parts r) it records:
   the first ``DUALITY`` partitions found, each run on the partitions one
   enumeration run found, so no nabla or dual is shared between runs; every
   partition must pass every check, and every run is in ``duality_runs_s``;
+* ``gc_collections``: the cyclic collector's collections during the row's
+  enumeration and duality runs, one count per generation (0, 1, 2), the
+  deltas of ``gc.get_stats()``; on code that leaves no reference cycles
+  they come only from the allocations the runs make;
 * ``speed_factor``: ``perfbench/speed.py``'s reference factor, sampled
   after each of the row's runs; a raw time times it is a time at that
   file's fixed machine speed, so rows of entries not run back to back can
@@ -47,6 +51,7 @@ from __future__ import annotations
 
 import argparse
 import datetime
+import gc
 import itertools
 import json
 import os
@@ -130,22 +135,37 @@ def fresh(name):
     return hull([Point(c) for c in POLYTOPES[name]])
 
 
+def collections():
+    """The collector's collections so far, one count per generation."""
+    return [stats["collections"] for stats in gc.get_stats()]
+
+
+def since(counts, before):
+    """``counts`` plus the collections made since ``before`` was taken."""
+    return [n + now - then for n, now, then in zip(counts, collections(), before)]
+
+
 def measure(name, r, repeat, duality):
     """One row of the benchmark; see the module docstring."""
     clock = speed.Speed()
     runs = []
     duality_runs = []
+    collected = [0] * len(gc.get_stats())
     passed = True
     for _ in range(repeat):
         delta = fresh(name)
+        before = collections()
         started = time.perf_counter()
         found = enumerate_nef_partitions(delta, r)
         runs.append(time.perf_counter() - started)
+        collected = since(collected, before)
         clock.sample(runs[-1])
         head = found[:duality]
+        before = collections()
         started = time.perf_counter()
         passed = all([run_full_duality(np_).all_passed for np_ in head]) and passed
         duality_runs.append(time.perf_counter() - started)
+        collected = since(collected, before)
         clock.sample(duality_runs[-1])
     return {
         "name": name,
@@ -159,6 +179,7 @@ def measure(name, r, repeat, duality):
         "duality_s": min(duality_runs),
         "duality_runs_s": duality_runs,
         "duality_passed": passed,
+        "gc_collections": collected,
         "speed_factor": clock.factor(),
     }
 
@@ -231,6 +252,7 @@ def run(inputs, repeat, duality):
         print(
             f"{name:12} r={r}  accepted {row['accepted']:5}  enumerate {row['enumerate_s']:8.4f} s"
             f"  duality x{row['duality_partitions']} {row['duality_s']:7.3f} s"
+            f"  gc {'/'.join(map(str, row['gc_collections']))}"
         )
         rows.append(row)
     return rows

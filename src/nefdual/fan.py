@@ -46,6 +46,15 @@ of a table give the masks:
 
 ``Fraction`` and ``Point`` appear only in the public values: vertex values
 and functionals.
+
+A polytope owns its face fan: :func:`face_fan` keeps the fan on the
+polytope, and with it the memo and the tables, for as long as the polytope
+lives. The fan keeps what it reads off its base, the ``vertices`` tuple,
+the ``space`` and the facets its cones mirror, and refers back to the base
+only weakly, so the two form no reference cycle and both are freed by
+reference counting as soon as their last user drops them. A fan that
+outlives its base answers as before, and its ``base`` is then an equal
+polytope made from the kept data.
 """
 
 from __future__ import annotations
@@ -55,6 +64,7 @@ from functools import reduce
 from math import lcm
 from operator import or_
 from typing import NamedTuple, Sequence
+from weakref import ref
 
 from .errors import (
     DimensionMismatch,
@@ -65,7 +75,7 @@ from .errors import (
     ZeroNotInterior,
 )
 from .linalg import Inconsistent, exact_rational
-from .polytope import Point, Polytope, dual_space, pair
+from .polytope import Facet, Point, Polytope, dual_space, pair
 
 
 class Cone(NamedTuple):
@@ -111,11 +121,12 @@ class _ConeKernel(NamedTuple):
     others: tuple
 
     @classmethod
-    def identity(cls, base: Polytope) -> "_ConeKernel":
-        """``[Vᵀ | I]``, whose basis is the identity columns, with ``D = 1``."""
-        n = len(base.vertices)
-        d = base.ambient_dim
-        coords = zip(*[v._num for v in base.vertices])
+    def identity(cls, vertices: tuple) -> "_ConeKernel":
+        """``[Vᵀ | I]`` for the base's ``vertices``, whose basis is the
+        identity columns, with ``D = 1``."""
+        n = len(vertices)
+        d = len(vertices[0]._num)
+        coords = zip(*[v._num for v in vertices])
         rows = [list(col) + [int(k == j) for j in range(d)] for k, col in enumerate(coords)]
         return cls(rows, list(range(n, n + d)), 1, ())
 
@@ -178,16 +189,24 @@ class FaceFan:
     (:meth:`_weighted_read`) serves arbitrary rational values, for
     :func:`pl_from_vertex_values` and :meth:`cone_functional`, and keeps
     nothing.
+
+    The fan keeps its base's ``vertices`` and ``space``, which every read
+    uses, and the base's facets as its cones; it refers to the base itself
+    through a weak reference (:attr:`base`), while the base holds the fan
+    strongly, so the pair forms no cycle. Equality and hashing compare the
+    kept vertices and space, as they compared the base.
     """
 
-    __slots__ = ("base", "cones", "bits", "_entries", "_kernels", "_last")
+    __slots__ = ("vertices", "space", "_base", "cones", "bits", "_entries", "_kernels", "_last")
 
     def __init__(self, base: Polytope):
         if not base.is_full_dimensional:
             raise NotFullDimensional("face fan needs a full-dimensional polytope")
         if not base.has_zero_interior:
             raise ZeroNotInterior("face fan needs the origin strictly inside")
-        self.base = base
+        self.vertices = base.vertices
+        self.space = base.space
+        self._base = ref(base)
         self.cones = tuple(
             Cone(i, f.normal, f.offset, f.incidence)
             for i, f in enumerate(base.facets)
@@ -197,13 +216,24 @@ class FaceFan:
         self._kernels: list = [None] * len(self.cones)
         self._last = None
 
+    @property
+    def base(self) -> Polytope:
+        """The polytope this is the face fan of: the one it was built on
+        while that lives, and afterwards an equal one made from the kept
+        vertices and the facets the cones mirror, with no hull."""
+        base = self._base()
+        if base is None:
+            facets = tuple([Facet(c.normal, c.offset, c.vertex_indices) for c in self.cones])
+            base = Polytope(self.vertices[0].dim, self.space, self.vertices, (), facets)
+        return base
+
     def _kernel(self, index: int) -> _ConeKernel:
         """The table of cone ``index``, built on first read and kept: one
         exchange from the last table built, or from ``[Vᵀ | I]`` for the
         fan's first."""
         kernel = self._kernels[index]
         if kernel is None:
-            parent = self._last or _ConeKernel.identity(self.base)
+            parent = self._last or _ConeKernel.identity(self.vertices)
             kernel = self._kernels[index] = self._last = parent.exchange(self.cones[index])
         return kernel
 
@@ -242,7 +272,7 @@ class FaceFan:
                 x += row[v]
             if x != (pattern >> v & 1) * det:
                 return None
-        n = len(self.base.vertices)
+        n = len(self.vertices)
         total = list(map(sum, zip(*rows))) if rows else [0] * (n + len(table.rows))
         dual = total[n:]
         if det != 1:
@@ -255,7 +285,7 @@ class FaceFan:
                 gt0 |= 1 << v
                 if x > det:
                     gt1 |= 1 << v
-        return (Point._from_form(tuple(dual), 1, dual_space(self.base.space)), gt0, gt1)
+        return (Point._from_form(tuple(dual), 1, dual_space(self.space)), gt0, gt1)
 
     def _weighted_read(self, c: int, weights: list, scale: int):
         """The functional u of cone ``c`` and its mask, for values given by
@@ -283,7 +313,7 @@ class FaceFan:
         n = len(weights)
         total = [sum([w * row[j] for w, row in rows]) for j in range(n + len(table.basis))]
         mask = sum([1 << v for v in range(n) if total[v] > det * weights[v]])
-        return Point._from_form(tuple(total[n:]), det * scale, dual_space(self.base.space)), mask
+        return Point._from_form(tuple(total[n:]), det * scale, dual_space(self.space)), mask
 
     def cone_functional(self, index: int, values: tuple):
         """The functional taking ``values`` on the vertices of cone ``index``.
@@ -301,10 +331,10 @@ class FaceFan:
         indices = self.cones[index].vertex_indices
         if len(values) != len(indices):
             raise DimensionMismatch(f"cone {index} has {len(indices)} vertices but {len(values)} values")
-        vals = [0] * len(self.base.vertices)
+        vals = [0] * len(self.vertices)
         for i, v in zip(indices, values):
             vals[i] = v if type(v) is int or type(v) is Fraction else exact_rational(v)
-        read = self._weighted_read(index, *_weights(vals, self.base.vertices))
+        read = self._weighted_read(index, *_weights(vals, self.vertices))
         return Inconsistent if read is None else read[0]
 
     def cone_contains(self, cone: Cone, x: Point) -> bool:
@@ -332,10 +362,15 @@ class FaceFan:
         return iter(self.cones)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, FaceFan) and self.base == other.base
+        return (
+            isinstance(other, FaceFan)
+            and self.space == other.space
+            and self.vertices == other.vertices
+        )
 
     def __hash__(self) -> int:
-        return hash(("FaceFan", self.base))
+        # The hash of ("FaceFan", base), from the kept data.
+        return hash(("FaceFan", (self.space, self.vertices[0].dim, self.vertices)))
 
     def __repr__(self) -> str:
         return f"FaceFan({self.base!r}, {len(self.cones)} maximal cones)"
@@ -459,7 +494,7 @@ def _weights(values: list, verts) -> tuple[list, int]:
 def pl_from_vertex_values(fan: FaceFan, values: Sequence) -> PLFunction:
     """Extend prescribed vertex values linearly on every maximal cone.
 
-    ``values`` aligns with the canonical vertex order of ``fan.base``. On
+    ``values`` aligns with the canonical vertex order of ``fan.vertices``. On
     each cone the facet's vertices pin down a unique linear functional
     because they span the ambient space; if the (overdetermined) system of a
     non-simplicial facet is unsolvable, raises NotPiecewiseLinear naming the
@@ -471,7 +506,7 @@ def pl_from_vertex_values(fan: FaceFan, values: Sequence) -> PLFunction:
     :class:`PLFunction`. Validation and enumeration call none of this:
     they decide 0/1 values on the fan's entries (:meth:`FaceFan.entry`).
     """
-    verts = fan.base.vertices
+    verts = fan.vertices
     if len(values) != len(verts):
         raise DimensionMismatch(
             f"{len(verts)} vertices but {len(values)} prescribed values"
@@ -500,7 +535,7 @@ def support_polytope(f: PLFunction) -> Polytope:
     """
     if not f.is_convex:
         raise NotConvex("support polytope needs a convex PL function")
-    space = dual_space(f.fan.base.space)
+    space = dual_space(f.fan.space)
     vertices = [
         Point._from_form(tuple([-x for x in num]), den, space)
         for num, den in {(u._num, u._den) for u in f.functionals}

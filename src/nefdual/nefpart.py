@@ -374,7 +374,7 @@ def _lattice_subsets(fan: FaceFan):
     cone that closes (its largest vertex is labelled) with no lattice
     functional for S's pattern. Depth first, on an explicit stack of (last
     labelled vertex, S)."""
-    n = len(fan.base.vertices)
+    n = len(fan.vertices)
     full = (1 << n) - 1
     closing: list[list[int]] = [[] for _ in range(n)]
     for c, cone in enumerate(fan.cones):
@@ -399,7 +399,7 @@ def _lattice_subsets(fan: FaceFan):
 def _phi(fan: FaceFan, s: int) -> PLFunction:
     """φ_S for a nef S, its functionals read off the fan's entries and its
     verdict convex, as the entries decided."""
-    values = tuple([_ONE if s >> v & 1 else _ZERO for v in range(len(fan.base.vertices))])
+    values = tuple([_ONE if s >> v & 1 else _ZERO for v in range(len(fan.vertices))])
     return PLFunction(fan, values, tuple([fan.entry(c, s)[0] for c in range(len(fan.cones))]), None)
 
 

@@ -303,11 +303,17 @@ class Polytope:
     call), :meth:`is_reflexive`, and the face fan that
     :func:`nefdual.fan.face_fan` builds on it. A polar's own polar is not
     preset to its source; it is computed like any other.
+
+    A polytope owns its face fan, and with it the fan's memo and tables:
+    ``_fan`` is the one strong link between them. The fan keeps the
+    vertices and facets it reads and refers back to the polytope weakly
+    (hence ``__weakref__``), so a polytope is freed by reference counting,
+    its fan with it, when its last user drops it.
     """
 
     __slots__ = (
         "ambient_dim", "space", "vertices", "_affine_span", "_facets", "_points",
-        "_polar", "_reflexive", "_fan",
+        "_polar", "_reflexive", "_fan", "__weakref__",
     )
 
     def __init__(

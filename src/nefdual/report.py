@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
+from math import isfinite
 
 from .duality import DualityResult
 from .fileio import point_terms
@@ -162,11 +163,12 @@ def json_text(obj) -> str:
 
     With an indent, ``json.dumps`` runs its pure-Python encoder. Here dicts
     with ``str`` keys, lists and tuples are walked; strings are written by
-    the C escaper, ``int``s by ``int.__repr__``, and None, True and False
-    as the encoder spells them. A list of ``int``s is joined in one step.
-    Any other value (a float, a dict with a key that is not a ``str``) is
-    handed to ``json.dumps`` itself, its lines moved to the depth it sits
-    at. Reports hold no cycles, so none is looked for.
+    the C escaper, ``int``s by ``int.__repr__``, finite ``float``s (the
+    ``timings`` value) by ``float.__repr__``, and None, True and False as
+    the encoder spells them. A list of ``int``s is joined in one step. Any
+    other value (NaN or an infinity, a dict with a key that is not a
+    ``str``) is handed to ``json.dumps`` itself, its lines moved to the
+    depth it sits at. Reports hold no cycles, so none is looked for.
     """
     return _json_at(obj, "\n")
 
@@ -200,4 +202,6 @@ def _json_at(obj, newline: str) -> str:
         return "null"
     if kind is bool:
         return "true" if obj else "false"
+    if kind is float and isfinite(obj):
+        return float.__repr__(obj)
     return json.dumps(obj, indent=2).replace("\n", newline)

@@ -129,6 +129,40 @@ def test_json_text_on_empty_containers_at_every_depth():
     assert json_text(value) == json.dumps(value, indent=2)
 
 
+FLOATS = [
+    0.0, -0.0, 1e-05, 3.4e-07, 1e22, 0.012345678901234567, 1.5, -2.25e-300,
+    float("nan"), float("inf"), float("-inf"),
+]
+
+
+def test_json_text_writes_floats_as_json_dumps_does():
+    """Finite floats are written by ``float.__repr__``, NaN and the
+    infinities by ``json.dumps``; both are byte-identical to it, at top
+    level and nested."""
+    for x in FLOATS:
+        for value in (x, [x], [1, x], {"timings": {"seconds": x}}, {"a": [{"b": x}, x]}):
+            assert json_text(value) == json.dumps(value, indent=2), value
+
+
+def test_a_json_reply_builds_no_json_encoder(capsys, monkeypatch):
+    """``--json`` writes the whole report, its float ``timings`` included,
+    with no ``JSONEncoder``."""
+    built = []
+    original = json.encoder.JSONEncoder.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(json.encoder.JSONEncoder, "__init__", counting_init)
+    assert main(["nef-dual", str(DATA / "d2_cross.poly"), "--parts", "0,2;1,3", "--json"]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert isinstance(rep["timings"]["seconds"], float)
+    assert built == []
+    json.dumps({"seconds": 0.5}, indent=2)
+    assert len(built) == 1  # the count sees an encoder the stdlib builds
+
+
 def former_text(p, sep=" "):
     return sep.join(format_rational(c) for c in p.coords)
 

@@ -1,5 +1,7 @@
 """The scale benchmark's short mode, and its counts against the definition."""
 
+import gc
+
 import oracles
 
 
@@ -16,3 +18,14 @@ def test_short_mode_counts_are_the_definitions(capsys, monkeypatch, scale_bench)
     monkeypatch.setitem(scale.EXPECTED, (name, r), scale.EXPECTED[(name, r)] + 1)
     assert scale.main(["--short"]) == 1
     assert f"FAIL: {name} r={r}" in capsys.readouterr().err
+
+
+def test_each_row_counts_the_collectors_collections(capsys, scale_bench):
+    """A row records the collections per generation over its runs, and the
+    printed line shows them."""
+    name, r = scale_bench.SHORT[0]
+    rows = scale_bench.run([(name, r)], 1, scale_bench.SHORT_DUALITY)
+    counts = rows[0]["gc_collections"]
+    assert len(counts) == len(gc.get_stats())
+    assert all(type(n) is int and n >= 0 for n in counts)
+    assert capsys.readouterr().out.rstrip().endswith("gc " + "/".join(map(str, counts)))
