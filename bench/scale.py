@@ -22,10 +22,13 @@ For each input (a reflexive polytope and a number of parts r) it records:
   enumeration and duality runs, one count per generation (0, 1, 2), the
   deltas of ``gc.get_stats()``; on code that leaves no reference cycles
   they come only from the allocations the runs make;
-* ``speed_factor``: ``perfbench/speed.py``'s reference factor, sampled
-  after each of the row's runs; a raw time times it is a time at that
-  file's fixed machine speed, so rows of entries not run back to back can
-  be compared.
+* ``enumerate_speed_factors`` and ``duality_speed_factors``:
+  ``perfbench/speed.py``'s reference factor of each run, sampled right
+  after it, one beside each time in ``enumerate_runs_s`` and
+  ``duality_runs_s``; a raw time times its own factor is a time at that
+  file's fixed machine speed, so runs that the host slowed differently,
+  in one row or in entries not run back to back, can be compared;
+* ``speed_factor``: the factor of all the row's samples together.
 
 The full mode also records a cold-start row, each figure the median of
 ``COLD`` fresh interpreters started with ``PYTHONDONTWRITEBYTECODE=1``:
@@ -145,11 +148,20 @@ def since(counts, before):
     return [n + now - then for n, now, then in zip(counts, collections(), before)]
 
 
+def run_factor(clock, seconds):
+    """The reference factor of a run that took ``seconds``, from samples
+    taken now (``speed.Speed.sample``), which also go to ``clock``."""
+    sampled = speed.Speed()
+    sampled.sample(seconds)
+    clock.refs += sampled.refs
+    return sampled.factor()
+
+
 def measure(name, r, repeat, duality):
     """One row of the benchmark; see the module docstring."""
     clock = speed.Speed()
-    runs = []
-    duality_runs = []
+    runs, factors = [], []
+    duality_runs, duality_factors = [], []
     collected = [0] * len(gc.get_stats())
     passed = True
     for _ in range(repeat):
@@ -159,14 +171,14 @@ def measure(name, r, repeat, duality):
         found = enumerate_nef_partitions(delta, r)
         runs.append(time.perf_counter() - started)
         collected = since(collected, before)
-        clock.sample(runs[-1])
+        factors.append(run_factor(clock, runs[-1]))
         head = found[:duality]
         before = collections()
         started = time.perf_counter()
         passed = all([run_full_duality(np_).all_passed for np_ in head]) and passed
         duality_runs.append(time.perf_counter() - started)
         collected = since(collected, before)
-        clock.sample(duality_runs[-1])
+        duality_factors.append(run_factor(clock, duality_runs[-1]))
     return {
         "name": name,
         "r": r,
@@ -175,9 +187,11 @@ def measure(name, r, repeat, duality):
         "accepted": len(found),
         "enumerate_s": min(runs),
         "enumerate_runs_s": runs,
+        "enumerate_speed_factors": factors,
         "duality_partitions": len(head),
         "duality_s": min(duality_runs),
         "duality_runs_s": duality_runs,
+        "duality_speed_factors": duality_factors,
         "duality_passed": passed,
         "gc_collections": collected,
         "speed_factor": clock.factor(),

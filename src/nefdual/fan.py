@@ -41,8 +41,8 @@ of a table give the masks:
 - For arbitrary rational values, the weighted read
   (:meth:`FaceFan._weighted_read`, with no memo) gives each cone's
   functional and mask, which :func:`pl_from_vertex_values` hands to the
-  :class:`PLFunction` it builds; :meth:`FaceFan.cone_functional` keeps
-  the functional alone.
+  :class:`PLFunction` it builds; :meth:`FaceFan.cone_functional` weighs
+  the cone's vertices alone and sums only the functional's columns.
 
 ``Fraction`` and ``Point`` appear only in the public values: vertex values
 and functionals.
@@ -53,8 +53,8 @@ lives. The fan keeps what it reads off its base, the ``vertices`` tuple,
 the ``space`` and the facets its cones mirror, and refers back to the base
 only weakly, so the two form no reference cycle and both are freed by
 reference counting as soon as their last user drops them. A fan that
-outlives its base answers as before, and its ``base`` is then an equal
-polytope made from the kept data.
+outlives its base answers as before, from the kept data alone, and its
+``base`` is then an equal polytope made from that data.
 """
 
 from __future__ import annotations
@@ -187,8 +187,10 @@ class FaceFan:
     entries are written by :func:`nefdual.duality.dual_nef_partition`, read
     off the delta parts, and those cones get no table. The weighted read
     (:meth:`_weighted_read`) serves arbitrary rational values, for
-    :func:`pl_from_vertex_values` and :meth:`cone_functional`, and keeps
-    nothing.
+    :func:`pl_from_vertex_values`, and :meth:`cone_functional` the values
+    on one cone, from the same weighted sum (:meth:`_weighted_sum`);
+    neither keeps anything. Membership in a cone (:meth:`cone_contains`)
+    is decided on the cones' normals and offsets.
 
     The fan keeps its base's ``vertices`` and ``space``, which every read
     uses, and the base's facets as its cones; it refers to the base itself
@@ -287,6 +289,19 @@ class FaceFan:
                     gt1 |= 1 << v
         return (Point._from_form(tuple(dual), 1, dual_space(self.space)), gt0, gt1)
 
+    def _weighted_sum(self, c: int, weights, start: int):
+        """``(D, S)`` for cone ``c``: S the sum of its table's rows, each
+        weighted by its basis vertex's ``int`` weight (``weights`` is indexed
+        by vertex), at the columns from ``start`` on; or ``None`` when no
+        functional takes the weights, that is, when the sum is not D times
+        the weights at the cone's other vertices, which is checked first, at
+        those columns alone (:meth:`_weighted_read`)."""
+        table = self._kernel(c)
+        rows = [(weights[b], row) for b, row in zip(table.basis, table.rows) if weights[b]]
+        if any(sum([w * row[v] for w, row in rows]) != table.det * weights[v] for v in table.others):
+            return None
+        return table.det, [sum([w * row[j] for w, row in rows]) for j in range(start, len(table.rows[0]))]
+
     def _weighted_read(self, c: int, weights: list, scale: int):
         """The functional u of cone ``c`` and its mask, for values given by
         ``weights``, or ``None`` when no functional takes them.
@@ -296,22 +311,20 @@ class FaceFan:
         vertex's denominator (:func:`_weights`), so that
         ``<_num, u> = weights[v] / L``. The sum S of the table's rows
         weighted by the basis vertices' weights holds D·L·den(v)·<v, u> at
-        each vertex v's column, and D·L·u in its last d entries. The basis spans the ambient space, so u is the only
-        candidate, and the values have a functional on the cone iff S is
-        D times the weights at the cone's other vertices, which is checked
-        first, at those columns alone. Then u is S's last d entries over
+        each vertex v's column, and D·L·u in its last d entries. The basis
+        spans the ambient space, so u is the only candidate, and the values
+        have a functional on the cone iff S is D times the weights at the
+        cone's other vertices, which is checked first, at those columns
+        alone (:meth:`_weighted_sum`). Then u is S's last d entries over
         D·L, and the mask {v : S[v] > D·weights[v]} holds the vertices
         where u exceeds the value. Facet vertices that fail to span the
         space are a library bug and raise :class:`InvariantViolation`.
         """
-        table = self._kernel(c)
-        det = table.det
-        rows = [(weights[b], row) for b, row in zip(table.basis, table.rows) if weights[b]]
-        for v in table.others:
-            if sum([w * row[v] for w, row in rows]) != det * weights[v]:
-                return None
+        read = self._weighted_sum(c, weights, 0)
+        if read is None:
+            return None
+        det, total = read
         n = len(weights)
-        total = [sum([w * row[j] for w, row in rows]) for j in range(n + len(table.basis))]
         mask = sum([1 << v for v in range(n) if total[v] > det * weights[v]])
         return Point._from_form(tuple(total[n:]), det * scale, dual_space(self.space)), mask
 
@@ -323,30 +336,37 @@ class FaceFan:
         cone's ``vertex_indices``; another count is a
         :class:`DimensionMismatch`. Returns the solution ``Point``, or
         ``Inconsistent`` when a non-simplicial facet admits none. No linear
-        system is solved: the cone's vertices get their weights
-        (:func:`_weights`, 0 off the cone) and the weighted read
-        (:meth:`_weighted_read`) gives the functional; its mask is not
-        needed here.
+        system is solved: only the cone's vertices get weights
+        (:func:`_weights`), and the weighted sum (:meth:`_weighted_sum`)
+        is formed at the cone's other vertices and the last d columns
+        alone: O(d) per other cone vertex and O(d²) for the functional,
+        whatever the number of base vertices.
         """
         indices = self.cones[index].vertex_indices
         if len(values) != len(indices):
             raise DimensionMismatch(f"cone {index} has {len(indices)} vertices but {len(values)} values")
-        vals = [0] * len(self.vertices)
-        for i, v in zip(indices, values):
-            vals[i] = v if type(v) is int or type(v) is Fraction else exact_rational(v)
-        read = self._weighted_read(index, *_weights(vals, self.vertices))
-        return Inconsistent if read is None else read[0]
+        vals = [v if type(v) is int or type(v) is Fraction else exact_rational(v) for v in values]
+        weights, scale = _weights(vals, [self.vertices[i] for i in indices])
+        read = self._weighted_sum(index, dict(zip(indices, weights)), len(self.vertices))
+        if read is None:
+            return Inconsistent
+        return Point._from_form(tuple(read[1]), read[0] * scale, dual_space(self.space))
 
     def cone_contains(self, cone: Cone, x: Point) -> bool:
-        """Exact membership of ``x`` in the (closed) maximal cone."""
+        """Exact membership of ``x`` in the (closed) maximal cone, decided on
+        the kept cones' normals and offsets, with no polytope: a nonzero x
+        lies in the cone over facet F, ⟨·, n_F⟩ ≥ −a_F, exactly when
+        s = ⟨x, n_F⟩ < 0 and x scaled by −a_F / s, a point of F's
+        hyperplane, meets every facet inequality, that is
+        ⟨x, n_G⟩ a_F ≥ a_G s for every facet G."""
         if x.is_zero():
             return True
         s = pair(x, cone.normal)
         if s >= 0:
             # every nonzero cone point pairs strictly negatively with the facet normal
             return False
-        scaled = x.scale(-cone.offset / s)
-        return self.base.contains(scaled)
+        a = cone.offset
+        return all(pair(x, c.normal) * a >= c.offset * s for c in self.cones)
 
     def locate(self, x: Point) -> Cone:
         """First maximal cone containing ``x``; the fan is complete, so one exists."""
@@ -396,10 +416,14 @@ class PLFunction:
     weighted read, and validation and enumeration off the fan's 0/1
     entries; nothing here re-decides it. ``is_convex`` and
     :meth:`first_convexity_violation` read it, and ``is_integral`` says
-    whether every functional is a lattice point.
+    whether every functional is a lattice point, computed when read: a φᵢ
+    that validation or enumeration builds is integral by their decision,
+    and building its Δᵢ reads only its functionals' sum, yᵢ's share
+    Σ_F u_{i,F} (:func:`nefdual.nefpart._delta_part`), so the test is made
+    only for a reader that asks.
     """
 
-    __slots__ = ("fan", "vertex_values", "functionals", "is_convex", "is_integral", "_violation")
+    __slots__ = ("fan", "vertex_values", "functionals", "is_convex", "_violation")
 
     def __init__(
         self,
@@ -411,9 +435,13 @@ class PLFunction:
         self.fan = fan
         self.vertex_values = vertex_values
         self.functionals = functionals
-        self.is_integral = self.first_nonintegral_cone() is None
         self._violation = violation
         self.is_convex = violation is None
+
+    @property
+    def is_integral(self) -> bool:
+        """Whether every functional is a lattice point, computed when read."""
+        return self.first_nonintegral_cone() is None
 
     def first_convexity_violation(self):
         """First (vertex_index, cone_index) where a functional exceeds the value."""

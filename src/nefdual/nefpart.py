@@ -98,16 +98,21 @@ hull only when first read (:meth:`nefdual.polytope.Polytope._from_vertices`).
   maximum of its functionals, and for a generic x inside a cone, −u of
   that cone is the unique minimiser of ⟨x, ·⟩ over them
   (:func:`nefdual.fan.support_polytope`).
-- Δᵢ = conv(0, Eᵢ). Its vertices are Eᵢ, each a vertex of Δ ⊇ Δᵢ, and 0
-  exactly when every e ∈ Eᵢ has ⟨e, u⟩ < 0 for some functional u of some
-  φₖ with k ≠ i. If that holds, let s be the sum of those −u. Every −u is
-  a point of some ∇ₖ, k ≠ i, so ⟨e′, −u⟩ ≥ −φₖ(e′) = 0 for every e′ ∈ Eᵢ,
-  and each e′ has a term > 0 of its own: ⟨e′, s⟩ > 0 = ⟨0, s⟩ separates
-  conv(Eᵢ) strictly from 0. If it fails for some e, then
-  φₖ(−e) = max ⟨−e, u⟩ ≤ 0, so φₖ(−e) = 0 for every k ≠ i, as φₖ ≥ 0.
-  On a cone holding −e, −e is a nonnegative combination of the facet's
+- Δᵢ = conv(0, Eᵢ), built from Eᵢ and φᵢ alone. Its vertices are Eᵢ,
+  each a vertex of Δ ⊇ Δᵢ, and 0 exactly when ⟨e, yᵢ⟩ > 0 for every
+  e ∈ Eᵢ, where yᵢ = Σ_F (n_F + u_{i,F}) is summed over the cones of Δ's
+  fan, n_F the facet normal and u_{i,F} φᵢ's functional on F's cone.
+  Σₖφₖ has the functional −n_F on F's cone, so
+  yᵢ = Σ_F Σ_{k≠i} (−u_{k,F}), and yᵢ = 0 at r = 1. Each
+  ⟨e, u_{k,F}⟩ ≤ φₖ(e) = 0 for e ∈ Eᵢ and k ≠ i, by convexity, so
+  ⟨e, yᵢ⟩ > 0 exactly when ⟨e, u_{k,F}⟩ < 0 for some k ≠ i and some F.
+  If every e ∈ Eᵢ has ⟨e, yᵢ⟩ > 0 = ⟨0, yᵢ⟩, then yᵢ separates conv(Eᵢ)
+  strictly from 0. If some e has ⟨e, yᵢ⟩ = 0, then every ⟨e, u_{k,F}⟩,
+  k ≠ i, is 0, so φₖ(−e) = max_F ⟨−e, u_{k,F}⟩ = 0 for every k ≠ i. On a
+  cone holding −e, −e is a nonnegative combination of the facet's
   vertices, and φₖ is linear there and 1 on Eₖ, so only vertices of Eᵢ
-  have weight: −e ∈ cone(Eᵢ), and 0 ∈ conv(Eᵢ).
+  have weight: −e ∈ cone(Eᵢ), and 0 ∈ conv(Eᵢ). Σ_F n_F is formed once per
+  call; no other part's ∇ₖ is read.
 
 The pairings of a duality live in one table (:class:`_Pairings`), made on
 first read by :func:`_pairings`, kept on the source and shared by its dual.
@@ -320,21 +325,33 @@ def _decide(delta: Polytope, parts: Iterable[Iterable[int]]):
 def _build(delta: Polytope, parts, phis):
     """The delta parts and the nabla parts, each built from its vertices
     (the module docstring gives both vertex sets), with no hull: a part's
-    span and facets are built on their first read."""
-    nabla_parts = tuple(support_polytope(f) for f in phis)
-    return tuple(_delta_part(delta, parts, nabla_parts, i) for i in range(len(parts))), nabla_parts
+    span and facets are built on their first read. Δᵢ is built from Eᵢ
+    and φᵢ alone (:func:`_delta_part`): 0 is a vertex exactly when
+    ⟨e, yᵢ⟩ > 0 for every e ∈ Eᵢ, yᵢ = Σ_F (n_F + u_{i,F}), with Σ_F n_F
+    formed once."""
+    normals = _normal_sum(phis[0].fan)
+    delta_parts = tuple([_delta_part(delta, sorted(part), f, normals) for part, f in zip(parts, phis)])
+    return delta_parts, tuple([support_polytope(f) for f in phis])
 
 
-def _delta_part(delta: Polytope, parts, nabla_parts, i: int) -> Polytope:
-    """Δᵢ = conv(0, Eᵢ), Eᵢ the vertices of ``parts[i]``, from its vertices:
-    Eᵢ, and 0 exactly when every e in Eᵢ pairs positively with a vertex -u
-    of some ``nabla_parts[k]``, k ≠ i."""
-    verts = [delta.vertices[j] for j in sorted(parts[i])]
+def _normal_sum(fan: FaceFan) -> tuple:
+    """Σ_F n_F over the cones of ``fan``, as ``int``s: the facet normals of
+    a reflexive polytope are lattice points."""
+    return tuple(map(sum, zip(*[c.normal._num for c in fan.cones])))
+
+
+def _delta_part(delta: Polytope, members, phi: PLFunction, normals: tuple) -> Polytope:
+    """Δᵢ = conv(0, Eᵢ), Eᵢ the vertices ``members`` (sorted indices) of
+    part i, from its vertices: Eᵢ, and 0 exactly when ⟨e, yᵢ⟩ > 0 for every
+    e in Eᵢ, yᵢ = Σ_F (n_F + u_F) = ``normals`` plus the sum of ``phi``'s
+    cone functionals (the module docstring gives the argument). No other
+    part is read."""
+    verts = [delta.vertices[j] for j in members]
     points = [origin(delta.ambient_dim, delta.space)] + verts
-    # Every denominator is positive, so the sign of <e, y> is that of the
-    # dot product of the numerators.
-    others = [y._num for k, nb in enumerate(nabla_parts) if k != i for y in nb.vertices]
-    if all(any(_dot(e._num, y) > 0 for y in others) for e in verts):
+    y = list(map(sum, zip(normals, *[u._num for u in phi.functionals])))
+    # Every point here is a lattice point, so <e, y> is the dot product of
+    # the numerators.
+    if all([_dot(e._num, y) > 0 for e in verts]):
         return Polytope._from_vertices(points, points)
     return Polytope._from_vertices(verts, points)
 
@@ -444,14 +461,18 @@ def enumerate_nef_partitions(delta: Polytope, r: int) -> list[NefPartition]:
     (:meth:`~nefdual.fan.FaceFan._weighted_read`): each (cone, pattern) is
     read off the rows of the cone's integer table that the pattern picks,
     the table built once per cone, by exchange from the fan's last one, and
-    kept on the fan (the module docstring gives the argument). Each subset is decided once and each
-    part of the result is built once per call, however many partitions
-    share it: φ by :func:`_phi`, its verdict the masks', ∇ᵢ from φ,
-    and Δᵢ by :func:`_delta_part`, whose origin test depends on Eᵢ alone.
-    No symmetry reduction is applied. The result is sorted by canonical
-    part lists and equals that of validating every set partition into r
-    parts, labels included. An ``r`` that is not an integer (a ``float``
-    such as 2.0 included) raises ``TypeError``.
+    kept on the fan (the module docstring gives the argument). Each subset
+    is decided once and each part of the result is built once per call,
+    next to its φ, however many partitions share it: φ by :func:`_phi`,
+    its verdict the masks', ∇ᵢ from φ, and Δᵢ by :func:`_delta_part` from
+    Eᵢ and φᵢ alone, 0 a vertex exactly when ⟨e, yᵢ⟩ > 0 for every e ∈ Eᵢ,
+    yᵢ = Σ_F (n_F + u_{i,F}); Σ_F n_F is formed once, when the first cover
+    is found. No symmetry reduction is applied. The result is sorted by
+    each cover's member tuples, which is the order of canonical part
+    lists, as the cover lists its parts by smallest member, and equals
+    that of validating every set partition into r parts, labels included.
+    An ``r`` that is not an integer (a ``float`` such as 2.0 included)
+    raises ``TypeError``.
     """
     r = index(r)
     if not delta.is_reflexive():
@@ -468,23 +489,21 @@ def enumerate_nef_partitions(delta: Polytope, r: int) -> list[NefPartition]:
         for s in _lattice_subsets(fan):
             if _is_nef(fan, s) and _is_nef(fan, full ^ s):
                 blocks += (s, full ^ s)
-    built: dict[int, tuple] = {}  # subset -> (part, φ, ∇ᵢ)
-    delta_parts: dict[int, Polytope] = {}
-    found = []
+    built: dict[int, tuple] = {}  # subset -> (members, part, φ, ∇ᵢ, Δᵢ)
+    normals = None
+    found: dict[tuple, NefPartition] = {}
     for cover in _exact_covers(blocks, full, r):
+        if normals is None:
+            normals = _normal_sum(fan)
         for s in cover:
             if s not in built:
+                members = tuple([v for v in range(n) if s >> v & 1])
                 phi = _phi(fan, s)
-                built[s] = (frozenset(v for v in range(n) if s >> v & 1), phi, support_polytope(phi))
-        parts, phis, nabla_parts = zip(*[built[s] for s in cover])
-        for i, s in enumerate(cover):
-            if s not in delta_parts:
-                delta_parts[s] = _delta_part(delta, parts, nabla_parts, i)
-        found.append(
-            NefPartition(delta, parts, fan, phis, tuple([delta_parts[s] for s in cover]), nabla_parts)
-        )
-    found.sort(key=lambda np: np.canonical_parts())
-    return found
+                delta_part = _delta_part(delta, members, phi, normals)
+                built[s] = (members, frozenset(members), phi, support_polytope(phi), delta_part)
+        key, parts, phis, nabla_parts, delta_parts = zip(*[built[s] for s in cover])
+        found[key] = NefPartition(delta, parts, fan, phis, delta_parts, nabla_parts)
+    return [found[key] for key in sorted(found)]
 
 
 class RelationReport(NamedTuple):

@@ -82,7 +82,7 @@ import itertools
 from fractions import Fraction
 from functools import reduce
 from math import ceil, floor, gcd, lcm
-from operator import and_, itemgetter, mul
+from operator import and_, attrgetter, itemgetter, mul
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import (
@@ -95,6 +95,8 @@ from .linalg import SolveFailure, eliminate, exact_rational, solve
 
 SPACE_M = "M"
 SPACE_N = "N"
+
+_NUM = attrgetter("_num")
 
 
 def dual_space(space: str) -> str:
@@ -335,14 +337,17 @@ class Polytope:
         self._fan = None
 
     @classmethod
-    def _from_vertices(cls, vertices: Iterable[Point], points: Sequence[Point]):
+    def _from_vertices(cls, vertices: Sequence[Point], points: Sequence[Point]):
         """The hull of ``points``, whose extreme points are ``vertices``.
 
         ``vertices`` are distinct points of one space, in any order; they are
-        sorted here as :func:`hull` sorts them. No hull is built until the
-        span or the facets are first read.
+        sorted here as :func:`hull` sorts them: by ``_num`` when all are
+        lattice points, which is the order of :func:`_scaled_sorted` at
+        ``L = 1``, and by that otherwise. No hull is built until the span or
+        the facets are first read.
         """
-        vertices = [q for _, q in _scaled_sorted(vertices)[1]]
+        lattice = all([q._den == 1 for q in vertices])
+        vertices = sorted(vertices, key=_NUM) if lattice else [q for _, q in _scaled_sorted(vertices)[1]]
         poly = cls(vertices[0].dim, vertices[0].space, tuple(vertices), None, None)
         poly._points = points
         return poly

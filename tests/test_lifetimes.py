@@ -12,15 +12,17 @@ import gc
 import io
 from contextlib import redirect_stderr, redirect_stdout
 
+import pytest
 import test_cli
 from test_duality import kernel_cones, read_off_failures
 
 from nefdual.cli import _parser, main
 from nefdual.corpus import load_corpus
+from nefdual.errors import DimensionMismatch
 from nefdual.duality import run_full_duality
 from nefdual.fan import FaceFan, face_fan, pl_from_vertex_values, support_polytope
 from nefdual.nefpart import NefPartition, Rejection, enumerate_nef_partitions, validate_partition
-from nefdual.polytope import Point, hull
+from nefdual.polytope import Point, Polytope, hull, pair
 
 DATA, FIX = test_cli.DATA, test_cli.FIX
 SIMPLEX5 = [tuple(int(i == j) for j in range(5)) for i in range(5)] + [(-1,) * 5]
@@ -149,6 +151,59 @@ def test_a_fan_outlives_its_polytope():
     assert fan.base.facets == twin.facets and hash(fan.base) == hash(twin)
     assert answers() == living
     assert living[:3] == (True, True, True)
+
+
+def test_a_fan_without_its_polytope_locates_with_no_polytope(monkeypatch):
+    """Once the base is freed, ``cone_contains``, ``locate`` and
+    ``evaluate`` decide on the fan's kept cones: no ``Polytope`` is
+    constructed, the answers are those given while the base lived, which
+    are the definition's (a nonzero x is in the cone over facet F iff it
+    pairs negatively with F's normal and its multiple on F's hyperplane
+    lies in the polytope), and a point of the other space or dimension is
+    still a ``DimensionMismatch``."""
+    twin = fresh(OCTAHEDRON)
+    p = fresh(OCTAHEDRON)
+    fan = face_fan(p)
+    f = pl_from_vertex_values(fan, [1, 0, 0, 0, 0, 0])
+    probes = [Point((a, b, c)) for a in (-2, -1, 0, 1) for b in (-1, 0, 2) for c in (-1, 0, 1)]
+    probes += [Point(("1/2", "-1/3", "1/5")), Point(("-3/7", "0", "2/3"))]
+    wrong = [Point((1, 0, 0), "N"), Point((1, 0))]
+
+    def answers():
+        contained = [[fan.cone_contains(c, x) for c in fan.cones] for x in probes]
+        return contained, [fan.locate(x) for x in probes], [f.evaluate(x) for x in probes]
+
+    def mismatches():
+        for x in wrong:
+            with pytest.raises(DimensionMismatch):
+                fan.cone_contains(fan.cones[0], x)
+            with pytest.raises(DimensionMismatch):
+                fan.locate(x)
+
+    def definition(cone, x):
+        s = pair(x, cone.normal)
+        return x.is_zero() or s < 0 and twin.contains(x.scale(-cone.offset / s))
+
+    living = answers()
+    mismatches()
+    assert living[0] == [[definition(c, x) for c in fan.cones] for x in probes]
+    assert living[1] == [fan.cones[row.index(True)] for row in living[0]]
+    del p
+    gc.collect()
+    assert fan._base() is None
+    built = []
+    original = Polytope.__init__
+
+    def counting(self, *args):
+        built.append(args)
+        original(self, *args)
+
+    monkeypatch.setattr(Polytope, "__init__", counting)
+    assert answers() == living
+    mismatches()
+    assert built == []
+    fan.base
+    assert len(built) == 1
 
 
 def test_the_memo_of_delta_serves_every_later_call(monkeypatch):

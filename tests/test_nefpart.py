@@ -1,6 +1,7 @@
 """Nef-partition validation, the pairing relations, and enumeration."""
 
 import itertools
+import operator
 import random
 import sys
 import time
@@ -1096,6 +1097,26 @@ def test_parts_built_from_their_vertices_are_certified_on_the_audit_inputs(corpu
     assert (count, without_origin) == (333, 307)
 
 
+def _assert_distinct_parts_are_certified(found):
+    """Each distinct part of the partitions ``found`` on one Δ certified
+    once, as :func:`_assert_parts_are_certified` certifies a partition's,
+    with every partition sharing a part's φ, Δᵢ and ∇ᵢ; returns how many
+    delta parts of all the partitions lack the origin."""
+    built = {}
+    for np_ in found:
+        for part, *objects in zip(np_.parts, np_.phi, np_.delta_parts, np_.nabla_parts):
+            assert all(map(operator.is_, built.setdefault(part, objects), objects))
+    delta = found[0].delta
+    zero = Point((0,) * delta.ambient_dim, delta.space)
+    for part, us in zip(built, oracles._functionals(delta, list(built))):
+        phi, delta_part, nabla_part = built[part]
+        assert phi.functionals == us, part
+        oracles.certify_hull([zero] + [delta.vertices[i] for i in part], delta_part)
+        oracles.certify_hull([-u for u in us], nabla_part)
+    return sum(not any(v.is_zero() for v in p.vertices) for np_ in found for p in np_.delta_parts)
+
+
+# Rows given by name are inputs of bench/scale.py.
 @pytest.mark.parametrize(
     "coords, r, expected",
     [
@@ -1103,13 +1124,62 @@ def test_parts_built_from_their_vertices_are_certified_on_the_audit_inputs(corpu
         (FOUR_D["cross4"], 3, (966, 2898, 1058)),
         (SIMPLEX5, 2, (31, 62, 0)),
         (SIMPLEX5, 3, (90, 270, 0)),
+        ("hex+seg+seg", 2, (159, 318, 202)),
+        ("hex+hex", 2, (199, 398, 230)),
+        ("cross5", 2, (511, 1022, 780)),
     ],
 )
-def test_parts_built_from_their_vertices_are_certified_on_larger_inputs(coords, r, expected):
+def test_parts_built_from_their_vertices_are_certified_on_larger_inputs(coords, r, expected, scale_bench):
     """(partitions, delta parts, delta parts without the origin)."""
+    if isinstance(coords, str):
+        coords = scale_bench.POLYTOPES[coords]
     found = enumerate_nef_partitions(_fresh(coords), r)
-    without_origin = sum(_assert_parts_are_certified(np_) for np_ in found)
+    without_origin = _assert_distinct_parts_are_certified(found)
     assert (len(found), r * len(found), without_origin) == expected
+
+
+class _Unread:
+    """A stand-in for a nabla part that fails on any read of it."""
+
+    def __getattribute__(self, name):
+        raise AssertionError(f"a nabla part was read: {name}")
+
+
+def test_a_delta_part_reads_no_nabla_part(monkeypatch, corpus):
+    """Δᵢ is built from Eᵢ and φᵢ alone: with every nabla part replaced by
+    a stand-in that fails on any read, enumeration and validation build
+    the delta parts they build otherwise, on every reflexive corpus
+    polytope at r = 1..3 and the 4-simplex and 4D cross-polytope at r = 2."""
+    inputs = [(_coords(e.polytope), r) for e in corpus if e.reflexive for r in (1, 2, 3)]
+    inputs += [(FOUR_D["simplex4"], 2), (FOUR_D["cross4"], 2)]
+
+    def delta_parts():
+        out = []
+        for coords, r in inputs:
+            found = enumerate_nef_partitions(_fresh(coords), r)
+            base = _fresh(coords)
+            validated = [validate_partition(base, np_.parts) for np_ in found]
+            out.append([[p.vertices for p in np_.delta_parts] for np_ in found + validated])
+        return out
+
+    expected = delta_parts()
+    monkeypatch.setattr(nefpart, "support_polytope", lambda f: _Unread())
+    assert delta_parts() == expected
+    origins = Counter(any(v.is_zero() for v in vs) for case in expected for np_ in case for vs in np_)
+    assert origins[True] and origins[False]
+
+
+def test_the_result_is_in_the_order_of_canonical_parts(corpus, scale_bench):
+    """On every bench/scale.py row and on the corpus at r = 1..3, the
+    result, sorted by each cover's member tuples, is the found partitions
+    sorted by ``NefPartition.canonical_parts``."""
+    inputs = [(scale_bench.POLYTOPES[name], r, n) for (name, r), n in scale_bench.EXPECTED.items()]
+    inputs += [(_coords(e.polytope), r, None) for e in corpus if e.reflexive for r in (1, 2, 3)]
+    for coords, r, count in inputs:
+        found = enumerate_nef_partitions(_fresh(coords), r)
+        assert count in (None, len(found))
+        ordered = sorted(found, key=NefPartition.canonical_parts)
+        assert list(map(id, found)) == list(map(id, ordered)), (coords, r)
 
 
 def test_the_one_delta_part_of_a_partition_into_one_part_is_delta(corpus):

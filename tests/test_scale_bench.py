@@ -29,3 +29,16 @@ def test_each_row_counts_the_collectors_collections(capsys, scale_bench):
     assert len(counts) == len(gc.get_stats())
     assert all(type(n) is int and n >= 0 for n in counts)
     assert capsys.readouterr().out.rstrip().endswith("gc " + "/".join(map(str, counts)))
+
+
+def test_each_run_keeps_its_own_speed_factor(scale_bench):
+    """A row keeps the reference factor sampled after each enumeration and
+    duality run beside that run's time, and its ``speed_factor`` is the
+    factor of all those samples together."""
+    name, r = scale_bench.SHORT[0]
+    (row,) = scale_bench.run([(name, r)], 2, scale_bench.SHORT_DUALITY)
+    for times, factors in (("enumerate_runs_s", "enumerate_speed_factors"), ("duality_runs_s", "duality_speed_factors")):
+        assert len(row[factors]) == len(row[times]) == 2
+        assert all(type(f) is float and f > 0 for f in row[factors])
+    every = row["enumerate_speed_factors"] + row["duality_speed_factors"]
+    assert min(every) <= row["speed_factor"] <= max(every)
